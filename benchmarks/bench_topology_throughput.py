@@ -9,7 +9,7 @@ the loss-free answer small by choosing its strategy from the mask's density
 sparse ones, a float32 sgemm or an AND+popcount word tally in between);
 the lossy path's per-round delivered masks get the same split
 (``DenseDeliveredChannel`` vs ``PackedDeliveredChannel``).  This benchmark
-pins the result three ways:
+pins the result four ways:
 
 * an **all-True adjacency** (the masked path on a clique-equal graph) must
   be *bit-identical* to the unmasked default and at most ``2x`` slower at
@@ -27,7 +27,13 @@ pins the result three ways:
   must be bit-identical, and the packed wall-clock is recorded (no bar —
   the lossy path is dominated by the per-trial ``(n, n)`` Philox draws the
   bit-identity contract fixes, so end-to-end ratios mostly measure draw
-  volume, not tally engines).
+  volume, not tally engines);
+* those **loss draws** themselves: the shared draw kernel (raw outputs
+  against an integer threshold, trials spread over one thread per CPU)
+  must reproduce the serial ``random() >= loss`` loop bit for bit —
+  matrices and generator states — at ``n=512`` with 64 trials, and beat it
+  by at least ``1.3x`` when the process may use two or more CPUs (on one
+  CPU only identity is asserted).
 
 All measurements are folded into ``benchmarks/results/summary.json`` for
 cross-PR trajectory tracking.
@@ -35,6 +41,7 @@ cross-PR trajectory tracking.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -71,6 +78,10 @@ MIN_PACKED_TALLY_SPEEDUP = 2.0
 
 #: Per-edge loss used for the mid-density delivered-mask tally comparison.
 TALLY_LOSS = 0.05
+
+#: Acceptance floor: the shared loss-draw kernel vs the serial reference
+#: loop, n=512 and 64 trials, when at least two CPUs are available.
+MIN_DRAW_SPEEDUP = 1.3
 
 
 def _run(n, t, adjacency=None, loss=0.0, backend=None, repeats=3):
@@ -211,3 +222,72 @@ def test_masked_overheads_are_bounded_and_packed_tallies_beat_sgemm():
         f"packed masked tally is only {tally_speedup:.2f}x the sgemm form at "
         f"n={BENCH_N} mid-density (floor {MIN_PACKED_TALLY_SPEEDUP}x)"
     )
+
+
+def _serial_draws(loss, n, rngs, running):
+    """The serial reference loop: one ``random`` plane per running trial."""
+    delivered = np.zeros((len(running), n, n), dtype=bool)
+    draw = np.empty((n, n), dtype=np.float64)
+    for b in np.flatnonzero(running):
+        rngs[b].random(out=draw)
+        kept = draw >= loss
+        np.fill_diagonal(kept, True)
+        delivered[b] = kept
+    return delivered
+
+
+def _plain(value):
+    """A ``bit_generator.state`` value with its arrays as lists, for ``==``."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop():
+    """Shared draw kernel == serial loop; >= 1.3x on two or more CPUs."""
+    n, batch = BENCH_N, BENCH_TRIALS
+    running = np.ones(batch, dtype=bool)
+
+    def generators():
+        return [np.random.Generator(np.random.Philox(key=(11, k))) for k in range(batch)]
+
+    serial_rngs, kernel_rngs = generators(), generators()
+    expected = _serial_draws(TALLY_LOSS, n, serial_rngs, running)
+    assert np.array_equal(sample_delivered(None, TALLY_LOSS, n, kernel_rngs, running), expected)
+    assert [_plain(r.bit_generator.state) for r in kernel_rngs] == [
+        _plain(r.bit_generator.state) for r in serial_rngs
+    ]
+
+    # Both sides keep drawing from their (advanced) streams while timed.
+    serial_s = _best(lambda: _serial_draws(TALLY_LOSS, n, serial_rngs, running), repeats=5)
+    kernel_s = _best(
+        lambda: sample_delivered(None, TALLY_LOSS, n, kernel_rngs, running), repeats=5
+    )
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    speedup = serial_s / kernel_s
+    print(
+        f"\nloss draws (n={n}, trials={batch}, loss={TALLY_LOSS}, {cpus} CPUs): "
+        f"serial {serial_s * 1000:.1f} ms vs kernel {kernel_s * 1000:.1f} ms "
+        f"({speedup:.2f}x), bit-identical"
+    )
+    from benchmarks.harness import update_summary
+
+    update_summary(
+        "topology-throughput/loss-draws",
+        {
+            "kind": "throughput",
+            "n": n,
+            "trials": batch,
+            "loss": TALLY_LOSS,
+            "cpus": cpus,
+            "serial_seconds": serial_s,
+            "kernel_seconds": kernel_s,
+            "speedup": speedup,
+            "bit_identical": True,
+        },
+    )
+    if cpus >= 2:
+        assert speedup >= MIN_DRAW_SPEEDUP, (
+            f"loss-draw kernel is only {speedup:.2f}x the serial loop at n={n} "
+            f"on {cpus} CPUs (floor {MIN_DRAW_SPEEDUP}x)"
+        )

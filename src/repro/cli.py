@@ -99,6 +99,7 @@ from repro.engine import (
     markdown_engine_tables,
     run_sweep,
 )
+from repro.exceptions import ConfigurationError
 from repro.metrics.collectors import collect_run_metrics, collect_trials_metrics
 from repro.metrics.reporting import format_table
 from repro.observability import (
@@ -429,8 +430,6 @@ def _load_spec(reference: str):
         return SWEEP_LIBRARY[reference]
     if reference.endswith((".json", ".toml")):
         return spec_from_file(reference)
-    from repro.exceptions import ConfigurationError
-
     raise ConfigurationError(
         f"unknown sweep spec {reference!r}: not a library name "
         f"({', '.join(sorted(SWEEP_LIBRARY))}) and not a .json/.toml file"
@@ -438,7 +437,6 @@ def _load_spec(reference: str):
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.exceptions import ConfigurationError
     from repro.sweeps import (
         ResultsStore,
         adaptive_report_rows,
@@ -459,11 +457,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             print(format_table(library_table()))
         return 0
 
-    try:
-        spec = _load_spec(args.spec)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    spec = _load_spec(args.spec)
 
     if args.sweep_command == "expand":
         if args.as_json:
@@ -474,88 +468,84 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 0
 
     store = ResultsStore(args.store)
-    try:
-        if args.sweep_command == "status":
-            if spec.adaptive:
-                report = adaptive_status(spec, store=store, engine=args.engine)
-                for estimate in report.estimates:
-                    width = "-" if estimate.trials == 0 else f"{estimate.width:.4f}"
-                    print(f"  {estimate.status:9s} {estimate.point.label()}  "
-                          f"{estimate.trials:4d} trials, width {width}  "
-                          f"[{estimate.key[:12]}]")
-                print(report.summary_line())
-                return 0
-            report = status_spec(spec, store=store, engine=args.engine)
-            for outcome in report.outcomes:
-                print(f"  {outcome.status:8s} {outcome.point.label()}  "
-                      f"[{outcome.key[:12]}]")
+    if args.sweep_command == "status":
+        if spec.adaptive:
+            report = adaptive_status(spec, store=store, engine=args.engine)
+            for estimate in report.estimates:
+                width = "-" if estimate.trials == 0 else f"{estimate.width:.4f}"
+                print(f"  {estimate.status:9s} {estimate.point.label()}  "
+                      f"{estimate.trials:4d} trials, width {width}  "
+                      f"[{estimate.key[:12]}]")
             print(report.summary_line())
-            print(report.cache_line())
             return 0
-        if args.sweep_command == "report":
-            if spec.adaptive:
-                rows = adaptive_report_rows(spec, store=store, engine=args.engine)
-                print(f"spec {spec.name}: adaptive results from {store.root}")
-                print(format_table(rows))
-                missing = sum(1 for row in rows if row["status"] == "pending")
-            else:
-                rows = report_rows(spec, store=store, engine=args.engine)
-                print(f"spec {spec.name}: results from {store.root}")
-                print(format_table(rows))
-                missing = sum(1 for row in rows if row["engine"] is None)
-            if missing:
-                print(f"({missing} of {len(rows)} points not in the store yet; "
-                      f"run `repro sweep run {args.spec}`)")
-            return 0
-        if args.sweep_command == "run":
-            tracer = _cli_tracer(args.trace, "sweep-run")
-            adaptive = args.adaptive or args.precision is not None or spec.adaptive
-            if adaptive:
-                def batch_progress(outcome, batches):
-                    if not args.quiet:
-                        state = "converged" if outcome.converged else "open"
-                        print(f"  [batch {batches}] {outcome.point.label()} "
-                              f"+{outcome.batch_trials} -> {outcome.total_trials} "
-                              f"trials, width {outcome.width:.4f} ({state}; "
-                              f"{outcome.seconds:.2f}s, {outcome.engine})",
-                              flush=True)
-
-                with activate(tracer):
-                    with tracer.span("cli.sweep_run", spec=spec.name,
-                                     adaptive=True):
-                        report = run_adaptive(
-                            spec, store=store, engine=args.engine,
-                            precision=args.precision, max_trials=args.max_trials,
-                            batch_size=args.batch, workers=args.workers,
-                            backend=args.backend, limit=args.limit,
-                            progress=batch_progress,
-                        )
-                print(report.summary_line())
-                _export_trace(tracer)
-                return 0
-
-            def progress(outcome, index, total):
+        report = status_spec(spec, store=store, engine=args.engine)
+        for outcome in report.outcomes:
+            print(f"  {outcome.status:8s} {outcome.point.label()}  "
+                  f"[{outcome.key[:12]}]")
+        print(report.summary_line())
+        print(report.cache_line())
+        return 0
+    if args.sweep_command == "report":
+        if spec.adaptive:
+            rows = adaptive_report_rows(spec, store=store, engine=args.engine)
+            print(f"spec {spec.name}: adaptive results from {store.root}")
+            print(format_table(rows))
+            missing = sum(1 for row in rows if row["status"] == "pending")
+        else:
+            rows = report_rows(spec, store=store, engine=args.engine)
+            print(f"spec {spec.name}: results from {store.root}")
+            print(format_table(rows))
+            missing = sum(1 for row in rows if row["engine"] is None)
+        if missing:
+            print(f"({missing} of {len(rows)} points not in the store yet; "
+                  f"run `repro sweep run {args.spec}`)")
+        return 0
+    if args.sweep_command == "run":
+        tracer = _cli_tracer(args.trace, "sweep-run")
+        adaptive = args.adaptive or args.precision is not None or spec.adaptive
+        if adaptive:
+            def batch_progress(outcome, batches):
                 if not args.quiet:
-                    timing = f" ({outcome.seconds:.2f}s, {outcome.engine})" \
-                        if outcome.status == "computed" else ""
-                    print(f"  [{index + 1}/{total}] {outcome.status:8s} "
-                          f"{outcome.point.label()}{timing}", flush=True)
+                    state = "converged" if outcome.converged else "open"
+                    print(f"  [batch {batches}] {outcome.point.label()} "
+                          f"+{outcome.batch_trials} -> {outcome.total_trials} "
+                          f"trials, width {outcome.width:.4f} ({state}; "
+                          f"{outcome.seconds:.2f}s, {outcome.engine})",
+                          flush=True)
 
             with activate(tracer):
                 with tracer.span("cli.sweep_run", spec=spec.name,
-                                 adaptive=False):
-                    report = run_spec(
+                                 adaptive=True):
+                    report = run_adaptive(
                         spec, store=store, engine=args.engine,
-                        workers=args.workers, backend=args.backend,
-                        limit=args.limit, progress=progress,
+                        precision=args.precision, max_trials=args.max_trials,
+                        batch_size=args.batch, workers=args.workers,
+                        backend=args.backend, limit=args.limit,
+                        progress=batch_progress,
                     )
             print(report.summary_line())
-            print(report.cache_line())
             _export_trace(tracer)
             return 0
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+
+        def progress(outcome, index, total):
+            if not args.quiet:
+                timing = f" ({outcome.seconds:.2f}s, {outcome.engine})" \
+                    if outcome.status == "computed" else ""
+                print(f"  [{index + 1}/{total}] {outcome.status:8s} "
+                      f"{outcome.point.label()}{timing}", flush=True)
+
+        with activate(tracer):
+            with tracer.span("cli.sweep_run", spec=spec.name,
+                             adaptive=False):
+                report = run_spec(
+                    spec, store=store, engine=args.engine,
+                    workers=args.workers, backend=args.backend,
+                    limit=args.limit, progress=progress,
+                )
+        print(report.summary_line())
+        print(report.cache_line())
+        _export_trace(tracer)
+        return 0
     raise AssertionError(f"unhandled sweep command {args.sweep_command!r}")
 
 
@@ -577,26 +567,30 @@ def _command_trace(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled trace command {args.trace_command!r}")
 
 
+_COMMANDS = {
+    "run": _command_run,
+    "trials": _command_trials,
+    "experiment": _command_experiment,
+    "engines": _command_engines,
+    "topologies": _command_topologies,
+    "sweep": _command_sweep,
+    "trace": _command_trace,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "trials":
-        return _command_trials(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    if args.command == "engines":
-        return _command_engines(args)
-    if args.command == "topologies":
-        return _command_topologies(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    """CLI entry point; returns the process exit code.
+
+    A configuration the library rejects (``t >= n/3``, ``loss >= 1``, an
+    unsupported engine combination, an unknown sweep spec) is a usage error:
+    one ``error: ...`` line on stderr and exit code 2, from every subcommand.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

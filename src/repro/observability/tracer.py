@@ -223,7 +223,8 @@ class Tracer:
 
 #: The process-wide current tracer.  A plain module global (not a
 #: contextvar): reads are on the engine's per-phase path and the plane-op
-#: path, and the execution stack is single-threaded per process.
+#: path, and the execution stack records from one thread per process (the
+#: loss-draw threads of :mod:`repro.topology.loss` never touch the tracer).
 _ACTIVE: Tracer | NullTracer = NULL_TRACER
 
 

@@ -21,8 +21,9 @@ Durability contract:
   moment loses at most the point being computed;
 * ``index.json`` is a derived cache (rewritten atomically after each append)
   kept for humans and external tools; loading *never* trusts it — the shards
-  are rescanned, and a torn final line (the kill-mid-write case) is skipped
-  and simply recomputed on resume;
+  are rescanned, and a torn final line (the kill-mid-write case) is cut off
+  the shard, so the next append starts on a fresh line, and the point is
+  simply recomputed on resume;
 * shards are append-only.  Re-recording a key appends a new line; lookups
   return the latest record, and the older lines remain as the result
   trajectory (the benchmark harness uses this to keep one machine-readable
@@ -224,22 +225,26 @@ class ResultsStore:
 
     def _load(self) -> None:
         for shard in sorted(self.root.glob("shard-*.jsonl")):
-            with shard.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        # A torn final line from an interrupted append: the
-                        # point was never acknowledged, so dropping it just
-                        # means it is recomputed on resume.
-                        continue
-                    key = record.get("key")
-                    if isinstance(key, str) and key:
-                        self._records[key] = record
-                        self._lines += 1
+            data = shard.read_bytes()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                # A torn final line from an interrupted append: the point was
+                # never acknowledged, so it is simply recomputed on resume.
+                # Cut it off, or the next append would extend the fragment
+                # into one unparseable line and lose an acknowledged record.
+                os.truncate(shard, end)
+            for line in data[:end].split(b"\n"):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:  # a garbled line carries no usable record
+                    continue
+                key = record.get("key")
+                if isinstance(key, str) and key:
+                    self._records[key] = record
+                    self._lines += 1
 
     # -- reads ---------------------------------------------------------
     def __contains__(self, key: str) -> bool:

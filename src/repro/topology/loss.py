@@ -22,15 +22,34 @@ Two consumers share this module:
 
 The two paths consume *different* streams, so off-clique/lossy
 cross-validation between them is statistical, never bit-exact.
+
+The per-trial draws are the engines' hot path, so both batch samplers share
+one kernel (:func:`_sample_kept`) that spreads the running trials over a
+thread pool with one worker per CPU in the process' affinity mask.  Each
+trial still draws only from its own generator, in order, so the split never
+shows in the results; NumPy releases the GIL in the bulk fills and every bit
+generator has its own lock, so the workers never contend.  Instead of
+``random() >= loss`` the kernel compares raw 64-bit outputs against
+``ceil(loss * 2**53) << 11``: for a bit generator whose ``random()`` is
+``(next_uint64 >> 11) * 2**-53`` (Philox and PCG64) the two are the same
+test on the same draws, leaving the generator in the same state — without
+the float conversion.  Forked processes (``vectorized-mp`` workers) draw
+inline: the parent already spreads trials across processes, and a pool
+inherited through ``fork`` has no threads behind it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.observability.tracer import current_tracer
 
 __all__ = [
     "sample_delivered",
@@ -38,6 +57,40 @@ __all__ = [
     "sample_drops",
     "validate_loss",
 ]
+
+#: Bit generators whose ``random()`` is ``(next_uint64 >> 11) * 2**-53``, so
+#: a raw-output threshold reproduces ``random() >= loss`` exactly (MT19937
+#: builds its doubles from two 32-bit outputs and is not one of them).
+_RAW_DOUBLE_BIT_GENERATORS = (np.random.Philox, np.random.PCG64)
+
+#: Raw draws per row block: the block and the worker's kept matrix stay in
+#: cache, and no worker ever holds a whole float64 ``(n, n)`` plane.
+_BLOCK_VALUES = 1 << 15
+
+#: Draw threads: one per CPU this process may run on (1 in a forked child).
+_workers = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _draw_pool() -> ThreadPoolExecutor:
+    """The draw thread pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_workers, thread_name_prefix="loss-draw")
+        return _pool
+
+
+def _draw_inline_after_fork() -> None:
+    global _workers, _pool
+    _workers, _pool = 1, None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; nothing is forked elsewhere
+    os.register_at_fork(after_in_child=_draw_inline_after_fork)
 
 
 def validate_loss(loss: float) -> float:
@@ -91,15 +144,11 @@ def sample_delivered(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = 0.0
-    draw = np.empty((n, n), dtype=np.float64)
-    kept = np.empty((n, n), dtype=bool)
-    for b in np.flatnonzero(running):
-        rngs[b].random(out=draw)
-        np.greater_equal(draw, loss, out=kept)
-        if adjacency is not None:
-            kept &= adjacency
-        np.einsum("ii->i", kept)[:] = True
+
+    def emit(b: int, kept: np.ndarray) -> None:
         delivered[b] = kept
+
+    _sample_kept(adjacency, loss, n, rngs, running, emit)
     return delivered
 
 
@@ -121,8 +170,7 @@ def sample_delivered_words(
     :func:`repro.simulator.planes.packed.pack_bools` layout — so the
     masked tallies can run as AND+popcount word contractions
     (:class:`repro.topology.counting.PackedDeliveredChannel`) without the
-    float32 round-trip.  Packing transposes for free: ``np.packbits`` along
-    the sender axis yields the recipient-major byte rows directly.
+    float32 round-trip.
 
     Args:
         out: Optional ``(B, n, ceil(n/64))`` uint64 buffer.  Must start
@@ -146,20 +194,81 @@ def sample_delivered_words(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = 0
-    draw = np.empty((n, n), dtype=np.float64)
-    kept = np.empty((n, n), dtype=bool)
     nbytes = (n + 7) // 8
-    for b in np.flatnonzero(running):
-        rngs[b].random(out=draw)
-        np.greater_equal(draw, loss, out=kept)
-        if adjacency is not None:
-            kept &= adjacency
-        np.einsum("ii->i", kept)[:] = True
-        # packbits over axis 0 packs each *column* (= each recipient's
-        # incoming senders) MSB-first; the transpose assignment lands them
-        # as recipient-major byte rows of the little-endian word view.
-        delivered[b].view(np.uint8)[:, :nbytes] = np.packbits(kept, axis=0).T
+
+    def emit(b: int, kept: np.ndarray) -> None:
+        # Row i of the transpose lists recipient i's incoming senders;
+        # packing it MSB-first gives the recipient-major byte rows of the
+        # little-endian word view.  Packing a contiguous copy along its last
+        # axis is ~2x faster than packing `kept` along axis 0, and unlike
+        # that it releases the GIL.
+        delivered[b].view(np.uint8)[:, :nbytes] = np.packbits(kept.T.copy(), axis=1)
+
+    _sample_kept(adjacency, loss, n, rngs, running, emit)
     return delivered
+
+
+def _raw_threshold(loss: float) -> np.uint64:
+    """The raw output ``x`` at and above which ``(x >> 11) * 2**-53 >= loss``.
+
+    ``loss * 2**53`` is exact (a power-of-two scaling) and ``x >> 11`` is an
+    integer, so the float test is ``x >> 11 >= ceil(loss * 2**53)``, which is
+    ``x >= ceil(loss * 2**53) << 11``; for ``loss < 1`` that fits in 64 bits.
+    """
+    return np.uint64(math.ceil(loss * 2.0**53) << 11)
+
+
+def _sample_kept(
+    adjacency: np.ndarray | None,
+    loss: float,
+    n: int,
+    rngs: Sequence[np.random.Generator],
+    running: np.ndarray,
+    emit: Callable[[int, np.ndarray], None],
+) -> None:
+    """Draw each running trial's kept ``(n, n)`` matrix; ``emit(b, kept)`` it.
+
+    Trial ``b`` consumes exactly the ``n * n`` outputs ``rngs[b].random()``
+    would, row-major, and keeps entry ``[j, i]`` when it is on the diagonal,
+    or when its draw is ``>= loss`` and ``adjacency`` has the edge.  The
+    running trials are split into contiguous chunks, one per draw thread;
+    ``emit`` runs on the thread that drew ``b`` and must write only trial
+    ``b``'s output.  ``kept`` is that thread's scratch, reused for its next
+    trial.
+    """
+    live = np.flatnonzero(running)
+    generators = [rngs[b].bit_generator for b in live]
+    for generator in generators:
+        if not isinstance(generator, _RAW_DOUBLE_BIT_GENERATORS):
+            raise ConfigurationError(
+                "loss draws compare raw outputs against a threshold, which "
+                "reproduces random() only for Philox and PCG64 bit generators; "
+                f"got {type(generator).__name__}"
+            )
+    threshold = _raw_threshold(loss)
+    rows = max(1, _BLOCK_VALUES // n)
+
+    def draw(chunk: np.ndarray) -> None:
+        kept = np.empty((n, n), dtype=bool)
+        for b in chunk:
+            generator = rngs[b].bit_generator
+            for start in range(0, n, rows):
+                block = kept[start : start + rows]
+                np.greater_equal(generator.random_raw(block.shape), threshold, out=block)
+            if adjacency is not None:
+                kept &= adjacency
+            np.einsum("ii->i", kept)[:] = True
+            emit(b, kept)
+
+    # A generator shared between trials must be drawn from in trial order.
+    shared = len({id(generator) for generator in generators}) < len(generators)
+    chunks = 1 if shared else min(_workers, len(live))
+    with current_tracer().span("engine.draw.loss", running=len(live)):
+        if chunks <= 1:
+            draw(live)
+            return
+        # list() waits for every chunk and re-raises a worker's exception.
+        list(_draw_pool().map(draw, np.array_split(live, chunks)))
 
 
 def sample_drops(

@@ -71,6 +71,20 @@ class TestCommands:
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["trials", "--loss", "1.0"], "loss must be a probability"),
+        (["trials", "--n", "64", "--t", "30"], "t < n/3"),
+        (["run", "--n", "64", "--t", "30"], "t < n/3"),
+        (["run", "--loss", "1.0"], "loss must be a probability"),
+        (["sweep", "run", "no-such-spec"], "unknown sweep spec"),
+    ])
+    def test_configuration_errors_print_one_line_and_exit_2(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1  # one line, no traceback
+
     def test_engines_command_prints_support_and_dispatch_tables(self, capsys):
         code = main(["engines"])
         output = capsys.readouterr().out

@@ -11,7 +11,9 @@ tally is an exact integer either way.  Acceptance surfaces:
   matches ``"numpy"`` field-for-field over *every* topology generator
   crossed with loss in {0.0, 0.05, 0.3};
 * **sharded identity**: a masked lossy ``vectorized-mp`` sweep matches the
-  single-process numpy reference trial-for-trial;
+  single-process numpy reference trial-for-trial — also when the parent
+  started its loss-draw thread pool before forking the workers, which must
+  then draw inline instead of waiting on the inherited, threadless pool;
 * **store keys**: a masked/lossy sweep point computed under one backend is
   a pure cache hit under the other (``point_key`` has no backend field);
 * **kernel identity**: the phase-king baseline kernel accepts the backend
@@ -27,9 +29,17 @@ tally is an exact integer either way.  Acceptance surfaces:
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.kernels.phase_king import run_phase_king_trials
 from repro.engine import run_sweep
 from repro.simulator.planes import pack_bools
@@ -78,6 +88,43 @@ class TestEngineBitIdentity:
         assert [s.__dict__ for s in sharded.trials] == [
             s.__dict__ for s in serial.trials
         ]
+
+    def test_forked_workers_draw_inline_after_the_parent_started_its_pool(self):
+        # A pool inherited through fork has no threads behind it: a worker
+        # that submitted loss draws to it would wait forever.  Run the
+        # sweeps in a child interpreter in its own session, so a hang is
+        # killed together with its pool workers.
+        script = textwrap.dedent("""
+            from repro.engine import run_sweep
+            from repro.topology import loss
+
+            loss._workers = max(loss._workers, 2)
+            kwargs = dict(protocol="committee-ba", adversary="null", inputs="split",
+                          trials=6, base_seed=5, loss=0.05)
+            serial = run_sweep(40, 4, engine="vectorized", **kwargs)
+            assert loss._pool is not None, "the in-process sweep started no pool"
+            sharded = run_sweep(40, 4, engine="vectorized-mp", workers=2, **kwargs)
+            assert sharded.engine == "vectorized-mp"
+            assert [s.__dict__ for s in sharded.trials] == [
+                s.__dict__ for s in serial.trials
+            ]
+            print("identical")
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the vectorized-mp sweep hung after the draw pool started")
+        assert child.returncode == 0, err
+        assert out.split() == ["identical"]
 
 
 class TestStoreKeysIgnoreTheBackend:

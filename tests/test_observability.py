@@ -175,6 +175,28 @@ class TestBitIdentity:
             if protocol == "committee-ba":
                 assert "engine.round1" in names and "engine.round2" in names
 
+    @pytest.mark.parametrize("protocol,backend", [
+        ("committee-ba", "numpy"),
+        ("committee-ba", "packed"),
+        ("phase-king", "packed"),
+    ])
+    def test_lossy_traced_equals_untraced(self, protocol, backend):
+        experiment = AgreementExperiment(n=32, t=6, protocol=protocol,
+                                         adversary="static", inputs="split",
+                                         loss=0.05)
+        kwargs = dict(experiment=experiment, trials=4, base_seed=11,
+                      engine="vectorized", backend=backend)
+        plain = run_sweep(**kwargs)
+        tracer = Tracer(run_id="lossy-identity")
+        with activate(tracer):
+            traced = run_sweep(**kwargs)
+        assert _trial_rows(traced) == _trial_rows(plain)
+        # Every round's draw (both rounds, both kernels) has its own span,
+        # annotated with how many trials drew.
+        draws = [e for e in tracer.events() if e["name"] == "engine.draw.loss"]
+        assert len(draws) >= 2
+        assert all(1 <= e["meta"]["running"] <= 4 for e in draws)
+
     def test_vectorized_mp_merge_is_bit_identical_and_ordered(self):
         experiment = AgreementExperiment(n=32, t=6, protocol="committee-ba",
                                          adversary="coin-attack", inputs="split")

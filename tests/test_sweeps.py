@@ -236,6 +236,27 @@ class TestStore:
         reloaded = ResultsStore(tmp_path / "store")
         assert "aa11" in reloaded and "bb22" not in reloaded
 
+    def test_every_acknowledged_record_survives_a_torn_tail(self, tmp_path):
+        # Fault injection: kill the append of aa02 at every byte offset
+        # (from "not started" to "complete"), reopen, append aa03 — whose
+        # put is acknowledged — then reopen twice more.
+        root = tmp_path / "store"
+        store = ResultsStore(root)
+        store.put("aa01", {"kind": "experiment", "rows": [1]})
+        store.put("aa02", {"kind": "experiment", "rows": [2]})
+        shard = root / "shard-aa.jsonl"
+        full = shard.read_bytes()
+        start = full.rindex(b"\n", 0, len(full) - 1) + 1  # where aa02's line begins
+        for cut in range(start, len(full) + 1):
+            shard.write_bytes(full[:cut])
+            ResultsStore(root).put("aa03", {"kind": "experiment", "rows": [cut]})
+            for _ in range(2):
+                reopened = ResultsStore(root)
+                assert reopened.get("aa01")["rows"] == [1], cut
+                assert reopened.get("aa03")["rows"] == [cut], cut
+                # aa02 was acknowledged only if its append completed.
+                assert ("aa02" in reopened) == (cut == len(full)), cut
+
     def test_index_is_rewritten_and_derived(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
         store.put("cc33", {"kind": "experiment"})

@@ -8,9 +8,12 @@ exactly the ones `validate_adjacency` enforces and the engines rely on.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.topology.loss as loss_module
 from repro.exceptions import ConfigurationError
 from repro.topology import (
     DEFAULT_TOPOLOGY,
@@ -33,6 +36,8 @@ from repro.topology import (
     validate_adjacency,
     validate_loss,
 )
+from repro.topology.counting import pack_sender_words
+from repro.topology.loss import sample_delivered_words
 
 
 class TestGeneratorInvariants:
@@ -193,6 +198,128 @@ class TestLossModel:
         total = sum(len(sample_drops(None, 0.5, 20, rng)) for _ in range(50))
         # 20*19 directed pairs, p=0.5, 50 rounds -> mean 9500
         assert 8500 < total < 10500
+
+
+def _serial_reference(adjacency, loss, n, rngs, running):
+    """The historical serial draw loop: ``random(out=)`` then ``>= loss``."""
+    delivered = np.zeros((len(running), n, n), dtype=bool)
+    draw = np.empty((n, n), dtype=np.float64)
+    for b in np.flatnonzero(running):
+        rngs[b].random(out=draw)
+        kept = draw >= loss
+        if adjacency is not None:
+            kept &= adjacency
+        np.fill_diagonal(kept, True)
+        delivered[b] = kept
+    return delivered
+
+
+def _same_state(a, b):
+    """Deep equality of two ``bit_generator.state`` dicts (Philox holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+#: Trials 1, 4 and 5 are finished: the running mask has gaps.
+RUNNING = np.array([True, False, True, True, False, False, True, True, True])
+
+
+class TestLossDrawKernel:
+    """Both samplers against the historical serial loop, bit for bit.
+
+    The shared kernel compares raw 64-bit outputs against an integer
+    threshold on a thread pool; the reference draws floats one trial after
+    another.  Three draw threads split the six running trials into uneven
+    chunks on any machine, and a tiny switch interval makes the threads
+    interleave as often as the interpreter allows.
+    """
+
+    @pytest.fixture(autouse=True)
+    def three_draw_threads(self, monkeypatch):
+        monkeypatch.setattr(loss_module, "_workers", 3)
+        monkeypatch.setattr(loss_module, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _generators(bit_generator):
+        rngs = [np.random.Generator(bit_generator(seed)) for seed in range(len(RUNNING))]
+        for size, rng in enumerate(rngs):
+            # Odd sizes leave a buffered uint32 half pending in the generator.
+            rng.integers(0, 2, size=size)
+        return rngs
+
+    @pytest.mark.parametrize("adjacency_name", [None, "ring"])
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
+    @pytest.mark.parametrize("loss", [2.0**-53, 0.05, 0.3, 0.5, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+    def test_samplers_match_the_serial_loop(self, bit_generator, loss, n, adjacency_name):
+        adjacency = None if adjacency_name is None else build_topology(adjacency_name, n)
+        reference_rngs = self._generators(bit_generator)
+        expected = _serial_reference(adjacency, loss, n, reference_rngs, RUNNING)
+
+        rngs = self._generators(bit_generator)
+        assert np.array_equal(sample_delivered(adjacency, loss, n, rngs, RUNNING), expected)
+        assert all(_same_state(a.bit_generator.state, b.bit_generator.state)
+                   for a, b in zip(rngs, reference_rngs))
+
+        rngs = self._generators(bit_generator)
+        out = np.full((len(RUNNING), n, n), 7.0, dtype=np.float32)
+        assert sample_delivered(adjacency, loss, n, rngs, RUNNING, out=out) is out
+        assert np.array_equal(out, expected.astype(np.float32))
+
+        rngs = self._generators(bit_generator)
+        words = sample_delivered_words(adjacency, loss, n, rngs, RUNNING)
+        for b in range(len(RUNNING)):
+            # Row i of the words packs the senders that reach recipient i.
+            assert np.array_equal(words[b], pack_sender_words(expected[b].T.copy(), n))
+        assert all(_same_state(a.bit_generator.state, b.bit_generator.state)
+                   for a, b in zip(rngs, reference_rngs))
+
+    def test_raw_threshold_equals_the_float_test_at_its_boundary(self):
+        # Random draws almost never land next to the threshold, so probe
+        # the raw outputs around it directly, as random() converts them.
+        losses = [2.0**-53, 0.05, 0.3, 0.5, 1.0 / 3.0, 1.0 - 2.0**-53]
+        losses += list(np.random.default_rng(0).random(200))
+        for loss in losses:
+            threshold = int(loss_module._raw_threshold(loss))
+            offsets = (-4096, -2049, -2048, -2047, -1, 0, 1, 2047, 2048, 2049)
+            raws = np.array(
+                [threshold + d for d in offsets if 0 <= threshold + d < 2**64]
+                + [0, 2**64 - 1],
+                dtype=np.uint64,
+            )
+            as_random = (raws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            assert np.array_equal(raws >= loss_module._raw_threshold(loss),
+                                  as_random >= loss), loss
+
+    def test_a_generator_shared_between_trials_is_drawn_inline_in_trial_order(self):
+        shared = np.random.Generator(np.random.Philox(4))
+        expected = _serial_reference(
+            None, 0.3, 9, [np.random.Generator(np.random.Philox(4))] * 5, np.ones(5, bool)
+        )
+        assert np.array_equal(sample_delivered(None, 0.3, 9, [shared] * 5, np.ones(5, bool)),
+                              expected)
+        # Threads would race for the shared stream; the kernel never used any.
+        assert loss_module._pool is None
+
+    def test_one_running_trial_draws_inline(self):
+        sample_delivered(None, 0.3, 9, self._generators(np.random.Philox), np.eye(9, dtype=bool)[0])
+        assert loss_module._pool is None
+
+    def test_mt19937_is_rejected(self):
+        # MT19937 builds random() from two 32-bit outputs, so no raw-output
+        # threshold reproduces it.
+        rngs = [np.random.Generator(np.random.MT19937(1))]
+        with pytest.raises(ConfigurationError, match="Philox and PCG64"):
+            sample_delivered(None, 0.1, 4, rngs, np.ones(1, dtype=bool))
+        with pytest.raises(ConfigurationError, match="MT19937"):
+            sample_delivered_words(None, 0.1, 4, rngs, np.ones(1, dtype=bool))
 
 
 class TestAdjacencyCounter:
