@@ -1,15 +1,13 @@
-"""Masked-plane overhead: the topology axis must stay cheap — and packed.
+"""Masked-plane overhead: the topology axis must stay cheap.
 
 The masked communication path replaces the global boolean tallies with
 per-recipient contractions against the adjacency / delivered-edge masks, so
-it costs more than the historical clique path — the question is how much,
-and which contraction engine carries it.  The ``AdjacencyCounter`` keeps
-the loss-free answer small by choosing its strategy from the mask's density
-(complement segment sums on near-complete graphs, direct segment sums on
-sparse ones, a float32 sgemm or an AND+popcount word tally in between);
-the lossy path's per-round delivered masks get the same split
-(``DenseDeliveredChannel`` vs ``PackedDeliveredChannel``).  This benchmark
-pins the result four ways:
+it costs more than the historical clique path — the question is how much.
+The ``AdjacencyCounter`` keeps the loss-free answer small by choosing its
+strategy from the mask's density (complement segment sums on near-complete
+graphs, direct segment sums on sparse ones, an AND+popcount word tally in
+between); the lossy path tallies each round's delivered masks as words
+(``PackedDeliveredChannel``).  This benchmark pins the result three ways:
 
 * an **all-True adjacency** (the masked path on a clique-equal graph) must
   be *bit-identical* to the unmasked default and at most ``2x`` slower at
@@ -17,17 +15,11 @@ pins the result four ways:
   than a slow side branch;
 * a **ring** run at the same size times the sparse ``direct`` strategy
   without a bar: the degree-2 graph livelocks trials to the phase bound by
-  design, so its wall-clock mixes per-phase cost with a larger phase count;
-* the **packed masked tally** must beat the float32 sgemm form by at least
-  ``2x`` at ``n=512`` mid-density: both channels tally the *same* lossy
-  delivered-edge masks (identical Philox draws packed two ways) and must
-  return identical counts — the floor asserts the AND+popcount engine is
-  the genuinely faster one, not merely an equivalent one.  An end-to-end
-  lossy sweep (``n=128``, packed vs numpy backend) rides along: results
-  must be bit-identical, and the packed wall-clock is recorded (no bar —
-  the lossy path is dominated by the per-trial ``(n, n)`` Philox draws the
-  bit-identity contract fixes, so end-to-end ratios mostly measure draw
-  volume, not tally engines);
+  design, so its wall-clock mixes per-phase cost with a larger phase count.
+  An end-to-end lossy sweep (``n=128``, packed vs numpy backend) rides
+  along: results must be bit-identical, and both wall-clocks are recorded
+  (no bar — the lossy path is dominated by the per-trial ``(n, n)`` Philox
+  draws the bit-identity contract fixes);
 * those **loss draws** themselves: the shared draw kernel (raw outputs
   against an integer threshold, trials spread over one thread per CPU)
   must reproduce the serial ``random() >= loss`` loop bit for bit —
@@ -48,12 +40,7 @@ import numpy as np
 
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import build_topology
-from repro.topology.counting import (
-    DenseDeliveredChannel,
-    PackedDeliveredChannel,
-    pack_sender_words,
-)
-from repro.topology.loss import sample_delivered, sample_delivered_words
+from repro.topology.loss import sample_delivered
 
 #: Overhead comparison configuration: large enough that the plane work
 #: (not Python dispatch) dominates.  `straddle` keeps every trial running
@@ -71,13 +58,8 @@ LOSSY_T = 16
 #: Acceptance bar: masked all-True adjacency vs the unmasked clique path.
 MAX_MASKED_OVERHEAD = 2.0
 
-#: Acceptance floor: the packed AND+popcount masked tally vs the float32
-#: batched-sgemm form, same delivered masks, n=512 mid-density (the W-loop
-#: word tally measures ~3x on this container's single-core OpenBLAS).
-MIN_PACKED_TALLY_SPEEDUP = 2.0
-
-#: Per-edge loss used for the mid-density delivered-mask tally comparison.
-TALLY_LOSS = 0.05
+#: Per-edge loss of the loss-draw comparison.
+DRAW_LOSS = 0.05
 
 #: Acceptance floor: the shared loss-draw kernel vs the serial reference
 #: loop, n=512 and 64 trials, when at least two CPUs are available.
@@ -116,40 +98,8 @@ def _identical(ours, reference):
         assert vec.bits == ref.bits
 
 
-def _masked_tally_comparison():
-    """Packed vs sgemm per-recipient tallies over identical delivered masks.
-
-    Returns ``(sgemm_seconds, packed_seconds)`` for one round-tally of a
-    ``(B, n)`` sender plane against mid-density lossy delivered masks at
-    ``n=512`` — the contraction the lossy engine runs twice per round.
-    Both channels are fed the *same* kept matrices (the Philox draws are
-    replayed from identical seeds), and their counts are asserted equal.
-    """
-    n, batch = BENCH_N, BENCH_TRIALS
-    adjacency = build_topology("erdos-renyi", n)
-    running = np.ones(batch, dtype=bool)
-    rngs_f = [np.random.Generator(np.random.Philox(key=(3, k))) for k in range(batch)]
-    rngs_w = [np.random.Generator(np.random.Philox(key=(3, k))) for k in range(batch)]
-    delivered_f = sample_delivered(
-        adjacency, TALLY_LOSS, n, rngs_f, running,
-        out=np.empty((batch, n, n), dtype=np.float32),
-    )
-    delivered_w = sample_delivered_words(adjacency, TALLY_LOSS, n, rngs_w, running)
-    dense = DenseDeliveredChannel(delivered_f)
-    packed = PackedDeliveredChannel(delivered_w, n)
-
-    sent = np.random.default_rng(5).random((batch, n)) < 0.5
-    sent_words = pack_sender_words(sent, n)
-    np.testing.assert_array_equal(
-        dense.receive_counts(sent), packed.receive_counts_words(sent_words)
-    )
-    sgemm_s = _best(lambda: dense.receive_counts(sent))
-    packed_s = _best(lambda: packed.receive_counts_words(sent_words))
-    return sgemm_s, packed_s
-
-
-def test_masked_overheads_are_bounded_and_packed_tallies_beat_sgemm():
-    """All-True <= 2x and bit-identical; packed masked tallies >= 2x sgemm."""
+def test_masked_overheads_are_bounded_and_backends_identical():
+    """All-True <= 2x and bit-identical; lossy packed == numpy."""
     unmasked_s, unmasked = _run(BENCH_N, BENCH_T)
     masked_s, masked = _run(
         BENCH_N, BENCH_T, adjacency=np.ones((BENCH_N, BENCH_N), dtype=bool)
@@ -157,9 +107,6 @@ def test_masked_overheads_are_bounded_and_packed_tallies_beat_sgemm():
     _identical(masked, unmasked)
 
     ring_s, _ = _run(BENCH_N, BENCH_T, adjacency=build_topology("ring", BENCH_N))
-
-    sgemm_s, packed_tally_s = _masked_tally_comparison()
-    tally_speedup = sgemm_s / packed_tally_s
 
     # End-to-end lossy run: the packed backend must reproduce the numpy
     # backend bit for bit on the same (seed, k) Philox keys.
@@ -172,11 +119,8 @@ def test_masked_overheads_are_bounded_and_packed_tallies_beat_sgemm():
         f"\ntopology overhead (n={BENCH_N}, t={BENCH_T}, trials={BENCH_TRIALS}): "
         f"unmasked {unmasked_s * 1000:.1f} ms, masked(all-True) "
         f"{masked_s * 1000:.1f} ms ({overhead:.2f}x), ring "
-        f"{ring_s * 1000:.1f} ms; masked tally (n={BENCH_N}, mid-density, "
-        f"loss={TALLY_LOSS}) sgemm {sgemm_s * 1000:.2f} ms vs packed "
-        f"{packed_tally_s * 1000:.2f} ms ({tally_speedup:.2f}x); lossy(0.01, "
-        f"n={LOSSY_N}) numpy {lossy_numpy_s * 1000:.1f} ms vs packed "
-        f"{lossy_packed_s * 1000:.1f} ms (agreement "
+        f"{ring_s * 1000:.1f} ms; lossy(0.01, n={LOSSY_N}) numpy "
+        f"{lossy_numpy_s * 1000:.1f} ms vs packed {lossy_packed_s * 1000:.1f} ms (agreement "
         f"{lossy_packed.agreement_rate:.2f})"
     )
     from benchmarks.harness import update_summary
@@ -198,29 +142,21 @@ def test_masked_overheads_are_bounded_and_packed_tallies_beat_sgemm():
         },
     )
     update_summary(
-        "topology-throughput/masked-tally-packed",
+        "topology-throughput/lossy-backends",
         {
             "kind": "throughput",
-            "n": BENCH_N,
+            "n": LOSSY_N,
+            "t": LOSSY_T,
             "trials": BENCH_TRIALS,
-            "density": "erdos-renyi (~0.5)",
-            "loss": TALLY_LOSS,
-            "sgemm_tally_seconds": sgemm_s,
-            "packed_tally_seconds": packed_tally_s,
-            "packed_tally_speedup": tally_speedup,
-            "lossy_n": LOSSY_N,
-            "lossy_numpy_seconds": lossy_numpy_s,
-            "lossy_packed_seconds": lossy_packed_s,
+            "loss": 0.01,
+            "numpy_seconds": lossy_numpy_s,
+            "packed_seconds": lossy_packed_s,
             "bit_identical": True,
         },
     )
     assert overhead <= MAX_MASKED_OVERHEAD, (
         f"masked all-True adjacency path is {overhead:.2f}x the unmasked "
         f"clique path at n={BENCH_N} (bar {MAX_MASKED_OVERHEAD}x)"
-    )
-    assert tally_speedup >= MIN_PACKED_TALLY_SPEEDUP, (
-        f"packed masked tally is only {tally_speedup:.2f}x the sgemm form at "
-        f"n={BENCH_N} mid-density (floor {MIN_PACKED_TALLY_SPEEDUP}x)"
     )
 
 
@@ -252,21 +188,21 @@ def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop():
         return [np.random.Generator(np.random.Philox(key=(11, k))) for k in range(batch)]
 
     serial_rngs, kernel_rngs = generators(), generators()
-    expected = _serial_draws(TALLY_LOSS, n, serial_rngs, running)
-    assert np.array_equal(sample_delivered(None, TALLY_LOSS, n, kernel_rngs, running), expected)
+    expected = _serial_draws(DRAW_LOSS, n, serial_rngs, running)
+    assert np.array_equal(sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running), expected)
     assert [_plain(r.bit_generator.state) for r in kernel_rngs] == [
         _plain(r.bit_generator.state) for r in serial_rngs
     ]
 
     # Both sides keep drawing from their (advanced) streams while timed.
-    serial_s = _best(lambda: _serial_draws(TALLY_LOSS, n, serial_rngs, running), repeats=5)
+    serial_s = _best(lambda: _serial_draws(DRAW_LOSS, n, serial_rngs, running), repeats=5)
     kernel_s = _best(
-        lambda: sample_delivered(None, TALLY_LOSS, n, kernel_rngs, running), repeats=5
+        lambda: sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running), repeats=5
     )
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     speedup = serial_s / kernel_s
     print(
-        f"\nloss draws (n={n}, trials={batch}, loss={TALLY_LOSS}, {cpus} CPUs): "
+        f"\nloss draws (n={n}, trials={batch}, loss={DRAW_LOSS}, {cpus} CPUs): "
         f"serial {serial_s * 1000:.1f} ms vs kernel {kernel_s * 1000:.1f} ms "
         f"({speedup:.2f}x), bit-identical"
     )
@@ -278,7 +214,7 @@ def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop():
             "kind": "throughput",
             "n": n,
             "trials": batch,
-            "loss": TALLY_LOSS,
+            "loss": DRAW_LOSS,
             "cpus": cpus,
             "serial_seconds": serial_s,
             "kernel_seconds": kernel_s,

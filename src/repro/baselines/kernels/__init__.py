@@ -78,9 +78,7 @@ class KernelSpec:
         supports_backend: Kernel accepts a ``backend`` kwarg selecting the
             plane representation (:mod:`repro.simulator.planes`).  True for
             everything on the shared :class:`~repro.simulator.phase_engine.
-            PhaseEngine` loop and for phase king (raw boolean planes, but
-            its masked per-recipient tallies route through the
-            backend-aware channels of :mod:`repro.topology.counting`); the
+            PhaseEngine` loop; phase king (raw boolean planes) and the
             closed-form kernels have no plane state to represent.  Backends
             are bit-identical, so the flag never enters sweep-store keys.
         protocol_kwargs: Protocol constructor kwargs the kernel reproduces;
@@ -142,7 +140,6 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
         run_trials=run_phase_king_trials,
         hooks=PHASE_KING_HOOKS,
         supports_topology=True,
-        supports_backend=True,
         exact=frozenset(
             {
                 "null",

@@ -52,20 +52,9 @@ from repro.baselines.kernels.common import (
 )
 from repro.core.parameters import ProtocolParameters, Regime, validate_n_t
 from repro.exceptions import ConfigurationError
-from repro.simulator.planes import PlaneBackend, resolve_backend
-from repro.topology.counting import (
-    AdjacencyCounter,
-    DenseDeliveredChannel,
-    PackedDeliveredChannel,
-    pack_sender_words,
-    word_width,
-)
+from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
 from repro.topology.generators import validate_adjacency
-from repro.topology.loss import (
-    sample_delivered,
-    sample_delivered_words,
-    validate_loss,
-)
+from repro.topology.loss import sample_delivered, sample_delivered_words, validate_loss
 
 #: Adversary hook surface this kernel implements (drives the supported- and
 #: inapplicable-behaviour derivation in the engine's capability registry).
@@ -97,7 +86,6 @@ def run_phase_king_trials(
     trial_offset: int = 0,
     adjacency: np.ndarray | None = None,
     loss: float = 0.0,
-    backend: str | PlaneBackend | None = None,
 ) -> VectorizedAggregate:
     """Run ``trials`` batched executions of phase king (``n > 4t``).
 
@@ -108,12 +96,9 @@ def run_phase_king_trials(
     only.  The deterministic protocol stays *exact* against the object
     simulator off-clique at ``loss == 0`` for the randomness-free behaviours.
 
-    ``backend`` selects the masked tally engine only — phase king keeps its
-    state as raw boolean planes, but on a ``packed_words`` backend the
-    round-1 per-recipient contractions (the protocol's only masked tallies)
-    run as AND+popcount word tallies over packed delivered-edge words.  All
-    backends are bit-identical: the Philox draw schedule is unchanged and
-    every tally is exact-integer.
+    Phase king keeps its state as raw boolean planes, so it takes no plane
+    backend; its round-1 per-recipient tallies (the protocol's only masked
+    contractions) run on the word channels of :mod:`repro.topology.counting`.
     """
     validate_n_t(n, t)
     if 4 * t >= n:
@@ -124,12 +109,7 @@ def run_phase_king_trials(
     if adjacency is not None:
         adjacency = validate_adjacency(adjacency, n)
     masked = adjacency is not None or loss > 0.0
-    packed_comms = masked and resolve_backend(backend).packed_words
-    counter = (
-        AdjacencyCounter(adjacency, packed=packed_comms)
-        if masked and loss == 0.0
-        else None
-    )
+    counter = AdjacencyCounter(adjacency) if masked and loss == 0.0 else None
 
     input_rows, rngs = batch_setup(n, inputs, trials, seed, trial_offset)
     batch = input_rows.shape[0]
@@ -148,29 +128,18 @@ def run_phase_king_trials(
     bits = np.zeros(batch, dtype=np.int64)
     running = np.ones(batch, dtype=bool)
     zero_counts = np.zeros(batch, dtype=np.int64)
-    # Reusable delivered-edge buffer — float32 matrices, or packed uint64
-    # words on a word-capable backend — for the lossy round-1 draw (round 2
-    # keeps the boolean form on every backend: the king's row is sliced,
-    # not contracted, and the Philox stream is identical either way).
+    # Reusable delivered-word buffer for the lossy round-1 draw (round 2
+    # samples boolean matrices: the king's row is sliced, not contracted,
+    # and the Philox stream is identical either way).
     deliver_buf: np.ndarray | None = None
 
-    def round1_channel():
-        """Sample round 1's delivered masks into a tally channel."""
+    def round1_channel() -> PackedDeliveredChannel:
+        """Sample round 1's delivered masks into a word channel."""
         nonlocal deliver_buf
-        if packed_comms:
-            if deliver_buf is None:
-                deliver_buf = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
-            return PackedDeliveredChannel(
-                sample_delivered_words(
-                    adjacency, loss, n, rngs, running, out=deliver_buf
-                ),
-                n,
-            )
         if deliver_buf is None:
-            deliver_buf = np.empty((batch, n, n), dtype=np.float32)
-        return DenseDeliveredChannel(
-            sample_delivered(adjacency, loss, n, rngs, running, out=deliver_buf)
-        )
+            deliver_buf = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
+        words = sample_delivered_words(adjacency, loss, n, rngs, running, out=deliver_buf)
+        return PackedDeliveredChannel(words, n)
 
     def context(phase: int, king: int) -> KernelContext:
         return KernelContext(
@@ -201,25 +170,17 @@ def run_phase_king_trials(
         sender_count = row_popcount(active)
         ones_honest = row_popcount(value & active)
         if masked:
-            if chan1.wants_words:
-                # Word channel: tally `active` and its value-1 part; the
-                # value-0 part is the exact-integer difference (the sender
-                # sets partition `active`).
-                recv_active = chan1.receive_counts_words(pack_sender_words(active, n))
-                ones_recv = chan1.receive_counts_words(
-                    pack_sender_words(value & active, n)
-                )
-                zeros_recv = recv_active - ones_recv
-            else:
-                ones_recv = chan1.receive_counts(value & active)
-                zeros_recv = chan1.receive_counts(active & ~value)
+            # Tally `active` and its value-1 part; the value-0 part is the
+            # exact-integer difference (the sender sets partition `active`).
+            recv_active = chan1.receive_counts(active)
+            ones_recv = chan1.receive_counts(value & active)
+            zeros_recv = recv_active - ones_recv
             if loss == 0.0:
                 delivered_count = counter.delivered_edges(active)
             else:
-                # The tallies' disjoint union is exactly `active`, so their
-                # sum *is* the delivered-edge message counter — sparing a
-                # third contraction against the loss matrix.
-                delivered_count = (ones_recv + zeros_recv).sum(axis=1)
+                # `active`'s per-recipient tally sums to the delivered edges
+                # — sparing a third contraction against the loss masks.
+                delivered_count = recv_active.sum(axis=1)
             messages += delivered_count
             bits += delivered_count * _VALUE_ANNOUNCEMENT_BITS
             ones = ones_recv + np.asarray(effect1.ones)

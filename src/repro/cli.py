@@ -112,12 +112,7 @@ from repro.observability import (
     trace_events,
     write_trace,
 )
-from repro.simulator.planes import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    accelerator_status,
-    available_backends,
-)
+from repro.simulator.planes import DEFAULT_BACKEND, ENV_VAR, available_backends
 from repro.topology import TOPOLOGIES
 
 
@@ -395,14 +390,9 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(format_table(kernel_support_table()))
     print("\nprotocol x adversary dispatch (--engine auto):")
     print(format_table(dispatch_table()))
-    # Runtime registry lines (not part of the drift-guarded markdown blocks:
-    # optional accelerator backends vary by installed toolchain).  Guarded
-    # accelerator slots are reported either way — "registered" or the reason
-    # they stayed out — instead of silently omitting unavailable backends.
+    # The runtime registry (not part of the drift-guarded markdown blocks).
     print(f"\nplane backends available: {', '.join(available_backends())} "
           f"(default {DEFAULT_BACKEND}; select with --backend or ${ENV_VAR})")
-    for slot, status in sorted(accelerator_status().items()):
-        print(f"  accelerator slot {slot}: {status}")
     return 0
 
 

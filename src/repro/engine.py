@@ -728,9 +728,7 @@ def kernel_support_table() -> list[dict[str, str]]:
                 "max_rounds": "yes" if spec.supports_max_rounds else "object only",
                 "topology/loss": "masked" if spec.supports_topology else "object only",
                 # Deliberately backend-*kind*, not the runtime registry: the
-                # docs embed this table byte-for-byte, and optional
-                # accelerator backends must not cause drift where they
-                # happen to be importable.
+                # docs embed this table byte-for-byte.
                 "plane backend": (
                     "selectable" if spec.supports_backend else "numpy-bool"
                 ),

@@ -40,9 +40,8 @@ from their own generators.
 (:mod:`repro.topology`) restrict which broadcasts reach which recipients.
 With either active, the engine switches the global ``(B,)`` honest tallies
 for *per-recipient* ``(B, n)`` receive counts (a delivered-edge contraction
-whose engine is picked density- and backend-aware by
-:mod:`repro.topology.counting` — segment sums, a float32 sgemm, or an
-AND+popcount over packed uint64 words), the committee coin becomes each
+run by :mod:`repro.topology.counting` — an AND+popcount over packed uint64
+words, or segment sums at the density extremes), the committee coin becomes each
 recipient's sign over the designated shares *it actually received*, and the
 CONGEST message counters charge delivered edges only — all downstream
 threshold logic is shape-polymorphic and runs unchanged.  The contract is:
@@ -79,18 +78,9 @@ from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.planes import PlaneBackend, resolve_backend
-from repro.topology.counting import (
-    AdjacencyCounter,
-    DenseDeliveredChannel,
-    PackedDeliveredChannel,
-    word_width,
-)
+from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
 from repro.topology.generators import validate_adjacency
-from repro.topology.loss import (
-    sample_delivered,
-    sample_delivered_words,
-    validate_loss,
-)
+from repro.topology.loss import sample_delivered_words, validate_loss
 
 __all__ = ["COIN_SOURCES", "PhaseEngine", "draw_committee_shares", "finalize_planes"]
 
@@ -204,12 +194,10 @@ class PhaseEngine:
             ``None`` for ``$REPRO_PLANE_BACKEND``-then-default; see
             :mod:`repro.simulator.planes`).  Resolved at :meth:`run_batch`
             time so the environment variable is read per run.  All backends
-            are bit-identical, masked (topology/loss) runs included: on a
-            ``packed_words`` backend the masked tallies run as AND+popcount
-            word contractions over packed delivered-edge words
-            (:class:`~repro.topology.counting.MaskedCounter`; same Philox
-            delivered draws, only the contraction changes), on the boolean
-            backend as the historical segment-sum / float32-sgemm forms.
+            are bit-identical, masked (topology/loss) runs included: both
+            hand their planes to the same word channels
+            (:mod:`repro.topology.counting`), the packed backend as words,
+            the boolean backend as bool planes the channels pack.
     """
 
     n: int
@@ -298,11 +286,6 @@ class PhaseEngine:
 
         masked = self.adjacency is not None or self.loss > 0.0
         ops = resolve_backend(self.backend)
-        # Word-capable backends carry the masked tallies as AND+popcount
-        # contractions over packed delivered-edge words; everything else
-        # gets the historical boolean/float32 channels.  Exact int64 counts
-        # either way, so the choice never shows up in results.
-        packed_comms = masked and ops.packed_words
         # Telemetry reads clocks and counters only — it draws no randomness
         # and never touches plane state, so results are bit-identical with
         # tracing on or off (the default NullTracer makes each site a no-op).
@@ -331,43 +314,28 @@ class PhaseEngine:
 
         # Masked-plane machinery (topology / loss axis).  The loss-free mask
         # tallies go through an AdjacencyCounter (segment sums at the density
-        # extremes; in the middle a float32 sgemm, or an AND+popcount word
-        # tally on a packed backend — exact-integer equivalent); lossy rounds
+        # extremes, an AND+popcount word tally in between); lossy rounds
         # contract against that round's delivered-edge masks, sampled as
-        # float32 matrices (exact for counts up to 2^24) or as packed uint64
-        # words from the identical Philox stream.
+        # packed uint64 words.
         counter = (
-            AdjacencyCounter(self.adjacency, packed=packed_comms)
-            if masked and self.loss == 0.0
-            else None
+            AdjacencyCounter(self.adjacency) if masked and self.loss == 0.0 else None
         )
-        # One reusable delivered-edge buffer (float32 matrices or uint64
-        # words) serves both rounds: deliver1's last read (the round-1
-        # receive tallies) precedes the round-2 draw, and compaction only
-        # shrinks the leading axis, so a batch-0-sized buffer sliced to the
-        # live batch is always enough.
+        # One reusable delivered-word buffer serves both rounds: the round-1
+        # channel's last read (the receive tallies) precedes the round-2
+        # draw, and compaction only shrinks the leading axis, so a
+        # batch-0-sized buffer sliced to the live batch is always enough.
         deliver_buf: np.ndarray | None = None
 
-        def round_channel(running: np.ndarray):
-            """Sample one round's delivered masks into a tally channel."""
+        def round_channel(running: np.ndarray) -> PackedDeliveredChannel:
+            """Sample one round's delivered masks into a word channel."""
             nonlocal deliver_buf
-            if packed_comms:
-                if deliver_buf is None:
-                    deliver_buf = np.zeros(
-                        (batch0, n, word_width(n)), dtype=np.uint64
-                    )
-                words = sample_delivered_words(
-                    self.adjacency, self.loss, n, rngs, running,
-                    out=deliver_buf[: len(orig)],
-                )
-                return PackedDeliveredChannel(words, n)
             if deliver_buf is None:
-                deliver_buf = np.empty((batch0, n, n), dtype=np.float32)
-            delivered = sample_delivered(
+                deliver_buf = np.zeros((batch0, n, word_width(n)), dtype=np.uint64)
+            words = sample_delivered_words(
                 self.adjacency, self.loss, n, rngs, running,
                 out=deliver_buf[: len(orig)],
             )
-            return DenseDeliveredChannel(delivered)
+            return PackedDeliveredChannel(words, n)
 
         def archive(rows: np.ndarray) -> None:
             where = orig[rows]

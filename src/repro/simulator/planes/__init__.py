@@ -17,10 +17,9 @@ idiom.  Registered by default:
     Bit-identical to ``numpy`` by construction — tallies are exact and no
     randomness flows through a plane — just faster.
 
-Accelerator backends (Numba today; the registry is open for CuPy or Cython
-words) self-register from :mod:`repro.simulator.planes.accel` only when
-their import succeeds, so the container's baked-in toolchain is never a
-hard dependency.
+The registry is open: another backend honouring the
+:mod:`repro.simulator.planes.base` contract registers through
+:func:`register_backend`.
 
 Selection order, loosest binding first:
 
@@ -59,7 +58,6 @@ __all__ = [
     "PackedPlane",
     "Plane",
     "PlaneBackend",
-    "accelerator_status",
     "available_backends",
     "get_backend",
     "pack_bools",
@@ -80,8 +78,8 @@ _REGISTRY: dict[str, PlaneBackend] = {}
 def register_backend(backend: PlaneBackend, *, replace: bool = False) -> PlaneBackend:
     """Register a backend instance under its ``name``.
 
-    Third-party / accelerator backends call this at import time; ``replace``
-    guards against accidentally shadowing a built-in.
+    Third-party backends call this at import time; ``replace`` guards
+    against accidentally shadowing a built-in.
     """
     if backend.name in _REGISTRY and not replace:
         raise ConfigurationError(
@@ -119,9 +117,3 @@ def resolve_backend(choice: str | PlaneBackend | None = None) -> PlaneBackend:
 
 register_backend(NumpyBoolBackend())
 register_backend(PackedBackend())
-
-# Optional accelerator backends (registered only when importable).
-from repro.simulator.planes import accel as _accel  # noqa: E402
-from repro.simulator.planes.accel import accelerator_status  # noqa: E402
-
-_accel.register_available(register_backend)

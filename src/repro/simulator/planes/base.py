@@ -93,12 +93,11 @@ class Plane(ABC):
     # -------------------------------------------------- masked tallies
     # ``channel`` is a masked tally channel from :mod:`repro.topology.
     # counting` (an :class:`~repro.topology.counting.AdjacencyCounter` or a
-    # per-round delivered channel): backends route the contraction to the
-    # channel's word form (``receive_counts_words``) when both sides speak
-    # packed uint64 words (``channel.wants_words`` on a ``packed_words``
-    # backend), and to the boolean form otherwise.  Either way the counts
-    # are exact int64 — the channel strategies are bit-identical by
-    # construction — so these ops never affect results, only speed.
+    # per-round delivered channel).  A backend holding packed uint64 words
+    # hands them to the channel's word form (``receive_counts_words``) when
+    # the channel tallies words (``channel.wants_words``), and a boolean
+    # plane to the boolean form otherwise.  Either way the counts are exact
+    # int64, so these ops never affect results, only speed.
 
     @abstractmethod
     def receive_counts(self, channel) -> np.ndarray:
@@ -143,12 +142,6 @@ class PlaneBackend(ABC):
 
     #: Registry name (``repro trials --backend <name>``).
     name: str = "abstract"
-
-    #: True when planes natively hold ``pack_bools``-layout uint64 words.
-    #: The masked engines consult this to pick the word-native tally
-    #: channels (packed delivered-edge sampling, AND+popcount contraction)
-    #: over the boolean/float32 forms; results are identical either way.
-    packed_words: bool = False
 
     @abstractmethod
     def from_bools(self, array: np.ndarray) -> Plane:

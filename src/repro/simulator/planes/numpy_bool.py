@@ -78,9 +78,8 @@ class NumpyBoolPlane(Plane):
         self.array[:] = False
 
     # -------------------------------------------------- masked tallies
-    # The channel's boolean form *is* the historical masked arithmetic
-    # (segment sums / float32 contractions over bool planes), so the
-    # reference backend simply hands its array over.
+    # The reference backend hands its array over: the channel packs it for
+    # its word tally or sums its segments.
     def receive_counts(self, channel) -> np.ndarray:
         return channel.receive_counts(self.array)
 

@@ -36,27 +36,13 @@ import numpy as np
 
 from repro.observability.tracer import current_tracer
 from repro.simulator.planes.base import Plane, PlaneBackend
+from repro.topology.counting import pack_sender_words as pack_bools
 
 __all__ = ["PackedBackend", "PackedPlane", "pack_bools", "unpack_words"]
 
 #: The all-ones broadcast word for ``(B, 1)`` condition masks.
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ZERO_WORD = np.uint64(0)
-
-
-def pack_bools(array: np.ndarray, n: int) -> np.ndarray:
-    """Pack a ``(B, n)`` boolean array into ``(B, ceil(n/64))`` uint64 words.
-
-    The byte stream is ``np.packbits(array, axis=1)`` zero-padded to a whole
-    word count, so tail bits are zero and :func:`unpack_words` round-trips
-    exactly for any ``n`` (including ragged ``n`` not divisible by 64).
-    """
-    batch = array.shape[0]
-    width = max(1, -(-n // 64))
-    buffer = np.zeros((batch, width * 8), dtype=np.uint8)
-    if n:
-        buffer[:, : (n + 7) // 8] = np.packbits(array, axis=1)
-    return buffer.view(np.uint64)
 
 
 def unpack_words(words: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -200,11 +186,11 @@ class PackedPlane(Plane):
             self._bools_valid = True
 
     # -------------------------------------------------- masked tallies
-    # Word-speaking channels (``wants_words``: the mid-density packed
-    # adjacency strategy and the per-round delivered-word channels) read
-    # the uint64 words straight off the plane — the AND compositions stay
-    # word ops and nothing unpacks.  Segment-strategy channels fall back to
-    # the boolean form at the usual lazy-mirror cost.
+    # Word channels (``wants_words``: the mid-density adjacency strategy and
+    # the per-round delivered channels) read the uint64 words straight off
+    # the plane — the AND compositions stay word ops and nothing unpacks.
+    # Segment-strategy channels get the boolean form at the usual
+    # lazy-mirror cost.
     def receive_counts(self, channel) -> np.ndarray:
         if channel.wants_words:
             current_tracer().count("plane.word_ops")
@@ -251,11 +237,7 @@ class PackedBackend(PlaneBackend):
     """Planes as uint64 word arrays, 64 nodes per word."""
 
     name = "packed"
-    packed_words = True
-
-    #: Plane class hook: accelerator backends substitute a subclass.
-    plane_class: type[PackedPlane] = PackedPlane
 
     def from_bools(self, array: np.ndarray) -> PackedPlane:
         # Adopt the array as the bool mirror; words pack lazily on first op.
-        return self.plane_class(array.shape[1], bools=array)
+        return PackedPlane(array.shape[1], bools=array)

@@ -20,7 +20,7 @@ Durability contract:
   appends one line and flushes before returning, so a sweep killed at any
   moment loses at most the point being computed;
 * ``index.json`` is a derived cache (rewritten atomically after each append)
-  kept for humans and external tools; loading *never* trusts it — the shards
+  kept for humans and external tools; loading *never* reads it — the shards
   are rescanned, and a torn final line (the kill-mid-write case) is cut off
   the shard, so the next append starts on a fresh line, and the point is
   simply recomputed on resume;
@@ -28,6 +28,12 @@ Durability contract:
   return the latest record, and the older lines remain as the result
   trajectory (the benchmark harness uses this to keep one machine-readable
   history per experiment).
+
+Writer model: several writers (threads or processes, each with its own
+:class:`ResultsStore`) may share one root.  Each ``put`` appends whole lines
+to the shards, which stay the source of truth.  ``index.json`` is
+last-writer-wins: every writer renames its own uniquely named temporary file
+over it, so it lists the records the last flushing writer had seen.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -327,7 +334,14 @@ class ResultsStore:
         payload = json.dumps(
             {"schema": STORE_SCHEMA_VERSION, "records": index}, indent=2
         )
-        temp = self.root / "index.json.tmp"
-        temp.write_text(payload + "\n", encoding="utf-8")
-        temp.replace(self.root / "index.json")
+        # A temporary file of this flush's own, so concurrent writers never
+        # rename each other's half-written index.
+        fd, temp = tempfile.mkstemp(prefix="index.", suffix=".tmp", dir=self.root)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+            os.replace(temp, self.root / "index.json")
+        except BaseException:
+            os.unlink(temp)
+            raise
         self._index_dirty = False

@@ -1,12 +1,11 @@
 """Exact per-recipient receive tallies against adjacency and delivered masks.
 
 The masked communication planes need ``counts[b, i] = sum_j sent[b, j] *
-A[j, i]`` — a ``(B, n) x (n, n)`` contraction per tally.  A dense float32
-sgemm is the right tool only in the middle of the density range *and* only
-when the sender planes live as boolean arrays; at either extreme the same
-exact counts are far cheaper as segment sums over the sparse side of the
-mask, and on the bit-packed plane backend the contraction is an
-AND+popcount over uint64 words:
+A[j, i]`` — a ``(B, n) x (n, n)`` contraction per tally.  One engine carries
+it on every plane backend: an AND+popcount over packed uint64 words, except
+at the density extremes, where the same exact counts are cheaper as segment
+sums over the sparse side of the mask.  :class:`AdjacencyCounter` picks one
+of three strategies for a fixed loss-free mask:
 
 * **complement** — near-complete graphs (most importantly the all-True
   adjacency, which must stay within the benchmark's 2x overhead bar of the
@@ -14,27 +13,20 @@ AND+popcount over uint64 words:
   edges from each trial's total;
 * **direct** — sparse graphs (ring, chain, star, grid, tree all have
   ``O(n)`` edges): segment sums over the delivering edges only;
-* **dense** — the middle of the density range (``erdos-renyi`` at density
-  ~0.5) on the boolean backend: the float32 sgemm;
-* **packed** — the same middle band when the plane backend holds
-  ``pack_bools``-layout uint64 words (``backend.packed_words``): a
-  :class:`MaskedCounter` computing ``popcount(sent_words &
-  incoming_words[recipient])`` directly on the words, skipping the bool
-  unpack and the float32 cast entirely.
+* **packed** — the middle of the density range (``erdos-renyi`` at density
+  ~0.5): a :class:`MaskedCounter` computing ``popcount(sent_words &
+  incoming_words[recipient])``, fed the packed plane backend's words
+  directly and boolean planes packed by :func:`pack_sender_words`.
 
-The per-round *delivered-edge* masks of the lossy path get the same split:
-:class:`DenseDeliveredChannel` wraps the float32 ``(B, n, n)`` batch the
-historical path contracted with a batched sgemm, and
-:class:`PackedDeliveredChannel` wraps the ``(B, n, ceil(n/64))`` uint64
-words of :func:`repro.topology.loss.sample_delivered_words` — where the
-AND+popcount form measures ~3x faster than the batched sgemm at ``n=512``
-(see ``benchmarks/bench_topology_throughput.py``).
+The per-round *delivered-edge* masks of the lossy path are words from the
+start: :class:`PackedDeliveredChannel` wraps the ``(B, n, ceil(n/64))``
+uint64 output of :func:`repro.topology.loss.sample_delivered_words` in a
+:class:`MaskedCounter`.
 
 Every strategy produces bit-identical ``int64`` counts: the segment and
-popcount paths sum in integer arithmetic, and float32 partial sums are
-exact below ``2**24``, far above any per-recipient tally this engine can
-produce.  The shared **channel protocol** (duck-typed; consumed by the
-plane ops in :mod:`repro.simulator.planes.base`) is:
+popcount paths both sum in integer arithmetic.  The shared **channel
+protocol** (duck-typed; consumed by the plane ops in
+:mod:`repro.simulator.planes.base`) is:
 
 * ``wants_words`` — True when the channel tallies uint64 words natively;
 * ``receive_counts(sent)`` — boolean sender plane -> per-recipient counts;
@@ -45,9 +37,8 @@ plane ops in :mod:`repro.simulator.planes.base`) is:
   masked CONGEST message counter.
 
 Telemetry: every word tally counts ``masked_tally.packed`` and every
-float32 contraction counts ``masked_tally.sgemm`` (segment passes count
-``masked_tally.segment``), so trace reports show which engine carried a
-masked run.
+segment pass ``masked_tally.segment``, so trace reports show which engine
+carried a masked run.
 """
 
 from __future__ import annotations
@@ -56,11 +47,10 @@ import numpy as np
 
 from repro.observability.tracer import current_tracer
 
-#: A segment-sum pass costs one gathered add per stored edge, against the
-#: sgemm's two fused flops per matrix cell — but BLAS throughput per cell
-#: is an order of magnitude higher, so the sparse paths only pay off well
-#: below full density.  The packed mid-band tally has the same word cost
-#: regardless of density, so the segment thresholds serve both backends.
+#: A segment-sum pass costs one gathered add per stored edge, while the word
+#: tally costs one AND+popcount per (recipient, 64 senders) whatever the
+#: density, so the segment paths take over only when the stored side of the
+#: mask holds at most ``n * n / _SEGMENT_FRACTION`` edges.
 _SEGMENT_FRACTION = 8
 
 
@@ -70,13 +60,14 @@ def word_width(n: int) -> int:
 
 
 def pack_sender_words(array: np.ndarray, n: int) -> np.ndarray:
-    """Pack a ``(B, n)`` boolean sender plane into ``(B, ceil(n/64))`` words.
+    """Pack a ``(B, n)`` boolean plane into ``(B, ceil(n/64))`` uint64 words.
 
-    Same layout as :func:`repro.simulator.planes.packed.pack_bools`
-    (``np.packbits`` MSB-first bytes, zero-padded to whole little-endian
-    uint64 words) — duplicated here so the topology layer does not depend
-    on the simulator package; ``tests/test_planes.py`` pins the two to byte
-    identity.
+    The byte stream is ``np.packbits(array, axis=1)`` (MSB-first bytes)
+    zero-padded to whole little-endian words, so the tail bits beyond column
+    ``n`` are zero.  This is the one word layout of the repository: the
+    packed plane backend stores its planes in it (as
+    :func:`repro.simulator.planes.pack_bools`), so its words feed the word
+    channels here directly.
     """
     batch = array.shape[0]
     width = word_width(n)
@@ -93,9 +84,8 @@ class MaskedCounter:
     whose messages reach ``i``: shape ``(n, W)`` for a fixed adjacency mask
     (shared by every trial) or ``(B, n, W)`` for one round's per-trial
     delivered-edge masks.  :meth:`counts` contracts a ``(B, W)`` packed
-    sender plane against it one word column at a time — the ``(B, n)``
-    uint64 AND / popcount / accumulate loop measures ~3x faster than the
-    equivalent float32 batched sgemm at ``n=512`` and never materialises a
+    sender plane against it one word column at a time — a ``(B, n)``
+    uint64 AND / popcount / accumulate loop that never materialises a
     ``(B, n, W)`` intermediate.
     """
 
@@ -117,6 +107,10 @@ class MaskedCounter:
         joined = np.empty((batch, self.n), dtype=np.uint64)
         percount = np.empty((batch, self.n), dtype=np.uint8)
         for w in range(self.width):
+            # A word column no trial sends from adds nothing (the ±1 share
+            # planes are zero outside the committee slice).
+            if not sent_words[:, w].any():
+                continue
             column = (
                 self.incoming[None, :, w] if static else self.incoming[:, :, w]
             )
@@ -124,6 +118,45 @@ class MaskedCounter:
             np.bitwise_count(joined, out=percount)
             acc += percount
         return acc.astype(np.int64)
+
+
+class PackedDeliveredChannel:
+    """A word channel: tallies against packed incoming-edge words.
+
+    Wraps one lossy round's ``(B, n, ceil(n/64))`` delivered masks — the
+    output of :func:`repro.topology.loss.sample_delivered_words` — or, for
+    the mid-density :class:`AdjacencyCounter`, a fixed ``(n, ceil(n/64))``
+    mask shared by every trial, in a :class:`MaskedCounter`.
+    """
+
+    wants_words = True
+
+    def __init__(self, delivered_words: np.ndarray, n: int) -> None:
+        self._masked = MaskedCounter(delivered_words, n)
+        self.n = n
+
+    def receive_counts(self, sent: np.ndarray) -> np.ndarray:
+        return self._masked.counts(
+            pack_sender_words(np.ascontiguousarray(sent, dtype=bool), self.n)
+        )
+
+    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
+        return self._masked.counts(sent_words)
+
+    def signed_counts(self, plane: np.ndarray) -> np.ndarray:
+        # The positive and negative supports' word tallies, differenced:
+        # exact integers, like the segment strategies' sums.
+        plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
+        minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
+        return plus - minus
+
+    def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
+        return self.delivered_edges_words(
+            pack_sender_words(np.ascontiguousarray(senders, dtype=bool), self.n)
+        )
+
+    def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
+        return self._masked.counts(sent_words).sum(axis=1, dtype=np.int64)
 
 
 def _column_segments(matrix: np.ndarray):
@@ -146,15 +179,12 @@ def _column_segments(matrix: np.ndarray):
 class AdjacencyCounter:
     """Receive-count engine for a fixed loss-free adjacency mask.
 
-    Strategy selection happens once at construction — density-aware at the
-    extremes, backend-aware in the middle (``packed=True`` swaps the dense
-    float32 sgemm for a :class:`MaskedCounter` word tally, fed uint64 words
-    straight off the bit-packed planes) — and every tally afterwards is
-    exact-integer equivalent across strategies, so callers can treat the
-    choice as invisible.
+    The strategy is chosen once, at construction, from the mask's density,
+    and every tally afterwards is exact-integer equivalent across
+    strategies, so callers can treat the choice as invisible.
     """
 
-    def __init__(self, adjacency: np.ndarray, *, packed: bool = False) -> None:
+    def __init__(self, adjacency: np.ndarray) -> None:
         n = adjacency.shape[0]
         self.n = n
         #: Delivered out-degree per sender (self included), for the
@@ -168,15 +198,12 @@ class AdjacencyCounter:
         elif int(adjacency.sum()) <= limit:
             self.strategy = "direct"
             self._segments = _column_segments(adjacency)
-        elif packed:
+        else:
             self.strategy = "packed"
             # Row i packs column i of the mask: the senders reaching i.
-            self._masked = MaskedCounter(
+            self._words = PackedDeliveredChannel(
                 pack_sender_words(np.ascontiguousarray(adjacency.T), n), n
             )
-        else:
-            self.strategy = "dense"
-            self._adjacency_f = adjacency.astype(np.float32)
 
     # ------------------------------------------------------------------
     @property
@@ -192,21 +219,18 @@ class AdjacencyCounter:
         return counts
 
     def receive_counts(self, sent: np.ndarray) -> np.ndarray:
-        """Per-recipient tallies of ``sent`` (a boolean or small-integer
-        plane, e.g. coin shares in ``{-1, +1}``) over delivering edges.
+        """Per-recipient tallies of the boolean sender plane ``sent`` over
+        delivering edges.
 
-        Returns a ``(B, n)`` plane — or a broadcastable ``(B, 1)`` column
-        when the mask is the complete graph, where every recipient's tally
-        is the same total (callers must therefore broadcast rather than
-        reduce over the recipient axis).
+        Boolean only: the word strategy packs ``sent`` into bits, so a −1
+        would count as 1 — signed planes (the ±1 coin shares) go through
+        :meth:`signed_counts`.  Returns a ``(B, n)`` plane — or a
+        broadcastable ``(B, 1)`` column when the mask is the complete graph,
+        where every recipient's tally is the same total (callers must
+        therefore broadcast rather than reduce over the recipient axis).
         """
         if self.strategy == "packed":
-            return self._masked.counts(
-                pack_sender_words(np.ascontiguousarray(sent, dtype=bool), self.n)
-            )
-        if self.strategy == "dense":
-            current_tracer().count("masked_tally.sgemm")
-            return (sent.astype(np.float32) @ self._adjacency_f).astype(np.int64)
+            return self._words.receive_counts(sent)
         current_tracer().count("masked_tally.segment")
         plane = sent.astype(np.int64)
         if self.strategy == "direct":
@@ -218,19 +242,13 @@ class AdjacencyCounter:
 
     def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
         """Word-form tallies (``wants_words`` strategies only)."""
-        return self._masked.counts(sent_words)
+        return self._words.receive_counts_words(sent_words)
 
     def signed_counts(self, plane: np.ndarray) -> np.ndarray:
-        """Per-recipient sums of a small-integer plane (the ±1 shares).
-
-        The packed strategy decomposes the plane into its positive and
-        negative supports and differences the two word tallies — exact
-        integers, so bit-identical to the arithmetic strategies.
-        """
+        """Per-recipient sums of a small-integer plane (the ±1 shares)."""
         if self.strategy == "packed":
-            plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
-            minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
-            return plus - minus
+            return self._words.signed_counts(plane)
+        # The segment strategies sum any integer plane exactly.
         return self.receive_counts(plane)
 
     def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
@@ -238,68 +256,12 @@ class AdjacencyCounter:
         return senders.astype(np.int64) @ self.outdeg
 
     def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
-        """Word-form delivered-edge counter (``wants_words`` only)."""
-        return self._masked.counts(sent_words).sum(axis=1, dtype=np.int64)
+        """Word-form delivered-edge counter (``wants_words`` only): the
+        out-degree product on the unpacked senders, not a whole tally."""
+        bytes_ = np.ascontiguousarray(sent_words).view(np.uint8)
+        return self.delivered_edges(np.unpackbits(bytes_, axis=1, count=self.n))
 
 
-class DenseDeliveredChannel:
-    """One round's lossy delivered masks as a float32 ``(B, n, n)`` batch.
-
-    The historical lossy contraction: a per-trial batched sgemm (exact for
-    counts below ``2**24``) over the buffer
-    :func:`repro.topology.loss.sample_delivered` filled.
-    """
-
-    wants_words = False
-
-    def __init__(self, delivered_f: np.ndarray) -> None:
-        self._delivered = delivered_f
-
-    def receive_counts(self, sent: np.ndarray) -> np.ndarray:
-        current_tracer().count("masked_tally.sgemm")
-        counts = (sent.astype(np.float32)[:, None, :] @ self._delivered)[:, 0, :]
-        return counts.astype(np.int64)
-
-    signed_counts = receive_counts
-
-    def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
-        current_tracer().count("masked_tally.sgemm")
-        return np.einsum(
-            "bj,bji->b", senders.astype(np.float32), self._delivered
-        ).astype(np.int64)
-
-
-class PackedDeliveredChannel:
-    """One round's lossy delivered masks as ``(B, n, ceil(n/64))`` words.
-
-    Wraps the output of :func:`repro.topology.loss.sample_delivered_words`
-    in a :class:`MaskedCounter`; same Philox draws, AND+popcount in place
-    of the batched sgemm.
-    """
-
-    wants_words = True
-
-    def __init__(self, delivered_words: np.ndarray, n: int) -> None:
-        self._masked = MaskedCounter(delivered_words, n)
-        self.n = n
-
-    def receive_counts(self, sent: np.ndarray) -> np.ndarray:
-        return self._masked.counts(
-            pack_sender_words(np.ascontiguousarray(sent, dtype=bool), self.n)
-        )
-
-    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
-        return self._masked.counts(sent_words)
-
-    def signed_counts(self, plane: np.ndarray) -> np.ndarray:
-        plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
-        minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
-        return plus - minus
-
-    def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
-        return self.delivered_edges_words(
-            pack_sender_words(np.ascontiguousarray(senders, dtype=bool), self.n)
-        )
-
-    def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
-        return self._masked.counts(sent_words).sum(axis=1, dtype=np.int64)
+# An alias for ``sweepbench/layers.py``, which looks this name up when it
+# installs its per-layer timers.
+DenseDeliveredChannel = PackedDeliveredChannel

@@ -10,11 +10,13 @@ independent) matches the object simulator, where each
 
 Two consumers share this module:
 
-* the masked :class:`~repro.simulator.phase_engine.PhaseEngine` draws one
-  ``(n, n)`` uniform plane per (running trial, round) from the trial's own
-  Philox generator via :func:`sample_delivered` — trials draw only from
-  their own generators, so per-trial results stay independent of batching
-  and compaction, exactly like the committee share draws;
+* the masked :class:`~repro.simulator.phase_engine.PhaseEngine` and the
+  phase-king kernel draw one ``(n, n)`` uniform plane per (running trial,
+  round) from the trial's own Philox generator via
+  :func:`sample_delivered_words` (phase king's round 2, which reads only the
+  king's row, via :func:`sample_delivered`) — trials draw only from their
+  own generators, so per-trial results stay independent of batching and
+  compaction, exactly like the committee share draws;
 * the object :class:`~repro.simulator.scheduler.SynchronousScheduler` turns
   the same Bernoulli model into per-round ``(sender, recipient)`` drop sets
   via :func:`sample_drops`, drawing from a dedicated network stream of the
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
+from repro.topology.counting import word_width
 
 __all__ = [
     "sample_delivered",
@@ -122,19 +125,15 @@ def sample_delivered(
             plane — only if it is still running, so finished (compacted-away)
             trials never consume loss randomness.
         running: ``(B,)`` liveness mask.
-        out: Optional ``(B, n, n)`` float32 buffer to fill and return in
-            place of the boolean allocation.  The lossy engines contract the
-            delivered matrices as float32 anyway (sgemm; exact for counts up
-            to 2^24), so writing the buffer directly spares a fresh
-            ``(B, n, n)`` boolean batch *and* a full-batch float cast every
-            round — the dominant allocation cost of the lossy path.  The
-            consumed Philox stream is identical either way.
+        out: Optional ``(B, n, n)`` boolean buffer to fill and return in
+            place of a fresh allocation; rows of trials that are not running
+            are zeroed.  The consumed Philox stream is identical either way.
 
     Returns:
-        ``(B, n, n)`` delivered-edge matrices (boolean, or ``out``): entry
-        ``[b, j, i]`` is nonzero when ``j``'s round message reaches ``i`` in
-        trial ``b``.  The diagonal is always delivered; non-running rows are
-        all-zero (they carry no traffic).
+        ``(B, n, n)`` boolean delivered-edge matrices (``out`` when given):
+        entry ``[b, j, i]`` is True when ``j``'s round message reaches ``i``
+        in trial ``b``.  The diagonal is always delivered; non-running rows
+        are all-False (they carry no traffic).
     """
     batch = len(running)
     if out is None:
@@ -143,7 +142,7 @@ def sample_delivered(
         delivered = out
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
-            delivered[idle] = 0.0
+            delivered[idle] = False
 
     def emit(b: int, kept: np.ndarray) -> None:
         delivered[b] = kept
@@ -162,22 +161,19 @@ def sample_delivered_words(
 ) -> np.ndarray:
     """One round's delivered-edge matrices, bit-packed recipient-major.
 
-    The packed-backend sibling of :func:`sample_delivered`: the *same*
-    per-trial Philox draws in the same order (one ``(n, n)`` uniform plane
-    per running trial), but each trial's kept matrix is emitted as
-    ``(n, ceil(n/64))`` uint64 words — row ``i`` packs the senders whose
-    round messages reach recipient ``i``, in the
-    :func:`repro.simulator.planes.packed.pack_bools` layout — so the
-    masked tallies can run as AND+popcount word contractions
-    (:class:`repro.topology.counting.PackedDeliveredChannel`) without the
-    float32 round-trip.
+    The *same* per-trial Philox draws as :func:`sample_delivered`, in the
+    same order (one ``(n, n)`` uniform plane per running trial), but each
+    trial's kept matrix is emitted as ``(n, ceil(n/64))`` uint64 words — row
+    ``i`` packs the senders whose round messages reach recipient ``i``, in
+    the :func:`repro.topology.counting.pack_sender_words` layout — so the
+    masked tallies run as AND+popcount word contractions
+    (:class:`repro.topology.counting.PackedDeliveredChannel`).
 
     Args:
         out: Optional ``(B, n, ceil(n/64))`` uint64 buffer.  Must start
             zeroed the first time (the pad bytes beyond ``ceil(n/8)`` are
             never written and rely on staying zero — the packed tail-bit
-            invariant); rows of trials that stop running are re-zeroed here,
-            exactly like the float32 buffer contract.
+            invariant); rows of trials that stop running are re-zeroed here.
 
     Returns:
         ``(B, n, ceil(n/64))`` uint64 words (``out`` when given): bit ``j``
@@ -186,9 +182,8 @@ def sample_delivered_words(
         are all-zero.
     """
     batch = len(running)
-    width = max(1, -(-n // 64))
     if out is None:
-        delivered = np.zeros((batch, n, width), dtype=np.uint64)
+        delivered = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
     else:
         delivered = out
         idle = ~np.asarray(running, dtype=bool)

@@ -9,6 +9,8 @@ re-run, only pending points execute), shard-merge exactness of the
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -265,6 +267,47 @@ class TestStore:
         # The index is a cache: deleting it loses nothing.
         (tmp_path / "store" / "index.json").unlink()
         assert "cc33" in ResultsStore(tmp_path / "store")
+
+    def test_writers_sharing_a_root_never_fail_an_acknowledged_put(self, tmp_path):
+        # Four writers, each with its own store on one root, flush the index
+        # after every put; a tiny switch interval interleaves their flushes
+        # as often as the interpreter allows.
+        root = tmp_path / "store"
+        writers, puts = 4, 300
+        errors: list[Exception] = []
+
+        def write(writer: int) -> None:
+            try:
+                store = ResultsStore(root)
+                for i in range(puts):
+                    store.put(f"{i % 8:02x}-{writer}-{i}", {"kind": "experiment", "rows": [i]})
+            except Exception as exc:  # surfaced in the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads), "a writer hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        reopened = ResultsStore(root)
+        assert len(reopened) == writers * puts
+        assert all(
+            reopened.get(f"{i % 8:02x}-{w}-{i}")["rows"] == [i]
+            for w in range(writers)
+            for i in range(puts)
+        )
+        # The last flush won, and no writer left a temporary file behind.
+        json.loads((root / "index.json").read_text())
+        assert sorted(p.name for p in root.iterdir() if not p.name.startswith("shard-")) == [
+            "index.json"
+        ]
 
 
 class TestExecutorResume:

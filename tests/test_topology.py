@@ -269,9 +269,9 @@ class TestLossDrawKernel:
                    for a, b in zip(rngs, reference_rngs))
 
         rngs = self._generators(bit_generator)
-        out = np.full((len(RUNNING), n, n), 7.0, dtype=np.float32)
+        out = np.ones((len(RUNNING), n, n), dtype=bool)
         assert sample_delivered(adjacency, loss, n, rngs, RUNNING, out=out) is out
-        assert np.array_equal(out, expected.astype(np.float32))
+        assert np.array_equal(out, expected)
 
         rngs = self._generators(bit_generator)
         words = sample_delivered_words(adjacency, loss, n, rngs, RUNNING)
@@ -352,7 +352,7 @@ class TestAdjacencyCounter:
         ("star", "direct"),
         ("grid", "direct"),
         ("tree", "direct"),
-        ("erdos-renyi", "dense"),
+        ("erdos-renyi", "packed"),
     ])
     def test_strategy_selection_follows_density(self, name, strategy):
         assert AdjacencyCounter(build_topology(name, 48)).strategy == strategy
@@ -378,14 +378,21 @@ class TestAdjacencyCounter:
             plane.astype(np.int64) @ adjacency.astype(np.int64),
         )
 
-    def test_signed_share_planes_are_counted_exactly(self):
-        # Coin shares are ±1 float32 values, not booleans.
-        adjacency = build_topology("ring", 12)
+    @pytest.mark.parametrize("name,n,strategy", [
+        ("clique", 12, "complement"),
+        ("ring", 48, "direct"),
+        ("ring", 12, "packed"),
+    ])
+    def test_signed_share_planes_are_counted_exactly(self, name, n, strategy):
+        # Coin shares are ±1 values, not booleans: signed_counts, not
+        # receive_counts, tallies them on every strategy.
+        adjacency = build_topology(name, n)
         counter = AdjacencyCounter(adjacency)
+        assert counter.strategy == strategy
         rng = np.random.default_rng(7)
-        shares = (rng.integers(0, 2, size=(6, 12)) * 2 - 1).astype(np.float32)
+        shares = (rng.integers(0, 2, size=(6, n)) * 2 - 1).astype(np.int8)
         assert np.array_equal(
-            counter.receive_counts(shares),
+            np.broadcast_to(counter.signed_counts(shares), (6, n)),
             shares.astype(np.int64) @ adjacency.astype(np.int64),
         )
 
