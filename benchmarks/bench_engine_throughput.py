@@ -15,10 +15,16 @@ import time
 
 import numpy as np
 
+from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import run_agreement
 from repro.engine import run_sweep
-from repro.simulator.vectorized import VectorizedAgreementSimulator, run_vectorized_trials
+from repro.simulator.draws import TrialStreams, trial_generator
+from repro.simulator.vectorized import (
+    VectorizedAgreementSimulator,
+    build_vectorized_simulator,
+    run_vectorized_trials,
+)
 
 #: The batched-sweep comparison configuration (trials, n, t).  t = n/8 sits in
 #: the middle of the adversary budgets the experiments sweep.
@@ -37,6 +43,17 @@ MIN_BATCH_SPEEDUP = 3.5
 #: per-trial Philox share draws, leaving ~1.2-1.3x measured; the floor only
 #: demands that packed never regresses below parity.
 MIN_PACKED_SPEEDUP = 1.0
+
+#: The many-trials configuration (trials, n, t): committee-ba without an
+#: adversary, where per-trial randomness plumbing, not plane work, is the cost.
+MANY_TRIALS = 20_000
+MANY_N = 64
+MANY_T = 8
+
+#: Floor for cursor streams (one vectorised share pass per phase) over one
+#: Generator per trial on the many-trials configuration.  Measured ~3x on
+#: 2 vCPUs; 2x is the target the change was built to.
+MIN_STREAM_SPEEDUP = 2.0
 
 
 def test_object_engine_single_run(benchmark):
@@ -173,6 +190,68 @@ def test_packed_backend_bit_identical_and_not_slower():
     assert speedup >= MIN_PACKED_SPEEDUP, (
         f"packed backend ran {speedup:.2f}x the numpy reference "
         f"(floor {MIN_PACKED_SPEEDUP}x)"
+    )
+
+
+def test_trial_streams_vs_per_row_generators_speedup():
+    """Vectorised share draws against one generator per trial.
+
+    Runs the many-trials batch through ``run_batch`` on cursor streams
+    (``TrialStreams(seed, 0, trials)``: the shares of every running trial in
+    one Philox pass per phase) and on per-row generators
+    (``TrialStreams.of([trial_generator(seed, k) ...])``: one ``integers``
+    call per trial per phase).  Building each side's streams is timed with
+    it.  Asserts identical per-trial results and the speedup floor.
+    """
+    seed = 29
+    simulator = build_vectorized_simulator(
+        MANY_N, MANY_T, protocol="committee-ba", adversary="none"
+    )
+    inputs = np.tile(input_row(MANY_N, "split", None), (MANY_TRIALS, 1))
+    sides = {
+        "cursor streams": lambda: TrialStreams(seed, 0, MANY_TRIALS),
+        "per-row generators": lambda: TrialStreams.of(
+            [trial_generator(seed, k) for k in range(MANY_TRIALS)]
+        ),
+    }
+    timings = {label: float("inf") for label in sides}
+    results = {}
+    for _ in range(3):  # alternate the sides, keep each side's best
+        for label, streams in sides.items():
+            started = time.perf_counter()
+            results[label] = simulator.run_batch(inputs, streams())
+            timings[label] = min(timings[label], time.perf_counter() - started)
+
+    assert results["cursor streams"] == results["per-row generators"], (
+        "cursor streams must be bit-identical to per-row generators"
+    )
+    cursor_s, generators_s = timings["cursor streams"], timings["per-row generators"]
+    speedup = generators_s / cursor_s
+    print(
+        f"\ntrial streams (trials={MANY_TRIALS}, n={MANY_N}, t={MANY_T}): "
+        f"cursor {cursor_s * 1000:.1f} ms, per-row generators {generators_s * 1000:.1f} ms, "
+        f"speedup {speedup:.2f}x (identical results)"
+    )
+    from benchmarks.harness import update_summary
+
+    update_summary(
+        "engine-throughput/trial-streams",
+        {
+            "kind": "throughput",
+            "protocol": "committee-ba",
+            "adversary": "none",
+            "n": MANY_N,
+            "t": MANY_T,
+            "trials": MANY_TRIALS,
+            "cursor_seconds": cursor_s,
+            "per_row_generator_seconds": generators_s,
+            "speedup": speedup,
+            "bit_identical": True,
+        },
+    )
+    assert speedup >= MIN_STREAM_SPEEDUP, (
+        f"cursor streams only {speedup:.2f}x faster than per-row generators "
+        f"(floor {MIN_STREAM_SPEEDUP}x)"
     )
 
 

@@ -37,8 +37,8 @@ planes — so the engine's threshold logic is written once, in plane form, and
 never needs to know which strategy it is executing.  Kernels must account
 their own adversary message traffic by adding to ``ctx.messages``.
 
-Only the ``random-noise`` kernel draws from the per-trial Philox generators
-(``ctx.rngs``, in a fixed order the engines preserve); every other strategy
+Only the ``random-noise`` kernel draws from the per-trial Philox streams
+(``ctx.streams``, in a fixed order the engines preserve); every other strategy
 is deterministic given the honest randomness (targets are picked
 lowest-id-first, exactly like
 :meth:`repro.adversary.adaptive.AdaptiveAdversary.pick_targets`), so the
@@ -50,11 +50,14 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from repro.core.parameters import ProtocolParameters
+
+if TYPE_CHECKING:
+    from repro.simulator.draws import TrialStreams
 
 #: An additive per-recipient count: anything broadcastable to ``(B, n)``.
 #: ``0`` (the default) means "no adversary contribution".
@@ -96,9 +99,10 @@ class KernelContext:
             adversary traffic here).
         running: ``(B,)`` trials still executing; hooks must not touch
             finished rows.
-        rngs: The per-trial Philox generators (compacted alongside the
-            planes), for sampling strategies; ``None`` before the engine
-            attaches them.
+        streams: The per-trial Philox streams (compacted alongside the
+            planes); a sampling strategy draws trial ``b``'s randomness
+            through ``streams[b]``, a ``Generator``.  ``None`` before the
+            engine attaches them.
         shares: ``(B, committee_stop - committee_start)`` int8 plane of the
             freshly drawn committee coin shares (columns aligned to the
             committee slice; zero where the member is inactive), available to
@@ -130,7 +134,7 @@ class KernelContext:
         budget: np.ndarray,
         messages: np.ndarray,
         running: np.ndarray,
-        rngs: Sequence[np.random.Generator] | None = None,
+        streams: TrialStreams | None = None,
         shares: np.ndarray | None = None,
         coin: str = "committee",
         mutated: bool = False,
@@ -152,7 +156,7 @@ class KernelContext:
         self.budget = budget
         self.messages = messages
         self.running = running
-        self.rngs = rngs
+        self.streams = streams
         self.shares = shares
         self.coin = coin
         #: Set by :meth:`corrupt`; the engine clears it after re-tallying, so

@@ -71,14 +71,14 @@ class RandomNoiseKernel(AdversaryKernel):
         ctx.corrupt(new_corrupt & ~ctx.corrupted)
 
     def round1(self, ctx: KernelContext, ones: np.ndarray, zeros: np.ndarray) -> Round1Effect:
-        assert ctx.rngs is not None
+        assert ctx.streams is not None
         noisy = self._noisy
         self._traffic(ctx)
         batch = ctx.value.shape[0]
         noise_ones = np.zeros((batch, self.n), dtype=np.int64)
         for b in range(batch):
             if ctx.running[b]:
-                noise_ones[b] = ctx.rngs[b].binomial(noisy, 0.5, size=self.n)
+                noise_ones[b] = ctx.streams[b].binomial(noisy, 0.5, size=self.n)
         return Round1Effect(ones=noise_ones, zeros=noisy - noise_ones)
 
     def round2(
@@ -88,7 +88,7 @@ class RandomNoiseKernel(AdversaryKernel):
         decided_zero: np.ndarray,
         share_sum: np.ndarray,
     ) -> Round2Effect:
-        assert ctx.rngs is not None
+        assert ctx.streams is not None
         noisy = self._noisy
         self._traffic(ctx)
         batch = ctx.value.shape[0]
@@ -103,12 +103,12 @@ class RandomNoiseKernel(AdversaryKernel):
         for b in range(batch):
             if not ctx.running[b]:
                 continue
-            records = ctx.rngs[b].multinomial(noisy, _NOISE_PROBS, size=self.n)
+            records = ctx.streams[b].multinomial(noisy, _NOISE_PROBS, size=self.n)
             noise_d1[b] = records[:, 0]
             noise_d0[b] = records[:, 1]
             if noisy_in_committee:
                 share_noise[b] = (
-                    2 * ctx.rngs[b].binomial(noisy_in_committee, 0.5, size=self.n)
+                    2 * ctx.streams[b].binomial(noisy_in_committee, 0.5, size=self.n)
                     - noisy_in_committee
                 )
         return Round2Effect(decided_one=noise_d1, decided_zero=noise_d0, shares=share_noise)

@@ -55,12 +55,12 @@ def run_ben_or_trials(
 
     params = rabin_parameters(n, t, phases_factor=phases_factor)
     cap_rounds = max_rounds if max_rounds is not None else default_max_rounds("ben-or", n, t)
-    input_rows, rngs = batch_setup(n, inputs, trials, seed, trial_offset)
+    input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     state = run_phase_skeleton_batch(
         n,
         t,
         input_rows,
-        rngs,
+        streams,
         behaviour=adversary,
         coin="private",
         params=params,

@@ -7,15 +7,15 @@ committee engine (:mod:`repro.simulator.vectorized`):
   planes, with per-node updates expressed as XOR-blend boolean algebra and
   per-row tallies computed by byte-packing + popcount;
 * trial ``k`` of master seed ``s`` draws its randomness from the
-  counter-based Philox generator keyed ``(s, k)``
-  (:func:`repro.simulator.vectorized.trial_generator`), so per-trial results
-  are independent of how trials are batched together;
+  counter-based Philox stream keyed ``(s, k)``, row ``k`` of the batch's
+  :class:`~repro.simulator.draws.TrialStreams`, so per-trial results are
+  independent of how trials are batched together;
 * results are reported as :class:`VectorizedRunResult` /
   :class:`VectorizedAggregate`, the same shapes
   :func:`repro.engine.run_sweep` folds into :class:`TrialSummary` lists.
 
-This module collects the pieces the kernels share: the per-trial input/RNG
-setup, the live CONGEST payload-size table, and the batched
+This module collects the pieces the kernels share: the per-trial input and
+stream setup, the live CONGEST payload-size table, and the batched
 agreement/validity finaliser.
 """
 
@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.parameters import validate_n_t
 from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import row_popcount
+from repro.simulator.draws import TrialStreams
 from repro.simulator.phase_engine import finalize_planes as evaluate_planes
 from repro.simulator.messages import (
     CoinShare,
@@ -41,7 +42,7 @@ from repro.simulator.vectorized import (
     VectorizedAggregate,
     VectorizedRunResult,
     aggregate_results,
-    trial_generator,
+    run_results,
     trial_inputs,
 )
 
@@ -53,7 +54,6 @@ __all__ = [
     "batch_setup",
     "finalize_planes",
     "row_popcount",
-    "trial_generator",
     "trial_inputs",
 ]
 
@@ -75,11 +75,11 @@ PAYLOAD_BITS: dict[str, int] = {
 
 def batch_setup(
     n: int, inputs: str, trials: int, seed: int, trial_offset: int = 0
-) -> tuple[np.ndarray, list[np.random.Generator]]:
-    """Materialise the ``(B, n)`` input plane and the per-trial generators.
+) -> tuple[np.ndarray, TrialStreams]:
+    """Materialise the ``(B, n)`` input plane and the per-trial streams.
 
     Trial ``k`` uses the Philox key ``(seed, trial_offset + k)`` and — exactly
-    as in the committee engine — consumes randomness from its generator only
+    as in the committee engine — consumes randomness from its stream only
     for the ``random`` input pattern, so deterministic-input sweeps leave the
     trial streams untouched for the protocol itself.  ``trial_offset`` lets a
     shard worker run a contiguous sub-range of a larger sweep on the sweep's
@@ -88,9 +88,8 @@ def batch_setup(
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be positive, got {trials}")
-    rngs = [trial_generator(seed, trial_offset + k) for k in range(trials)]
-    rows = np.stack([trial_inputs(n, inputs, rng) for rng in rngs])
-    return rows, rngs
+    streams = TrialStreams(seed, trial_offset, trials)
+    return trial_inputs(n, inputs, streams), streams
 
 
 def finalize_planes(
@@ -120,28 +119,7 @@ def finalize_planes(
         n, t, inputs, output=output, corrupted=corrupted,
         messages=messages, timed_out=timed_out,
     )
-    results = []
-    for b in range(inputs.shape[0]):
-        agrees = bool(evaluated["agreement"][b])
-        decision: int | None = None
-        if agrees and evaluated["has_honest"][b]:
-            decision = 1 if evaluated["out_ones"][b] else 0
-        results.append(
-            VectorizedRunResult(
-                n=n,
-                t=t,
-                rounds=int(rounds[b]),
-                phases=int(phases[b]),
-                agreement=agrees,
-                validity=bool(evaluated["validity"][b]),
-                decision=decision,
-                corrupted=int(evaluated["corrupted_count"][b]),
-                messages=int(messages[b]),
-                bits=int(bits[b]),
-                timed_out=bool(evaluated["timed_out"][b]),
-            )
-        )
-    return results
+    return run_results(n, t, evaluated, rounds=rounds, phases=phases, bits=bits)
 
 
 def aggregate(

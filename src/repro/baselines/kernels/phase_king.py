@@ -111,7 +111,7 @@ def run_phase_king_trials(
     masked = adjacency is not None or loss > 0.0
     counter = AdjacencyCounter(adjacency) if masked and loss == 0.0 else None
 
-    input_rows, rngs = batch_setup(n, inputs, trials, seed, trial_offset)
+    input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     batch = input_rows.shape[0]
     params = _king_parameters(n, t)
     kernel = build_adversary_kernel(adversary, n=n, t=t, params=params)
@@ -138,7 +138,7 @@ def run_phase_king_trials(
         nonlocal deliver_buf
         if deliver_buf is None:
             deliver_buf = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
-        words = sample_delivered_words(adjacency, loss, n, rngs, running, out=deliver_buf)
+        words = sample_delivered_words(adjacency, loss, n, streams, running, out=deliver_buf)
         return PackedDeliveredChannel(words, n)
 
     def context(phase: int, king: int) -> KernelContext:
@@ -148,7 +148,7 @@ def run_phase_king_trials(
             value=value, decided=decided, active=active,
             corrupted=corrupted, can_update=can_update,
             budget=budget, messages=messages, running=running,
-            rngs=rngs, coin="committee",
+            streams=streams, coin="committee",
         )
 
     kernel.setup(context(0, 0))
@@ -199,7 +199,7 @@ def run_phase_king_trials(
         # payloads are unheard (phase-king nodes only read KingValue).
         deliver2 = None
         if masked and loss > 0.0:
-            deliver2 = sample_delivered(adjacency, loss, n, rngs, running)
+            deliver2 = sample_delivered(adjacency, loss, n, streams, running)
         kernel.pre_coin(ctx)
         before = messages.copy()
         kernel.round2(ctx, zero_counts, zero_counts, zero_counts)

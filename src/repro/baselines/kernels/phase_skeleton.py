@@ -48,6 +48,7 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.baselines.kernels.common import PAYLOAD_BITS
 from repro.core.parameters import ProtocolParameters
+from repro.simulator.draws import TrialStreams
 from repro.simulator.phase_engine import PhaseEngine
 
 #: Adversary hook surface of the skeleton — the full committee-engine set:
@@ -75,7 +76,7 @@ def run_phase_skeleton_batch(
     n: int,
     t: int,
     inputs: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
     *,
     behaviour: str,
     coin: str,
@@ -91,7 +92,7 @@ def run_phase_skeleton_batch(
 
     Args:
         inputs: ``(B, n)`` input bits.
-        rngs: One Philox generator per trial (consumed only by the private
+        streams: The per-trial Philox streams (consumed only by the private
             coin, the ``random-noise`` kernel's aggregate draws and — under
             the rushing share attacks — the share draws the adversary
             inspects).
@@ -130,6 +131,6 @@ def run_phase_skeleton_batch(
         loss=loss,
         backend=backend,
     )
-    state = engine.run_batch(inputs, rngs, kernel)
+    state = engine.run_batch(inputs, streams, kernel)
     state["bits"] = state["messages"] * ROUND_PAYLOAD_BITS
     return state

@@ -50,12 +50,12 @@ def run_rabin_trials(
     """
     validate_n_t(n, t)
     params = rabin_parameters(n, t, phases_factor=phases_factor)
-    input_rows, rngs = batch_setup(n, inputs, trials, seed, trial_offset)
+    input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     state = run_phase_skeleton_batch(
         n,
         t,
         input_rows,
-        rngs,
+        streams,
         behaviour=adversary,
         coin="dealer",
         params=params,

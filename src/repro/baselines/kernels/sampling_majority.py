@@ -81,7 +81,7 @@ def run_sampling_majority_trials(
             f"unknown sampling-majority kernel behaviour {adversary!r}; "
             f"available: {sorted(ADVERSARY_PLANE_KERNELS)}"
         )
-    input_rows, rngs = batch_setup(n, inputs, trials, seed, trial_offset)
+    input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     batch = input_rows.shape[0]
     log_n = max(1.0, math.log2(max(2, n)))
     num_iterations = max(1, math.ceil(iterations_factor * log_n * log_n))
@@ -104,7 +104,7 @@ def run_sampling_majority_trials(
         n_corrupt = n - n_honest
 
         peers = np.stack(
-            [rngs[b].integers(0, n, size=(n, sample_size)) for b in range(batch)]
+            [streams[b].integers(0, n, size=(n, sample_size)) for b in range(batch)]
         )
         peer_honest = honest_cols[peers]
         sampled = (

@@ -67,13 +67,14 @@ def input_list(
     )
 
 
-def input_row(n: int, pattern: str, rng: np.random.Generator) -> np.ndarray:
+def input_row(n: int, pattern: str, rng: np.random.Generator | None) -> np.ndarray:
     """Materialise one trial's ``(n,)`` int8 input row for the plane engines.
 
     Consumes ``rng`` only for the ``random`` pattern (one
     ``integers(0, 2, size=n)`` call), keeping the per-trial Philox streams
     untouched for deterministic patterns — the convention every batched
-    kernel's bit-identity contract relies on.
+    kernel's bit-identity contract relies on.  The deterministic patterns
+    accept ``rng=None``.
     """
     if pattern == "split":
         input_bits = np.zeros(n, dtype=np.int8)

@@ -13,9 +13,11 @@ and the baselines' ``run_phase_skeleton_batch``:
 * per-phase adversary hooks — ``setup`` once, then ``round1`` / ``pre_coin``
   / ``round2`` per phase — driving a pluggable
   :class:`~repro.adversary.kernels.base.AdversaryKernel`;
-* committee coin-share draws on the per-trial Philox generators (always for
+* committee coin-share draws on the per-trial Philox streams (always for
   the committee coin; lazily, only when the kernel is share-hungry and some
-  trial can reach the coin case, for the dealer/private coins);
+  trial can reach the coin case, for the dealer/private coins), one
+  vectorised Philox pass per draw once enough trials run
+  (:class:`~repro.simulator.draws.TrialStreams`);
 * CONGEST message accounting (honest broadcasts engine-side, adversary
   traffic kernel-side) and flush-phase / bounded-exhaustion termination;
 * the batched agreement/validity finaliser (:func:`finalize_planes`).
@@ -30,10 +32,10 @@ engine never branches on a strategy name, which is what lets every protocol
 on this loop inherit every applicable adversary kernel for free.
 
 The loop is bit-compatible with all the paths it replaced: per-trial
-randomness is drawn from the same generators in the same order (checked by
-the batched-vs-single-trial identity tests and the engine-throughput
+randomness is drawn from the same Philox streams in the same order (checked
+by the batched-vs-single-trial identity tests and the engine-throughput
 benchmark), and compaction never changes results because trials draw only
-from their own generators.
+from their own streams.
 
 **The topology / message-loss axis.**  An optional ``(n, n)`` boolean
 ``adjacency`` mask and an i.i.d. per-edge ``loss`` probability
@@ -51,7 +53,7 @@ threshold logic is shape-polymorphic and runs unchanged.  The contract is:
   takes the masked path but provably produces identical results (the
   per-recipient tallies all equal the global ones), which is what the
   masked-overhead benchmark and the identity tests exploit.
-* loss randomness is drawn from the per-trial generators in a fixed
+* loss randomness is drawn from the per-trial streams in a fixed
   per-phase order (round-1 plane, round-2 plane, then the committee share
   draws), only for running trials — so per-trial results remain independent
   of batching and compaction, exactly like the share draws.
@@ -77,6 +79,7 @@ from repro.core.parameters import ProtocolParameters
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.simulator.bitplanes import row_popcount
+from repro.simulator.draws import TrialStreams
 from repro.simulator.planes import PlaneBackend, resolve_backend
 from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
 from repro.topology.generators import validate_adjacency
@@ -92,30 +95,23 @@ _COMPACTION_THRESHOLD = 0.75
 
 
 def draw_committee_shares(
-    draw_fns: Sequence,
+    streams: TrialStreams,
     running: np.ndarray,
     committee_active: np.ndarray,
 ) -> np.ndarray:
     """Per-trial fresh ±1 shares for the active committee members.
 
-    One ``integers(0, 2, size=count)`` call per running trial — the same
-    calls, in the same order, as the single-trial path, so the consumed bit
-    streams are identical.  The raw draws are concatenated and scattered in a
-    single vectorised pass: boolean-mask assignment walks the mask in
-    row-major order, which is exactly the concatenation order (non-running
-    trials have all-False committee rows and draw nothing).
+    Each running trial draws one share per active member from its own
+    stream — the single-trial path's ``integers(0, 2, size=count)`` call,
+    bit for bit (:meth:`~repro.simulator.draws.TrialStreams.draw_shares`).
+    The draws arrive concatenated in row order and are scattered in one
+    pass: boolean-mask assignment walks the mask in row-major order, which
+    is exactly the concatenation order (non-running trials have all-False
+    committee rows and draw nothing).
     """
-    batch, width = committee_active.shape
-    shares = np.zeros((batch, width), dtype=np.int8)
-    counts = np.count_nonzero(committee_active, axis=1)
-    draws = [
-        draw_fns[b](0, 2, size=int(counts[b]))
-        for b in range(batch)
-        if running[b]
-    ]
-    if draws:
-        flat = np.concatenate(draws).astype(np.int8)
-        shares[committee_active] = (flat << 1) - 1
+    shares = np.zeros(committee_active.shape, dtype=np.int8)
+    counts = np.where(running, np.count_nonzero(committee_active, axis=1), 0)
+    shares[committee_active] = streams.draw_shares(counts)
     return shares
 
 
@@ -182,7 +178,7 @@ class PhaseEngine:
             coin; the object runner hands each trial its master seed).
         compaction: Archive-and-drop finished trials (on by default; results
             never depend on it because trials draw only from their own
-            generators).
+            streams).
         adjacency: Optional ``(n, n)`` boolean topology mask (symmetric,
             True diagonal; see :mod:`repro.topology`).  ``None`` means the
             clique.  Any non-``None`` adjacency — including an explicit
@@ -269,15 +265,20 @@ class PhaseEngine:
     def run_batch(
         self,
         inputs: np.ndarray,
-        rngs: Sequence[np.random.Generator],
+        streams: TrialStreams,
         kernel: AdversaryKernel,
     ) -> dict[str, np.ndarray]:
         """Execute ``B`` trials simultaneously under ``kernel``.
 
+        Trial ``b`` draws all of its randomness from ``streams`` row ``b``.
         Returns the final archive planes plus per-trial counters
         (``output`` / ``corrupted`` / ``messages`` / ``phases`` /
         ``timed_out``), in batch order, for the caller's finaliser.
         """
+        if not isinstance(streams, TrialStreams):
+            raise TypeError(
+                f"run_batch draws from a TrialStreams, got {type(streams).__name__}"
+            )
         inputs = np.asarray(inputs, dtype=np.int8)
         batch0, n = inputs.shape
         t = self.t
@@ -307,8 +308,6 @@ class PhaseEngine:
         # Archive (in full batch order) that finished trials scatter into.
         final = self._batch_state(inputs)
         orig = np.arange(batch0)
-        rngs = list(rngs)
-        draw_fns = [rng.integers for rng in rngs]
         dealer_seeds = list(self.dealer_seeds) if self.dealer_seeds is not None else None
         pending_any = False  # does flush_next hold any scheduled flush?
 
@@ -332,7 +331,7 @@ class PhaseEngine:
             if deliver_buf is None:
                 deliver_buf = np.zeros((batch0, n, word_width(n)), dtype=np.uint64)
             words = sample_delivered_words(
-                self.adjacency, self.loss, n, rngs, running,
+                self.adjacency, self.loss, n, streams, running,
                 out=deliver_buf[: len(orig)],
             )
             return PackedDeliveredChannel(words, n)
@@ -353,7 +352,7 @@ class PhaseEngine:
                 value=value, decided=decided, active=active,
                 corrupted=corrupted, can_update=can_update,
                 budget=budget, messages=messages, running=running,
-                rngs=rngs, coin=self.coin,
+                streams=streams, coin=self.coin,
             )
 
         with tracer.span("engine.setup", batch=batch0, n=n, backend=ops.name):
@@ -385,8 +384,7 @@ class PhaseEngine:
                     phases = phases[keep]
                     sender_count = sender_count[keep]
                     orig = orig[keep]
-                    rngs = [rngs[i] for i in keep]
-                    draw_fns = [draw_fns[i] for i in keep]
+                    streams = streams.take(keep)
                     if dealer_seeds is not None:
                         dealer_seeds = [dealer_seeds[i] for i in keep]
                     kernel.compact(keep)
@@ -487,7 +485,7 @@ class PhaseEngine:
                 shares = None
                 if self.coin == "committee":
                     shares = draw_committee_shares(
-                        draw_fns, running, active.bools()[:, start:stop]
+                        streams, running, active.bools()[:, start:stop]
                     )
                 elif kernel.needs_shares:
                     if masked:
@@ -504,7 +502,7 @@ class PhaseEngine:
                         )
                     if (running & ~assigned_honest).any():
                         shares = draw_committee_shares(
-                            draw_fns, running, active.bools()[:, start:stop]
+                            streams, running, active.bools()[:, start:stop]
                         )
                 share_recv = None
                 if shares is not None:
@@ -585,7 +583,7 @@ class PhaseEngine:
                         else:  # private
                             coin_plane = np.zeros((len(orig), n), dtype=bool)
                             for b in np.flatnonzero(need):
-                                coin_plane[b] = draw_fns[b](0, 2, size=n).astype(bool)
+                                coin_plane[b] = streams[b].integers(0, 2, size=n).astype(bool)
                             value.blend_mask(coin_plane, coin_mask)
                 decided.clear_where(coin_mask)
 

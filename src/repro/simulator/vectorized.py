@@ -24,9 +24,10 @@ Two entry points are provided: :meth:`VectorizedAgreementSimulator.run`
 executes one trial on 1-D arrays (the reference implementation, kept for the
 ``none`` and ``straddle`` behaviours), and
 :meth:`VectorizedAgreementSimulator.run_batch` executes a whole batch of
-``B`` trials simultaneously on 2-D ``(B, n)`` arrays.  For the ``none`` and
+``B`` trials simultaneously on 2-D ``(B, n)`` arrays, drawing from the
+batch's :class:`~repro.simulator.draws.TrialStreams`.  For the ``none`` and
 ``straddle`` behaviours the two are bit-for-bit identical given the same
-per-trial generators, which the test-suite checks exhaustively; both are
+per-trial Philox keys, which the test-suite checks exhaustively; both are
 cross-validated against the object simulator statistically.
 """
 
@@ -52,6 +53,9 @@ from repro.adversary.kernels.capabilities import (
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters, validate_n_t
 from repro.exceptions import ConfigurationError
+# trial_generator is re-exported: callers, and sweepbench/layers.py's
+# rng-setup timer, look it up on this module.
+from repro.simulator.draws import TrialStreams, trial_generator  # noqa: F401
 from repro.simulator.phase_engine import PhaseEngine, finalize_planes
 
 #: CONGEST cost (bits) of the round-1 and round-2 payloads, kept consistent
@@ -68,7 +72,7 @@ assert set(VECTORIZED_ADVERSARIES) == set(ADVERSARY_PLANE_KERNELS)
 
 #: Adversary hook surface of the committee engine — the full vocabulary:
 #: both announcement channels, rushing share observation, the rotating
-#: designated committee and the per-trial generators.
+#: designated committee and the per-trial streams.
 COMMITTEE_ENGINE_HOOKS = frozenset(
     {
         CORRUPT_STATIC,
@@ -158,7 +162,7 @@ class VectorizedAgreementSimulator:
             # The newer behaviours and the masked communication planes are
             # implemented only once, in the batched path; a single trial is
             # just a batch of one.
-            return self.run_batch(inputs[None, :], [rng])[0]
+            return self.run_batch(inputs[None, :], TrialStreams.of([rng]))[0]
         committee_size = self.params.committee_size
         num_committees = max(1, math.ceil(n / committee_size))
         phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
@@ -316,17 +320,19 @@ class VectorizedAgreementSimulator:
     # Batched execution
     # ------------------------------------------------------------------
     def run_batch(
-        self, inputs: np.ndarray, rngs: Sequence[np.random.Generator]
+        self, inputs: np.ndarray, streams: TrialStreams
     ) -> list[VectorizedRunResult]:
         """Execute a whole batch of ``B`` independent trials simultaneously.
 
         Args:
             inputs: ``(B, n)`` array of per-trial input bits.
-            rngs: One generator per trial.  Trial ``b`` consumes randomness
-                from ``rngs[b]`` in exactly the same order as a single-trial
-                :meth:`run` call, so for the ``none`` and ``straddle``
-                behaviours the per-trial results are bit-for-bit identical to
-                ``[self.run(inputs[b], rngs[b]) for b in range(B)]``.
+            streams: The per-trial Philox streams.  Trial ``b`` consumes row
+                ``b`` in exactly the same order as a single-trial :meth:`run`
+                call consumes its generator, so for the ``none`` and
+                ``straddle`` behaviours the per-trial results of
+                ``TrialStreams(seed, 0, B)`` are bit-for-bit identical to
+                ``[self.run(inputs[b], trial_generator(seed, b)) for b in
+                range(B)]``.
 
         The batch runs on the shared hook-driven
         :class:`~repro.simulator.phase_engine.PhaseEngine` with the committee
@@ -341,9 +347,9 @@ class VectorizedAgreementSimulator:
             raise ConfigurationError(
                 f"batched inputs must have shape (B, {self.n}), got {inputs.shape}"
             )
-        if inputs.shape[0] != len(rngs):
+        if inputs.shape[0] != len(streams):
             raise ConfigurationError(
-                f"got {inputs.shape[0]} input rows but {len(rngs)} generators"
+                f"got {inputs.shape[0]} input rows but {len(streams)} trial streams"
             )
         if inputs.shape[0] == 0:
             return []
@@ -363,7 +369,7 @@ class VectorizedAgreementSimulator:
             loss=self.loss,
             backend=self.backend,
         )
-        state = engine.run_batch(inputs, rngs, kernel)
+        state = engine.run_batch(inputs, streams, kernel)
         evaluated = finalize_planes(
             self.n,
             self.t,
@@ -373,28 +379,44 @@ class VectorizedAgreementSimulator:
             messages=state["messages"],
             timed_out=state["timed_out"],
         )
-        results = []
-        for b in range(inputs.shape[0]):
-            agrees = bool(evaluated["agreement"][b])
-            decision: int | None = None
-            if agrees and evaluated["has_honest"][b]:
-                decision = 1 if evaluated["out_ones"][b] else 0
-            results.append(
-                VectorizedRunResult(
-                    n=self.n,
-                    t=self.t,
-                    rounds=int(state["rounds"][b]),
-                    phases=int(state["phases"][b]),
-                    agreement=agrees,
-                    validity=bool(evaluated["validity"][b]),
-                    decision=decision,
-                    corrupted=int(evaluated["corrupted_count"][b]),
-                    messages=int(state["messages"][b]),
-                    bits=int(state["messages"][b]) * _ROUND_PAYLOAD_BITS,
-                    timed_out=bool(state["timed_out"][b]),
-                )
-            )
-        return results
+        return run_results(
+            self.n, self.t, evaluated,
+            rounds=state["rounds"], phases=state["phases"],
+            bits=state["messages"] * _ROUND_PAYLOAD_BITS,
+        )
+
+
+def run_results(
+    n: int,
+    t: int,
+    evaluated: dict[str, np.ndarray],
+    *,
+    rounds: np.ndarray,
+    phases: np.ndarray,
+    bits: np.ndarray,
+) -> list[VectorizedRunResult]:
+    """One :class:`VectorizedRunResult` per trial, built column-wise.
+
+    ``evaluated`` is :func:`~repro.simulator.phase_engine.finalize_planes`'
+    output; ``rounds`` / ``phases`` / ``bits`` are the protocol's per-trial
+    accounting columns.  Each column is converted to Python scalars once;
+    a trial decides when its honest outputs agree and it has an honest node.
+    """
+    decides = (evaluated["agreement"] & evaluated["has_honest"]).tolist()
+    ones = (evaluated["out_ones"] > 0).tolist()
+    decisions = [int(one) if decided else None for decided, one in zip(decides, ones)]
+    columns = zip(
+        np.asarray(rounds).tolist(),
+        np.asarray(phases).tolist(),
+        evaluated["agreement"].tolist(),
+        evaluated["validity"].tolist(),
+        decisions,
+        evaluated["corrupted_count"].tolist(),
+        evaluated["messages"].tolist(),
+        np.asarray(bits).tolist(),
+        evaluated["timed_out"].tolist(),
+    )
+    return [VectorizedRunResult(n, t, *row) for row in columns]
 
 
 # ----------------------------------------------------------------------
@@ -442,14 +464,15 @@ def _parameters_for(protocol: str, n: int, t: int, alpha: float) -> ProtocolPara
     return protocol_parameters(protocol, n, t, {"alpha": alpha})
 
 
-def trial_generator(seed: int, k: int) -> np.random.Generator:
-    """The counter-based Philox generator for trial ``k`` of master ``seed``."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+def _trial_inputs(n: int, inputs: str, streams: TrialStreams) -> np.ndarray:
+    """Materialise the ``(B, n)`` input plane (:func:`repro.core.inputs.input_row`).
 
-
-def _trial_inputs(n: int, inputs: str, rng: np.random.Generator) -> np.ndarray:
-    """Materialise one trial's input row (:func:`repro.core.inputs.input_row`)."""
-    return input_row(n, inputs, rng)
+    Only the ``random`` pattern draws, one row per trial stream; the
+    deterministic patterns repeat one row and leave the streams untouched.
+    """
+    if inputs == "random":
+        return np.stack([input_row(n, inputs, streams[b]) for b in range(len(streams))])
+    return np.tile(input_row(n, inputs, None), (len(streams), 1))
 
 
 #: Public alias used by the baseline kernels (:mod:`repro.baselines.kernels`).
@@ -553,11 +576,11 @@ def run_vectorized_trials(
         n, t, protocol=protocol, adversary=adversary, alpha=alpha, params=params,
         adjacency=adjacency, loss=loss, backend=backend,
     )
-    rngs = [trial_generator(seed, trial_offset + k) for k in range(trials)]
-    input_rows = np.stack([_trial_inputs(n, inputs, rng) for rng in rngs])
+    streams = TrialStreams(seed, trial_offset, trials)
+    input_rows = _trial_inputs(n, inputs, streams)
     if batch:
-        results: Sequence[VectorizedRunResult] = simulator.run_batch(input_rows, rngs)
+        results: Sequence[VectorizedRunResult] = simulator.run_batch(input_rows, streams)
     else:
-        results = [simulator.run(input_rows[k], rngs[k]) for k in range(trials)]
+        results = [simulator.run(input_rows[k], streams[k]) for k in range(trials)]
     aggregate = _aggregate(n, t, protocol, adversary, results)
     return dataclasses.replace(aggregate, results=tuple(results))

@@ -232,8 +232,10 @@ def _sample_kept(
     trial.
     """
     live = np.flatnonzero(running)
-    generators = [rngs[b].bit_generator for b in live]
-    for generator in generators:
+    # Look every generator up here, on the calling thread: a
+    # TrialStreams row materialises its generator on first access.
+    generators = {b: rngs[b].bit_generator for b in live.tolist()}
+    for generator in generators.values():
         if not isinstance(generator, _RAW_DOUBLE_BIT_GENERATORS):
             raise ConfigurationError(
                 "loss draws compare raw outputs against a threshold, which "
@@ -245,8 +247,8 @@ def _sample_kept(
 
     def draw(chunk: np.ndarray) -> None:
         kept = np.empty((n, n), dtype=bool)
-        for b in chunk:
-            generator = rngs[b].bit_generator
+        for b in chunk.tolist():
+            generator = generators[b]
             for start in range(0, n, rows):
                 block = kept[start : start + rows]
                 np.greater_equal(generator.random_raw(block.shape), threshold, out=block)
@@ -256,7 +258,7 @@ def _sample_kept(
             emit(b, kept)
 
     # A generator shared between trials must be drawn from in trial order.
-    shared = len({id(generator) for generator in generators}) < len(generators)
+    shared = len({id(generator) for generator in generators.values()}) < len(generators)
     chunks = 1 if shared else min(_workers, len(live))
     with current_tracer().span("engine.draw.loss", running=len(live)):
         if chunks <= 1:

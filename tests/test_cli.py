@@ -77,6 +77,10 @@ class TestCommands:
         (["run", "--n", "64", "--t", "30"], "t < n/3"),
         (["run", "--loss", "1.0"], "loss must be a probability"),
         (["sweep", "run", "no-such-spec"], "unknown sweep spec"),
+        (["trials", "--n", "64", "--t", "8", "--trials", "3", "--seed", "-1"],
+         "seed must be in [0, 2**64)"),
+        (["trials", "--n", "64", "--t", "8", "--trials", "3",
+          "--seed", "18446744073709551616"], "seed must be in [0, 2**64)"),
     ])
     def test_configuration_errors_print_one_line_and_exit_2(self, capsys, argv, message):
         code = main(argv)

@@ -203,6 +203,22 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(19, 3, trials=0)
 
+    @pytest.mark.parametrize("protocol,adversary,base_seed", [
+        ("committee-ba", "coin-attack", -1),
+        ("committee-ba", "null", 2**64),
+        ("phase-king", "static", -1),
+        ("ben-or", "null", -1),
+        ("eig", "crash", 2**64),
+        ("sampling-majority", "silent", -1),
+    ])
+    def test_out_of_range_seeds_are_configuration_errors(self, protocol, adversary, base_seed):
+        # The fast kernels key trial k's Philox stream (base_seed, k), so the
+        # seed must be a 64-bit key word; the object engines take any int.
+        experiment = AgreementExperiment(n=13, t=2, protocol=protocol, adversary=adversary)
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*64\)"):
+            run_sweep(experiment=experiment, trials=2, base_seed=base_seed,
+                      engine="vectorized")
+
 
 class TestDispatchTable:
     def test_covers_every_protocol_adversary_pair(self):

@@ -9,6 +9,7 @@ aggregation maths, the store cache counters, and the ``repro trace`` CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -32,6 +33,7 @@ from repro.observability import (
     write_trace,
 )
 from repro.observability.report import counter_rows, stage_rows, trace_breakdown
+from repro.simulator.draws import VECTOR_MIN_ROWS
 from repro.sweeps import ResultsStore, SweepSpec, run_spec, spec_keys, status_spec
 
 
@@ -196,6 +198,27 @@ class TestBitIdentity:
         draws = [e for e in tracer.events() if e["name"] == "engine.draw.loss"]
         assert len(draws) >= 2
         assert all(1 <= e["meta"]["running"] <= 4 for e in draws)
+        shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
+        if protocol == "phase-king":
+            assert shares == []  # the king's value is no coin
+            return
+        # Below the crossover (and with every row a generator after its loss
+        # draws) shares are drawn per row; a loss-free batch above it takes
+        # the vectorised pass.
+        assert shares and all(
+            e["meta"]["path"] == "generator" and e["meta"]["running"] <= 4
+            for e in shares
+        )
+        wide = dict(kwargs, experiment=dataclasses.replace(experiment, loss=0.0),
+                    trials=VECTOR_MIN_ROWS + 8)
+        plain = run_sweep(**wide)
+        tracer = Tracer(run_id="wide-identity")
+        with activate(tracer):
+            traced = run_sweep(**wide)
+        assert _trial_rows(traced) == _trial_rows(plain)
+        shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
+        assert shares[0]["meta"]["path"] == "vector"
+        assert shares[0]["meta"]["running"] >= VECTOR_MIN_ROWS
 
     def test_vectorized_mp_merge_is_bit_identical_and_ordered(self):
         experiment = AgreementExperiment(n=32, t=6, protocol="committee-ba",

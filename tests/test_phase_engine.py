@@ -32,6 +32,7 @@ from repro.core.runner import (
 )
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
+from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.phase_engine import PhaseEngine
 from repro.simulator.rng import RandomnessSource
 from repro.simulator.vectorized import (
@@ -60,25 +61,49 @@ class TestUnifiedEngine:
 
     @pytest.mark.parametrize("adversary", ["straddle", "random-noise", "equivocate"])
     def test_compaction_never_changes_results(self, adversary):
+        # Cursor streams above the vector-draw crossover, with and without
+        # compaction, against the same trials drawing every share through
+        # their own generators.  Under straddle, compaction drops the batch
+        # below the crossover mid-run; random-noise rows become generators
+        # at their first binomial draw.
         from repro.adversary.kernels import build_adversary_kernel
         from repro.core.parameters import ProtocolParameters
 
-        n, t, trials = 48, 8, 8
+        n, t, trials = 48, 8, VECTOR_MIN_ROWS + 8
         params = ProtocolParameters.derive(n, t)
+        inputs = np.tile(input_row(n, "split", None), (trials, 1))
+        runs = {
+            "compacted": (True, TrialStreams(3, 0, trials)),
+            "uncompacted": (False, TrialStreams(3, 0, trials)),
+            "generators": (
+                True, TrialStreams.of([trial_generator(3, k) for k in range(trials)])
+            ),
+        }
         results = {}
-        for compaction in (True, False):
-            rngs = [trial_generator(3, k) for k in range(trials)]
-            inputs = np.stack([input_row(n, "split", rng) for rng in rngs])
+        for name, (compaction, streams) in runs.items():
             engine = PhaseEngine(
                 n=n, t=t, params=params, coin="committee", las_vegas=True,
                 num_phases=params.num_phases, max_phases=400,
                 compaction=compaction,
             )
             kernel = build_adversary_kernel(adversary, n=n, t=t, params=params)
-            state = engine.run_batch(inputs, rngs, kernel)
-            results[compaction] = state
+            results[name] = engine.run_batch(inputs, streams, kernel)
         for field in ("output", "corrupted", "messages", "phases", "timed_out"):
-            assert np.array_equal(results[True][field], results[False][field]), field
+            for name in ("uncompacted", "generators"):
+                assert np.array_equal(results["compacted"][field], results[name][field]), (
+                    name, field,
+                )
+
+    def test_run_batch_takes_only_trial_streams(self):
+        from repro.adversary.kernels import build_adversary_kernel
+        from repro.core.parameters import ProtocolParameters
+
+        params = ProtocolParameters.derive(16, 3)
+        engine = PhaseEngine(n=16, t=3, params=params, coin="committee",
+                             las_vegas=True, num_phases=4, max_phases=40)
+        kernel = build_adversary_kernel("none", n=16, t=3, params=params)
+        with pytest.raises(TypeError):
+            engine.run_batch(np.zeros((1, 16), dtype=np.int8), [trial_generator(0, 0)], kernel)
 
     def test_rejects_unknown_coin_and_missing_dealer_seeds(self):
         from repro.core.parameters import ProtocolParameters

@@ -6,14 +6,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import AgreementExperiment, run_trials
 from repro.exceptions import ConfigurationError
+from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.vectorized import (
     VECTORIZED_ADVERSARIES,
     VectorizedAgreementSimulator,
+    build_vectorized_simulator,
     run_vectorized_trials,
     trial_generator,
+    trial_inputs,
 )
 
 
@@ -114,6 +118,17 @@ class TestCrossValidation:
         assert ours.mean_rounds <= chor_coan.mean_rounds + 2
 
 
+def _batched_and_single_trial(simulator, inputs, trials, seed):
+    """``run_batch`` on TrialStreams vs ``run`` on each trial's own generator."""
+    streams = TrialStreams(seed, 0, trials)
+    batched = simulator.run_batch(trial_inputs(simulator.n, inputs, streams), streams)
+    single = []
+    for k in range(trials):
+        rng = trial_generator(seed, k)
+        single.append(simulator.run(input_row(simulator.n, inputs, rng), rng))
+    return batched, single
+
+
 class TestBatchedEngine:
     """The 2-D (B, n) batched path against the 1-D reference path."""
 
@@ -123,16 +138,24 @@ class TestBatchedEngine:
     def test_bit_identical_to_single_trial_runs_on_fixed_philox_keys(
         self, protocol, adversary
     ):
+        simulator = build_vectorized_simulator(96, 18, protocol=protocol, adversary=adversary)
         for inputs in ("split", "random", "unanimous-0", "unanimous-1"):
-            batched = run_vectorized_trials(
-                96, 18, protocol=protocol, adversary=adversary, inputs=inputs,
-                trials=6, seed=42, batch=True,
-            )
-            loop = run_vectorized_trials(
-                96, 18, protocol=protocol, adversary=adversary, inputs=inputs,
-                trials=6, seed=42, batch=False,
-            )
-            assert batched.results == loop.results, inputs
+            batched, single = _batched_and_single_trial(simulator, inputs, trials=6, seed=42)
+            assert batched == single, inputs
+
+    @pytest.mark.parametrize("adversary", ["none", "straddle"])
+    def test_vector_share_draws_match_single_trial_runs(self, adversary):
+        # Enough cursor rows for the vectorised share pass; under straddle,
+        # compaction later drops the batch below the crossover, so rows
+        # become generators mid-stream.
+        simulator = build_vectorized_simulator(48, 8, adversary=adversary)
+        batched, single = _batched_and_single_trial(
+            simulator, "split", trials=VECTOR_MIN_ROWS + 16, seed=7
+        )
+        assert batched == single
+        looped = run_vectorized_trials(48, 8, adversary=adversary,
+                                       trials=VECTOR_MIN_ROWS + 16, seed=7, batch=False)
+        assert list(looped.results) == batched
 
     def test_bit_identity_holds_for_every_batched_adversary(self):
         # The none/straddle identity is against the untouched seed path; the
@@ -147,12 +170,12 @@ class TestBatchedEngine:
 
     def test_run_batch_validates_shapes(self):
         simulator = _simulator(n=32, t=5)
-        rngs = [trial_generator(0, k) for k in range(3)]
+        streams = TrialStreams(0, 0, 3)
         with pytest.raises(ConfigurationError):
-            simulator.run_batch(np.zeros((3, 16), dtype=np.int8), rngs)
+            simulator.run_batch(np.zeros((3, 16), dtype=np.int8), streams)
         with pytest.raises(ConfigurationError):
-            simulator.run_batch(np.zeros((2, 32), dtype=np.int8), rngs)
-        assert simulator.run_batch(np.zeros((0, 32), dtype=np.int8), []) == []
+            simulator.run_batch(np.zeros((2, 32), dtype=np.int8), streams)
+        assert simulator.run_batch(np.zeros((0, 32), dtype=np.int8), TrialStreams(0, 0, 0)) == []
 
     def test_aggregate_carries_per_trial_results(self):
         aggregate = run_vectorized_trials(64, 8, trials=5, seed=1)
