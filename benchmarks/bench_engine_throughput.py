@@ -11,6 +11,7 @@ and bit-for-bit result identity.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -77,8 +78,7 @@ def test_vectorized_engine_single_run(benchmark):
     inputs[512:] = 1
 
     def run_once():
-        rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
-        return simulator.run(inputs, rng)
+        return simulator.run(inputs, TrialStreams(11, 0, 1))
 
     result = benchmark(run_once)
     assert result.agreement
@@ -101,18 +101,19 @@ def test_batched_vs_per_trial_loop_speedup():
         best = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
-            aggregate = run_vectorized_trials(SWEEP_N, SWEEP_T, batch=batch, **kwargs)
+            rows = run_vectorized_trials(SWEEP_N, SWEEP_T, batch=batch, **kwargs)
             best = min(best, time.perf_counter() - started)
-        timings[label] = (best, aggregate)
+        timings[label] = (best, rows)
 
     batched_s, batched = timings["batched"]
     loop_s, loop = timings["per-trial loop"]
-    assert batched.results == loop.results, "batched results must be bit-identical"
+    assert batched == loop, "batched results must be bit-identical"
     speedup = loop_s / batched_s
+    mean_phases = statistics.fmean(row.phases for row in batched)
     print(
         f"\nengine sweep (trials={SWEEP_TRIALS}, n={SWEEP_N}, t={SWEEP_T}): "
         f"batched {batched_s * 1000:.1f} ms, per-trial loop {loop_s * 1000:.1f} ms, "
-        f"speedup {speedup:.2f}x (identical results, mean phases {batched.mean_phases:.1f})"
+        f"speedup {speedup:.2f}x (identical results, mean phases {mean_phases:.1f})"
     )
     from benchmarks.harness import update_summary
 
@@ -153,15 +154,13 @@ def test_packed_backend_bit_identical_and_not_slower():
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            aggregate = run_vectorized_trials(
-                SWEEP_N, SWEEP_T, backend=backend, **kwargs
-            )
+            rows = run_vectorized_trials(SWEEP_N, SWEEP_T, backend=backend, **kwargs)
             best = min(best, time.perf_counter() - started)
-        timings[backend] = (best, aggregate)
+        timings[backend] = (best, rows)
 
     numpy_s, reference = timings["numpy"]
     packed_s, packed = timings["packed"]
-    assert packed.results == reference.results, (
+    assert packed == reference, (
         "the packed backend must be bit-identical to the numpy reference"
     )
     speedup = numpy_s / packed_s

@@ -4,8 +4,9 @@ PR 1 gave the paper's committee-BA family a batched multi-trial engine
 (:mod:`repro.simulator.vectorized`); this package extends the same treatment
 to the rest of the baseline landscape so the E9 comparison can run at
 thousand-node scale.  Each kernel executes a whole sweep of trials on
-``(B, n)`` boolean planes and reports the committee engine's result shapes;
-the Rabin and Ben-Or kernels run on the shared hook-driven
+``(B, n)`` boolean planes and returns one
+:class:`~repro.core.runner.TrialSummary` row per trial, as the committee
+engine does; the Rabin and Ben-Or kernels run on the shared hook-driven
 :class:`repro.simulator.phase_engine.PhaseEngine`, and every kernel consumes
 the same :mod:`repro.adversary.kernels` plane kernels the committee engine
 uses instead of a private behaviour switch.
@@ -32,7 +33,6 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.baselines.kernels.ben_or import run_ben_or_trials
 from repro.baselines.kernels.coin import CoinTrialsResult, run_coin_trials
-from repro.baselines.kernels.common import VectorizedAggregate
 from repro.baselines.kernels.eig import EIG_HOOKS, run_eig_trials
 from repro.baselines.kernels.phase_king import PHASE_KING_HOOKS, run_phase_king_trials
 from repro.baselines.kernels.phase_skeleton import SKELETON_HOOKS
@@ -41,6 +41,7 @@ from repro.baselines.kernels.sampling_majority import (
     SAMPLING_HOOKS,
     run_sampling_majority_trials,
 )
+from repro.core.runner import TrialSummary
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,11 @@ class KernelSpec:
         run_trials: Sweep entry point with the
             :func:`repro.simulator.vectorized.run_vectorized_trials`
             signature convention
-            (``(n, t, *, adversary, inputs, trials, seed, ...)``).  Every
-            kernel also honours ``trial_offset``: trial ``k`` of the call
-            uses the Philox key ``(seed, trial_offset + k)``, so contiguous
+            (``(n, t, *, adversary, inputs, trials, seed, ...)``), returning
+            one :class:`~repro.core.runner.TrialSummary` row per trial in
+            trial order.  Every kernel also honours ``trial_offset``: trial
+            ``k`` of the call uses the Philox key ``(seed, trial_offset +
+            k)`` and records ``seed = trial_offset + k``, so contiguous
             sub-batches concatenate bit-identically to one full batch (the
             sharded ``vectorized-mp`` executor's contract).
         hooks: The adversary hook surface the kernel implements (the
@@ -86,7 +89,7 @@ class KernelSpec:
     """
 
     name: str
-    run_trials: Callable[..., VectorizedAggregate]
+    run_trials: Callable[..., list[TrialSummary]]
     hooks: frozenset[str]
     behaviours: Mapping[str, str] = field(init=False)
     inapplicable: frozenset[str] = field(init=False)

@@ -18,14 +18,13 @@ on ``(B, n)`` planes instead of one Python message at a time.
 from __future__ import annotations
 
 from repro.baselines.kernels.common import (
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
 )
 from repro.baselines.kernels.phase_skeleton import run_phase_skeleton_batch
 from repro.baselines.rabin import rabin_parameters
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 
 
 def run_ben_or_trials(
@@ -42,7 +41,7 @@ def run_ben_or_trials(
     adjacency=None,
     loss: float = 0.0,
     backend: str | None = None,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of Ben-Or's protocol.
 
     Args:
@@ -70,10 +69,11 @@ def run_ben_or_trials(
         loss=loss,
         backend=backend,
     )
-    results = finalize_planes(
+    return finalize_planes(
         n,
         t,
         input_rows,
+        streams,
         output=state["output"],
         corrupted=state["corrupted"],
         rounds=state["rounds"],
@@ -82,4 +82,3 @@ def run_ben_or_trials(
         bits=state["bits"],
         timed_out=state["timed_out"],
     )
-    return aggregate(n, t, "ben-or", adversary, results)

@@ -10,9 +10,9 @@ committee engine (:mod:`repro.simulator.vectorized`):
   counter-based Philox stream keyed ``(s, k)``, row ``k`` of the batch's
   :class:`~repro.simulator.draws.TrialStreams`, so per-trial results are
   independent of how trials are batched together;
-* results are reported as :class:`VectorizedRunResult` /
-  :class:`VectorizedAggregate`, the same shapes
-  :func:`repro.engine.run_sweep` folds into :class:`TrialSummary` lists.
+* results are reported as one :class:`~repro.core.runner.TrialSummary` row
+  per trial, in trial order with ``seed = trial_offset + k`` — the rows
+  :func:`repro.engine.run_sweep` keeps.
 
 This module collects the pieces the kernels share: the per-trial input and
 stream setup, the live CONGEST payload-size table, and the batched
@@ -21,11 +21,10 @@ agreement/validity finaliser.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.draws import TrialStreams
@@ -38,19 +37,10 @@ from repro.simulator.messages import (
     SampleRequest,
     ValueAnnouncement,
 )
-from repro.simulator.vectorized import (
-    VectorizedAggregate,
-    VectorizedRunResult,
-    aggregate_results,
-    run_results,
-    trial_inputs,
-)
+from repro.simulator.vectorized import trial_inputs, trial_summaries
 
 __all__ = [
     "PAYLOAD_BITS",
-    "VectorizedAggregate",
-    "VectorizedRunResult",
-    "aggregate_results",
     "batch_setup",
     "finalize_planes",
     "row_popcount",
@@ -96,6 +86,7 @@ def finalize_planes(
     n: int,
     t: int,
     inputs: np.ndarray,
+    streams: TrialStreams,
     *,
     output: np.ndarray,
     corrupted: np.ndarray,
@@ -104,33 +95,22 @@ def finalize_planes(
     messages: np.ndarray,
     bits: np.ndarray,
     timed_out: np.ndarray | None = None,
-) -> list[VectorizedRunResult]:
-    """Evaluate agreement/validity per trial and build the result list.
+) -> list[TrialSummary]:
+    """Evaluate agreement/validity per trial and build the trials' rows.
 
     Mirrors the committee engine's finaliser: agreement and validity are
     evaluated over the honest nodes' output plane, validity only binds when
-    the honest inputs were unanimous, and ``bits`` is passed explicitly
-    because the baselines use heterogeneous payload sizes (the committee
-    engine's flat 35-bit payload does not hold for king values, EIG reports
-    or sampling traffic).
+    the honest inputs were unanimous, each row's ``seed`` is its trial
+    counter in ``streams``, and ``bits`` is passed explicitly because the
+    baselines use heterogeneous payload sizes (the committee engine's flat
+    35-bit payload does not hold for king values, EIG reports or sampling
+    traffic).
     """
     validate_n_t(n, t)
     evaluated = evaluate_planes(
         n, t, inputs, output=output, corrupted=corrupted,
         messages=messages, timed_out=timed_out,
     )
-    return run_results(n, t, evaluated, rounds=rounds, phases=phases, bits=bits)
-
-
-def aggregate(
-    n: int,
-    t: int,
-    protocol: str,
-    adversary: str,
-    results: Sequence[VectorizedRunResult],
-) -> VectorizedAggregate:
-    """Fold per-trial results into an aggregate carrying the trial tuple."""
-    import dataclasses
-
-    folded = aggregate_results(n, t, protocol, adversary, results)
-    return dataclasses.replace(folded, results=tuple(results))
+    return trial_summaries(
+        evaluated, streams.trial_counters, rounds=rounds, phases=phases, bits=bits
+    )

@@ -43,13 +43,12 @@ from repro.adversary.kernels.capabilities import CORRUPT_STATIC
 from repro.baselines.eig import EIGNode
 from repro.baselines.kernels.common import (
     PAYLOAD_BITS,
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
     row_popcount,
 )
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 
 #: Adversary hook surface this kernel implements: up-front corruption only
@@ -87,7 +86,7 @@ def run_eig_trials(
     trials: int = 10,
     seed: int = 0,
     trial_offset: int = 0,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of EIG (``t < n/3``, ``t + 1`` rounds)."""
     validate_n_t(n, t)
     kernel_class = ADVERSARY_PLANE_KERNELS.get(adversary)
@@ -102,7 +101,7 @@ def run_eig_trials(
             f"EIG tree would hold ~{estimated} entries for n={n}, t={t}; "
             "this baseline is only meant for very small networks"
         )
-    input_rows, _ = batch_setup(n, inputs, trials, seed, trial_offset)
+    input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     batch = input_rows.shape[0]
     num_rounds = t + 1
 
@@ -137,10 +136,11 @@ def run_eig_trials(
         total_bits += crafted * crafted_bits
 
     corrupted = np.tile(corrupted_cols, (batch, 1))
-    results = finalize_planes(
+    return finalize_planes(
         n,
         t,
         input_rows,
+        streams,
         output=output,
         corrupted=corrupted,
         rounds=np.full(batch, num_rounds, dtype=np.int64),
@@ -148,4 +148,3 @@ def run_eig_trials(
         messages=np.full(batch, total_messages, dtype=np.int64),
         bits=np.full(batch, total_bits, dtype=np.int64),
     )
-    return aggregate(n, t, "eig", adversary, results)

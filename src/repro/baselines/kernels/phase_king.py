@@ -44,13 +44,12 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.baselines.kernels.common import (
     PAYLOAD_BITS,
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
     row_popcount,
 )
 from repro.core.parameters import ProtocolParameters, Regime, validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
 from repro.topology.generators import validate_adjacency
@@ -86,7 +85,7 @@ def run_phase_king_trials(
     trial_offset: int = 0,
     adjacency: np.ndarray | None = None,
     loss: float = 0.0,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of phase king (``n > 4t``).
 
     With an ``adjacency`` mask or positive ``loss`` the round-1 tallies and
@@ -230,10 +229,11 @@ def run_phase_king_trials(
 
     rounds = np.full(batch, 2 * num_phases, dtype=np.int64)
     phases = np.full(batch, num_phases, dtype=np.int64)
-    results = finalize_planes(
+    return finalize_planes(
         n,
         t,
         input_rows,
+        streams,
         output=value,
         corrupted=corrupted,
         rounds=rounds,
@@ -241,4 +241,3 @@ def run_phase_king_trials(
         messages=messages,
         bits=bits,
     )
-    return aggregate(n, t, "phase-king", adversary, results)

@@ -14,14 +14,13 @@ the honest share draws, so cross-validation is statistical.
 from __future__ import annotations
 
 from repro.baselines.kernels.common import (
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
 )
 from repro.baselines.kernels.phase_skeleton import run_phase_skeleton_batch
 from repro.baselines.rabin import rabin_parameters
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 
 
 def run_rabin_trials(
@@ -37,7 +36,7 @@ def run_rabin_trials(
     adjacency=None,
     loss: float = 0.0,
     backend: str | None = None,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of Rabin's protocol.
 
     Mirrors :func:`repro.simulator.vectorized.run_vectorized_trials`: trial
@@ -66,10 +65,11 @@ def run_rabin_trials(
         loss=loss,
         backend=backend,
     )
-    results = finalize_planes(
+    return finalize_planes(
         n,
         t,
         input_rows,
+        streams,
         output=state["output"],
         corrupted=state["corrupted"],
         rounds=state["rounds"],
@@ -78,4 +78,3 @@ def run_rabin_trials(
         bits=state["bits"],
         timed_out=state["timed_out"],
     )
-    return aggregate(n, t, "rabin", adversary, results)

@@ -42,12 +42,11 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.baselines.kernels.common import (
     PAYLOAD_BITS,
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
 )
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 
 #: Adversary hook surface this kernel implements: up-front corruption plus
@@ -72,7 +71,7 @@ def run_sampling_majority_trials(
     iterations_factor: float = 2.0,
     sample_size: int = 2,
     trial_offset: int = 0,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of the sampling-majority process."""
     validate_n_t(n, t)
     kernel_class = ADVERSARY_PLANE_KERNELS.get(adversary)
@@ -132,10 +131,11 @@ def run_sampling_majority_trials(
             bits += crafted * payload_bits
 
     corrupted = np.tile(corrupted_cols, (batch, 1))
-    results = finalize_planes(
+    return finalize_planes(
         n,
         t,
         input_rows,
+        streams,
         output=value,
         corrupted=corrupted,
         rounds=np.full(batch, 2 * num_iterations, dtype=np.int64),
@@ -143,4 +143,3 @@ def run_sampling_majority_trials(
         messages=messages,
         bits=bits,
     )
-    return aggregate(n, t, "sampling-majority", adversary, results)

@@ -99,7 +99,7 @@ from repro.engine import (
     markdown_engine_tables,
     run_sweep,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.metrics.collectors import collect_run_metrics, collect_trials_metrics
 from repro.metrics.reporting import format_table
 from repro.observability import (
@@ -371,9 +371,10 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
     experiment_id = args.experiment_id.upper()
     if experiment_id not in ALL_EXPERIMENTS:
-        print(f"unknown experiment {args.experiment_id!r}; "
-              f"available: {', '.join(sorted(ALL_EXPERIMENTS))}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"unknown experiment {args.experiment_id!r}; "
+            f"available: {', '.join(sorted(ALL_EXPERIMENTS))}"
+        )
     report = ALL_EXPERIMENTS[experiment_id](quick=not args.full)
     print(report.render())
     return 0
@@ -572,8 +573,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     A configuration the library rejects (``t >= n/3``, ``loss >= 1``, an
-    unsupported engine combination, an unknown sweep spec) is a usage error:
-    one ``error: ...`` line on stderr and exit code 2, from every subcommand.
+    unsupported engine combination, an unknown sweep spec or experiment) is
+    a usage error: one ``error: ...`` line on stderr and exit code 2, from
+    every subcommand.  A valid configuration whose run fails
+    (:class:`~repro.exceptions.SimulationError`, e.g. a round-cap overrun)
+    prints one ``error: ...`` line and exits 1, the code ``run`` and
+    ``trials`` return for a run that broke agreement.  Any other library
+    error points to a bug and propagates with its traceback.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -581,6 +587,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except SimulationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -146,10 +146,6 @@ def protocol_parameters(protocol: str, n: int, t: int, kwargs: dict[str, Any]) -
     raise ConfigurationError(f"protocol {protocol!r} does not use committee parameters")
 
 
-#: Backwards-compatible private alias (pre-export name).
-_protocol_parameters = protocol_parameters
-
-
 def _build_nodes(
     protocol: str,
     n: int,

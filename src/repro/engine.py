@@ -71,7 +71,11 @@ from repro.core.runner import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.observability.export import read_trace, write_trace
 from repro.observability.tracer import Tracer, activate, current_tracer
-from repro.simulator.vectorized import COMMITTEE_ENGINE_HOOKS, run_vectorized_trials
+from repro.simulator.vectorized import (
+    COMMITTEE_ENGINE_HOOKS,
+    COMMITTEE_PROTOCOLS,
+    run_vectorized_trials,
+)
 
 #: Engine names accepted by :func:`run_sweep`.
 ENGINES = ("auto", "vectorized", "vectorized-mp", "object", "object-mp")
@@ -119,15 +123,7 @@ def _committee_spec(protocol: str) -> KernelSpec:
 #: a vectorised fast path.  Committee-family entries point at the committee
 #: engine; the baselines bring their own kernels.
 PROTOCOL_KERNELS: dict[str, KernelSpec] = {
-    **{
-        protocol: _committee_spec(protocol)
-        for protocol in (
-            "committee-ba",
-            "committee-ba-las-vegas",
-            "chor-coan",
-            "chor-coan-las-vegas",
-        )
-    },
+    **{protocol: _committee_spec(protocol) for protocol in COMMITTEE_PROTOCOLS},
     **BASELINE_KERNELS,
 }
 
@@ -289,12 +285,11 @@ def _run_vectorized_sweep(
     trial_offset: int = 0,
     backend: str | None = None,
 ) -> list[TrialSummary]:
-    """Batched kernel sweep, summarised in the object-sweep format.
+    """Batched kernel sweep: the kernel's :class:`TrialSummary` rows.
 
     Trial ``k`` of the call uses the counter-based Philox key
-    ``(base_seed, trial_offset + k)``; the recorded per-trial ``seed`` is the
-    global key counter ``trial_offset + k``, matching
-    :func:`repro.simulator.vectorized.run_vectorized_trials`.
+    ``(base_seed, trial_offset + k)``, and the kernel records the global key
+    counter ``trial_offset + k`` as its row's ``seed``.
     """
     spec = PROTOCOL_KERNELS[experiment.protocol]
     kwargs: dict[str, Any] = {
@@ -323,7 +318,7 @@ def _run_vectorized_sweep(
         if experiment.topology != "clique":
             kwargs["adjacency"] = build_topology(experiment.topology, experiment.n)
         kwargs["loss"] = experiment.loss
-    aggregate = spec.run_trials(
+    rows = spec.run_trials(
         experiment.n,
         experiment.t,
         adversary=spec.behaviours[experiment.adversary],
@@ -333,26 +328,12 @@ def _run_vectorized_sweep(
         trial_offset=trial_offset,
         **kwargs,
     )
-    if not experiment.allow_timeout and any(r.timed_out for r in aggregate.results):
+    if not experiment.allow_timeout and any(row.timed_out for row in rows):
         raise SimulationError(
             f"{experiment.protocol} sweep exceeded its round cap; "
             "pass allow_timeout=True to accept censored trials"
         )
-    return [
-        TrialSummary(
-            seed=trial_offset + k,
-            rounds=result.rounds,
-            phases=result.phases,
-            agreement=result.agreement,
-            validity=result.validity,
-            decision=result.decision,
-            messages=result.messages,
-            bits=result.bits,
-            corrupted=result.corrupted,
-            timed_out=result.timed_out,
-        )
-        for k, result in enumerate(aggregate.results)
-    ]
+    return rows
 
 
 def _vectorized_shard(

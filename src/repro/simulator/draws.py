@@ -155,7 +155,10 @@ class TrialStreams:
 
     @classmethod
     def of(cls, generators: Sequence[np.random.Generator]) -> TrialStreams:
-        """Streams whose rows are the given generators (every draw per row)."""
+        """Streams whose rows are the given generators (every draw per row).
+
+        The rows' trial counters run from 0, as in ``TrialStreams(seed, 0, B)``.
+        """
         streams = cls(0, 0, len(generators))
         streams._generators = list(generators)
         streams._cursor[:] = False
@@ -163,6 +166,11 @@ class TrialStreams:
 
     def __len__(self) -> int:
         return len(self._generators)
+
+    @property
+    def trial_counters(self) -> np.ndarray:
+        """Each row's global trial counter, the second word of its Philox key."""
+        return self._trial
 
     def __getitem__(self, row: int) -> np.random.Generator:
         """Row ``row``'s generator, materialised at its cursor on first use."""

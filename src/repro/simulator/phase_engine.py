@@ -129,8 +129,10 @@ def finalize_planes(
 
     Agreement holds when the honest outputs are unanimous; validity binds
     only when the honest *inputs* were unanimous.  Returns the per-trial
-    evaluation arrays (the protocol kernels wrap them into their result
-    dataclasses, attaching protocol-specific round/bit accounting).
+    evaluation arrays, which the protocol kernels turn into
+    :class:`~repro.core.runner.TrialSummary` rows with their
+    protocol-specific round/bit accounting
+    (:func:`repro.simulator.vectorized.trial_summaries`).
     """
     batch = inputs.shape[0]
     honest = ~corrupted

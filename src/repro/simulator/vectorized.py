@@ -33,10 +33,8 @@ cross-validated against the object simulator statistically.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +50,7 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters, validate_n_t
+from repro.core.runner import TrialSummary, protocol_parameters
 from repro.exceptions import ConfigurationError
 # trial_generator is re-exported: callers, and sweepbench/layers.py's
 # rng-setup timer, look it up on this module.
@@ -61,6 +60,12 @@ from repro.simulator.phase_engine import PhaseEngine, finalize_planes
 #: CONGEST cost (bits) of the round-1 and round-2 payloads, kept consistent
 #: with repro.simulator.messages.ValueAnnouncement / CombinedAnnouncement.
 _ROUND_PAYLOAD_BITS = 35
+
+#: The committee-family protocols this engine runs: the paper's Algorithm 3
+#: and the Chor–Coan baseline, each bounded or Las Vegas.
+COMMITTEE_PROTOCOLS = (
+    "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas",
+)
 
 #: Adversary behaviours the vectorised engine can simulate — exactly the
 #: plane-kernel registry.
@@ -84,23 +89,6 @@ COMMITTEE_ENGINE_HOOKS = frozenset(
         RNG,
     }
 )
-
-
-@dataclass(frozen=True)
-class VectorizedRunResult:
-    """Outcome of one vectorised execution."""
-
-    n: int
-    t: int
-    rounds: int
-    phases: int
-    agreement: bool
-    validity: bool
-    decision: int | None
-    corrupted: int
-    messages: int
-    bits: int
-    timed_out: bool
 
 
 @dataclass
@@ -149,11 +137,17 @@ class VectorizedAgreementSimulator:
             self.max_phases = 2 * self.t + 50 * max(1, int(math.log2(max(2, self.n)))) + 50
 
     # ------------------------------------------------------------------
-    def run(self, inputs: np.ndarray, rng: np.random.Generator) -> VectorizedRunResult:
-        """Execute the protocol on ``inputs`` using randomness from ``rng``."""
+    def run(self, inputs: np.ndarray, streams: TrialStreams) -> TrialSummary:
+        """Execute one trial on ``inputs``, drawing from the one-row ``streams``.
+
+        The row's trial counter becomes the summary's ``seed``, as in
+        :meth:`run_batch`.
+        """
         n, t = self.n, self.t
         if inputs.shape != (n,):
             raise ConfigurationError(f"inputs must have shape ({n},), got {inputs.shape}")
+        if len(streams) != 1:
+            raise ConfigurationError(f"run takes one trial stream, got {len(streams)}")
         if (
             self.adversary not in ("none", "straddle")
             or self.adjacency is not None
@@ -162,7 +156,8 @@ class VectorizedAgreementSimulator:
             # The newer behaviours and the masked communication planes are
             # implemented only once, in the batched path; a single trial is
             # just a batch of one.
-            return self.run_batch(inputs[None, :], TrialStreams.of([rng]))[0]
+            return self.run_batch(inputs[None, :], streams)[0]
+        rng = streams[0]
         committee_size = self.params.committee_size
         num_committees = max(1, math.ceil(n / committee_size))
         phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
@@ -302,17 +297,16 @@ class VectorizedAgreementSimulator:
         validity = True
         if len(honest_input_values) == 1 and outputs.size:
             validity = bool(np.all(outputs == honest_input_values[0]))
-        return VectorizedRunResult(
-            n=n,
-            t=t,
+        return TrialSummary(
+            seed=int(streams.trial_counters[0]),
             rounds=rounds,
             phases=phases,
             agreement=agreement,
             validity=validity,
             decision=decision,
-            corrupted=int(corrupted.sum()),
             messages=messages,
             bits=messages * _ROUND_PAYLOAD_BITS,
+            corrupted=int(corrupted.sum()),
             timed_out=timed_out,
         )
 
@@ -321,17 +315,17 @@ class VectorizedAgreementSimulator:
     # ------------------------------------------------------------------
     def run_batch(
         self, inputs: np.ndarray, streams: TrialStreams
-    ) -> list[VectorizedRunResult]:
+    ) -> list[TrialSummary]:
         """Execute a whole batch of ``B`` independent trials simultaneously.
 
         Args:
             inputs: ``(B, n)`` array of per-trial input bits.
             streams: The per-trial Philox streams.  Trial ``b`` consumes row
                 ``b`` in exactly the same order as a single-trial :meth:`run`
-                call consumes its generator, so for the ``none`` and
-                ``straddle`` behaviours the per-trial results of
-                ``TrialStreams(seed, 0, B)`` are bit-for-bit identical to
-                ``[self.run(inputs[b], trial_generator(seed, b)) for b in
+                call consumes its one-row streams, so for the ``none`` and
+                ``straddle`` behaviours the rows of
+                ``run_batch(inputs, TrialStreams(seed, 0, B))`` equal
+                ``[self.run(inputs[b], TrialStreams(seed, b, 1)) for b in
                 range(B)]``.
 
         The batch runs on the shared hook-driven
@@ -340,7 +334,8 @@ class VectorizedAgreementSimulator:
         are independent of how trials are batched together.
 
         Returns:
-            One :class:`VectorizedRunResult` per trial, in batch order.
+            One :class:`~repro.core.runner.TrialSummary` per trial, in batch
+            order, whose ``seed`` is the row's trial counter.
         """
         inputs = np.asarray(inputs, dtype=np.int8)
         if inputs.ndim != 2 or inputs.shape[1] != self.n:
@@ -379,89 +374,52 @@ class VectorizedAgreementSimulator:
             messages=state["messages"],
             timed_out=state["timed_out"],
         )
-        return run_results(
-            self.n, self.t, evaluated,
+        return trial_summaries(
+            evaluated, streams.trial_counters,
             rounds=state["rounds"], phases=state["phases"],
             bits=state["messages"] * _ROUND_PAYLOAD_BITS,
         )
 
 
-def run_results(
-    n: int,
-    t: int,
+def trial_summaries(
     evaluated: dict[str, np.ndarray],
+    seeds: np.ndarray,
     *,
     rounds: np.ndarray,
     phases: np.ndarray,
     bits: np.ndarray,
-) -> list[VectorizedRunResult]:
-    """One :class:`VectorizedRunResult` per trial, built column-wise.
+) -> list[TrialSummary]:
+    """One :class:`~repro.core.runner.TrialSummary` per trial, built column-wise.
 
     ``evaluated`` is :func:`~repro.simulator.phase_engine.finalize_planes`'
-    output; ``rounds`` / ``phases`` / ``bits`` are the protocol's per-trial
-    accounting columns.  Each column is converted to Python scalars once;
-    a trial decides when its honest outputs agree and it has an honest node.
+    output; ``seeds`` holds the trials' global counters
+    (:attr:`TrialStreams.trial_counters`) and ``rounds`` / ``phases`` /
+    ``bits`` the protocol's per-trial accounting.  Each column is converted
+    to Python scalars once; a trial decides when its honest outputs agree
+    and it has an honest node.
     """
     decides = (evaluated["agreement"] & evaluated["has_honest"]).tolist()
     ones = (evaluated["out_ones"] > 0).tolist()
     decisions = [int(one) if decided else None for decided, one in zip(decides, ones)]
-    columns = zip(
-        np.asarray(rounds).tolist(),
-        np.asarray(phases).tolist(),
-        evaluated["agreement"].tolist(),
-        evaluated["validity"].tolist(),
-        decisions,
-        evaluated["corrupted_count"].tolist(),
-        evaluated["messages"].tolist(),
-        np.asarray(bits).tolist(),
-        evaluated["timed_out"].tolist(),
-    )
-    return [VectorizedRunResult(n, t, *row) for row in columns]
-
-
-# ----------------------------------------------------------------------
-# Convenience sweep API used by the benchmarks
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class VectorizedAggregate:
-    """Aggregate statistics over several vectorised trials.
-
-    ``results`` carries the per-trial outcomes (in trial order) so callers can
-    inspect distributions, not just the aggregate.
-    """
-
-    n: int
-    t: int
-    protocol: str
-    adversary: str
-    trials: int
-    mean_rounds: float
-    mean_phases: float
-    max_rounds: int
-    mean_messages: float
-    agreement_rate: float
-    validity_rate: float
-    mean_corrupted: float
-    results: tuple[VectorizedRunResult, ...] = field(default=(), repr=False)
-
-
-def _parameters_for(protocol: str, n: int, t: int, alpha: float) -> ProtocolParameters:
-    """Committee geometry via the runner's shared resolver.
-
-    Delegates to :func:`repro.core.runner.protocol_parameters` (the single
-    source of truth for alpha/committee sizing) after gating on the
-    protocols this engine implements.
-    """
-    if protocol not in (
-        "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas"
-    ):
-        raise ConfigurationError(
-            "the vectorized engine supports the committee-ba and chor-coan protocols, "
-            f"got {protocol!r}"
+    return list(
+        map(
+            TrialSummary,
+            np.asarray(seeds).tolist(),
+            np.asarray(rounds).tolist(),
+            np.asarray(phases).tolist(),
+            evaluated["agreement"].tolist(),
+            evaluated["validity"].tolist(),
+            decisions,
+            evaluated["messages"].tolist(),
+            np.asarray(bits).tolist(),
+            evaluated["corrupted_count"].tolist(),
+            evaluated["timed_out"].tolist(),
         )
-    from repro.core.runner import protocol_parameters
+    )
 
-    return protocol_parameters(protocol, n, t, {"alpha": alpha})
+
+#: sweepbench/layers.py times result conversion under this name.
+_aggregate = trial_summaries
 
 
 def _trial_inputs(n: int, inputs: str, streams: TrialStreams) -> np.ndarray:
@@ -479,36 +437,6 @@ def _trial_inputs(n: int, inputs: str, streams: TrialStreams) -> np.ndarray:
 trial_inputs = _trial_inputs
 
 
-def _aggregate(
-    n: int,
-    t: int,
-    protocol: str,
-    adversary: str,
-    results: Sequence[VectorizedRunResult],
-) -> VectorizedAggregate:
-    """Fold per-trial results into a :class:`VectorizedAggregate`."""
-    trials = len(results)
-    rounds = [result.rounds for result in results]
-    return VectorizedAggregate(
-        n=n,
-        t=t,
-        protocol=protocol,
-        adversary=adversary,
-        trials=trials,
-        mean_rounds=float(np.mean(rounds)),
-        mean_phases=float(np.mean([result.phases for result in results])),
-        max_rounds=int(np.max(rounds)),
-        mean_messages=float(np.mean([result.messages for result in results])),
-        agreement_rate=sum(result.agreement for result in results) / trials,
-        validity_rate=sum(result.validity for result in results) / trials,
-        mean_corrupted=float(np.mean([result.corrupted for result in results])),
-    )
-
-
-#: Public alias used by the baseline kernels (:mod:`repro.baselines.kernels`).
-aggregate_results = _aggregate
-
-
 def build_vectorized_simulator(
     n: int,
     t: int,
@@ -521,16 +449,19 @@ def build_vectorized_simulator(
     loss: float = 0.0,
     backend: str | None = None,
 ) -> VectorizedAgreementSimulator:
-    """Construct the vectorised simulator for a named protocol configuration."""
-    if params is None:
-        params = _parameters_for(protocol, n, t, alpha)
-    elif protocol not in (
-        "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas"
-    ):
+    """Construct the vectorised simulator for a named protocol configuration.
+
+    Without ``params`` the committee geometry comes from
+    :func:`repro.core.runner.protocol_parameters`, the one source of truth
+    for alpha/committee sizing shared with the object simulator.
+    """
+    if protocol not in COMMITTEE_PROTOCOLS:
         raise ConfigurationError(
-            "the vectorized engine supports the committee-ba and chor-coan protocols, "
+            f"the vectorized engine runs the protocols {COMMITTEE_PROTOCOLS}, "
             f"got {protocol!r}"
         )
+    if params is None:
+        params = protocol_parameters(protocol, n, t, {"alpha": alpha})
     return VectorizedAgreementSimulator(
         n=n, t=t, params=params, adversary=adversary,
         las_vegas=protocol.endswith("las-vegas"),
@@ -554,20 +485,21 @@ def run_vectorized_trials(
     adjacency: np.ndarray | None = None,
     loss: float = 0.0,
     backend: str | None = None,
-) -> VectorizedAggregate:
-    """Run several vectorised trials and aggregate them.
+) -> list[TrialSummary]:
+    """Run several vectorised trials; one :class:`TrialSummary` row each.
 
-    Mirrors :func:`repro.core.runner.run_trials` closely enough that benchmark
-    code can switch between the two engines by network size.  Trial ``k`` uses
-    the counter-based Philox key ``(seed, trial_offset + k)``, so a sweep of
-    ``T`` trials can be split into contiguous sub-batches (each worker passing
-    its range start as ``trial_offset``) whose concatenated results are
-    bit-identical to the single-batch run — the contract the ``vectorized-mp``
-    sharded executor of :mod:`repro.engine` relies on.
+    Trial ``k`` uses the counter-based Philox key ``(seed, trial_offset + k)``
+    and its row records ``seed = trial_offset + k``, so a sweep of ``T``
+    trials can be split into contiguous sub-batches (each worker passing its
+    range start as ``trial_offset``) whose concatenated rows equal the
+    single-batch run — the contract the ``vectorized-mp`` sharded executor
+    of :mod:`repro.engine` relies on.  :func:`repro.engine.run_sweep` wraps
+    the rows in a :class:`~repro.engine.SweepResult` for the aggregate
+    statistics.
 
     By default the whole sweep executes as one :meth:`run_batch` call on
     ``(trials, n)`` arrays; ``batch=False`` falls back to the per-trial loop
-    (same results bit-for-bit — kept for cross-validation and as the
+    (same rows bit-for-bit — kept for cross-validation and as the
     benchmark baseline).
     """
     if trials < 1:
@@ -579,8 +511,5 @@ def run_vectorized_trials(
     streams = TrialStreams(seed, trial_offset, trials)
     input_rows = _trial_inputs(n, inputs, streams)
     if batch:
-        results: Sequence[VectorizedRunResult] = simulator.run_batch(input_rows, streams)
-    else:
-        results = [simulator.run(input_rows[k], streams[k]) for k in range(trials)]
-    aggregate = _aggregate(n, t, protocol, adversary, results)
-    return dataclasses.replace(aggregate, results=tuple(results))
+        return simulator.run_batch(input_rows, streams)
+    return [simulator.run(input_rows[k], streams.take([k])) for k in range(trials)]

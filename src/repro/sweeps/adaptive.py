@@ -322,9 +322,9 @@ def run_adaptive(
         z: Normal quantile of both intervals (1.96 = 95% confidence).
         workers / backend: Execution policy, forwarded to
             :func:`repro.engine.run_sweep`; results never depend on either.
-        limit: Execute at most this many *batches*, leaving the rest for a
-            later (resumed) invocation — the CI resume check uses this to
-            emulate an interrupted run deterministically.
+        limit: Execute at most this many *batches* (``>= 0``), leaving the
+            rest for a later (resumed) invocation — the CI resume check uses
+            this to emulate an interrupted run deterministically.
         progress: Called once per executed batch.
 
     Returns:
@@ -332,6 +332,8 @@ def run_adaptive(
         NOT swallowed, but every batch completed before one is already
         durable in the store.
     """
+    if limit is not None and limit < 0:
+        raise ConfigurationError(f"limit must be >= 0, got {limit}")
     started = time.perf_counter()
     targets = resolve_targets(
         spec, precision=precision, max_trials=max_trials,

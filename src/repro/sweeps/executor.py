@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.engine import run_sweep, select_engine
+from repro.exceptions import ConfigurationError
 from repro.observability.tracer import Tracer, current_tracer
 from repro.sweeps.spec import SweepPoint, SweepSpec
 from repro.sweeps.store import ResultsStore, engine_family, point_key, sweep_record
@@ -142,9 +143,9 @@ def run_spec(
             (:mod:`repro.simulator.planes`).  Backends are bit-identical,
             so it is pure execution policy: cache keys ignore it, and points
             computed under one backend are cache hits under any other.
-        limit: Execute at most this many *pending* points, leaving the rest
-            for a later invocation (the CI resume check uses this to emulate
-            an interrupted run deterministically).
+        limit: Execute at most this many *pending* points (``>= 0``),
+            leaving the rest for a later invocation (the CI resume check uses
+            this to emulate an interrupted run deterministically).
         progress: Called once per point, cached or computed, in grid order.
 
     Returns:
@@ -152,9 +153,9 @@ def run_spec(
         swallowed, but every point computed before one is already durable in
         the store.
     """
+    if limit is not None and limit < 0:
+        raise ConfigurationError(f"limit must be >= 0, got {limit}")
     if spec.adaptive:
-        from repro.exceptions import ConfigurationError
-
         raise ConfigurationError(
             f"spec {spec.name!r} declares a precision target; run it with "
             "repro.sweeps.adaptive.run_adaptive (CLI: repro sweep run "

@@ -244,6 +244,15 @@ class TestResume:
         for res, unint in zip(resumed.states, uninterrupted.states):
             assert trial_tuples(res.result) == trial_tuples(unint.result)
 
+    def test_negative_limit_is_rejected_and_zero_computes_nothing(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        with pytest.raises(ConfigurationError, match="limit must be >= 0"):
+            run_adaptive(TINY_ADAPTIVE, store=store, limit=-1)
+        assert len(store) == 0
+        idle = run_adaptive(TINY_ADAPTIVE, store=store, limit=0)
+        assert idle.computed_batches == idle.computed_trials == 0
+        assert len(store) == 0
+
     def test_kill_mid_write_with_torn_line_recomputes_only_that_batch(
         self, tmp_path
     ):

@@ -19,7 +19,13 @@ from repro.adversary.kernels import (
     build_adversary_kernel,
 )
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import ADVERSARIES, PROTOCOLS, AgreementExperiment, run_trials
+from repro.core.runner import (
+    ADVERSARIES,
+    PROTOCOLS,
+    AgreementExperiment,
+    TrialsResult,
+    run_trials,
+)
 from repro.engine import (
     ADVERSARY_FAST_PATH,
     PROTOCOL_KERNELS,
@@ -32,6 +38,11 @@ from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcou
 from repro.simulator.vectorized import VECTORIZED_ADVERSARIES, run_vectorized_trials
 
 PLANE_ADVERSARIES = sorted(ADVERSARY_PLANE_KERNELS)
+
+
+def _sweep(n, t, **kwargs):
+    """``run_vectorized_trials``' rows with the statistics ``run_sweep`` reports."""
+    return TrialsResult(AgreementExperiment(n=n, t=t), run_vectorized_trials(n, t, **kwargs))
 
 
 def object_name(behaviour: str) -> str:
@@ -47,8 +58,8 @@ class TestCrossValidation:
                                           "chor-coan-las-vegas"])
     def test_statistically_consistent_with_object_simulator(self, adversary, protocol):
         n, t, trials = 48, 8, 12
-        vec = run_vectorized_trials(n, t, adversary=adversary, inputs="split",
-                                    trials=trials, seed=5, protocol=protocol)
+        vec = _sweep(n, t, adversary=adversary, inputs="split",
+                     trials=trials, seed=5, protocol=protocol)
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol=protocol,
                                 adversary=object_name(adversary), inputs="split"),
@@ -63,9 +74,8 @@ class TestCrossValidation:
     def test_consistent_near_the_resilience_boundary(self, adversary):
         # t close to n/3 — the regime E6's oracle rows exercise.
         n, t, trials = 60, 19, 10
-        vec = run_vectorized_trials(n, t, adversary=adversary, inputs="split",
-                                    trials=trials, seed=11,
-                                    protocol="committee-ba-las-vegas")
+        vec = _sweep(n, t, adversary=adversary, inputs="split",
+                     trials=trials, seed=11, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
                                 adversary=object_name(adversary), inputs="split"),
@@ -78,33 +88,31 @@ class TestCrossValidation:
     @pytest.mark.parametrize("adversary", PLANE_ADVERSARIES)
     @pytest.mark.parametrize("inputs", ["unanimous-0", "unanimous-1"])
     def test_unanimous_inputs_decide_immediately_and_validly(self, adversary, inputs):
-        aggregate = run_vectorized_trials(48, 8, adversary=adversary, inputs=inputs,
-                                          trials=8, seed=2)
+        aggregate = _sweep(48, 8, adversary=adversary, inputs=inputs, trials=8, seed=2)
         assert aggregate.agreement_rate == 1.0
         assert aggregate.validity_rate == 1.0
         assert aggregate.mean_phases <= 3.0
         expected = 0 if inputs == "unanimous-0" else 1
-        assert all(result.decision == expected for result in aggregate.results)
+        assert all(result.decision == expected for result in aggregate.trials)
 
     def test_static_corruption_count_and_bounded_variant(self):
-        aggregate = run_vectorized_trials(48, 8, adversary="static", inputs="split",
-                                          trials=6, seed=4, protocol="committee-ba")
-        assert all(result.corrupted == 8 for result in aggregate.results)
-        assert all(result.phases <= result.t * 10 for result in aggregate.results)
+        rows = run_vectorized_trials(48, 8, adversary="static", inputs="split",
+                                     trials=6, seed=4, protocol="committee-ba")
+        assert all(result.corrupted == 8 for result in rows)
+        assert all(result.phases <= 8 * 10 for result in rows)
 
     def test_equivocate_recruits_at_most_one_mouthpiece_per_phase(self):
-        aggregate = run_vectorized_trials(48, 8, adversary="equivocate",
-                                          inputs="split", trials=8, seed=6)
-        for result in aggregate.results:
+        rows = run_vectorized_trials(48, 8, adversary="equivocate",
+                                     inputs="split", trials=8, seed=6)
+        for result in rows:
             assert result.corrupted <= min(result.phases, 8)
 
     def test_committee_targeting_delays_less_than_the_rushing_straddle(self):
         # Non-rushing: the straddle lands only when |S| < f, so the same
         # budget buys fewer spoiled phases than the rushing coin attack.
-        targeting = run_vectorized_trials(96, 18, adversary="committee-targeting",
-                                          inputs="split", trials=10, seed=7)
-        rushing = run_vectorized_trials(96, 18, adversary="straddle",
-                                        inputs="split", trials=10, seed=7)
+        targeting = _sweep(96, 18, adversary="committee-targeting",
+                           inputs="split", trials=10, seed=7)
+        rushing = _sweep(96, 18, adversary="straddle", inputs="split", trials=10, seed=7)
         assert targeting.mean_phases <= rushing.mean_phases + 1.0
 
 

@@ -23,7 +23,7 @@ from repro.baselines.kernels import (
     run_rabin_trials,
     run_sampling_majority_trials,
 )
-from repro.core.runner import AgreementExperiment, run_trials
+from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
 from repro.engine import PROTOCOL_KERNELS, run_coin_sweep, run_sweep
 from repro.exceptions import ConfigurationError, SimulationError
 
@@ -33,6 +33,11 @@ def _object_summaries(protocol, adversary, n, t, inputs="split", trials=4, seed=
         n=n, t=t, protocol=protocol, adversary=adversary, inputs=inputs, **kwargs
     )
     return run_trials(experiment, num_trials=trials, base_seed=seed).trials
+
+
+def _stats(n, t, rows):
+    """A kernel's rows with the statistics ``run_sweep`` reports for them."""
+    return TrialsResult(AgreementExperiment(n=n, t=t), rows)
 
 
 def _assert_identical(kernel_results, object_summaries):
@@ -59,18 +64,19 @@ class TestRabinKernel:
         # kernel replays it exactly (dealer seed = the trial's master seed).
         vec = run_rabin_trials(n, t, adversary=adversary, inputs="split", trials=4, seed=11)
         obj = _object_summaries("rabin", obj_adversary, n, t)
-        _assert_identical(vec.results, obj)
+        _assert_identical(vec, obj)
 
     def test_bit_identical_on_unanimous_inputs(self):
         vec = run_rabin_trials(16, 5, adversary="none", inputs="unanimous-1", trials=3, seed=2)
         obj = _object_summaries("rabin", "null", 16, 5, inputs="unanimous-1", trials=3, seed=2)
-        _assert_identical(vec.results, obj)
-        assert vec.validity_rate == 1.0
+        _assert_identical(vec, obj)
+        assert _stats(16, 5, vec).validity_rate == 1.0
 
     def test_straddle_statistically_consistent_with_coin_attack(self):
         # The attack is futile against a public dealer coin in both engines:
         # a constant number of phases, full agreement, some corruptions spent.
-        vec = run_rabin_trials(25, 6, adversary="straddle", inputs="split", trials=20, seed=5)
+        vec = _stats(25, 6, run_rabin_trials(25, 6, adversary="straddle", inputs="split",
+                                             trials=20, seed=5))
         obj = run_trials(
             AgreementExperiment(n=25, t=6, protocol="rabin", adversary="coin-attack",
                                 inputs="split"),
@@ -89,11 +95,11 @@ class TestPhaseKingKernel:
         for inputs in ("split", "unanimous-0"):
             vec = run_phase_king_trials(n, t, adversary=adversary, inputs=inputs, trials=3, seed=11)
             obj = _object_summaries("phase-king", obj_adversary, n, t, inputs=inputs, trials=3)
-            _assert_identical(vec.results, obj)
+            _assert_identical(vec, obj)
 
     def test_deterministic_round_schedule(self):
-        vec = run_phase_king_trials(17, 4, adversary="static", trials=5, seed=0)
-        assert all(result.rounds == 2 * (4 + 1) for result in vec.results)
+        vec = _stats(17, 4, run_phase_king_trials(17, 4, adversary="static", trials=5, seed=0))
+        assert all(result.rounds == 2 * (4 + 1) for result in vec.trials)
         assert vec.agreement_rate == 1.0
 
     def test_resilience_bound_enforced(self):
@@ -109,7 +115,7 @@ class TestEIGKernel:
     def test_bit_identical_to_object_simulator(self, adversary, obj_adversary, n, t):
         vec = run_eig_trials(n, t, adversary=adversary, inputs="split", trials=3, seed=11)
         obj = _object_summaries("eig", obj_adversary, n, t, trials=3)
-        _assert_identical(vec.results, obj)
+        _assert_identical(vec, obj)
 
     def test_tree_size_guard(self):
         with pytest.raises(ConfigurationError):
@@ -117,7 +123,7 @@ class TestEIGKernel:
 
     def test_rounds_are_t_plus_one(self):
         vec = run_eig_trials(10, 2, adversary="silent", trials=2, seed=0)
-        assert all(result.rounds == 3 for result in vec.results)
+        assert all(result.rounds == 3 for result in vec)
 
 
 class TestBenOrKernel:
@@ -125,8 +131,8 @@ class TestBenOrKernel:
         # Per-node coin streams cannot be replayed; the geometric phase-count
         # distribution must agree.  n=9/t=1 keeps the object runs affordable
         # (expected ~2^7 phases per trial).
-        vec = run_ben_or_trials(9, 1, adversary="silent", inputs="split",
-                                trials=200, seed=3, max_rounds=2000)
+        vec = _stats(9, 1, run_ben_or_trials(9, 1, adversary="silent", inputs="split",
+                                             trials=200, seed=3, max_rounds=2000))
         obj = run_trials(
             AgreementExperiment(n=9, t=1, protocol="ben-or", adversary="silent",
                                 inputs="split", max_rounds=2000, allow_timeout=True),
@@ -139,21 +145,22 @@ class TestBenOrKernel:
         assert vec.mean_phases == pytest.approx(obj.mean_phases, rel=0.8)
 
     def test_unanimous_inputs_decide_immediately(self):
-        vec = run_ben_or_trials(16, 2, adversary="none", inputs="unanimous-1", trials=4, seed=1)
+        vec = _stats(16, 2, run_ben_or_trials(16, 2, adversary="none", inputs="unanimous-1",
+                                              trials=4, seed=1))
         assert vec.agreement_rate == vec.validity_rate == 1.0
         assert vec.mean_phases <= 3
 
     def test_round_cap_censors_instead_of_running_forever(self):
         vec = run_ben_or_trials(64, 8, adversary="silent", inputs="split",
                                 trials=4, seed=0, max_rounds=50)
-        assert all(result.timed_out for result in vec.results)
-        assert all(result.rounds == 50 for result in vec.results)
+        assert all(result.timed_out for result in vec)
+        assert all(result.rounds == 50 for result in vec)
 
 
 class TestSamplingMajorityKernel:
     def test_statistically_consistent_with_object_simulator(self):
-        vec = run_sampling_majority_trials(32, 1, adversary="silent", inputs="random",
-                                           trials=60, seed=5)
+        vec = _stats(32, 1, run_sampling_majority_trials(32, 1, adversary="silent",
+                                                         inputs="random", trials=60, seed=5))
         obj = run_trials(
             AgreementExperiment(n=32, t=1, protocol="sampling-majority",
                                 adversary="silent", inputs="random"),
@@ -167,11 +174,11 @@ class TestSamplingMajorityKernel:
         assert vec.agreement_rate >= 0.9 and obj.agreement_rate >= 0.9
 
     def test_convergence_on_failure_free_runs(self):
-        vec = run_sampling_majority_trials(64, 2, adversary="none", inputs="split",
-                                           trials=20, seed=9)
+        vec = _stats(64, 2, run_sampling_majority_trials(64, 2, adversary="none",
+                                                         inputs="split", trials=20, seed=9))
         assert vec.agreement_rate >= 0.9
         expected_iterations = math.ceil(2.0 * math.log2(64) ** 2)
-        assert all(result.rounds == 2 * expected_iterations for result in vec.results)
+        assert all(result.rounds == 2 * expected_iterations for result in vec.trials)
 
 
 class TestCoinKernel:

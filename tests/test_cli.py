@@ -68,8 +68,10 @@ class TestCommands:
 
     def test_experiment_command_unknown_id(self, capsys):
         code = main(["experiment", "E99"])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'E99'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,message", [
         (["trials", "--loss", "1.0"], "loss must be a probability"),
@@ -87,6 +89,26 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize("extra", [[], ["--precision", "0.4"]], ids=["uniform", "adaptive"])
+    def test_negative_sweep_limit_prints_one_line_and_exits_2(self, tmp_path, capsys, extra):
+        store = tmp_path / "store"
+        code = main(["sweep", "run", "smoke", "--limit", "-1", "--store", str(store), *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: limit must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert not any(store.rglob("*.jsonl"))
+
+    def test_failed_runs_print_one_line_and_exit_1(self, capsys):
+        # Valid arguments, but Ben-Or at n=64, t=8 outruns its round cap and
+        # the CLI does not accept censored trials.
+        code = main(["trials", "--n", "64", "--t", "8", "--trials", "2",
+                     "--protocol", "ben-or", "--adversary", "null"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ben-or sweep exceeded its round cap")
         assert captured.err.count("\n") == 1  # one line, no traceback
 
     def test_engines_command_prints_support_and_dispatch_tables(self, capsys):

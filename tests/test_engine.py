@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, run_trials
+from repro.core.runner import AgreementExperiment, TrialSummary, run_trials
 from repro.engine import (
     ADVERSARY_FAST_PATH,
     PROTOCOL_KERNELS,
@@ -18,6 +20,34 @@ from repro.engine import (
 )
 from repro.exceptions import ConfigurationError
 from repro.simulator.vectorized import run_vectorized_trials
+from repro.topology import build_topology
+
+#: One case per registered kernel, at a small n it accepts, plus the
+#: committee engine's adversary and masked/lossy cases: (protocol, kernel
+#: behaviour, n, t, inputs, seed, trials, split point, kernel kwargs).
+KERNEL_CASES = [
+    pytest.param("committee-ba", "silent", 20, 2, "split", 4, 10, 5,
+                 {"adjacency": build_topology("grid", 20), "loss": 0.05},
+                 id="committee-ba-silent-grid-lossy"),
+    pytest.param("committee-ba-las-vegas", "straddle", 48, 10, "split", 13, 8, 5, {},
+                 id="committee-ba-las-vegas-straddle"),
+    pytest.param("committee-ba-las-vegas", "equivocate", 48, 8, "split", 9, 6, 4, {},
+                 id="committee-ba-las-vegas-equivocate"),
+    pytest.param("committee-ba-las-vegas", "random-noise", 48, 8, "split", 9, 6, 4, {},
+                 id="committee-ba-las-vegas-random-noise"),
+    pytest.param("chor-coan", "committee-targeting", 40, 5, "random", 3, 6, 2, {},
+                 id="chor-coan-committee-targeting"),
+    pytest.param("chor-coan-las-vegas", "crash", 40, 5, "split", 5, 6, 3, {},
+                 id="chor-coan-las-vegas-crash"),
+    pytest.param("rabin", "straddle", 19, 3, "random", 11, 6, 2, {}, id="rabin-straddle"),
+    pytest.param("ben-or", "none", 16, 2, "random", 1, 6, 3,
+                 {"max_rounds": 40, "loss": 0.05}, id="ben-or-none-lossy"),
+    pytest.param("phase-king", "committee-targeting", 13, 3, "random", 2, 6, 4,
+                 {"loss": 0.05}, id="phase-king-committee-targeting-lossy"),
+    pytest.param("eig", "static", 10, 2, "random", 0, 5, 2, {}, id="eig-static"),
+    pytest.param("sampling-majority", "silent", 32, 1, "random", 5, 6, 3, {},
+                 id="sampling-majority-silent"),
+]
 
 
 class TestSelectEngine:
@@ -137,10 +167,7 @@ class TestRunSweep:
         direct = run_vectorized_trials(64, 12, protocol="committee-ba-las-vegas",
                                        adversary="straddle", inputs="split",
                                        trials=6, seed=3)
-        assert sweep.mean_rounds == direct.mean_rounds
-        assert sweep.mean_messages == direct.mean_messages
-        assert sweep.agreement_rate == direct.agreement_rate
-        assert sweep.mean_corrupted == direct.mean_corrupted
+        assert sweep.trials == direct
 
     def test_object_sweep_matches_seeded_trials(self):
         experiment = AgreementExperiment(n=19, t=3, protocol="committee-ba",
@@ -218,6 +245,31 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*64\)"):
             run_sweep(experiment=experiment, trials=2, base_seed=base_seed,
                       engine="vectorized")
+
+
+class TestKernelContract:
+    """Every registered kernel's rows, and how they shard by trial offset."""
+
+    def test_every_registered_kernel_has_a_case(self):
+        assert {case.values[0] for case in KERNEL_CASES} == set(PROTOCOL_KERNELS)
+
+    @pytest.mark.parametrize(
+        "protocol,behaviour,n,t,inputs,seed,trials,split,kwargs", KERNEL_CASES
+    )
+    def test_rows_carry_global_counters_and_split_calls_concatenate(
+        self, protocol, behaviour, n, t, inputs, seed, trials, split, kwargs
+    ):
+        run_trials = partial(
+            PROTOCOL_KERNELS[protocol].run_trials, n, t,
+            adversary=behaviour, inputs=inputs, seed=seed, **kwargs,
+        )
+        whole = run_trials(trials=trials)
+        head = run_trials(trials=split)
+        tail = run_trials(trials=trials - split, trial_offset=split)
+        assert all(type(row) is TrialSummary for row in whole)
+        assert [row.seed for row in whole] == list(range(trials))
+        assert [row.seed for row in tail] == list(range(split, trials))
+        assert head + tail == whole
 
 
 class TestDispatchTable:

@@ -70,7 +70,7 @@ class TestEngineBitIdentity:
         )
         reference = run_vectorized_trials(24, 2, backend="numpy", **kwargs)
         packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
-        assert packed.results == reference.results
+        assert packed == reference
 
     def test_sharded_masked_lossy_sweep_matches_serial_numpy(self):
         kwargs = dict(

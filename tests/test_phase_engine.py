@@ -9,10 +9,10 @@ Four layers:
   pair against the object simulator — exact (field-by-field summary
   equality) where the kernel's fault model is deterministic, statistical
   elsewhere, and bit-level no-op proofs for the inapplicable pairs;
-* the sharding contracts — ``trial_offset`` sub-batches concatenate
-  bit-identically for the protocol kernels and the coin Monte-Carlo, and the
-  ``vectorized-mp`` executor matches single-process execution on the new
-  pairs;
+* the sharding contracts — ``trial_offset`` sub-batches of the coin
+  Monte-Carlo concatenate bit-identically (the protocol kernels' contract is
+  ``tests/test_engine.py::TestKernelContract``), and the ``vectorized-mp``
+  executor matches single-process execution on the new pairs;
 * :meth:`repro.core.runner.TrialsResult.merge` edge cases and the shared
   input-pattern module.
 """
@@ -37,7 +37,6 @@ from repro.simulator.phase_engine import PhaseEngine
 from repro.simulator.rng import RandomnessSource
 from repro.simulator.vectorized import (
     VectorizedAgreementSimulator,
-    run_vectorized_trials,
     trial_generator,
 )
 
@@ -256,16 +255,6 @@ class TestShardingContracts:
     def test_coin_trials_rejects_negative_offset(self):
         with pytest.raises(ConfigurationError):
             run_coin_trials(16, 1, trials=2, trial_offset=-1)
-
-    @pytest.mark.parametrize("adversary", ["equivocate", "random-noise"])
-    def test_committee_kernel_trial_offset_matches_full_batch(self, adversary):
-        full = run_vectorized_trials(48, 8, adversary=adversary, inputs="split",
-                                     trials=6, seed=9)
-        first = run_vectorized_trials(48, 8, adversary=adversary, inputs="split",
-                                      trials=4, seed=9)
-        rest = run_vectorized_trials(48, 8, adversary=adversary, inputs="split",
-                                     trials=2, seed=9, trial_offset=4)
-        assert full.results == first.results + rest.results
 
     @pytest.mark.parametrize(
         "protocol,adversary,n,t",

@@ -263,7 +263,7 @@ class TestEndToEndBitIdentity:
         reference = run_vectorized_trials(40, 5, **kwargs)
         monkeypatch.setenv(ENV_VAR, "packed")
         packed = run_vectorized_trials(40, 5, **kwargs)
-        assert packed.results == reference.results
+        assert packed == reference
 
     def test_masked_and_lossy_runs_honour_the_packed_request(self):
         # Off-clique and lossy runs route their tallies through the
@@ -279,7 +279,7 @@ class TestEndToEndBitIdentity:
             )
             reference = run_vectorized_trials(24, 2, **kwargs)
             packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
-            assert packed.results == reference.results
+            assert packed == reference
 
 
 class TestSweepStoreCaching:

@@ -343,6 +343,15 @@ class TestExecutorResume:
         rest = run_spec(TINY, store=store)
         assert (rest.computed, rest.cached) == (1, 3)
 
+    def test_negative_limit_is_rejected_and_zero_computes_nothing(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        with pytest.raises(ConfigurationError, match="limit must be >= 0"):
+            run_spec(TINY, store=store, limit=-1)
+        assert len(store) == 0
+        idle = run_spec(TINY, store=store, limit=0)
+        assert (idle.computed, idle.pending) == (0, 4)
+        assert len(store) == 0
+
     def test_cached_results_equal_fresh_results(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
         run_spec(TINY, store=store)
@@ -405,16 +414,6 @@ class TestShardMerge:
         assert sharded.engine == "vectorized-mp"
         assert sharded.trials == single.trials
         assert sharded.summary() == single.summary()
-
-    def test_trial_offset_sub_batches_concatenate_bit_identically(self):
-        from repro.simulator.vectorized import run_vectorized_trials
-
-        kwargs = dict(protocol="committee-ba-las-vegas", adversary="straddle",
-                      inputs="split", seed=13)
-        whole = run_vectorized_trials(48, 10, trials=8, **kwargs)
-        head = run_vectorized_trials(48, 10, trials=5, trial_offset=0, **kwargs)
-        tail = run_vectorized_trials(48, 10, trials=3, trial_offset=5, **kwargs)
-        assert head.results + tail.results == whole.results
 
     def test_auto_with_workers_picks_the_sharded_engine(self):
         result = run_sweep(19, 3, protocol="committee-ba", adversary="null",

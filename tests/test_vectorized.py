@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, run_trials
+from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
 from repro.exceptions import ConfigurationError
 from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.vectorized import (
@@ -16,9 +16,13 @@ from repro.simulator.vectorized import (
     VectorizedAgreementSimulator,
     build_vectorized_simulator,
     run_vectorized_trials,
-    trial_generator,
     trial_inputs,
 )
+
+
+def _sweep(n, t, **kwargs):
+    """``run_vectorized_trials``' rows with the statistics ``run_sweep`` reports."""
+    return TrialsResult(AgreementExperiment(n=n, t=t), run_vectorized_trials(n, t, **kwargs))
 
 
 def _simulator(n=64, t=8, adversary="straddle", las_vegas=True, alpha=4.0):
@@ -30,8 +34,8 @@ def _simulator(n=64, t=8, adversary="straddle", las_vegas=True, alpha=4.0):
 class TestVectorizedEngine:
     def test_unanimous_inputs_decide_fast_and_valid(self):
         simulator = _simulator(adversary="none")
-        rng = np.random.default_rng(0)
-        result = simulator.run(np.ones(64, dtype=np.int8), rng)
+        streams = TrialStreams.of([np.random.default_rng(0)])
+        result = simulator.run(np.ones(64, dtype=np.int8), streams)
         assert result.agreement and result.validity
         assert result.decision == 1
         assert result.phases <= 2
@@ -39,14 +43,14 @@ class TestVectorizedEngine:
     def test_split_inputs_agree_under_attack(self):
         simulator = _simulator()
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            result = simulator.run(np.array([0] * 32 + [1] * 32, dtype=np.int8), rng)
+            streams = TrialStreams.of([np.random.default_rng(seed)])
+            result = simulator.run(np.array([0] * 32 + [1] * 32, dtype=np.int8), streams)
             assert result.agreement
             assert result.corrupted <= 8
 
     def test_rounds_grow_with_budget(self):
-        small = run_vectorized_trials(256, 5, trials=5, seed=1)
-        large = run_vectorized_trials(256, 40, trials=5, seed=1)
+        small = _sweep(256, 5, trials=5, seed=1)
+        large = _sweep(256, 40, trials=5, seed=1)
         assert large.mean_rounds > small.mean_rounds
 
     def test_adversary_mode_validation(self):
@@ -62,29 +66,29 @@ class TestVectorizedEngine:
     def test_input_shape_validated(self):
         simulator = _simulator()
         with pytest.raises(ConfigurationError):
-            simulator.run(np.zeros(10, dtype=np.int8), np.random.default_rng(0))
+            simulator.run(np.zeros(10, dtype=np.int8), TrialStreams(0, 0, 1))
+        with pytest.raises(ConfigurationError):
+            simulator.run(np.zeros(64, dtype=np.int8), TrialStreams(0, 0, 2))
 
     def test_bounded_variant_stops_at_schedule(self):
         params = ProtocolParameters.derive(64, 8)
         simulator = VectorizedAgreementSimulator(n=64, t=8, params=params,
                                                  adversary="straddle", las_vegas=False)
-        rng = np.random.default_rng(3)
-        result = simulator.run(np.array([0] * 32 + [1] * 32, dtype=np.int8), rng)
+        streams = TrialStreams.of([np.random.default_rng(3)])
+        result = simulator.run(np.array([0] * 32 + [1] * 32, dtype=np.int8), streams)
         assert result.phases <= params.num_phases
         assert result.rounds == 2 * result.phases
 
     def test_message_counts_scale_with_n_squared(self):
-        small = run_vectorized_trials(64, 4, trials=3, seed=0, adversary="none",
-                                      inputs="unanimous-1")
-        large = run_vectorized_trials(256, 4, trials=3, seed=0, adversary="none",
-                                      inputs="unanimous-1")
+        small = _sweep(64, 4, trials=3, seed=0, adversary="none", inputs="unanimous-1")
+        large = _sweep(256, 4, trials=3, seed=0, adversary="none", inputs="unanimous-1")
         assert large.mean_messages > 10 * small.mean_messages
 
 
 class TestCrossValidation:
     def test_matches_object_simulator_on_failure_free_unanimous_runs(self):
-        vec = run_vectorized_trials(32, 5, adversary="none", inputs="unanimous-1",
-                                    trials=3, seed=0, protocol="committee-ba-las-vegas")
+        vec = _sweep(32, 5, adversary="none", inputs="unanimous-1",
+                     trials=3, seed=0, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=32, t=5, protocol="committee-ba-las-vegas",
                                 adversary="null", inputs="unanimous-1"),
@@ -97,9 +101,8 @@ class TestCrossValidation:
         # Same protocol, same adversary strategy, independent randomness: the
         # mean number of phases should agree within a generous tolerance.
         n, t, trials = 48, 8, 12
-        vec = run_vectorized_trials(n, t, adversary="straddle", inputs="split",
-                                    trials=trials, seed=3,
-                                    protocol="committee-ba-las-vegas")
+        vec = _sweep(n, t, adversary="straddle", inputs="split",
+                     trials=trials, seed=3, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
                                 adversary="coin-attack", inputs="split"),
@@ -109,23 +112,21 @@ class TestCrossValidation:
         assert vec.mean_phases == pytest.approx(obj.mean_phases, rel=0.6, abs=4.0)
 
     def test_chor_coan_geometry_used_when_requested(self):
-        ours = run_vectorized_trials(1024, 24, protocol="committee-ba-las-vegas",
-                                     trials=4, seed=2)
-        chor_coan = run_vectorized_trials(1024, 24, protocol="chor-coan-las-vegas",
-                                          trials=4, seed=2)
+        ours = _sweep(1024, 24, protocol="committee-ba-las-vegas", trials=4, seed=2)
+        chor_coan = _sweep(1024, 24, protocol="chor-coan-las-vegas", trials=4, seed=2)
         # Larger committees make each straddle more expensive, so the paper's
         # protocol should finish in no more rounds than Chor-Coan here.
         assert ours.mean_rounds <= chor_coan.mean_rounds + 2
 
 
 def _batched_and_single_trial(simulator, inputs, trials, seed):
-    """``run_batch`` on TrialStreams vs ``run`` on each trial's own generator."""
+    """``run_batch`` on one batch's streams vs ``run`` on each trial's own row."""
     streams = TrialStreams(seed, 0, trials)
     batched = simulator.run_batch(trial_inputs(simulator.n, inputs, streams), streams)
     single = []
     for k in range(trials):
-        rng = trial_generator(seed, k)
-        single.append(simulator.run(input_row(simulator.n, inputs, rng), rng))
+        row = TrialStreams(seed, k, 1)
+        single.append(simulator.run(input_row(simulator.n, inputs, row[0]), row))
     return batched, single
 
 
@@ -155,7 +156,7 @@ class TestBatchedEngine:
         assert batched == single
         looped = run_vectorized_trials(48, 8, adversary=adversary,
                                        trials=VECTOR_MIN_ROWS + 16, seed=7, batch=False)
-        assert list(looped.results) == batched
+        assert looped == batched
 
     def test_bit_identity_holds_for_every_batched_adversary(self):
         # The none/straddle identity is against the untouched seed path; the
@@ -166,7 +167,7 @@ class TestBatchedEngine:
                                             trials=6, seed=9, batch=True)
             single = run_vectorized_trials(48, 8, adversary=adversary,
                                            trials=6, seed=9, batch=False)
-            assert batched.results == single.results, adversary
+            assert batched == single, adversary
 
     def test_run_batch_validates_shapes(self):
         simulator = _simulator(n=32, t=5)
@@ -176,14 +177,6 @@ class TestBatchedEngine:
         with pytest.raises(ConfigurationError):
             simulator.run_batch(np.zeros((2, 32), dtype=np.int8), streams)
         assert simulator.run_batch(np.zeros((0, 32), dtype=np.int8), TrialStreams(0, 0, 0)) == []
-
-    def test_aggregate_carries_per_trial_results(self):
-        aggregate = run_vectorized_trials(64, 8, trials=5, seed=1)
-        assert len(aggregate.results) == 5
-        assert aggregate.mean_rounds == pytest.approx(
-            float(np.mean([result.rounds for result in aggregate.results]))
-        )
-        assert aggregate.max_rounds == max(result.rounds for result in aggregate.results)
 
     def test_unknown_adversary_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -196,9 +189,8 @@ class TestNewAdversaries:
     @pytest.mark.parametrize("adversary", ["silent", "crash", "random-noise"])
     def test_statistically_consistent_with_object_simulator(self, adversary):
         n, t, trials = 48, 8, 12
-        vec = run_vectorized_trials(n, t, adversary=adversary, inputs="split",
-                                    trials=trials, seed=5,
-                                    protocol="committee-ba-las-vegas")
+        vec = _sweep(n, t, adversary=adversary, inputs="split",
+                     trials=trials, seed=5, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
                                 adversary=adversary, inputs="split"),
@@ -211,19 +203,17 @@ class TestNewAdversaries:
     @pytest.mark.parametrize("adversary", ["silent", "crash", "random-noise"])
     @pytest.mark.parametrize("inputs", ["unanimous-0", "unanimous-1"])
     def test_unanimous_inputs_decide_immediately_and_validly(self, adversary, inputs):
-        aggregate = run_vectorized_trials(48, 8, adversary=adversary, inputs=inputs,
-                                          trials=8, seed=2)
+        aggregate = _sweep(48, 8, adversary=adversary, inputs=inputs, trials=8, seed=2)
         assert aggregate.agreement_rate == 1.0
         assert aggregate.validity_rate == 1.0
         assert aggregate.mean_phases <= 3.0
         expected = 0 if inputs == "unanimous-0" else 1
-        assert all(result.decision == expected for result in aggregate.results)
+        assert all(result.decision == expected for result in aggregate.trials)
 
     def test_silent_matches_object_simulator_round_counts_exactly(self):
         # With the first t nodes silenced every honest node sees the same
         # failure-free residual network, so the phase count is deterministic.
-        vec = run_vectorized_trials(48, 8, adversary="silent", inputs="split",
-                                    trials=4, seed=3)
+        vec = _sweep(48, 8, adversary="silent", inputs="split", trials=4, seed=3)
         obj = run_trials(
             AgreementExperiment(n=48, t=8, protocol="committee-ba-las-vegas",
                                 adversary="silent", inputs="split"),
@@ -235,13 +225,11 @@ class TestNewAdversaries:
     def test_crash_straddles_are_costlier_than_byzantine_straddles(self):
         # Crashing only removes shares, so the same budget buys fewer spoiled
         # phases than the Byzantine straddle: crash must not exceed straddle.
-        crash = run_vectorized_trials(96, 18, adversary="crash", inputs="split",
-                                      trials=10, seed=7)
-        straddle = run_vectorized_trials(96, 18, adversary="straddle", inputs="split",
-                                         trials=10, seed=7)
+        crash = _sweep(96, 18, adversary="crash", inputs="split", trials=10, seed=7)
+        straddle = _sweep(96, 18, adversary="straddle", inputs="split", trials=10, seed=7)
         assert crash.mean_phases <= straddle.mean_phases + 1.0
 
     def test_random_noise_keeps_all_noisy_nodes_corrupted(self):
-        aggregate = run_vectorized_trials(48, 8, adversary="random-noise",
-                                          inputs="split", trials=6, seed=4)
-        assert all(result.corrupted == 8 for result in aggregate.results)
+        rows = run_vectorized_trials(48, 8, adversary="random-noise",
+                                     inputs="split", trials=6, seed=4)
+        assert all(result.corrupted == 8 for result in rows)
