@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.simulator.planes import get_backend
+from repro.simulator.planes import resolve_backend
 
 #: The engine-throughput benchmark's working shape.
 BATCH = 100
@@ -45,7 +45,7 @@ MIN_TALLY_SPEEDUP = 2.0
 def _planes(backend_name):
     """A deterministic set of state planes adopted by ``backend_name``."""
     rng = np.random.default_rng(42)
-    backend = get_backend(backend_name)
+    backend = resolve_backend(backend_name)
     value = rng.random((BATCH, NODES)) < 0.5
     active = rng.random((BATCH, NODES)) < 0.9
     decided = rng.random((BATCH, NODES)) < 0.3

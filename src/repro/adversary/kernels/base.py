@@ -75,8 +75,8 @@ class KernelContext:
 
     The five boolean planes may be constructed either from plain ``(B, n)``
     arrays (the baseline kernels and the test-suite do this) or from
-    :class:`repro.simulator.planes.base.Plane` handles (the engine does,
-    when running a non-default backend).  Either way the attributes resolve
+    :class:`repro.simulator.planes.base.Plane` handles (the engine always
+    does, on either representation).  Either way the attributes resolve
     to boolean arrays — plane handles are unpacked *lazily, per access*, so
     a hook that never reads ``value`` never pays for unpacking it, and a
     hook reading a plane the engine updated since the last hook sees the

@@ -78,12 +78,13 @@ class KernelSpec:
         supports_topology: Kernel accepts ``adjacency``/``loss`` kwargs (the
             masked communication planes of :mod:`repro.topology`); protocols
             without it run off-clique configurations on the object path only.
-        supports_backend: Kernel accepts a ``backend`` kwarg selecting the
-            plane representation (:mod:`repro.simulator.planes`).  True for
-            everything on the shared :class:`~repro.simulator.phase_engine.
-            PhaseEngine` loop; phase king (raw boolean planes) and the
-            closed-form kernels have no plane state to represent.  Backends
-            are bit-identical, so the flag never enters sweep-store keys.
+        supports_backend: Kernel runs on the shared
+            :class:`~repro.simulator.phase_engine.PhaseEngine` planes, which
+            pick their representation by batch size, and accepts a
+            ``backend`` kwarg forcing one (:mod:`repro.simulator.planes`).
+            Phase king (raw boolean planes) and the closed-form kernels have
+            no plane state to represent.  Both representations are
+            bit-identical, so the flag never enters sweep-store keys.
         protocol_kwargs: Protocol constructor kwargs the kernel reproduces;
             any other kwarg forces the object path.
     """

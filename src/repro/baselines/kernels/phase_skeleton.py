@@ -109,8 +109,8 @@ def run_phase_skeleton_batch(
         adjacency: Optional ``(n, n)`` boolean topology mask
             (:mod:`repro.topology`); ``None`` keeps the clique path.
         loss: Per-edge i.i.d. message-loss probability.
-        backend: Plane-backend selection for the engine
-            (:mod:`repro.simulator.planes`); bit-identical across backends.
+        backend: Forced plane representation for the engine (``None``
+            picks it by batch size); bit-identical either way.
 
     Returns:
         The final state planes plus per-trial counters, with the skeleton's

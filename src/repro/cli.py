@@ -112,7 +112,6 @@ from repro.observability import (
     trace_events,
     write_trace,
 )
-from repro.simulator.planes import DEFAULT_BACKEND, ENV_VAR, available_backends
 from repro.topology import TOPOLOGIES
 
 
@@ -165,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="process count for multi-process sweeps; a value "
                                     "> 1 shards vectorized sweeps by trial range and "
                                     "fans object sweeps out by seed range")
-    trials_parser.add_argument("--backend", choices=list(available_backends()),
-                               default=None,
-                               help="plane backend for the vectorized kernels "
-                                    "(default: $REPRO_PLANE_BACKEND, then numpy); "
-                                    "all backends are bit-identical")
     trials_parser.add_argument("--trace", action="store_true",
                                help="record a span/counter telemetry trace and "
                                     "export it as JSONL (also: REPRO_TRACE=1; "
@@ -224,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument("--workers", type=int, default=None,
                            help="process count; > 1 shards vectorized points by "
                                 "trial range (bit-identical to single-process)")
-    sweep_run.add_argument("--backend", choices=list(available_backends()),
-                           default=None,
-                           help="plane backend for the vectorized kernels; "
-                                "bit-identical, so cached points computed under "
-                                "any backend are reused")
     sweep_run.add_argument("--limit", type=int, default=None,
                            help="execute at most this many pending points "
                                 "(adaptive: batches), leaving the rest for a "
@@ -358,7 +347,7 @@ def _command_trials(args: argparse.Namespace) -> int:
                          trials=args.trials):
             trials = run_sweep(
                 experiment=experiment, trials=args.trials, base_seed=args.seed,
-                engine=engine, workers=args.workers, backend=args.backend,
+                engine=engine, workers=args.workers,
             )
     row = {"engine": trials.engine, **collect_trials_metrics(trials)}
     print(format_table([row]))
@@ -391,9 +380,6 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(format_table(kernel_support_table()))
     print("\nprotocol x adversary dispatch (--engine auto):")
     print(format_table(dispatch_table()))
-    # The runtime registry (not part of the drift-guarded markdown blocks).
-    print(f"\nplane backends available: {', '.join(available_backends())} "
-          f"(default {DEFAULT_BACKEND}; select with --backend or ${ENV_VAR})")
     return 0
 
 
@@ -511,7 +497,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                         spec, store=store, engine=args.engine,
                         precision=args.precision, max_trials=args.max_trials,
                         batch_size=args.batch, workers=args.workers,
-                        backend=args.backend, limit=args.limit,
+                        limit=args.limit,
                         progress=batch_progress,
                     )
             print(report.summary_line())
@@ -530,8 +516,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                              adaptive=False):
                 report = run_spec(
                     spec, store=store, engine=args.engine,
-                    workers=args.workers, backend=args.backend,
-                    limit=args.limit, progress=progress,
+                    workers=args.workers, limit=args.limit, progress=progress,
                 )
         print(report.summary_line())
         print(report.cache_line())

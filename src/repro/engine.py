@@ -71,11 +71,13 @@ from repro.core.runner import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.observability.export import read_trace, write_trace
 from repro.observability.tracer import Tracer, activate, current_tracer
+from repro.simulator.planes import PlaneBackend, resolve_backend
 from repro.simulator.vectorized import (
     COMMITTEE_ENGINE_HOOKS,
     COMMITTEE_PROTOCOLS,
     run_vectorized_trials,
 )
+from repro.topology.loss import validate_loss
 
 #: Engine names accepted by :func:`run_sweep`.
 ENGINES = ("auto", "vectorized", "vectorized-mp", "object", "object-mp")
@@ -283,7 +285,7 @@ def _run_vectorized_sweep(
     base_seed: int,
     params: ProtocolParameters | None,
     trial_offset: int = 0,
-    backend: str | None = None,
+    backend: str | PlaneBackend | None = None,
 ) -> list[TrialSummary]:
     """Batched kernel sweep: the kernel's :class:`TrialSummary` rows.
 
@@ -343,7 +345,7 @@ def _vectorized_shard(
         int,
         ProtocolParameters | None,
         int,
-        str | None,
+        str | PlaneBackend | None,
         tuple[int, str] | None,
     ],
 ) -> list[TrialSummary]:
@@ -375,7 +377,7 @@ def _run_vectorized_sharded(
     base_seed: int,
     params: ProtocolParameters | None,
     workers: int | None,
-    backend: str | None = None,
+    backend: str | PlaneBackend | None = None,
     trial_offset: int = 0,
 ) -> list[TrialSummary]:
     """The batched kernel sweep sharded over processes by trial range.
@@ -454,7 +456,7 @@ def run_sweep(
     allow_timeout: bool = False,
     topology: str = "clique",
     loss: float = 0.0,
-    backend: str | None = None,
+    backend: str | PlaneBackend | None = None,
     trial_offset: int = 0,
     protocol_kwargs: dict[str, Any] | None = None,
     adversary_kwargs: dict[str, Any] | None = None,
@@ -489,12 +491,14 @@ def run_sweep(
             + k)`` on the vectorised kernels — so concatenating batches run
             at consecutive offsets is bit-identical to one unsplit sweep.
             This is the contract the sharded and adaptive executors build on.
-        backend: Plane-backend selection for the vectorised kernels (a
-            :func:`repro.simulator.planes.available_backends` name; ``None``
-            defers to ``$REPRO_PLANE_BACKEND`` then ``numpy``).  Backends
-            are bit-identical, so results — and sweep-store cache keys —
-            never depend on it; the object engines and closed-form kernels
-            have no planes and ignore it.
+        backend: ``None`` (the default) lets the plane kernels pick their
+            representation by batch size
+            (:data:`repro.simulator.phase_engine.PACKED_MIN_CELLS`);
+            ``"numpy"``, ``"packed"`` or a
+            :class:`~repro.simulator.planes.base.PlaneBackend` forces one, for
+            bit-identity checks.  Both are bit-identical, so results — and
+            sweep-store cache keys — never depend on it; the object engines
+            and closed-form kernels have no planes and ignore it.
 
     Returns:
         A :class:`SweepResult` whose ``trials`` list and aggregate properties
@@ -524,6 +528,9 @@ def run_sweep(
         )
     elif n is not None or t is not None:
         raise ConfigurationError("pass either (n, t) or experiment=, not both")
+    validate_loss(experiment.loss)
+    if backend is not None:
+        resolve_backend(backend)
 
     tracer = current_tracer()
     with tracer.span(
@@ -708,10 +715,8 @@ def kernel_support_table() -> list[dict[str, str]]:
                 "object only": ", ".join(unmodelled) if unmodelled else "-",
                 "max_rounds": "yes" if spec.supports_max_rounds else "object only",
                 "topology/loss": "masked" if spec.supports_topology else "object only",
-                # Deliberately backend-*kind*, not the runtime registry: the
-                # docs embed this table byte-for-byte.
                 "plane backend": (
-                    "selectable" if spec.supports_backend else "numpy-bool"
+                    "by batch size" if spec.supports_backend else "numpy-bool"
                 ),
             }
         )

@@ -85,13 +85,25 @@ from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, wo
 from repro.topology.generators import validate_adjacency
 from repro.topology.loss import sample_delivered_words, validate_loss
 
-__all__ = ["COIN_SOURCES", "PhaseEngine", "draw_committee_shares", "finalize_planes"]
+__all__ = [
+    "COIN_SOURCES",
+    "PACKED_MIN_CELLS",
+    "PhaseEngine",
+    "draw_committee_shares",
+    "finalize_planes",
+]
 
 #: Coin sources the engine models.
 COIN_SOURCES = ("committee", "dealer", "private")
 
 #: Fraction of live trials below which the working arrays are compacted.
 _COMPACTION_THRESHOLD = 0.75
+
+#: Batch cell count ``B × n`` from which :meth:`PhaseEngine.run_batch` runs
+#: the packed planes.  Below it the pack/unpack boundary costs more than the
+#: word ops save and numpy-bool runs; the two tie near 32 768 cells
+#: (crossover measurements: docs/architecture.md).
+PACKED_MIN_CELLS = 65_536
 
 
 def draw_committee_shares(
@@ -187,15 +199,16 @@ class PhaseEngine:
             all-True one — takes the masked per-recipient path.
         loss: Per-edge i.i.d. message-loss probability (``0 <= loss < 1``).
             A positive loss activates the masked path even on the clique.
-        backend: Plane-backend selection (a registered name, a
-            :class:`~repro.simulator.planes.base.PlaneBackend` instance, or
-            ``None`` for ``$REPRO_PLANE_BACKEND``-then-default; see
-            :mod:`repro.simulator.planes`).  Resolved at :meth:`run_batch`
-            time so the environment variable is read per run.  All backends
-            are bit-identical, masked (topology/loss) runs included: both
-            hand their planes to the same word channels
-            (:mod:`repro.topology.counting`), the packed backend as words,
-            the boolean backend as bool planes the channels pack.
+        backend: ``None`` (the default) lets :meth:`run_batch` pick the
+            plane representation by batch size — ``packed`` from
+            :data:`PACKED_MIN_CELLS` cells ``B × n`` up, ``numpy`` below;
+            ``"numpy"``, ``"packed"`` or a
+            :class:`~repro.simulator.planes.base.PlaneBackend` forces one
+            (the bit-identity tests do).  Both are bit-identical, masked
+            (topology/loss) runs included: both hand their planes to the
+            same word channels (:mod:`repro.topology.counting`), the packed
+            backend as words, the boolean backend as bool planes the
+            channels pack.
     """
 
     n: int
@@ -288,7 +301,10 @@ class PhaseEngine:
         phase_cap = self.max_phases if self.las_vegas else self.num_phases
 
         masked = self.adjacency is not None or self.loss > 0.0
-        ops = resolve_backend(self.backend)
+        choice = self.backend
+        if choice is None:
+            choice = "packed" if batch0 * n >= PACKED_MIN_CELLS else "numpy"
+        ops = resolve_backend(choice)
         # Telemetry reads clocks and counters only — it draws no randomness
         # and never touches plane state, so results are bit-identical with
         # tracing on or off (the default NullTracer makes each site a no-op).

@@ -1,19 +1,19 @@
-"""The plane-backend contract: one op surface, several representations.
+"""The plane-backend contract: one op surface, two representations.
 
 The hook-driven :class:`repro.simulator.phase_engine.PhaseEngine` expresses
 its whole per-phase loop — tallies, XOR-blend updates, flush bookkeeping,
 compaction — against the small operation surface defined here, so the
-*representation* of a ``(B, n)`` boolean plane is a pluggable backend choice
-(the ``CyScheduler``/``PyScheduler`` switch idiom).  Two invariants make a
-backend drop-in:
+*representation* of a ``(B, n)`` boolean plane can change per batch (the
+``CyScheduler``/``PyScheduler`` switch idiom, decided by batch size).  Two
+invariants make a backend drop-in:
 
 * **Exactness.**  Every tally returns exact ``int64`` counts and every
   in-place update implements the same boolean algebra as the reference
   NumPy-bool backend.  Randomness never flows through a plane, so a backend
-  can never perturb the engine's Philox streams — which is why all
-  registered backends are *bit-identical*, not statistically equivalent,
-  and why the sweep results store keys cached points by engine family
-  without a backend component.
+  can never perturb the engine's Philox streams — which is why both
+  backends are *bit-identical*, not statistically equivalent, and why the
+  sweep results store keys cached points by engine family without a
+  backend component.
 * **Live bool views.**  :meth:`Plane.bools` returns a ``(B, n)`` boolean
   array that *is* the plane (adversary kernels mutate it in place through
   :class:`~repro.adversary.kernels.base.KernelContext`).  A backend holding
@@ -140,17 +140,9 @@ class Plane(ABC):
 class PlaneBackend(ABC):
     """Factory for one plane representation."""
 
-    #: Registry name (``repro trials --backend <name>``).
+    #: The name ``resolve_backend`` and the ``engine.setup`` span use.
     name: str = "abstract"
 
     @abstractmethod
     def from_bools(self, array: np.ndarray) -> Plane:
         """Adopt a ``(B, n)`` boolean array as a plane (no defensive copy)."""
-
-    def zeros(self, batch: int, n: int) -> Plane:
-        """All-False ``(batch, n)`` plane."""
-        return self.from_bools(np.zeros((batch, n), dtype=bool))
-
-    def ones(self, batch: int, n: int) -> Plane:
-        """All-True ``(batch, n)`` plane."""
-        return self.from_bools(np.ones((batch, n), dtype=bool))

@@ -108,7 +108,7 @@ class NumpyBoolPlane(Plane):
 
 
 class NumpyBoolBackend(PlaneBackend):
-    """The default backend: planes are plain boolean arrays."""
+    """The reference backend (and the small-batch path): plain boolean arrays."""
 
     name = "numpy"
 

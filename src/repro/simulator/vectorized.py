@@ -107,11 +107,11 @@ class VectorizedAgreementSimulator:
         adjacency: Optional ``(n, n)`` boolean topology mask
             (:mod:`repro.topology`); ``None`` runs the historical clique path.
         loss: Per-edge i.i.d. message-loss probability.
-        backend: Plane-backend selection for the batched engine (see
-            :mod:`repro.simulator.planes`); ``None`` defers to
-            ``$REPRO_PLANE_BACKEND`` then the ``numpy`` default.  All
-            backends are bit-identical; the single-trial :meth:`run` loop
-            is the reference path and ignores the choice.
+        backend: Forced plane representation for the batched engine
+            (``"numpy"`` or ``"packed"``); ``None`` picks it by batch size
+            (:class:`~repro.simulator.phase_engine.PhaseEngine`).  Both are
+            bit-identical; the single-trial :meth:`run` loop is the
+            reference path and ignores the choice.
     """
 
     n: int

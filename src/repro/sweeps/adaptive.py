@@ -47,15 +47,15 @@ from repro.analysis.statistics import (
     relative_ci_width,
     success_rate,
 )
-from repro.engine import SweepResult, run_sweep, select_engine
+from repro.engine import SweepResult, run_sweep
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
+from repro.sweeps.executor import spec_keys
 from repro.sweeps.spec import SweepPoint, SweepSpec
 from repro.sweeps.store import (
     ResultsStore,
     adaptive_key,
     adaptive_record,
-    engine_family,
     result_from_record,
 )
 
@@ -275,26 +275,11 @@ def adaptive_keys(
 ) -> list[tuple[SweepPoint, str]]:
     """Expand a spec and compute each point's trials-independent adaptive key.
 
-    Mirrors :func:`repro.sweeps.executor.spec_keys` — the key depends on the
-    result *family* of the engine that would run the point, never on the
-    concrete serial/parallel variant or the trial count.
+    :func:`repro.sweeps.executor.spec_keys` with :func:`adaptive_key` — the
+    key depends on the result *family* of the engine that would run the
+    point, never on the concrete serial/parallel variant or the trial count.
     """
-    requested = engine if engine is not None else spec.engine
-    pairs = []
-    for point in spec.expand():
-        resolved = select_engine(
-            point.protocol,
-            point.adversary,
-            engine=requested,
-            trials=point.trials,
-            n=point.n,
-            workers=workers,
-            max_rounds=point.max_rounds,
-            topology=point.topology,
-            loss=point.loss,
-        )
-        pairs.append((point, adaptive_key(point, engine_family(resolved))))
-    return pairs
+    return spec_keys(spec, engine=engine, workers=workers, key=adaptive_key)
 
 
 def run_adaptive(
@@ -307,7 +292,6 @@ def run_adaptive(
     batch_size: int | None = None,
     z: float = 1.96,
     workers: int | None = None,
-    backend: str | None = None,
     limit: int | None = None,
     progress: AdaptiveProgress | None = None,
 ) -> AdaptiveRunReport:
@@ -320,8 +304,8 @@ def run_adaptive(
         precision / max_trials / batch_size: Stopping-rule overrides
             (defaults: the spec's adaptive block, see :func:`resolve_targets`).
         z: Normal quantile of both intervals (1.96 = 95% confidence).
-        workers / backend: Execution policy, forwarded to
-            :func:`repro.engine.run_sweep`; results never depend on either.
+        workers: Execution policy, forwarded to
+            :func:`repro.engine.run_sweep`; results never depend on it.
         limit: Execute at most this many *batches* (``>= 0``), leaving the
             rest for a later (resumed) invocation — the CI resume check uses
             this to emulate an interrupted run deterministically.
@@ -377,7 +361,6 @@ def run_adaptive(
                 base_seed=state.point.base_seed,
                 engine=requested,
                 workers=workers,
-                backend=backend,
                 trial_offset=state.trials,
             )
             merged = (

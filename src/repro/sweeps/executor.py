@@ -97,12 +97,15 @@ def spec_keys(
     *,
     engine: str | None = None,
     workers: int | None = None,
+    key: Callable[[SweepPoint, str], str] = point_key,
 ) -> list[tuple[SweepPoint, str]]:
     """Expand a spec and compute each point's content key.
 
     The key depends on the *result family* of the engine that would run the
     point (``select_engine`` per point — "auto" may resolve differently per
-    configuration), never on the concrete serial/parallel variant.
+    configuration), never on the concrete serial/parallel variant.  ``key``
+    maps a point and its family to the key: :func:`point_key` for uniform
+    runs, the trials-independent ``adaptive_key`` for adaptive ones.
     """
     requested = engine if engine is not None else spec.engine
     pairs = []
@@ -118,7 +121,7 @@ def spec_keys(
             topology=point.topology,
             loss=point.loss,
         )
-        pairs.append((point, point_key(point, engine_family(resolved))))
+        pairs.append((point, key(point, engine_family(resolved))))
     return pairs
 
 
@@ -128,7 +131,6 @@ def run_spec(
     store: ResultsStore,
     engine: str | None = None,
     workers: int | None = None,
-    backend: str | None = None,
     limit: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> SweepRunReport:
@@ -139,10 +141,6 @@ def run_spec(
         engine: Engine override (defaults to the spec's own choice).
         workers: Process count for the sharded executors; vectorisable
             points run on ``vectorized-mp`` when ``workers > 1``.
-        backend: Plane-backend selection for the vectorised kernels
-            (:mod:`repro.simulator.planes`).  Backends are bit-identical,
-            so it is pure execution policy: cache keys ignore it, and points
-            computed under one backend are cache hits under any other.
         limit: Execute at most this many *pending* points (``>= 0``),
             leaving the rest for a later invocation (the CI resume check uses
             this to emulate an interrupted run deterministically).
@@ -194,7 +192,6 @@ def run_spec(
                         base_seed=point.base_seed,
                         engine=requested,
                         workers=workers,
-                        backend=backend,
                     )
                     store.put(key, sweep_record(point, result, result.engine))
                 executed += 1

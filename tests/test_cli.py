@@ -75,6 +75,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv,message", [
         (["trials", "--loss", "1.0"], "loss must be a probability"),
+        (["trials", "--loss", "-0.1"], "loss must be a probability"),
+        (["trials", "--loss", "nan"], "loss must be a probability"),
         (["trials", "--n", "64", "--t", "30"], "t < n/3"),
         (["run", "--n", "64", "--t", "30"], "t < n/3"),
         (["run", "--loss", "1.0"], "loss must be a probability"),

@@ -230,6 +230,23 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(19, 3, trials=0)
 
+    @pytest.mark.parametrize("engine", ["auto", "object"])
+    @pytest.mark.parametrize("loss", [-0.1, float("nan")])
+    def test_invalid_loss_is_rejected_before_dispatch(self, loss, engine):
+        with pytest.raises(ConfigurationError, match="loss must be a probability"):
+            run_sweep(16, 3, loss=loss, trials=2, engine=engine)
+        experiment = AgreementExperiment(n=16, t=3, loss=loss)
+        with pytest.raises(ConfigurationError, match="loss must be a probability"):
+            run_sweep(experiment=experiment, trials=2, engine=engine)
+
+    @pytest.mark.parametrize("protocol,engine", [
+        ("phase-king", "auto"), ("committee-ba", "object"),
+    ])
+    def test_unknown_backend_is_rejected_before_dispatch(self, protocol, engine):
+        with pytest.raises(ConfigurationError, match="unknown plane backend 'warp'"):
+            run_sweep(16, 3, protocol=protocol, adversary="null", trials=2,
+                      engine=engine, backend="warp")
+
     @pytest.mark.parametrize("protocol,adversary,base_seed", [
         ("committee-ba", "coin-attack", -1),
         ("committee-ba", "null", 2**64),
@@ -270,6 +287,19 @@ class TestKernelContract:
         assert [row.seed for row in whole] == list(range(trials))
         assert [row.seed for row in tail] == list(range(split, trials))
         assert head + tail == whole
+
+    @pytest.mark.parametrize(
+        "protocol,behaviour,n,t,inputs,seed,trials,split,kwargs",
+        [case for case in KERNEL_CASES if PROTOCOL_KERNELS[case.values[0]].supports_backend],
+    )
+    def test_forced_plane_representations_return_equal_rows(
+        self, protocol, behaviour, n, t, inputs, seed, trials, split, kwargs
+    ):
+        run_trials = partial(
+            PROTOCOL_KERNELS[protocol].run_trials, n, t, adversary=behaviour,
+            inputs=inputs, seed=seed, trials=trials, **kwargs,
+        )
+        assert run_trials(backend="packed") == run_trials(backend="numpy")
 
 
 class TestDispatchTable:

@@ -16,8 +16,6 @@ backends and every tally is an exact integer.  Acceptance surfaces:
   single-process numpy reference trial-for-trial — also when the parent
   started its loss-draw thread pool before forking the workers, which must
   then draw inline instead of waiting on the inherited, threadless pool;
-* **store keys**: a masked/lossy sweep point computed under one backend is
-  a pure cache hit under the other (``point_key`` has no backend field);
 * **tally unit behaviour**: :class:`~repro.topology.counting.MaskedCounter`,
   the mid-density :class:`~repro.topology.counting.AdjacencyCounter`
   strategy and :class:`~repro.topology.counting.PackedDeliveredChannel`
@@ -41,7 +39,6 @@ import pytest
 import repro
 from repro.engine import run_sweep
 from repro.simulator.vectorized import run_vectorized_trials
-from repro.sweeps import ResultsStore, SweepSpec, run_spec
 from repro.topology import TOPOLOGIES, build_topology
 from repro.topology.counting import (
     AdjacencyCounter,
@@ -123,28 +120,6 @@ class TestEngineBitIdentity:
             pytest.fail("the vectorized-mp sweep hung after the draw pool started")
         assert child.returncode == 0, err
         assert out.split() == ["identical"]
-
-
-class TestStoreKeysIgnoreTheBackend:
-    def test_masked_lossy_points_cache_hit_across_backends(self, tmp_path):
-        spec = SweepSpec(
-            name="masked-backend-cache",
-            protocols=("committee-ba",),
-            adversaries=("static",),
-            n_values=(20,),
-            t_specs=("quarter",),
-            topologies=("ring", "erdos-renyi"),
-            losses=(0.0, 0.1),
-            trials=2,
-            seed_policy="by-point",
-            base_seed=60,
-        )
-        store = ResultsStore(tmp_path / "store")
-        first = run_spec(spec, store=store, backend="packed")
-        assert first.computed == first.total
-        second = run_spec(spec, store=store, backend="numpy")
-        assert second.computed == 0
-        assert second.cached == second.total
 
 
 #: The pinned configurations: four protocols on the masked planes (the

@@ -1,99 +1,69 @@
-"""Tests for the selectable plane backends (:mod:`repro.simulator.planes`).
+"""Tests for the two plane representations (:mod:`repro.simulator.planes`).
 
 Four acceptance surfaces:
 
-* the **registry**: built-in backends present, explicit > env > default
-  resolution, unknown names and duplicate registrations rejected;
-* **op equivalence**: every registered backend replays a scripted sequence
+* **resolution**: ``resolve_backend`` names both representations, passes a
+  backend instance through and rejects unknown names;
+* **op equivalence**: the packed backend replays a scripted sequence
   covering the whole :class:`~repro.simulator.planes.base.Plane` contract
   against the numpy-bool reference, over ragged widths (1, 63, 64, 65, ...),
   all-True/all-False planes, every mask shape the engine produces, row
   compaction down to the empty batch, and the ``bools()`` /
   ``mark_bools_dirty`` hook boundary;
 * **bit identity end to end**: full ``run_sweep`` runs are field-for-field
-  identical under every backend (clique, masked topology, lossy), which is
-  what licenses the sweep store to ignore the backend in its cache keys —
-  asserted directly by a cross-backend cache-hit test;
-* the **CLI seam**: ``repro trials --backend packed`` round-trips.
+  identical under both forced representations (clique, masked topology,
+  lossy, and the sweep benchmark's smoke workloads against their pinned
+  digests), which is what licenses the sweep store to ignore the
+  representation in its cache keys;
+* the **size rule**: ``PhaseEngine`` runs numpy-bool below
+  :data:`~repro.simulator.phase_engine.PACKED_MIN_CELLS` cells and packed
+  from it up, as its ``engine.setup`` span records.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
-from repro.simulator import planes as planes_module
+from repro.observability import Tracer, activate
+from repro.simulator.phase_engine import PACKED_MIN_CELLS
 from repro.simulator.planes import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
+    PackedBackend,
     PackedPlane,
-    PlaneBackend,
-    available_backends,
-    get_backend,
     pack_bools,
-    register_backend,
     resolve_backend,
     unpack_words,
 )
 from repro.simulator.vectorized import run_vectorized_trials
-from repro.sweeps import ResultsStore, SweepSpec, run_spec
 from repro.topology import build_topology
 
 #: Widths straddling the packed backend's 64-bit word boundary.
 WIDTHS = (1, 5, 63, 64, 65, 100, 128)
 BATCH = 7
 
-#: Every backend the registry knows at collection time is held to the same
-#: contract (numpy itself runs as the trivial case).
-BACKENDS = available_backends()
+#: Both representations are held to the same contract (numpy itself runs as
+#: the trivial case).
+BACKENDS = ("numpy", "packed")
 
 
-class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "packed" in names
-        assert DEFAULT_BACKEND == "numpy"
-
-    def test_get_backend_rejects_unknown_names(self):
-        with pytest.raises(ConfigurationError, match="unknown plane backend"):
-            get_backend("warp")
-
-    def test_resolution_order_explicit_env_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+class TestResolveBackend:
+    def test_names_both_representations(self):
         assert resolve_backend().name == "numpy"
-        monkeypatch.setenv(ENV_VAR, "packed")
-        assert resolve_backend().name == "packed"
-        # Explicit choice outranks the environment.
         assert resolve_backend("numpy").name == "numpy"
-        # A backend instance passes straight through.
-        instance = get_backend("packed")
+        assert resolve_backend("packed").name == "packed"
+        instance = PackedBackend()
         assert resolve_backend(instance) is instance
-        monkeypatch.setenv(ENV_VAR, "warp")
+
+    @pytest.mark.parametrize("choice", ["warp", "", 3])
+    def test_resolve_backend_rejects_unknown_names(self, choice):
         with pytest.raises(ConfigurationError, match="unknown plane backend"):
-            resolve_backend()
-        # Blank env falls back to the default rather than erroring.
-        monkeypatch.setenv(ENV_VAR, "  ")
-        assert resolve_backend().name == DEFAULT_BACKEND
-
-    def test_duplicate_registration_requires_replace(self):
-        class Dummy(PlaneBackend):
-            name = "test-dummy"
-
-            def from_bools(self, array):  # pragma: no cover - never called
-                raise NotImplementedError
-
-        try:
-            register_backend(Dummy())
-            assert "test-dummy" in available_backends()
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend(Dummy())
-            register_backend(Dummy(), replace=True)
-        finally:
-            planes_module._REGISTRY.pop("test-dummy", None)
+            resolve_backend(choice)
 
 
 class TestPacking:
@@ -137,8 +107,8 @@ class TestOpEquivalence:
     @pytest.mark.parametrize("n", WIDTHS)
     @pytest.mark.parametrize("kind", ("random", "true", "false"))
     def test_full_contract_matches_reference(self, backend_name, n, kind):
-        reference = get_backend("numpy")
-        backend = get_backend(backend_name)
+        reference = resolve_backend("numpy")
+        backend = resolve_backend(backend_name)
         base = _fill(kind, n, seed=3 * n)
         other_arr = _fill("random", n, seed=3 * n + 1)
         third_arr = _fill("random", n, seed=3 * n + 2)
@@ -242,8 +212,24 @@ SWEEP_CASES = (
 )
 
 
+#: The sweep benchmark's smoke-size ``run_sweep`` workloads, whose base-seed-0
+#: digests ``sweepbench/digests.json`` pins.  At benchmark size they pick the
+#: packed planes by size, so the benchmark's own packed check then compares
+#: packed with packed; forcing each representation here keeps both pinned.
+SMOKE_WORKLOADS = {
+    "clique-attack": dict(adversary="coin-attack", n=64, t=8, trials=8),
+    "lossy": dict(adversary="null", loss=0.05, n=96, t=12, trials=4),
+    "many-trials": dict(adversary="null", n=16, t=2, trials=200),
+}
+
+#: The per-trial fields the benchmark digests cover, in trial order.
+DIGEST_FIELDS = ("rounds", "phases", "agreement", "validity", "decision", "messages")
+
+DIGESTS = Path(__file__).resolve().parents[1] / "sweepbench" / "digests.json"
+
+
 class TestEndToEndBitIdentity:
-    @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+    @pytest.mark.parametrize("backend_name", ["packed"])
     @pytest.mark.parametrize(("protocol", "adversary"), SWEEP_CASES)
     def test_run_sweep_is_bit_identical(self, backend_name, protocol, adversary):
         kwargs = dict(
@@ -253,17 +239,6 @@ class TestEndToEndBitIdentity:
         reference = run_sweep(40, 5, backend="numpy", **kwargs)
         ours = run_sweep(40, 5, backend=backend_name, **kwargs)
         assert ours.trials == reference.trials
-
-    def test_env_var_selects_the_backend_at_run_time(self, monkeypatch):
-        kwargs = dict(
-            protocol="committee-ba-las-vegas", adversary="straddle",
-            inputs="split", trials=4, seed=7,
-        )
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        reference = run_vectorized_trials(40, 5, **kwargs)
-        monkeypatch.setenv(ENV_VAR, "packed")
-        packed = run_vectorized_trials(40, 5, **kwargs)
-        assert packed == reference
 
     def test_masked_and_lossy_runs_honour_the_packed_request(self):
         # Off-clique and lossy runs route their tallies through the
@@ -277,52 +252,41 @@ class TestEndToEndBitIdentity:
                 protocol="committee-ba", adversary="static", inputs="split",
                 trials=4, seed=9, **extra,
             )
-            reference = run_vectorized_trials(24, 2, **kwargs)
+            reference = run_vectorized_trials(24, 2, backend="numpy", **kwargs)
             packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
             assert packed == reference
 
-
-class TestSweepStoreCaching:
-    def test_backend_choice_never_splits_the_cache(self, tmp_path):
-        spec = SweepSpec(
-            name="backend-cache",
-            protocols=("committee-ba",),
-            adversaries=("null", "static"),
-            n_values=(17,),
-            t_specs=("quarter",),
-            trials=2,
-            seed_policy="by-point",
-            base_seed=50,
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("workload", sorted(SMOKE_WORKLOADS))
+    def test_sweep_benchmark_smoke_workloads_match_their_pins(self, workload, backend_name):
+        result = run_sweep(
+            protocol="committee-ba", inputs="split", base_seed=0, backend=backend_name,
+            **SMOKE_WORKLOADS[workload],
         )
-        store = ResultsStore(tmp_path / "store")
-        first = run_spec(spec, store=store, backend="numpy")
-        assert first.computed == first.total
-        # The same points under the packed backend are pure cache hits:
-        # point_key has no backend component because backends are
-        # bit-identical by contract.
-        second = run_spec(spec, store=store, backend="packed")
-        assert second.computed == 0
-        assert second.cached == second.total
+        rows = [[getattr(trial, name) for name in DIGEST_FIELDS] for trial in result.trials]
+        text = json.dumps(rows, separators=(",", ":"))
+        pin = json.loads(DIGESTS.read_text())["smoke"][workload]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin
 
 
-class TestCli:
-    def test_trials_backend_flag_round_trips(self, capsys):
-        code = main(["trials", "--n", "16", "--t", "3", "--trials", "3",
-                     "--seed", "5"])
-        assert code == 0
-        reference = capsys.readouterr().out
-        code = main(["trials", "--n", "16", "--t", "3", "--trials", "3",
-                     "--seed", "5", "--backend", "packed"])
-        assert code == 0
-        assert capsys.readouterr().out == reference
-
-    def test_trials_backend_flag_rejects_unknown_names(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["trials", "--n", "16", "--t", "3", "--backend", "warp"])
-
-    def test_engines_command_lists_backends(self, capsys):
-        assert main(["engines"]) == 0
-        output = capsys.readouterr().out
-        assert "plane backends available:" in output
-        assert "numpy" in output
-        assert "packed" in output
+class TestSizeRule:
+    def test_batch_cells_pick_the_representation(self):
+        n = 64
+        at = -(-PACKED_MIN_CELLS // n)
+        assert (at - 1) * n < PACKED_MIN_CELLS <= at * n
+        setups, rows = {}, {}
+        for trials in (at - 1, at):
+            tracer = Tracer(run_id=f"size-rule-{trials}")
+            with activate(tracer):
+                result = run_sweep(
+                    n, 8, protocol="committee-ba", adversary="coin-attack",
+                    trials=trials, base_seed=5, engine="vectorized",
+                )
+            (setup,) = [e for e in tracer.events() if e["name"] == "engine.setup"]
+            setups[trials] = setup["meta"]
+            rows[trials] = result.trials
+        assert setups[at - 1]["backend"] == "numpy"
+        assert setups[at]["backend"] == "packed"
+        assert [setups[trials]["batch"] for trials in setups] == [at - 1, at]
+        # Trial k draws from Philox key (5, k) in either batch.
+        assert rows[at][: at - 1] == rows[at - 1]
