@@ -1,9 +1,9 @@
 """Sharded-vectorized executor: exactness and multi-core speedup.
 
-The ``vectorized-mp`` engine splits a batched sweep's trial counter range
+``run_sweep(..., workers=W)`` splits a batched sweep's trial counter range
 into contiguous per-worker sub-batches (each running on the sweep's global
 ``(seed, k)`` Philox keys via the kernels' ``trial_offset`` contract) and
-merges the partial aggregates with ``TrialsResult.merge``.  This benchmark
+concatenates the rows in range order.  This benchmark
 asserts the contract — sharded results must equal single-process vectorized
 results *bit for bit*, per trial — and measures the multi-core speedup,
 recording both into ``benchmarks/results/summary.json``.
@@ -19,6 +19,7 @@ import os
 import time
 
 from repro.engine import run_sweep
+from repro.observability import Tracer, activate
 
 #: The sharding comparison configuration; big enough (~1.5 s single-process)
 #: that process startup is amortised on a multi-core machine.
@@ -41,7 +42,7 @@ def _available_cores() -> int:
 
 
 def test_sharded_vectorized_is_bit_identical_and_faster():
-    """vectorized-mp == vectorized per trial; >= 2x on multi-core machines."""
+    """workers=W == in-process per trial; >= 2x on multi-core machines."""
     cores = _available_cores()
     workers = max(2, cores)
     kwargs = dict(
@@ -50,20 +51,25 @@ def test_sharded_vectorized_is_bit_identical_and_faster():
     )
 
     timings = {}
-    for label, engine, engine_kwargs, repeats in (
-        ("single", "vectorized", {}, 2),
-        ("sharded", "vectorized-mp", {"workers": workers}, 2),
+    for label, engine_kwargs, repeats in (
+        ("single", {}, 2),
+        ("sharded", {"workers": workers}, 2),
     ):
         best = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
-            result = run_sweep(SWEEP_N, SWEEP_T, engine=engine, **engine_kwargs, **kwargs)
+            result = run_sweep(SWEEP_N, SWEEP_T, engine="vectorized", **engine_kwargs, **kwargs)
             best = min(best, time.perf_counter() - started)
         timings[label] = (best, result)
 
     single_s, single = timings["single"]
     sharded_s, sharded = timings["sharded"]
-    assert single.engine == "vectorized" and sharded.engine == "vectorized-mp"
+    # One untimed traced call shows the pool size the sharded runs used.
+    tracer = Tracer(run_id="sweep-sharding")
+    with activate(tracer):
+        run_sweep(SWEEP_N, SWEEP_T, engine="vectorized", workers=workers, **kwargs)
+    (span,) = [e for e in tracer.events() if e["name"] == "sweep.vectorized"]
+    assert span["meta"]["workers"] == workers
     assert sharded.trials == single.trials, (
         "sharded-vectorized results must be bit-identical to single-process "
         "on the same (seed, k) Philox keys"
@@ -111,6 +117,6 @@ def test_sharded_baseline_kernel_is_bit_identical():
         trials=40, base_seed=11,
     )
     single = run_sweep(256, 40, engine="vectorized", **kwargs)
-    sharded = run_sweep(256, 40, engine="vectorized-mp", workers=4, **kwargs)
+    sharded = run_sweep(256, 40, engine="vectorized", workers=4, **kwargs)
     assert sharded.trials == single.trials
     assert sharded.summary() == single.summary()

@@ -59,7 +59,7 @@ class KernelSpec:
             ``k`` of the call uses the Philox key ``(seed, trial_offset +
             k)`` and records ``seed = trial_offset + k``, so contiguous
             sub-batches concatenate bit-identically to one full batch (the
-            sharded ``vectorized-mp`` executor's contract).
+            contract ``run_sweep(..., workers=k)`` sharding relies on).
         hooks: The adversary hook surface the kernel implements (the
             :mod:`repro.adversary.kernels.capabilities` vocabulary), from
             which ``behaviours`` and ``inapplicable`` are derived.

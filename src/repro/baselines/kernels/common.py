@@ -15,8 +15,8 @@ committee engine (:mod:`repro.simulator.vectorized`):
   :func:`repro.engine.run_sweep` keeps.
 
 This module collects the pieces the kernels share: the per-trial input and
-stream setup, the live CONGEST payload-size table, and the batched
-agreement/validity finaliser.
+stream setup and the batched agreement/validity finaliser.  The live CONGEST
+payload-size table is :data:`repro.simulator.messages.PAYLOAD_BITS`.
 """
 
 from __future__ import annotations
@@ -29,38 +29,14 @@ from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.draws import TrialStreams
 from repro.simulator.phase_engine import finalize_planes as evaluate_planes
-from repro.simulator.messages import (
-    CoinShare,
-    CombinedAnnouncement,
-    KingValue,
-    SampleReply,
-    SampleRequest,
-    ValueAnnouncement,
-)
 from repro.simulator.vectorized import trial_inputs, trial_summaries
 
 __all__ = [
-    "PAYLOAD_BITS",
     "batch_setup",
     "finalize_planes",
     "row_popcount",
     "trial_inputs",
 ]
-
-#: CONGEST payload sizes (bits) by payload kind, derived from the live
-#: ``bit_size()`` definitions in :mod:`repro.simulator.messages` so the
-#: kernels' bit accounting can never drift from the object simulator's.
-PAYLOAD_BITS: dict[str, int] = {
-    payload.kind(): payload.bit_size()
-    for payload in (
-        ValueAnnouncement(phase=1, round_in_phase=1, value=0, decided=False),
-        CombinedAnnouncement(phase=1, value=0, decided=False, share=None),
-        CoinShare(phase=1, share=1),
-        KingValue(phase=1, value=0),
-        SampleRequest(phase=1),
-        SampleReply(phase=1, value=0),
-    )
-}
 
 
 def batch_setup(

@@ -42,7 +42,6 @@ from repro.adversary.kernels import ADVERSARY_PLANE_KERNELS
 from repro.adversary.kernels.capabilities import CORRUPT_STATIC
 from repro.baselines.eig import EIGNode
 from repro.baselines.kernels.common import (
-    PAYLOAD_BITS,
     batch_setup,
     finalize_planes,
     row_popcount,
@@ -50,6 +49,7 @@ from repro.baselines.kernels.common import (
 from repro.core.parameters import validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
+from repro.simulator.messages import PAYLOAD_BITS
 
 #: Adversary hook surface this kernel implements: up-front corruption only
 #: (the closed tree recurrence assumes a fixed honest set).

@@ -43,7 +43,6 @@ from repro.adversary.kernels.capabilities import (
     ROUND1_VALUES,
 )
 from repro.baselines.kernels.common import (
-    PAYLOAD_BITS,
     batch_setup,
     finalize_planes,
     row_popcount,
@@ -51,6 +50,7 @@ from repro.baselines.kernels.common import (
 from repro.core.parameters import ProtocolParameters, Regime, validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
+from repro.simulator.messages import PAYLOAD_BITS
 from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
 from repro.topology.generators import validate_adjacency
 from repro.topology.loss import sample_delivered, sample_delivered_words, validate_loss

@@ -46,9 +46,9 @@ from repro.adversary.kernels.capabilities import (
     ROUND2_RECORDS,
     SHARES_BROADCAST,
 )
-from repro.baselines.kernels.common import PAYLOAD_BITS
 from repro.core.parameters import ProtocolParameters
 from repro.simulator.draws import TrialStreams
+from repro.simulator.messages import PAYLOAD_BITS
 from repro.simulator.phase_engine import PhaseEngine
 
 #: Adversary hook surface of the skeleton — the full committee-engine set:
@@ -66,11 +66,6 @@ SKELETON_HOOKS = frozenset(
         RNG,
     }
 )
-
-#: CONGEST cost (bits) of the round-1/round-2 payloads — same convention as
-#: the committee engine (ValueAnnouncement / CombinedAnnouncement).
-ROUND_PAYLOAD_BITS = PAYLOAD_BITS["CombinedAnnouncement"]
-
 
 def run_phase_skeleton_batch(
     n: int,
@@ -132,5 +127,6 @@ def run_phase_skeleton_batch(
         backend=backend,
     )
     state = engine.run_batch(inputs, streams, kernel)
-    state["bits"] = state["messages"] * ROUND_PAYLOAD_BITS
+    # Both rounds are charged the committee engine's CombinedAnnouncement size.
+    state["bits"] = state["messages"] * PAYLOAD_BITS["CombinedAnnouncement"]
     return state

@@ -41,13 +41,13 @@ from repro.adversary.kernels.capabilities import (
     RNG,
 )
 from repro.baselines.kernels.common import (
-    PAYLOAD_BITS,
     batch_setup,
     finalize_planes,
 )
 from repro.core.parameters import validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
+from repro.simulator.messages import PAYLOAD_BITS
 
 #: Adversary hook surface this kernel implements: up-front corruption plus
 #: the per-iteration corruption schedule (no value/record/share channels).

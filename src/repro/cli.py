@@ -12,9 +12,8 @@ Python:
     (mean/median/max rounds, agreement and validity rates).  Dispatches via
     :func:`repro.engine.run_sweep`: the default ``--engine auto`` takes the
     batched vectorised fast path when the configuration has one, ``--engine
-    object`` forces the faithful simulator and ``--workers`` fans sweeps out
-    over processes (trial-range sharding for vectorised sweeps, seed-range
-    fan-out for object sweeps).
+    object`` forces the faithful simulator and ``--workers`` alone decides
+    how many processes share the trial range, whichever engine runs it.
 
 ``sweep``
     The orchestration layer (:mod:`repro.sweeps`): ``run`` executes the
@@ -156,14 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     trials_parser.add_argument("--trials", type=int, default=10,
                                help="number of independent trials (default 10)")
     trials_parser.add_argument("--engine", choices=list(ENGINES), default="auto",
-                               help="execution engine (default auto: the vectorized "
+                               help="result family (default auto: the vectorized "
                                     "fast path when the configuration has one, the "
                                     "object simulator otherwise; --engine object "
                                     "forces the faithful simulator)")
     trials_parser.add_argument("--workers", type=int, default=None,
-                               help="process count for multi-process sweeps; a value "
-                                    "> 1 shards vectorized sweeps by trial range and "
-                                    "fans object sweeps out by seed range")
+                               help="process count (>= 1): 1 runs in-process, > 1 "
+                                    "shards the trial range under either engine "
+                                    "(bit-identical); default: in-process, except "
+                                    "large object sweeps use every CPU")
     trials_parser.add_argument("--trace", action="store_true",
                                help="record a span/counter telemetry trace and "
                                     "export it as JSONL (also: REPRO_TRACE=1; "
@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
             # Engine choice only matters where the store is consulted (it
             # selects the result family points are cached under).
             parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                                help="engine override (default: the spec's own choice)")
+                                help="result-family override (default: the spec's "
+                                     "own choice)")
             parser.add_argument("--store", metavar="DIR", default=None,
                                 help="results store root (default "
                                      "$REPRO_SWEEP_STORE or benchmarks/results/store)")
@@ -216,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_arguments(sweep_run, store=True)
     sweep_run.add_argument("--workers", type=int, default=None,
-                           help="process count; > 1 shards vectorized points by "
-                                "trial range (bit-identical to single-process)")
+                           help="process count per point (>= 1); > 1 shards each "
+                                "point's trial range under either engine "
+                                "(bit-identical, same store keys)")
     sweep_run.add_argument("--limit", type=int, default=None,
                            help="execute at most this many pending points "
                                 "(adaptive: batches), leaving the rest for a "
@@ -336,10 +338,6 @@ def _command_trials(args: argparse.Namespace) -> int:
         inputs=args.inputs, alpha=args.alpha,
         topology=args.topology, loss=args.loss,
     )
-    engine = args.engine
-    if engine == "object" and args.workers is not None and args.workers > 1:
-        # An explicit worker count is an explicit request for the pool.
-        engine = "object-mp"
     tracer = _cli_tracer(args.trace, "trials")
     with activate(tracer):
         with tracer.span("cli.trials", protocol=args.protocol,
@@ -347,7 +345,7 @@ def _command_trials(args: argparse.Namespace) -> int:
                          trials=args.trials):
             trials = run_sweep(
                 experiment=experiment, trials=args.trials, base_seed=args.seed,
-                engine=engine, workers=args.workers,
+                engine=args.engine, workers=args.workers,
             )
     row = {"engine": trials.engine, **collect_trials_metrics(trials)}
     print(format_table([row]))

@@ -446,8 +446,8 @@ class TrialsResult:
 def run_single_trial(experiment: AgreementExperiment, seed: int) -> TrialSummary:
     """Run one seeded execution of ``experiment`` and summarise it.
 
-    Module-level (and operating on plain dataclasses) so that seed-range
-    executors can ship it to worker processes.
+    Module-level (and operating on plain dataclasses) so that the sharded
+    sweep executor can ship it to worker processes.
     """
     result = run_agreement(
         experiment.n,
@@ -489,11 +489,10 @@ def run_trials(
 
     Trial ``k`` uses master seed ``base_seed + k``, so sweeps are reproducible
     and trivially parallelisable by seed range.  Dispatch (including the
-    optional multiprocessing seed-range executor, selected via ``workers``,
-    and the per-protocol batched kernels) lives in
-    :func:`repro.engine.run_sweep`; this wrapper always uses the faithful
-    object simulator and returns the same per-trial results regardless of
-    worker count.
+    process count, decided by ``workers`` alone, and the per-protocol batched
+    kernels) lives in :func:`repro.engine.run_sweep`; this wrapper always uses
+    the faithful object simulator and returns the same per-trial results
+    regardless of worker count.
     """
     from repro.engine import run_sweep
 
@@ -501,6 +500,6 @@ def run_trials(
         experiment=experiment,
         trials=num_trials,
         base_seed=base_seed,
-        engine="object-mp" if workers is not None and workers > 1 else "object",
+        engine="object",
         workers=workers,
     )

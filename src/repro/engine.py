@@ -1,8 +1,8 @@
-"""Unified sweep execution — one entry point, four engines.
+"""Unified sweep execution — one entry point, two engine families.
 
 Every multi-trial experiment in the repository is a *sweep*: the same
 ``(n, t, protocol, adversary, inputs)`` configuration repeated over a seed
-range.  Four executors can run a sweep:
+range.  The ``engine`` argument names the *result family* that runs it:
 
 ``vectorized``
     A batched NumPy kernel: all trials execute simultaneously on
@@ -19,22 +19,15 @@ range.  Four executors can run a sweep:
     (:mod:`repro.simulator.scheduler`), one seeded run per trial.  Supports
     every protocol and adversary.
 
-``vectorized-mp``
-    The batched kernel sharded over a ``ProcessPoolExecutor`` by trial range:
-    the ``trials`` counter range is split into contiguous per-worker
-    sub-batches, each worker runs its range on the sweep's global Philox keys
-    (trial ``k`` always uses key ``(base_seed, k)`` — the kernels'
-    ``trial_offset`` contract) and the partial aggregates are merged exactly
-    with :meth:`repro.core.runner.TrialsResult.merge`.  Bit-identical to
-    ``vectorized``; only wall-clock time changes.
+``workers`` alone decides *placement*: ``workers=k > 1`` splits the trial
+counter range into contiguous ranges run on a ``ProcessPoolExecutor`` of
+``min(k, trials)`` processes, whichever family runs them.  Trial ``k``
+always uses the same Philox key ``(base_seed, k)`` or master seed
+``base_seed + k`` (the ``trial_offset`` contract), so a sharded sweep is
+bit-identical to the in-process one; only wall-clock time changes.
 
-``object-mp``
-    The object simulator fanned out over a ``ProcessPoolExecutor`` by seed
-    range.  Bit-identical to ``object`` (trial ``k`` always uses master seed
-    ``base_seed + k``); only wall-clock time changes.
-
-:func:`run_sweep` auto-dispatches between them (``engine="auto"``) or obeys an
-explicit choice.  The decision logic is exposed separately as
+:func:`run_sweep` auto-dispatches between the families (``engine="auto"``)
+or obeys an explicit choice.  The decision logic is exposed separately as
 :func:`select_engine` so callers (and the README's dispatch table) can see
 which configurations take the fast path.  :func:`run_coin_sweep` provides the
 same dispatch for the standalone common-coin Monte-Carlo (experiment E2).
@@ -79,19 +72,8 @@ from repro.simulator.vectorized import (
 )
 from repro.topology.loss import validate_loss
 
-#: Engine names accepted by :func:`run_sweep`.
-ENGINES = ("auto", "vectorized", "vectorized-mp", "object", "object-mp")
-
-#: Engine name -> result family.  Engines within one family are bit-identical
-#: (the parallel variants only change wall-clock time), which is why the
-#: sweep results store (:mod:`repro.sweeps.store`) keys cached results by
-#: family rather than by concrete engine.
-ENGINE_FAMILIES = {
-    "vectorized": "vectorized",
-    "vectorized-mp": "vectorized",
-    "object": "object",
-    "object-mp": "object",
-}
+#: Engine names accepted by :func:`run_sweep`: ``auto`` or a result family.
+ENGINES = ("auto", "vectorized", "object")
 
 #: Object-simulator adversary names -> committee-engine behaviours, derived
 #: from the committee engine's full hook surface (the vectorised names
@@ -133,17 +115,19 @@ PROTOCOL_KERNELS: dict[str, KernelSpec] = {
 VECTORIZED_PROTOCOLS = tuple(sorted(PROTOCOL_KERNELS))
 
 #: Below this much estimated work (``trials * n^2`` message deliveries) the
-#: process-pool startup cost outweighs the parallelism.
+#: process-pool startup cost outweighs the parallelism of an object sweep.
 _MIN_WORK_FOR_PROCESSES = 5_000_000
 
-#: Seed-range chunks handed out per worker (keeps the pool load-balanced when
-#: per-seed run times vary).
+#: Trial ranges handed out per worker on the object family (keeps the pool
+#: load-balanced when per-seed run times vary); a vectorized batch pays
+#: per-phase fixed costs, so it gets one range per worker.
 _CHUNKS_PER_WORKER = 4
 
 
 @dataclass
 class SweepResult(TrialsResult):
-    """A :class:`TrialsResult` that also records which engine produced it."""
+    """A :class:`TrialsResult` that also records the result family that
+    produced it (``"vectorized"`` or ``"object"``)."""
 
     engine: str = "object"
 
@@ -189,16 +173,13 @@ def select_engine(
     adversary: str,
     *,
     engine: str = "auto",
-    trials: int = 10,
-    n: int = 0,
-    workers: int | None = None,
     max_rounds: int | None = None,
     topology: str = "clique",
     loss: float = 0.0,
     protocol_kwargs: dict[str, Any] | None = None,
     adversary_kwargs: dict[str, Any] | None = None,
 ) -> str:
-    """Resolve ``engine="auto"`` to a concrete engine name.
+    """Resolve ``engine`` to the result family that runs the configuration.
 
     Raises:
         ConfigurationError: For unknown engine names, or when
@@ -216,67 +197,36 @@ def select_engine(
         protocol_kwargs=protocol_kwargs,
         adversary_kwargs=adversary_kwargs,
     )
-    if engine in ("vectorized", "vectorized-mp"):
-        if not fast:
-            raise ConfigurationError(
-                f"no vectorized kernel for protocol={protocol!r} "
-                f"adversary={adversary!r} with the given options; "
-                "use engine='object' (or 'auto')"
-            )
-        return engine
+    if engine == "vectorized" and not fast:
+        raise ConfigurationError(
+            f"no vectorized kernel for protocol={protocol!r} "
+            f"adversary={adversary!r} with the given options; "
+            "use engine='object' (or 'auto')"
+        )
     if engine == "auto":
-        if fast:
-            # An explicit workers= under auto is an explicit request for the
-            # sharded pool (results are bit-identical either way).
-            if workers is not None and workers > 1 and trials > 1:
-                return "vectorized-mp"
-            return "vectorized"
-        if workers is not None:
-            return "object-mp" if workers > 1 else "object"
-        # Escalate to the process pool only when the sweep is big enough for
-        # the pool startup to pay off.
-        effective = os.cpu_count() or 1
-        if effective > 1 and trials > 1 and trials * n * n >= _MIN_WORK_FOR_PROCESSES:
-            return "object-mp"
-        return "object"
-    # Explicit "object" / "object-mp" choices are honored verbatim.
+        return "vectorized" if fast else "object"
     return engine
 
 
-def _seed_chunks(base_seed: int, trials: int, chunks: int) -> list[list[int]]:
-    """Split the seed range into at most ``chunks`` contiguous pieces."""
-    seeds = [base_seed + k for k in range(trials)]
-    size = max(1, -(-len(seeds) // max(1, chunks)))
-    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
+def validate_workers(workers: int | None) -> None:
+    """Reject a process count below one (``None`` means automatic)."""
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
 
-def _trials_chunk(payload: tuple[AgreementExperiment, list[int]]) -> list[TrialSummary]:
-    """Worker entry point: run one contiguous seed range serially."""
-    experiment, seeds = payload
-    return [run_single_trial(experiment, seed) for seed in seeds]
+def _pool_size(family: str, trials: int, n: int, workers: int | None) -> int:
+    """How many processes a sweep runs on; ``workers`` alone decides.
 
-
-def _run_object_sweep(
-    experiment: AgreementExperiment,
-    trials: int,
-    base_seed: int,
-    workers: int | None,
-    parallel: bool,
-) -> list[TrialSummary]:
-    """Object-simulator sweep, serial or fanned out over processes.
-
-    The parallel path is bit-identical to the serial one: seeds are assigned
-    as ``base_seed + k`` either way and results are re-assembled in seed
-    order.
+    ``workers=k`` runs on ``min(k, trials)`` processes (``1`` means
+    in-process).  ``None`` keeps vectorized sweeps in-process and spreads an
+    object sweep over every CPU once its ``trials * n^2`` message deliveries
+    reach :data:`_MIN_WORK_FOR_PROCESSES`, where the pool startup pays off.
     """
-    if not parallel or trials < 2:
-        return [run_single_trial(experiment, base_seed + k) for k in range(trials)]
-    pool_size = workers if workers is not None else (os.cpu_count() or 1)
-    pool_size = max(1, min(pool_size, trials))
-    chunks = _seed_chunks(base_seed, trials, pool_size * _CHUNKS_PER_WORKER)
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        parts = list(pool.map(_trials_chunk, [(experiment, chunk) for chunk in chunks]))
-    return [summary for part in parts for summary in part]
+    if workers is None:
+        if family == "vectorized" or trials * n * n < _MIN_WORK_FOR_PROCESSES:
+            return 1
+        workers = os.cpu_count() or 1
+    return min(workers, trials)
 
 
 def _run_vectorized_sweep(
@@ -338,104 +288,90 @@ def _run_vectorized_sweep(
     return rows
 
 
-def _vectorized_shard(
-    payload: tuple[
-        AgreementExperiment,
-        int,
-        int,
-        ProtocolParameters | None,
-        int,
-        str | PlaneBackend | None,
-        tuple[int, str] | None,
-    ],
+def _run_range(
+    family: str,
+    experiment: AgreementExperiment,
+    base_seed: int,
+    params: ProtocolParameters | None,
+    backend: str | PlaneBackend | None,
+    offset: int,
+    count: int,
+    trace: tuple[int, str] | None = None,
 ) -> list[TrialSummary]:
-    """Worker entry point: one contiguous trial range of a sharded sweep.
+    """Trials ``[offset, offset + count)`` of a sweep, run in this process.
 
-    When the parent is tracing, the payload carries a ``(shard_index, path)``
-    child-trace assignment: the worker runs under its own shard-tagged
+    Both the in-process path and the one worker entry of :func:`_run_sharded`.
+    A sharded worker of a traced sweep gets a ``(shard_index, path)``
+    child-trace assignment: it runs under its own shard-tagged
     :class:`Tracer` and exports it to ``path`` for the parent to merge
     (tracers are per process, never inherited through the pool).
     """
-    experiment, count, base_seed, params, trial_offset, backend, trace_spec = payload
-    if trace_spec is None:
-        return _run_vectorized_sweep(
-            experiment, count, base_seed, params, trial_offset, backend
-        )
-    shard_index, trace_path = trace_spec
-    tracer = Tracer(run_id=f"shard-{shard_index}", shard=shard_index)
-    with activate(tracer):
-        summaries = _run_vectorized_sweep(
-            experiment, count, base_seed, params, trial_offset, backend
-        )
-    write_trace(tracer, trace_path)
-    return summaries
+    if trace is not None:
+        shard, path = trace
+        tracer = Tracer(run_id=f"shard-{shard}", shard=shard)
+        with activate(tracer), tracer.span("sweep.shard", offset=offset, trials=count):
+            rows = _run_range(family, experiment, base_seed, params, backend, offset, count)
+        write_trace(tracer, path)
+        return rows
+    if family == "vectorized":
+        return _run_vectorized_sweep(experiment, count, base_seed, params, offset, backend)
+    # The object family's global counter is the master seed itself: trial k
+    # runs on seed base_seed + k.
+    first = base_seed + offset
+    return [run_single_trial(experiment, seed) for seed in range(first, first + count)]
 
 
-def _run_vectorized_sharded(
+def _run_sharded(
+    family: str,
     experiment: AgreementExperiment,
     trials: int,
     base_seed: int,
     params: ProtocolParameters | None,
-    workers: int | None,
-    backend: str | PlaneBackend | None = None,
-    trial_offset: int = 0,
+    backend: str | PlaneBackend | None,
+    trial_offset: int,
+    processes: int,
 ) -> list[TrialSummary]:
-    """The batched kernel sweep sharded over processes by trial range.
+    """A sweep sharded over ``processes`` workers by trial range.
 
-    The trial counter range ``[trial_offset, trial_offset + trials)`` is
-    split into contiguous sub-batches; each worker runs its sub-batch with
-    ``trial_offset`` set to the range start, so every trial draws from the
-    same ``(base_seed, k)`` Philox key it would use in the single-process
-    batch.  Partial aggregates are merged in range order via
-    :meth:`TrialsResult.merge`, which makes the sharded sweep bit-identical
-    to ``engine="vectorized"``.
+    The trial counter range ``[trial_offset, trial_offset + trials)`` is split
+    into contiguous ranges — :data:`_CHUNKS_PER_WORKER` per worker on the
+    object family, one per worker on the vectorized one.  Each range runs on
+    the same global Philox keys or master seeds it would use in process, and
+    the rows are concatenated in range order, so the sharded sweep is
+    bit-identical to the in-process one.  When the parent is tracing, every
+    range writes a child trace that the parent absorbs in range order.
     """
-    pool_size = workers if workers is not None else (os.cpu_count() or 1)
-    pool_size = max(1, min(pool_size, trials))
-    if pool_size == 1:
-        return _run_vectorized_sweep(
-            experiment, trials, base_seed, params, trial_offset, backend
-        )
+    ranges = processes * (_CHUNKS_PER_WORKER if family == "object" else 1)
+    size = -(-trials // ranges)
+    starts = range(0, trials, size)
     tracer = current_tracer()
     child_dir = (
         tempfile.mkdtemp(prefix="repro-trace-shards-") if tracer.enabled else None
     )
-    size = -(-trials // pool_size)
-    shards = []
-    for shard_index, start in enumerate(range(0, trials, size)):
-        trace_spec = (
-            None
-            if child_dir is None
-            else (
-                shard_index,
-                os.path.join(child_dir, f"shard-{shard_index:03d}.jsonl"),
-            )
-        )
-        shards.append(
-            (
-                experiment, min(size, trials - start), base_seed, params,
-                trial_offset + start, backend, trace_spec,
-            )
-        )
+    traces = [
+        None if child_dir is None
+        else (shard, os.path.join(child_dir, f"shard-{shard:03d}.jsonl"))
+        for shard in range(len(starts))
+    ]
+    run = partial(_run_range, family, experiment, base_seed, params, backend)
     try:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_vectorized_shard, shards))
-        if child_dir is not None:
-            # Merge the child traces in shard order; each child's events keep
-            # their own sequence numbers, so the merged trace orders
-            # deterministically by (shard, sequence) regardless of worker
-            # scheduling.
-            for payload in shards:
-                trace_spec = payload[6]
-                if trace_spec is not None and os.path.exists(trace_spec[1]):
-                    tracer.absorb(read_trace(trace_spec[1]), shard=trace_spec[0])
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            parts = list(pool.map(
+                run,
+                [trial_offset + start for start in starts],
+                [min(size, trials - start) for start in starts],
+                traces,
+            ))
+        # Each child's events keep their own sequence numbers, so the merged
+        # trace orders deterministically by (shard, sequence) regardless of
+        # worker scheduling.
+        for trace in traces:
+            if trace is not None and os.path.exists(trace[1]):
+                tracer.absorb(read_trace(trace[1]), shard=trace[0])
     finally:
         if child_dir is not None:
             shutil.rmtree(child_dir, ignore_errors=True)
-    merged = TrialsResult.merge(
-        [TrialsResult(experiment=experiment, trials=part) for part in parts]
-    )
-    return merged.trials
+    return [row for part in parts for row in part]
 
 
 def run_sweep(
@@ -470,24 +406,22 @@ def run_sweep(
         engine: ``"auto"`` (default) picks the batched vectorised kernel
             whenever :data:`PROTOCOL_KERNELS` registers one for the
             ``(protocol, adversary)`` pair and otherwise falls back to the
-            object simulator, escalating to a multiprocessing executor when
-            ``workers > 1`` is requested (trial-range sharding of the batched
-            kernel) or the object sweep is large (seed-range fan-out);
-            ``"vectorized"`` / ``"vectorized-mp"`` / ``"object"`` /
-            ``"object-mp"`` force a path (``"object"`` never spawns
-            processes).
-        workers: Process count for the sharded executors (``None`` = one
-            per CPU).  Results never depend on it.
+            object simulator; ``"vectorized"`` / ``"object"`` force a family.
+        workers: Processes to run on — ``workers`` alone decides placement,
+            whatever the engine.  ``1`` runs in-process, ``k > 1`` shards the
+            trial range over ``min(k, trials)`` processes, and ``None`` keeps
+            vectorized sweeps in-process and spreads large object sweeps over
+            every CPU.  Results never depend on it.
         params: Committee-geometry override for the committee-family kernels
             (used by E3 to decouple the declared ``t`` from the attack
             budget).
         trials: Number of independent trials; trial ``k`` uses master seed
-            ``base_seed + k`` (object engines) or Philox key
+            ``base_seed + k`` (object family) or Philox key
             ``(base_seed, k)`` (vectorised kernels).
         trial_offset: Start of the call's trial-counter range (default 0).
             Trial ``k`` of the call uses the *global* counter
             ``trial_offset + k`` — master seed ``base_seed + trial_offset +
-            k`` on the object engines, Philox key ``(base_seed, trial_offset
+            k`` on the object family, Philox key ``(base_seed, trial_offset
             + k)`` on the vectorised kernels — so concatenating batches run
             at consecutive offsets is bit-identical to one unsplit sweep.
             This is the contract the sharded and adaptive executors build on.
@@ -497,13 +431,13 @@ def run_sweep(
             ``"numpy"``, ``"packed"`` or a
             :class:`~repro.simulator.planes.base.PlaneBackend` forces one, for
             bit-identity checks.  Both are bit-identical, so results — and
-            sweep-store cache keys — never depend on it; the object engines
+            sweep-store cache keys — never depend on it; the object family
             and closed-form kernels have no planes and ignore it.
 
     Returns:
         A :class:`SweepResult` whose ``trials`` list and aggregate properties
         match :func:`repro.core.runner.run_trials`, with ``engine`` recording
-        the executor actually used.
+        the result family that ran it.
     """
     if trials < 1:
         raise ConfigurationError(f"num_trials must be positive, got {trials}")
@@ -529,6 +463,7 @@ def run_sweep(
     elif n is not None or t is not None:
         raise ConfigurationError("pass either (n, t) or experiment=, not both")
     validate_loss(experiment.loss)
+    validate_workers(workers)
     if backend is not None:
         resolve_backend(backend)
 
@@ -539,21 +474,19 @@ def run_sweep(
         adversary=experiment.adversary,
         requested=engine,
     ):
-        chosen = select_engine(
+        family = select_engine(
             experiment.protocol,
             experiment.adversary,
             engine=engine,
-            trials=trials,
-            n=experiment.n,
-            workers=workers,
             max_rounds=experiment.max_rounds,
             topology=experiment.topology,
             loss=experiment.loss,
             protocol_kwargs=experiment.protocol_kwargs,
             adversary_kwargs=experiment.adversary_kwargs,
         )
+        processes = _pool_size(family, trials, experiment.n, workers)
     if params is not None and (
-        chosen not in ("vectorized", "vectorized-mp")
+        family != "vectorized"
         or not PROTOCOL_KERNELS[experiment.protocol].supports_params
     ):
         raise ConfigurationError(
@@ -562,33 +495,26 @@ def run_sweep(
         )
 
     tracer.count(
-        "dispatch.kernel_path"
-        if chosen in ("vectorized", "vectorized-mp")
-        else "dispatch.object_path"
+        "dispatch.kernel_path" if family == "vectorized" else "dispatch.object_path"
     )
     with tracer.span(
-        f"sweep.{chosen}",
+        f"sweep.{family}",
         protocol=experiment.protocol,
         adversary=experiment.adversary,
         n=experiment.n,
         trials=trials,
+        workers=processes,
     ):
-        if chosen == "vectorized":
-            summaries = _run_vectorized_sweep(
-                experiment, trials, base_seed, params, trial_offset, backend
-            )
-        elif chosen == "vectorized-mp":
-            summaries = _run_vectorized_sharded(
-                experiment, trials, base_seed, params, workers, backend, trial_offset
+        if processes == 1:
+            summaries = _run_range(
+                family, experiment, base_seed, params, backend, trial_offset, trials
             )
         else:
-            # The object engines' global counter is the master seed itself:
-            # trial k of the call runs on seed base_seed + trial_offset + k.
-            summaries = _run_object_sweep(
-                experiment, trials, base_seed + trial_offset, workers,
-                parallel=chosen == "object-mp",
+            summaries = _run_sharded(
+                family, experiment, trials, base_seed, params, backend,
+                trial_offset, processes,
             )
-    return SweepResult(experiment=experiment, trials=summaries, engine=chosen)
+    return SweepResult(experiment=experiment, trials=summaries, engine=family)
 
 
 # ----------------------------------------------------------------------
@@ -795,7 +721,6 @@ def markdown_engine_tables() -> dict[str, str]:
 
 __all__ = [
     "ADVERSARY_FAST_PATH",
-    "ENGINE_FAMILIES",
     "ENGINES",
     "PROTOCOL_KERNELS",
     "SweepResult",
@@ -807,5 +732,6 @@ __all__ = [
     "run_sweep",
     "select_engine",
     "topology_support_table",
+    "validate_workers",
     "vectorizable",
 ]

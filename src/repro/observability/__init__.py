@@ -13,8 +13,9 @@ The subsystem has three layers:
 :mod:`repro.observability.export`
     The JSONL event exporter: one schema-versioned event per span / counter /
     object-simulator round, written under ``benchmarks/results/traces/`` and
-    re-loadable (with validation) for reporting.  Child traces from
-    ``vectorized-mp`` workers merge deterministically by (shard, sequence).
+    re-loadable (with validation) for reporting.  Child traces from the
+    sharded (``workers > 1``) workers of either engine family merge
+    deterministically by (shard, sequence).
 
 :mod:`repro.observability.report`
     Aggregation: folds a trace's spans into a per-stage wall-time breakdown

@@ -16,8 +16,8 @@ one event per line.  The event vocabulary:
 
 ``counter``
     One flushed counter total: ``name`` and integer ``value``.  Counters are
-    flushed once at export time; ``vectorized-mp`` child counters fold into
-    the parent totals before the flush.
+    flushed once at export time; the child counters of sharded
+    (``workers > 1``) workers fold into the parent totals before the flush.
 
 ``object_round`` / ``object_summary``
     The object simulator's :class:`~repro.simulator.trace.ExecutionTrace`

@@ -11,9 +11,10 @@ the plane-op hot paths (asserted <2% of engine throughput by
 
 A real :class:`Tracer` is installed for the duration of a ``with
 activate(tracer):`` block (the CLI does this for ``--trace`` /
-``REPRO_TRACE=1``).  Activation is per process: ``vectorized-mp`` workers
-receive an explicit child-trace assignment through their shard payload
-instead of inheriting the parent's tracer.
+``REPRO_TRACE=1``).  Activation is per process: the workers of a sharded
+(``workers > 1``) sweep of either engine family receive an explicit
+child-trace assignment with their trial range instead of inheriting the
+parent's tracer.
 
 Determinism contract: tracing reads :func:`time.perf_counter_ns` and mutates
 its own event list — it never draws randomness or touches simulation state,
@@ -145,7 +146,7 @@ class Tracer:
     Args:
         run_id: Identifier stamped into the exported trace header.
         shard: Worker-shard index for child tracers created inside
-            ``vectorized-mp`` workers (``None`` for the parent process).
+            sharded sweep workers (``None`` for the parent process).
     """
 
     enabled = True
@@ -210,7 +211,7 @@ class Tracer:
 
         Parent-process events (``shard`` ``None``) sort first; each worker
         shard follows in index order, each internally in sequence order —
-        the deterministic merge order of a ``vectorized-mp`` trace.
+        the deterministic merge order of a sharded (``workers > 1``) trace.
         """
         return sorted(
             self._events,

@@ -184,6 +184,22 @@ class SampleReply(Payload):
         return BITS_PER_COUNTER + BITS_PER_FLAG
 
 
+#: CONGEST payload sizes (bits) by payload kind, derived from the live
+#: ``bit_size()`` definitions above so the batched kernels' bit accounting can
+#: never drift from the object simulator's.
+PAYLOAD_BITS: dict[str, int] = {
+    payload.kind(): payload.bit_size()
+    for payload in (
+        ValueAnnouncement(phase=1, round_in_phase=1, value=0, decided=False),
+        CombinedAnnouncement(phase=1, value=0, decided=False, share=None),
+        CoinShare(phase=1, share=1),
+        KingValue(phase=1, value=0),
+        SampleRequest(phase=1),
+        SampleReply(phase=1, value=0),
+    )
+}
+
+
 @dataclass(frozen=True)
 class Message:
     """A single point-to-point message.

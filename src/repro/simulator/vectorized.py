@@ -55,11 +55,12 @@ from repro.exceptions import ConfigurationError
 # trial_generator is re-exported: callers, and sweepbench/layers.py's
 # rng-setup timer, look it up on this module.
 from repro.simulator.draws import TrialStreams, trial_generator  # noqa: F401
+from repro.simulator.messages import PAYLOAD_BITS
 from repro.simulator.phase_engine import PhaseEngine, finalize_planes
 
-#: CONGEST cost (bits) of the round-1 and round-2 payloads, kept consistent
-#: with repro.simulator.messages.ValueAnnouncement / CombinedAnnouncement.
-_ROUND_PAYLOAD_BITS = 35
+#: CONGEST cost (bits) of the round-1 and round-2 payloads: the live
+#: CombinedAnnouncement size.
+_ROUND_PAYLOAD_BITS = PAYLOAD_BITS["CombinedAnnouncement"]
 
 #: The committee-family protocols this engine runs: the paper's Algorithm 3
 #: and the Chor–Coan baseline, each bounded or Las Vegas.
@@ -492,7 +493,7 @@ def run_vectorized_trials(
     and its row records ``seed = trial_offset + k``, so a sweep of ``T``
     trials can be split into contiguous sub-batches (each worker passing its
     range start as ``trial_offset``) whose concatenated rows equal the
-    single-batch run — the contract the ``vectorized-mp`` sharded executor
+    single-batch run — the contract the ``workers > 1`` sharded executor
     of :mod:`repro.engine` relies on.  :func:`repro.engine.run_sweep` wraps
     the rows in a :class:`~repro.engine.SweepResult` for the aggregate
     statistics.

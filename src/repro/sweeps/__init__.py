@@ -49,7 +49,6 @@ from repro.sweeps.store import (
     adaptive_key,
     adaptive_record,
     default_store_root,
-    engine_family,
     experiment_key,
     point_key,
     result_from_record,
@@ -79,7 +78,6 @@ __all__ = [
     "adaptive_status",
     "canonical_json",
     "default_store_root",
-    "engine_family",
     "estimate_point",
     "expand_rows",
     "experiment_key",

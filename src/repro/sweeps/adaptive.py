@@ -19,7 +19,7 @@ Reproducibility contract
 Batches run through :func:`repro.engine.run_sweep` with ``trial_offset`` set
 to the point's accumulated trial count, so batch trials draw from the same
 global counter streams — Philox key ``(base_seed, k)`` on the vectorised
-kernels, master seed ``base_seed + k`` on the object engines — they would use
+kernels, master seed ``base_seed + k`` on the object family — they would use
 in one unsplit sweep.  Concatenating the batches with
 :meth:`repro.core.runner.TrialsResult.merge` is therefore **bit-identical**
 to a one-shot run at the same total trial count, and because the greedy
@@ -47,7 +47,7 @@ from repro.analysis.statistics import (
     relative_ci_width,
     success_rate,
 )
-from repro.engine import SweepResult, run_sweep
+from repro.engine import SweepResult, run_sweep, validate_workers
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.sweeps.executor import spec_keys
@@ -268,18 +268,15 @@ class AdaptiveRunReport:
 
 
 def adaptive_keys(
-    spec: SweepSpec,
-    *,
-    engine: str | None = None,
-    workers: int | None = None,
+    spec: SweepSpec, *, engine: str | None = None
 ) -> list[tuple[SweepPoint, str]]:
     """Expand a spec and compute each point's trials-independent adaptive key.
 
     :func:`repro.sweeps.executor.spec_keys` with :func:`adaptive_key` — the
-    key depends on the result *family* of the engine that would run the
-    point, never on the concrete serial/parallel variant or the trial count.
+    key depends on the result *family* that would run the point, never on
+    its process count or trial count.
     """
-    return spec_keys(spec, engine=engine, workers=workers, key=adaptive_key)
+    return spec_keys(spec, engine=engine, key=adaptive_key)
 
 
 def run_adaptive(
@@ -318,6 +315,7 @@ def run_adaptive(
     """
     if limit is not None and limit < 0:
         raise ConfigurationError(f"limit must be >= 0, got {limit}")
+    validate_workers(workers)
     started = time.perf_counter()
     targets = resolve_targets(
         spec, precision=precision, max_trials=max_trials,
@@ -334,7 +332,7 @@ def run_adaptive(
                 else result_from_record(record)
             ),
         )
-        for point, key in adaptive_keys(spec, engine=engine, workers=workers)
+        for point, key in adaptive_keys(spec, engine=engine)
     ]
     executed = 0
 

@@ -6,8 +6,8 @@
 interrupted sweep (Ctrl-C, OOM kill, pre-empted CI runner) can simply be
 re-invoked: points whose content key is already stored are served from the
 cache and only the remainder executes.  Multi-core machines additionally get
-trial-range sharding for free — ``workers > 1`` routes vectorisable points
-through the bit-identical ``vectorized-mp`` engine.
+trial-range sharding for free — ``workers > 1`` spreads every computed point
+over that many processes, bit-identically and under the same store key.
 
 The executor is deliberately dumb about *what* it runs: every decision that
 affects results (grid contents, seeds, engine family) is owned by the spec
@@ -20,11 +20,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.engine import run_sweep, select_engine
+from repro.engine import run_sweep, select_engine, validate_workers
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import Tracer, current_tracer
 from repro.sweeps.spec import SweepPoint, SweepSpec
-from repro.sweeps.store import ResultsStore, engine_family, point_key, sweep_record
+from repro.sweeps.store import ResultsStore, point_key, sweep_record
 
 #: Per-point progress callback: ``(outcome, index, total)``.
 ProgressCallback = Callable[["PointOutcome", int, int], None]
@@ -96,32 +96,28 @@ def spec_keys(
     spec: SweepSpec,
     *,
     engine: str | None = None,
-    workers: int | None = None,
     key: Callable[[SweepPoint, str], str] = point_key,
 ) -> list[tuple[SweepPoint, str]]:
     """Expand a spec and compute each point's content key.
 
-    The key depends on the *result family* of the engine that would run the
-    point (``select_engine`` per point — "auto" may resolve differently per
-    configuration), never on the concrete serial/parallel variant.  ``key``
-    maps a point and its family to the key: :func:`point_key` for uniform
-    runs, the trials-independent ``adaptive_key`` for adaptive ones.
+    The key depends on the *result family* that would run the point
+    (``select_engine`` per point — "auto" may resolve differently per
+    configuration), never on how many processes run it.  ``key`` maps a
+    point and its family to the key: :func:`point_key` for uniform runs, the
+    trials-independent ``adaptive_key`` for adaptive ones.
     """
     requested = engine if engine is not None else spec.engine
     pairs = []
     for point in spec.expand():
-        resolved = select_engine(
+        family = select_engine(
             point.protocol,
             point.adversary,
             engine=requested,
-            trials=point.trials,
-            n=point.n,
-            workers=workers,
             max_rounds=point.max_rounds,
             topology=point.topology,
             loss=point.loss,
         )
-        pairs.append((point, key(point, engine_family(resolved))))
+        pairs.append((point, key(point, family)))
     return pairs
 
 
@@ -139,8 +135,8 @@ def run_spec(
     Args:
         store: Results store consulted before and written after every point.
         engine: Engine override (defaults to the spec's own choice).
-        workers: Process count for the sharded executors; vectorisable
-            points run on ``vectorized-mp`` when ``workers > 1``.
+        workers: Processes per computed point (see
+            :func:`repro.engine.run_sweep`); never part of a store key.
         limit: Execute at most this many *pending* points (``>= 0``),
             leaving the rest for a later invocation (the CI resume check uses
             this to emulate an interrupted run deterministically).
@@ -153,6 +149,7 @@ def run_spec(
     """
     if limit is not None and limit < 0:
         raise ConfigurationError(f"limit must be >= 0, got {limit}")
+    validate_workers(workers)
     if spec.adaptive:
         raise ConfigurationError(
             f"spec {spec.name!r} declares a precision target; run it with "
@@ -160,7 +157,7 @@ def run_spec(
             "--adaptive) instead of the uniform executor"
         )
     started = time.perf_counter()
-    pairs = spec_keys(spec, engine=engine, workers=workers)
+    pairs = spec_keys(spec, engine=engine)
     requested = engine if engine is not None else spec.engine
     outcomes: list[PointOutcome] = []
     executed = 0

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.core.runner import TrialsResult, TrialSummary
-from repro.engine import ENGINE_FAMILIES, SweepResult
+from repro.engine import SweepResult
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, canonical_json
@@ -78,23 +78,13 @@ def default_store_root() -> Path:
     return Path("benchmarks/results/store")
 
 
-def engine_family(engine: str) -> str:
-    """Collapse an engine name to its bit-identical result family."""
-    try:
-        return ENGINE_FAMILIES[engine]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available: {sorted(ENGINE_FAMILIES)}"
-        ) from None
-
-
 def point_key(point: SweepPoint, family: str) -> str:
     """Content key of one sweep point's results under one engine family.
 
     The hash covers the canonical point (every field, canonically ordered),
-    the engine *family* (``vectorized`` and ``vectorized-mp`` are
-    bit-identical, as are ``object`` and ``object-mp``) and the store schema
-    version — the code-relevant parameters.  Stable across dict ordering by
+    the engine *family* (``vectorized`` or ``object``; the process count a
+    point ran on never enters it) and the store schema version — the
+    code-relevant parameters.  Stable across dict ordering by
     construction (:func:`repro.sweeps.spec.canonical_json`).
     """
     if family not in ("vectorized", "object"):
@@ -142,13 +132,18 @@ def experiment_key(experiment_id: str, mode: str) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def sweep_record(point: SweepPoint, result: TrialsResult, engine: str) -> dict[str, Any]:
-    """Build the stored record for one computed sweep point."""
+def sweep_record(point: SweepPoint, result: TrialsResult, family: str) -> dict[str, Any]:
+    """Build the stored record for one computed sweep point.
+
+    Both ``engine`` and ``engine_family`` name the result family.  Older
+    records may carry ``vectorized-mp`` / ``object-mp`` in ``engine``; their
+    keys are per family, so they are still served from the cache.
+    """
     return {
         "kind": "sweep-point",
         "schema": STORE_SCHEMA_VERSION,
-        "engine": engine,
-        "engine_family": engine_family(engine),
+        "engine": family,
+        "engine_family": family,
         "point": point.canonical(),
         "summary": result.summary(),
         "trial_fields": list(TrialSummary.__dataclass_fields__),
@@ -162,7 +157,7 @@ def sweep_record(point: SweepPoint, result: TrialsResult, engine: str) -> dict[s
 def adaptive_record(
     point: SweepPoint,
     result: TrialsResult,
-    engine: str,
+    family: str,
     *,
     precision: float,
     batch_size: int,
@@ -179,7 +174,7 @@ def adaptive_record(
     from dataclasses import replace
 
     accumulated = replace(point, trials=result.num_trials)
-    record = sweep_record(accumulated, result, engine)
+    record = sweep_record(accumulated, result, family)
     record["kind"] = "adaptive-point"
     record["adaptive"] = {
         "precision": precision,
@@ -307,16 +302,11 @@ class ResultsStore:
         if len(self._records) <= 512 or self._lines % 64 == 0:
             self.flush_index()
 
-    def put_sweep(self, point: SweepPoint, result: TrialsResult, engine: str) -> str:
+    def put_sweep(self, point: SweepPoint, result: TrialsResult, family: str) -> str:
         """Store one computed sweep point; returns its content key."""
-        key = point_key(point, engine_family(engine))
-        self.put(key, sweep_record(point, result, engine))
+        key = point_key(point, family)
+        self.put(key, sweep_record(point, result, family))
         return key
-
-    def get_sweep(self, point: SweepPoint, family: str) -> SweepResult | None:
-        """The cached result of ``point`` under ``family`` (or None)."""
-        record = self.get(point_key(point, family))
-        return None if record is None else result_from_record(record)
 
     # -- derived index -------------------------------------------------
     def flush_index(self) -> None:

@@ -35,9 +35,9 @@ generator has its own lock, so the workers never contend.  Instead of
 ``ceil(loss * 2**53) << 11``: for a bit generator whose ``random()`` is
 ``(next_uint64 >> 11) * 2**-53`` (Philox and PCG64) the two are the same
 test on the same draws, leaving the generator in the same state — without
-the float conversion.  Forked processes (``vectorized-mp`` workers) draw
-inline: the parent already spreads trials across processes, and a pool
-inherited through ``fork`` has no threads behind it.
+the float conversion.  Forked processes (the workers of a ``workers > 1``
+sweep) draw inline: the parent already spreads trials across processes, and
+a pool inherited through ``fork`` has no threads behind it.
 """
 
 from __future__ import annotations

@@ -253,6 +253,13 @@ class TestResume:
         assert idle.computed_batches == idle.computed_trials == 0
         assert len(store) == 0
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_before_anything_runs(self, tmp_path, workers):
+        store = ResultsStore(tmp_path / "store")
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            run_adaptive(TINY_ADAPTIVE, store=store, workers=workers)
+        assert len(store) == 0
+
     def test_kill_mid_write_with_torn_line_recomputes_only_that_batch(
         self, tmp_path
     ):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.observability import read_trace
 
 
 class TestParser:
@@ -60,6 +61,22 @@ class TestCommands:
         assert code == 0
         assert "object" in output and "vectorized" not in output
 
+    @pytest.mark.parametrize("engine", ["vectorized", "object"])
+    def test_trials_workers_shard_under_either_engine(self, tmp_path, capsys,
+                                                      monkeypatch, engine):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        argv = ["trials", "--n", "16", "--t", "3", "--trials", "4", "--seed", "5",
+                "--engine", engine]
+        assert main([*argv, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--workers", "2", "--trace"]) == 0
+        output = capsys.readouterr().out
+        table, trace_line = output.rsplit("trace written: ", 1)
+        assert table == serial
+        events = read_trace(trace_line.split(" (")[0])
+        (span,) = [e for e in events if e.get("name") == f"sweep.{engine}"]
+        assert span["meta"]["workers"] == 2
+
     def test_experiment_command_quick(self, capsys):
         code = main(["experiment", "e7"])
         output = capsys.readouterr().out
@@ -85,6 +102,7 @@ class TestCommands:
          "seed must be in [0, 2**64)"),
         (["trials", "--n", "64", "--t", "8", "--trials", "3",
           "--seed", "18446744073709551616"], "seed must be in [0, 2**64)"),
+        (["trials", "--workers", "-2"], "workers must be >= 1, got -2"),
     ])
     def test_configuration_errors_print_one_line_and_exit_2(self, capsys, argv, message):
         code = main(argv)
@@ -94,12 +112,18 @@ class TestCommands:
         assert captured.err.count("\n") == 1  # one line, no traceback
 
     @pytest.mark.parametrize("extra", [[], ["--precision", "0.4"]], ids=["uniform", "adaptive"])
-    def test_negative_sweep_limit_prints_one_line_and_exits_2(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("flag,message", [
+        (["--limit", "-1"], "limit must be >= 0, got -1"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+    ], ids=["limit", "workers"])
+    def test_bad_sweep_run_counts_print_one_line_and_exit_2(
+        self, tmp_path, capsys, extra, flag, message
+    ):
         store = tmp_path / "store"
-        code = main(["sweep", "run", "smoke", "--limit", "-1", "--store", str(store), *extra])
+        code = main(["sweep", "run", "smoke", *flag, "--store", str(store), *extra])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == "error: limit must be >= 0, got -1\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not any(store.rglob("*.jsonl"))
 

@@ -209,7 +209,7 @@ class TestDocsSuiteStructure:
 
     def test_architecture_doc_mentions_every_engine_and_registry(self):
         text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
-        for token in ("vectorized", "vectorized-mp", "object-mp",
+        for token in ("vectorized", "workers",
                       "PROTOCOL_KERNELS", "ADVERSARY_PLANE_KERNELS",
                       "trial_generator", "repro.sweeps", "trial_offset"):
             assert token in text
@@ -217,7 +217,7 @@ class TestDocsSuiteStructure:
     def test_sweeps_doc_covers_the_orchestration_contract(self):
         text = (REPO_ROOT / "docs" / "sweeps.md").read_text(encoding="utf-8")
         for token in ("SweepSpec", "content key", "append-only", "resume",
-                      "trial_offset", "vectorized-mp", "seed", "TOML",
+                      "trial_offset", "workers", "seed", "TOML",
                       "Wilson", "variance-greedy", "precision", "max_trials",
                       "crossover-adaptive", "bit-identical"):
             assert token in text, f"docs/sweeps.md lacks {token!r}"

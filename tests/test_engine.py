@@ -10,6 +10,7 @@ from repro.core.parameters import ProtocolParameters
 from repro.core.runner import AgreementExperiment, TrialSummary, run_trials
 from repro.engine import (
     ADVERSARY_FAST_PATH,
+    ENGINES,
     PROTOCOL_KERNELS,
     SweepResult,
     dispatch_table,
@@ -124,37 +125,29 @@ class TestSelectEngine:
             select_engine("committee-ba", "equivocate", engine="vectorized",
                           adversary_kwargs={"corrupt_per_phase": 2})
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("name", ["warp", "vectorized-mp", "object-mp"])
+    def test_unknown_engine_rejected(self, name):
+        assert ENGINES == ("auto", "vectorized", "object")
         with pytest.raises(ConfigurationError):
-            select_engine("committee-ba", "null", engine="warp")
+            select_engine("committee-ba", "null", engine=name)
 
     def test_auto_escalates_to_processes_only_for_large_sweeps(self, monkeypatch):
         import repro.engine as engine_module
 
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 8)
-        small = select_engine("eig", "equivocate", engine="auto",
-                              trials=5, n=32)
-        assert small == "object"
-        large = select_engine("eig", "equivocate", engine="auto",
-                              trials=200, n=512)
-        assert large == "object-mp"
+        assert engine_module._pool_size("object", 5, 32, None) == 1
+        assert engine_module._pool_size("object", 200, 512, None) == 8
+        assert engine_module._pool_size("object", 3, 2048, None) == 3
+        # Vectorized sweeps stay in-process unless workers asks otherwise.
+        assert engine_module._pool_size("vectorized", 200, 512, None) == 1
 
-    def test_auto_honors_an_explicit_worker_count(self):
-        # An explicit workers= under auto is an explicit request, regardless
-        # of sweep size.
-        parallel = select_engine("eig", "equivocate", engine="auto",
-                                 trials=5, n=32, workers=4)
-        assert parallel == "object-mp"
-        serial = select_engine("eig", "equivocate", engine="auto",
-                               trials=200, n=512, workers=1)
-        assert serial == "object"
+    @pytest.mark.parametrize("family", ["vectorized", "object"])
+    def test_workers_alone_decides_the_pool_size(self, family):
+        from repro.engine import _pool_size
 
-    def test_explicit_object_never_spawns_processes(self):
-        # engine="object" is a strict in-process contract, even for sweeps
-        # big enough that auto would escalate.
-        chosen = select_engine("eig", "equivocate", engine="object",
-                               trials=200, n=512, workers=4)
-        assert chosen == "object"
+        assert _pool_size(family, 5, 32, 4) == 4
+        assert _pool_size(family, 3, 32, 4) == 3  # never more than trials
+        assert _pool_size(family, 200, 512, 1) == 1
 
 
 class TestRunSweep:
@@ -180,15 +173,22 @@ class TestRunSweep:
                           engine="object")
         assert sweep.trials == again.trials
 
-    def test_multiprocessing_executor_is_bit_identical_to_serial(self):
+    def test_multiprocessing_executor_is_bit_identical_to_serial(self, traced_sweep):
         experiment = AgreementExperiment(n=19, t=3, protocol="committee-ba",
                                          adversary="coin-attack", inputs="split")
-        serial = run_sweep(experiment=experiment, trials=5, base_seed=5,
-                           engine="object")
-        parallel = run_sweep(experiment=experiment, trials=5, base_seed=5,
-                             engine="object-mp", workers=2)
-        assert parallel.engine == "object-mp"
+        serial, serial_workers = traced_sweep(experiment=experiment, trials=5,
+                                              base_seed=5, engine="object", workers=1)
+        parallel, workers = traced_sweep(experiment=experiment, trials=5,
+                                         base_seed=5, engine="object", workers=2)
+        assert (serial_workers, workers) == (1, 2)
+        assert parallel.engine == serial.engine == "object"
         assert serial.trials == parallel.trials
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            run_sweep(19, 3, protocol="committee-ba", adversary="null",
+                      trials=2, workers=workers)
 
     def test_run_trials_delegates_to_the_object_engine(self):
         experiment = AgreementExperiment(n=19, t=3, protocol="committee-ba",

@@ -12,8 +12,8 @@ backends and every tally is an exact integer.  Acceptance surfaces:
 * **engine identity**: ``run_vectorized_trials`` under ``backend="packed"``
   matches ``"numpy"`` field-for-field over *every* topology generator
   crossed with loss in {0.0, 0.05, 0.3};
-* **sharded identity**: a masked lossy ``vectorized-mp`` sweep matches the
-  single-process numpy reference trial-for-trial — also when the parent
+* **sharded identity**: a masked lossy sweep sharded over two workers matches
+  the single-process numpy reference trial-for-trial — also when the parent
   started its loss-draw thread pool before forking the workers, which must
   then draw inline instead of waiting on the inherited, threadless pool;
 * **tally unit behaviour**: :class:`~repro.topology.counting.MaskedCounter`,
@@ -69,17 +69,17 @@ class TestEngineBitIdentity:
         packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
         assert packed == reference
 
-    def test_sharded_masked_lossy_sweep_matches_serial_numpy(self):
+    def test_sharded_masked_lossy_sweep_matches_serial_numpy(self, traced_sweep):
         kwargs = dict(
             protocol="committee-ba", adversary="equivocate", inputs="split",
             trials=6, base_seed=21, topology="erdos-renyi", loss=0.05,
             allow_timeout=True,
         )
         serial = run_sweep(26, 3, engine="vectorized", backend="numpy", **kwargs)
-        sharded = run_sweep(
-            26, 3, engine="vectorized-mp", workers=2, backend="packed", **kwargs
+        sharded, workers = traced_sweep(
+            26, 3, engine="vectorized", workers=2, backend="packed", **kwargs
         )
-        assert sharded.engine == "vectorized-mp"
+        assert workers == 2
         assert [s.__dict__ for s in sharded.trials] == [
             s.__dict__ for s in serial.trials
         ]
@@ -91,6 +91,7 @@ class TestEngineBitIdentity:
         # killed together with its pool workers.
         script = textwrap.dedent("""
             from repro.engine import run_sweep
+            from repro.observability import Tracer, activate
             from repro.topology import loss
 
             loss._workers = max(loss._workers, 2)
@@ -98,8 +99,11 @@ class TestEngineBitIdentity:
                           trials=6, base_seed=5, loss=0.05)
             serial = run_sweep(40, 4, engine="vectorized", **kwargs)
             assert loss._pool is not None, "the in-process sweep started no pool"
-            sharded = run_sweep(40, 4, engine="vectorized-mp", workers=2, **kwargs)
-            assert sharded.engine == "vectorized-mp"
+            tracer = Tracer(run_id="fork")
+            with activate(tracer):
+                sharded = run_sweep(40, 4, engine="vectorized", workers=2, **kwargs)
+            (span,) = [e for e in tracer.events() if e["name"] == "sweep.vectorized"]
+            assert span["meta"]["workers"] == 2
             assert [s.__dict__ for s in sharded.trials] == [
                 s.__dict__ for s in serial.trials
             ]
@@ -117,7 +121,7 @@ class TestEngineBitIdentity:
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)
             child.communicate()
-            pytest.fail("the vectorized-mp sweep hung after the draw pool started")
+            pytest.fail("the sharded sweep hung after the draw pool started")
         assert child.returncode == 0, err
         assert out.split() == ["identical"]
 

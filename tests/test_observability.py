@@ -2,7 +2,7 @@
 
 Covers the acceptance surfaces of the tentpole: NullTracer no-op semantics,
 JSONL schema round-trip and rejection, tracing on/off bit-identity across
-engines/backends (including a ``vectorized-mp`` child-trace merge),
+engines/backends (including the child-trace merge of ``workers > 1`` runs),
 deterministic span ordering under batch compaction, the stage/counter
 aggregation maths, the store cache counters, and the ``repro trace`` CLI.
 """
@@ -220,26 +220,34 @@ class TestBitIdentity:
         assert shares[0]["meta"]["path"] == "vector"
         assert shares[0]["meta"]["running"] >= VECTOR_MIN_ROWS
 
-    def test_vectorized_mp_merge_is_bit_identical_and_ordered(self):
+    @pytest.mark.parametrize("engine", ["vectorized", "object"])
+    def test_sharded_merge_is_bit_identical_and_ordered(self, engine):
         experiment = AgreementExperiment(n=32, t=6, protocol="committee-ba",
                                          adversary="coin-attack", inputs="split")
         kwargs = dict(experiment=experiment, trials=6, base_seed=7,
-                      engine="vectorized-mp", workers=2)
+                      engine=engine, workers=2)
         plain = run_sweep(**kwargs)
         tracer = Tracer(run_id="mp")
         with activate(tracer):
             traced = run_sweep(**kwargs)
         assert _trial_rows(traced) == _trial_rows(plain)
+        assert _trial_rows(traced) == _trial_rows(run_sweep(**dict(kwargs, workers=1)))
         events = tracer.events()
         shards = {e.get("shard") for e in events}
         assert shards >= {0, 1}  # child traces were absorbed
+        # Every trial range ran under its own shard span, in range order.
+        ranges = [(e["meta"]["offset"], e["meta"]["trials"])
+                  for e in events if e["name"] == "sweep.shard"]
+        assert [offset for offset, _ in ranges] == sorted(offset for offset, _ in ranges)
+        assert sum(count for _, count in ranges) == 6
         # Deterministic merge order: parent (None -> -1) first, then shards
         # in index order, each in its own sequence order.
         keys = [(-1 if e.get("shard") is None else e["shard"],
                  e.get("seq", 0)) for e in events]
         assert keys == sorted(keys)
-        # Worker plane counters folded into the parent totals.
-        assert any(name.startswith("plane.") for name in tracer.counters)
+        if engine == "vectorized":
+            # Worker plane counters folded into the parent totals.
+            assert any(name.startswith("plane.") for name in tracer.counters)
 
     def test_store_keys_identical_with_tracing(self):
         spec = SweepSpec(name="keys", protocols=("committee-ba",),

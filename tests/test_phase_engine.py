@@ -11,8 +11,8 @@ Four layers:
   elsewhere, and bit-level no-op proofs for the inapplicable pairs;
 * the sharding contracts — ``trial_offset`` sub-batches of the coin
   Monte-Carlo concatenate bit-identically (the protocol kernels' contract is
-  ``tests/test_engine.py::TestKernelContract``), and the ``vectorized-mp``
-  executor matches single-process execution on the new pairs;
+  ``tests/test_engine.py::TestKernelContract``), and ``workers > 1``
+  sharding matches in-process execution on the new pairs;
 * :meth:`repro.core.runner.TrialsResult.merge` edge cases and the shared
   input-pattern module.
 """
@@ -264,14 +264,16 @@ class TestShardingContracts:
             ("committee-ba-las-vegas", "random-noise", 48, 8),
         ],
     )
-    def test_vectorized_mp_is_bit_identical_on_new_pairs(self, protocol, adversary, n, t):
+    def test_sharded_vectorized_is_bit_identical_on_new_pairs(
+        self, traced_sweep, protocol, adversary, n, t
+    ):
         serial = _sweep(protocol, adversary, n, t, "vectorized", 6)
-        sharded = run_sweep(
+        sharded, workers = traced_sweep(
             experiment=AgreementExperiment(n=n, t=t, protocol=protocol,
                                            adversary=adversary, inputs="split"),
-            trials=6, base_seed=11, engine="vectorized-mp", workers=2,
+            trials=6, base_seed=11, engine="vectorized", workers=2,
         )
-        assert sharded.engine == "vectorized-mp"
+        assert workers == 2
         assert [s.__dict__ for s in sharded.trials] == [s.__dict__ for s in serial.trials]
 
 

@@ -2,8 +2,8 @@
 
 Covers the four acceptance surfaces: spec round-trip and content-hash
 stability across dict ordering, store resume semantics (interrupt mid-sweep,
-re-run, only pending points execute), shard-merge exactness of the
-``vectorized-mp`` engine, and the ``repro sweep`` CLI subcommands.
+re-run, only pending points execute), shard-merge exactness of
+``workers > 1`` runs, and the ``repro sweep`` CLI subcommands.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.core.runner import AgreementExperiment, TrialsResult
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
+from repro.observability import Tracer, activate
 from repro.sweeps import (
     SWEEP_LIBRARY,
     ResultsStore,
@@ -352,6 +353,31 @@ class TestExecutorResume:
         assert (idle.computed, idle.pending) == (0, 4)
         assert len(store) == 0
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_anything_runs(self, tmp_path, workers):
+        store = ResultsStore(tmp_path / "store")
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            run_spec(TINY, store=store, workers=workers)
+        assert len(store) == 0
+
+    def test_workers_shard_object_points_without_splitting_the_cache(self, tmp_path):
+        serial = ResultsStore(tmp_path / "serial")
+        run_spec(TINY, store=serial, engine="object", workers=1)
+        store = ResultsStore(tmp_path / "sharded")
+        tracer = Tracer(run_id="pool")
+        with activate(tracer):
+            report = run_spec(TINY, store=store, engine="object", workers=2)
+        assert report.computed == 4
+        spans = [e for e in tracer.events() if e["name"] == "sweep.object"]
+        assert [span["meta"]["workers"] for span in spans] == [2, 2, 2, 2]
+        # Same keys and the same records (bar the timestamp) as in-process.
+        assert sorted(store.keys()) == sorted(serial.keys())
+        for key in store.keys():
+            assert {**store.get(key), "recorded_at": None} == {
+                **serial.get(key), "recorded_at": None
+            }
+        assert run_spec(TINY, store=store, engine="object").cached == 4
+
     def test_cached_results_equal_fresh_results(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
         run_spec(TINY, store=store)
@@ -406,22 +432,25 @@ class TestShardMerge:
             ("eig", "static", 13, 2),
         ],
     )
-    def test_vectorized_mp_bit_identical_to_vectorized(self, protocol, adversary, n, t):
+    def test_sharded_vectorized_bit_identical_to_in_process(
+        self, traced_sweep, protocol, adversary, n, t
+    ):
         kwargs = dict(protocol=protocol, adversary=adversary, inputs="split",
                       trials=7, base_seed=5)
-        single = run_sweep(n, t, engine="vectorized", **kwargs)
-        sharded = run_sweep(n, t, engine="vectorized-mp", workers=3, **kwargs)
-        assert sharded.engine == "vectorized-mp"
+        single = run_sweep(n, t, engine="vectorized", workers=1, **kwargs)
+        sharded, workers = traced_sweep(n, t, engine="vectorized", workers=3, **kwargs)
+        assert workers == 3
+        assert sharded.engine == single.engine == "vectorized"
         assert sharded.trials == single.trials
         assert sharded.summary() == single.summary()
 
-    def test_auto_with_workers_picks_the_sharded_engine(self):
-        result = run_sweep(19, 3, protocol="committee-ba", adversary="null",
-                           trials=4, base_seed=1, engine="auto", workers=2)
-        assert result.engine == "vectorized-mp"
-        serial = run_sweep(19, 3, protocol="committee-ba", adversary="null",
-                           trials=4, base_seed=1, engine="auto")
-        assert serial.engine == "vectorized"
+    def test_auto_with_workers_shards_the_vectorized_family(self, traced_sweep):
+        kwargs = dict(protocol="committee-ba", adversary="null", trials=4, base_seed=1,
+                      engine="auto")
+        result, workers = traced_sweep(19, 3, workers=2, **kwargs)
+        serial, serial_workers = traced_sweep(19, 3, **kwargs)
+        assert (workers, serial_workers) == (2, 1)
+        assert result.engine == serial.engine == "vectorized"
         assert serial.trials == result.trials
 
 
