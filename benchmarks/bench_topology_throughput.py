@@ -20,12 +20,14 @@ between); the lossy path tallies each round's delivered masks as words
   along: results must be bit-identical, and both wall-clocks are recorded
   (no bar — the lossy path is dominated by the per-trial ``(n, n)`` Philox
   draws the bit-identity contract fixes);
-* those **loss draws** themselves: the shared draw kernel (raw outputs
-  against an integer threshold, trials spread over one thread per CPU)
+* those **loss draws** themselves: both draw kernels — the compiled one
+  (Philox, threshold and layout fused in C) and the NumPy one (raw outputs
+  against an integer threshold), trials spread over one thread per CPU —
   must reproduce the serial ``random() >= loss`` loop bit for bit —
-  matrices and generator states — at ``n=512`` with 64 trials, and beat it
-  by at least ``1.3x`` when the process may use two or more CPUs (on one
-  CPU only identity is asserted).
+  matrices and generator states — at ``n=512`` with 64 trials, and the
+  kernel this process draws with (native when its build succeeded) must
+  beat the loop by at least ``1.3x`` when the process may use two or more
+  CPUs (on one CPU only identity is asserted).
 
 All measurements are folded into ``benchmarks/results/summary.json`` for
 cross-PR trajectory tracking.
@@ -38,9 +40,10 @@ import time
 
 import numpy as np
 
+import repro.topology.loss as loss_module
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import build_topology
-from repro.topology.loss import sample_delivered
+from repro.topology.loss import loss_kernel, sample_delivered
 
 #: Overhead comparison configuration: large enough that the plane work
 #: (not Python dispatch) dominates.  `straddle` keeps every trial running
@@ -180,32 +183,42 @@ def _plain(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop():
-    """Shared draw kernel == serial loop; >= 1.3x on two or more CPUs."""
+def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop(monkeypatch):
+    """Both draw kernels == serial loop; the one in use >= 1.3x on two or more CPUs."""
     n, batch = BENCH_N, BENCH_TRIALS
     running = np.ones(batch, dtype=bool)
+    kernel, detail = loss_kernel()
 
     def generators():
         return [np.random.Generator(np.random.Philox(key=(11, k))) for k in range(batch)]
 
-    serial_rngs, kernel_rngs = generators(), generators()
-    expected = _serial_draws(DRAW_LOSS, n, serial_rngs, running)
-    assert np.array_equal(sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running), expected)
-    assert [_plain(r.bit_generator.state) for r in kernel_rngs] == [
-        _plain(r.bit_generator.state) for r in serial_rngs
-    ]
+    def timed_kernel(name):
+        """Check ``name``'s draws against the loop; its best batch time."""
+        with monkeypatch.context() as patch:
+            if name == "numpy":
+                patch.setattr(loss_module, "_native", "the NumPy kernel, timed on its own")
+            serial_rngs, kernel_rngs = generators(), generators()
+            expected = _serial_draws(DRAW_LOSS, n, serial_rngs, running)
+            drawn = sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running)
+            assert np.array_equal(drawn, expected), name
+            assert [_plain(r.bit_generator.state) for r in kernel_rngs] == [
+                _plain(r.bit_generator.state) for r in serial_rngs
+            ], name
+            # The kernel keeps drawing from its (advanced) streams while timed.
+            return _best(
+                lambda: sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running), repeats=5
+            )
 
-    # Both sides keep drawing from their (advanced) streams while timed.
+    seconds = {name: timed_kernel(name) for name in dict.fromkeys([kernel, "numpy"])}
+    serial_rngs = generators()
     serial_s = _best(lambda: _serial_draws(DRAW_LOSS, n, serial_rngs, running), repeats=5)
-    kernel_s = _best(
-        lambda: sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running), repeats=5
-    )
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    speedup = serial_s / kernel_s
+    speedup = serial_s / seconds[kernel]
     print(
         f"\nloss draws (n={n}, trials={batch}, loss={DRAW_LOSS}, {cpus} CPUs): "
-        f"serial {serial_s * 1000:.1f} ms vs kernel {kernel_s * 1000:.1f} ms "
-        f"({speedup:.2f}x), bit-identical"
+        f"serial {serial_s * 1000:.1f} ms vs "
+        + " vs ".join(f"{name} {s * 1000:.1f} ms" for name, s in seconds.items())
+        + f"; {kernel} ({detail}) {speedup:.2f}x, bit-identical"
     )
     from benchmarks.harness import update_summary
 
@@ -217,14 +230,17 @@ def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop():
             "trials": batch,
             "loss": DRAW_LOSS,
             "cpus": cpus,
+            "kernel": kernel,
             "serial_seconds": serial_s,
-            "kernel_seconds": kernel_s,
+            "kernel_seconds": seconds[kernel],
+            # Batch wall time per plane, with the draw pool on every CPU.
+            **{f"{name}_plane_ms": s * 1000 / batch for name, s in seconds.items()},
             "speedup": speedup,
             "bit_identical": True,
         },
     )
     if cpus >= 2:
         assert speedup >= MIN_DRAW_SPEEDUP, (
-            f"loss-draw kernel is only {speedup:.2f}x the serial loop at n={n} "
-            f"on {cpus} CPUs (floor {MIN_DRAW_SPEEDUP}x)"
+            f"loss-draw kernel ({kernel}) is only {speedup:.2f}x the serial loop at "
+            f"n={n} on {cpus} CPUs (floor {MIN_DRAW_SPEEDUP}x)"
         )

@@ -34,8 +34,10 @@ Python:
     kernel implements it, which adversaries it vectorises) followed by the
     full protocol × adversary dispatch table used by ``--engine auto``,
     including whether each fast-path pair is bit-identical to the object
-    simulator or statistically cross-validated.  ``--markdown`` emits the
-    same tables as marked markdown blocks — the canonical content of the
+    simulator or statistically cross-validated.  A footer line names the
+    loss-draw kernel: ``loss draws: native (<compiler>)`` when the compiled
+    kernel is built, else ``loss draws: numpy (<reason>)``.  ``--markdown``
+    emits the same tables as marked markdown blocks — the canonical content of the
     tables embedded in README.md and docs/, kept drift-free by
     ``tests/test_docs.py``.
 
@@ -112,6 +114,7 @@ from repro.observability import (
     write_trace,
 )
 from repro.topology import TOPOLOGIES
+from repro.topology.loss import loss_kernel
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -378,6 +381,8 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(format_table(kernel_support_table()))
     print("\nprotocol x adversary dispatch (--engine auto):")
     print(format_table(dispatch_table()))
+    kernel, detail = loss_kernel()
+    print(f"\nloss draws: {kernel} ({detail})")
     return 0
 
 

@@ -18,13 +18,18 @@ rounds (word ``i`` of a trial is lane ``i % 4`` of the block with counter
 ``i // 4 + 1``; the 64x64->128-bit multiply runs on 32-bit halves), bit for
 bit, whenever at least :data:`VECTOR_MIN_ROWS` rows draw from cursors.
 
-Any other draw needs a real generator: loss planes, the noise kernel's
+Loss planes are raw 64-bit words, so the compiled loss kernel
+(:mod:`repro.topology.loss`) draws them straight from a cursor row:
+:meth:`TrialStreams.claim_raw` hands it the row's key and first word and
+moves the cursor past the plane, as ``random_raw`` would move the
+generator.  Any other draw needs a real generator: the noise kernel's
 binomial and multinomial draws, sampling-majority's peer picks, the
-``random`` input pattern and Ben-Or's private coin.  Indexing a stream
-(``streams[b]``) materialises row ``b`` as its :func:`trial_generator`
-replayed to the cursor — ``random_raw`` up to the word, plus one
-``next_uint32`` when a half is pending — and the row draws through that
-generator from then on, shares included.
+``random`` input pattern, Ben-Or's private coin, and loss planes drawn with
+NumPy.  Indexing a stream (``streams[b]``) materialises row ``b`` as its
+:func:`trial_generator` jumped to the cursor in O(1) — ``Philox.advance``
+past the whole blocks, one ``random_raw`` of the 1-4 words left to load the
+current block, then the uint32 half state restored — and the row draws
+through that generator from then on, shares included.
 """
 
 from __future__ import annotations
@@ -146,8 +151,11 @@ class TrialStreams:
         self._trial = np.uint64(trial_offset) + np.arange(trials, dtype=np.uint64)
         #: 64-bit words each row's stream has consumed.
         self._words = np.zeros(trials, dtype=np.int64)
-        #: The buffered high uint32 half of the last consumed word, or -1.
-        self._half = np.full(trials, -1, dtype=np.int64)
+        #: Whether a uint32 half is pending, and the high half a uint32 draw
+        #: last buffered (kept once consumed): NumPy's ``has_uint32`` and
+        #: ``uinteger``.
+        self._has_half = np.zeros(trials, dtype=bool)
+        self._uinteger = np.zeros(trials, dtype=np.int64)
         #: Each row's generator once materialised; it then owns the stream.
         self._generators: list[np.random.Generator | None] = [None] * trials
         #: Rows not yet materialised, whose cursors are their streams.
@@ -173,21 +181,49 @@ class TrialStreams:
         return self._trial
 
     def __getitem__(self, row: int) -> np.random.Generator:
-        """Row ``row``'s generator, materialised at its cursor on first use."""
+        """Row ``row``'s generator, materialised at its cursor on first use.
+
+        The generator jumps to the cursor instead of replaying the stream:
+        ``advance`` skips the whole blocks before the current one and one
+        ``random_raw`` of the remaining 1-4 words loads it, leaving counter,
+        buffer and buffer position as a sequential walk would.  ``advance``
+        clears the uint32 half state, so it is restored last.
+        """
         generator = self._generators[row]
         if generator is None:
             generator = trial_generator(self._seed, int(self._trial[row]))
-            words, half = int(self._words[row]), int(self._half[row])
-            if half >= 0:
-                # Replay up to the half-consumed word; one next_uint32 draw
-                # takes its low half and leaves the high half buffered.
-                generator.bit_generator.random_raw(words - 1)
-                generator.integers(0, 2)
-            else:
-                generator.bit_generator.random_raw(words)
+            bit_generator = generator.bit_generator
+            words = int(self._words[row])
+            if words:
+                blocks = (words - 1) // 4
+                bit_generator.advance(blocks)
+                bit_generator.random_raw(words - 4 * blocks)
+            has_half, uinteger = bool(self._has_half[row]), int(self._uinteger[row])
+            if has_half or uinteger:
+                state = bit_generator.state
+                state["has_uint32"], state["uinteger"] = int(has_half), uinteger
+                bit_generator.state = state
             self._generators[row] = generator
             self._cursor[row] = False
         return generator
+
+    def claim_raw(self, row: int, words: int) -> tuple[int, int, int] | None:
+        """Claim cursor row ``row``'s next ``words`` raw 64-bit outputs.
+
+        For a draw made outside the row's generator, exactly as
+        ``streams[row].bit_generator.random_raw(words)`` would make it:
+        returns the row's Philox key ``(seed, trial counter)`` and the index
+        of the first claimed word in its stream (word ``w`` is lane
+        ``w % 4`` of the block with counter ``w // 4 + 1``), and moves the
+        cursor past the claimed words.  A pending uint32 half stays pending,
+        as under ``random_raw``.  Returns ``None`` for a materialised row,
+        whose generator owns its stream.
+        """
+        if not self._cursor[row]:
+            return None
+        first = int(self._words[row])
+        self._words[row] = first + words
+        return self._seed, int(self._trial[row]), first
 
     def take(self, rows: np.ndarray) -> TrialStreams:
         """The streams of ``rows`` (batch compaction); their draws continue there."""
@@ -195,7 +231,8 @@ class TrialStreams:
         taken._seed = self._seed
         taken._trial = self._trial[rows]
         taken._words = self._words[rows]
-        taken._half = self._half[rows]
+        taken._has_half = self._has_half[rows]
+        taken._uinteger = self._uinteger[rows]
         taken._generators = [self._generators[row] for row in rows]
         taken._cursor = self._cursor[rows]
         return taken
@@ -244,11 +281,10 @@ class TrialStreams:
     ) -> None:
         """Draw ``counts`` top bits for cursor ``rows`` into ``out[starts...]``."""
         words = self._words[rows]
-        half = self._half[rows]
-        pending = half >= 0
+        pending = self._has_half[rows]
         # A pending half serves the row's first draw; the rest take fresh
         # uint32 halves, low then high, from the next words.
-        out[starts[pending]] = half[pending] >> 31
+        out[starts[pending]] = self._uinteger[rows][pending] >> 31
         fresh = counts - pending
         new_words = (fresh + 1) >> 1
         first_block = words >> 2
@@ -267,10 +303,12 @@ class TrialStreams:
         word = stream[(base + words)[fresh_row] + (index >> 1)]
         shift = (31 + 32 * (index & 1)).astype(np.uint64)
         out[(starts + pending)[fresh_row] + index] = (word >> shift) & np.uint64(1)
-        # An odd number of fresh halves leaves the last word's high half
-        # buffered; an even number (or none) leaves nothing pending.
-        odd = (fresh & 1).astype(bool)
-        half = np.full(len(rows), -1, dtype=np.int64)
-        half[odd] = stream[(base + words + new_words - 1)[odd]] >> _SHIFT32
-        self._half[rows] = half
+        # The last fresh word's high half is buffered; it stays pending after
+        # an odd number of fresh halves and is consumed after an even number.
+        # Rows with no fresh halves keep their last buffered half.
+        drew = fresh > 0
+        self._uinteger[rows[drew]] = (
+            stream[(base + words + new_words - 1)[drew]] >> _SHIFT32
+        ).astype(np.int64)
+        self._has_half[rows] = (fresh & 1).astype(bool)
         self._words[rows] = words + new_words

@@ -1,0 +1,223 @@
+/*
+ * The fused loss-draw kernel: one pass per trial plane of Philox4x64-10 raw
+ * draws, the raw-threshold compare and the caller's output layout.
+ *
+ * repro.topology.native builds this file and repro.topology.loss calls it
+ * through ctypes in place of its NumPy kernel, which it reproduces word for
+ * word.  Entry [j, i] of a plane (sender j, recipient i) takes the stream's
+ * next raw output in row-major order.  It is kept when that output is at
+ * least `threshold` and the adjacency (if any) has the edge; the diagonal
+ * is always kept.
+ *
+ * The stream position is NumPy's Philox state as six words, read and
+ * written back: {counter, pos, buffer[4]}.  `counter` is counter word 0
+ * (words 1-3 must be zero and stay zero), `buffer` the block of that
+ * counter and `pos` the lanes of it already consumed (4: none left).  With
+ * `refill` set the buffer is computed from the counter first, for a
+ * position that carries none.
+ *
+ * Both entry points return 0, or -1 when their row buffers (about 9n bytes,
+ * on the heap) cannot be allocated; n must be at least 1.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+#ifndef __SIZEOF_INT128__
+#error "the loss-draw kernel needs unsigned __int128 for the 64x64->128-bit Philox products"
+#endif
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    uint64_t counter, pos, buffer[4];
+} stream_t;
+
+/* Block `counter` of the Philox4x64-10 stream keyed (key0, key1). */
+static inline void philox_block(uint64_t key0, uint64_t key1, uint64_t counter, uint64_t *out)
+{
+    uint64_t x0 = counter, x1 = 0, x2 = 0, x3 = 0;
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            key0 += 0x9E3779B97F4A7C15ULL;
+            key1 += 0xBB67AE8584CAA73BULL;
+        }
+        u128 p0 = (u128)0xD2E7470EE14C6C93ULL * x0;
+        u128 p1 = (u128)0xCA5A826395121157ULL * x2;
+        x0 = (uint64_t)(p1 >> 64) ^ x1 ^ key0;
+        x1 = (uint64_t)p1;
+        x2 = (uint64_t)(p0 >> 64) ^ x3 ^ key1;
+        x3 = (uint64_t)p0;
+    }
+    out[0] = x0;
+    out[1] = x1;
+    out[2] = x2;
+    out[3] = x3;
+}
+
+static stream_t load(const uint64_t *state, int refill, uint64_t key0, uint64_t key1)
+{
+    stream_t s = {state[0], state[1], {state[2], state[3], state[4], state[5]}};
+    if (refill && s.pos < 4)
+        philox_block(key0, key1, s.counter, s.buffer);
+    return s;
+}
+
+static void store(uint64_t *state, const stream_t *s)
+{
+    state[0] = s->counter;
+    state[1] = s->pos;
+    for (int lane = 0; lane < 4; lane++)
+        state[2 + lane] = s->buffer[lane];
+}
+
+/*
+ * The stream's next `count` raw outputs into raw[]: what is left of the
+ * buffered block, then whole blocks written in place (two per step, so
+ * their rounds overlap), then a last block through the buffer.
+ */
+static void fill(stream_t *s, uint64_t key0, uint64_t key1, uint64_t *raw, int64_t count)
+{
+    int64_t i = 0;
+    while (i < count && s->pos < 4)
+        raw[i++] = s->buffer[s->pos++];
+    if (i == count)
+        return;
+    for (; i + 8 <= count; i += 8, s->counter += 2) {
+        philox_block(key0, key1, s->counter + 1, raw + i);
+        philox_block(key0, key1, s->counter + 2, raw + i + 4);
+    }
+    if (i + 4 <= count) {
+        philox_block(key0, key1, ++s->counter, raw + i);
+        i += 4;
+    }
+    if (i < count) {
+        philox_block(key0, key1, ++s->counter, s->buffer);
+        for (s->pos = 0; i < count;)
+            raw[i++] = s->buffer[s->pos++];
+    } else {
+        for (int lane = 0; lane < 4; lane++)
+            s->buffer[lane] = raw[count - 4 + lane];
+        s->pos = 4;
+    }
+}
+
+/* Sender-major booleans: out[j * n + i] is entry [j, i]. */
+int repro_loss_bools(uint64_t key0, uint64_t key1, uint64_t *state, int refill, int64_t n,
+                     uint64_t threshold, const uint8_t *adjacency, uint8_t *out)
+{
+    uint64_t *raw = malloc((size_t)n * sizeof *raw);
+    if (!raw)
+        return -1;
+    stream_t s = load(state, refill, key0, key1);
+    for (int64_t j = 0; j < n; j++) {
+        uint8_t *row = out + j * n;
+        fill(&s, key0, key1, raw, n);
+        if (adjacency) {
+            const uint8_t *edges = adjacency + j * n;
+            for (int64_t i = 0; i < n; i++)
+                row[i] = (raw[i] >= threshold) & edges[i];
+        } else {
+            for (int64_t i = 0; i < n; i++)
+                row[i] = raw[i] >= threshold;
+        }
+        row[j] = 1;
+    }
+    store(state, &s);
+    free(raw);
+    return 0;
+}
+
+/*
+ * Bit b of the result is entry b of raw[0..count) kept: raw[b] >= threshold
+ * and, when edges is given, edges[b].  count is at most 64.  Eight entries
+ * at a time are set as the bytes of one word, and a multiply gathers bit 0
+ * of each byte into one byte.
+ */
+static inline uint64_t pack_kept(const uint64_t *raw, const uint8_t *edges, int64_t count,
+                                 uint64_t threshold)
+{
+    uint64_t word = 0;
+    for (int64_t b = 0; b < count; b += 8) {
+        const int64_t size = count - b < 8 ? count - b : 8;
+        uint64_t flags = 0;
+        if (edges) {
+            for (int64_t k = 0; k < size; k++)
+                flags |= (uint64_t)((raw[b + k] >= threshold) & edges[b + k]) << (8 * k);
+        } else {
+            for (int64_t k = 0; k < size; k++)
+                flags |= (uint64_t)(raw[b + k] >= threshold) << (8 * k);
+        }
+        word |= ((flags * 0x0102040810204080ULL) >> 56) << b;
+    }
+    return word;
+}
+
+/*
+ * Transpose of an 8x8 bit matrix held one row per byte: bit k of byte r
+ * moves to bit r of byte k.
+ */
+static inline uint64_t transpose8(uint64_t x)
+{
+    uint64_t t;
+    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+    x ^= t ^ (t << 28);
+    return x;
+}
+
+/*
+ * Recipient-major packed words: row i (row_bytes apart) lists the senders
+ * that reach recipient i, sender j in byte j / 8 at bit 7 - j % 8, as
+ * np.packbits lays them out.  Only the first ceil(n / 8) bytes of a row are
+ * written.  Eight sender rows at a time are packed along the recipients,
+ * then turned into the recipients' bytes by 8x8 bit transposes.
+ */
+int repro_loss_words(uint64_t key0, uint64_t key1, uint64_t *state, int refill, int64_t n,
+                     uint64_t threshold, const uint8_t *adjacency, uint8_t *out,
+                     int64_t row_bytes)
+{
+    const int64_t width = (n + 63) / 64;
+    uint64_t *raw = malloc((size_t)(n + 8 * width) * sizeof *raw);
+    if (!raw)
+        return -1;
+    /* bits[r * width + w], bit b: entry [j0 + r, 64 w + b] of the current group. */
+    uint64_t *bits = raw + n;
+    stream_t s = load(state, refill, key0, key1);
+    for (int64_t j0 = 0; j0 < n; j0 += 8) {
+        for (int64_t r = 0; r < 8; r++) {
+            uint64_t *row = bits + r * width;
+            const int64_t j = j0 + r;
+            if (j >= n) {
+                for (int64_t w = 0; w < width; w++)
+                    row[w] = 0;
+                continue;
+            }
+            fill(&s, key0, key1, raw, n);
+            const uint8_t *edges = adjacency ? adjacency + j * n : 0;
+            for (int64_t w = 0; w < width; w++) {
+                const int64_t base = 64 * w;
+                row[w] = pack_kept(raw + base, edges ? edges + base : 0,
+                                   n - base < 64 ? n - base : 64, threshold);
+            }
+            row[j >> 6] |= 1ULL << (j & 63);
+        }
+        uint8_t *column = out + (j0 >> 3);
+        for (int64_t i0 = 0; i0 < n; i0 += 8) {
+            /* Sender j0 + r goes to byte 7 - r, so the transpose leaves it
+               at bit 7 - r of each recipient's byte. */
+            uint64_t x = 0;
+            for (int r = 0; r < 8; r++)
+                x |= ((bits[r * width + (i0 >> 6)] >> (i0 & 63)) & 0xFF) << (8 * (7 - r));
+            x = transpose8(x);
+            const int64_t count = n - i0 < 8 ? n - i0 : 8;
+            for (int64_t k = 0; k < count; k++)
+                column[(i0 + k) * row_bytes] = (uint8_t)(x >> (8 * k));
+        }
+    }
+    store(state, &s);
+    free(raw);
+    return 0;
+}

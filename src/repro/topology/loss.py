@@ -26,18 +26,33 @@ The two paths consume *different* streams, so off-clique/lossy
 cross-validation between them is statistical, never bit-exact.
 
 The per-trial draws are the engines' hot path, so both batch samplers share
-one kernel (:func:`_sample_kept`) that spreads the running trials over a
+one routine (:func:`_sample_kept`) that spreads the running trials over a
 thread pool with one worker per CPU in the process' affinity mask.  Each
-trial still draws only from its own generator, in order, so the split never
-shows in the results; NumPy releases the GIL in the bulk fills and every bit
-generator has its own lock, so the workers never contend.  Instead of
-``random() >= loss`` the kernel compares raw 64-bit outputs against
-``ceil(loss * 2**53) << 11``: for a bit generator whose ``random()`` is
-``(next_uint64 >> 11) * 2**-53`` (Philox and PCG64) the two are the same
-test on the same draws, leaving the generator in the same state — without
-the float conversion.  Forked processes (the workers of a ``workers > 1``
-sweep) draw inline: the parent already spreads trials across processes, and
-a pool inherited through ``fork`` has no threads behind it.
+trial still draws only from its own stream, in order, so the split never
+shows in the results.  Instead of ``random() >= loss`` every trial compares
+raw 64-bit outputs against ``ceil(loss * 2**53) << 11``: for a bit generator
+whose ``random()`` is ``(next_uint64 >> 11) * 2**-53`` (Philox and PCG64)
+the two are the same test on the same draws, leaving the generator in the
+same state — without the float conversion.
+
+Two kernels draw a trial's plane, with identical words and stream states:
+
+* the **native** kernel (``_lossdraw.c``, built by
+  :mod:`repro.topology.native` on the first lossy draw) fuses the Philox
+  draws, the compare and the caller's output layout into one compiled
+  pass.  It draws a :class:`~repro.simulator.draws.TrialStreams` cursor
+  row straight from its key and word count (the row only advances its
+  cursor and never becomes a generator), and a Philox generator row
+  through a ``bit_generator.state`` read and write;
+* the **NumPy** kernel — ``random_raw`` blocks, ``>=``, then the layout —
+  draws every other row (PCG64, a Philox counter past its low word), and
+  every row when the native build failed.  It is the oracle the native
+  kernel is tested against.
+
+Both release the GIL while they draw (``ctypes`` calls, NumPy's bulk fills),
+so the workers never contend.  Forked processes (the workers of a
+``workers > 1`` sweep) draw inline: the parent already spreads trials across
+processes, and a pool inherited through ``fork`` has no threads behind it.
 """
 
 from __future__ import annotations
@@ -46,15 +61,18 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
+from repro.simulator.draws import TrialStreams
+from repro.topology import native
 from repro.topology.counting import word_width
 
 __all__ = [
+    "loss_kernel",
     "sample_delivered",
     "sample_delivered_words",
     "sample_drops",
@@ -77,6 +95,12 @@ _workers = (
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
+#: The native kernel: ``None`` until the first lossy draw builds it, then a
+#: :class:`~repro.topology.native.LossKernel`, or the reason (a ``str``) the
+#: build failed, in which case the NumPy kernel draws.
+_native: native.LossKernel | str | None = None
+_native_lock = threading.Lock()
+
 
 def _draw_pool() -> ThreadPoolExecutor:
     """The draw thread pool, created on first use."""
@@ -94,6 +118,29 @@ def _draw_inline_after_fork() -> None:
 
 if hasattr(os, "register_at_fork"):  # POSIX; nothing is forked elsewhere
     os.register_at_fork(after_in_child=_draw_inline_after_fork)
+
+
+def _native_kernel() -> native.LossKernel | None:
+    """The native kernel, built on first call; ``None`` when its build failed."""
+    global _native
+    if _native is None:
+        with _native_lock:
+            if _native is None:
+                try:
+                    _native = native.load()
+                except native.BuildError as error:
+                    _native = str(error)
+    return None if isinstance(_native, str) else _native
+
+
+def loss_kernel() -> tuple[str, str]:
+    """The kernel lossy planes draw with in this process, and why.
+
+    ``("native", compiler)`` when the compiled kernel is loaded, else
+    ``("numpy", reason the build failed)``.  Builds the kernel on first call.
+    """
+    kernel = _native_kernel()
+    return ("numpy", _native) if kernel is None else ("native", kernel.compiler)
 
 
 def validate_loss(loss: float) -> float:
@@ -143,11 +190,7 @@ def sample_delivered(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = False
-
-    def emit(b: int, kept: np.ndarray) -> None:
-        delivered[b] = kept
-
-    _sample_kept(adjacency, loss, n, rngs, running, emit)
+    _sample_kept(adjacency, loss, n, rngs, running, delivered, packed=False)
     return delivered
 
 
@@ -189,17 +232,7 @@ def sample_delivered_words(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = 0
-    nbytes = (n + 7) // 8
-
-    def emit(b: int, kept: np.ndarray) -> None:
-        # Row i of the transpose lists recipient i's incoming senders;
-        # packing it MSB-first gives the recipient-major byte rows of the
-        # little-endian word view.  Packing a contiguous copy along its last
-        # axis is ~2x faster than packing `kept` along axis 0, and unlike
-        # that it releases the GIL.
-        delivered[b].view(np.uint8)[:, :nbytes] = np.packbits(kept.T.copy(), axis=1)
-
-    _sample_kept(adjacency, loss, n, rngs, running, emit)
+    _sample_kept(adjacency, loss, n, rngs, running, delivered, packed=True)
     return delivered
 
 
@@ -219,53 +252,101 @@ def _sample_kept(
     n: int,
     rngs: Sequence[np.random.Generator],
     running: np.ndarray,
-    emit: Callable[[int, np.ndarray], None],
+    delivered: np.ndarray,
+    packed: bool,
 ) -> None:
-    """Draw each running trial's kept ``(n, n)`` matrix; ``emit(b, kept)`` it.
+    """Draw each running trial's kept ``(n, n)`` matrix into ``delivered[b]``.
 
     Trial ``b`` consumes exactly the ``n * n`` outputs ``rngs[b].random()``
     would, row-major, and keeps entry ``[j, i]`` when it is on the diagonal,
-    or when its draw is ``>= loss`` and ``adjacency`` has the edge.  The
-    running trials are split into contiguous chunks, one per draw thread;
-    ``emit`` runs on the thread that drew ``b`` and must write only trial
-    ``b``'s output.  ``kept`` is that thread's scratch, reused for its next
-    trial.
+    or when its draw is ``>= loss`` and ``adjacency`` has the edge.
+    ``delivered[b]`` receives the matrix as is (``packed=False``) or as the
+    recipient-major words of :func:`sample_delivered_words` (``packed=True``;
+    the pad bytes beyond ``ceil(n/8)`` are never written).  The running
+    trials are split into contiguous chunks, one per draw thread; each
+    thread writes only its own trials' rows.
     """
-    live = np.flatnonzero(running)
-    # Look every generator up here, on the calling thread: a
-    # TrialStreams row materialises its generator on first access.
-    generators = {b: rngs[b].bit_generator for b in live.tolist()}
-    for generator in generators.values():
-        if not isinstance(generator, _RAW_DOUBLE_BIT_GENERATORS):
-            raise ConfigurationError(
-                "loss draws compare raw outputs against a threshold, which "
-                "reproduces random() only for Philox and PCG64 bit generators; "
-                f"got {type(generator).__name__}"
-            )
+    live = np.flatnonzero(running).tolist()
+    edges = None if adjacency is None else np.ascontiguousarray(adjacency, dtype=bool)
+    # The native kernel writes through raw pointers: only into an output it
+    # can fill in place, and only with an (n, n) topology.
+    shape = (len(running), n, word_width(n) if packed else n)
+    kernel = (
+        _native_kernel()
+        if delivered.flags.c_contiguous and delivered.shape == shape
+        and delivered.dtype == (np.uint64 if packed else np.bool_)
+        and (edges is None or edges.shape == (n, n))
+        else None
+    )
+    streams = rngs if kernel is not None and isinstance(rngs, TrialStreams) else None
+    # Look every source up here, on the calling thread: the native kernel
+    # claims a cursor row's plane from its TrialStreams, and any other row
+    # of a TrialStreams materialises its generator on first access.
+    sources: dict[int, tuple[int, int, int] | np.random.BitGenerator] = {}
+    for b in live:
+        source = None if streams is None else streams.claim_raw(b, n * n)
+        if source is None:
+            source = rngs[b].bit_generator
+            if not isinstance(source, _RAW_DOUBLE_BIT_GENERATORS):
+                raise ConfigurationError(
+                    "loss draws compare raw outputs against a threshold, which "
+                    "reproduces random() only for Philox and PCG64 bit generators; "
+                    f"got {type(source).__name__}"
+                )
+        sources[b] = source
     threshold = _raw_threshold(loss)
+    raw_threshold = int(threshold)
+    nbytes = (n + 7) // 8
     rows = max(1, _BLOCK_VALUES // n)
+    if kernel is not None:
+        edges_address = None if edges is None else edges.ctypes.data
+        row_bytes = delivered.strides[1] if packed else None
+        base, stride = delivered.ctypes.data, delivered.strides[0]
 
-    def draw(chunk: np.ndarray) -> None:
-        kept = np.empty((n, n), dtype=bool)
-        for b in chunk.tolist():
-            generator = generators[b]
+    def draw(chunk: list[int]) -> int:
+        """Draw ``chunk``'s trials; returns how many took the NumPy kernel."""
+        kept = None  # the NumPy kernel's work matrix, reused across trials
+        fallbacks = 0
+        for b in chunk:
+            if kernel is not None and kernel.draw(
+                sources[b], n, raw_threshold, edges_address, base + b * stride, row_bytes
+            ):
+                continue
+            fallbacks += 1
+            if kept is None:
+                kept = np.empty((n, n), dtype=bool)
+            generator = sources[b]
             for start in range(0, n, rows):
                 block = kept[start : start + rows]
                 np.greater_equal(generator.random_raw(block.shape), threshold, out=block)
-            if adjacency is not None:
-                kept &= adjacency
+            if edges is not None:
+                kept &= edges
             np.einsum("ii->i", kept)[:] = True
-            emit(b, kept)
+            if packed:
+                # Row i of the transpose lists recipient i's incoming
+                # senders; packing it MSB-first gives the recipient-major
+                # byte rows of the little-endian word view.  Packing a
+                # contiguous copy along its last axis is ~2x faster than
+                # packing `kept` along axis 0, and unlike that it releases
+                # the GIL.
+                delivered[b].view(np.uint8)[:, :nbytes] = np.packbits(kept.T.copy(), axis=1)
+            else:
+                delivered[b] = kept
+        return fallbacks
 
     # A generator shared between trials must be drawn from in trial order.
-    shared = len({id(generator) for generator in generators.values()}) < len(generators)
+    owners = [id(source) for source in sources.values() if not isinstance(source, tuple)]
+    shared = len(set(owners)) < len(owners)
     chunks = 1 if shared else min(_workers, len(live))
-    with current_tracer().span("engine.draw.loss", running=len(live)):
+    with current_tracer().span("engine.draw.loss", running=len(live)) as span:
         if chunks <= 1:
-            draw(live)
-            return
-        # list() waits for every chunk and re-raises a worker's exception.
-        list(_draw_pool().map(draw, np.array_split(live, chunks)))
+            fallbacks = draw(live)
+        else:
+            # sum() waits for every chunk and re-raises a worker's exception.
+            fallbacks = sum(
+                _draw_pool().map(draw, [c.tolist() for c in np.array_split(live, chunks)])
+            )
+        span.annotate(kernel="native" if kernel is not None and not fallbacks else "numpy")
 
 
 def sample_drops(

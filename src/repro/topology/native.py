@@ -1,0 +1,213 @@
+"""Build, cache and bind the compiled loss-draw kernel (``_lossdraw.c``).
+
+The kernel fuses the NumPy loss kernel's three passes over a trial plane —
+Philox4x64-10 raw draws, the raw-threshold compare and the output layout —
+into one.  :func:`load` compiles it with the first C compiler on ``PATH``
+(``cc``, ``gcc`` or ``clang``) as ``-O3 -shared -fPIC``, running the
+compiler from an argument list, never a shell.  The library goes into one
+per-user cache, ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` by default),
+named by a hash of the source and the compile command.  It is published
+through a temporary file and :func:`os.replace`, so processes that build at
+the same time (sweep shards, fresh interpreters) never load a half-written
+file, and later processes only load the cached build.
+
+Every failure — no compiler, a compile error (including a compiler without
+``unsigned __int128``), an unwritable cache, a library that will not load —
+raises :class:`BuildError` carrying the reason; :mod:`repro.topology.loss`
+then draws with NumPy.  There is no switch: the kernel is native exactly
+when this build succeeds.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["BuildError", "LossKernel", "cache_dir", "find_compiler", "load"]
+
+SOURCE = Path(__file__).with_name("_lossdraw.c")
+
+#: Compilers looked up on ``PATH``, in order.
+COMPILERS = ("cc", "gcc", "clang")
+
+#: Plain optimisation only: ``-march=native`` measured slower here and would
+#: tie a cached build to one CPU model.
+FLAGS = ("-O3", "-shared", "-fPIC")
+
+#: Seconds a build may take before it counts as failed.
+BUILD_TIMEOUT = 120
+
+#: A stream position in NumPy's Philox state layout: counter word 0, buffer
+#: position, the four buffered words.
+_Position = ctypes.c_uint64 * 6
+
+#: Counter blocks per Philox stream the kernel can address: it carries only
+#: counter word 0.
+_COUNTER_SPACE = 1 << 64
+
+
+class BuildError(RuntimeError):
+    """The native loss kernel is unavailable; the message says why."""
+
+
+class LossKernel:
+    """The compiled kernel, bound through ``ctypes``.
+
+    ``ctypes`` releases the GIL for every call, so draw threads run the
+    kernel in parallel.
+    """
+
+    def __init__(self, library: ctypes.CDLL, compiler: str) -> None:
+        #: The compiler that built the library.
+        self.compiler = compiler
+        self._library = library  # keeps the library mapped
+        head = [
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.POINTER(ctypes.c_uint64), ctypes.c_int,
+            ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p,
+        ]
+        self._bools = library.repro_loss_bools
+        self._bools.argtypes = head
+        self._words = library.repro_loss_words
+        self._words.argtypes = [*head, ctypes.c_int64]
+        for entry in (self._bools, self._words):
+            entry.restype = ctypes.c_int
+
+    def draw(
+        self,
+        source: tuple[int, int, int] | np.random.BitGenerator,
+        n: int,
+        threshold: int,
+        adjacency: int | None,
+        out: int,
+        row_bytes: int | None,
+    ) -> bool:
+        """Draw one trial's ``(n, n)`` plane from ``source`` into ``out``.
+
+        Args:
+            source: A claimed cursor plane, ``(key0, key1, first word)``
+                (:meth:`~repro.simulator.draws.TrialStreams.claim_raw`), or a
+                Philox bit generator, drawn through a ``state`` read and
+                write that leaves it as ``random_raw(n * n)`` would.
+            n: Network size.
+            threshold: The raw output at and above which an edge is kept.
+            adjacency: Address of a C-contiguous ``(n, n)`` boolean topology,
+                or ``None`` for the clique.
+            out: Address of the trial's output.
+            row_bytes: Row stride of recipient-major packed words, or
+                ``None`` for sender-major ``(n, n)`` booleans.
+
+        Returns:
+            ``False``, drawing nothing, for a source the kernel cannot draw:
+            not Philox, or a counter that would leave its low word.
+
+        Raises:
+            MemoryError: When the kernel cannot allocate its row buffers.
+        """
+        if isinstance(source, tuple):
+            key0, key1, word = source
+            counter = (word + 3) // 4  # blocks a sequential walk generated
+            position, state = _Position(counter, word + 4 - 4 * counter), None
+        elif isinstance(source, np.random.Philox):
+            state = source.state
+            counter = state["state"]["counter"]
+            if counter[1:].any() or int(counter[0]) + n * n // 4 + 2 >= _COUNTER_SPACE:
+                return False
+            key0, key1 = state["state"]["key"].tolist()
+            position = _Position(int(counter[0]), state["buffer_pos"], *state["buffer"].tolist())
+        else:
+            return False
+        refill = state is None  # a cursor carries no buffered block
+        arguments = (key0, key1, position, refill, n, threshold, adjacency, out)
+        if row_bytes is None:
+            failed = self._bools(*arguments)
+        else:
+            failed = self._words(*arguments, row_bytes)
+        if failed:
+            raise MemoryError("the native loss kernel could not allocate its row buffers")
+        if state is not None:
+            state["state"]["counter"][0] = position[0]
+            state["buffer_pos"] = position[1]
+            state["buffer"] = np.array(position[2:], dtype=np.uint64)
+            source.state = state
+        return True
+
+
+def find_compiler() -> str | None:
+    """The path of the first of :data:`COMPILERS` on ``PATH``, or ``None``."""
+    for name in COMPILERS:
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def cache_dir() -> Path:
+    """The per-user build cache: ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "repro"
+
+
+def load() -> LossKernel:
+    """The kernel, built into the cache first unless a build is already there.
+
+    Raises:
+        BuildError: When no compiler is found, the build fails or the
+            library does not load.
+    """
+    compiler = find_compiler()
+    if compiler is None:
+        raise BuildError(f"no C compiler ({', '.join(COMPILERS)}) on PATH")
+    command = [compiler, *FLAGS]
+    try:
+        source = SOURCE.read_bytes()
+    except OSError as error:
+        raise BuildError(f"cannot read {SOURCE}: {error}") from None
+    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
+    library = cache_dir() / f"lossdraw-{key}.so"
+    if not library.exists():
+        _build(command, library)
+    try:
+        return LossKernel(ctypes.CDLL(str(library)), compiler)
+    except (OSError, AttributeError) as error:
+        raise BuildError(f"cannot load {library}: {error}") from None
+
+
+def _build(command: list[str], library: Path) -> None:
+    """Compile into a temporary file beside ``library``, then rename it there."""
+    try:
+        library.parent.mkdir(parents=True, exist_ok=True)
+        handle, partial = tempfile.mkstemp(
+            prefix=f"{library.stem}-", suffix=".tmp", dir=library.parent
+        )
+        os.close(handle)
+    except OSError as error:
+        raise BuildError(f"build cache {library.parent} is not writable: {error}") from None
+    try:
+        done = subprocess.run(
+            [*command, "-o", partial, str(SOURCE)],
+            capture_output=True, text=True, timeout=BUILD_TIMEOUT,
+        )
+        if done.returncode != 0:
+            raise BuildError(f"{Path(command[0]).name} failed: {_first_error(done.stderr)}")
+        os.replace(partial, library)
+    except subprocess.TimeoutExpired:
+        raise BuildError(f"{Path(command[0]).name} took over {BUILD_TIMEOUT} s") from None
+    except OSError as error:
+        raise BuildError(f"cannot build {library}: {error}") from None
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _first_error(stderr: str) -> str:
+    """The compiler's first error line (else its first line of output)."""
+    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    errors = [line for line in lines if "error" in line]
+    return (errors or lines or ["no diagnostics"])[0][:300]

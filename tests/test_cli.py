@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.topology.loss as loss_module
 from repro.cli import build_parser, main
+from repro.engine import run_sweep
 from repro.observability import read_trace
+from repro.topology import native
 
 
 class TestParser:
@@ -149,6 +152,26 @@ class TestCommands:
         assert "eig-tree" in output
         # The dispatch table records the validation mode of fast-path pairs.
         assert "statistical" in output and "exact" in output
+
+    def test_engines_footer_names_the_loss_kernel_and_why(self, capsys, tmp_path, monkeypatch):
+        assert main(["engines"]) == 0
+        kernel, detail = loss_module.loss_kernel()
+        footer = f"loss draws: {kernel} ({detail})"
+        assert capsys.readouterr().out.splitlines()[-1] == footer
+        lossy = dict(protocol="committee-ba", adversary="null", trials=4, base_seed=3,
+                     loss=0.05, engine="vectorized")
+        rows = run_sweep(24, 3, **lossy).trials
+        # No compiler: the footer names the NumPy kernel and the reason, and
+        # lossy sweeps keep their rows.
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(loss_module, "_native", None)
+        assert main(["engines"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "loss draws: numpy (no C compiler (cc, gcc, clang) on PATH)"
+        )
+        assert run_sweep(24, 3, **lossy).trials == rows
+        assert not (tmp_path / "repro").exists()
 
     def test_engines_markdown_emits_the_marked_blocks(self, capsys):
         from repro.engine import markdown_engine_tables

@@ -2,18 +2,25 @@
 
 Every check runs a :class:`TrialStreams` against live reference generators
 ``trial_generator(seed, trial_offset + k)``: whatever mix of bulk share
-draws, compaction and per-row generator draws consumes a row, it must see
-exactly the draws its reference generator produces.
+draws, native loss planes, compaction and per-row generator draws consumes
+a row, it must see exactly the draws its reference generator produces, and
+a row materialised at its cursor must hold the reference's exact state.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+import repro.topology.loss as loss_module
+from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
 from repro.observability import Tracer, activate
 from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams, philox_blocks, trial_generator
+from repro.topology import native
+from repro.topology.loss import sample_delivered, sample_delivered_words
 
 #: Key words at the edges of the 64-bit range: the per-round key bump wraps.
 EDGE_SEEDS = [0, 2**63, 2**64 - 1]
@@ -51,7 +58,15 @@ def _draw_paths(streams: TrialStreams, counts: np.ndarray) -> tuple[np.ndarray, 
     return shares, paths
 
 
+def _same_state(a, b) -> bool:
+    """Deep equality of two ``bit_generator.state`` dicts (Philox holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 def _check_generator_draws(generator: np.random.Generator, reference: np.random.Generator):
+    assert _same_state(generator.bit_generator.state, reference.bit_generator.state)
     assert np.array_equal(generator.bit_generator.random_raw(3),
                           reference.bit_generator.random_raw(3))
     assert generator.random() == reference.random()
@@ -136,9 +151,9 @@ class TestShareDraws:
 
 class TestMaterialisation:
     @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 8, 9])
-    def test_replay_lands_on_the_cursor(self, drawn):
+    def test_jump_lands_on_the_cursor(self, drawn):
         # `drawn` shares leave `drawn // 2` whole words behind the cursor and,
-        # for odd counts, a pending high half the replay must buffer too.
+        # for odd counts, a pending high half the jump must restore too.
         streams, reference = TrialStreams(3, 0, BIG), _Reference(3, 0, BIG)
         counts = np.full(BIG, drawn)
         streams.draw_shares(counts)
@@ -146,6 +161,25 @@ class TestMaterialisation:
         _check_generator_draws(streams[4], reference[4])
         assert np.array_equal(streams[4].integers(0, 2, size=7),
                               reference[4].integers(0, 2, size=7))
+
+    def test_materialising_far_into_the_stream_is_a_jump(self):
+        # A replay would walk (and allocate) all 10**7 words; the jump does
+        # not depend on the distance.
+        streams = TrialStreams(3, 0, 5)
+        assert streams.claim_raw(0, 10**7) == (3, 0, 0)
+        for row in range(1, 5):
+            streams.claim_raw(row, 10**7)
+        seconds = []
+        for row in range(5):
+            start = time.perf_counter()
+            generator = streams[row]
+            seconds.append(time.perf_counter() - start)
+            # Word 10**7 is lane 0 of block 10**7 // 4 + 1.
+            expected = philox_blocks(3, np.full(2, row, dtype=np.uint64),
+                                     np.array([10**7 // 4 + 1, 10**7 // 4 + 2]))
+            assert np.array_equal(generator.bit_generator.random_raw(8), expected.reshape(-1))
+        assert min(seconds) < 1e-3, seconds
+        assert streams.claim_raw(0, 4) is None  # a generator owns its stream now
 
     def test_generator_rows_are_shared_objects(self):
         generators = [trial_generator(1, k) for k in range(3)]
@@ -155,6 +189,56 @@ class TestMaterialisation:
         streams.draw_shares(np.array([2, 0, 1]))
         assert np.array_equal(generators[0].integers(0, 2, size=3),
                               trial_generator(1, 0).integers(0, 2, size=5)[2:])
+
+
+class TestLossPlanesOnCursors:
+    """Loss planes drawn straight from cursor rows (the native kernel) or
+    through materialised generators (the NumPy kernel): the same words, and
+    the row lands where its reference generator does."""
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_shares_plane_shares_then_generator_draws(self, loss_kernel, packed, monkeypatch):
+        sampler = sample_delivered_words if packed else sample_delivered
+        streams, reference = TrialStreams(7, 2**32 - 3, BIG), _Reference(7, 2**32 - 3, BIG)
+        # 1. An odd number of shares per row leaves a uint32 half pending.
+        counts = 2 * (np.arange(BIG) % 5) + 1
+        assert np.array_equal(streams.draw_shares(counts), reference.shares(counts))
+        # 2. One n=65 plane (4225 words) on a gapped running set: each drawing
+        #    row's next word lands mid-block, behind its pending half.
+        running = np.arange(BIG) % 3 != 1
+        drawn = sampler(None, 0.05, 65, streams, running)
+        with monkeypatch.context() as patch:
+            patch.setattr(loss_module, "_native", "the reference draws with NumPy")
+            expected = sampler(None, 0.05, 65, reference, running)
+        assert np.array_equal(drawn, expected)
+        # 3. Shares again: none (the half stays pending), the pending half
+        #    alone, or it plus fresh halves.  Native planes left every row a
+        #    cursor, so the vectorised pass draws them all; the NumPy kernel
+        #    materialised the drawing rows.
+        counts = np.arange(BIG) % 4
+        shares, paths = _draw_paths(streams, counts)
+        assert paths == ["vector" if loss_kernel == "native" else "generator"]
+        assert np.array_equal(shares, reference.shares(counts))
+        # 4. Materialise every row: exact state, then generator draws.
+        for row in range(BIG):
+            _check_generator_draws(streams[row], reference[row])
+            assert np.array_equal(streams[row].integers(0, 2, size=7),
+                                  reference[row].integers(0, 2, size=7))
+
+    def test_a_sharded_lossy_sweep_builds_from_an_empty_cache(self, tmp_path, monkeypatch):
+        if native.find_compiler() is None:
+            pytest.skip("no C compiler on PATH to build the native loss kernel")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(loss_module, "_native", None)
+        kwargs = dict(n=24, t=3, protocol="committee-ba", adversary="null", trials=6,
+                      base_seed=5, loss=0.05, engine="vectorized")
+        # Both workers build at once (neither inherits a loaded kernel), then
+        # the parent loads the published library.
+        sharded = run_sweep(**kwargs, workers=2)
+        assert sharded.trials == run_sweep(**kwargs, workers=1).trials
+        assert loss_module.loss_kernel()[0] == "native"
+        built = sorted(path.name for path in (tmp_path / "repro").iterdir())
+        assert len(built) == 1 and built[0].endswith(".so"), built  # no temporaries left
 
 
 class TestKeyRanges:

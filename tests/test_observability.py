@@ -9,7 +9,6 @@ aggregation maths, the store cache counters, and the ``repro trace`` CLI.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -182,7 +181,7 @@ class TestBitIdentity:
         ("committee-ba", "packed"),
         ("phase-king", "packed"),
     ])
-    def test_lossy_traced_equals_untraced(self, protocol, backend):
+    def test_lossy_traced_equals_untraced(self, protocol, backend, loss_kernel):
         experiment = AgreementExperiment(n=32, t=6, protocol=protocol,
                                          adversary="static", inputs="split",
                                          loss=0.05)
@@ -193,31 +192,33 @@ class TestBitIdentity:
         with activate(tracer):
             traced = run_sweep(**kwargs)
         assert _trial_rows(traced) == _trial_rows(plain)
-        # Every round's draw (both rounds, both kernels) has its own span,
-        # annotated with how many trials drew.
+        # Every round's draw (both rounds, both kernel families) has its own
+        # span, annotated with how many trials drew and which loss kernel
+        # drew them.
         draws = [e for e in tracer.events() if e["name"] == "engine.draw.loss"]
         assert len(draws) >= 2
         assert all(1 <= e["meta"]["running"] <= 4 for e in draws)
+        assert {e["meta"]["kernel"] for e in draws} == {loss_kernel}
         shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
         if protocol == "phase-king":
             assert shares == []  # the king's value is no coin
             return
-        # Below the crossover (and with every row a generator after its loss
-        # draws) shares are drawn per row; a loss-free batch above it takes
-        # the vectorised pass.
+        # Below the crossover shares are drawn per row, through generators.
         assert shares and all(
             e["meta"]["path"] == "generator" and e["meta"]["running"] <= 4
             for e in shares
         )
-        wide = dict(kwargs, experiment=dataclasses.replace(experiment, loss=0.0),
-                    trials=VECTOR_MIN_ROWS + 8)
+        # Above it, native loss planes leave every row a cursor, so the first
+        # share draw takes the vectorised pass; the NumPy kernel has turned
+        # the rows into generators by then.
+        wide = dict(kwargs, trials=VECTOR_MIN_ROWS + 8)
         plain = run_sweep(**wide)
         tracer = Tracer(run_id="wide-identity")
         with activate(tracer):
             traced = run_sweep(**wide)
         assert _trial_rows(traced) == _trial_rows(plain)
         shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
-        assert shares[0]["meta"]["path"] == "vector"
+        assert shares[0]["meta"]["path"] == ("vector" if loss_kernel == "native" else "generator")
         assert shares[0]["meta"]["running"] >= VECTOR_MIN_ROWS
 
     @pytest.mark.parametrize("engine", ["vectorized", "object"])
