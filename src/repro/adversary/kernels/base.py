@@ -296,16 +296,6 @@ class AdversaryKernel(ABC):
         """
         return 0
 
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop finished trial rows from any per-row kernel state.
-
-        The engine compacts its planes when enough trials terminate and calls
-        this hook with the kept row indices (in old-row order).  All current
-        kernels are stateless across phases (their state lives entirely in
-        the context planes), so the default is a no-op; kernels holding
-        ``(B, ...)`` arrays must re-index them here.
-        """
-
     def setup(self, ctx: KernelContext) -> None:
         """Spend up-front corruptions before round 1 of phase 1."""
 

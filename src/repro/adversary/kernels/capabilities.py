@@ -22,19 +22,19 @@ Hook surface vocabulary (protocol side)
     whose closed tree recurrence assumes a fixed honest set).
 ``round1-values``
     Recipients read round-1 value announcements, so the kernel applies
-    additive round-1 planes (committee family, the two-round skeleton,
-    phase-king).
+    additive round-1 planes (the two-round-phase protocols and phase-king).
 ``round2-records``
-    Recipients read round-2 ``(value, decided)`` records (committee family
-    and skeleton only).
+    Recipients read round-2 ``(value, decided)`` records (the two-round-phase
+    protocols only).
 ``shares-broadcast``
     Honest nodes broadcast coin shares the rushing adversary can observe and
     corrupt against (committee family, Rabin, Ben-Or — every protocol built
     on the two-round phase skeleton).
 ``committee``
     A per-phase distinguished node set exists: the paper's rotating
-    committees, the skeleton's whole-network share set, or phase-king's king
-    (via the ``CommitteePartition(n, 1)`` king schedule).
+    committees (the whole network for Rabin and Ben-Or, whose bookkeeping
+    committee has size ``n``), or phase-king's king (via the
+    ``CommitteePartition(n, 1)`` king schedule).
 ``rng``
     Per-trial generators are available to sampling strategies (random-noise's
     per-recipient draws).

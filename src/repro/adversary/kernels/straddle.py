@@ -15,8 +15,8 @@ computing each recipient's coin as ``sign(S + adjustment)``, an adjustment of
 coin 1 above and coin 0 below — exactly the ``value[upper] = 1 / value[lower]
 = 0`` assignment of the retired ``_run_batch_uniform`` loop.  Against a
 dealer or private coin the adjustment plane is ignored by the engine, which
-reproduces the attack's futility (corruptions still spent, coin unmoved) the
-dealer-coin skeleton modelled before.
+reproduces the attack's futility (corruptions still spent, coin unmoved)
+against Rabin and Ben-Or.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ experiments E1/E9 apples-to-apples.
   Augustine, Pandurangan & Robinson (2013), tolerating
   ``O(sqrt(n)/polylog n)`` Byzantine nodes.
 
-Each baseline also has a batched multi-trial NumPy kernel in
-:mod:`repro.baselines.kernels` (the Chor–Coan protocols run on the committee
-engine of :mod:`repro.simulator.vectorized`); :func:`repro.engine.run_sweep`
+Each baseline also has a batched multi-trial NumPy kernel: Chor–Coan, Rabin
+and Ben-Or run on the two-round-phase engine of
+:mod:`repro.simulator.vectorized`, the others in
+:mod:`repro.baselines.kernels`; :func:`repro.engine.run_sweep`
 dispatches between the kernels and these object implementations per
 ``(protocol, adversary)`` pair, which is what lets the baseline-landscape
 experiment (E9) run at ``n`` in the hundreds instead of dozens.

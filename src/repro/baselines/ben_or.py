@@ -16,11 +16,11 @@ The node is Las Vegas: it keeps iterating until the ``Finish`` mechanism
 fires, so runs against large ``t`` should be given a generous round cap and
 ``allow_timeout=True``.
 
-Batched sweeps run on the ``private-coin`` kernel
-(:mod:`repro.baselines.kernels.ben_or`), which replays the same phase
-skeleton on ``(trials, n)`` planes and is cross-validated statistically
-against this node (the private coins come from per-node streams the kernel
-cannot replay bit-for-bit).
+Batched sweeps run on the ``private-coin`` kernel: the two-round-phase entry
+:func:`repro.simulator.vectorized.run_vectorized_trials` with the private
+coin, which replays the same phase skeleton on ``(trials, n)`` planes and is
+cross-validated statistically against this node (the private coins come from
+per-node streams the kernel cannot replay bit-for-bit).
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
 """Batched NumPy kernels for the baseline protocols.
 
-PR 1 gave the paper's committee-BA family a batched multi-trial engine
-(:mod:`repro.simulator.vectorized`); this package extends the same treatment
-to the rest of the baseline landscape so the E9 comparison can run at
-thousand-node scale.  Each kernel executes a whole sweep of trials on
-``(B, n)`` boolean planes and returns one
-:class:`~repro.core.runner.TrialSummary` row per trial, as the committee
-engine does; the Rabin and Ben-Or kernels run on the shared hook-driven
-:class:`repro.simulator.phase_engine.PhaseEngine`, and every kernel consumes
-the same :mod:`repro.adversary.kernels` plane kernels the committee engine
-uses instead of a private behaviour switch.
+The six protocols built on the paper's two-round phase — the committee-BA
+family, Chor–Coan, Rabin and Ben-Or — run batched through one entry,
+:func:`repro.simulator.vectorized.run_vectorized_trials`, on the shared
+hook-driven :class:`repro.simulator.phase_engine.PhaseEngine`; the protocol
+name picks the coin.  This package holds the kernels of the rest of the
+baseline landscape (phase king, EIG, sampling-majority and the standalone
+common coin), so the E9 comparison can run at thousand-node scale.  Each
+kernel executes a whole sweep of trials on ``(B, n)`` boolean planes and
+returns one :class:`~repro.core.runner.TrialSummary` row per trial, built by
+the same :func:`repro.simulator.vectorized.batch_summaries` as the phase
+protocols' rows, and every kernel consumes the same
+:mod:`repro.adversary.kernels` plane kernels the phase engine uses instead of
+a private behaviour switch.
 
 :data:`BASELINE_KERNELS` is the capability registry :mod:`repro.engine`
 merges with the committee engine's entries.  Which object-simulator
@@ -25,23 +28,22 @@ and anything else stays on the object path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from repro.adversary.kernels.capabilities import (
     derive_behaviours,
     inapplicable_adversaries,
 )
-from repro.baselines.kernels.ben_or import run_ben_or_trials
 from repro.baselines.kernels.coin import CoinTrialsResult, run_coin_trials
 from repro.baselines.kernels.eig import EIG_HOOKS, run_eig_trials
 from repro.baselines.kernels.phase_king import PHASE_KING_HOOKS, run_phase_king_trials
-from repro.baselines.kernels.phase_skeleton import SKELETON_HOOKS
-from repro.baselines.kernels.rabin import run_rabin_trials
 from repro.baselines.kernels.sampling_majority import (
     SAMPLING_HOOKS,
     run_sampling_majority_trials,
 )
 from repro.core.runner import TrialSummary
+from repro.simulator.vectorized import COMMITTEE_ENGINE_HOOKS, run_vectorized_trials
 
 
 @dataclass(frozen=True)
@@ -108,17 +110,17 @@ class KernelSpec:
         )
 
 
-#: protocol name -> baseline kernel capability record.  The committee-family
-#: protocols are registered by :mod:`repro.engine` itself (their kernel is
-#: the committee engine).  ``exact`` marks the pairs the cross-validation
-#: suite holds to bit-identity (deterministic protocols and the replayed
-#: dealer stream — including the inapplicable no-op pairs, which are
-#: bit-identical wherever the failure-free pair is).
+#: protocol name -> baseline kernel capability record.  The committee-coin
+#: protocols are registered by :mod:`repro.engine` itself; Rabin and Ben-Or
+#: run on the same entry with the dealer and private coins.  ``exact`` marks
+#: the pairs the cross-validation suite holds to bit-identity (deterministic
+#: protocols and the replayed dealer stream — including the inapplicable
+#: no-op pairs, which are bit-identical wherever the failure-free pair is).
 BASELINE_KERNELS: dict[str, KernelSpec] = {
     "rabin": KernelSpec(
         name="dealer-coin",
-        run_trials=run_rabin_trials,
-        hooks=SKELETON_HOOKS,
+        run_trials=partial(run_vectorized_trials, protocol="rabin"),
+        hooks=COMMITTEE_ENGINE_HOOKS,
         # The dealer stream is replayed exactly and these fault models are
         # deterministic, so they match the object simulator bit for bit; the
         # rushing share attacks depend on the honest share draws and stay
@@ -132,8 +134,8 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
     ),
     "ben-or": KernelSpec(
         name="private-coin",
-        run_trials=run_ben_or_trials,
-        hooks=SKELETON_HOOKS,
+        run_trials=partial(run_vectorized_trials, protocol="ben-or"),
+        hooks=COMMITTEE_ENGINE_HOOKS,
         supports_max_rounds=True,
         supports_topology=True,
         supports_backend=True,
@@ -188,10 +190,8 @@ __all__ = [
     "BASELINE_KERNELS",
     "CoinTrialsResult",
     "KernelSpec",
-    "run_ben_or_trials",
     "run_coin_trials",
     "run_eig_trials",
     "run_phase_king_trials",
-    "run_rabin_trials",
     "run_sampling_majority_trials",
 ]

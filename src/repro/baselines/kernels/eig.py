@@ -41,15 +41,12 @@ import numpy as np
 from repro.adversary.kernels import ADVERSARY_PLANE_KERNELS
 from repro.adversary.kernels.capabilities import CORRUPT_STATIC
 from repro.baselines.eig import EIGNode
-from repro.baselines.kernels.common import (
-    batch_setup,
-    finalize_planes,
-    row_popcount,
-)
 from repro.core.parameters import validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
+from repro.simulator.bitplanes import row_popcount
 from repro.simulator.messages import PAYLOAD_BITS
+from repro.simulator.vectorized import batch_setup, batch_summaries
 
 #: Adversary hook surface this kernel implements: up-front corruption only
 #: (the closed tree recurrence assumes a fixed honest set).
@@ -136,7 +133,7 @@ def run_eig_trials(
         total_bits += crafted * crafted_bits
 
     corrupted = np.tile(corrupted_cols, (batch, 1))
-    return finalize_planes(
+    return batch_summaries(
         n,
         t,
         input_rows,

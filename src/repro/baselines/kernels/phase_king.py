@@ -42,15 +42,12 @@ from repro.adversary.kernels.capabilities import (
     RNG,
     ROUND1_VALUES,
 )
-from repro.baselines.kernels.common import (
-    batch_setup,
-    finalize_planes,
-    row_popcount,
-)
 from repro.core.parameters import ProtocolParameters, Regime, validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
+from repro.simulator.bitplanes import row_popcount
 from repro.simulator.messages import PAYLOAD_BITS
+from repro.simulator.vectorized import batch_setup, batch_summaries
 from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
 from repro.topology.generators import validate_adjacency
 from repro.topology.loss import sample_delivered, sample_delivered_words, validate_loss
@@ -229,7 +226,7 @@ def run_phase_king_trials(
 
     rounds = np.full(batch, 2 * num_phases, dtype=np.int64)
     phases = np.full(batch, num_phases, dtype=np.int64)
-    return finalize_planes(
+    return batch_summaries(
         n,
         t,
         input_rows,

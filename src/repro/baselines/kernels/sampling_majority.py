@@ -40,14 +40,11 @@ from repro.adversary.kernels.capabilities import (
     CORRUPT_STATIC,
     RNG,
 )
-from repro.baselines.kernels.common import (
-    batch_setup,
-    finalize_planes,
-)
 from repro.core.parameters import validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 from repro.simulator.messages import PAYLOAD_BITS
+from repro.simulator.vectorized import batch_setup, batch_summaries
 
 #: Adversary hook surface this kernel implements: up-front corruption plus
 #: the per-iteration corruption schedule (no value/record/share channels).
@@ -131,7 +128,7 @@ def run_sampling_majority_trials(
             bits += crafted * payload_bits
 
     corrupted = np.tile(corrupted_cols, (batch, 1))
-    return finalize_planes(
+    return batch_summaries(
         n,
         t,
         input_rows,

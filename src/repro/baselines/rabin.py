@@ -15,10 +15,10 @@ The dealer is simulated by a pseudo-random stream keyed by a public
 bit of that stream.  There is no cryptographic hiding — consistent with the
 full-information model, the adversary is assumed to know the coin values.
 
-Batched sweeps run on the ``dealer-coin`` kernel
-(:mod:`repro.baselines.kernels.rabin`), which replays the same public dealer
-stream and is therefore bit-identical to this node under the failure-free and
-silent behaviours.
+Batched sweeps run on the ``dealer-coin`` kernel: the two-round-phase entry
+:func:`repro.simulator.vectorized.run_vectorized_trials` with the dealer coin,
+which replays the same public dealer stream and is therefore bit-identical to
+this node under the failure-free and silent behaviours.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ def dealer_coin_bit(dealer_seed: int, phase: int) -> int:
 
     Single source of truth for the dealer stream: both
     :class:`RabinDealerNode` and the batched ``dealer-coin`` kernel
-    (:mod:`repro.baselines.kernels.rabin`) call this, which is what makes the
-    kernel bit-identical to the object simulator.
+    (:class:`repro.simulator.phase_engine.PhaseEngine`'s dealer coin) call
+    this, which is what makes the kernel bit-identical to the object
+    simulator.
     """
     mask = (1 << 64) - 1
     key = np.array(

@@ -3,10 +3,9 @@
 Every execution path in the repository materialises per-node input bits from
 the same four pattern names, but historically each engine carried its own
 copy of the pattern switch (``core.runner.build_inputs`` for the object
-simulator, ``simulator.vectorized._trial_inputs`` for the committee plane
-engine, re-exported again by ``baselines.kernels.common``).  This module is
-now the single source of truth; the two entry points differ only in dtype
-and randomness source:
+simulator, ``simulator.vectorized._trial_inputs`` for the plane kernels).
+This module is now the single source of truth; the two entry points differ
+only in dtype and randomness source:
 
 * :func:`input_list` — object-simulator path: plain ``list[int]`` drawing the
   ``random`` pattern from the run's *environment* stream

@@ -131,11 +131,6 @@ class ProtocolParameters:
         :class:`repro.core.agreement.CommitteeAgreementNode`)."""
         return 2 * (self.num_phases + 1)
 
-    @property
-    def clean_committee_threshold(self) -> float:
-        """``sqrt(s)/2`` — the per-committee Byzantine bound of Lemma 5/Corollary 1."""
-        return 0.5 * math.sqrt(self.committee_size)
-
     def committee_range(self, committee_index: int) -> range:
         """Node ids belonging to committee ``committee_index`` (0-based)."""
         if not 0 <= committee_index < self.num_committees:

@@ -6,9 +6,11 @@ range.  The ``engine`` argument names the *result family* that runs it:
 
 ``vectorized``
     A batched NumPy kernel: all trials execute simultaneously on
-    ``(trials, n)`` arrays.  The committee-family protocols run on the engine
-    of :mod:`repro.simulator.vectorized`; every other baseline protocol has a
-    dedicated kernel in :mod:`repro.baselines.kernels`.  Which
+    ``(trials, n)`` arrays.  The six two-round-phase protocols (committee-BA,
+    Chor–Coan, Rabin and Ben-Or) run on the one entry of
+    :mod:`repro.simulator.vectorized`, with the coin picked by the protocol
+    name; phase king, EIG and sampling-majority have dedicated kernels in
+    :mod:`repro.baselines.kernels`.  Which
     ``(protocol, adversary)`` pairs qualify is recorded in the
     :data:`PROTOCOL_KERNELS` capability registry; qualifying sweeps run orders
     of magnitude faster than the object simulator and are the only practical
@@ -104,8 +106,9 @@ def _committee_spec(protocol: str) -> KernelSpec:
 
 
 #: protocol -> kernel capability record: which adversaries (and options) have
-#: a vectorised fast path.  Committee-family entries point at the committee
-#: engine; the baselines bring their own kernels.
+#: a vectorised fast path.  The committee-coin entries and the Rabin and
+#: Ben-Or baselines all point at ``run_vectorized_trials``; the other
+#: baselines bring their own kernels.
 PROTOCOL_KERNELS: dict[str, KernelSpec] = {
     **{protocol: _committee_spec(protocol) for protocol in COMMITTEE_PROTOCOLS},
     **BASELINE_KERNELS,
@@ -146,7 +149,8 @@ def vectorizable(
 
     The decision is a :data:`PROTOCOL_KERNELS` lookup: the pair must have a
     registered fault behaviour, any custom round cap must be honoured by the
-    kernel, an off-clique topology or positive message loss requires the
+    kernel (which runs whole two-round phases, so the cap must be a positive
+    even number), an off-clique topology or positive message loss requires the
     kernel's masked communication planes (``supports_topology``), protocol
     kwargs must be within the kernel's modelled set, and any adversary kwargs
     (e.g. explicit target lists or per-phase spend limits) force the object
@@ -157,7 +161,9 @@ def vectorizable(
         return False
     if adversary not in spec.behaviours:
         return False
-    if max_rounds is not None and not spec.supports_max_rounds:
+    if max_rounds is not None and (
+        not spec.supports_max_rounds or max_rounds % 2 or max_rounds < 2
+    ):
         return False
     if (topology != "clique" or loss > 0.0) and not spec.supports_topology:
         return False

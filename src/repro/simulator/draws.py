@@ -176,6 +176,11 @@ class TrialStreams:
         return len(self._generators)
 
     @property
+    def seed(self) -> int:
+        """The master seed, the first word of every row's Philox key."""
+        return self._seed
+
+    @property
     def trial_counters(self) -> np.ndarray:
         """Each row's global trial counter, the second word of its Philox key."""
         return self._trial

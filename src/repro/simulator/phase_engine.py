@@ -2,10 +2,9 @@
 
 Every batched protocol built on the paper's two-round phase skeleton — the
 committee-BA family, its Chor–Coan variant, Rabin's dealer-coin protocol and
-Ben-Or's private-coin protocol — executes through this one loop.  The engine
-owns everything that used to be triplicated across the committee engine's
-``_run_batch_uniform`` / ``_run_batch_noise`` / ``_run_batch_planes`` paths
-and the baselines' ``run_phase_skeleton_batch``:
+Ben-Or's private-coin protocol — executes through this one loop, reached
+through one entry (:func:`repro.simulator.vectorized.run_vectorized_trials`).
+The engine owns everything the six protocols share:
 
 * the ``(B, n)`` boolean state planes and their XOR-blend updates;
 * live-trial compaction (finished trials are archived and dropped from the
@@ -22,12 +21,13 @@ and the baselines' ``run_phase_skeleton_batch``:
   traffic kernel-side) and flush-phase / bounded-exhaustion termination;
 * the batched agreement/validity finaliser (:func:`finalize_planes`).
 
-What distinguishes the protocols is reduced to configuration: the *coin
+What distinguishes the protocols is reduced to one setting, the *coin
 source* (``"committee"``: sign of the designated committee's share sum,
 adjusted by the kernel's additive share planes; ``"dealer"``: Rabin's public
-per-``(trial, phase)`` bit; ``"private"``: Ben-Or's per-node local flips) and
-the committee rotation (the paper's rotating ID slices vs the skeleton's
-whole-network share set).  Adversary behaviour is reduced to the kernel: the
+per-``(trial, phase)`` bit; ``"private"``: Ben-Or's per-node local flips).
+The committee always rotates through the parameters' ID slices; Rabin's and
+Ben-Or's bookkeeping committee has size ``n``, so their slice is the whole
+network every phase.  Adversary behaviour is reduced to the kernel: the
 engine never branches on a strategy name, which is what lets every protocol
 on this loop inherit every applicable adversary kernel for free.
 
@@ -141,10 +141,10 @@ def finalize_planes(
 
     Agreement holds when the honest outputs are unanimous; validity binds
     only when the honest *inputs* were unanimous.  Returns the per-trial
-    evaluation arrays, which the protocol kernels turn into
-    :class:`~repro.core.runner.TrialSummary` rows with their
+    evaluation arrays, which every batched kernel turns into
+    :class:`~repro.core.runner.TrialSummary` rows with its
     protocol-specific round/bit accounting
-    (:func:`repro.simulator.vectorized.trial_summaries`).
+    (:func:`repro.simulator.vectorized.batch_summaries`).
     """
     batch = inputs.shape[0]
     honest = ~corrupted
@@ -178,7 +178,8 @@ class PhaseEngine:
     Args:
         n / t: Network size and Byzantine budget.
         params: Committee geometry (consumed by the committee rotation and
-            handed to the adversary kernel).
+            handed to the adversary kernel; a ``committee_size`` of ``n``
+            makes every phase's committee the whole network).
         coin: One of :data:`COIN_SOURCES`.
         las_vegas: When True the protocol cycles phases until termination
             (capped at ``max_phases``, excess trials reported timed out);
@@ -186,13 +187,8 @@ class PhaseEngine:
             exhaustion.
         num_phases: Bounded-variant phase schedule.
         max_phases: Hard cap for Las Vegas runs.
-        rotate_committee: True for the paper's rotating ID-slice committees;
-            False gives the skeleton's whole-network share set every phase.
         dealer_seeds: Per-trial public dealer seeds (required for the dealer
             coin; the object runner hands each trial its master seed).
-        compaction: Archive-and-drop finished trials (on by default; results
-            never depend on it because trials draw only from their own
-            streams).
         adjacency: Optional ``(n, n)`` boolean topology mask (symmetric,
             True diagonal; see :mod:`repro.topology`).  ``None`` means the
             clique.  Any non-``None`` adjacency — including an explicit
@@ -218,9 +214,7 @@ class PhaseEngine:
     las_vegas: bool
     num_phases: int
     max_phases: int
-    rotate_committee: bool = True
     dealer_seeds: Sequence[int] | None = None
-    compaction: bool = True
     adjacency: np.ndarray | None = None
     loss: float = 0.0
     backend: str | PlaneBackend | None = None
@@ -269,8 +263,6 @@ class PhaseEngine:
         }
 
     def _committee_slice(self, phase: int) -> tuple[int, int]:
-        if not self.rotate_committee:
-            return 0, self.n
         committee_size = self.params.committee_size
         num_committees = max(1, math.ceil(self.n / committee_size))
         start = ((phase - 1) % num_committees) * committee_size
@@ -382,8 +374,10 @@ class PhaseEngine:
             live = int(np.count_nonzero(running))
             if live == 0:
                 break
-            if self.compaction and live <= int(_COMPACTION_THRESHOLD * len(orig)):
-                # Compact: archive finished trials and drop their rows.
+            if live <= int(_COMPACTION_THRESHOLD * len(orig)):
+                # Compact: archive finished trials and drop their rows;
+                # results never depend on it, because trials draw only from
+                # their own streams.
                 with tracer.span(
                     "engine.compaction", phase=phase, live=live, batch=len(orig)
                 ):
@@ -405,7 +399,6 @@ class PhaseEngine:
                     streams = streams.take(keep)
                     if dealer_seeds is not None:
                         dealer_seeds = [dealer_seeds[i] for i in keep]
-                    kernel.compact(keep)
                     running = np.ones(live, dtype=bool)
             # Promote last phase's flush schedule; the plane freed by the
             # swap is reused for this phase's schedule.  Stale bits from two
@@ -498,8 +491,8 @@ class PhaseEngine:
                 # Share draws: always for the committee coin; lazily for the
                 # others, only when a share-hungry kernel can reach the coin case
                 # this phase (the honest tallies decide, since the kernel has not
-                # spoken yet) — preserving the skeleton's historical per-trial
-                # draw schedule bit for bit.
+                # spoken yet) — preserving the dealer/private coins' historical
+                # per-trial draw schedule bit for bit.
                 shares = None
                 if self.coin == "committee":
                     shares = draw_committee_shares(

@@ -3,26 +3,29 @@
 The object-level simulator (:mod:`repro.simulator.scheduler`) delivers every
 message individually, which is faithful but quadratic-per-round in Python; at
 ``n`` in the thousands a single run of the paper's protocol under attack takes
-minutes.  The benchmark sweeps (experiments E1, E3, E4, E5) therefore use this
-vectorised engine, which simulates the *same* protocols — Algorithm 3 (bounded
-or Las Vegas) and the Chor–Coan baseline — under every registered adversary
-strategy.
+minutes.  The benchmark sweeps (experiments E1, E3, E4, E5, E9) therefore use
+this vectorised engine, which simulates the *same* protocols under every
+registered adversary strategy: the six protocols built on the two-round phase
+of Algorithm 3 (:data:`PHASE_PROTOCOLS`), which differ only in the coin —
+the committee's shares (Algorithm 3 and the Chor–Coan baseline, each bounded
+or Las Vegas), Rabin's dealer bit or Ben-Or's private flips.
 
 Batched execution runs on the shared hook-driven plane engine
 (:class:`repro.simulator.phase_engine.PhaseEngine`): the engine owns the
-honest protocol — tallies, thresholds, committee share draws, flush
-bookkeeping, live-trial compaction — and delegates every Byzantine decision
-to a pluggable :class:`~repro.adversary.kernels.base.AdversaryKernel` through
-four hooks per phase (``setup`` once, then ``round1`` / ``pre_coin`` /
-``round2``).  The behaviour names in :data:`VECTORIZED_ADVERSARIES` map
-one-to-one onto the kernels of
+honest protocol — tallies, thresholds, coins, flush bookkeeping, live-trial
+compaction — and delegates every Byzantine decision to a pluggable
+:class:`~repro.adversary.kernels.base.AdversaryKernel` through four hooks per
+phase (``setup`` once, then ``round1`` / ``pre_coin`` / ``round2``).  The
+behaviour names in :data:`VECTORIZED_ADVERSARIES` are the kernels of
 :data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`; see
 :mod:`repro.adversary.kernels` for what each strategy does and how it is
-validated against the object simulator.
+validated against the object simulator.  The batch set-up and row building
+here (:func:`batch_setup`, :func:`batch_summaries`) also serve the phase-king,
+EIG and sampling-majority kernels of :mod:`repro.baselines.kernels`.
 
 Two entry points are provided: :meth:`VectorizedAgreementSimulator.run`
 executes one trial on 1-D arrays (the reference implementation, kept for the
-``none`` and ``straddle`` behaviours), and
+committee coin under the ``none`` and ``straddle`` behaviours), and
 :meth:`VectorizedAgreementSimulator.run_batch` executes a whole batch of
 ``B`` trials simultaneously on 2-D ``(B, n)`` arrays, drawing from the
 batch's :class:`~repro.simulator.draws.TrialStreams`.  For the ``none`` and
@@ -50,7 +53,7 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters, validate_n_t
-from repro.core.runner import TrialSummary, protocol_parameters
+from repro.core.runner import TrialSummary, default_max_rounds, protocol_parameters
 from repro.exceptions import ConfigurationError
 # trial_generator is re-exported: callers, and sweepbench/layers.py's
 # rng-setup timer, look it up on this module.
@@ -62,23 +65,34 @@ from repro.simulator.phase_engine import PhaseEngine, finalize_planes
 #: CombinedAnnouncement size.
 _ROUND_PAYLOAD_BITS = PAYLOAD_BITS["CombinedAnnouncement"]
 
-#: The committee-family protocols this engine runs: the paper's Algorithm 3
-#: and the Chor–Coan baseline, each bounded or Las Vegas.
-COMMITTEE_PROTOCOLS = (
-    "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas",
+#: The six two-round-phase protocols this engine runs -> (coin source, Las
+#: Vegas).  The coin is the only protocol setting of the
+#: :class:`~repro.simulator.phase_engine.PhaseEngine`; a Las Vegas run cycles
+#: phases until it finishes, a bounded one decides by exhaustion after its
+#: phase schedule.
+PHASE_PROTOCOLS: dict[str, tuple[str, bool]] = {
+    "committee-ba": ("committee", False),
+    "committee-ba-las-vegas": ("committee", True),
+    "chor-coan": ("committee", False),
+    "chor-coan-las-vegas": ("committee", True),
+    "rabin": ("dealer", False),
+    "ben-or": ("private", True),
+}
+
+#: The committee-coin protocols: the paper's Algorithm 3 and the Chor–Coan
+#: baseline, each bounded or Las Vegas.
+COMMITTEE_PROTOCOLS = tuple(
+    name for name, (coin, _) in PHASE_PROTOCOLS.items() if coin == "committee"
 )
 
 #: Adversary behaviours the vectorised engine can simulate — exactly the
 #: plane-kernel registry.
-VECTORIZED_ADVERSARIES = (
-    "none", "straddle", "silent", "crash", "random-noise",
-    "static", "equivocate", "committee-targeting",
-)
-assert set(VECTORIZED_ADVERSARIES) == set(ADVERSARY_PLANE_KERNELS)
+VECTORIZED_ADVERSARIES = tuple(ADVERSARY_PLANE_KERNELS)
 
-#: Adversary hook surface of the committee engine — the full vocabulary:
-#: both announcement channels, rushing share observation, the rotating
-#: designated committee and the per-trial streams.
+#: Adversary hook surface of the engine — the full vocabulary: both
+#: announcement channels, rushing share observation, the rotating designated
+#: committee (the whole network for Rabin and Ben-Or, whose bookkeeping
+#: committee has size ``n``) and the per-trial streams.
 COMMITTEE_ENGINE_HOOKS = frozenset(
     {
         CORRUPT_STATIC,
@@ -94,13 +108,20 @@ COMMITTEE_ENGINE_HOOKS = frozenset(
 
 @dataclass
 class VectorizedAgreementSimulator:
-    """Vectorised simulation of a committee-phase agreement protocol.
+    """Vectorised simulation of a two-round-phase agreement protocol.
 
     Args:
         n: Network size.
         t: Byzantine budget (``t < n/3``).
-        params: Committee geometry (the paper's formula or Chor–Coan's).
+        params: Committee geometry (the paper's formula, Chor–Coan's, or the
+            bookkeeping-only whole-network committee of Rabin and Ben-Or).
         adversary: One of :data:`VECTORIZED_ADVERSARIES`.
+        coin: The coin source
+            (:data:`repro.simulator.phase_engine.COIN_SOURCES`): the
+            committee's shares, Rabin's public dealer bit (trial ``k``'s
+            dealer seed is the object runner's master seed of that trial,
+            the batch's master seed plus the trial counter) or Ben-Or's
+            private flips.
         las_vegas: When True the protocol cycles committees until termination;
             when False it stops after ``params.num_phases`` phases and decides
             by exhaustion (the w.h.p. variant).
@@ -119,6 +140,7 @@ class VectorizedAgreementSimulator:
     t: int
     params: ProtocolParameters
     adversary: str = "straddle"
+    coin: str = "committee"
     las_vegas: bool = True
     max_phases: int | None = None
     adjacency: np.ndarray | None = None
@@ -150,13 +172,14 @@ class VectorizedAgreementSimulator:
         if len(streams) != 1:
             raise ConfigurationError(f"run takes one trial stream, got {len(streams)}")
         if (
-            self.adversary not in ("none", "straddle")
+            self.coin != "committee"
+            or self.adversary not in ("none", "straddle")
             or self.adjacency is not None
             or self.loss > 0.0
         ):
-            # The newer behaviours and the masked communication planes are
-            # implemented only once, in the batched path; a single trial is
-            # just a batch of one.
+            # The other coins, the newer behaviours and the masked
+            # communication planes are implemented only once, in the batched
+            # path; a single trial is just a batch of one.
             return self.run_batch(inputs[None, :], streams)[0]
         rng = streams[0]
         committee_size = self.params.committee_size
@@ -330,9 +353,9 @@ class VectorizedAgreementSimulator:
                 range(B)]``.
 
         The batch runs on the shared hook-driven
-        :class:`~repro.simulator.phase_engine.PhaseEngine` with the committee
-        coin and the behaviour's adversary plane kernel; per-trial results
-        are independent of how trials are batched together.
+        :class:`~repro.simulator.phase_engine.PhaseEngine` with the
+        simulator's coin and the behaviour's adversary plane kernel;
+        per-trial results are independent of how trials are batched together.
 
         Returns:
             One :class:`~repro.core.runner.TrialSummary` per trial, in batch
@@ -353,32 +376,28 @@ class VectorizedAgreementSimulator:
             self.adversary, n=self.n, t=self.t, params=self.params
         )
         assert self.max_phases is not None
+        dealer_seeds = None
+        if self.coin == "dealer":
+            # Each trial's master seed in the object runner, kept as Python
+            # ints because seed + counter may pass 2**64.
+            dealer_seeds = [streams.seed + k for k in streams.trial_counters.tolist()]
         engine = PhaseEngine(
             n=self.n,
             t=self.t,
             params=self.params,
-            coin="committee",
+            coin=self.coin,
             las_vegas=self.las_vegas,
             num_phases=self.params.num_phases,
             max_phases=self.max_phases,
+            dealer_seeds=dealer_seeds,
             adjacency=self.adjacency,
             loss=self.loss,
             backend=self.backend,
         )
         state = engine.run_batch(inputs, streams, kernel)
-        evaluated = finalize_planes(
-            self.n,
-            self.t,
-            inputs,
-            output=state["output"],
-            corrupted=state["corrupted"],
-            messages=state["messages"],
-            timed_out=state["timed_out"],
-        )
-        return trial_summaries(
-            evaluated, streams.trial_counters,
-            rounds=state["rounds"], phases=state["phases"],
-            bits=state["messages"] * _ROUND_PAYLOAD_BITS,
+        return batch_summaries(
+            self.n, self.t, inputs, streams,
+            bits=state["messages"] * _ROUND_PAYLOAD_BITS, **state,
         )
 
 
@@ -423,6 +442,38 @@ def trial_summaries(
 _aggregate = trial_summaries
 
 
+def batch_summaries(
+    n: int,
+    t: int,
+    inputs: np.ndarray,
+    streams: TrialStreams,
+    *,
+    output: np.ndarray,
+    corrupted: np.ndarray,
+    rounds: np.ndarray,
+    phases: np.ndarray,
+    messages: np.ndarray,
+    bits: np.ndarray,
+    timed_out: np.ndarray | None = None,
+) -> list[TrialSummary]:
+    """Evaluate a batch's final planes and build its trials' rows.
+
+    Agreement and validity are evaluated over the honest nodes' output plane
+    (:func:`~repro.simulator.phase_engine.finalize_planes`) and each row's
+    ``seed`` is its trial counter in ``streams``.  ``bits`` is passed
+    explicitly because the protocols' payload sizes differ: the phase
+    protocols send one CombinedAnnouncement per message, while king values,
+    EIG reports and sampling traffic have their own sizes.
+    """
+    evaluated = finalize_planes(
+        n, t, inputs, output=output, corrupted=corrupted,
+        messages=messages, timed_out=timed_out,
+    )
+    return trial_summaries(
+        evaluated, streams.trial_counters, rounds=rounds, phases=phases, bits=bits
+    )
+
+
 def _trial_inputs(n: int, inputs: str, streams: TrialStreams) -> np.ndarray:
     """Materialise the ``(B, n)`` input plane (:func:`repro.core.inputs.input_row`).
 
@@ -434,8 +485,21 @@ def _trial_inputs(n: int, inputs: str, streams: TrialStreams) -> np.ndarray:
     return np.tile(input_row(n, inputs, None), (len(streams), 1))
 
 
-#: Public alias used by the baseline kernels (:mod:`repro.baselines.kernels`).
-trial_inputs = _trial_inputs
+def batch_setup(
+    n: int, inputs: str, trials: int, seed: int, trial_offset: int = 0
+) -> tuple[np.ndarray, TrialStreams]:
+    """Materialise a batch's ``(B, n)`` input plane and per-trial streams.
+
+    Trial ``k`` uses the Philox key ``(seed, trial_offset + k)`` and consumes
+    randomness from its stream here only for the ``random`` input pattern.
+    ``trial_offset`` lets a shard worker run a contiguous sub-range of a
+    larger sweep on the sweep's global trial counters, keeping sharded
+    execution bit-identical to the single-batch run.
+    """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
+    streams = TrialStreams(seed, trial_offset, trials)
+    return _trial_inputs(n, inputs, streams), streams
 
 
 def build_vectorized_simulator(
@@ -445,27 +509,41 @@ def build_vectorized_simulator(
     protocol: str = "committee-ba-las-vegas",
     adversary: str = "straddle",
     alpha: float = 4.0,
+    phases_factor: float = 4.0,
     params: ProtocolParameters | None = None,
+    max_rounds: int | None = None,
     adjacency: np.ndarray | None = None,
     loss: float = 0.0,
     backend: str | None = None,
 ) -> VectorizedAgreementSimulator:
     """Construct the vectorised simulator for a named protocol configuration.
 
-    Without ``params`` the committee geometry comes from
-    :func:`repro.core.runner.protocol_parameters`, the one source of truth
-    for alpha/committee sizing shared with the object simulator.
+    The protocol name fixes the coin and the Las Vegas flag
+    (:data:`PHASE_PROTOCOLS`).  Without ``params`` the committee geometry
+    comes from :func:`repro.core.runner.protocol_parameters`, the one source
+    of truth for committee sizing shared with the object simulator:
+    ``alpha`` sizes the committee protocols' committees, ``phases_factor``
+    Rabin's and Ben-Or's phase schedule.  ``max_rounds`` caps a Las Vegas
+    run at ``max(1, max_rounds // 2)`` whole phases; Ben-Or, whose expected
+    time is exponential for linear ``t``, defaults to the object runner's cap
+    (:func:`repro.core.runner.default_max_rounds`).
     """
-    if protocol not in COMMITTEE_PROTOCOLS:
+    if protocol not in PHASE_PROTOCOLS:
         raise ConfigurationError(
-            f"the vectorized engine runs the protocols {COMMITTEE_PROTOCOLS}, "
+            f"the vectorized engine runs the protocols {tuple(PHASE_PROTOCOLS)}, "
             f"got {protocol!r}"
         )
+    coin, las_vegas = PHASE_PROTOCOLS[protocol]
     if params is None:
-        params = protocol_parameters(protocol, n, t, {"alpha": alpha})
+        params = protocol_parameters(
+            protocol, n, t, {"alpha": alpha, "phases_factor": phases_factor}
+        )
+    if max_rounds is None and protocol == "ben-or":
+        max_rounds = default_max_rounds(protocol, n, t)
     return VectorizedAgreementSimulator(
-        n=n, t=t, params=params, adversary=adversary,
-        las_vegas=protocol.endswith("las-vegas"),
+        n=n, t=t, params=params, adversary=adversary, coin=coin,
+        las_vegas=las_vegas,
+        max_phases=None if max_rounds is None else max(1, max_rounds // 2),
         adjacency=adjacency, loss=loss, backend=backend,
     )
 
@@ -480,7 +558,9 @@ def run_vectorized_trials(
     trials: int = 10,
     seed: int = 0,
     alpha: float = 4.0,
+    phases_factor: float = 4.0,
     params: ProtocolParameters | None = None,
+    max_rounds: int | None = None,
     batch: bool = True,
     trial_offset: int = 0,
     adjacency: np.ndarray | None = None,
@@ -494,23 +574,22 @@ def run_vectorized_trials(
     trials can be split into contiguous sub-batches (each worker passing its
     range start as ``trial_offset``) whose concatenated rows equal the
     single-batch run — the contract the ``workers > 1`` sharded executor
-    of :mod:`repro.engine` relies on.  :func:`repro.engine.run_sweep` wraps
-    the rows in a :class:`~repro.engine.SweepResult` for the aggregate
-    statistics.
+    of :mod:`repro.engine` relies on.  Rabin's dealer seed for trial ``k`` is
+    ``seed + trial_offset + k``, the master seed the object runner hands that
+    trial.  :func:`repro.engine.run_sweep` wraps the rows in a
+    :class:`~repro.engine.SweepResult` for the aggregate statistics.
 
     By default the whole sweep executes as one :meth:`run_batch` call on
     ``(trials, n)`` arrays; ``batch=False`` falls back to the per-trial loop
     (same rows bit-for-bit — kept for cross-validation and as the
     benchmark baseline).
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
     simulator = build_vectorized_simulator(
-        n, t, protocol=protocol, adversary=adversary, alpha=alpha, params=params,
+        n, t, protocol=protocol, adversary=adversary, alpha=alpha,
+        phases_factor=phases_factor, params=params, max_rounds=max_rounds,
         adjacency=adjacency, loss=loss, backend=backend,
     )
-    streams = TrialStreams(seed, trial_offset, trials)
-    input_rows = _trial_inputs(n, inputs, streams)
+    input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     if batch:
         return simulator.run_batch(input_rows, streams)
     return [simulator.run(input_rows[k], streams.take([k])) for k in range(trials)]

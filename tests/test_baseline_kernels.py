@@ -10,22 +10,28 @@ draws, the straddle adversary's share-dependent spending)."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.baselines.kernels import (
     BASELINE_KERNELS,
-    run_ben_or_trials,
     run_coin_trials,
     run_eig_trials,
     run_phase_king_trials,
-    run_rabin_trials,
     run_sampling_majority_trials,
 )
-from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
+from repro.core.runner import ADVERSARIES, AgreementExperiment, TrialsResult, run_trials
 from repro.engine import PROTOCOL_KERNELS, run_coin_sweep, run_sweep
 from repro.exceptions import ConfigurationError, SimulationError
+
+
+def _kernel_rows(protocol, n, t, **kwargs):
+    """The rows of the protocol's registered batched kernel."""
+    return PROTOCOL_KERNELS[protocol].run_trials(n, t, **kwargs)
 
 
 def _object_summaries(protocol, adversary, n, t, inputs="split", trials=4, seed=11, **kwargs):
@@ -62,12 +68,14 @@ class TestRabinKernel:
     def test_bit_identical_to_object_simulator(self, adversary, obj_adversary, n, t):
         # The dealer stream is the only randomness that matters, and the
         # kernel replays it exactly (dealer seed = the trial's master seed).
-        vec = run_rabin_trials(n, t, adversary=adversary, inputs="split", trials=4, seed=11)
+        vec = _kernel_rows("rabin", n, t, adversary=adversary, inputs="split", trials=4,
+                          seed=11)
         obj = _object_summaries("rabin", obj_adversary, n, t)
         _assert_identical(vec, obj)
 
     def test_bit_identical_on_unanimous_inputs(self):
-        vec = run_rabin_trials(16, 5, adversary="none", inputs="unanimous-1", trials=3, seed=2)
+        vec = _kernel_rows("rabin", 16, 5, adversary="none", inputs="unanimous-1", trials=3,
+                          seed=2)
         obj = _object_summaries("rabin", "null", 16, 5, inputs="unanimous-1", trials=3, seed=2)
         _assert_identical(vec, obj)
         assert _stats(16, 5, vec).validity_rate == 1.0
@@ -75,8 +83,8 @@ class TestRabinKernel:
     def test_straddle_statistically_consistent_with_coin_attack(self):
         # The attack is futile against a public dealer coin in both engines:
         # a constant number of phases, full agreement, some corruptions spent.
-        vec = _stats(25, 6, run_rabin_trials(25, 6, adversary="straddle", inputs="split",
-                                             trials=20, seed=5))
+        vec = _stats(25, 6, _kernel_rows("rabin", 25, 6, adversary="straddle", inputs="split",
+                                         trials=20, seed=5))
         obj = run_trials(
             AgreementExperiment(n=25, t=6, protocol="rabin", adversary="coin-attack",
                                 inputs="split"),
@@ -84,6 +92,68 @@ class TestRabinKernel:
         )
         assert vec.agreement_rate == obj.agreement_rate == 1.0
         assert vec.mean_phases == pytest.approx(obj.mean_phases, abs=2.0)
+
+
+#: The Rabin and Ben-Or grid whose rows were pinned at the commit before
+#: their kernels were folded into ``run_vectorized_trials``: every adversary x
+#: split/random inputs x the clique or a lossy ring x two sizes, at trial
+#: offset 3.
+PINNED_SIZES = ((13, 3), (64, 8))
+PINNED_NETWORKS = (("clique", 0.0), ("ring", 0.05))
+
+#: SHA-256 of the JSON list of every ``TrialSummary`` field of the grid's
+#: rows, per protocol and adversary; identical under both loss-draw kernels.
+PINNED_PHASE_BASELINE_DIGESTS = {
+    "rabin": {
+        "coin-attack": "b41b0daec484471ceef77d4c16e2d11f5eed1f3a1bce81d7165a8e3a67a58fd7",
+        "committee-targeting": "537445fe7cebd8f31f7a7fd23d56d712c48535cfbecb9c51047ceb100c318fe8",
+        "crash": "3cb95d3b539e97c6cdb10b781a555abc48c95a54a7d45979777aa6c6ce966dfc",
+        "equivocate": "995bb1c7cb3ae7920b2cb4a208fa50301d22b42bc5aabc5573d508f018d11779",
+        "null": "352ee2b3afc49c09fef0ab516f9e689962477637c4b19d9c95227e75a25de407",
+        "random-noise": "633eb5cad1195422c47fc6166444e6e2245cd654a4fbe8731542efae75de61b0",
+        "silent": "9e44459e2009a70f2495b5333a3f6a8d2f07b6a24301750082ee199c02afeb19",
+        "static": "781e114e21e77dd8b0766c4b92728b17beaf7b43aa064da417403542ef3aff5e",
+    },
+    "ben-or": {
+        "coin-attack": "cc4aba605b5252b3da59c47a6c887c0d8798e2b4a48442affd36dd44eb42548f",
+        "committee-targeting": "e2c7067497d96df7e7b9a2438f9bcfc3b0e81482e4ce2b9e5d06fdc0fb8b87e6",
+        "crash": "d0a685a72a70cefa01ddb5d1fc5bac59efdb604d08ca0bd4cff55ed48ed3dd1c",
+        "equivocate": "c7d626cd9751a733f49c1cbcd3872544ac753e19ef0a3cc68c525e563b9a6578",
+        "null": "d5cad9f88d028b6306a00929aabd67cce69930d411b3d40774d335e42a03f229",
+        "random-noise": "df1615a1326c9c7f949bb6cba8da992f102e2832223cbb6eecf65eb0a65e87da",
+        "silent": "2390ccc7f63ec5dfbdc917aff3a374b79e17417510b7a979609692e633d587a8",
+        "static": "ff77006800238bbf4675d8a05cafb0fba7397afdb7d293d62e1a94f184f53867",
+    },
+}
+
+
+def _pinned_rows_digest(protocol, adversary):
+    rows = []
+    for n, t in PINNED_SIZES:
+        for inputs in ("split", "random"):
+            for topology, loss in PINNED_NETWORKS:
+                # Ben-Or runs to its default round cap only on the small
+                # clique; a 40-round cap keeps its other censored runs short.
+                capped = protocol == "ben-or" and (n, loss) != (13, 0.0)
+                result = run_sweep(
+                    n, t, protocol=protocol, adversary=adversary, inputs=inputs,
+                    trials=4, base_seed=17, trial_offset=3, engine="vectorized",
+                    topology=topology, loss=loss, allow_timeout=True,
+                    max_rounds=40 if capped else None,
+                )
+                assert result.engine == "vectorized"
+                rows.extend(dataclasses.astuple(row) for row in result.trials)
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestPinnedPhaseBaselineDigests:
+    @pytest.mark.parametrize("protocol", ["rabin", "ben-or"])
+    def test_rows_match_the_digests_pinned_before_the_fold(self, protocol, loss_kernel):
+        got = {
+            adversary: _pinned_rows_digest(protocol, adversary)
+            for adversary in sorted(ADVERSARIES)
+        }
+        assert got == PINNED_PHASE_BASELINE_DIGESTS[protocol]
 
 
 class TestPhaseKingKernel:
@@ -131,8 +201,8 @@ class TestBenOrKernel:
         # Per-node coin streams cannot be replayed; the geometric phase-count
         # distribution must agree.  n=9/t=1 keeps the object runs affordable
         # (expected ~2^7 phases per trial).
-        vec = _stats(9, 1, run_ben_or_trials(9, 1, adversary="silent", inputs="split",
-                                             trials=200, seed=3, max_rounds=2000))
+        vec = _stats(9, 1, _kernel_rows("ben-or", 9, 1, adversary="silent", inputs="split",
+                                        trials=200, seed=3, max_rounds=2000))
         obj = run_trials(
             AgreementExperiment(n=9, t=1, protocol="ben-or", adversary="silent",
                                 inputs="split", max_rounds=2000, allow_timeout=True),
@@ -145,14 +215,14 @@ class TestBenOrKernel:
         assert vec.mean_phases == pytest.approx(obj.mean_phases, rel=0.8)
 
     def test_unanimous_inputs_decide_immediately(self):
-        vec = _stats(16, 2, run_ben_or_trials(16, 2, adversary="none", inputs="unanimous-1",
-                                              trials=4, seed=1))
+        vec = _stats(16, 2, _kernel_rows("ben-or", 16, 2, adversary="none",
+                                         inputs="unanimous-1", trials=4, seed=1))
         assert vec.agreement_rate == vec.validity_rate == 1.0
         assert vec.mean_phases <= 3
 
     def test_round_cap_censors_instead_of_running_forever(self):
-        vec = run_ben_or_trials(64, 8, adversary="silent", inputs="split",
-                                trials=4, seed=0, max_rounds=50)
+        vec = _kernel_rows("ben-or", 64, 8, adversary="silent", inputs="split",
+                           trials=4, seed=0, max_rounds=50)
         assert all(result.timed_out for result in vec)
         assert all(result.rounds == 50 for result in vec)
 

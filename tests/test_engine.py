@@ -117,6 +117,14 @@ class TestSelectEngine:
         # Ben-Or's kernel honours an explicit round cap (its runs are
         # censored), so a custom max_rounds stays on the fast path.
         assert vectorizable("ben-or", "silent", max_rounds=2000)
+        # It runs whole two-round phases, so an odd cap (or one below a
+        # phase) would be overshot: the object path honours it instead.
+        assert not vectorizable("ben-or", "silent", max_rounds=2001)
+        assert not vectorizable("ben-or", "null", max_rounds=1)
+        assert not vectorizable("ben-or", "null", max_rounds=0)
+        assert select_engine("ben-or", "null", max_rounds=3) == "object"
+        with pytest.raises(ConfigurationError):
+            select_engine("ben-or", "null", engine="vectorized", max_rounds=3)
 
     def test_forcing_vectorized_on_unsupported_config_raises(self):
         with pytest.raises(ConfigurationError):
@@ -161,6 +169,13 @@ class TestRunSweep:
                                        adversary="straddle", inputs="split",
                                        trials=6, seed=3)
         assert sweep.trials == direct
+
+    @pytest.mark.parametrize("max_rounds", [1, 3])
+    def test_odd_round_caps_are_never_overshot(self, max_rounds):
+        sweep = run_sweep(13, 3, protocol="ben-or", adversary="null", trials=4,
+                          allow_timeout=True, max_rounds=max_rounds)
+        assert sweep.engine == "object"
+        assert all(trial.rounds <= max_rounds for trial in sweep.trials)
 
     def test_object_sweep_matches_seeded_trials(self):
         experiment = AgreementExperiment(n=19, t=3, protocol="committee-ba",

@@ -32,6 +32,7 @@ from repro.core.runner import (
 )
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
+from repro.simulator import phase_engine
 from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.phase_engine import PhaseEngine
 from repro.simulator.rng import RandomnessSource
@@ -59,12 +60,12 @@ class TestUnifiedEngine:
             assert not hasattr(VectorizedAgreementSimulator, legacy)
 
     @pytest.mark.parametrize("adversary", ["straddle", "random-noise", "equivocate"])
-    def test_compaction_never_changes_results(self, adversary):
+    def test_compaction_never_changes_results(self, adversary, monkeypatch):
         # Cursor streams above the vector-draw crossover, with and without
         # compaction, against the same trials drawing every share through
         # their own generators.  Under straddle, compaction drops the batch
         # below the crossover mid-run; random-noise rows become generators
-        # at their first binomial draw.
+        # at their first binomial draw.  A zero threshold never compacts.
         from repro.adversary.kernels import build_adversary_kernel
         from repro.core.parameters import ProtocolParameters
 
@@ -72,18 +73,19 @@ class TestUnifiedEngine:
         params = ProtocolParameters.derive(n, t)
         inputs = np.tile(input_row(n, "split", None), (trials, 1))
         runs = {
-            "compacted": (True, TrialStreams(3, 0, trials)),
-            "uncompacted": (False, TrialStreams(3, 0, trials)),
+            "compacted": (phase_engine._COMPACTION_THRESHOLD, TrialStreams(3, 0, trials)),
+            "uncompacted": (0, TrialStreams(3, 0, trials)),
             "generators": (
-                True, TrialStreams.of([trial_generator(3, k) for k in range(trials)])
+                phase_engine._COMPACTION_THRESHOLD,
+                TrialStreams.of([trial_generator(3, k) for k in range(trials)]),
             ),
         }
         results = {}
-        for name, (compaction, streams) in runs.items():
+        for name, (threshold, streams) in runs.items():
+            monkeypatch.setattr(phase_engine, "_COMPACTION_THRESHOLD", threshold)
             engine = PhaseEngine(
                 n=n, t=t, params=params, coin="committee", las_vegas=True,
                 num_phases=params.num_phases, max_phases=400,
-                compaction=compaction,
             )
             kernel = build_adversary_kernel(adversary, n=n, t=t, params=params)
             results[name] = engine.run_batch(inputs, streams, kernel)

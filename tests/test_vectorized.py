@@ -14,9 +14,9 @@ from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.vectorized import (
     VECTORIZED_ADVERSARIES,
     VectorizedAgreementSimulator,
+    batch_setup,
     build_vectorized_simulator,
     run_vectorized_trials,
-    trial_inputs,
 )
 
 
@@ -121,8 +121,8 @@ class TestCrossValidation:
 
 def _batched_and_single_trial(simulator, inputs, trials, seed):
     """``run_batch`` on one batch's streams vs ``run`` on each trial's own row."""
-    streams = TrialStreams(seed, 0, trials)
-    batched = simulator.run_batch(trial_inputs(simulator.n, inputs, streams), streams)
+    input_rows, streams = batch_setup(simulator.n, inputs, trials, seed)
+    batched = simulator.run_batch(input_rows, streams)
     single = []
     for k in range(trials):
         row = TrialStreams(seed, k, 1)
