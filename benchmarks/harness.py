@@ -86,7 +86,7 @@ def record_in_store(report: ExperimentReport, *, mode: str, seconds: float | Non
 
     Keyed by content hash of ``(experiment_id, mode)``
     (:func:`repro.sweeps.store.experiment_key`); the append-only shard keeps
-    every past run as the experiment's trajectory while the index serves the
+    every past run as the experiment's trajectory, and a lookup returns the
     latest.  The store root is the shared default (repo-anchored
     ``benchmarks/results/store``, overridable via ``$REPRO_SWEEP_STORE``) so
     harness rows and ``repro sweep`` rows always land in the same store.

@@ -19,11 +19,11 @@ Python:
     The orchestration layer (:mod:`repro.sweeps`): ``run`` executes the
     pending points of a declarative scenario spec (a library name or a
     ``.json``/``.toml`` file) against the persistent results store, ``status``
-    reports cache coverage, ``expand`` prints the materialised grid,
-    ``report`` renders the result table straight from the store and
-    ``library`` lists the named scenario specs.  Runs are interrupt-safe and
-    resumable: every computed point is durable immediately, and a re-run
-    executes only uncached points.
+    reports cache coverage (a run with a zero budget), ``expand`` prints the
+    materialised grid, ``report`` renders the result table straight from the
+    store and ``library`` lists the named scenario specs.  Runs are
+    interrupt-safe and resumable: every computed point is durable
+    immediately, and a re-run executes only uncached points.
 
 ``experiment``
     Regenerate one of the E1–E10 experiment tables (quick sweep by default,
@@ -229,10 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "later (resumed) invocation")
     sweep_run.add_argument("--quiet", action="store_true",
                            help="suppress the per-point progress lines")
-    sweep_run.add_argument("--adaptive", action="store_true",
-                           help="run the precision-targeted adaptive executor "
-                                "(implied by a spec with an 'adaptive' block "
-                                "or by --precision)")
+    # A spec's 'adaptive' block, or any of the next three overrides, selects
+    # the precision-targeted adaptive executor.
     sweep_run.add_argument("--precision", type=float, default=None,
                            help="target CI width: batches keep running until "
                                 "every point's agreement Wilson width AND "
@@ -241,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument("--max-trials", type=int, default=None,
                            dest="max_trials",
                            help="adaptive per-point trial ceiling (overrides "
-                                "the spec)")
+                                "the spec; needs a precision target)")
     sweep_run.add_argument("--batch", type=int, default=None,
                            help="adaptive batch size (overrides the spec; "
-                                "default: the spec's initial trials)")
+                                "default: the spec's initial trials; needs a "
+                                "precision target)")
     sweep_run.add_argument("--trace", action="store_true",
                            help="record a span/counter telemetry trace and "
                                 "export it as JSONL (also: REPRO_TRACE=1; "
@@ -482,7 +481,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 0
     if args.sweep_command == "run":
         tracer = _cli_tracer(args.trace, "sweep-run")
-        adaptive = args.adaptive or args.precision is not None or spec.adaptive
+        overrides = (args.precision, args.max_trials, args.batch)
+        adaptive = spec.adaptive or any(value is not None for value in overrides)
         if adaptive:
             def batch_progress(outcome, batches):
                 if not args.quiet:

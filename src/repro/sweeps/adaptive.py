@@ -226,16 +226,16 @@ class BatchOutcome:
 
 @dataclass
 class AdaptiveRunReport:
-    """Outcome of one :func:`run_adaptive` (or :func:`adaptive_status`)."""
+    """Outcome of one :func:`run_adaptive` invocation."""
 
     spec: SweepSpec
     engine: str
     targets: PrecisionTargets
     estimates: list[PointEstimate]
-    computed_trials: int = 0
-    computed_batches: int = 0
-    seconds: float = 0.0
-    states: list[_PointState] = field(default_factory=list, repr=False)
+    computed_trials: int
+    computed_batches: int
+    seconds: float
+    states: list[_PointState] = field(repr=False)
 
     @property
     def total(self) -> int:
@@ -305,7 +305,8 @@ def run_adaptive(
             :func:`repro.engine.run_sweep`; results never depend on it.
         limit: Execute at most this many *batches* (``>= 0``), leaving the
             rest for a later (resumed) invocation — the CI resume check uses
-            this to emulate an interrupted run deterministically.
+            this to emulate an interrupted run deterministically; ``0`` is
+            :func:`adaptive_status`.
         progress: Called once per executed batch.
 
     Returns:
@@ -401,42 +402,39 @@ def run_adaptive(
                 executed,
             )
 
-    try:
-        # Phase 1: every point gets its initial batch (the spec's `trials`),
-        # topping up partially-seeded points from interrupted runs.
-        for state in states:
-            if not budget_left():
-                break
-            if state.trials < state.point.trials:
-                run_batch(state, state.point.trials - state.trials)
-        # Phase 2: variance-greedy allocation.  Every decision depends only
-        # on the accumulated results (max() keeps the first of tied widths,
-        # and states iterate in grid order), so an interrupted run resumed
-        # from the store replays the identical batch sequence.
-        while budget_left():
-            pending = [
-                state
-                for state in states
-                if state.trials >= state.point.trials
-                and state.trials < targets.max_trials
-                and not estimate_point(
-                    state.point, state.key, state.result, targets
-                ).converged
-            ]
-            if not pending:
-                break
-            widest = max(
-                pending,
-                key=lambda state: estimate_point(
-                    state.point, state.key, state.result, targets
-                ).width,
-            )
-            run_batch(
-                widest,
-                min(targets.batch_size, targets.max_trials - widest.trials),
-            )
-    finally:
-        store.flush_index()
+    # Phase 1: every point gets its initial batch (the spec's `trials`),
+    # topping up partially-seeded points from interrupted runs.
+    for state in states:
+        if not budget_left():
+            break
+        if state.trials < state.point.trials:
+            run_batch(state, state.point.trials - state.trials)
+    # Phase 2: variance-greedy allocation.  Every decision depends only on
+    # the accumulated results (max() keeps the first of tied widths, and
+    # states iterate in grid order), so an interrupted run resumed from the
+    # store replays the identical batch sequence.
+    while budget_left():
+        pending = [
+            state
+            for state in states
+            if state.trials >= state.point.trials
+            and state.trials < targets.max_trials
+            and not estimate_point(
+                state.point, state.key, state.result, targets
+            ).converged
+        ]
+        if not pending:
+            break
+        widest = max(
+            pending,
+            key=lambda state: estimate_point(
+                state.point, state.key, state.result, targets
+            ).width,
+        )
+        run_batch(
+            widest,
+            min(targets.batch_size, targets.max_trials - widest.trials),
+        )
     return AdaptiveRunReport(
         spec=spec,
         engine=requested,
@@ -462,21 +460,10 @@ def adaptive_status(
     batch_size: int | None = None,
     z: float = 1.96,
 ) -> AdaptiveRunReport:
-    """Precision coverage of ``spec`` in ``store`` without executing anything."""
-    targets = resolve_targets(
-        spec, precision=precision, max_trials=max_trials,
-        batch_size=batch_size, z=z,
-    )
-    estimates = []
-    for point, key in adaptive_keys(spec, engine=engine):
-        record = store.get(key)
-        result = None if record is None else result_from_record(record)
-        estimates.append(estimate_point(point, key, result, targets))
-    return AdaptiveRunReport(
-        spec=spec,
-        engine=engine if engine is not None else spec.engine,
-        targets=targets,
-        estimates=estimates,
+    """Precision coverage of ``spec`` in ``store``: a run with a zero budget."""
+    return run_adaptive(
+        spec, store=store, engine=engine, precision=precision,
+        max_trials=max_trials, batch_size=batch_size, z=z, limit=0,
     )
 
 

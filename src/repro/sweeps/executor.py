@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from repro.engine import run_sweep, select_engine, validate_workers
 from repro.exceptions import ConfigurationError
-from repro.observability.tracer import Tracer, current_tracer
+from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, SweepSpec
 from repro.sweeps.store import ResultsStore, point_key, sweep_record
 
@@ -43,18 +43,12 @@ class PointOutcome:
 
 @dataclass
 class SweepRunReport:
-    """Outcome of one :func:`run_spec` (or :func:`status_spec`) invocation."""
+    """Outcome of one :func:`run_spec` invocation."""
 
     spec: SweepSpec
     engine: str
     outcomes: list[PointOutcome]
-    seconds: float = 0.0
-    #: Store-cache counters of this invocation, read back from the telemetry
-    #: counter surface (``store.cache_hit`` / ``store.cache_miss``) rather
-    #: than re-derived from the index: a hit is a point served from the
-    #: store, a miss a point that had to execute (or stayed pending).
-    cache_hits: int = 0
-    cache_misses: int = 0
+    seconds: float
 
     @property
     def total(self) -> int:
@@ -74,6 +68,16 @@ class SweepRunReport:
     @property
     def pending(self) -> int:
         return self.count("pending")
+
+    @property
+    def cache_hits(self) -> int:
+        """Points served from the store."""
+        return self.cached
+
+    @property
+    def cache_misses(self) -> int:
+        """Points that had to execute, or still wait for a budget to run in."""
+        return self.computed + self.pending
 
     def summary_line(self) -> str:
         """One machine-greppable line (asserted by the CI sweep-smoke job)."""
@@ -139,7 +143,8 @@ def run_spec(
             :func:`repro.engine.run_sweep`); never part of a store key.
         limit: Execute at most this many *pending* points (``>= 0``),
             leaving the rest for a later invocation (the CI resume check uses
-            this to emulate an interrupted run deterministically).
+            this to emulate an interrupted run deterministically; ``0`` is
+            :func:`status_spec`).
         progress: Called once per point, cached or computed, in grid order.
 
     Returns:
@@ -153,8 +158,8 @@ def run_spec(
     if spec.adaptive:
         raise ConfigurationError(
             f"spec {spec.name!r} declares a precision target; run it with "
-            "repro.sweeps.adaptive.run_adaptive (CLI: repro sweep run "
-            "--adaptive) instead of the uniform executor"
+            "repro.sweeps.adaptive.run_adaptive (CLI: repro sweep run) "
+            "instead of the uniform executor"
         )
     started = time.perf_counter()
     pairs = spec_keys(spec, engine=engine)
@@ -162,57 +167,42 @@ def run_spec(
     outcomes: list[PointOutcome] = []
     executed = 0
     tracer = current_tracer()
-    # The cache counters must exist even when tracing is disabled (they back
-    # the `repro sweep` output), so an untraced run counts into a local
-    # throwaway Tracer instead of the NullTracer.
-    counters = tracer if tracer.enabled else Tracer()
-    hits_before = counters.counter_value("store.cache_hit")
-    misses_before = counters.counter_value("store.cache_miss")
-    try:
-        for index, (point, key) in enumerate(pairs):
-            if key in store:
-                counters.count("store.cache_hit")
-                outcome = PointOutcome(point=point, key=key, status="cached",
-                                       engine=store.get(key).get("engine", "-"))
-            elif limit is not None and executed >= limit:
-                counters.count("store.cache_miss")
-                outcome = PointOutcome(point=point, key=key, status="pending")
-            else:
-                counters.count("store.cache_miss")
-                point_started = time.perf_counter()
-                with tracer.span(
-                    "sweep.point", point=point.label(), key=key[:12]
-                ):
-                    result = run_sweep(
-                        experiment=point.experiment(),
-                        trials=point.trials,
-                        base_seed=point.base_seed,
-                        engine=requested,
-                        workers=workers,
-                    )
-                    store.put(key, sweep_record(point, result, result.engine))
-                executed += 1
-                outcome = PointOutcome(
-                    point=point,
-                    key=key,
-                    status="computed",
-                    engine=result.engine,
-                    seconds=time.perf_counter() - point_started,
+    for index, (point, key) in enumerate(pairs):
+        cached = key in store
+        # Traced runs feed sweepbench's sweeps.cache_hit_frac.
+        tracer.count("store.cache_hit" if cached else "store.cache_miss")
+        if cached:
+            outcome = PointOutcome(point=point, key=key, status="cached",
+                                   engine=store.get(key).get("engine", "-"))
+        elif limit is not None and executed >= limit:
+            outcome = PointOutcome(point=point, key=key, status="pending")
+        else:
+            point_started = time.perf_counter()
+            with tracer.span("sweep.point", point=point.label(), key=key[:12]):
+                result = run_sweep(
+                    experiment=point.experiment(),
+                    trials=point.trials,
+                    base_seed=point.base_seed,
+                    engine=requested,
+                    workers=workers,
                 )
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome, index, len(pairs))
-    finally:
-        # The shards are already durable; this only freshens the derived
-        # index cache, whose rewrites are amortised for large stores.
-        store.flush_index()
+                store.put(key, sweep_record(point, result, result.engine))
+            executed += 1
+            outcome = PointOutcome(
+                point=point,
+                key=key,
+                status="computed",
+                engine=result.engine,
+                seconds=time.perf_counter() - point_started,
+            )
+        outcomes.append(outcome)
+        if progress is not None:
+            progress(outcome, index, len(pairs))
     return SweepRunReport(
         spec=spec,
         engine=requested,
         outcomes=outcomes,
         seconds=time.perf_counter() - started,
-        cache_hits=counters.counter_value("store.cache_hit") - hits_before,
-        cache_misses=counters.counter_value("store.cache_miss") - misses_before,
     )
 
 
@@ -222,31 +212,8 @@ def status_spec(
     store: ResultsStore,
     engine: str | None = None,
 ) -> SweepRunReport:
-    """Coverage of ``spec`` in ``store`` without executing anything."""
-    pairs = spec_keys(spec, engine=engine)
-    tracer = current_tracer()
-    counters = tracer if tracer.enabled else Tracer()
-    hits_before = counters.counter_value("store.cache_hit")
-    misses_before = counters.counter_value("store.cache_miss")
-    outcomes = []
-    for point, key in pairs:
-        cached = key in store
-        counters.count("store.cache_hit" if cached else "store.cache_miss")
-        outcomes.append(
-            PointOutcome(
-                point=point,
-                key=key,
-                status="cached" if cached else "pending",
-                engine=(store.get(key) or {}).get("engine", "-"),
-            )
-        )
-    return SweepRunReport(
-        spec=spec,
-        engine=engine if engine is not None else spec.engine,
-        outcomes=outcomes,
-        cache_hits=counters.counter_value("store.cache_hit") - hits_before,
-        cache_misses=counters.counter_value("store.cache_miss") - misses_before,
-    )
+    """Coverage of ``spec`` in ``store``: a run with a zero budget."""
+    return run_spec(spec, store=store, engine=engine, limit=0)
 
 
 def report_rows(

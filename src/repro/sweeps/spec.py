@@ -27,7 +27,7 @@ import itertools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.parameters import validate_n_t
 from repro.core.runner import ADVERSARIES, INPUT_PATTERNS, PROTOCOLS, AgreementExperiment
@@ -81,6 +81,31 @@ def resolve_t(t_spec: int | str, n: int) -> int:
     )
 
 
+def _check_max_rounds(max_rounds: int | None) -> None:
+    if max_rounds is not None and max_rounds < 1:
+        raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
+
+
+def _integer(value: Any, field: str) -> int:
+    """``value`` if it is an int (a bool is not), else a ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, field: str) -> float:
+    """``float(value)``, or a ConfigurationError naming ``field``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{field!r} must be a number, got {value!r}") from None
+
+
+def _optional(convert: Callable[[Any, str], Any], value: Any, field: str) -> Any:
+    """``convert(value, field)``, passing an absent (``None``) value through."""
+    return None if value is None else convert(value, field)
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One fully-resolved configuration of a sweep grid.
@@ -119,6 +144,7 @@ class SweepPoint:
         validate_n_t(self.n, self.t)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be positive, got {self.trials}")
+        _check_max_rounds(self.max_rounds)
         from repro.topology import TOPOLOGIES, validate_loss
 
         if self.topology not in TOPOLOGIES:
@@ -294,6 +320,7 @@ class SweepSpec:
             validate_loss(loss)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be positive, got {self.trials}")
+        _check_max_rounds(self.max_rounds)
         if self.seed_policy not in SEED_POLICIES:
             raise ConfigurationError(
                 f"unknown seed policy {self.seed_policy!r}; "
@@ -439,7 +466,10 @@ class SweepSpec:
 
         Accepts the :meth:`canonical` layout; scalar axis entries are
         promoted to single-element lists.  Unknown top-level or axis keys are
-        rejected so typos fail loudly instead of silently shrinking a grid.
+        rejected so typos fail loudly instead of silently shrinking a grid,
+        and integer fields take only ints (not bools), so a mistyped value is
+        a :class:`ConfigurationError` naming its field rather than a
+        traceback or a silently truncated grid.
         """
         allowed = {
             "schema", "name", "description", "axes", "trials", "seed",
@@ -485,36 +515,32 @@ class SweepSpec:
             raise ConfigurationError(
                 f"unknown adaptive fields: {sorted(unknown_adaptive)}"
             )
-        precision = adaptive.get("precision")
-        batch_size = adaptive.get("batch_size")
-        max_trials = adaptive.get("max_trials")
         return cls(
             name=str(data.get("name", "")),
             description=str(data.get("description", "")),
             protocols=_string_tuple(axis("protocol"), what="protocol"),
             adversaries=_string_tuple(axis("adversary"), what="adversary"),
             inputs=_string_tuple(axis("inputs", ("split",)), what="inputs"),
-            n_values=tuple(int(n) for n in axis("n")),
+            n_values=tuple(_integer(n, "n") for n in axis("n")),
             t_specs=tuple(
                 t if isinstance(t, int) and not isinstance(t, bool) else str(t)
                 for t in axis("t")
             ),
             alphas=tuple(
-                None if alpha is None else float(alpha)
-                for alpha in axis("alpha", (None,))
+                _optional(_number, alpha, "alpha") for alpha in axis("alpha", (None,))
             ),
             topologies=_string_tuple(axis("topology", ("clique",)), what="topology"),
-            losses=tuple(float(loss) for loss in axis("loss", (0.0,))),
-            trials=int(data.get("trials", 10)),
+            losses=tuple(_number(loss, "loss") for loss in axis("loss", (0.0,))),
+            trials=_integer(data.get("trials", 10), "trials"),
             seed_policy=str(seed.get("policy", "by-point")),
-            base_seed=int(seed.get("base", 0)),
+            base_seed=_integer(seed.get("base", 0), "seed.base"),
             engine=str(data.get("engine", "auto")),
             fast_path_only=bool(data.get("fast_path_only", False)),
-            max_rounds=data.get("max_rounds"),
+            max_rounds=_optional(_integer, data.get("max_rounds"), "max_rounds"),
             allow_timeout=bool(data.get("allow_timeout", False)),
-            precision=None if precision is None else float(precision),
-            batch_size=None if batch_size is None else int(batch_size),
-            max_trials=None if max_trials is None else int(max_trials),
+            precision=_optional(_number, adaptive.get("precision"), "adaptive.precision"),
+            batch_size=_optional(_integer, adaptive.get("batch_size"), "adaptive.batch_size"),
+            max_trials=_optional(_integer, adaptive.get("max_trials"), "adaptive.max_trials"),
         )
 
 

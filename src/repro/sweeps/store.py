@@ -5,7 +5,6 @@ Layout (default root ``benchmarks/results/store/``)::
     store/
       shard-ab.jsonl   # append-only record log, sharded by key prefix
       shard-3f.jsonl
-      index.json       # derived key -> location/metadata cache
 
 Every record is one JSON line carrying its own ``key``: the SHA-256 of the
 canonical JSON of ``{schema, engine (result family), point}``.  Because the
@@ -16,24 +15,21 @@ whose key is present is served from the store instead of recomputed.
 
 Durability contract:
 
-* the JSONL shards are the single source of truth.  :meth:`ResultsStore.put`
-  appends one line and flushes before returning, so a sweep killed at any
-  moment loses at most the point being computed;
-* ``index.json`` is a derived cache (rewritten atomically after each append)
-  kept for humans and external tools; loading *never* reads it — the shards
-  are rescanned, and a torn final line (the kill-mid-write case) is cut off
-  the shard, so the next append starts on a fresh line, and the point is
-  simply recomputed on resume;
+* the JSONL shards are the whole store; this module writes no other file.
+  :meth:`ResultsStore.put` appends one line and fsyncs it before returning,
+  so a sweep killed at any moment loses at most the point being computed;
+* opening a store scans the shards, and a torn final line (the
+  kill-mid-write case) is cut off the shard, so the next append starts on a
+  fresh line, and the point is simply recomputed on resume;
 * shards are append-only.  Re-recording a key appends a new line; lookups
   return the latest record, and the older lines remain as the result
   trajectory (the benchmark harness uses this to keep one machine-readable
   history per experiment).
 
 Writer model: several writers (threads or processes, each with its own
-:class:`ResultsStore`) may share one root.  Each ``put`` appends whole lines
-to the shards, which stay the source of truth.  ``index.json`` is
-last-writer-wins: every writer renames its own uniquely named temporary file
-over it, so it lists the records the last flushing writer had seen.
+:class:`ResultsStore`) may share one root.  Writers only append whole lines
+to the shards; no file is ever rewritten or replaced.  Any other file in the
+root (such as the key index older versions kept) is never read.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -135,15 +130,15 @@ def experiment_key(experiment_id: str, mode: str) -> str:
 def sweep_record(point: SweepPoint, result: TrialsResult, family: str) -> dict[str, Any]:
     """Build the stored record for one computed sweep point.
 
-    Both ``engine`` and ``engine_family`` name the result family.  Older
-    records may carry ``vectorized-mp`` / ``object-mp`` in ``engine``; their
-    keys are per family, so they are still served from the cache.
+    ``engine`` names the result family.  Older records may carry
+    ``vectorized-mp`` / ``object-mp`` there, or a second field naming the
+    family; their keys are per family, so they are still served from the
+    cache.
     """
     return {
         "kind": "sweep-point",
         "schema": STORE_SCHEMA_VERSION,
         "engine": family,
-        "engine_family": family,
         "point": point.canonical(),
         "summary": result.summary(),
         "trial_fields": list(TrialSummary.__dataclass_fields__),
@@ -218,7 +213,6 @@ class ResultsStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._records: dict[str, dict[str, Any]] = {}
         self._lines = 0
-        self._index_dirty = False
         self._load()
 
     # -- loading -------------------------------------------------------
@@ -295,43 +289,6 @@ class ResultsStore:
             os.fsync(handle.fileno())
         self._records[key] = stamped
         self._lines += 1
-        # The index is a derived cache, so its rewrite can be amortised for
-        # large stores (the executor flushes once more when a run ends);
-        # small stores stay eagerly fresh for humans tailing the directory.
-        self._index_dirty = True
-        if len(self._records) <= 512 or self._lines % 64 == 0:
-            self.flush_index()
 
-    def put_sweep(self, point: SweepPoint, result: TrialsResult, family: str) -> str:
-        """Store one computed sweep point; returns its content key."""
-        key = point_key(point, family)
-        self.put(key, sweep_record(point, result, family))
-        return key
-
-    # -- derived index -------------------------------------------------
     def flush_index(self) -> None:
-        """Atomically rewrite the derived ``index.json`` cache (if stale)."""
-        if not self._index_dirty:
-            return
-        index = {
-            key: {
-                "shard": self._shard_path(key).name,
-                "kind": record.get("kind"),
-                "recorded_at": record.get("recorded_at"),
-            }
-            for key, record in sorted(self._records.items())
-        }
-        payload = json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "records": index}, indent=2
-        )
-        # A temporary file of this flush's own, so concurrent writers never
-        # rename each other's half-written index.
-        fd, temp = tempfile.mkstemp(prefix="index.", suffix=".tmp", dir=self.root)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            os.replace(temp, self.root / "index.json")
-        except BaseException:
-            os.unlink(temp)
-            raise
-        self._index_dirty = False
+        """A no-op: ``sweepbench/layers.py`` times this name."""

@@ -467,11 +467,18 @@ class TestAdaptiveCli:
         assert "adaptive sweep smoke" in out
         assert "precision 0.4" in out
 
-    def test_adaptive_flag_without_a_target_fails_cleanly(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["sweep", "run", "smoke", "--store", store,
-                     "--adaptive"]) == 2
+    @pytest.mark.parametrize(
+        "flag,value", [("--batch", "4"), ("--max-trials", "64")],
+        ids=["batch", "max-trials"],
+    )
+    def test_adaptive_override_without_a_target_fails_cleanly(
+        self, tmp_path, capsys, flag, value
+    ):
+        store = tmp_path / "store"
+        assert main(["sweep", "run", "smoke", "--store", str(store),
+                     flag, value]) == 2
         assert "no precision target" in capsys.readouterr().err
+        assert not list(store.iterdir())
 
     def test_status_and_report_show_precision_columns(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny-adaptive.json"

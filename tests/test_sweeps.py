@@ -8,7 +8,9 @@ re-run, only pending points execute), shard-merge exactness of
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import sys
 import threading
 
@@ -24,16 +26,19 @@ from repro.sweeps import (
     ResultsStore,
     SweepPoint,
     SweepSpec,
+    adaptive_status,
     canonical_json,
     get_spec,
     markdown_library_table,
     point_key,
     resolve_t,
     result_from_record,
+    run_adaptive,
     run_spec,
     spec_from_file,
     spec_keys,
     status_spec,
+    sweep_record,
 )
 from repro.sweeps.executor import report_rows
 
@@ -47,6 +52,12 @@ TINY = SweepSpec(
     trials=2,
     seed_policy="by-point",
     base_seed=40,
+)
+
+#: TINY with a precision target, for the adaptive executor: a loose target
+#: and an 8-trial ceiling keep it to a few 2-trial batches per point.
+TINY_PRECISION = dataclasses.replace(
+    TINY, name="tiny-precision", precision=0.4, max_trials=8
 )
 
 
@@ -209,7 +220,8 @@ class TestStore:
         result = run_sweep(experiment=point.experiment(), trials=point.trials,
                            base_seed=point.base_seed)
         store = ResultsStore(tmp_path / "store")
-        key = store.put_sweep(point, result, result.engine)
+        key = point_key(point, result.engine)
+        store.put(key, sweep_record(point, result, result.engine))
         assert key in store and len(store) == 1
 
         reloaded = ResultsStore(tmp_path / "store")
@@ -260,19 +272,10 @@ class TestStore:
                 # aa02 was acknowledged only if its append completed.
                 assert ("aa02" in reopened) == (cut == len(full)), cut
 
-    def test_index_is_rewritten_and_derived(self, tmp_path):
-        store = ResultsStore(tmp_path / "store")
-        store.put("cc33", {"kind": "experiment"})
-        index = json.loads((tmp_path / "store" / "index.json").read_text())
-        assert "cc33" in index["records"]
-        # The index is a cache: deleting it loses nothing.
-        (tmp_path / "store" / "index.json").unlink()
-        assert "cc33" in ResultsStore(tmp_path / "store")
-
     def test_writers_sharing_a_root_never_fail_an_acknowledged_put(self, tmp_path):
-        # Four writers, each with its own store on one root, flush the index
-        # after every put; a tiny switch interval interleaves their flushes
-        # as often as the interpreter allows.
+        # Four writers, each with its own store on one root, append after
+        # every put; a tiny switch interval interleaves their appends as
+        # often as the interpreter allows.
         root = tmp_path / "store"
         writers, puts = 4, 300
         errors: list[Exception] = []
@@ -304,11 +307,21 @@ class TestStore:
             for w in range(writers)
             for i in range(puts)
         )
-        # The last flush won, and no writer left a temporary file behind.
-        json.loads((root / "index.json").read_text())
-        assert sorted(p.name for p in root.iterdir() if not p.name.startswith("shard-")) == [
-            "index.json"
-        ]
+        # Writers only append: nothing but shard files in the root.
+        assert all(path.name.startswith("shard-") for path in root.iterdir())
+
+    def test_the_root_holds_only_shards(self, tmp_path):
+        root = tmp_path / "store"
+        store = ResultsStore(root)
+        run_spec(TINY, store=store)
+        run_adaptive(TINY_PRECISION, store=store)
+        files = sorted(root.iterdir())
+        assert files and all(
+            path.is_file() and path.name.startswith("shard-") and path.suffix == ".jsonl"
+            for path in files
+        )
+        lines = sum(len(path.read_bytes().splitlines()) for path in files)
+        assert lines == store.appended_lines > len(TINY.expand())
 
 
 class TestExecutorResume:
@@ -395,6 +408,22 @@ class TestExecutorResume:
         assert len(rows) == 4
         assert sum(row["engine"] is not None for row in rows) == 2
         assert all(row["protocol"] for row in rows)
+
+    def test_status_of_an_empty_store_executes_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("status executed a point")
+
+        monkeypatch.setattr("repro.sweeps.executor.run_sweep", refuse)
+        monkeypatch.setattr("repro.sweeps.adaptive.run_sweep", refuse)
+        root = tmp_path / "store"
+        store = ResultsStore(root)
+        status = status_spec(TINY, store=store)
+        assert [o.status for o in status.outcomes] == ["pending"] * 4
+        assert (status.cache_hits, status.cache_misses) == (0, 4)
+        coverage = adaptive_status(TINY_PRECISION, store=store)
+        assert [e.status for e in coverage.estimates] == ["pending"] * 4
+        assert coverage.computed_batches == 0
+        assert store.appended_lines == 0 and not list(root.iterdir())
 
 
 class TestShardMerge:
@@ -500,6 +529,26 @@ class TestSweepCli:
     def test_unknown_spec_reference_fails_cleanly(self, capsys):
         assert main(["sweep", "run", "no-such-spec"]) == 2
         assert "unknown sweep spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,change",
+        [
+            ("n", {"axes": {**TINY.canonical()["axes"], "n": ["x"]}}),
+            ("max_rounds", {"max_rounds": "40"}),
+            ("max_rounds", {"max_rounds": 0}),
+            ("trials", {"trials": 2.7}),
+        ],
+        ids=["n-string", "max_rounds-string", "max_rounds-zero", "trials-float"],
+    )
+    def test_malformed_spec_file_fails_cleanly(self, tmp_path, capsys, field, change):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({**TINY.canonical(), **change}), encoding="utf-8")
+        store = tmp_path / "store"
+        assert main(["sweep", "run", str(spec_path), "--store", str(store)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and re.search(rf"\b{field}\b", errors[0]), errors
+        assert not store.exists()
 
     def test_library_listing_and_markdown_block(self, capsys):
         assert main(["sweep", "library"]) == 0
