@@ -49,11 +49,6 @@ class BoundCurves:
         )
 
     @property
-    def speedup_vs_chor_coan(self) -> float:
-        """Analytic ratio Chor–Coan / this paper (``> 1`` means the paper wins)."""
-        return self.chor_coan / self.this_paper if self.this_paper > 0 else math.inf
-
-    @property
     def gap_to_lower_bound(self) -> float:
         """Analytic ratio this paper / lower bound (``~polylog`` when ``t ~ sqrt(n)``)."""
         return self.this_paper / self.lower_bound if self.lower_bound > 0 else math.inf

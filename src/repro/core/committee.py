@@ -98,7 +98,3 @@ class CommitteePartition:
         """Iterate over committees in index order."""
         for index in range(self.num_committees):
             yield self.members(index)
-
-    def as_lists(self) -> list[list[int]]:
-        """Return the partition as plain lists (convenient for tests/serialisation)."""
-        return [list(members) for members in self]

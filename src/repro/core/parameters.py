@@ -131,17 +131,6 @@ class ProtocolParameters:
         :class:`repro.core.agreement.CommitteeAgreementNode`)."""
         return 2 * (self.num_phases + 1)
 
-    def committee_range(self, committee_index: int) -> range:
-        """Node ids belonging to committee ``committee_index`` (0-based)."""
-        if not 0 <= committee_index < self.num_committees:
-            raise ConfigurationError(
-                f"committee index {committee_index} out of range "
-                f"(have {self.num_committees} committees)"
-            )
-        start = committee_index * self.committee_size
-        stop = min(self.n, start + self.committee_size)
-        return range(start, stop)
-
     def committee_for_phase(self, phase: int) -> int:
         """Committee index used in phase ``phase`` (1-based, cycling)."""
         if phase < 1:
@@ -209,13 +198,6 @@ def predicted_messages_chor_coan(n: int, t: int, alpha: float = 1.0) -> float:
     if t <= 0:
         return float(n * n)
     return alpha * n * n * t / log2n(n)
-
-
-def regime_of(n: int, t: int) -> Regime:
-    """Return which regime ``(n, t)`` falls into (``t <= n/log^2 n`` or not)."""
-    validate_n_t(n, t)
-    log_n = log2n(n)
-    return Regime.QUADRATIC if t <= n / (log_n * log_n) else Regime.LINEAR
 
 
 def crossover_t(n: int) -> float:

@@ -7,7 +7,7 @@ fields.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.runner import TrialsResult
 from repro.simulator.scheduler import RunResult
@@ -53,33 +53,3 @@ def collect_trials_metrics(trials: TrialsResult) -> dict[str, object]:
 def collect_sweep_rows(sweeps: Iterable[TrialsResult]) -> list[dict[str, object]]:
     """Aggregate rows for a sweep of experiments (one row per configuration)."""
     return [collect_trials_metrics(trials) for trials in sweeps]
-
-
-def per_trial_rows(trials: TrialsResult) -> list[dict[str, object]]:
-    """Expanded per-trial rows (used when distributions matter, e.g. E8)."""
-    experiment = trials.experiment
-    rows = []
-    for trial in trials.trials:
-        rows.append(
-            {
-                "protocol": experiment.protocol,
-                "adversary": experiment.adversary,
-                "n": experiment.n,
-                "t": experiment.t,
-                "seed": trial.seed,
-                "rounds": trial.rounds,
-                "phases": trial.phases,
-                "agreement": trial.agreement,
-                "validity": trial.validity,
-                "messages": trial.messages,
-                "bits": trial.bits,
-                "corrupted": trial.corrupted,
-                "timed_out": trial.timed_out,
-            }
-        )
-    return rows
-
-
-def column_values(rows: Sequence[dict[str, object]], key: str) -> list[object]:
-    """Extract one column from a list of rows (missing values become ``None``)."""
-    return [row.get(key) for row in rows]

@@ -54,12 +54,16 @@ class CongestModel:
     total_messages: int = 0
     _round_usage: dict[tuple[int, int], int] = field(default_factory=dict)
     _current_round: int = -1
+    #: The per-edge, per-round bit budget: ``congest_factor`` words of
+    #: ``O(log n)`` bits, computed once.
+    bits_per_edge: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.congest_factor < 1:
             raise ValueError(f"congest_factor must be positive, got {self.congest_factor}")
+        self.bits_per_edge = self.congest_factor * self.word_size
 
     @property
     def word_size(self) -> int:
@@ -72,18 +76,16 @@ class CongestModel:
         """
         return max(32, math.ceil(math.log2(max(2, self.n))))
 
-    @property
-    def bits_per_edge(self) -> int:
-        """The per-edge, per-round bit budget: ``congest_factor`` words of ``O(log n)`` bits."""
-        return self.congest_factor * self.word_size
-
     def start_round(self, round_index: int) -> None:
         """Reset per-edge counters for a new round."""
         self._round_usage = {}
         self._current_round = round_index
 
-    def charge(self, message: Message) -> None:
+    def charge(self, message: Message) -> int:
         """Charge one message against its edge budget.
+
+        Returns:
+            The message's size in bits, measured once here.
 
         Raises:
             CongestViolationError: In strict mode, when the edge budget for
@@ -103,11 +105,7 @@ class CongestModel:
                     f"edge ({message.sender} -> {message.recipient}) used {used} bits in round "
                     f"{self._current_round}, budget is {self.bits_per_edge} bits"
                 )
-
-    def charge_all(self, messages: list[Message]) -> None:
-        """Charge a batch of messages (convenience wrapper around :meth:`charge`)."""
-        for message in messages:
-            self.charge(message)
+        return bits
 
     @property
     def violation_count(self) -> int:

@@ -26,7 +26,7 @@ the budget at delivery time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 #: Conservative upper bound, in bits, for an integer counter carried inside a
 #: message (phase numbers, node identifiers).  32 bits comfortably covers any
@@ -211,15 +211,12 @@ class Message:
     Attributes:
         sender: Node id of the sender.
         recipient: Node id of the recipient.
-        round_index: Global round number in which the message was sent
-            (0-based); filled in by the scheduler at delivery time.
         payload: The protocol payload.
     """
 
     sender: int
     recipient: int
     payload: Payload
-    round_index: int = field(default=-1, compare=False)
 
     def bit_size(self) -> int:
         """Total CONGEST cost of the message (payload only).
@@ -229,10 +226,6 @@ class Message:
         per-edge bandwidth budget.
         """
         return self.payload.bit_size()
-
-    def with_round(self, round_index: int) -> "Message":
-        """Return a copy of this message stamped with the delivery round."""
-        return Message(self.sender, self.recipient, self.payload, round_index)
 
 
 def broadcast(sender: int, n: int, payload: Payload, *, include_self: bool = True) -> list[Message]:
@@ -264,17 +257,3 @@ def group_by_recipient(messages: list[Message]) -> dict[int, list[Message]]:
 def total_bits(messages: list[Message]) -> int:
     """Sum of CONGEST bit costs over a list of messages."""
     return sum(message.bit_size() for message in messages)
-
-
-def payload_kinds(messages: list[Message]) -> dict[str, int]:
-    """Histogram of payload kinds in a message list (useful in traces/tests)."""
-    histogram: dict[str, int] = {}
-    for message in messages:
-        name = message.payload.kind()
-        histogram[name] = histogram.get(name, 0) + 1
-    return histogram
-
-
-def any_payload(messages: list[Message], payload_type: type) -> bool:
-    """Return True when at least one message carries a payload of ``payload_type``."""
-    return any(isinstance(message.payload, payload_type) for message in messages)

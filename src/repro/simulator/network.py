@@ -87,26 +87,26 @@ class CompleteNetwork:
         """Deliver one round of messages.
 
         Args:
-            round_index: Global round number (stamped onto each message).
+            round_index: Global round number.
             messages: All messages sent this round (honest and Byzantine).
             drops: Optional set of ``(sender, recipient)`` pairs to drop; used
                 only for crash-fault modelling.
 
         Returns:
-            Mapping from recipient id to the list of messages it receives,
-            in sender order (ties broken by submission order).
+            Mapping from recipient id to the list of the sent messages it
+            receives, in sender order (ties broken by submission order).
         """
-        assert self.congest is not None  # established in __post_init__
-        self.congest.start_round(round_index)
+        congest = self.congest
+        assert congest is not None  # established in __post_init__
+        congest.start_round(round_index)
         delivered: list[Message] = []
-        dropped = 0
+        dropped = bits = 0
         for message in messages:
             if drops and (message.sender, message.recipient) in drops:
                 dropped += 1
                 continue
-            stamped = message.with_round(round_index)
-            self.congest.charge(stamped)
-            delivered.append(stamped)
+            bits += congest.charge(message)
+            delivered.append(message)
         # Deterministic delivery order: sort by sender so that executions do
         # not depend on dict/list insertion order of the caller.
         delivered.sort(key=lambda m: (m.recipient, m.sender))
@@ -114,7 +114,7 @@ class CompleteNetwork:
             DeliveryReport(
                 round_index=round_index,
                 message_count=len(delivered),
-                bit_count=sum(m.bit_size() for m in delivered),
+                bit_count=bits,
                 dropped_count=dropped,
             )
         )

@@ -63,21 +63,6 @@ class ExecutionTrace:
         """Number of honest nodes with ``decided=True`` after each round."""
         return [record.honest_decided for record in self.records]
 
-    def first_round_all_decided(self, honest_count: int) -> int | None:
-        """First round index after which every honest node had decided, or ``None``."""
-        for record in self.records:
-            if record.honest_decided >= honest_count:
-                return record.round_index
-        return None
-
-    def value_distribution(self, round_index: int) -> dict[int, int]:
-        """Histogram of honest values after the given round."""
-        record = self.records[round_index]
-        histogram: dict[int, int] = {}
-        for value in record.honest_values:
-            histogram[value] = histogram.get(value, 0) + 1
-        return histogram
-
     def summary(self) -> dict[str, object]:
         """Compact dictionary describing the trace (suitable for logging)."""
         if not self.records:

@@ -3,10 +3,11 @@
 The layer above :func:`repro.engine.run_sweep`: declarative scenario grids
 (:mod:`repro.sweeps.spec`), a persistent content-addressed results store with
 caching and resume (:mod:`repro.sweeps.store`), a resumable executor with
-trial-range sharding (:mod:`repro.sweeps.executor`) and a named scenario
-library (:mod:`repro.sweeps.library`).  The ``repro sweep`` CLI subcommands
-are thin wrappers over these four modules; see ``docs/sweeps.md`` for the
-spec format and the caching/resume contract.
+trial-range sharding (:mod:`repro.sweeps.executor`), its precision-targeted
+adaptive plan (:mod:`repro.sweeps.adaptive`) and a named scenario library
+(:mod:`repro.sweeps.library`).  The ``repro sweep`` CLI subcommands are thin
+wrappers over these five modules; see ``docs/sweeps.md`` for the spec format
+and the caching/resume contract.
 """
 
 from repro.sweeps.adaptive import (

@@ -32,6 +32,11 @@ the content-addressed :class:`~repro.sweeps.store.ResultsStore` under its
 trials-independent :func:`~repro.sweeps.store.adaptive_key`, so a kill at any
 moment loses at most the in-flight batch: on resume, the latest durable
 record per point is merged back in and only the remainder executes.
+
+:func:`run_adaptive` is a plan over the uniform executor's sweep loop
+(:mod:`repro.sweeps.executor`): that loop runs, stores and traces every
+batch; this module picks the greedy batches and measures each point's
+estimate once per batch.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.analysis.statistics import (
@@ -47,17 +53,11 @@ from repro.analysis.statistics import (
     relative_ci_width,
     success_rate,
 )
-from repro.engine import SweepResult, run_sweep, validate_workers
+from repro.engine import SweepResult
 from repro.exceptions import ConfigurationError
-from repro.observability.tracer import current_tracer
-from repro.sweeps.executor import spec_keys
+from repro.sweeps.executor import _PointState, _run_batches, spec_keys
 from repro.sweeps.spec import SweepPoint, SweepSpec
-from repro.sweeps.store import (
-    ResultsStore,
-    adaptive_key,
-    adaptive_record,
-    result_from_record,
-)
+from repro.sweeps.store import ResultsStore, adaptive_key, adaptive_record
 
 #: Default per-point ceiling, in batches, when neither the spec nor the
 #: caller sets ``max_trials`` explicitly.
@@ -194,22 +194,6 @@ def estimate_point(
     )
 
 
-@dataclass
-class _PointState:
-    """Mutable per-point execution state of one adaptive invocation."""
-
-    point: SweepPoint
-    key: str
-    result: SweepResult | None
-    computed_trials: int = 0
-    computed_batches: int = 0
-    seconds: float = 0.0
-
-    @property
-    def trials(self) -> int:
-        return 0 if self.result is None else self.result.num_trials
-
-
 @dataclass(frozen=True)
 class BatchOutcome:
     """What one executed batch did (for progress reporting)."""
@@ -314,135 +298,65 @@ def run_adaptive(
         NOT swallowed, but every batch completed before one is already
         durable in the store.
     """
-    if limit is not None and limit < 0:
-        raise ConfigurationError(f"limit must be >= 0, got {limit}")
-    validate_workers(workers)
     started = time.perf_counter()
     targets = resolve_targets(
         spec, precision=precision, max_trials=max_trials,
         batch_size=batch_size, z=z,
     )
     requested = engine if engine is not None else spec.engine
-    states = [
-        _PointState(
-            point=point,
-            key=key,
-            result=(
-                None
-                if (record := store.get(key)) is None
-                else result_from_record(record)
-            ),
-        )
-        for point, key in adaptive_keys(spec, engine=engine)
-    ]
-    executed = 0
 
-    def budget_left() -> bool:
-        return limit is None or executed < limit
+    def estimate(state: _PointState) -> PointEstimate:
+        # One estimate per point, refreshed only after that point's batch.
+        if state.estimate is None:
+            state.estimate = estimate_point(state.point, state.key, state.result, targets)
+        return state.estimate
 
-    tracer = current_tracer()
+    def pick(states: list[_PointState]) -> tuple[_PointState, int] | None:
+        # Variance-greedy allocation.  Every decision depends only on the
+        # accumulated results (max() keeps the first of tied widths, and
+        # states iterate in grid order), so an interrupted run resumed from
+        # the store replays the identical batch sequence.
+        open_states = [
+            state for state in states
+            if state.trials < targets.max_trials and not estimate(state).converged
+        ]
+        if not open_states:
+            return None
+        widest = max(open_states, key=lambda state: estimate(state).width)
+        return widest, min(targets.batch_size, targets.max_trials - widest.trials)
 
-    def run_batch(state: _PointState, count: int) -> None:
-        nonlocal executed
-        batch_started = time.perf_counter()
-        # The span records the allocation decision's inputs (the point, its
-        # accumulated offset, the batch size) and — via annotate — the width
-        # the batch landed on: the trace replays the greedy width trajectory.
-        with tracer.span(
-            "adaptive.batch",
-            point=state.point.label(),
-            offset=state.trials,
-            trials=count,
-        ) as span:
-            batch = run_sweep(
-                experiment=state.point.experiment(),
-                trials=count,
-                base_seed=state.point.base_seed,
-                engine=requested,
-                workers=workers,
-                trial_offset=state.trials,
-            )
-            merged = (
-                batch
-                if state.result is None
-                else SweepResult(
-                    experiment=batch.experiment,
-                    trials=state.result.trials + batch.trials,
-                    engine=batch.engine,
-                )
-            )
-            state.result = merged
-            store.put(
-                state.key,
-                adaptive_record(
-                    state.point, merged, batch.engine,
-                    precision=targets.precision, batch_size=targets.batch_size,
-                    max_trials=targets.max_trials, z=targets.z,
-                ),
-            )
-            current = estimate_point(state.point, state.key, merged, targets)
-            span.annotate(
-                total_trials=merged.num_trials,
-                width=current.width,
-                converged=current.converged,
-            )
-        seconds = time.perf_counter() - batch_started
-        state.computed_trials += count
-        state.computed_batches += 1
-        state.seconds += seconds
-        executed += 1
+    def after(state: _PointState, count: int, seconds: float, batches: int) -> dict[str, Any]:
+        # The batch moved this point's estimate; the returned span annotation
+        # replays the greedy width trajectory.
+        state.estimate = None
+        current = estimate(state)
         if progress is not None:
             progress(
                 BatchOutcome(
                     point=state.point, key=state.key, batch_trials=count,
-                    total_trials=merged.num_trials, width=current.width,
-                    converged=current.converged, engine=batch.engine,
+                    total_trials=current.trials, width=current.width,
+                    converged=current.converged, engine=state.result.engine,
                     seconds=seconds,
                 ),
-                executed,
+                batches,
             )
+        return {"total_trials": current.trials, "width": current.width,
+                "converged": current.converged}
 
-    # Phase 1: every point gets its initial batch (the spec's `trials`),
-    # topping up partially-seeded points from interrupted runs.
-    for state in states:
-        if not budget_left():
-            break
-        if state.trials < state.point.trials:
-            run_batch(state, state.point.trials - state.trials)
-    # Phase 2: variance-greedy allocation.  Every decision depends only on
-    # the accumulated results (max() keeps the first of tied widths, and
-    # states iterate in grid order), so an interrupted run resumed from the
-    # store replays the identical batch sequence.
-    while budget_left():
-        pending = [
-            state
-            for state in states
-            if state.trials >= state.point.trials
-            and state.trials < targets.max_trials
-            and not estimate_point(
-                state.point, state.key, state.result, targets
-            ).converged
-        ]
-        if not pending:
-            break
-        widest = max(
-            pending,
-            key=lambda state: estimate_point(
-                state.point, state.key, state.result, targets
-            ).width,
-        )
-        run_batch(
-            widest,
-            min(targets.batch_size, targets.max_trials - widest.trials),
-        )
+    states, executed = _run_batches(
+        spec, store=store, engine=requested, workers=workers, limit=limit,
+        key=adaptive_key,
+        record=partial(
+            adaptive_record, precision=targets.precision,
+            batch_size=targets.batch_size, max_trials=targets.max_trials, z=targets.z,
+        ),
+        pick=pick, after=after,
+    )
     return AdaptiveRunReport(
         spec=spec,
         engine=requested,
         targets=targets,
-        estimates=[
-            estimate_point(state.point, state.key, state.result, targets)
-            for state in states
-        ],
+        estimates=[estimate(state) for state in states],
         computed_trials=sum(state.computed_trials for state in states),
         computed_batches=executed,
         seconds=time.perf_counter() - started,

@@ -12,19 +12,29 @@ over that many processes, bit-identically and under the same store key.
 The executor is deliberately dumb about *what* it runs: every decision that
 affects results (grid contents, seeds, engine family) is owned by the spec
 and the store key, which is what makes caching sound.
+
+One private loop runs every sweep.  :func:`run_spec` is its uniform plan:
+each point without a record gets one batch of its ``trials``.
+:func:`repro.sweeps.adaptive.run_adaptive` is its adaptive plan: the same
+first phase, then variance-greedy batches.  The two differ only in the store
+key and the record they write.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.engine import run_sweep, select_engine, validate_workers
+from repro.engine import SweepResult, run_sweep, select_engine, validate_workers
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, SweepSpec
-from repro.sweeps.store import ResultsStore, point_key, sweep_record
+from repro.sweeps.store import ResultsStore, point_key, result_from_record, sweep_record
+
+if TYPE_CHECKING:
+    from repro.sweeps.adaptive import PointEstimate
 
 #: Per-point progress callback: ``(outcome, index, total)``.
 ProgressCallback = Callable[["PointOutcome", int, int], None]
@@ -125,6 +135,110 @@ def spec_keys(
     return pairs
 
 
+@dataclass
+class _PointState:
+    """One point of a sweep run: its key, its latest record, and this run's work."""
+
+    point: SweepPoint
+    key: str
+    record: dict[str, Any] | None
+    computed_trials: int = 0
+    computed_batches: int = 0
+    seconds: float = 0.0
+    estimate: PointEstimate | None = None  # the adaptive plan's, kept per batch
+
+    @property
+    def trials(self) -> int:
+        """Accumulated trials, read from the record without decoding it."""
+        return 0 if self.record is None else self.record["point"]["trials"]
+
+    @cached_property
+    def result(self) -> SweepResult | None:
+        """The accumulated result; a stored record is decoded on first use."""
+        return None if self.record is None else result_from_record(self.record)
+
+
+def _run_batches(
+    spec: SweepSpec,
+    *,
+    store: ResultsStore,
+    engine: str,
+    workers: int | None,
+    limit: int | None,
+    key: Callable[[SweepPoint, str], str],
+    record: Callable[[SweepPoint, SweepResult, str], dict[str, Any]],
+    visit: Callable[[_PointState, int, int], None] | None = None,
+    pick: Callable[[list[_PointState]], tuple[_PointState, int] | None] | None = None,
+    after: Callable[[_PointState, int, float, int], dict[str, Any]] | None = None,
+) -> tuple[list[_PointState], int]:
+    """The one sweep loop; :func:`run_spec` and ``run_adaptive`` are plans over it.
+
+    Every point is looked up once in ``store`` under ``key``.  The first
+    phase walks the grid in order: a point below its spec ``trials`` gets
+    one batch that tops it up, and ``visit(state, index, total)`` then sees
+    the point.  The second phase runs the batches ``pick`` chooses until it
+    returns None.  At most ``limit`` batches run in all.  A batch draws from
+    the point's accumulated trial count on, under one ``sweep.point`` span;
+    the merged result is stored at once as ``record`` builds it, and
+    ``after(state, trials, seconds, batches)`` returns the span's annotation.
+
+    Returns the point states in grid order and the number of batches run.
+    """
+    if limit is not None and limit < 0:
+        raise ConfigurationError(f"limit must be >= 0, got {limit}")
+    validate_workers(workers)
+    tracer = current_tracer()
+    states = [
+        _PointState(point, digest, store.get(digest))
+        for point, digest in spec_keys(spec, engine=engine, key=key)
+    ]
+    executed = 0
+
+    def plan() -> Iterator[tuple[_PointState, int]]:
+        # Resumed only after the loop below has run the batch it yielded, so
+        # `executed` and every state are current at each budget check.
+        for index, state in enumerate(states):
+            # Traced runs feed sweepbench's sweeps.cache_hit_frac.
+            tracer.count("store.cache_miss" if state.record is None else "store.cache_hit")
+            if state.trials < state.point.trials and (limit is None or executed < limit):
+                yield state, state.point.trials - state.trials
+            if visit is not None:
+                visit(state, index, len(states))
+        while pick is not None and (limit is None or executed < limit):
+            batch = pick(states)
+            if batch is None:
+                return
+            yield batch
+
+    for state, count in plan():
+        started = time.perf_counter()
+        with tracer.span("sweep.point", point=state.point.label(), key=state.key[:12],
+                         offset=state.trials, trials=count) as span:
+            result = run_sweep(
+                experiment=state.point.experiment(),
+                trials=count,
+                base_seed=state.point.base_seed,
+                engine=engine,
+                workers=workers,
+                trial_offset=state.trials,
+            )
+            if state.trials:
+                result = SweepResult(experiment=result.experiment,
+                                     trials=state.result.trials + result.trials,
+                                     engine=result.engine)
+            state.result = result
+            state.record = record(state.point, result, result.engine)
+            store.put(state.key, state.record)
+            seconds = time.perf_counter() - started
+            executed += 1
+            state.computed_trials += count
+            state.computed_batches += 1
+            state.seconds += seconds
+            if after is not None:
+                span.annotate(**after(state, count, seconds, executed))
+    return states, executed
+
+
 def run_spec(
     spec: SweepSpec,
     *,
@@ -135,6 +249,9 @@ def run_spec(
     progress: ProgressCallback | None = None,
 ) -> SweepRunReport:
     """Execute the pending points of ``spec``, caching every result.
+
+    The uniform plan over the sweep loop: each point without a record gets
+    one batch of its ``trials``, and there is no second phase.
 
     Args:
         store: Results store consulted before and written after every point.
@@ -152,9 +269,6 @@ def run_spec(
         swallowed, but every point computed before one is already durable in
         the store.
     """
-    if limit is not None and limit < 0:
-        raise ConfigurationError(f"limit must be >= 0, got {limit}")
-    validate_workers(workers)
     if spec.adaptive:
         raise ConfigurationError(
             f"spec {spec.name!r} declares a precision target; run it with "
@@ -162,42 +276,27 @@ def run_spec(
             "instead of the uniform executor"
         )
     started = time.perf_counter()
-    pairs = spec_keys(spec, engine=engine)
     requested = engine if engine is not None else spec.engine
     outcomes: list[PointOutcome] = []
-    executed = 0
-    tracer = current_tracer()
-    for index, (point, key) in enumerate(pairs):
-        cached = key in store
-        # Traced runs feed sweepbench's sweeps.cache_hit_frac.
-        tracer.count("store.cache_hit" if cached else "store.cache_miss")
-        if cached:
-            outcome = PointOutcome(point=point, key=key, status="cached",
-                                   engine=store.get(key).get("engine", "-"))
-        elif limit is not None and executed >= limit:
-            outcome = PointOutcome(point=point, key=key, status="pending")
-        else:
-            point_started = time.perf_counter()
-            with tracer.span("sweep.point", point=point.label(), key=key[:12]):
-                result = run_sweep(
-                    experiment=point.experiment(),
-                    trials=point.trials,
-                    base_seed=point.base_seed,
-                    engine=requested,
-                    workers=workers,
-                )
-                store.put(key, sweep_record(point, result, result.engine))
-            executed += 1
-            outcome = PointOutcome(
-                point=point,
-                key=key,
-                status="computed",
-                engine=result.engine,
-                seconds=time.perf_counter() - point_started,
-            )
+
+    def visit(state: _PointState, index: int, total: int) -> None:
+        record = state.record
+        outcome = PointOutcome(
+            point=state.point,
+            key=state.key,
+            status=(
+                "computed" if state.computed_batches
+                else "pending" if record is None else "cached"
+            ),
+            engine="-" if record is None else record.get("engine", "-"),
+            seconds=state.seconds,
+        )
         outcomes.append(outcome)
         if progress is not None:
-            progress(outcome, index, len(pairs))
+            progress(outcome, index, total)
+
+    _run_batches(spec, store=store, engine=requested, workers=workers, limit=limit,
+                 key=point_key, record=sweep_record, visit=visit)
     return SweepRunReport(
         spec=spec,
         engine=requested,

@@ -323,6 +323,21 @@ class TestAllocationPolicy:
         for estimate in report.estimates:
             assert final[estimate.key].converged
 
+    def test_each_point_is_estimated_once_per_batch(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return estimate_point(*args, **kwargs)
+
+        monkeypatch.setattr("repro.sweeps.adaptive.estimate_point", counted)
+        store = ResultsStore(tmp_path / "store")
+        for limit in (3, None, None):  # interrupted, resumed, then all cached
+            calls.clear()
+            report = run_adaptive(TINY_ADAPTIVE, store=store, limit=limit)
+            assert len(calls) <= report.computed_batches + report.total
+        assert report.computed_batches == 0 and len(calls) == report.total
+
     def test_ceiling_bounds_unconverged_points(self, tmp_path):
         # An unreachably tight target: every point must stop at the ceiling.
         report = run_adaptive(

@@ -156,6 +156,124 @@ class TestPinnedPhaseBaselineDigests:
         assert got == PINNED_PHASE_BASELINE_DIGESTS[protocol]
 
 
+#: The object family's rows over every protocol x adversary, pinned before
+#: the object network stopped copying every delivered message: split
+#: inputs at n=13, t=3 (EIG at n=10, t=2), 2 trials from base seed 17.
+PINNED_OBJECT_FAMILY_DIGESTS = {
+    "ben-or": {
+        "coin-attack": "f08162cca91dbb8701e9b5dd8792dbb200000547e4830d781d918feb68f2841a",
+        "committee-targeting": "67ea66b7a65c4a91a430d9596a51f442340a4a85b45ba2c36c38b5b22966d008",
+        "crash": "5220222c553e08d349c6201a7be07aba25f1e48156444df81401e0629076c884",
+        "equivocate": "c9fbf07f9c955a8837ebb7cdce88b850806ae73621dbad7a695e42b202e2e92c",
+        "null": "222f132bcf113f97a6fc9e44eb9deac88cff3e986d64afc481b2243f40efe3c8",
+        "random-noise": "22e06e89720c5d1a7a859ea4322d40614a856229667d35a04d8af54119dde65e",
+        "silent": "76959b0c35d5013f2454c6f7192858336c8dc87faef789ae75d74d3c6a050e75",
+        "static": "771fad8e4880dbb1593e031491065f90d36ace7e2d3eb7b9f4dec7db95250a4a",
+    },
+    "chor-coan": {
+        "coin-attack": "2a017b620942df3130bd1aea1cca1565ea07f84aee76086b08d829d807667f30",
+        "committee-targeting": "e4b135a6658a9f463399489384ece1374527592eaa54d3b02fb81cf2b34f871c",
+        "crash": "bad7576e7e9e89104c909040f322ad87907a58077f69505a5e0713adffcf9dd4",
+        "equivocate": "d0476c6ac918e04e6cdc238ac847be7eb6592693f491e32b0c3244694dd24c8f",
+        "null": "34b57894c4ef3123243569ec8cf0f0088ac82b384947cbcfeae2f1e993d2ee61",
+        "random-noise": "3117a14a11fbbbf85f4fb8b3a7b03973f5d430e269c33a4261ad198d73211a37",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "2df4c18acef2eb6a1ca7c4791abde12dd9835c3a0076238945e5e04aa1b21fed",
+    },
+    "chor-coan-las-vegas": {
+        "coin-attack": "2a017b620942df3130bd1aea1cca1565ea07f84aee76086b08d829d807667f30",
+        "committee-targeting": "e4b135a6658a9f463399489384ece1374527592eaa54d3b02fb81cf2b34f871c",
+        "crash": "bad7576e7e9e89104c909040f322ad87907a58077f69505a5e0713adffcf9dd4",
+        "equivocate": "d0476c6ac918e04e6cdc238ac847be7eb6592693f491e32b0c3244694dd24c8f",
+        "null": "34b57894c4ef3123243569ec8cf0f0088ac82b384947cbcfeae2f1e993d2ee61",
+        "random-noise": "3117a14a11fbbbf85f4fb8b3a7b03973f5d430e269c33a4261ad198d73211a37",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "2df4c18acef2eb6a1ca7c4791abde12dd9835c3a0076238945e5e04aa1b21fed",
+    },
+    "committee-ba": {
+        "coin-attack": "6e59d5f9034e4672a75ae887b665a2bcc4dff05c25dfa7de0133886b36ba09b2",
+        "committee-targeting": "68535fee6af1f5cfe23124c11fa72f51a5b547df6485c5e9572d87ee8133f62e",
+        "crash": "75fe30aae930fca2d88a737df911ebc2d32beb54bdedf702638b8affb39813bb",
+        "equivocate": "23322791412bcfdc8aeb5614d9226fd63dcf5996855ff3ef08f4dadc5079e79e",
+        "null": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "random-noise": "2df4c18acef2eb6a1ca7c4791abde12dd9835c3a0076238945e5e04aa1b21fed",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "committee-ba-las-vegas": {
+        "coin-attack": "6e59d5f9034e4672a75ae887b665a2bcc4dff05c25dfa7de0133886b36ba09b2",
+        "committee-targeting": "68535fee6af1f5cfe23124c11fa72f51a5b547df6485c5e9572d87ee8133f62e",
+        "crash": "75fe30aae930fca2d88a737df911ebc2d32beb54bdedf702638b8affb39813bb",
+        "equivocate": "23322791412bcfdc8aeb5614d9226fd63dcf5996855ff3ef08f4dadc5079e79e",
+        "null": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "random-noise": "2df4c18acef2eb6a1ca7c4791abde12dd9835c3a0076238945e5e04aa1b21fed",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "eig": {
+        "coin-attack": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "committee-targeting": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "crash": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "equivocate": "eac705625457de15f3d0bddc89008c1e182a72bb9d112d552173a41cd863ec9e",
+        "null": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "random-noise": "4b3cd785aebe289a6a2c862fb883d45e4369f5e6a6121edbe838a4e18070dae3",
+        "silent": "28700693af55f5689e9fdf6ab4ce6a27717cd1588ecf66ba8eb5237b69a81063",
+        "static": "4b3cd785aebe289a6a2c862fb883d45e4369f5e6a6121edbe838a4e18070dae3",
+    },
+    "phase-king": {
+        "coin-attack": "09c9dbab1bfe163d577fdc38a2581d39c8e4cbd082901d10842f6fc41e199461",
+        "committee-targeting": "51c9aa4ed2b468e704c41930bd3cfd5f6d6ebe97e4a8d66707ed21c748cba2d5",
+        "crash": "09c9dbab1bfe163d577fdc38a2581d39c8e4cbd082901d10842f6fc41e199461",
+        "equivocate": "711987767437858802a51dd82832adb851b3526983ecda50fee0d57f040883fd",
+        "null": "09c9dbab1bfe163d577fdc38a2581d39c8e4cbd082901d10842f6fc41e199461",
+        "random-noise": "cb22119fd940a128c2992ad17c1799f9a073df5f6507c4b5ad58942ab16d4655",
+        "silent": "6ba5f9213f677a852c96368be262b81492a54b19748db64c5168997ac6a3f530",
+        "static": "29f4f5d36889e5c95ccbe9f0a8233a5ca803e0d5d3ada81b97d5bf9c508b0ff4",
+    },
+    "rabin": {
+        "coin-attack": "45afb59490889db1bcf4c8cdc7fa59d809f31c0e32f969f73f54ca9048e51a27",
+        "committee-targeting": "d9b460852bcf4904217e8393a0aa79014ec97b0a59650a44e72b6057c7c4f723",
+        "crash": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "equivocate": "23322791412bcfdc8aeb5614d9226fd63dcf5996855ff3ef08f4dadc5079e79e",
+        "null": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "random-noise": "87ddd2d90f5f483aeba721b253625511043b9f3e86a655ba195ce27a6e041831",
+        "silent": "3c6ff121af84a0ae5f2c1bd76556997753f75b3ef3dc1228709c0318346f4fa2",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "sampling-majority": {
+        "coin-attack": "28085d22a542b0cb9bb4237e8a5f2d893723be6c8377f78802e1419eb663a5fc",
+        "committee-targeting": "28085d22a542b0cb9bb4237e8a5f2d893723be6c8377f78802e1419eb663a5fc",
+        "crash": "28085d22a542b0cb9bb4237e8a5f2d893723be6c8377f78802e1419eb663a5fc",
+        "equivocate": "518a6a01e0bfc624a1e47f2300d7bd90e1dc0a2321a719a0dd4e9a9d2a8affb8",
+        "null": "28085d22a542b0cb9bb4237e8a5f2d893723be6c8377f78802e1419eb663a5fc",
+        "random-noise": "6f93c331606a1b879dc687894b64fc750c84cb6844c34c6d4dffce7600d1c7e6",
+        "silent": "2d338bb2800c5f1d1cd30ee164cc73df53830cdc837177951deddc8632e4c173",
+        "static": "5679de4ef6ca1ac51d833a7ddf71de5de0e7862b419b60b9d8508ac48ca29033",
+    },
+}
+
+
+def _object_rows_digest(protocol, adversary):
+    n, t = (10, 2) if protocol == "eig" else (13, 3)
+    result = run_sweep(
+        n, t, protocol=protocol, adversary=adversary, inputs="split", trials=2,
+        base_seed=17, engine="object", allow_timeout=True,
+    )
+    assert result.engine == "object"
+    rows = [dataclasses.astuple(row) for row in result.trials]
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestPinnedObjectFamilyDigests:
+    @pytest.mark.parametrize("protocol", sorted(PINNED_OBJECT_FAMILY_DIGESTS))
+    def test_rows_match_the_pinned_digests(self, protocol):
+        got = {
+            adversary: _object_rows_digest(protocol, adversary)
+            for adversary in sorted(ADVERSARIES)
+        }
+        assert got == PINNED_OBJECT_FAMILY_DIGESTS[protocol]
+
+
 class TestPhaseKingKernel:
     @pytest.mark.parametrize(
         "adversary,obj_adversary", [("none", "null"), ("silent", "silent"), ("static", "static")]

@@ -79,7 +79,3 @@ class TestByzantineCounting:
         # threshold 2: committee 0 has 2 (not clean), committee 1 has 1, 2 has 0
         assert partition.clean_committees(corrupted, threshold=2) == [1, 2]
         assert partition.clean_committees(corrupted, threshold=0.5) == [2]
-
-    def test_as_lists(self):
-        partition = CommitteePartition(n=5, committee_size=2)
-        assert partition.as_lists() == [[0, 1], [2, 3], [4]]

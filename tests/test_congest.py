@@ -59,7 +59,8 @@ class TestCongestModel:
         model = CongestModel(n=16, strict=False)
         model.start_round(0)
         messages = [_value_message(0, r) for r in range(5)]
-        model.charge_all(messages)
+        for message in messages:
+            model.charge(message)
         assert model.total_messages == 5
         assert model.total_bits == sum(m.bit_size() for m in messages)
         summary = model.summary()

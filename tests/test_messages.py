@@ -14,10 +14,8 @@ from repro.simulator.messages import (
     SampleReply,
     SampleRequest,
     ValueAnnouncement,
-    any_payload,
     broadcast,
     group_by_recipient,
-    payload_kinds,
     total_bits,
 )
 
@@ -56,18 +54,6 @@ class TestMessage:
         message = Message(sender=0, recipient=1, payload=payload)
         assert message.bit_size() == payload.bit_size()
 
-    def test_with_round_stamps_round_and_preserves_fields(self):
-        message = Message(0, 1, CoinShare(0, -1))
-        stamped = message.with_round(7)
-        assert stamped.round_index == 7
-        assert stamped.sender == 0 and stamped.recipient == 1
-        assert stamped.payload == message.payload
-
-    def test_round_index_not_part_of_equality(self):
-        a = Message(0, 1, CoinShare(0, 1), round_index=3)
-        b = Message(0, 1, CoinShare(0, 1), round_index=9)
-        assert a == b
-
 
 class TestBroadcast:
     def test_broadcast_reaches_every_node_including_self(self):
@@ -90,13 +76,3 @@ class TestBroadcast:
     def test_total_bits_sums_payloads(self):
         messages = broadcast(0, 4, CoinShare(0, 1))
         assert total_bits(messages) == 4 * CoinShare(0, 1).bit_size()
-
-    def test_payload_kinds_histogram(self):
-        messages = broadcast(0, 2, CoinShare(0, 1)) + broadcast(1, 2, DecisionNotice(1))
-        kinds = payload_kinds(messages)
-        assert kinds == {"CoinShare": 2, "DecisionNotice": 2}
-
-    def test_any_payload(self):
-        messages = broadcast(0, 2, CoinShare(0, 1))
-        assert any_payload(messages, CoinShare)
-        assert not any_payload(messages, DecisionNotice)

@@ -38,7 +38,6 @@ class TestDelivery:
         for inbox in inboxes.values():
             assert len(inbox) == 1
             assert inbox[0].sender == 1
-            assert inbox[0].round_index == 0
 
     def test_delivery_order_is_deterministic_by_sender(self):
         network = CompleteNetwork(n=3)

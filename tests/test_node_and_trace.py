@@ -69,19 +69,12 @@ class TestExecutionTrace:
         trace.add(_round(1, corrupted=(1, 2)))
         assert trace.corruption_schedule() == [(0, 3), (1, 1), (1, 2)]
 
-    def test_decided_counts_and_first_all_decided(self):
+    def test_decided_counts(self):
         trace = ExecutionTrace()
         trace.add(_round(0, decided=1))
         trace.add(_round(1, decided=3))
         trace.add(_round(2, decided=4))
         assert trace.decided_counts() == [1, 3, 4]
-        assert trace.first_round_all_decided(4) == 2
-        assert trace.first_round_all_decided(5) is None
-
-    def test_value_distribution(self):
-        trace = ExecutionTrace()
-        trace.add(_round(0, values=(0, 0, 1)))
-        assert trace.value_distribution(0) == {0: 2, 1: 1}
 
     def test_summary_totals(self):
         trace = ExecutionTrace()

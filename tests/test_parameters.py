@@ -9,7 +9,6 @@ import pytest
 from repro.core.parameters import (
     ProtocolParameters,
     Regime,
-    crossover_t,
     log2n,
     lower_bound_bar_joseph_ben_or,
     max_tolerable_t,
@@ -18,7 +17,6 @@ from repro.core.parameters import (
     predicted_rounds,
     predicted_rounds_chor_coan,
     predicted_rounds_deterministic,
-    regime_of,
     validate_n_t,
 )
 from repro.exceptions import ConfigurationError
@@ -80,15 +78,11 @@ class TestDerive:
         with pytest.raises(ConfigurationError):
             ProtocolParameters.derive(16, 2, alpha=0.0)
 
-    def test_committee_range_and_schedule(self):
+    def test_committee_schedule(self):
         params = ProtocolParameters.derive(100, 30)
-        first = params.committee_range(0)
-        assert first.start == 0 and len(first) == params.committee_size
         assert params.committee_for_phase(1) == 0
         # The schedule cycles after num_committees phases.
         assert params.committee_for_phase(params.num_committees + 1) == 0
-        with pytest.raises(ConfigurationError):
-            params.committee_range(params.num_committees)
         with pytest.raises(ConfigurationError):
             params.committee_for_phase(0)
 
@@ -125,12 +119,6 @@ class TestPredictions:
     def test_message_bounds_ordering(self):
         n, t = 1 << 14, 50
         assert predicted_messages(n, t) <= predicted_messages_chor_coan(n, t)
-
-    def test_regime_detection_matches_crossover(self):
-        n = 4096
-        threshold = crossover_t(n)
-        assert regime_of(n, max(1, int(threshold) - 1)) == Regime.QUADRATIC
-        assert regime_of(n, min((n - 1) // 3, int(threshold) + 10)) == Regime.LINEAR
 
     def test_trivial_t_values(self):
         assert predicted_rounds(100, 0) == 1.0

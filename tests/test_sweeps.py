@@ -9,6 +9,7 @@ re-run, only pending points execute), shard-merge exactness of
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 import sys
@@ -17,8 +18,8 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.core.runner import AgreementExperiment, TrialsResult
-from repro.engine import run_sweep
+from repro.core.runner import AgreementExperiment, TrialsResult, TrialSummary
+from repro.engine import SweepResult, run_sweep
 from repro.exceptions import ConfigurationError
 from repro.observability import Tracer, activate
 from repro.sweeps import (
@@ -26,6 +27,8 @@ from repro.sweeps import (
     ResultsStore,
     SweepPoint,
     SweepSpec,
+    adaptive_key,
+    adaptive_record,
     adaptive_status,
     canonical_json,
     get_spec,
@@ -212,6 +215,78 @@ class TestContentKeys:
 
     def test_canonical_json_sorts_keys(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+#: What makes an older store a full cache hit, recorded before the uniform
+#: and adaptive executors shared one loop: the keys of two ``smoke`` points
+#: per family, ``(point_key, adaptive_key)``, and the SHA-256 of the sorted
+#: JSON of a ``sweep_record`` and an ``adaptive_record`` of PINNED_ROWS.
+PINNED_KEYS = {
+    ("committee-ba/null/split/n=17/t=4/trials=2", "vectorized"): (
+        "724c5cf05da3f2d6db4a882ecd335b897c7b26f0ead5749b89a3bfe45a81dca9",
+        "436042dac06787a047878d7af0fe90b4a4957e5c02511697ebb63f3972f0958b",
+    ),
+    ("committee-ba/null/split/n=17/t=4/trials=2", "object"): (
+        "77cf4bf3e8afc8c4af2462e450a60a7f05bccb0555420df3800a96e1c9220646",
+        "f1e288a625ad10c6ffb51dcf74b7360e5c0c0920f9bd43956dc2d13374020952",
+    ),
+    ("phase-king/static/split/n=17/t=4/trials=2", "vectorized"): (
+        "dabcdb0a4312400f8deeb7fd0e6addd5df3d269e85dde01e0870e48e82284ff0",
+        "5f583a5c2a3a57f6dfb3763a807bed282537c03557cc232cf4d93226adcdd97f",
+    ),
+    ("phase-king/static/split/n=17/t=4/trials=2", "object"): (
+        "943abf9f6d5ad863a71167cb12f355aaf967375a6ee3e74fad35f4fe850ee3a2",
+        "da96b75ff31816c95651e21296bb87945a6e3153f03e0263df639f551934bd45",
+    ),
+}
+PINNED_ROWS = (
+    TrialSummary(seed=100, rounds=6, phases=3, agreement=True, validity=True,
+                 decision=1, messages=5780, bits=40460, corrupted=0, timed_out=False),
+    TrialSummary(seed=101, rounds=9, phases=4, agreement=True, validity=True,
+                 decision=0, messages=8670, bits=60690, corrupted=2, timed_out=False),
+    TrialSummary(seed=102, rounds=40, phases=20, agreement=False, validity=True,
+                 decision=None, messages=38400, bits=268800, corrupted=4, timed_out=True),
+)
+PINNED_RECORD_DIGESTS = {
+    "sweep-point": "1512dc974ddfe3bf03ec68cb44767a99d7ccb79be60ccdc7a8086f6bede8f70a",
+    "adaptive-point": "d23c7580bf5945bd63bb586603dc557296ab1c255214e59a009c91f6e3a0a9ce",
+}
+
+
+class TestPinnedStoreLayout:
+    def test_keys_of_smoke_points_are_pinned(self):
+        points = get_spec("smoke").expand()
+        got = {
+            (point.label(), family): (point_key(point, family), adaptive_key(point, family))
+            for point in (points[0], points[3])
+            for family in ("vectorized", "object")
+        }
+        assert got == PINNED_KEYS
+
+    def test_record_bytes_are_pinned(self, tmp_path):
+        point = get_spec("smoke").expand()[0]
+        result = SweepResult(experiment=point.experiment(), trials=list(PINNED_ROWS),
+                             engine="vectorized")
+        records = {
+            "sweep-point": sweep_record(point, result, "vectorized"),
+            "adaptive-point": adaptive_record(
+                point, result, "vectorized", precision=0.05, batch_size=16,
+                max_trials=256, z=1.96,
+            ),
+        }
+        store = ResultsStore(tmp_path / "store")
+        got = {}
+        for kind, record in records.items():
+            assert record["kind"] == kind
+            store.put(kind, record)
+            # The store line is the record plus its key and a timestamp.
+            (line,) = (tmp_path / "store" / f"shard-{kind[:2]}.jsonl").read_text().splitlines()
+            stored = json.loads(line)
+            assert stored.pop("key") == kind and stored.pop("recorded_at")
+            assert stored == record
+            text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            got[kind] = hashlib.sha256(text.encode()).hexdigest()
+        assert got == PINNED_RECORD_DIGESTS
 
 
 class TestStore:
@@ -414,7 +489,6 @@ class TestExecutorResume:
             raise AssertionError("status executed a point")
 
         monkeypatch.setattr("repro.sweeps.executor.run_sweep", refuse)
-        monkeypatch.setattr("repro.sweeps.adaptive.run_sweep", refuse)
         root = tmp_path / "store"
         store = ResultsStore(root)
         status = status_spec(TINY, store=store)
