@@ -73,7 +73,7 @@ def test_object_engine_single_run(benchmark):
 def test_vectorized_engine_single_run(benchmark):
     """One attacked execution at n=1024 in the vectorised engine."""
     params = ProtocolParameters.derive(1024, 64)
-    simulator = VectorizedAgreementSimulator(n=1024, t=64, params=params, adversary="straddle")
+    simulator = VectorizedAgreementSimulator(n=1024, t=64, params=params, adversary="coin-attack")
     inputs = np.zeros(1024, dtype=np.int8)
     inputs[512:] = 1
 
@@ -93,7 +93,7 @@ def test_batched_vs_per_trial_loop_speedup():
     keys, and prints the measured speedup.
     """
     kwargs = dict(
-        protocol="committee-ba-las-vegas", adversary="straddle", inputs="split",
+        protocol="committee-ba-las-vegas", adversary="coin-attack", inputs="split",
         trials=SWEEP_TRIALS, seed=17,
     )
     timings = {}
@@ -146,7 +146,7 @@ def test_packed_backend_bit_identical_and_not_slower():
     bit-identical, and records the measured packed speedup as a floor.
     """
     kwargs = dict(
-        protocol="committee-ba-las-vegas", adversary="straddle", inputs="split",
+        protocol="committee-ba-las-vegas", adversary="coin-attack", inputs="split",
         trials=SWEEP_TRIALS, seed=17,
     )
     timings = {}
@@ -176,7 +176,7 @@ def test_packed_backend_bit_identical_and_not_slower():
         {
             "kind": "throughput",
             "protocol": "committee-ba-las-vegas",
-            "adversary": "straddle",
+            "adversary": "coin-attack",
             "n": SWEEP_N,
             "t": SWEEP_T,
             "trials": SWEEP_TRIALS,
@@ -204,7 +204,7 @@ def test_trial_streams_vs_per_row_generators_speedup():
     """
     seed = 29
     simulator = build_vectorized_simulator(
-        MANY_N, MANY_T, protocol="committee-ba", adversary="none"
+        MANY_N, MANY_T, protocol="committee-ba", adversary="null"
     )
     inputs = np.tile(input_row(MANY_N, "split", None), (MANY_TRIALS, 1))
     sides = {
@@ -238,7 +238,7 @@ def test_trial_streams_vs_per_row_generators_speedup():
         {
             "kind": "throughput",
             "protocol": "committee-ba",
-            "adversary": "none",
+            "adversary": "null",
             "n": MANY_N,
             "t": MANY_T,
             "trials": MANY_TRIALS,

@@ -74,7 +74,7 @@ def _run(n, t, adjacency=None, loss=0.0, backend=None, repeats=3):
     for _ in range(repeats):
         started = time.perf_counter()
         result = run_vectorized_trials(
-            n, t, protocol="committee-ba", adversary="straddle",
+            n, t, protocol="committee-ba", adversary="coin-attack",
             inputs="split", trials=BENCH_TRIALS, seed=17,
             adjacency=adjacency, loss=loss, backend=backend,
         )
@@ -134,7 +134,7 @@ def test_masked_overheads_are_bounded_and_backends_identical():
         {
             "kind": "throughput",
             "protocol": "committee-ba",
-            "adversary": "straddle",
+            "adversary": "coin-attack",
             "n": BENCH_N,
             "t": BENCH_T,
             "trials": BENCH_TRIALS,

@@ -13,13 +13,6 @@ All wall-clock timings are additionally folded into one consolidated
 probe, via :func:`update_summary`), so the perf trajectory across PRs is
 machine-readable from a single file.
 
-Experiment rows are *also* appended to the sweep results store
-(``benchmarks/results/store/``, :mod:`repro.sweeps.store`) keyed by
-``(experiment_id, mode)``: benchmark runs and ``repro sweep`` runs share one
-append-only trajectory record, and because the store is append-only the full
-history of every experiment's rows survives re-runs (the ``<id>.txt`` /
-``<id>.json`` / ``summary.json`` outputs are unchanged, byte for byte).
-
 Scale control
 -------------
 By default the quick sweeps are used so the whole benchmark suite completes in
@@ -81,48 +74,13 @@ def update_summary(entry_id: str, payload: dict) -> Path:
     return SUMMARY_PATH
 
 
-def record_in_store(report: ExperimentReport, *, mode: str, seconds: float | None) -> str:
-    """Append one experiment run's rows to the shared results store.
-
-    Keyed by content hash of ``(experiment_id, mode)``
-    (:func:`repro.sweeps.store.experiment_key`); the append-only shard keeps
-    every past run as the experiment's trajectory, and a lookup returns the
-    latest.  The store root is the shared default (repo-anchored
-    ``benchmarks/results/store``, overridable via ``$REPRO_SWEEP_STORE``) so
-    harness rows and ``repro sweep`` rows always land in the same store.
-    Returns the store key.
-    """
-    from repro.sweeps.store import ResultsStore, experiment_key
-
-    store = ResultsStore()
-    key = experiment_key(report.experiment_id, mode)
-    store.put(
-        key,
-        {
-            "kind": "experiment",
-            "experiment_id": report.experiment_id,
-            "title": report.title,
-            "mode": mode,
-            "seconds": seconds,
-            "notes": list(report.notes),
-            "columns": list(report.columns) if report.columns else None,
-            "rows": [
-                {name: _json_cell(cell) for name, cell in row.items()}
-                for row in report.rows
-            ],
-        },
-    )
-    return key
-
-
 def write_json_result(
     report: ExperimentReport, *, mode: str, seconds: float | None
 ) -> Path:
     """Persist a machine-readable record of one experiment run.
 
-    Writes the (byte-compatible) ``<id>.json`` / ``summary.json`` outputs and
-    appends the same rows to the shared results store, so benchmark runs and
-    sweep runs share one trajectory record.
+    Writes ``<id>.json`` (rows, notes and timing) and the run's
+    ``summary.json`` entry.
     """
     payload = {
         "experiment_id": report.experiment_id,
@@ -143,7 +101,6 @@ def write_json_result(
         report.experiment_id,
         {"kind": "experiment", "mode": mode, "seconds": seconds, "rows": len(report.rows)},
     )
-    record_in_store(report, mode=mode, seconds=seconds)
     return output_path
 
 

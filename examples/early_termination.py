@@ -41,7 +41,7 @@ def main(n: int = 60, t: int = 19, trials: int = 8) -> None:
     for q in sorted({0, 2, t // 4, t // 2, t}):
         result = run_sweep(
             n, q, protocol="committee-ba-las-vegas",
-            adversary="straddle" if q > 0 else "none", inputs="split",
+            adversary="coin-attack" if q > 0 else "null", inputs="split",
             trials=trials, base_seed=300 + q, params=declared_params,
         )
         rows.append(

@@ -19,9 +19,9 @@ allocation, adaptive crash scheduling, and simple noise/silence baselines.
 
 :mod:`repro.adversary.kernels` holds the batched counterparts: the strategies
 re-expressed as operations on ``(trials, n)`` planes for the vectorised
-committee engine, registered per behaviour so the engine dispatch of
-:mod:`repro.engine` is capability-driven for adversaries exactly as it is for
-protocols.
+committee engine, registered under the strategies' own names so the engine
+dispatch of :mod:`repro.engine` is capability-driven for adversaries exactly
+as it is for protocols.
 """
 
 from repro.adversary.base import Adversary, AdversaryAction, AdversaryView, NullAdversary

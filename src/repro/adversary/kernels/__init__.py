@@ -1,6 +1,6 @@
 """Batched adversary kernels — Byzantine strategies as ``(B, n)``-plane ops.
 
-Every adversary behaviour the plane engines simulate is an
+Every adversary strategy the plane engines simulate is an
 :class:`~repro.adversary.kernels.base.AdversaryKernel` the shared
 :class:`repro.simulator.phase_engine.PhaseEngine` (and the hook-driven
 baseline kernels) drive through per-round hooks: corruption against per-trial
@@ -9,12 +9,12 @@ budgets, additive per-recipient announcement planes, coin-share splits.  See
 branches on a strategy name, so a strategy written once runs against every
 protocol kernel whose hook surface supports it.
 
-:data:`ADVERSARY_PLANE_KERNELS` is the behaviour registry: behaviour name ->
-kernel class, covering the full strategy matrix of
-:data:`repro.core.runner.ADVERSARIES`.  Which ``(protocol, adversary)`` pairs
-take a fast path is *derived* from the kernels' capability requirements and
-the protocol kernels' declared hook surfaces — see
-:mod:`.capabilities` and :data:`repro.engine.PROTOCOL_KERNELS`.
+:data:`ADVERSARY_PLANE_KERNELS` is the kernel registry: adversary name ->
+kernel class, keyed by the names of :data:`repro.core.runner.ADVERSARIES`,
+the one adversary vocabulary from the CLI down to the kernels.  Which
+``(protocol, adversary)`` pairs take a fast path is *derived* from the
+kernels' capability requirements and the protocol kernels' declared hook
+surfaces — see :mod:`.capabilities` and :data:`repro.engine.PROTOCOL_KERNELS`.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from repro.adversary.kernels.straddle import StraddleKernel
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import ConfigurationError
 
-#: Behaviour name -> kernel class, covering the full strategy matrix.
+#: Adversary name -> kernel class, covering the full strategy matrix.
 ADVERSARY_PLANE_KERNELS: dict[str, type[AdversaryKernel]] = {
-    "none": PassiveKernel,
+    "null": PassiveKernel,
     "silent": SilentKernel,
     "random-noise": RandomNoiseKernel,
-    "straddle": StraddleKernel,
+    "coin-attack": StraddleKernel,
     "crash": AdaptiveCrashKernel,
     "static": StaticEquivocateKernel,
     "equivocate": EquivocatePlaneKernel,
@@ -55,18 +55,18 @@ ADVERSARY_PLANE_KERNELS: dict[str, type[AdversaryKernel]] = {
 
 
 def build_adversary_kernel(
-    behaviour: str, *, n: int, t: int, params: ProtocolParameters
+    adversary: str, *, n: int, t: int, params: ProtocolParameters
 ) -> AdversaryKernel:
-    """Instantiate the plane kernel for one behaviour name.
+    """Instantiate the plane kernel for one adversary name.
 
     One kernel instance serves one batch execution; the constructor signature
     is uniform so the engines need no per-strategy wiring.
     """
     try:
-        kernel_class = ADVERSARY_PLANE_KERNELS[behaviour]
+        kernel_class = ADVERSARY_PLANE_KERNELS[adversary]
     except KeyError:
         raise ConfigurationError(
-            f"no adversary plane kernel for behaviour {behaviour!r}; "
+            f"no adversary plane kernel for {adversary!r}; "
             f"available: {sorted(ADVERSARY_PLANE_KERNELS)}"
         ) from None
     return kernel_class(n=n, t=t, params=params)

@@ -267,9 +267,6 @@ class AdversaryKernel(ABC):
     #: kernels corrupt in :meth:`pre_coin` and never read fresh shares.
     rushing: bool = field(default=True, init=False)
 
-    #: The behaviour name this kernel serves in the plane-kernel registry.
-    behaviour: ClassVar[str] = "none"
-
     #: True when the kernel reads the fresh committee share plane
     #: (``ctx.shares``) in :meth:`round2`; the engine then guarantees the
     #: plane is drawn before the hook runs (lazily, for non-committee coins,

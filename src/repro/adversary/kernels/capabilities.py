@@ -8,7 +8,7 @@ replaces the allowlists with a *derivation*: each protocol kernel declares
 the **hook surface** it implements (the channels through which an adversary
 plane kernel can reach the execution), each adversary strategy declares the
 hooks it *requires* and the hooks that give it any *lever* at all, and the
-supported-behaviour table of :class:`repro.baselines.kernels.KernelSpec` is
+supported-adversary table of :class:`repro.baselines.kernels.KernelSpec` is
 computed from the two.
 
 Hook surface vocabulary (protocol side)
@@ -49,7 +49,7 @@ For a protocol with hook set ``H`` and a strategy profile ``p``:
   protocol: its object implementation provably performs no corruption and
   sends nothing (verified by the inapplicable-pair cross-validation tests),
   so the pair is **inapplicable** and dispatches to the failure-free
-  ``"none"`` behaviour exactly;
+  ``null`` kernel exactly;
 * otherwise the strategy has a real lever the kernels do not model (e.g. the
   equivocator's staggered corruption against EIG's tree) — the pair stays on
   the **object** path.
@@ -87,11 +87,9 @@ class AdversaryProfile:
     """Capability profile of one adversary strategy.
 
     Attributes:
-        name: Canonical object-simulator strategy name (a
-            :data:`repro.core.runner.ADVERSARIES` key).
-        behaviour: Plane-kernel behaviour name serving the strategy.
-        aliases: Extra accepted names (the behaviour names themselves, so
-            callers migrating from direct kernel calls need not rename).
+        name: The strategy's name, a :data:`repro.core.runner.ADVERSARIES`
+            key and an :data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`
+            key alike.
         required: Hooks a protocol kernel must implement for the strategy's
             full plane model to be faithful.
         lever: Hooks through which the strategy can affect an execution at
@@ -100,8 +98,6 @@ class AdversaryProfile:
     """
 
     name: str
-    behaviour: str
-    aliases: tuple[str, ...]
     required: frozenset[str]
     lever: frozenset[str]
 
@@ -112,65 +108,43 @@ def _fs(*hooks: str) -> frozenset[str]:
 
 #: One profile per registered adversary strategy, in registry order.
 ADVERSARY_PROFILES: tuple[AdversaryProfile, ...] = (
-    AdversaryProfile("null", "none", ("none",), _fs(), _fs()),
+    AdversaryProfile("null", _fs(), _fs()),
+    AdversaryProfile("silent", _fs(CORRUPT_STATIC), _fs(CORRUPT_STATIC)),
+    AdversaryProfile("static", _fs(CORRUPT_STATIC), _fs(CORRUPT_STATIC)),
+    AdversaryProfile("random-noise", _fs(CORRUPT_STATIC), _fs(CORRUPT_STATIC)),
     AdversaryProfile(
-        "silent", "silent", (), _fs(CORRUPT_STATIC), _fs(CORRUPT_STATIC)
+        "equivocate", _fs(CORRUPT_ADAPTIVE), _fs(CORRUPT_STATIC, CORRUPT_ADAPTIVE)
     ),
     AdversaryProfile(
-        "static", "static", (), _fs(CORRUPT_STATIC), _fs(CORRUPT_STATIC)
+        "coin-attack", _fs(CORRUPT_ADAPTIVE, SHARES_BROADCAST), _fs(SHARES_BROADCAST)
     ),
     AdversaryProfile(
-        "random-noise", "random-noise", (), _fs(CORRUPT_STATIC), _fs(CORRUPT_STATIC)
+        "committee-targeting", _fs(CORRUPT_ADAPTIVE, COMMITTEE), _fs(COMMITTEE)
     ),
     AdversaryProfile(
-        "equivocate",
-        "equivocate",
-        (),
-        _fs(CORRUPT_ADAPTIVE),
-        _fs(CORRUPT_STATIC, CORRUPT_ADAPTIVE),
-    ),
-    AdversaryProfile(
-        "coin-attack",
-        "straddle",
-        ("straddle",),
-        _fs(CORRUPT_ADAPTIVE, SHARES_BROADCAST),
-        _fs(SHARES_BROADCAST),
-    ),
-    AdversaryProfile(
-        "committee-targeting",
-        "committee-targeting",
-        (),
-        _fs(CORRUPT_ADAPTIVE, COMMITTEE),
-        _fs(COMMITTEE),
-    ),
-    AdversaryProfile(
-        "crash", "crash", (), _fs(CORRUPT_ADAPTIVE, SHARES_BROADCAST), _fs(SHARES_BROADCAST)
+        "crash", _fs(CORRUPT_ADAPTIVE, SHARES_BROADCAST), _fs(SHARES_BROADCAST)
     ),
 )
 
 
 def derive_behaviours(hooks: frozenset[str]) -> dict[str, str]:
-    """Adversary name -> kernel behaviour for a protocol with ``hooks``.
+    """Adversary name -> the plane kernel's name for a protocol with ``hooks``.
 
-    Supported strategies map to their own behaviour; inapplicable strategies
-    (no lever on this protocol) map to the exact ``"none"`` behaviour;
-    strategies with an unmodelled lever are omitted (object path).
+    Supported strategies map to themselves; inapplicable strategies (no
+    lever on this protocol) map to the exact ``"null"`` kernel; strategies
+    with an unmodelled lever are omitted (object path).
     """
     table: dict[str, str] = {}
     for profile in ADVERSARY_PROFILES:
         if profile.required <= hooks:
-            behaviour = profile.behaviour
+            table[profile.name] = profile.name
         elif profile.lever and not (profile.lever & hooks):
-            behaviour = "none"
-        else:
-            continue
-        for name in (profile.name, *profile.aliases):
-            table[name] = behaviour
+            table[profile.name] = "null"
     return table
 
 
 def inapplicable_adversaries(hooks: frozenset[str]) -> frozenset[str]:
-    """Canonical names of strategies with no lever on a protocol with ``hooks``."""
+    """Names of the strategies with no lever on a protocol with ``hooks``."""
     return frozenset(
         profile.name
         for profile in ADVERSARY_PROFILES

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -44,8 +43,6 @@ __all__ = ["CommitteeTargetingKernel"]
 @dataclass
 class CommitteeTargetingKernel(AdversaryKernel):
     """Pre-corrupt each phase's committee (non-rushing) and split its shares."""
-
-    behaviour: ClassVar[str] = "committee-targeting"
 
     #: Fresh corruptions per committee; ``None`` resolves to
     #: ``ceil(sqrt(committee_size))`` like the object strategy's bind-time

@@ -38,7 +38,6 @@ __all__ = ["AdaptiveCrashKernel"]
 class AdaptiveCrashKernel(AdversaryKernel):
     """Crash same-sign committee members mid-broadcast to split the coin."""
 
-    behaviour: ClassVar[str] = "crash"
     needs_shares: ClassVar[bool] = True
 
     def round2(

@@ -25,7 +25,6 @@ statistically, like every committee fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = ["EquivocatePlaneKernel"]
 @dataclass
 class EquivocatePlaneKernel(AdversaryKernel):
     """Recruit one mouthpiece per phase; split opinion without touching coins."""
-
-    behaviour: ClassVar[str] = "equivocate"
 
     #: Upper bound on fresh corruptions per phase (mirrors the object
     #: strategy's ``corrupt_per_phase`` default).

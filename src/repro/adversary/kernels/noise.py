@@ -24,7 +24,6 @@ those draws (``ctx.coin``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -44,8 +43,6 @@ _NOISE_PROBS = (0.25, 0.25, 0.5)
 @dataclass
 class RandomNoiseKernel(AdversaryKernel):
     """First ``min(t, n)`` ids babble uniformly random messages forever."""
-
-    behaviour: ClassVar[str] = "random-noise"
 
     @classmethod
     def initial_corrupted_columns(cls, n: int, t: int) -> np.ndarray:

@@ -12,7 +12,6 @@ never speak again, consuming the whole budget up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -25,14 +24,10 @@ __all__ = ["PassiveKernel", "SilentKernel"]
 class PassiveKernel(AdversaryKernel):
     """No corruption, no traffic — the failure-free behaviour."""
 
-    behaviour: ClassVar[str] = "none"
-
 
 @dataclass
 class SilentKernel(AdversaryKernel):
     """Corrupt the first ``min(t, n)`` ids at round 0; never speak again."""
-
-    behaviour: ClassVar[str] = "silent"
 
     @classmethod
     def initial_corrupted_columns(cls, n: int, t: int) -> np.ndarray:

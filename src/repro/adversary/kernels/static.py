@@ -17,7 +17,6 @@ contiguous id ranges and so is the corrupted block).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -34,8 +33,6 @@ __all__ = ["StaticEquivocateKernel"]
 @dataclass
 class StaticEquivocateKernel(AdversaryKernel):
     """Corrupt the top ``t`` ids up front; split every announcement in half."""
-
-    behaviour: ClassVar[str] = "static"
 
     @classmethod
     def initial_corrupted_columns(cls, n: int, t: int) -> np.ndarray:

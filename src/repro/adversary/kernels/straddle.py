@@ -2,7 +2,7 @@
 
 Models :class:`repro.adversary.strategies.coin_attack.CoinAttackAdversary`,
 preserving bit-for-bit the arithmetic of the committee engine's original
-built-in ``straddle`` loop: in the coin round the kernel (rushing) reads the
+built-in straddle loop: in the coin round the kernel (rushing) reads the
 committee's fresh shares from ``ctx.shares``, computes the honest sum ``S``
 and — for trials that fell through to the coin case — corrupts just enough
 same-sign committee members (``ceil((|S| - controlled [+1 if S >= 0]) / 2)``,
@@ -40,7 +40,6 @@ __all__ = ["StraddleKernel"]
 class StraddleKernel(AdversaryKernel):
     """Corrupt same-sign committee members mid-coin-round; split the coin."""
 
-    behaviour: ClassVar[str] = "straddle"
     needs_shares: ClassVar[bool] = True
 
     def round2(

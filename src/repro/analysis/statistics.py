@@ -12,6 +12,10 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+#: Normal quantile of a two-sided 95% interval: the ``z`` of every interval
+#: here unless a caller passes its own.
+Z_95 = 1.96
+
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -34,7 +38,7 @@ class RateEstimate:
         return self.high - self.low
 
 
-def success_rate(successes: int, trials: int, *, z: float = 1.96) -> RateEstimate:
+def success_rate(successes: int, trials: int, *, z: float = Z_95) -> RateEstimate:
     """Wilson score interval for a Bernoulli success rate.
 
     Args:
@@ -60,7 +64,7 @@ def success_rate(successes: int, trials: int, *, z: float = 1.96) -> RateEstimat
 
 
 def mean_confidence_interval(
-    values: Sequence[float], *, z: float = 1.96
+    values: Sequence[float], *, z: float = Z_95
 ) -> tuple[float, float, float]:
     """Mean with a normal-approximation confidence interval.
 
@@ -77,20 +81,20 @@ def mean_confidence_interval(
     return mean, mean - z * stderr, mean + z * stderr
 
 
-def relative_ci_width(values: Sequence[float], *, z: float = 1.96) -> float:
-    """Full CI width of the mean, relative to the mean's magnitude.
+def relative_ci_width(interval: tuple[float, float, float]) -> float:
+    """Full width of a :func:`mean_confidence_interval`, relative to the mean.
 
     The scale-free precision measure the adaptive executor applies to round
-    counts: ``(high - low) / max(|mean|, 1)`` from
-    :func:`mean_confidence_interval`, so a target of ``0.1`` reads as "the
-    mean is pinned to within ±5%".  A single value (or a constant sample)
-    has zero width — deterministic round schedules converge immediately.
+    counts: ``(high - low) / max(|mean|, 1)`` for ``interval = (mean, low,
+    high)``, so a target of ``0.1`` reads as "the mean is pinned to within
+    ±5%".  The interval of a single value (or a constant sample) has zero
+    width — deterministic round schedules converge immediately.
     """
-    mean, low, high = mean_confidence_interval(values, z=z)
+    mean, low, high = interval
     return (high - low) / max(abs(mean), 1.0)
 
 
-def trials_for_rate_width(rate: float, width: float, *, z: float = 1.96) -> int:
+def trials_for_rate_width(rate: float, width: float, *, z: float = Z_95) -> int:
     """Trials needed for a Wilson interval of ``width`` at a true ``rate``.
 
     A normal-approximation planning bound (used to size adaptive batches and

@@ -65,10 +65,12 @@ class KernelSpec:
         hooks: The adversary hook surface the kernel implements (the
             :mod:`repro.adversary.kernels.capabilities` vocabulary), from
             which ``behaviours`` and ``inapplicable`` are derived.
-        behaviours: Object-simulator adversary name -> kernel fault
-            behaviour.  Only pairs listed here take the vectorised fast path;
-            inapplicable strategies map to the exact ``"none"`` behaviour.
-        inapplicable: Canonical names of the strategies with *no lever* on
+        behaviours: Adversary name -> the adversary plane kernel's name
+            (:data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`).  Only
+            pairs listed here take the vectorised fast path; a supported
+            strategy maps to itself and an inapplicable one to the exact
+            ``"null"`` kernel.
+        inapplicable: Names of the strategies with *no lever* on
             this protocol (their object implementations provably no-op);
             listed explicitly in the engine tables.
         exact: Adversary names whose kernel runs are bit-identical to the
@@ -87,8 +89,9 @@ class KernelSpec:
             Phase king (raw boolean planes) and the closed-form kernels have
             no plane state to represent.  Both representations are
             bit-identical, so the flag never enters sweep-store keys.
-        protocol_kwargs: Protocol constructor kwargs the kernel reproduces;
-            any other kwarg forces the object path.
+
+    Protocol and adversary constructor kwargs are object-only: any of them
+    forces the object path (:func:`repro.engine.vectorizable`).
     """
 
     name: str
@@ -101,7 +104,6 @@ class KernelSpec:
     supports_max_rounds: bool = False
     supports_topology: bool = False
     supports_backend: bool = False
-    protocol_kwargs: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "behaviours", derive_behaviours(self.hooks))
@@ -126,11 +128,10 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
         # rushing share attacks depend on the honest share draws and stay
         # statistical.
         exact=frozenset(
-            {"null", "none", "silent", "static", "equivocate", "committee-targeting"}
+            {"null", "silent", "static", "equivocate", "committee-targeting"}
         ),
         supports_topology=True,
         supports_backend=True,
-        protocol_kwargs=frozenset({"phases_factor"}),
     ),
     "ben-or": KernelSpec(
         name="private-coin",
@@ -139,7 +140,6 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
         supports_max_rounds=True,
         supports_topology=True,
         supports_backend=True,
-        protocol_kwargs=frozenset({"phases_factor"}),
     ),
     "phase-king": KernelSpec(
         name="phase-king",
@@ -149,13 +149,11 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
         exact=frozenset(
             {
                 "null",
-                "none",
                 "silent",
                 "static",
                 "equivocate",
                 "committee-targeting",
                 "coin-attack",
-                "straddle",
                 "crash",
             }
         ),
@@ -167,12 +165,10 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
         exact=frozenset(
             {
                 "null",
-                "none",
                 "silent",
                 "static",
                 "random-noise",
                 "coin-attack",
-                "straddle",
                 "crash",
                 "committee-targeting",
             }
@@ -182,7 +178,6 @@ BASELINE_KERNELS: dict[str, KernelSpec] = {
         name="sampling-majority",
         run_trials=run_sampling_majority_trials,
         hooks=SAMPLING_HOOKS,
-        protocol_kwargs=frozenset({"iterations_factor", "sample_size"}),
     ),
 }
 

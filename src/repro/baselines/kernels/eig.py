@@ -11,13 +11,13 @@ closed recurrence instead of materialising the ``~n^(t+1)``-entry tree —
 that is what lets a whole batch of trials run in microseconds while remaining
 exactly faithful to :class:`repro.baselines.eig.EIGNode`:
 
-* ``none`` / ``silent`` — corrupted nodes send nothing;
+* ``null`` / ``silent`` — corrupted nodes send nothing;
 * ``static`` / ``random-noise`` — the crafted equivocation / babble traffic
   consists of value-announcement payloads, which ``EIGNode.deliver`` ignores
   (it only reads ``EIGReport``), so the corrupted nodes contribute exactly as
   much to the tree as silent ones — nothing.  Only the target sets (top-``t``
   vs first-``t``) and the message/bit accounting differ (the crafted traffic
-  is still delivered), both of which the kernel reads off the behaviour's
+  is still delivered), both of which the kernel reads off the adversary's
   :class:`~repro.adversary.kernels.base.AdversaryKernel` class.
 
 The kernel declares the narrowest hook surface in the registry
@@ -25,7 +25,8 @@ The kernel declares the narrowest hook surface in the registry
 a fixed honest set, so the adaptively-recruiting equivocator stays on the
 object path, while the share attacks and committee targeting — which have no
 lever at all against EIG (no shares, no distinguished node; their object
-strategies provably no-op) — dispatch to the exact failure-free behaviour.
+strategies provably no-op) — dispatch to the exact failure-free ``null``
+kernel.
 
 Message sizes follow :class:`repro.baselines.eig.EIGReport`: a round-``r``
 report carries the ``P(n_h - 1, r - 1)`` all-honest paths avoiding the
@@ -78,7 +79,7 @@ def run_eig_trials(
     n: int,
     t: int,
     *,
-    adversary: str = "none",
+    adversary: str = "null",
     inputs: str = "split",
     trials: int = 10,
     seed: int = 0,
@@ -89,7 +90,7 @@ def run_eig_trials(
     kernel_class = ADVERSARY_PLANE_KERNELS.get(adversary)
     if kernel_class is None:
         raise ConfigurationError(
-            f"unknown EIG kernel behaviour {adversary!r}; "
+            f"no EIG adversary kernel for {adversary!r}; "
             f"available: {sorted(ADVERSARY_PLANE_KERNELS)}"
         )
     estimated = sum(n**level for level in range(1, t + 2))
@@ -117,7 +118,7 @@ def run_eig_trials(
     output = (2 * votes > n) & honest_cols[None, :]
 
     # Message/bit accounting: honest reports plus the delivered-but-ignored
-    # crafted traffic (equivocation / babble) of the behaviour.
+    # crafted traffic (equivocation / babble) of the adversary.
     total_messages = 0
     total_bits = 0
     for round_number in range(1, num_rounds + 1):

@@ -18,11 +18,11 @@ committee engine instead of a private behaviour switch:
   king has no round-2 records and no coin shares, so the returned planes are
   provably unheard (exactly as the object nodes ignore those payloads), and
   the rushing share attacks (``coin-attack``/``crash``) are *inapplicable* —
-  they dispatch to the exact failure-free behaviour, mirroring their no-op
-  object implementations.
+  they dispatch to the exact failure-free ``null`` kernel, mirroring their
+  no-op object implementations.
 
 The protocol itself is deterministic, so every fault model that consumes no
-randomness (none/silent/static/king-targeting/equivocate) is *exact*: every
+randomness (null/silent/static/king-targeting/equivocate) is *exact*: every
 field of every trial matches the object simulator bit for bit.  The
 ``random-noise`` model samples each recipient's noisy round-1 view
 (``Binomial(f, 1/2)`` per recipient) from the trial generator and is
@@ -75,7 +75,7 @@ def run_phase_king_trials(
     n: int,
     t: int,
     *,
-    adversary: str = "none",
+    adversary: str = "null",
     inputs: str = "split",
     trials: int = 10,
     seed: int = 0,

@@ -1,15 +1,19 @@
 """Batched kernel for the sampling-majority convergence dynamic.
 
 Each iteration of the Augustine–Pandurangan–Robinson process has every node
-sample the values of ``sample_size`` uniformly random nodes (two rounds:
+sample the values of ``SAMPLE_SIZE`` uniformly random nodes (two rounds:
 requests, then replies) and replace its own value by the majority of its value
 plus the samples it received.  The kernel runs all trials at once: one
-``(n, sample_size)`` peer draw per trial per iteration, a batched gather of
-the sampled values, and a vectorised majority update.
+``(n, SAMPLE_SIZE)`` peer draw per trial per iteration, a batched gather of
+the sampled values, and a vectorised majority update.  It runs the object
+node's default iteration count and sample size
+(:data:`~repro.baselines.sampling_majority.ITERATIONS_FACTOR`,
+:data:`~repro.baselines.sampling_majority.SAMPLE_SIZE`); other values are
+object-only.
 
 Sampling nodes read only ``SampleRequest``/``SampleReply`` payloads, so every
 adversary model reduces to *which nodes stop participating when* plus the
-delivered-but-ignored crafted traffic — both read off the behaviour's
+delivered-but-ignored crafted traffic — both read off the adversary's
 :class:`~repro.adversary.kernels.base.AdversaryKernel` class:
 
 * ``silent`` / ``static`` / ``random-noise`` — a fixed corrupted set from the
@@ -21,11 +25,11 @@ delivered-but-ignored crafted traffic — both read off the behaviour's
   set *grows* over the run exactly as the object strategy recruits;
 * the share attacks and committee targeting have no lever (no shares, no
   distinguished node; their object strategies provably no-op) and dispatch to
-  the exact failure-free behaviour.
+  the exact failure-free ``null`` kernel.
 
 The object simulator draws each node's samples from its own Philox stream, so
 the cross-validation is statistical (agreement rate, message volume), while
-the round count ``2 * ceil(iterations_factor * log2(n)^2)`` is exact.
+the round count ``2 * ceil(ITERATIONS_FACTOR * log2(n)^2)`` is exact.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.adversary.kernels.capabilities import (
     CORRUPT_STATIC,
     RNG,
 )
+from repro.baselines.sampling_majority import ITERATIONS_FACTOR, SAMPLE_SIZE
 from repro.core.parameters import validate_n_t
 from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
@@ -61,12 +66,10 @@ def run_sampling_majority_trials(
     n: int,
     t: int,
     *,
-    adversary: str = "none",
+    adversary: str = "null",
     inputs: str = "split",
     trials: int = 10,
     seed: int = 0,
-    iterations_factor: float = 2.0,
-    sample_size: int = 2,
     trial_offset: int = 0,
 ) -> list[TrialSummary]:
     """Run ``trials`` batched executions of the sampling-majority process."""
@@ -74,14 +77,13 @@ def run_sampling_majority_trials(
     kernel_class = ADVERSARY_PLANE_KERNELS.get(adversary)
     if kernel_class is None:
         raise ConfigurationError(
-            f"unknown sampling-majority kernel behaviour {adversary!r}; "
+            f"no sampling-majority adversary kernel for {adversary!r}; "
             f"available: {sorted(ADVERSARY_PLANE_KERNELS)}"
         )
     input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     batch = input_rows.shape[0]
     log_n = max(1.0, math.log2(max(2, n)))
-    num_iterations = max(1, math.ceil(iterations_factor * log_n * log_n))
-    sample_size = max(1, sample_size)
+    num_iterations = max(1, math.ceil(ITERATIONS_FACTOR * log_n * log_n))
     staggered = issubclass(kernel_class, EquivocatePlaneKernel)
 
     value = input_rows.astype(bool).copy()
@@ -100,12 +102,12 @@ def run_sampling_majority_trials(
         n_corrupt = n - n_honest
 
         peers = np.stack(
-            [streams[b].integers(0, n, size=(n, sample_size)) for b in range(batch)]
+            [streams[b].integers(0, n, size=(n, SAMPLE_SIZE)) for b in range(batch)]
         )
         peer_honest = honest_cols[peers]
         sampled = (
-            np.take_along_axis(value, peers.reshape(batch, n * sample_size), axis=1)
-            .reshape(batch, n, sample_size)
+            np.take_along_axis(value, peers.reshape(batch, n * SAMPLE_SIZE), axis=1)
+            .reshape(batch, n, SAMPLE_SIZE)
         )
         ones = value.astype(np.int64) + (sampled & peer_honest).sum(axis=2)
         totals = 1 + peer_honest.sum(axis=2)
@@ -114,9 +116,9 @@ def run_sampling_majority_trials(
 
         # Requests from every honest node; a reply per request that landed on
         # an honest peer (honest nodes answer everyone who sampled them);
-        # plus the behaviour's delivered-but-ignored crafted traffic.
+        # plus the adversary's delivered-but-ignored crafted traffic.
         replies = peer_honest[:, honest_cols, :].sum(axis=(1, 2))
-        requests = n_honest * sample_size
+        requests = n_honest * SAMPLE_SIZE
         messages += requests + replies
         bits += requests * _REQUEST_BITS + replies * _REPLY_BITS
         for round_in_phase, payload_bits in (

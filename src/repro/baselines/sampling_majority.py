@@ -30,6 +30,14 @@ import numpy as np
 from repro.simulator.messages import Message, SampleReply, SampleRequest
 from repro.simulator.node import ProtocolNode
 
+#: Default multiplier on ``log2(n)^2`` for the number of iterations (the
+#: batched kernel always runs it).
+ITERATIONS_FACTOR = 2.0
+
+#: Default number of peers sampled per iteration (2 in the paper's
+#: description; the batched kernel always samples this many).
+SAMPLE_SIZE = 2
+
 
 class SamplingMajorityNode(ProtocolNode):
     """One participant of the sampling-majority process.
@@ -37,8 +45,10 @@ class SamplingMajorityNode(ProtocolNode):
     Args:
         iterations_factor: Multiplier on ``log2(n)^2`` for the number of
             iterations.
-        sample_size: Number of peers sampled per iteration (2 in the paper's
-            description).
+        sample_size: Number of peers sampled per iteration.
+
+    Either kwarg keeps a sweep on the object simulator: the batched kernel
+    runs the defaults only.
     """
 
     protocol_name = "sampling-majority"
@@ -51,8 +61,8 @@ class SamplingMajorityNode(ProtocolNode):
         input_value: int,
         rng: np.random.Generator,
         *,
-        iterations_factor: float = 2.0,
-        sample_size: int = 2,
+        iterations_factor: float = ITERATIONS_FACTOR,
+        sample_size: int = SAMPLE_SIZE,
     ):
         super().__init__(node_id, n, t, input_value, rng)
         log_n = max(1.0, math.log2(max(2, n)))

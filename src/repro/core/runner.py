@@ -39,7 +39,7 @@ from repro.baselines.chor_coan import ChorCoanLasVegasNode, ChorCoanNode, chor_c
 from repro.baselines.eig import EIGNode
 from repro.baselines.phase_king import PhaseKingNode
 from repro.baselines.rabin import RabinDealerNode
-from repro.baselines.sampling_majority import SamplingMajorityNode
+from repro.baselines.sampling_majority import ITERATIONS_FACTOR, SamplingMajorityNode
 from repro.core.agreement import CommitteeAgreementNode
 from repro.core.committee import CommitteePartition
 from repro.core.inputs import INPUT_PATTERNS as INPUT_PATTERNS  # re-export
@@ -120,7 +120,7 @@ def default_max_rounds(protocol: str, n: int, t: int) -> int:
     if protocol == "eig":
         return t + 3
     if protocol == "sampling-majority":
-        return 2 * (math.ceil(2.0 * log_n * log_n) + 2)
+        return 2 * (math.ceil(ITERATIONS_FACTOR * log_n * log_n) + 2)
     return 20 * n + 100
 
 
@@ -347,15 +347,17 @@ class TrialSummary:
 class TrialsResult:
     """Aggregate of many trials of the same experiment.
 
-    Aggregates are *mergeable*: every statistic is a property computed from
-    the per-trial list, so concatenating the ``trials`` of several partial
-    results of the same experiment (:meth:`merge`) reproduces the aggregate
-    of the unsplit sweep exactly — the property the sharded executors rely
-    on.
+    ``engine`` records the result family that produced the trials
+    (``"vectorized"`` or ``"object"``).  Aggregates are *mergeable*: every
+    statistic is a property computed from the per-trial list, so
+    concatenating the ``trials`` of several partial results of the same
+    experiment and family (:meth:`merge`) reproduces the aggregate of the
+    unsplit sweep exactly — the property the adaptive executor relies on.
     """
 
     experiment: AgreementExperiment
     trials: list[TrialSummary]
+    engine: str = "object"
 
     @classmethod
     def merge(cls, parts: Sequence["TrialsResult"]) -> "TrialsResult":
@@ -363,23 +365,29 @@ class TrialsResult:
 
         Because all aggregate statistics derive from the per-trial list, the
         merged result is exactly the aggregate the unsplit sweep would have
-        produced; sub-result order is preserved (shard workers hand back
-        contiguous trial ranges in range order).
+        produced; sub-result order is preserved, and the result keeps the
+        parts' family.
 
         Raises:
             ConfigurationError: When ``parts`` is empty or the parts describe
-                different experiments.
+                different experiments or come from different families.
         """
         if not parts:
             raise ConfigurationError("cannot merge zero partial results")
-        experiment = parts[0].experiment
-        if any(part.experiment != experiment for part in parts[1:]):
+        first = parts[0]
+        if any(part.experiment != first.experiment for part in parts[1:]):
             raise ConfigurationError(
                 "cannot merge partial results of different experiments"
             )
+        if any(part.engine != first.engine for part in parts[1:]):
+            raise ConfigurationError(
+                "cannot merge partial results of different result families: "
+                f"{sorted({part.engine for part in parts})}"
+            )
         return cls(
-            experiment=experiment,
+            experiment=first.experiment,
             trials=[summary for part in parts for summary in part.trials],
+            engine=first.engine,
         )
 
     @property

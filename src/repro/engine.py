@@ -41,13 +41,11 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
 import numpy as np
 
-from repro.adversary.kernels.capabilities import derive_behaviours
 from repro.baselines.kernels import (
     BASELINE_KERNELS,
     CoinTrialsResult,
@@ -77,13 +75,6 @@ from repro.topology.loss import validate_loss
 #: Engine names accepted by :func:`run_sweep`: ``auto`` or a result family.
 ENGINES = ("auto", "vectorized", "object")
 
-#: Object-simulator adversary names -> committee-engine behaviours, derived
-#: from the committee engine's full hook surface (the vectorised names
-#: themselves are accepted as aliases so existing callers of
-#: ``run_vectorized_trials`` can migrate without renaming).  Every registered
-#: adversary strategy has a committee-family fast path.
-ADVERSARY_FAST_PATH = derive_behaviours(COMMITTEE_ENGINE_HOOKS)
-
 #: The committee engine's bit-identity guarantee is against its own
 #: single-trial vectorised path (same (seed, k) Philox keys), not the object
 #: simulator — the object nodes draw committee shares from per-node streams —
@@ -101,7 +92,6 @@ def _committee_spec(protocol: str) -> KernelSpec:
         supports_params=True,
         supports_topology=True,
         supports_backend=True,
-        protocol_kwargs=frozenset({"alpha"}),
     )
 
 
@@ -127,14 +117,6 @@ _MIN_WORK_FOR_PROCESSES = 5_000_000
 _CHUNKS_PER_WORKER = 4
 
 
-@dataclass
-class SweepResult(TrialsResult):
-    """A :class:`TrialsResult` that also records the result family that
-    produced it (``"vectorized"`` or ``"object"``)."""
-
-    engine: str = "object"
-
-
 def vectorizable(
     protocol: str,
     adversary: str,
@@ -148,13 +130,13 @@ def vectorizable(
     """True when the configuration has a modelled vectorised equivalent.
 
     The decision is a :data:`PROTOCOL_KERNELS` lookup: the pair must have a
-    registered fault behaviour, any custom round cap must be honoured by the
-    kernel (which runs whole two-round phases, so the cap must be a positive
-    even number), an off-clique topology or positive message loss requires the
-    kernel's masked communication planes (``supports_topology``), protocol
-    kwargs must be within the kernel's modelled set, and any adversary kwargs
-    (e.g. explicit target lists or per-phase spend limits) force the object
-    path.
+    registered adversary plane kernel, any custom round cap must be honoured
+    by the kernel (which runs whole two-round phases, so the cap must be a
+    positive even number), and an off-clique topology or positive message
+    loss requires the kernel's masked communication planes
+    (``supports_topology``).  Protocol and adversary constructor kwargs
+    (e.g. Chor–Coan's group size, explicit target lists or per-phase spend
+    limits) are object-only: any of them forces the object path.
     """
     spec = PROTOCOL_KERNELS.get(protocol)
     if spec is None:
@@ -167,11 +149,7 @@ def vectorizable(
         return False
     if (topology != "clique" or loss > 0.0) and not spec.supports_topology:
         return False
-    if adversary_kwargs:
-        return False
-    if protocol_kwargs and set(protocol_kwargs) - set(spec.protocol_kwargs):
-        return False
-    return True
+    return not protocol_kwargs and not adversary_kwargs
 
 
 def select_engine(
@@ -250,17 +228,11 @@ def _run_vectorized_sweep(
     counter ``trial_offset + k`` as its row's ``seed``.
     """
     spec = PROTOCOL_KERNELS[experiment.protocol]
-    kwargs: dict[str, Any] = {
-        key: value
-        for key, value in experiment.protocol_kwargs.items()
-        if key in spec.protocol_kwargs
-    }
+    kwargs: dict[str, Any] = {}
     if spec.supports_params:
         kwargs["params"] = params
         if experiment.alpha is not None:
             kwargs["alpha"] = experiment.alpha
-        else:
-            kwargs.setdefault("alpha", 4.0)
     if spec.supports_max_rounds and experiment.max_rounds is not None:
         kwargs["max_rounds"] = experiment.max_rounds
     # Backends are bit-identical, so the choice is pure execution policy:
@@ -402,7 +374,7 @@ def run_sweep(
     trial_offset: int = 0,
     protocol_kwargs: dict[str, Any] | None = None,
     adversary_kwargs: dict[str, Any] | None = None,
-) -> SweepResult:
+) -> TrialsResult:
     """Run a multi-trial sweep on the most appropriate engine.
 
     Either pass an :class:`AgreementExperiment` via ``experiment`` or describe
@@ -441,8 +413,7 @@ def run_sweep(
             and closed-form kernels have no planes and ignore it.
 
     Returns:
-        A :class:`SweepResult` whose ``trials`` list and aggregate properties
-        match :func:`repro.core.runner.run_trials`, with ``engine`` recording
+        A :class:`~repro.core.runner.TrialsResult` whose ``engine`` records
         the result family that ran it.
     """
     if trials < 1:
@@ -520,7 +491,7 @@ def run_sweep(
                 family, experiment, trials, base_seed, params, backend,
                 trial_offset, processes,
             )
-    return SweepResult(experiment=experiment, trials=summaries, engine=family)
+    return TrialsResult(experiment=experiment, trials=summaries, engine=family)
 
 
 # ----------------------------------------------------------------------
@@ -575,8 +546,9 @@ def dispatch_table() -> list[dict[str, str]]:
 
     Rendered in the README and by ``python -m repro engines``.  ``kernel``
     names the batched kernel serving the fast path and ``validation`` records
-    whether that pair is bit-identical to the object simulator or
-    statistically cross-validated.
+    whether that pair is bit-identical to the object simulator, an
+    inapplicable pair running the failure-free ``null`` kernel
+    (``exact (no-op)``), or statistically cross-validated.
     """
     rows = []
     for protocol in sorted(PROTOCOLS):
@@ -598,7 +570,6 @@ def dispatch_table() -> list[dict[str, str]]:
                     "adversary": adversary,
                     "auto engine": "vectorized" if fast else "object",
                     "kernel": spec.name if fast and spec else "-",
-                    "fast-path behaviour": spec.behaviours[adversary] if fast and spec else "-",
                     "validation": validation,
                 }
             )
@@ -631,9 +602,7 @@ def kernel_support_table() -> list[dict[str, str]]:
             continue
         inapplicable = sorted(spec.inapplicable)
         supported = sorted(
-            name
-            for name in spec.behaviours
-            if name in ADVERSARIES and name not in spec.inapplicable
+            name for name in spec.behaviours if name not in spec.inapplicable
         )
         unmodelled = sorted(
             name for name in ADVERSARIES if name not in spec.behaviours
@@ -726,10 +695,8 @@ def markdown_engine_tables() -> dict[str, str]:
 
 
 __all__ = [
-    "ADVERSARY_FAST_PATH",
     "ENGINES",
     "PROTOCOL_KERNELS",
-    "SweepResult",
     "VECTORIZED_PROTOCOLS",
     "dispatch_table",
     "kernel_support_table",

@@ -39,7 +39,7 @@ def run(quick: bool = True) -> ExperimentReport:
 
     for alpha in alphas:
         aggregate = run_sweep(
-            n, t, protocol="committee-ba", adversary="straddle", inputs="split",
+            n, t, protocol="committee-ba", adversary="coin-attack", inputs="split",
             trials=trials, base_seed=10_000 + int(alpha * 10), alpha=alpha,
         )
         report.add_row(

@@ -53,11 +53,11 @@ def run(quick: bool = True) -> ExperimentReport:
     )
     for t in t_values:
         ours = run_sweep(
-            n, t, protocol="committee-ba-las-vegas", adversary="straddle",
+            n, t, protocol="committee-ba-las-vegas", adversary="coin-attack",
             inputs="split", trials=trials, base_seed=1000 + t,
         )
         chor_coan = run_sweep(
-            n, t, protocol="chor-coan-las-vegas", adversary="straddle",
+            n, t, protocol="chor-coan-las-vegas", adversary="coin-attack",
             inputs="split", trials=trials, base_seed=1000 + t,
         )
         from repro.core.parameters import ProtocolParameters

@@ -42,7 +42,7 @@ def run(quick: bool = True) -> ExperimentReport:
         # the declared committee geometry of t (the params= override).
         result = run_sweep(
             n, q, protocol="committee-ba-las-vegas",
-            adversary="straddle" if q > 0 else "none", inputs="split",
+            adversary="coin-attack" if q > 0 else "null", inputs="split",
             trials=trials, base_seed=7 + q, params=params,
         )
         report.add_row(

@@ -44,11 +44,11 @@ def run(quick: bool = True) -> ExperimentReport:
     )
     for t in t_values:
         ours = run_sweep(
-            n, t, protocol="committee-ba-las-vegas", adversary="straddle",
+            n, t, protocol="committee-ba-las-vegas", adversary="coin-attack",
             inputs="split", trials=trials, base_seed=2000 + t,
         )
         chor_coan = run_sweep(
-            n, t, protocol="chor-coan-las-vegas", adversary="straddle",
+            n, t, protocol="chor-coan-las-vegas", adversary="coin-attack",
             inputs="split", trials=trials, base_seed=2000 + t,
         )
         strict = run_agreement(

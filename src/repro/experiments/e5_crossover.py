@@ -64,8 +64,8 @@ def run(quick: bool = True) -> ExperimentReport:
     for t in t_values:
         ours_params = ProtocolParameters.derive(n, t)
         cc_params = chor_coan_parameters(n, t)
-        rounds_ours = _mean_rounds(n, t, "committee-ba-las-vegas", "straddle", trials)
-        rounds_cc = _mean_rounds(n, t, "chor-coan-las-vegas", "straddle", trials)
+        rounds_ours = _mean_rounds(n, t, "committee-ba-las-vegas", "coin-attack", trials)
+        rounds_cc = _mean_rounds(n, t, "chor-coan-las-vegas", "coin-attack", trials)
         rounds_ours_ct = _mean_rounds(
             n, t, "committee-ba-las-vegas", "committee-targeting", trials
         )

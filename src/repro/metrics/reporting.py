@@ -111,7 +111,11 @@ def sweep_report_rows(
             measurement cells render as ``-`` so coverage gaps stay
             visible).
     """
-    from repro.analysis.statistics import relative_ci_width, success_rate
+    from repro.analysis.statistics import (
+        mean_confidence_interval,
+        relative_ci_width,
+        success_rate,
+    )
 
     rows = []
     for point, record in records:
@@ -124,9 +128,8 @@ def sweep_report_rows(
             fields = record.get("trial_fields", [])
             if "rounds" in fields:
                 rounds_index = fields.index("rounds")
-                rounds_rel_width = relative_ci_width(
-                    [float(values[rounds_index]) for values in trial_rows]
-                )
+                rounds = [float(values[rounds_index]) for values in trial_rows]
+                rounds_rel_width = relative_ci_width(mean_confidence_interval(rounds))
         rows.append(
             {
                 "protocol": point.protocol,

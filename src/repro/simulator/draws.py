@@ -9,7 +9,8 @@ the number of 64-bit words its stream has consumed and the pending uint32
 half, if any.
 
 The committee coin's shares are the hot draw: every phase, every running
-trial draws ``integers(0, 2, size=c)``.  That call is Lemire's method on
+trial draws ``integers(0, 2, size=c)`` (Ben-Or's private flips are the same
+draw, one per node).  That call is Lemire's method on
 ``next_uint32`` with range 2, which never rejects, so share ``i`` is the top
 bit of the stream's next uint32 — the low half of a 64-bit word first, then
 its high half, which Philox buffers across calls.  :meth:`TrialStreams.draw_shares`
@@ -24,8 +25,7 @@ Loss planes are raw 64-bit words, so the compiled loss kernel
 moves the cursor past the plane, as ``random_raw`` would move the
 generator.  Any other draw needs a real generator: the noise kernel's
 binomial and multinomial draws, sampling-majority's peer picks, the
-``random`` input pattern, Ben-Or's private coin, and loss planes drawn with
-NumPy.  Indexing a stream (``streams[b]``) materialises row ``b`` as its
+``random`` input pattern, and loss planes drawn with NumPy.  Indexing a stream (``streams[b]``) materialises row ``b`` as its
 :func:`trial_generator` jumped to the cursor in O(1) — ``Philox.advance``
 past the whole blocks, one ``random_raw`` of the 1-4 words left to load the
 current block, then the uint32 half state restored — and the row draws

@@ -14,9 +14,9 @@ The engine owns everything the six protocols share:
   :class:`~repro.adversary.kernels.base.AdversaryKernel`;
 * committee coin-share draws on the per-trial Philox streams (always for
   the committee coin; lazily, only when the kernel is share-hungry and some
-  trial can reach the coin case, for the dealer/private coins), one
-  vectorised Philox pass per draw once enough trials run
-  (:class:`~repro.simulator.draws.TrialStreams`);
+  trial can reach the coin case, for the dealer/private coins) and Ben-Or's
+  private flips, one vectorised Philox pass per draw once enough trials run
+  (:meth:`~repro.simulator.draws.TrialStreams.draw_shares`);
 * CONGEST message accounting (honest broadcasts engine-side, adversary
   traffic kernel-side) and flush-phase / bounded-exhaustion termination;
 * the batched agreement/validity finaliser (:func:`finalize_planes`).
@@ -592,9 +592,11 @@ class PhaseEngine:
                                 coin_rows[b] = bool(dealer_coin_bit(dealer_seeds[b], phase))
                             value.blend_mask(coin_rows[:, None], coin_mask)
                         else:  # private
+                            # One flip per node of each needing row, drawn
+                            # as integers(0, 2, size=n) would draw them.
                             coin_plane = np.zeros((len(orig), n), dtype=bool)
-                            for b in np.flatnonzero(need):
-                                coin_plane[b] = streams[b].integers(0, 2, size=n).astype(bool)
+                            flips = streams.draw_shares(np.where(need, n, 0)) > 0
+                            coin_plane[need] = flips.reshape(-1, n)
                             value.blend_mask(coin_plane, coin_mask)
                 decided.clear_where(coin_mask)
 

@@ -16,7 +16,7 @@ honest protocol — tallies, thresholds, coins, flush bookkeeping, live-trial
 compaction — and delegates every Byzantine decision to a pluggable
 :class:`~repro.adversary.kernels.base.AdversaryKernel` through four hooks per
 phase (``setup`` once, then ``round1`` / ``pre_coin`` / ``round2``).  The
-behaviour names in :data:`VECTORIZED_ADVERSARIES` are the kernels of
+adversary names in :data:`VECTORIZED_ADVERSARIES` are the kernels of
 :data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`; see
 :mod:`repro.adversary.kernels` for what each strategy does and how it is
 validated against the object simulator.  The batch set-up and row building
@@ -25,11 +25,11 @@ EIG and sampling-majority kernels of :mod:`repro.baselines.kernels`.
 
 Two entry points are provided: :meth:`VectorizedAgreementSimulator.run`
 executes one trial on 1-D arrays (the reference implementation, kept for the
-committee coin under the ``none`` and ``straddle`` behaviours), and
+committee coin under the ``null`` and ``coin-attack`` adversaries), and
 :meth:`VectorizedAgreementSimulator.run_batch` executes a whole batch of
 ``B`` trials simultaneously on 2-D ``(B, n)`` arrays, drawing from the
-batch's :class:`~repro.simulator.draws.TrialStreams`.  For the ``none`` and
-``straddle`` behaviours the two are bit-for-bit identical given the same
+batch's :class:`~repro.simulator.draws.TrialStreams`.  For the ``null`` and
+``coin-attack`` adversaries the two are bit-for-bit identical given the same
 per-trial Philox keys, which the test-suite checks exhaustively; both are
 cross-validated against the object simulator statistically.
 """
@@ -85,8 +85,8 @@ COMMITTEE_PROTOCOLS = tuple(
     name for name, (coin, _) in PHASE_PROTOCOLS.items() if coin == "committee"
 )
 
-#: Adversary behaviours the vectorised engine can simulate — exactly the
-#: plane-kernel registry.
+#: Adversaries the vectorised engine can simulate — exactly the plane-kernel
+#: registry.
 VECTORIZED_ADVERSARIES = tuple(ADVERSARY_PLANE_KERNELS)
 
 #: Adversary hook surface of the engine — the full vocabulary: both
@@ -139,7 +139,7 @@ class VectorizedAgreementSimulator:
     n: int
     t: int
     params: ProtocolParameters
-    adversary: str = "straddle"
+    adversary: str = "coin-attack"
     coin: str = "committee"
     las_vegas: bool = True
     max_phases: int | None = None
@@ -155,7 +155,7 @@ class VectorizedAgreementSimulator:
                 f"got {self.adversary!r}"
             )
         if self.max_phases is None:
-            # The straddle adversary spends at least one corruption per spoiled
+            # The coin attack spends at least one corruption per spoiled
             # phase, so t + O(log n) phases always suffice; keep a wide margin.
             self.max_phases = 2 * self.t + 50 * max(1, int(math.log2(max(2, self.n)))) + 50
 
@@ -173,11 +173,11 @@ class VectorizedAgreementSimulator:
             raise ConfigurationError(f"run takes one trial stream, got {len(streams)}")
         if (
             self.coin != "committee"
-            or self.adversary not in ("none", "straddle")
+            or self.adversary not in ("null", "coin-attack")
             or self.adjacency is not None
             or self.loss > 0.0
         ):
-            # The other coins, the newer behaviours and the masked
+            # The other coins, the other adversaries and the masked
             # communication planes are implemented only once, in the batched
             # path; a single trial is just a batch of one.
             return self.run_batch(inputs[None, :], streams)[0]
@@ -267,7 +267,7 @@ class VectorizedAgreementSimulator:
             else:
                 # Case 3: the committee coin, possibly under attack.
                 spoiled = False
-                if self.adversary == "straddle" and budget > 0:
+                if self.adversary == "coin-attack" and budget > 0:
                     sign = 1 if honest_sum >= 0 else -1
                     if honest_sum >= 0:
                         needed = max(0, math.ceil((honest_sum - controlled_in_committee + 1) / 2))
@@ -346,15 +346,15 @@ class VectorizedAgreementSimulator:
             inputs: ``(B, n)`` array of per-trial input bits.
             streams: The per-trial Philox streams.  Trial ``b`` consumes row
                 ``b`` in exactly the same order as a single-trial :meth:`run`
-                call consumes its one-row streams, so for the ``none`` and
-                ``straddle`` behaviours the rows of
+                call consumes its one-row streams, so for the ``null`` and
+                ``coin-attack`` adversaries the rows of
                 ``run_batch(inputs, TrialStreams(seed, 0, B))`` equal
                 ``[self.run(inputs[b], TrialStreams(seed, b, 1)) for b in
                 range(B)]``.
 
         The batch runs on the shared hook-driven
         :class:`~repro.simulator.phase_engine.PhaseEngine` with the
-        simulator's coin and the behaviour's adversary plane kernel;
+        simulator's coin and the adversary's plane kernel;
         per-trial results are independent of how trials are batched together.
 
         Returns:
@@ -507,9 +507,8 @@ def build_vectorized_simulator(
     t: int,
     *,
     protocol: str = "committee-ba-las-vegas",
-    adversary: str = "straddle",
+    adversary: str = "coin-attack",
     alpha: float = 4.0,
-    phases_factor: float = 4.0,
     params: ProtocolParameters | None = None,
     max_rounds: int | None = None,
     adjacency: np.ndarray | None = None,
@@ -522,8 +521,8 @@ def build_vectorized_simulator(
     (:data:`PHASE_PROTOCOLS`).  Without ``params`` the committee geometry
     comes from :func:`repro.core.runner.protocol_parameters`, the one source
     of truth for committee sizing shared with the object simulator:
-    ``alpha`` sizes the committee protocols' committees, ``phases_factor``
-    Rabin's and Ben-Or's phase schedule.  ``max_rounds`` caps a Las Vegas
+    ``alpha`` sizes the committee protocols' committees (Rabin and Ben-Or run
+    their default phase schedule).  ``max_rounds`` caps a Las Vegas
     run at ``max(1, max_rounds // 2)`` whole phases; Ben-Or, whose expected
     time is exponential for linear ``t``, defaults to the object runner's cap
     (:func:`repro.core.runner.default_max_rounds`).
@@ -535,9 +534,7 @@ def build_vectorized_simulator(
         )
     coin, las_vegas = PHASE_PROTOCOLS[protocol]
     if params is None:
-        params = protocol_parameters(
-            protocol, n, t, {"alpha": alpha, "phases_factor": phases_factor}
-        )
+        params = protocol_parameters(protocol, n, t, {"alpha": alpha})
     if max_rounds is None and protocol == "ben-or":
         max_rounds = default_max_rounds(protocol, n, t)
     return VectorizedAgreementSimulator(
@@ -553,12 +550,11 @@ def run_vectorized_trials(
     t: int,
     *,
     protocol: str = "committee-ba-las-vegas",
-    adversary: str = "straddle",
+    adversary: str = "coin-attack",
     inputs: str = "split",
     trials: int = 10,
     seed: int = 0,
     alpha: float = 4.0,
-    phases_factor: float = 4.0,
     params: ProtocolParameters | None = None,
     max_rounds: int | None = None,
     batch: bool = True,
@@ -577,7 +573,7 @@ def run_vectorized_trials(
     of :mod:`repro.engine` relies on.  Rabin's dealer seed for trial ``k`` is
     ``seed + trial_offset + k``, the master seed the object runner hands that
     trial.  :func:`repro.engine.run_sweep` wraps the rows in a
-    :class:`~repro.engine.SweepResult` for the aggregate statistics.
+    :class:`~repro.core.runner.TrialsResult` for the aggregate statistics.
 
     By default the whole sweep executes as one :meth:`run_batch` call on
     ``(trials, n)`` arrays; ``batch=False`` falls back to the per-trial loop
@@ -586,8 +582,8 @@ def run_vectorized_trials(
     """
     simulator = build_vectorized_simulator(
         n, t, protocol=protocol, adversary=adversary, alpha=alpha,
-        phases_factor=phases_factor, params=params, max_rounds=max_rounds,
-        adjacency=adjacency, loss=loss, backend=backend,
+        params=params, max_rounds=max_rounds, adjacency=adjacency, loss=loss,
+        backend=backend,
     )
     input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     if batch:

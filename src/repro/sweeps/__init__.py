@@ -50,7 +50,6 @@ from repro.sweeps.store import (
     adaptive_key,
     adaptive_record,
     default_store_root,
-    experiment_key,
     point_key,
     result_from_record,
     sweep_record,
@@ -81,7 +80,6 @@ __all__ = [
     "default_store_root",
     "estimate_point",
     "expand_rows",
-    "experiment_key",
     "get_spec",
     "markdown_adaptive_plan",
     "markdown_library_table",

@@ -10,9 +10,10 @@ batch the executor measures two confidence intervals via
 * the **Wilson interval** on the agreement rate (its full width), and
 * the **relative CI width** on mean rounds (full width over the mean),
 
-and keeps allocating further batches — always to the point whose widest of
-the two measures is largest ("variance-greedy") — until every point is below
-the ``precision`` target or at its ``max_trials`` ceiling.
+both at 95% confidence (:data:`~repro.analysis.statistics.Z_95`), and keeps
+allocating further batches — always to the point whose widest of the two
+measures is largest ("variance-greedy") — until every point is below the
+``precision`` target or at its ``max_trials`` ceiling.
 
 Reproducibility contract
 ------------------------
@@ -48,12 +49,13 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.analysis.statistics import (
+    Z_95,
     RateEstimate,
     mean_confidence_interval,
     relative_ci_width,
     success_rate,
 )
-from repro.engine import SweepResult
+from repro.core.runner import TrialsResult
 from repro.exceptions import ConfigurationError
 from repro.sweeps.executor import _PointState, _run_batches, spec_keys
 from repro.sweeps.spec import SweepPoint, SweepSpec
@@ -74,7 +76,6 @@ class PrecisionTargets:
     precision: float
     batch_size: int
     max_trials: int
-    z: float = 1.96
 
     def __post_init__(self) -> None:
         if not 0.0 < self.precision < 1.0:
@@ -89,8 +90,6 @@ class PrecisionTargets:
             raise ConfigurationError(
                 f"max_trials must be positive, got {self.max_trials}"
             )
-        if self.z <= 0:
-            raise ConfigurationError(f"z must be positive, got {self.z}")
 
 
 def resolve_targets(
@@ -99,7 +98,6 @@ def resolve_targets(
     precision: float | None = None,
     max_trials: int | None = None,
     batch_size: int | None = None,
-    z: float = 1.96,
 ) -> PrecisionTargets:
     """Resolve the stopping rule: explicit overrides > spec fields > defaults.
 
@@ -128,7 +126,6 @@ def resolve_targets(
         precision=float(chosen_precision),
         batch_size=int(chosen_batch),
         max_trials=int(chosen_ceiling),
-        z=z,
     )
 
 
@@ -162,7 +159,7 @@ class PointEstimate:
 def estimate_point(
     point: SweepPoint,
     key: str,
-    result: SweepResult | None,
+    result: TrialsResult | None,
     targets: PrecisionTargets,
 ) -> PointEstimate:
     """Measure one point's precision state from its accumulated result."""
@@ -174,10 +171,10 @@ def estimate_point(
         )
     trials = result.num_trials
     successes = sum(trial.agreement for trial in result.trials)
-    agreement = success_rate(successes, trials, z=targets.z)
-    rounds = [float(trial.rounds) for trial in result.trials]
-    mean, low, high = mean_confidence_interval(rounds, z=targets.z)
-    rel_width = relative_ci_width(rounds, z=targets.z)
+    agreement = success_rate(successes, trials)
+    rounds = mean_confidence_interval([float(trial.rounds) for trial in result.trials])
+    mean, low, high = rounds
+    rel_width = relative_ci_width(rounds)
     width = max(agreement.width, rel_width)
     return PointEstimate(
         point=point,
@@ -271,7 +268,6 @@ def run_adaptive(
     precision: float | None = None,
     max_trials: int | None = None,
     batch_size: int | None = None,
-    z: float = 1.96,
     workers: int | None = None,
     limit: int | None = None,
     progress: AdaptiveProgress | None = None,
@@ -284,7 +280,6 @@ def run_adaptive(
         engine: Engine override (defaults to the spec's own choice).
         precision / max_trials / batch_size: Stopping-rule overrides
             (defaults: the spec's adaptive block, see :func:`resolve_targets`).
-        z: Normal quantile of both intervals (1.96 = 95% confidence).
         workers: Execution policy, forwarded to
             :func:`repro.engine.run_sweep`; results never depend on it.
         limit: Execute at most this many *batches* (``>= 0``), leaving the
@@ -300,8 +295,7 @@ def run_adaptive(
     """
     started = time.perf_counter()
     targets = resolve_targets(
-        spec, precision=precision, max_trials=max_trials,
-        batch_size=batch_size, z=z,
+        spec, precision=precision, max_trials=max_trials, batch_size=batch_size,
     )
     requested = engine if engine is not None else spec.engine
 
@@ -348,7 +342,7 @@ def run_adaptive(
         key=adaptive_key,
         record=partial(
             adaptive_record, precision=targets.precision,
-            batch_size=targets.batch_size, max_trials=targets.max_trials, z=targets.z,
+            batch_size=targets.batch_size, max_trials=targets.max_trials, z=Z_95,
         ),
         pick=pick, after=after,
     )
@@ -372,12 +366,11 @@ def adaptive_status(
     precision: float | None = None,
     max_trials: int | None = None,
     batch_size: int | None = None,
-    z: float = 1.96,
 ) -> AdaptiveRunReport:
     """Precision coverage of ``spec`` in ``store``: a run with a zero budget."""
     return run_adaptive(
         spec, store=store, engine=engine, precision=precision,
-        max_trials=max_trials, batch_size=batch_size, z=z, limit=0,
+        max_trials=max_trials, batch_size=batch_size, limit=0,
     )
 
 
@@ -389,7 +382,6 @@ def adaptive_report_rows(
     precision: float | None = None,
     max_trials: int | None = None,
     batch_size: int | None = None,
-    z: float = 1.96,
 ) -> list[dict[str, Any]]:
     """Result table of an adaptive spec, read entirely from the store.
 
@@ -398,7 +390,7 @@ def adaptive_report_rows(
     """
     report = adaptive_status(
         spec, store=store, engine=engine, precision=precision,
-        max_trials=max_trials, batch_size=batch_size, z=z,
+        max_trials=max_trials, batch_size=batch_size,
     )
     rows = []
     for estimate in report.estimates:

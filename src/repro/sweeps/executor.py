@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.engine import SweepResult, run_sweep, select_engine, validate_workers
+from repro.core.runner import TrialsResult
+from repro.engine import run_sweep, select_engine, validate_workers
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, SweepSpec
@@ -153,7 +154,7 @@ class _PointState:
         return 0 if self.record is None else self.record["point"]["trials"]
 
     @cached_property
-    def result(self) -> SweepResult | None:
+    def result(self) -> TrialsResult | None:
         """The accumulated result; a stored record is decoded on first use."""
         return None if self.record is None else result_from_record(self.record)
 
@@ -166,7 +167,7 @@ def _run_batches(
     workers: int | None,
     limit: int | None,
     key: Callable[[SweepPoint, str], str],
-    record: Callable[[SweepPoint, SweepResult, str], dict[str, Any]],
+    record: Callable[[SweepPoint, TrialsResult, str], dict[str, Any]],
     visit: Callable[[_PointState, int, int], None] | None = None,
     pick: Callable[[list[_PointState]], tuple[_PointState, int] | None] | None = None,
     after: Callable[[_PointState, int, float, int], dict[str, Any]] | None = None,
@@ -223,9 +224,7 @@ def _run_batches(
                 trial_offset=state.trials,
             )
             if state.trials:
-                result = SweepResult(experiment=result.experiment,
-                                     trials=state.result.trials + result.trials,
-                                     engine=result.engine)
+                result = TrialsResult.merge([state.result, result])
             state.result = result
             state.record = record(state.point, result, result.engine)
             store.put(state.key, state.record)

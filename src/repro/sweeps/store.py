@@ -9,9 +9,9 @@ Layout (default root ``benchmarks/results/store/``)::
 Every record is one JSON line carrying its own ``key``: the SHA-256 of the
 canonical JSON of ``{schema, engine (result family), point}``.  Because the
 key is a *content* hash of the configuration (plus the code-relevant schema
-version and engine family), re-running any spec — from the sweep executor,
-the benchmark harness or a notebook — deduplicates automatically: a point
-whose key is present is served from the store instead of recomputed.
+version and engine family), re-running any spec — from the sweep executor
+or a notebook — deduplicates automatically: a point whose key is present is
+served from the store instead of recomputed.
 
 Durability contract:
 
@@ -23,8 +23,7 @@ Durability contract:
   fresh line, and the point is simply recomputed on resume;
 * shards are append-only.  Re-recording a key appends a new line; lookups
   return the latest record, and the older lines remain as the result
-  trajectory (the benchmark harness uses this to keep one machine-readable
-  history per experiment).
+  trajectory (an adaptive point's batch-by-batch accumulation).
 
 Writer model: several writers (threads or processes, each with its own
 :class:`ResultsStore`) may share one root.  Writers only append whole lines
@@ -42,7 +41,6 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.core.runner import TrialsResult, TrialSummary
-from repro.engine import SweepResult
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, canonical_json
@@ -116,17 +114,6 @@ def adaptive_key(point: SweepPoint, family: str) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def experiment_key(experiment_id: str, mode: str) -> str:
-    """Content key of one E1–E10 experiment trajectory (id + sweep mode)."""
-    payload = {
-        "schema": STORE_SCHEMA_VERSION,
-        "kind": "experiment",
-        "experiment_id": experiment_id,
-        "mode": mode,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
 def sweep_record(point: SweepPoint, result: TrialsResult, family: str) -> dict[str, Any]:
     """Build the stored record for one computed sweep point.
 
@@ -163,8 +150,8 @@ def adaptive_record(
 
     The layout is a :func:`sweep_record` whose embedded point carries the
     *accumulated* trial count (so :func:`result_from_record` rebuilds the
-    full :class:`SweepResult` unchanged), plus an ``adaptive`` block recording
-    the targets the accumulation ran under.
+    full :class:`~repro.core.runner.TrialsResult` unchanged), plus an
+    ``adaptive`` block recording the targets the accumulation ran under.
     """
     from dataclasses import replace
 
@@ -181,10 +168,10 @@ def adaptive_record(
     return record
 
 
-def result_from_record(record: Mapping[str, Any]) -> SweepResult:
-    """Rebuild a full :class:`SweepResult` from a stored sweep-point record
-    (one-shot ``sweep-point`` and accumulated ``adaptive-point`` records share
-    the trial-table layout)."""
+def result_from_record(record: Mapping[str, Any]) -> TrialsResult:
+    """Rebuild a full :class:`~repro.core.runner.TrialsResult` from a stored
+    sweep-point record (one-shot ``sweep-point`` and accumulated
+    ``adaptive-point`` records share the trial-table layout)."""
     if record.get("kind") not in ("sweep-point", "adaptive-point"):
         raise ConfigurationError(
             f"record is not a sweep point (kind={record.get('kind')!r})"
@@ -194,8 +181,11 @@ def result_from_record(record: Mapping[str, Any]) -> SweepResult:
     summaries = [
         TrialSummary(**dict(zip(names, values))) for values in record["trials"]
     ]
-    return SweepResult(
-        experiment=point.experiment(), trials=summaries, engine=record["engine"]
+    # Records written before the sharded families were folded into their
+    # result families name them ``vectorized-mp`` / ``object-mp``.
+    return TrialsResult(
+        experiment=point.experiment(), trials=summaries,
+        engine=record["engine"].removesuffix("-mp"),
     )
 
 
@@ -262,13 +252,9 @@ class ResultsStore:
         current_tracer().count("store.read")
         return self._records.get(key)
 
-    def records(self, kind: str | None = None) -> list[dict[str, Any]]:
-        """All latest records, optionally filtered by ``kind``."""
-        return [
-            record
-            for record in self._records.values()
-            if kind is None or record.get("kind") == kind
-        ]
+    def records(self) -> list[dict[str, Any]]:
+        """All latest records."""
+        return list(self._records.values())
 
     # -- writes --------------------------------------------------------
     def put(self, key: str, record: Mapping[str, Any]) -> None:

@@ -151,8 +151,6 @@ class TestTargetsResolution:
             PrecisionTargets(precision=0.1, batch_size=0, max_trials=1)
         with pytest.raises(ConfigurationError):
             PrecisionTargets(precision=0.1, batch_size=1, max_trials=0)
-        with pytest.raises(ConfigurationError):
-            PrecisionTargets(precision=0.1, batch_size=1, max_trials=1, z=0)
 
 
 class TestAdaptiveKeys:
@@ -241,6 +239,21 @@ class TestResume:
         assert [e.trials for e in resumed.estimates] == [
             e.trials for e in uninterrupted.estimates
         ]
+        for res, unint in zip(resumed.states, uninterrupted.states):
+            assert trial_tuples(res.result) == trial_tuples(unint.result)
+
+    def test_records_naming_a_sharded_family_resume_in_that_family(self, tmp_path):
+        # Records written before the sharded families were folded into their
+        # result families say "vectorized-mp"; their points still merge new
+        # batches instead of failing the family check.
+        uninterrupted = run_adaptive(TINY_ADAPTIVE, store=ResultsStore(tmp_path / "full"))
+        store = ResultsStore(tmp_path / "legacy")
+        partial = run_adaptive(TINY_ADAPTIVE, store=store, limit=1)
+        for state in partial.states:
+            if state.record is not None:
+                store.put(state.key, {**state.record, "engine": "vectorized-mp"})
+        resumed = run_adaptive(TINY_ADAPTIVE, store=ResultsStore(tmp_path / "legacy"))
+        assert {state.result.engine for state in resumed.states} == {"vectorized"}
         for res, unint in zip(resumed.states, uninterrupted.states):
             assert trial_tuples(res.result) == trial_tuples(unint.result)
 

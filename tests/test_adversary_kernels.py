@@ -5,7 +5,7 @@ simulator at small ``n`` (agreement/validity rates and round counts — the
 kernels consume randomness differently from the object nodes' private
 streams, so bit-identity is not the contract), registry-consistency checks
 that the engine dispatch can never fast-path a `(protocol, adversary)` pair
-without a registered kernel behaviour, and unit tests of the shared plane
+without a registered adversary kernel, and unit tests of the shared plane
 primitives the kernels are built on.
 """
 
@@ -27,7 +27,6 @@ from repro.core.runner import (
     run_trials,
 )
 from repro.engine import (
-    ADVERSARY_FAST_PATH,
     PROTOCOL_KERNELS,
     run_sweep,
     select_engine,
@@ -45,11 +44,6 @@ def _sweep(n, t, **kwargs):
     return TrialsResult(AgreementExperiment(n=n, t=t), run_vectorized_trials(n, t, **kwargs))
 
 
-def object_name(behaviour: str) -> str:
-    """The runner's canonical strategy name for a plane-kernel behaviour."""
-    return {"none": "null", "straddle": "coin-attack"}.get(behaviour, behaviour)
-
-
 class TestCrossValidation:
     """Each plane kernel against the object simulator at small n."""
 
@@ -62,7 +56,7 @@ class TestCrossValidation:
                      trials=trials, seed=5, protocol=protocol)
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol=protocol,
-                                adversary=object_name(adversary), inputs="split"),
+                                adversary=adversary, inputs="split"),
             num_trials=trials, base_seed=5,
         )
         assert vec.agreement_rate == obj.agreement_rate == 1.0
@@ -78,7 +72,7 @@ class TestCrossValidation:
                      trials=trials, seed=11, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
-                                adversary=object_name(adversary), inputs="split"),
+                                adversary=adversary, inputs="split"),
             num_trials=trials, base_seed=11,
         )
         assert vec.agreement_rate == obj.agreement_rate == 1.0
@@ -112,7 +106,7 @@ class TestCrossValidation:
         # budget buys fewer spoiled phases than the rushing coin attack.
         targeting = _sweep(96, 18, adversary="committee-targeting",
                            inputs="split", trials=10, seed=7)
-        rushing = _sweep(96, 18, adversary="straddle", inputs="split", trials=10, seed=7)
+        rushing = _sweep(96, 18, adversary="coin-attack", inputs="split", trials=10, seed=7)
         assert targeting.mean_phases <= rushing.mean_phases + 1.0
 
 
@@ -136,11 +130,16 @@ class TestRegistryConsistency:
             for adversary in ADVERSARIES:
                 assert select_engine(protocol, adversary) == "vectorized"
 
-    def test_committee_behaviours_match_the_engine_capability_list(self):
-        # Every behaviour the fast-path map targets must actually be one the
-        # committee engine can simulate, and vice versa for plane kernels.
-        assert set(ADVERSARY_FAST_PATH.values()) <= set(VECTORIZED_ADVERSARIES)
-        assert set(ADVERSARY_PLANE_KERNELS) <= set(VECTORIZED_ADVERSARIES)
+    def test_one_adversary_vocabulary_from_the_cli_to_the_kernels(self):
+        # The plane kernels are keyed by the runner's strategy names, and
+        # every kernel a dispatch table targets is one of them.
+        assert set(ADVERSARY_PLANE_KERNELS) == set(ADVERSARIES)
+        assert set(VECTORIZED_ADVERSARIES) == set(ADVERSARIES)
+        for spec in PROTOCOL_KERNELS.values():
+            assert set(spec.behaviours.values()) <= set(ADVERSARY_PLANE_KERNELS)
+            for adversary, kernel in spec.behaviours.items():
+                expected = "null" if adversary in spec.inapplicable else adversary
+                assert kernel == expected, (spec.name, adversary)
 
     @pytest.mark.parametrize("adversary", PLANE_ADVERSARIES)
     def test_adversary_kwargs_still_force_the_object_path(self, adversary):

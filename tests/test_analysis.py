@@ -261,26 +261,30 @@ class TestWilsonCalibration:
                 assert 0.0 <= estimate.low <= estimate.rate <= estimate.high <= 1.0
 
 
+def _relative_width(values):
+    return relative_ci_width(mean_confidence_interval(values))
+
+
 class TestAdaptivePrecisionHelpers:
     def test_relative_ci_width_matches_the_interval(self):
         values = [10.0, 12.0, 9.0, 11.0, 13.0, 8.0]
         mean, low, high = mean_confidence_interval(values)
-        assert relative_ci_width(values) == pytest.approx((high - low) / mean)
+        assert relative_ci_width((mean, low, high)) == pytest.approx((high - low) / mean)
 
     def test_relative_ci_width_is_scale_free_above_one(self):
         values = [10.0, 12.0, 9.0, 11.0]
         scaled = [v * 100 for v in values]
-        assert relative_ci_width(values) == pytest.approx(relative_ci_width(scaled))
+        assert _relative_width(values) == pytest.approx(_relative_width(scaled))
 
     def test_relative_ci_width_of_a_constant_sample_is_zero(self):
-        assert relative_ci_width([7.0, 7.0, 7.0]) == 0.0
-        assert relative_ci_width([5.0]) == 0.0
+        assert _relative_width([7.0, 7.0, 7.0]) == 0.0
+        assert _relative_width([5.0]) == 0.0
 
     def test_relative_ci_width_guards_near_zero_means(self):
         # The max(|mean|, 1) denominator keeps near-zero means from
         # exploding the relative width.
         values = [-0.01, 0.01, -0.01, 0.01]
-        assert relative_ci_width(values) < 1.0
+        assert _relative_width(values) < 1.0
 
     def test_trials_for_rate_width_is_achievable(self):
         # Running the planned trial count at the planned rate must land at

@@ -63,18 +63,18 @@ def _assert_identical(kernel_results, object_summaries):
 
 
 class TestRabinKernel:
-    @pytest.mark.parametrize("adversary,obj_adversary", [("none", "null"), ("silent", "silent")])
+    @pytest.mark.parametrize("adversary", ["null", "silent"])
     @pytest.mark.parametrize("n,t", [(19, 3), (25, 6)])
-    def test_bit_identical_to_object_simulator(self, adversary, obj_adversary, n, t):
+    def test_bit_identical_to_object_simulator(self, adversary, n, t):
         # The dealer stream is the only randomness that matters, and the
         # kernel replays it exactly (dealer seed = the trial's master seed).
         vec = _kernel_rows("rabin", n, t, adversary=adversary, inputs="split", trials=4,
                           seed=11)
-        obj = _object_summaries("rabin", obj_adversary, n, t)
+        obj = _object_summaries("rabin", adversary, n, t)
         _assert_identical(vec, obj)
 
     def test_bit_identical_on_unanimous_inputs(self):
-        vec = _kernel_rows("rabin", 16, 5, adversary="none", inputs="unanimous-1", trials=3,
+        vec = _kernel_rows("rabin", 16, 5, adversary="null", inputs="unanimous-1", trials=3,
                           seed=2)
         obj = _object_summaries("rabin", "null", 16, 5, inputs="unanimous-1", trials=3, seed=2)
         _assert_identical(vec, obj)
@@ -83,7 +83,7 @@ class TestRabinKernel:
     def test_straddle_statistically_consistent_with_coin_attack(self):
         # The attack is futile against a public dealer coin in both engines:
         # a constant number of phases, full agreement, some corruptions spent.
-        vec = _stats(25, 6, _kernel_rows("rabin", 25, 6, adversary="straddle", inputs="split",
+        vec = _stats(25, 6, _kernel_rows("rabin", 25, 6, adversary="coin-attack", inputs="split",
                                          trials=20, seed=5))
         obj = run_trials(
             AgreementExperiment(n=25, t=6, protocol="rabin", adversary="coin-attack",
@@ -275,14 +275,12 @@ class TestPinnedObjectFamilyDigests:
 
 
 class TestPhaseKingKernel:
-    @pytest.mark.parametrize(
-        "adversary,obj_adversary", [("none", "null"), ("silent", "silent"), ("static", "static")]
-    )
+    @pytest.mark.parametrize("adversary", ["null", "silent", "static"])
     @pytest.mark.parametrize("n,t", [(13, 3), (21, 5)])
-    def test_bit_identical_to_object_simulator(self, adversary, obj_adversary, n, t):
+    def test_bit_identical_to_object_simulator(self, adversary, n, t):
         for inputs in ("split", "unanimous-0"):
             vec = run_phase_king_trials(n, t, adversary=adversary, inputs=inputs, trials=3, seed=11)
-            obj = _object_summaries("phase-king", obj_adversary, n, t, inputs=inputs, trials=3)
+            obj = _object_summaries("phase-king", adversary, n, t, inputs=inputs, trials=3)
             _assert_identical(vec, obj)
 
     def test_deterministic_round_schedule(self):
@@ -292,17 +290,15 @@ class TestPhaseKingKernel:
 
     def test_resilience_bound_enforced(self):
         with pytest.raises(ConfigurationError):
-            run_phase_king_trials(16, 4, adversary="none", trials=2)
+            run_phase_king_trials(16, 4, adversary="null", trials=2)
 
 
 class TestEIGKernel:
-    @pytest.mark.parametrize(
-        "adversary,obj_adversary", [("none", "null"), ("silent", "silent"), ("static", "static")]
-    )
+    @pytest.mark.parametrize("adversary", ["null", "silent", "static"])
     @pytest.mark.parametrize("n,t", [(7, 1), (10, 2), (13, 2)])
-    def test_bit_identical_to_object_simulator(self, adversary, obj_adversary, n, t):
+    def test_bit_identical_to_object_simulator(self, adversary, n, t):
         vec = run_eig_trials(n, t, adversary=adversary, inputs="split", trials=3, seed=11)
-        obj = _object_summaries("eig", obj_adversary, n, t, trials=3)
+        obj = _object_summaries("eig", adversary, n, t, trials=3)
         _assert_identical(vec, obj)
 
     def test_tree_size_guard(self):
@@ -333,7 +329,7 @@ class TestBenOrKernel:
         assert vec.mean_phases == pytest.approx(obj.mean_phases, rel=0.8)
 
     def test_unanimous_inputs_decide_immediately(self):
-        vec = _stats(16, 2, _kernel_rows("ben-or", 16, 2, adversary="none",
+        vec = _stats(16, 2, _kernel_rows("ben-or", 16, 2, adversary="null",
                                          inputs="unanimous-1", trials=4, seed=1))
         assert vec.agreement_rate == vec.validity_rate == 1.0
         assert vec.mean_phases <= 3
@@ -362,7 +358,7 @@ class TestSamplingMajorityKernel:
         assert vec.agreement_rate >= 0.9 and obj.agreement_rate >= 0.9
 
     def test_convergence_on_failure_free_runs(self):
-        vec = _stats(64, 2, run_sampling_majority_trials(64, 2, adversary="none",
+        vec = _stats(64, 2, run_sampling_majority_trials(64, 2, adversary="null",
                                                          inputs="split", trials=20, seed=9))
         assert vec.agreement_rate >= 0.9
         expected_iterations = math.ceil(2.0 * math.log2(64) ** 2)

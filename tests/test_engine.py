@@ -7,12 +7,10 @@ from functools import partial
 import pytest
 
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, TrialSummary, run_trials
+from repro.core.runner import AgreementExperiment, TrialsResult, TrialSummary, run_trials
 from repro.engine import (
-    ADVERSARY_FAST_PATH,
     ENGINES,
     PROTOCOL_KERNELS,
-    SweepResult,
     dispatch_table,
     kernel_support_table,
     run_sweep,
@@ -24,14 +22,14 @@ from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import build_topology
 
 #: One case per registered kernel, at a small n it accepts, plus the
-#: committee engine's adversary and masked/lossy cases: (protocol, kernel
-#: behaviour, n, t, inputs, seed, trials, split point, kernel kwargs).
+#: committee engine's adversary and masked/lossy cases: (protocol,
+#: adversary, n, t, inputs, seed, trials, split point, kernel kwargs).
 KERNEL_CASES = [
     pytest.param("committee-ba", "silent", 20, 2, "split", 4, 10, 5,
                  {"adjacency": build_topology("grid", 20), "loss": 0.05},
                  id="committee-ba-silent-grid-lossy"),
-    pytest.param("committee-ba-las-vegas", "straddle", 48, 10, "split", 13, 8, 5, {},
-                 id="committee-ba-las-vegas-straddle"),
+    pytest.param("committee-ba-las-vegas", "coin-attack", 48, 10, "split", 13, 8, 5, {},
+                 id="committee-ba-las-vegas-coin-attack"),
     pytest.param("committee-ba-las-vegas", "equivocate", 48, 8, "split", 9, 6, 4, {},
                  id="committee-ba-las-vegas-equivocate"),
     pytest.param("committee-ba-las-vegas", "random-noise", 48, 8, "split", 9, 6, 4, {},
@@ -40,9 +38,10 @@ KERNEL_CASES = [
                  id="chor-coan-committee-targeting"),
     pytest.param("chor-coan-las-vegas", "crash", 40, 5, "split", 5, 6, 3, {},
                  id="chor-coan-las-vegas-crash"),
-    pytest.param("rabin", "straddle", 19, 3, "random", 11, 6, 2, {}, id="rabin-straddle"),
-    pytest.param("ben-or", "none", 16, 2, "random", 1, 6, 3,
-                 {"max_rounds": 40, "loss": 0.05}, id="ben-or-none-lossy"),
+    pytest.param("rabin", "coin-attack", 19, 3, "random", 11, 6, 2, {},
+                 id="rabin-coin-attack"),
+    pytest.param("ben-or", "null", 16, 2, "random", 1, 6, 3,
+                 {"max_rounds": 40, "loss": 0.05}, id="ben-or-null-lossy"),
     pytest.param("phase-king", "committee-targeting", 13, 3, "random", 2, 6, 4,
                  {"loss": 0.05}, id="phase-king-committee-targeting-lossy"),
     pytest.param("eig", "static", 10, 2, "random", 0, 5, 2, {}, id="eig-static"),
@@ -99,7 +98,7 @@ class TestSelectEngine:
             assert select_engine(protocol, adversary) == "vectorized", (protocol, adversary)
             spec = PROTOCOL_KERNELS[protocol]
             assert adversary in spec.inapplicable, (protocol, adversary)
-            assert spec.behaviours[adversary] == "none", (protocol, adversary)
+            assert spec.behaviours[adversary] == "null", (protocol, adversary)
 
     def test_object_only_options_disable_the_fast_path(self):
         assert not vectorizable("committee-ba", "coin-attack", max_rounds=100)
@@ -107,13 +106,7 @@ class TestSelectEngine:
                                 adversary_kwargs={"targets": [1, 2]})
         assert not vectorizable("chor-coan", "coin-attack",
                                 protocol_kwargs={"group_size_factor": 2.0})
-        assert vectorizable("chor-coan", "coin-attack",
-                            protocol_kwargs={"alpha": 2.0})
         assert not vectorizable("rabin", "silent", max_rounds=100)
-        assert not vectorizable("sampling-majority", "silent",
-                                protocol_kwargs={"unknown": 1})
-        assert vectorizable("sampling-majority", "silent",
-                            protocol_kwargs={"iterations_factor": 1.0})
         # Ben-Or's kernel honours an explicit round cap (its runs are
         # censored), so a custom max_rounds stays on the fast path.
         assert vectorizable("ben-or", "silent", max_rounds=2000)
@@ -163,12 +156,33 @@ class TestRunSweep:
         sweep = run_sweep(64, 12, protocol="committee-ba-las-vegas",
                           adversary="coin-attack", inputs="split",
                           trials=6, base_seed=3)
-        assert isinstance(sweep, SweepResult)
+        assert isinstance(sweep, TrialsResult)
         assert sweep.engine == "vectorized"
         direct = run_vectorized_trials(64, 12, protocol="committee-ba-las-vegas",
-                                       adversary="straddle", inputs="split",
+                                       adversary="coin-attack", inputs="split",
                                        trials=6, seed=3)
         assert sweep.trials == direct
+
+    def test_kernel_aliases_are_not_adversary_names(self):
+        # One vocabulary from the CLI down to the kernels: the plane
+        # kernels' old names for null and coin-attack are unknown everywhere.
+        with pytest.raises(ConfigurationError, match="unknown adversary 'straddle'"):
+            run_sweep(13, 3, adversary="straddle", trials=1)
+        with pytest.raises(ConfigurationError, match="'none'"):
+            run_vectorized_trials(13, 3, adversary="none", trials=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"protocol_kwargs": {"alpha": 2.0}},
+        {"protocol_kwargs": {"phases_factor": 2.0}},
+        {"adversary_kwargs": {"targets": [0]}},
+    ])
+    def test_constructor_kwargs_run_on_the_object_family(self, kwargs):
+        # Protocol and adversary kwargs are object-only, whatever they name.
+        for protocol in ("committee-ba", "rabin", "ben-or", "sampling-majority"):
+            assert not vectorizable(protocol, "silent", **kwargs), protocol
+            assert select_engine(protocol, "silent", **kwargs) == "object"
+        sweep = run_sweep(13, 3, protocol="rabin", adversary="silent", trials=2, **kwargs)
+        assert sweep.engine == "object"
 
     @pytest.mark.parametrize("max_rounds", [1, 3])
     def test_odd_round_caps_are_never_overshot(self, max_rounds):
@@ -209,7 +223,7 @@ class TestRunSweep:
         experiment = AgreementExperiment(n=19, t=3, protocol="committee-ba",
                                          adversary="silent", inputs="split")
         result = run_trials(experiment, num_trials=3, base_seed=2)
-        assert isinstance(result, SweepResult)
+        assert isinstance(result, TrialsResult)
         assert result.engine == "object"
         assert result.num_trials == 3
 
@@ -218,7 +232,7 @@ class TestRunSweep:
         # the attack budget actually handed to the adversary.
         params = ProtocolParameters.derive(64, 16)
         capped = run_sweep(64, 4, protocol="committee-ba-las-vegas",
-                           adversary="straddle", trials=5, base_seed=9,
+                           adversary="coin-attack", trials=5, base_seed=9,
                            params=params)
         assert capped.engine == "vectorized"
         assert max(trial.corrupted for trial in capped.trials) <= 4
@@ -286,14 +300,14 @@ class TestKernelContract:
         assert {case.values[0] for case in KERNEL_CASES} == set(PROTOCOL_KERNELS)
 
     @pytest.mark.parametrize(
-        "protocol,behaviour,n,t,inputs,seed,trials,split,kwargs", KERNEL_CASES
+        "protocol,adversary,n,t,inputs,seed,trials,split,kwargs", KERNEL_CASES
     )
     def test_rows_carry_global_counters_and_split_calls_concatenate(
-        self, protocol, behaviour, n, t, inputs, seed, trials, split, kwargs
+        self, protocol, adversary, n, t, inputs, seed, trials, split, kwargs
     ):
         run_trials = partial(
             PROTOCOL_KERNELS[protocol].run_trials, n, t,
-            adversary=behaviour, inputs=inputs, seed=seed, **kwargs,
+            adversary=adversary, inputs=inputs, seed=seed, **kwargs,
         )
         whole = run_trials(trials=trials)
         head = run_trials(trials=split)
@@ -304,14 +318,14 @@ class TestKernelContract:
         assert head + tail == whole
 
     @pytest.mark.parametrize(
-        "protocol,behaviour,n,t,inputs,seed,trials,split,kwargs",
+        "protocol,adversary,n,t,inputs,seed,trials,split,kwargs",
         [case for case in KERNEL_CASES if PROTOCOL_KERNELS[case.values[0]].supports_backend],
     )
     def test_forced_plane_representations_return_equal_rows(
-        self, protocol, behaviour, n, t, inputs, seed, trials, split, kwargs
+        self, protocol, adversary, n, t, inputs, seed, trials, split, kwargs
     ):
         run_trials = partial(
-            PROTOCOL_KERNELS[protocol].run_trials, n, t, adversary=behaviour,
+            PROTOCOL_KERNELS[protocol].run_trials, n, t, adversary=adversary,
             inputs=inputs, seed=seed, trials=trials, **kwargs,
         )
         assert run_trials(backend="packed") == run_trials(backend="numpy")
@@ -328,13 +342,10 @@ class TestDispatchTable:
         assert len(fast) == 9 * 8 - 1
         for row in fast:
             spec = PROTOCOL_KERNELS[row["protocol"]]
-            assert row["fast-path behaviour"] == spec.behaviours[row["adversary"]]
             assert row["kernel"] == spec.name
             assert row["validation"] in ("exact", "statistical", "exact (no-op)")
         committee_rows = [row for row in fast if row["kernel"] == "committee"]
         assert len(committee_rows) == 4 * 8
-        for row in committee_rows:
-            assert row["fast-path behaviour"] == ADVERSARY_FAST_PATH[row["adversary"]]
 
     def test_fast_pair_floor_and_explicit_inapplicable_listing(self):
         # Acceptance bar of the PhaseEngine-unification issue: the dispatch

@@ -59,11 +59,11 @@ class TestUnifiedEngine:
         for legacy in ("_run_batch_uniform", "_run_batch_noise", "_run_batch_planes"):
             assert not hasattr(VectorizedAgreementSimulator, legacy)
 
-    @pytest.mark.parametrize("adversary", ["straddle", "random-noise", "equivocate"])
+    @pytest.mark.parametrize("adversary", ["coin-attack", "random-noise", "equivocate"])
     def test_compaction_never_changes_results(self, adversary, monkeypatch):
         # Cursor streams above the vector-draw crossover, with and without
         # compaction, against the same trials drawing every share through
-        # their own generators.  Under straddle, compaction drops the batch
+        # their own generators.  Under coin-attack, compaction drops the batch
         # below the crossover mid-run; random-noise rows become generators
         # at their first binomial draw.  A zero threshold never compacts.
         from repro.adversary.kernels import build_adversary_kernel
@@ -102,7 +102,7 @@ class TestUnifiedEngine:
         params = ProtocolParameters.derive(16, 3)
         engine = PhaseEngine(n=16, t=3, params=params, coin="committee",
                              las_vegas=True, num_phases=4, max_phases=40)
-        kernel = build_adversary_kernel("none", n=16, t=3, params=params)
+        kernel = build_adversary_kernel("null", n=16, t=3, params=params)
         with pytest.raises(TypeError):
             engine.run_batch(np.zeros((1, 16), dtype=np.int8), [trial_generator(0, 0)], kernel)
 
@@ -328,6 +328,24 @@ class TestMergeEdgeCases:
         assert merged.mean_rounds == pytest.approx((10 + 6 + 6 + 20) / 4)
         # Order is preserved: shard workers hand back contiguous ranges.
         assert [s.seed for s in merged.trials] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("engine", ["vectorized", "object"])
+    def test_merge_keeps_the_result_family(self, engine):
+        parts = [
+            run_sweep(experiment=self.EXPERIMENT, trials=2, trial_offset=offset,
+                      engine=engine)
+            for offset in (0, 2)
+        ]
+        merged = TrialsResult.merge(parts)
+        assert merged.engine == engine
+        assert merged.trials == parts[0].trials + parts[1].trials
+
+    def test_merge_of_different_result_families_raises(self):
+        vectorized = TrialsResult(experiment=self.EXPERIMENT, trials=[_summary(0)],
+                                  engine="vectorized")
+        object_part = TrialsResult(experiment=self.EXPERIMENT, trials=[_summary(1)])
+        with pytest.raises(ConfigurationError, match="different result families"):
+            TrialsResult.merge([vectorized, object_part])
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,7 @@ class TestOpEquivalence:
 #: every hook the kernels exercise (static and adaptive corruption, round-1
 #: planes, rushing round-2 share attacks), and both baseline wrappers.
 SWEEP_CASES = (
-    ("committee-ba-las-vegas", "straddle"),
+    ("committee-ba-las-vegas", "coin-attack"),
     ("committee-ba", "equivocate"),
     ("committee-ba", "coin-attack"),
     ("rabin", "random-noise"),

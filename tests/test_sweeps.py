@@ -19,7 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.runner import AgreementExperiment, TrialsResult, TrialSummary
-from repro.engine import SweepResult, run_sweep
+from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
 from repro.observability import Tracer, activate
 from repro.sweeps import (
@@ -265,8 +265,8 @@ class TestPinnedStoreLayout:
 
     def test_record_bytes_are_pinned(self, tmp_path):
         point = get_spec("smoke").expand()[0]
-        result = SweepResult(experiment=point.experiment(), trials=list(PINNED_ROWS),
-                             engine="vectorized")
+        result = TrialsResult(experiment=point.experiment(), trials=list(PINNED_ROWS),
+                              engine="vectorized")
         records = {
             "sweep-point": sweep_record(point, result, "vectorized"),
             "adaptive-point": adaptive_record(

@@ -130,11 +130,11 @@ class TestBitIdentityGuards:
         # arithmetic (matmul tallies, per-recipient thresholds, CONGEST
         # edge counting) to the unmasked semantics.
         base = run_vectorized_trials(
-            24, 2, protocol="committee-ba-las-vegas", adversary="straddle",
+            24, 2, protocol="committee-ba-las-vegas", adversary="coin-attack",
             trials=12, seed=5,
         )
         masked = run_vectorized_trials(
-            24, 2, protocol="committee-ba-las-vegas", adversary="straddle",
+            24, 2, protocol="committee-ba-las-vegas", adversary="coin-attack",
             trials=12, seed=5, adjacency=np.ones((24, 24), dtype=bool),
         )
         _assert_identical(masked, base)

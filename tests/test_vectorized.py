@@ -25,7 +25,7 @@ def _sweep(n, t, **kwargs):
     return TrialsResult(AgreementExperiment(n=n, t=t), run_vectorized_trials(n, t, **kwargs))
 
 
-def _simulator(n=64, t=8, adversary="straddle", las_vegas=True, alpha=4.0):
+def _simulator(n=64, t=8, adversary="coin-attack", las_vegas=True, alpha=4.0):
     params = ProtocolParameters.derive(n, t, alpha)
     return VectorizedAgreementSimulator(n=n, t=t, params=params, adversary=adversary,
                                         las_vegas=las_vegas)
@@ -33,7 +33,7 @@ def _simulator(n=64, t=8, adversary="straddle", las_vegas=True, alpha=4.0):
 
 class TestVectorizedEngine:
     def test_unanimous_inputs_decide_fast_and_valid(self):
-        simulator = _simulator(adversary="none")
+        simulator = _simulator(adversary="null")
         streams = TrialStreams.of([np.random.default_rng(0)])
         result = simulator.run(np.ones(64, dtype=np.int8), streams)
         assert result.agreement and result.validity
@@ -73,21 +73,21 @@ class TestVectorizedEngine:
     def test_bounded_variant_stops_at_schedule(self):
         params = ProtocolParameters.derive(64, 8)
         simulator = VectorizedAgreementSimulator(n=64, t=8, params=params,
-                                                 adversary="straddle", las_vegas=False)
+                                                 adversary="coin-attack", las_vegas=False)
         streams = TrialStreams.of([np.random.default_rng(3)])
         result = simulator.run(np.array([0] * 32 + [1] * 32, dtype=np.int8), streams)
         assert result.phases <= params.num_phases
         assert result.rounds == 2 * result.phases
 
     def test_message_counts_scale_with_n_squared(self):
-        small = _sweep(64, 4, trials=3, seed=0, adversary="none", inputs="unanimous-1")
-        large = _sweep(256, 4, trials=3, seed=0, adversary="none", inputs="unanimous-1")
+        small = _sweep(64, 4, trials=3, seed=0, adversary="null", inputs="unanimous-1")
+        large = _sweep(256, 4, trials=3, seed=0, adversary="null", inputs="unanimous-1")
         assert large.mean_messages > 10 * small.mean_messages
 
 
 class TestCrossValidation:
     def test_matches_object_simulator_on_failure_free_unanimous_runs(self):
-        vec = _sweep(32, 5, adversary="none", inputs="unanimous-1",
+        vec = _sweep(32, 5, adversary="null", inputs="unanimous-1",
                      trials=3, seed=0, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=32, t=5, protocol="committee-ba-las-vegas",
@@ -101,7 +101,7 @@ class TestCrossValidation:
         # Same protocol, same adversary strategy, independent randomness: the
         # mean number of phases should agree within a generous tolerance.
         n, t, trials = 48, 8, 12
-        vec = _sweep(n, t, adversary="straddle", inputs="split",
+        vec = _sweep(n, t, adversary="coin-attack", inputs="split",
                      trials=trials, seed=3, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
@@ -135,7 +135,7 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("protocol", ["committee-ba", "committee-ba-las-vegas",
                                           "chor-coan", "chor-coan-las-vegas"])
-    @pytest.mark.parametrize("adversary", ["none", "straddle"])
+    @pytest.mark.parametrize("adversary", ["null", "coin-attack"])
     def test_bit_identical_to_single_trial_runs_on_fixed_philox_keys(
         self, protocol, adversary
     ):
@@ -144,9 +144,9 @@ class TestBatchedEngine:
             batched, single = _batched_and_single_trial(simulator, inputs, trials=6, seed=42)
             assert batched == single, inputs
 
-    @pytest.mark.parametrize("adversary", ["none", "straddle"])
+    @pytest.mark.parametrize("adversary", ["null", "coin-attack"])
     def test_vector_share_draws_match_single_trial_runs(self, adversary):
-        # Enough cursor rows for the vectorised share pass; under straddle,
+        # Enough cursor rows for the vectorised share pass; under coin-attack,
         # compaction later drops the batch below the crossover, so rows
         # become generators mid-stream.
         simulator = build_vectorized_simulator(48, 8, adversary=adversary)
@@ -159,8 +159,8 @@ class TestBatchedEngine:
         assert looped == batched
 
     def test_bit_identity_holds_for_every_batched_adversary(self):
-        # The none/straddle identity is against the untouched seed path; the
-        # newer behaviours run through run_batch either way, so this checks
+        # The null/coin-attack identity is against the untouched seed path;
+        # the other adversaries run through run_batch either way, so this checks
         # batch-size independence (B=1 vs B=6) instead.
         for adversary in VECTORIZED_ADVERSARIES:
             batched = run_vectorized_trials(48, 8, adversary=adversary,
@@ -226,7 +226,7 @@ class TestNewAdversaries:
         # Crashing only removes shares, so the same budget buys fewer spoiled
         # phases than the Byzantine straddle: crash must not exceed straddle.
         crash = _sweep(96, 18, adversary="crash", inputs="split", trials=10, seed=7)
-        straddle = _sweep(96, 18, adversary="straddle", inputs="split", trials=10, seed=7)
+        straddle = _sweep(96, 18, adversary="coin-attack", inputs="split", trials=10, seed=7)
         assert crash.mean_phases <= straddle.mean_phases + 1.0
 
     def test_random_noise_keeps_all_noisy_nodes_corrupted(self):
