@@ -5,14 +5,15 @@ helpers every concrete attack needs when facing the two-round-phase protocols
 in this repository (Algorithm 3, its Las Vegas variant and the Chor–Coan
 baseline):
 
-* mapping the global round index to ``(phase, round_in_phase)``;
 * reading the committee partition and the phase's designated committee out of
   the protocol context supplied by the runner;
 * extracting, from the rushing view, the honest senders' round-2 value /
   ``decided`` / coin-share fields;
 * crafting per-recipient equivocating messages.
 
-Concrete strategies only implement :meth:`Adversary.act`.
+Concrete strategies only implement :meth:`Adversary.act`; they map the global
+round index to ``(phase, round_in_phase)`` with
+:func:`repro.core.committee.phase_of_round`, the protocols' own mapping.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from repro.simulator.messages import (
     Message,
     ValueAnnouncement,
 )
-
-
-def phase_and_round(round_index: int) -> tuple[int, int]:
-    """Global 0-based round index -> 1-based ``(phase, round_in_phase)``."""
-    return round_index // 2 + 1, round_index % 2 + 1
 
 
 class AdaptiveAdversary(Adversary):

@@ -28,7 +28,7 @@ from repro.adversary.kernels.base import (
 from repro.adversary.kernels.capabilities import (
     ADVERSARY_PROFILES,
     AdversaryProfile,
-    derive_behaviours,
+    fast_path_adversaries,
     inapplicable_adversaries,
 )
 from repro.adversary.kernels.committee_targeting import CommitteeTargetingKernel
@@ -89,6 +89,6 @@ __all__ = [
     "StaticEquivocateKernel",
     "StraddleKernel",
     "build_adversary_kernel",
-    "derive_behaviours",
+    "fast_path_adversaries",
     "inapplicable_adversaries",
 ]

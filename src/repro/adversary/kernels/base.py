@@ -115,9 +115,6 @@ class KernelContext:
             cannot influence the run.
     """
 
-    #: The plane-valued attributes, resolved through :meth:`_plane_bools`.
-    _PLANE_FIELDS = ("value", "decided", "active", "corrupted", "can_update")
-
     def __init__(
         self,
         n: int,

@@ -1,18 +1,18 @@
 """Hook-capability vocabulary: which adversaries a protocol kernel supports.
 
-Historically every batched protocol kernel carried a hand-maintained
-allowlist of fault behaviours (``RABIN_BEHAVIOURS``, ``PHASE_KING_BEHAVIOURS``,
-...), so a strategy vectorised for one protocol had to be re-listed — and was
-usually forgotten — for every other protocol it applied to.  This module
-replaces the allowlists with a *derivation*: each protocol kernel declares
-the **hook surface** it implements (the channels through which an adversary
-plane kernel can reach the execution), each adversary strategy declares the
-hooks it *requires* and the hooks that give it any *lever* at all, and the
-supported-adversary table of :class:`repro.baselines.kernels.KernelSpec` is
-computed from the two.
+Each batched protocol kernel declares the **hook surface** it implements (the
+channels through which an adversary plane kernel can reach the execution),
+each adversary strategy declares the hooks it *requires* and the hooks that
+give it any *lever* at all, and the adversary sets of every
+:class:`repro.engine.KernelSpec` in :data:`repro.engine.PROTOCOL_KERNELS` are
+computed from the two.  A strategy vectorised once therefore reaches every
+protocol whose surface supports it without being re-listed per protocol.
 
 Hook surface vocabulary (protocol side)
 ---------------------------------------
+Only hooks some profile's ``required`` or ``lever`` names can change a
+derivation, so the vocabulary holds exactly those four:
+
 ``corrupt-static``
     The kernel honours an up-front corrupted node set (every kernel).
 ``corrupt-adaptive``
@@ -20,12 +20,6 @@ Hook surface vocabulary (protocol side)
     :class:`repro.simulator.phase_engine.PhaseEngine` loops, the phase-king
     kernel, the sampling-majority iteration loop — but *not* the EIG kernel,
     whose closed tree recurrence assumes a fixed honest set).
-``round1-values``
-    Recipients read round-1 value announcements, so the kernel applies
-    additive round-1 planes (the two-round-phase protocols and phase-king).
-``round2-records``
-    Recipients read round-2 ``(value, decided)`` records (the two-round-phase
-    protocols only).
 ``shares-broadcast``
     Honest nodes broadcast coin shares the rushing adversary can observe and
     corrupt against (committee family, Rabin, Ben-Or — every protocol built
@@ -35,9 +29,6 @@ Hook surface vocabulary (protocol side)
     committees (the whole network for Rabin and Ben-Or, whose bookkeeping
     committee has size ``n``), or phase-king's king (via the
     ``CommitteePartition(n, 1)`` king schedule).
-``rng``
-    Per-trial generators are available to sampling strategies (random-noise's
-    per-recipient draws).
 
 Applicability classification (adversary side)
 ---------------------------------------------
@@ -53,6 +44,9 @@ For a protocol with hook set ``H`` and a strategy profile ``p``:
 * otherwise the strategy has a real lever the kernels do not model (e.g. the
   equivocator's staggered corruption against EIG's tree) — the pair stays on
   the **object** path.
+
+:func:`fast_path_adversaries` returns the first two classes together (every
+name with a fast path) and :func:`inapplicable_adversaries` the second.
 """
 
 from __future__ import annotations
@@ -65,21 +59,15 @@ __all__ = [
     "CORRUPT_STATIC",
     "ADVERSARY_PROFILES",
     "AdversaryProfile",
-    "RNG",
-    "ROUND1_VALUES",
-    "ROUND2_RECORDS",
     "SHARES_BROADCAST",
-    "derive_behaviours",
+    "fast_path_adversaries",
     "inapplicable_adversaries",
 ]
 
 CORRUPT_STATIC = "corrupt-static"
 CORRUPT_ADAPTIVE = "corrupt-adaptive"
-ROUND1_VALUES = "round1-values"
-ROUND2_RECORDS = "round2-records"
 SHARES_BROADCAST = "shares-broadcast"
 COMMITTEE = "committee"
-RNG = "rng"
 
 
 @dataclass(frozen=True)
@@ -127,20 +115,18 @@ ADVERSARY_PROFILES: tuple[AdversaryProfile, ...] = (
 )
 
 
-def derive_behaviours(hooks: frozenset[str]) -> dict[str, str]:
-    """Adversary name -> the plane kernel's name for a protocol with ``hooks``.
+def fast_path_adversaries(hooks: frozenset[str]) -> frozenset[str]:
+    """Names of the strategies with a fast path on a protocol with ``hooks``.
 
-    Supported strategies map to themselves; inapplicable strategies (no
-    lever on this protocol) map to the exact ``"null"`` kernel; strategies
-    with an unmodelled lever are omitted (object path).
+    A supported strategy runs its own plane kernel; an inapplicable one (no
+    lever on this protocol) runs the exact ``"null"`` kernel.  Strategies
+    with an unmodelled lever are left out (object path).
     """
-    table: dict[str, str] = {}
-    for profile in ADVERSARY_PROFILES:
-        if profile.required <= hooks:
-            table[profile.name] = profile.name
-        elif profile.lever and not (profile.lever & hooks):
-            table[profile.name] = "null"
-    return table
+    return frozenset(
+        profile.name
+        for profile in ADVERSARY_PROFILES
+        if profile.required <= hooks or (profile.lever and not (profile.lever & hooks))
+    )
 
 
 def inapplicable_adversaries(hooks: frozenset[str]) -> frozenset[str]:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
+from repro.core.committee import phase_of_round
 from repro.exceptions import ConfigurationError
 from repro.simulator.messages import Message
 
@@ -58,7 +59,7 @@ class StaticAdversary(AdaptiveAdversary):
         corrupted_now = set(view.corrupted) | new_corruptions
         honest = [i for i in range(view.n) if i not in corrupted_now]
         low_half, high_half = self.split_recipients(honest)
-        phase, round_in_phase = phase_and_round(view.round_index)
+        phase, round_in_phase = phase_of_round(view.round_index)
 
         messages: list[Message] = []
         for sender in sorted(corrupted_now):

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
+from repro.core.committee import phase_of_round
 from repro.simulator.messages import CoinShare, Message
 
 
@@ -143,7 +144,7 @@ class CoinAttackAdversary(AdaptiveAdversary):
             return self._straddle(view, phase=0, committee=committee, shares=shares,
                                   use_bare_coin_shares=True)
 
-        phase, round_in_phase = phase_and_round(view.round_index)
+        phase, round_in_phase = phase_of_round(view.round_index)
         if round_in_phase == 1:
             # Round 1: stay silent.  Sending values could only help some node
             # reach the n - t quorum, which is against the adversary's goal.

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
+from repro.core.committee import phase_of_round
 from repro.simulator.messages import Message
 
 
@@ -54,7 +55,7 @@ class CommitteeTargetingAdversary(AdaptiveAdversary):
             self.spend_per_phase = self._configured_spend
 
     def act(self, view: AdversaryView) -> AdversaryAction:
-        phase, round_in_phase = phase_and_round(view.round_index)
+        phase, round_in_phase = phase_of_round(view.round_index)
         if round_in_phase == 1:
             return AdversaryAction()
 

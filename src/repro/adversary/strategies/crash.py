@@ -19,8 +19,9 @@ agreement less than full Byzantine corruption for the same budget.
 
 from __future__ import annotations
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
+from repro.core.committee import phase_of_round
 from repro.simulator.messages import CoinShare, CombinedAnnouncement, Message
 
 
@@ -47,7 +48,7 @@ class AdaptiveCrashAdversary(AdaptiveAdversary):
         return -honest_sum
 
     def act(self, view: AdversaryView) -> AdversaryAction:
-        phase, round_in_phase = phase_and_round(view.round_index)
+        phase, round_in_phase = phase_of_round(view.round_index)
         if round_in_phase == 1:
             return AdversaryAction()
 

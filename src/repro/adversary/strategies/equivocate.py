@@ -23,8 +23,9 @@ building block the stronger coin attack composes with.
 
 from __future__ import annotations
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
+from repro.core.committee import phase_of_round
 from repro.simulator.messages import Message
 
 
@@ -48,7 +49,7 @@ class EquivocatingAdversary(AdaptiveAdversary):
         self._last_recruit_phase = 0
 
     def act(self, view: AdversaryView) -> AdversaryAction:
-        phase, round_in_phase = phase_and_round(view.round_index)
+        phase, round_in_phase = phase_of_round(view.round_index)
 
         # Lazily recruit mouthpieces: prefer nodes outside the current
         # committee so that the coin guarantees of Lemma 5 are untouched.

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
+from repro.core.committee import phase_of_round
 from repro.exceptions import ConfigurationError
 from repro.simulator.messages import CombinedAnnouncement, Message, ValueAnnouncement
 
@@ -44,7 +45,7 @@ class RandomNoiseAdversary(AdaptiveAdversary):
         new_corruptions = self._targets - view.corrupted
         corrupted_now = set(view.corrupted) | new_corruptions
         honest = [i for i in range(view.n) if i not in corrupted_now]
-        phase, round_in_phase = phase_and_round(view.round_index)
+        phase, round_in_phase = phase_of_round(view.round_index)
         committee = set(self.committee_members(view, phase))
 
         messages: list[Message] = []

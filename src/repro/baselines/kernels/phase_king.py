@@ -39,8 +39,6 @@ from repro.adversary.kernels.capabilities import (
     COMMITTEE,
     CORRUPT_ADAPTIVE,
     CORRUPT_STATIC,
-    RNG,
-    ROUND1_VALUES,
 )
 from repro.core.parameters import ProtocolParameters, Regime, validate_n_t
 from repro.core.runner import TrialSummary
@@ -53,9 +51,11 @@ from repro.topology.generators import validate_adjacency
 from repro.topology.loss import sample_delivered, sample_delivered_words, validate_loss
 
 #: Adversary hook surface this kernel implements (drives the supported- and
-#: inapplicable-behaviour derivation in the engine's capability registry).
+#: inapplicable-adversary derivation in the engine's capability registry):
+#: corruption and the king as the phase's distinguished node, but no coin
+#: shares.
 PHASE_KING_HOOKS = frozenset(
-    {CORRUPT_STATIC, CORRUPT_ADAPTIVE, ROUND1_VALUES, COMMITTEE, RNG}
+    {CORRUPT_STATIC, CORRUPT_ADAPTIVE, COMMITTEE}
 )
 
 #: CONGEST payload sizes (bits), derived from repro.simulator.messages.

@@ -42,7 +42,6 @@ from repro.adversary.kernels import ADVERSARY_PLANE_KERNELS, EquivocatePlaneKern
 from repro.adversary.kernels.capabilities import (
     CORRUPT_ADAPTIVE,
     CORRUPT_STATIC,
-    RNG,
 )
 from repro.baselines.sampling_majority import ITERATIONS_FACTOR, SAMPLE_SIZE
 from repro.core.parameters import validate_n_t
@@ -53,7 +52,7 @@ from repro.simulator.vectorized import batch_setup, batch_summaries
 
 #: Adversary hook surface this kernel implements: up-front corruption plus
 #: the per-iteration corruption schedule (no value/record/share channels).
-SAMPLING_HOOKS = frozenset({CORRUPT_STATIC, CORRUPT_ADAPTIVE, RNG})
+SAMPLING_HOOKS = frozenset({CORRUPT_STATIC, CORRUPT_ADAPTIVE})
 
 #: CONGEST payload sizes (bits), derived from repro.simulator.messages.
 _REQUEST_BITS = PAYLOAD_BITS["SampleRequest"]

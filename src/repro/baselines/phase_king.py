@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.committee import phase_of_round
 from repro.exceptions import ConfigurationError
 from repro.simulator.messages import KingValue, Message, ValueAnnouncement, broadcast
 from repro.simulator.node import ProtocolNode
@@ -49,17 +50,13 @@ class PhaseKingNode(ProtocolNode):
         """``t + 1`` phases guarantee at least one honest king."""
         return self.t + 1
 
-    @staticmethod
-    def _phase_of_round(round_index: int) -> tuple[int, int]:
-        return round_index // 2 + 1, round_index % 2 + 1
-
     def king_of_phase(self, phase: int) -> int:
         """The designated king of (1-based) phase ``phase``."""
         return (phase - 1) % self.n
 
     # ------------------------------------------------------------------
     def generate(self, round_index: int) -> list[Message]:
-        phase, round_in_phase = self._phase_of_round(round_index)
+        phase, round_in_phase = phase_of_round(round_index)
         if phase > self.num_phases:
             self.decide(self.value)
             return []
@@ -74,7 +71,7 @@ class PhaseKingNode(ProtocolNode):
         return broadcast(self.node_id, self.n, KingValue(phase=phase, value=self._majority_value))
 
     def deliver(self, round_index: int, inbox: list[Message]) -> None:
-        phase, round_in_phase = self._phase_of_round(round_index)
+        phase, round_in_phase = phase_of_round(round_index)
 
         if round_in_phase == 1:
             seen: set[int] = set()

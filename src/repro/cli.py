@@ -566,18 +566,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     every subcommand.  A valid configuration whose run fails
     (:class:`~repro.exceptions.SimulationError`, e.g. a round-cap overrun)
     prints one ``error: ...`` line and exits 1, the code ``run`` and
-    ``trials`` return for a run that broke agreement.  Any other library
-    error points to a bug and propagates with its traceback.
+    ``trials`` return for a run that broke agreement.  Output into a pipe
+    whose reader has gone (``repro engines | head -5``) ends quietly with
+    exit code 141, ``128 + SIGPIPE``, as other Unix filters do.  Any other
+    library error points to a bug and propagates with its traceback.
     """
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush here, so a closed pipe raises below rather than at exit.
+        sys.stdout.flush()
+        return code
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except SimulationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's final flush of the
+        # unwritten buffer cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.committee import CommitteePartition
+from repro.core.committee import CommitteePartition, phase_of_round
 from repro.core.common_coin import coin_from_shares
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import ConfigurationError
@@ -53,14 +53,6 @@ from repro.simulator.messages import (
 )
 from repro.simulator.node import ProtocolNode
 from repro.simulator.rng import fair_sign
-
-
-def phase_of_round(round_index: int) -> tuple[int, int]:
-    """Map a global 0-based round index to ``(phase, round_in_phase)``.
-
-    Phases are 1-based and two rounds long, matching the paper's pseudocode.
-    """
-    return round_index // 2 + 1, round_index % 2 + 1
 
 
 class CommitteeAgreementNode(ProtocolNode):

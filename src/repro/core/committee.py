@@ -17,6 +17,14 @@ from typing import Iterable, Iterator
 from repro.exceptions import ConfigurationError
 
 
+def phase_of_round(round_index: int) -> tuple[int, int]:
+    """Map a global 0-based round index to ``(phase, round_in_phase)``.
+
+    Phases are 1-based and two rounds long, matching the paper's pseudocode.
+    """
+    return round_index // 2 + 1, round_index % 2 + 1
+
+
 @dataclass(frozen=True)
 class CommitteePartition:
     """Deterministic partition of ``n`` node ids into contiguous committees.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary, NullAdversary
 from repro.adversary.static import StaticAdversary
@@ -50,6 +50,10 @@ from repro.exceptions import ConfigurationError
 from repro.simulator.node import ProtocolNode
 from repro.simulator.rng import RandomnessSource
 from repro.simulator.scheduler import RunResult, SynchronousScheduler
+from repro.topology import TOPOLOGIES, validate_loss
+
+if TYPE_CHECKING:
+    from repro.sweeps.spec import SweepPoint
 
 # ----------------------------------------------------------------------
 # Registries
@@ -84,6 +88,70 @@ ADVERSARIES: dict[str, Callable[..., Adversary]] = {
     "committee-targeting": CommitteeTargetingAdversary,
     "crash": AdaptiveCrashAdversary,
 }
+
+
+def validate_names(
+    protocols: Iterable[str],
+    adversaries: Iterable[str],
+    inputs: Iterable[str],
+    topologies: Iterable[str],
+) -> None:
+    """Reject an unknown protocol, adversary, input-pattern or topology name.
+
+    Takes each vocabulary's names as a collection, so a single configuration
+    (:func:`validate_configuration`) and a sweep spec's axes
+    (:class:`repro.sweeps.spec.SweepSpec`) share one check and one message.
+
+    Raises:
+        ConfigurationError: Naming the unknown name and its vocabulary.
+    """
+    for protocol in protocols:
+        if protocol not in PROTOCOLS:
+            raise ConfigurationError(
+                f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
+            )
+    for adversary in adversaries:
+        if adversary not in ADVERSARIES:
+            raise ConfigurationError(
+                f"unknown adversary {adversary!r}; available: {sorted(ADVERSARIES)}"
+            )
+    for pattern in inputs:
+        if pattern not in INPUT_PATTERNS:
+            raise ConfigurationError(
+                f"unknown input pattern {pattern!r}; expected one of {INPUT_PATTERNS}"
+            )
+    for topology in topologies:
+        if topology not in TOPOLOGIES:
+            raise ConfigurationError(
+                f"unknown topology {topology!r}; available: {sorted(TOPOLOGIES)}"
+            )
+
+
+def validate_max_rounds(max_rounds: int | None) -> None:
+    """Reject a round cap below one (``None`` means the protocol's own)."""
+    if max_rounds is not None and max_rounds < 1:
+        raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
+
+
+def validate_configuration(config: AgreementExperiment | SweepPoint) -> None:
+    """Reject an unknown name or an out-of-range value in one configuration.
+
+    The one field check behind :class:`AgreementExperiment` and
+    :class:`repro.sweeps.spec.SweepPoint`, which share the fields it reads and
+    call it from ``__post_init__``, so a :func:`repro.engine.run_sweep` call
+    and a sweep point refuse a bad configuration with the same message,
+    before dispatch picks an engine or starts a process pool.
+
+    Raises:
+        ConfigurationError: Naming the offending field.
+    """
+    validate_names(
+        (config.protocol,), (config.adversary,), (config.inputs,), (config.topology,)
+    )
+    validate_n_t(config.n, config.t)
+    validate_max_rounds(config.max_rounds)
+    validate_loss(config.loss)
+
 
 def build_inputs(n: int, pattern: str | Sequence[int], randomness: RandomnessSource) -> list[int]:
     """Materialise an input assignment (:func:`repro.core.inputs.input_list`).
@@ -317,6 +385,9 @@ class AgreementExperiment:
     loss: float = 0.0
     protocol_kwargs: dict[str, Any] = field(default_factory=dict)
     adversary_kwargs: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        validate_configuration(self)
 
     def label(self) -> str:
         label = f"{self.protocol}/{self.adversary}/n={self.n}/t={self.t}"

@@ -41,16 +41,25 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.adversary.kernels.capabilities import (
+    fast_path_adversaries,
+    inapplicable_adversaries,
+)
 from repro.baselines.kernels import (
-    BASELINE_KERNELS,
     CoinTrialsResult,
-    KernelSpec,
     run_coin_trials,
+)
+from repro.baselines.kernels.eig import EIG_HOOKS, run_eig_trials
+from repro.baselines.kernels.phase_king import PHASE_KING_HOOKS, run_phase_king_trials
+from repro.baselines.kernels.sampling_majority import (
+    SAMPLING_HOOKS,
+    run_sampling_majority_trials,
 )
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import (
@@ -67,45 +76,152 @@ from repro.observability.tracer import Tracer, activate, current_tracer
 from repro.simulator.planes import PlaneBackend, resolve_backend
 from repro.simulator.vectorized import (
     COMMITTEE_ENGINE_HOOKS,
-    COMMITTEE_PROTOCOLS,
+    PHASE_PROTOCOLS,
     run_vectorized_trials,
 )
-from repro.topology.loss import validate_loss
 
 #: Engine names accepted by :func:`run_sweep`: ``auto`` or a result family.
 ENGINES = ("auto", "vectorized", "object")
 
-#: The committee engine's bit-identity guarantee is against its own
-#: single-trial vectorised path (same (seed, k) Philox keys), not the object
-#: simulator — the object nodes draw committee shares from per-node streams —
-#: so every committee fast-path pair is recorded as statistically validated.
-_COMMITTEE_EXACT: frozenset[str] = frozenset()
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Capability record for one protocol's batched kernel.
+
+    Attributes:
+        name: Kernel identifier shown in the engine-dispatch table.
+        run_trials: Sweep entry point with the
+            :func:`repro.simulator.vectorized.run_vectorized_trials`
+            signature convention
+            (``(n, t, *, adversary, inputs, trials, seed, ...)``), returning
+            one :class:`~repro.core.runner.TrialSummary` row per trial in
+            trial order.  Every kernel also honours ``trial_offset``: trial
+            ``k`` of the call uses the Philox key ``(seed, trial_offset +
+            k)`` and records ``seed = trial_offset + k``, so contiguous
+            sub-batches concatenate bit-identically to one full batch (the
+            contract ``run_sweep(..., workers=k)`` sharding relies on).
+        hooks: The adversary hook surface the kernel implements (the
+            :mod:`repro.adversary.kernels.capabilities` vocabulary), from
+            which ``adversaries`` and ``inapplicable`` are derived.
+        adversaries: Names of the adversaries with a fast path on this
+            kernel.  A supported strategy runs its own plane kernel
+            (:data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`); an
+            inapplicable one runs the exact ``"null"`` kernel.
+        inapplicable: The subset of ``adversaries`` with *no lever* on this
+            protocol (their object implementations provably no-op); listed
+            explicitly in the engine tables.
+        exact: Adversary names whose kernel runs are bit-identical to the
+            object simulator (everything else is statistically validated).
+        supports_params: Kernel accepts a committee-geometry override
+            (``params=``) and an ``alpha`` kwarg.
+        supports_max_rounds: Kernel honours an explicit round cap
+            (timed-out trials are reported, not mis-simulated).
+        supports_topology: Kernel accepts ``adjacency``/``loss`` kwargs (the
+            masked communication planes of :mod:`repro.topology`); protocols
+            without it run off-clique configurations on the object path only.
+        supports_backend: Kernel runs on the shared
+            :class:`~repro.simulator.phase_engine.PhaseEngine` planes, which
+            pick their representation by batch size, and accepts a
+            ``backend`` kwarg forcing one (:mod:`repro.simulator.planes`).
+            Phase king (raw boolean planes) and the closed-form kernels have
+            no plane state to represent.  Both representations are
+            bit-identical, so the flag never enters sweep-store keys.
+
+    Protocol and adversary constructor kwargs are object-only: any of them
+    forces the object path (:func:`vectorizable`).
+    """
+
+    name: str
+    run_trials: Callable[..., list[TrialSummary]]
+    hooks: frozenset[str]
+    adversaries: frozenset[str] = field(init=False)
+    inapplicable: frozenset[str] = field(init=False)
+    exact: frozenset[str] = frozenset()
+    supports_params: bool = False
+    supports_max_rounds: bool = False
+    supports_topology: bool = False
+    supports_backend: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "adversaries", fast_path_adversaries(self.hooks))
+        object.__setattr__(
+            self, "inapplicable", inapplicable_adversaries(self.hooks)
+        )
 
 
-def _committee_spec(protocol: str) -> KernelSpec:
-    """Capability record for one committee-family protocol."""
-    return KernelSpec(
-        name="committee",
-        run_trials=partial(run_vectorized_trials, protocol=protocol),
-        hooks=COMMITTEE_ENGINE_HOOKS,
-        exact=_COMMITTEE_EXACT,
-        supports_params=True,
-        supports_topology=True,
-        supports_backend=True,
-    )
-
-
-#: protocol -> kernel capability record: which adversaries (and options) have
-#: a vectorised fast path.  The committee-coin entries and the Rabin and
-#: Ben-Or baselines all point at ``run_vectorized_trials``; the other
-#: baselines bring their own kernels.
-PROTOCOL_KERNELS: dict[str, KernelSpec] = {
-    **{protocol: _committee_spec(protocol) for protocol in COMMITTEE_PROTOCOLS},
-    **BASELINE_KERNELS,
+#: Kernel name of each two-round-phase coin source.
+_PHASE_KERNEL_NAMES = {
+    "committee": "committee",
+    "dealer": "dealer-coin",
+    "private": "private-coin",
 }
 
-#: Protocols with a vectorised implementation (for some adversaries).
-VECTORIZED_PROTOCOLS = tuple(sorted(PROTOCOL_KERNELS))
+#: protocol -> kernel capability record, the one registry dispatch reads.
+#: The six two-round-phase protocols all run ``run_vectorized_trials``; the
+#: other three baselines bring their own kernels.  ``exact`` marks the pairs
+#: the cross-validation suite holds to bit-identity with the object
+#: simulator.  The committee coin has none: the object nodes draw their
+#: shares from per-node streams, so its pairs are validated statistically
+#: (its bit-identity reference is its own single-trial path).
+PROTOCOL_KERNELS: dict[str, KernelSpec] = {
+    **{
+        protocol: KernelSpec(
+            name=_PHASE_KERNEL_NAMES[coin],
+            run_trials=partial(run_vectorized_trials, protocol=protocol),
+            hooks=COMMITTEE_ENGINE_HOOKS,
+            # Rabin's dealer stream is replayed exactly and these fault
+            # models are deterministic; the rushing share attacks depend on
+            # the honest share draws and stay statistical.
+            exact=frozenset(
+                {"null", "silent", "static", "equivocate", "committee-targeting"}
+                if coin == "dealer" else ()
+            ),
+            supports_params=coin == "committee",
+            supports_max_rounds=coin == "private",
+            supports_topology=True,
+            supports_backend=True,
+        )
+        for protocol, (coin, _) in PHASE_PROTOCOLS.items()
+    },
+    "phase-king": KernelSpec(
+        name="phase-king",
+        run_trials=run_phase_king_trials,
+        hooks=PHASE_KING_HOOKS,
+        supports_topology=True,
+        exact=frozenset(
+            {
+                "null",
+                "silent",
+                "static",
+                "equivocate",
+                "committee-targeting",
+                "coin-attack",
+                "crash",
+            }
+        ),
+    ),
+    "eig": KernelSpec(
+        name="eig-tree",
+        run_trials=run_eig_trials,
+        hooks=EIG_HOOKS,
+        exact=frozenset(
+            {
+                "null",
+                "silent",
+                "static",
+                "random-noise",
+                "coin-attack",
+                "crash",
+                "committee-targeting",
+            }
+        ),
+    ),
+    "sampling-majority": KernelSpec(
+        name="sampling-majority",
+        run_trials=run_sampling_majority_trials,
+        hooks=SAMPLING_HOOKS,
+    ),
+}
 
 #: Below this much estimated work (``trials * n^2`` message deliveries) the
 #: process-pool startup cost outweighs the parallelism of an object sweep.
@@ -141,7 +257,7 @@ def vectorizable(
     spec = PROTOCOL_KERNELS.get(protocol)
     if spec is None:
         return False
-    if adversary not in spec.behaviours:
+    if adversary not in spec.adversaries:
         return False
     if max_rounds is not None and (
         not spec.supports_max_rounds or max_rounds % 2 or max_rounds < 2
@@ -248,10 +364,11 @@ def _run_vectorized_sweep(
         if experiment.topology != "clique":
             kwargs["adjacency"] = build_topology(experiment.topology, experiment.n)
         kwargs["loss"] = experiment.loss
+    adversary = experiment.adversary
     rows = spec.run_trials(
         experiment.n,
         experiment.t,
-        adversary=spec.behaviours[experiment.adversary],
+        adversary="null" if adversary in spec.inapplicable else adversary,
         inputs=experiment.inputs,
         trials=trials,
         seed=base_seed,
@@ -439,7 +556,6 @@ def run_sweep(
         )
     elif n is not None or t is not None:
         raise ConfigurationError("pass either (n, t) or experiment=, not both")
-    validate_loss(experiment.loss)
     validate_workers(workers)
     if backend is not None:
         resolve_backend(backend)
@@ -552,24 +668,23 @@ def dispatch_table() -> list[dict[str, str]]:
     """
     rows = []
     for protocol in sorted(PROTOCOLS):
-        spec = PROTOCOL_KERNELS.get(protocol)
+        spec = PROTOCOL_KERNELS[protocol]
         for adversary in sorted(ADVERSARIES):
             fast = vectorizable(protocol, adversary)
-            if fast and spec:
-                if adversary in spec.inapplicable:
-                    validation = "exact (no-op)"
-                elif adversary in spec.exact:
-                    validation = "exact"
-                else:
-                    validation = "statistical"
-            else:
+            if not fast:
                 validation = "-"
+            elif adversary in spec.inapplicable:
+                validation = "exact (no-op)"
+            elif adversary in spec.exact:
+                validation = "exact"
+            else:
+                validation = "statistical"
             rows.append(
                 {
                     "protocol": protocol,
                     "adversary": adversary,
                     "auto engine": "vectorized" if fast else "object",
-                    "kernel": spec.name if fast and spec else "-",
+                    "kernel": spec.name if fast else "-",
                     "validation": validation,
                 }
             )
@@ -586,27 +701,10 @@ def kernel_support_table() -> list[dict[str, str]]:
     """
     rows = []
     for protocol in sorted(PROTOCOLS):
-        spec = PROTOCOL_KERNELS.get(protocol)
-        if spec is None:
-            rows.append(
-                {
-                    "protocol": protocol,
-                    "kernel": "-",
-                    "vectorized adversaries": "-",
-                    "inapplicable": "-",
-                    "object only": "-",
-                    "max_rounds": "-",
-                    "plane backend": "-",
-                }
-            )
-            continue
+        spec = PROTOCOL_KERNELS[protocol]
         inapplicable = sorted(spec.inapplicable)
-        supported = sorted(
-            name for name in spec.behaviours if name not in spec.inapplicable
-        )
-        unmodelled = sorted(
-            name for name in ADVERSARIES if name not in spec.behaviours
-        )
+        supported = sorted(spec.adversaries - spec.inapplicable)
+        unmodelled = sorted(set(ADVERSARIES) - spec.adversaries)
         rows.append(
             {
                 "protocol": protocol,
@@ -647,8 +745,8 @@ def topology_support_table() -> list[dict[str, str]]:
     """
     rows = []
     for protocol in sorted(PROTOCOLS):
-        spec = PROTOCOL_KERNELS.get(protocol)
-        if spec is not None and spec.supports_topology:
+        spec = PROTOCOL_KERNELS[protocol]
+        if spec.supports_topology:
             engine_name = "vectorized (masked planes)"
             validation = _TOPOLOGY_VALIDATION.get(protocol, "statistical")
         else:
@@ -657,7 +755,7 @@ def topology_support_table() -> list[dict[str, str]]:
         rows.append(
             {
                 "protocol": protocol,
-                "kernel": spec.name if spec is not None else "-",
+                "kernel": spec.name,
                 "off-clique engine": engine_name,
                 "off-clique validation": validation,
             }
@@ -696,8 +794,8 @@ def markdown_engine_tables() -> dict[str, str]:
 
 __all__ = [
     "ENGINES",
+    "KernelSpec",
     "PROTOCOL_KERNELS",
-    "VECTORIZED_PROTOCOLS",
     "dispatch_table",
     "kernel_support_table",
     "markdown_engine_tables",

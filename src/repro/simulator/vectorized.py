@@ -16,7 +16,7 @@ honest protocol — tallies, thresholds, coins, flush bookkeeping, live-trial
 compaction — and delegates every Byzantine decision to a pluggable
 :class:`~repro.adversary.kernels.base.AdversaryKernel` through four hooks per
 phase (``setup`` once, then ``round1`` / ``pre_coin`` / ``round2``).  The
-adversary names in :data:`VECTORIZED_ADVERSARIES` are the kernels of
+adversary names it accepts are the keys of
 :data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`; see
 :mod:`repro.adversary.kernels` for what each strategy does and how it is
 validated against the object simulator.  The batch set-up and row building
@@ -46,9 +46,6 @@ from repro.adversary.kernels.capabilities import (
     COMMITTEE,
     CORRUPT_ADAPTIVE,
     CORRUPT_STATIC,
-    RNG,
-    ROUND1_VALUES,
-    ROUND2_RECORDS,
     SHARES_BROADCAST,
 )
 from repro.core.inputs import input_row
@@ -79,29 +76,16 @@ PHASE_PROTOCOLS: dict[str, tuple[str, bool]] = {
     "ben-or": ("private", True),
 }
 
-#: The committee-coin protocols: the paper's Algorithm 3 and the Chor–Coan
-#: baseline, each bounded or Las Vegas.
-COMMITTEE_PROTOCOLS = tuple(
-    name for name, (coin, _) in PHASE_PROTOCOLS.items() if coin == "committee"
-)
-
-#: Adversaries the vectorised engine can simulate — exactly the plane-kernel
-#: registry.
-VECTORIZED_ADVERSARIES = tuple(ADVERSARY_PLANE_KERNELS)
-
-#: Adversary hook surface of the engine — the full vocabulary: both
-#: announcement channels, rushing share observation, the rotating designated
-#: committee (the whole network for Rabin and Ben-Or, whose bookkeeping
-#: committee has size ``n``) and the per-trial streams.
+#: Adversary hook surface of the engine — the full vocabulary: up-front and
+#: per-phase corruption, rushing share observation and the rotating
+#: designated committee (the whole network for Rabin and Ben-Or, whose
+#: bookkeeping committee has size ``n``).
 COMMITTEE_ENGINE_HOOKS = frozenset(
     {
         CORRUPT_STATIC,
         CORRUPT_ADAPTIVE,
-        ROUND1_VALUES,
-        ROUND2_RECORDS,
         SHARES_BROADCAST,
         COMMITTEE,
-        RNG,
     }
 )
 
@@ -115,7 +99,8 @@ class VectorizedAgreementSimulator:
         t: Byzantine budget (``t < n/3``).
         params: Committee geometry (the paper's formula, Chor–Coan's, or the
             bookkeeping-only whole-network committee of Rabin and Ben-Or).
-        adversary: One of :data:`VECTORIZED_ADVERSARIES`.
+        adversary: A key of
+            :data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`.
         coin: The coin source
             (:data:`repro.simulator.phase_engine.COIN_SOURCES`): the
             committee's shares, Rabin's public dealer bit (trial ``k``'s
@@ -149,9 +134,9 @@ class VectorizedAgreementSimulator:
 
     def __post_init__(self) -> None:
         validate_n_t(self.n, self.t)
-        if self.adversary not in VECTORIZED_ADVERSARIES:
+        if self.adversary not in ADVERSARY_PLANE_KERNELS:
             raise ConfigurationError(
-                f"vectorized adversary must be one of {VECTORIZED_ADVERSARIES}, "
+                f"vectorized adversary must be one of {tuple(ADVERSARY_PLANE_KERNELS)}, "
                 f"got {self.adversary!r}"
             )
         if self.max_phases is None:

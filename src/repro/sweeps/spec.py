@@ -29,9 +29,14 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.parameters import validate_n_t
-from repro.core.runner import ADVERSARIES, INPUT_PATTERNS, PROTOCOLS, AgreementExperiment
+from repro.core.runner import (
+    AgreementExperiment,
+    validate_configuration,
+    validate_max_rounds,
+    validate_names,
+)
 from repro.exceptions import ConfigurationError
+from repro.topology import validate_loss
 
 #: Bumped whenever the meaning of a serialized spec/point changes
 #: incompatibly; part of every content hash.
@@ -81,11 +86,6 @@ def resolve_t(t_spec: int | str, n: int) -> int:
     )
 
 
-def _check_max_rounds(max_rounds: int | None) -> None:
-    if max_rounds is not None and max_rounds < 1:
-        raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
-
-
 def _integer(value: Any, field: str) -> int:
     """``value`` if it is an int (a bool is not), else a ConfigurationError."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -129,29 +129,9 @@ class SweepPoint:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; available: {sorted(PROTOCOLS)}"
-            )
-        if self.adversary not in ADVERSARIES:
-            raise ConfigurationError(
-                f"unknown adversary {self.adversary!r}; available: {sorted(ADVERSARIES)}"
-            )
-        if self.inputs not in INPUT_PATTERNS:
-            raise ConfigurationError(
-                f"unknown input pattern {self.inputs!r}; expected one of {INPUT_PATTERNS}"
-            )
-        validate_n_t(self.n, self.t)
+        validate_configuration(self)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be positive, got {self.trials}")
-        _check_max_rounds(self.max_rounds)
-        from repro.topology import TOPOLOGIES, validate_loss
-
-        if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"unknown topology {self.topology!r}; available: {sorted(TOPOLOGIES)}"
-            )
-        validate_loss(self.loss)
 
     def canonical(self) -> dict[str, Any]:
         """The point as a plain, canonically-ordered dict.
@@ -281,21 +261,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name:
             raise ConfigurationError("a sweep spec needs a non-empty, slash-free name")
-        for protocol in self.protocols:
-            if protocol not in PROTOCOLS:
-                raise ConfigurationError(
-                    f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
-                )
-        for adversary in self.adversaries:
-            if adversary not in ADVERSARIES:
-                raise ConfigurationError(
-                    f"unknown adversary {adversary!r}; available: {sorted(ADVERSARIES)}"
-                )
-        for pattern in self.inputs:
-            if pattern not in INPUT_PATTERNS:
-                raise ConfigurationError(
-                    f"unknown input pattern {pattern!r}; expected one of {INPUT_PATTERNS}"
-                )
+        validate_names(self.protocols, self.adversaries, self.inputs, self.topologies)
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ConfigurationError("the n axis must list sizes >= 2")
         if not self.t_specs:
@@ -305,22 +271,15 @@ class SweepSpec:
                 resolve_t(t_spec, max(self.n_values))
         if not self.alphas:
             raise ConfigurationError("the alpha axis must not be empty")
-        from repro.topology import TOPOLOGIES, validate_loss
-
         if not self.topologies:
             raise ConfigurationError("the topology axis must not be empty")
-        for topology in self.topologies:
-            if topology not in TOPOLOGIES:
-                raise ConfigurationError(
-                    f"unknown topology {topology!r}; available: {sorted(TOPOLOGIES)}"
-                )
         if not self.losses:
             raise ConfigurationError("the loss axis must not be empty")
         for loss in self.losses:
             validate_loss(loss)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be positive, got {self.trials}")
-        _check_max_rounds(self.max_rounds)
+        validate_max_rounds(self.max_rounds)
         if self.seed_policy not in SEED_POLICIES:
             raise ConfigurationError(
                 f"unknown seed policy {self.seed_policy!r}; "

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.adaptive import AdaptiveAdversary, phase_and_round
+from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryView, NullAdversary
 from repro.adversary.strategies.coin_attack import CoinAttackAdversary
 from repro.adversary.strategies.committee_targeting import CommitteeTargetingAdversary
 from repro.adversary.strategies.crash import AdaptiveCrashAdversary
 from repro.adversary.strategies.silence import SilentAdversary
+from repro.core.committee import phase_of_round
 from repro.core.runner import run_agreement
 from repro.exceptions import BudgetExceededError, ConfigurationError
 
@@ -41,8 +42,8 @@ class TestBudgetBookkeeping:
 
 class TestHelpers:
     def test_phase_and_round(self):
-        assert phase_and_round(0) == (1, 1)
-        assert phase_and_round(5) == (3, 2)
+        assert phase_of_round(0) == (1, 1)
+        assert phase_of_round(5) == (3, 2)
 
     def test_split_recipients_balanced(self):
         low, high = AdaptiveAdversary.split_recipients(list(range(9)))

@@ -34,7 +34,7 @@ from repro.engine import (
 )
 from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcount
-from repro.simulator.vectorized import VECTORIZED_ADVERSARIES, run_vectorized_trials
+from repro.simulator.vectorized import run_vectorized_trials
 
 PLANE_ADVERSARIES = sorted(ADVERSARY_PLANE_KERNELS)
 
@@ -117,12 +117,8 @@ class TestRegistryConsistency:
         for protocol in PROTOCOLS:
             for adversary in ADVERSARIES:
                 chosen = select_engine(protocol, adversary, engine="auto")
-                spec = PROTOCOL_KERNELS.get(protocol)
-                if chosen == "vectorized":
-                    assert spec is not None, (protocol, adversary)
-                    assert adversary in spec.behaviours, (protocol, adversary)
-                else:
-                    assert spec is None or adversary not in spec.behaviours
+                fast = adversary in PROTOCOL_KERNELS[protocol].adversaries
+                assert fast == (chosen == "vectorized"), (protocol, adversary)
 
     def test_committee_family_now_covers_every_registered_adversary(self):
         for protocol in ("committee-ba", "committee-ba-las-vegas",
@@ -132,14 +128,10 @@ class TestRegistryConsistency:
 
     def test_one_adversary_vocabulary_from_the_cli_to_the_kernels(self):
         # The plane kernels are keyed by the runner's strategy names, and
-        # every kernel a dispatch table targets is one of them.
+        # every fast-path adversary of a protocol kernel is one of them.
         assert set(ADVERSARY_PLANE_KERNELS) == set(ADVERSARIES)
-        assert set(VECTORIZED_ADVERSARIES) == set(ADVERSARIES)
         for spec in PROTOCOL_KERNELS.values():
-            assert set(spec.behaviours.values()) <= set(ADVERSARY_PLANE_KERNELS)
-            for adversary, kernel in spec.behaviours.items():
-                expected = "null" if adversary in spec.inapplicable else adversary
-                assert kernel == expected, (spec.name, adversary)
+            assert spec.inapplicable <= spec.adversaries <= set(ADVERSARY_PLANE_KERNELS)
 
     @pytest.mark.parametrize("adversary", PLANE_ADVERSARIES)
     def test_adversary_kwargs_still_force_the_object_path(self, adversary):

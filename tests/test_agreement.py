@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.agreement import CommitteeAgreementNode, phase_of_round
+from repro.core.agreement import CommitteeAgreementNode
+from repro.core.committee import phase_of_round
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import run_agreement
 from repro.exceptions import ConfigurationError

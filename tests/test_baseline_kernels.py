@@ -18,7 +18,6 @@ import math
 import pytest
 
 from repro.baselines.kernels import (
-    BASELINE_KERNELS,
     run_coin_trials,
     run_eig_trials,
     run_phase_king_trials,
@@ -458,9 +457,7 @@ class TestKernelDispatch:
                       trials=2, params=params)
 
     def test_registry_is_complete_and_well_formed(self):
-        assert set(BASELINE_KERNELS) == {
-            "rabin", "ben-or", "phase-king", "eig", "sampling-majority"
-        }
-        for protocol, spec in BASELINE_KERNELS.items():
-            assert spec.behaviours, protocol
-            assert spec.exact <= set(spec.behaviours), protocol
+        for protocol in ("rabin", "ben-or", "phase-king", "eig", "sampling-majority"):
+            spec = PROTOCOL_KERNELS[protocol]
+            assert spec.adversaries, protocol
+            assert spec.exact <= spec.adversaries, protocol

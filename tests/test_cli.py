@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 import repro.topology.loss as loss_module
 from repro.cli import build_parser, main
 from repro.engine import run_sweep
@@ -197,3 +203,23 @@ class TestCommands:
         output = capsys.readouterr().out
         assert code == 0
         assert "vectorized" in output
+
+
+class TestClosedPipe:
+    """Output into a pipe whose reader has gone ends quietly, as `| head` expects."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_exit_141_without_a_traceback(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro", "engines"], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr.decode()) == (141, "")

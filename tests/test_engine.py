@@ -6,8 +6,15 @@ from functools import partial
 
 import pytest
 
+from repro.adversary.kernels import ADVERSARY_PROFILES
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, TrialsResult, TrialSummary, run_trials
+from repro.core.runner import (
+    PROTOCOLS,
+    AgreementExperiment,
+    TrialsResult,
+    TrialSummary,
+    run_trials,
+)
 from repro.engine import (
     ENGINES,
     PROTOCOL_KERNELS,
@@ -83,8 +90,9 @@ class TestSelectEngine:
     def test_inapplicable_pairs_dispatch_to_the_exact_null_behaviour(self):
         # Strategies with no lever on a protocol (no shares to straddle or
         # crash, no distinguished node to target) provably no-op in the
-        # object simulator; the registry maps them to the failure-free
-        # behaviour and keeps the fast path.
+        # object simulator; the registry keeps them on the fast path, where
+        # the kernel runs the failure-free null adversary for them.
+        sizes = {"phase-king": (13, 3), "eig": (10, 2), "sampling-majority": (13, 3)}
         for protocol, adversary in (
             ("phase-king", "coin-attack"),
             ("phase-king", "crash"),
@@ -98,7 +106,25 @@ class TestSelectEngine:
             assert select_engine(protocol, adversary) == "vectorized", (protocol, adversary)
             spec = PROTOCOL_KERNELS[protocol]
             assert adversary in spec.inapplicable, (protocol, adversary)
-            assert spec.behaviours[adversary] == "null", (protocol, adversary)
+            n, t = sizes[protocol]
+            null = run_sweep(n, t, protocol=protocol, adversary="null", trials=3)
+            sweep = run_sweep(n, t, protocol=protocol, adversary=adversary, trials=3)
+            assert sweep.trials == null.trials, (protocol, adversary)
+
+    def test_one_registry_covers_every_protocol(self):
+        # Every protocol has a kernel, so the tables never need a
+        # missing-kernel row; an unknown name is simply not vectorizable.
+        assert set(PROTOCOL_KERNELS) == set(PROTOCOLS)
+        assert not vectorizable("warp", "null")
+
+    def test_every_kernel_hook_can_change_a_derivation(self):
+        # A hook no profile requires or levers on cannot change which
+        # adversaries a kernel serves, so no kernel declares one.
+        named = set().union(
+            *(profile.required | profile.lever for profile in ADVERSARY_PROFILES)
+        )
+        for protocol, spec in PROTOCOL_KERNELS.items():
+            assert spec.hooks <= named, (protocol, spec.hooks - named)
 
     def test_object_only_options_disable_the_fast_path(self):
         assert not vectorizable("committee-ba", "coin-attack", max_rounds=100)
@@ -165,9 +191,11 @@ class TestRunSweep:
 
     def test_kernel_aliases_are_not_adversary_names(self):
         # One vocabulary from the CLI down to the kernels: the plane
-        # kernels' old names for null and coin-attack are unknown everywhere.
-        with pytest.raises(ConfigurationError, match="unknown adversary 'straddle'"):
-            run_sweep(13, 3, adversary="straddle", trials=1)
+        # kernels' old names for null and coin-attack are unknown everywhere,
+        # so a forced engine reports the name, not a missing kernel.
+        for engine in ("auto", "vectorized"):
+            with pytest.raises(ConfigurationError, match="unknown adversary 'straddle'"):
+                run_sweep(13, 3, adversary="straddle", trials=1, engine=engine)
         with pytest.raises(ConfigurationError, match="'none'"):
             run_vectorized_trials(13, 3, adversary="none", trials=1)
 
@@ -264,9 +292,26 @@ class TestRunSweep:
     def test_invalid_loss_is_rejected_before_dispatch(self, loss, engine):
         with pytest.raises(ConfigurationError, match="loss must be a probability"):
             run_sweep(16, 3, loss=loss, trials=2, engine=engine)
-        experiment = AgreementExperiment(n=16, t=3, loss=loss)
         with pytest.raises(ConfigurationError, match="loss must be a probability"):
+            experiment = AgreementExperiment(n=16, t=3, loss=loss)
             run_sweep(experiment=experiment, trials=2, engine=engine)
+
+    @pytest.mark.parametrize("max_rounds,allow_timeout", [(0, False), (-2, True)])
+    def test_round_caps_below_one_are_configuration_errors(self, max_rounds, allow_timeout):
+        with pytest.raises(ConfigurationError, match="max_rounds must be >= 1"):
+            run_sweep(13, 3, max_rounds=max_rounds, trials=1, allow_timeout=allow_timeout)
+
+    def test_a_bad_configuration_fails_before_any_process_pool(self, monkeypatch):
+        import repro.engine as engine_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match="unknown adversary 'straddle'"):
+            run_sweep(13, 3, adversary="straddle", trials=4, engine="auto", workers=2)
+        with pytest.raises(ConfigurationError, match="max_rounds must be >= 1"):
+            run_sweep(13, 3, max_rounds=0, trials=4, engine="object", workers=2)
 
     @pytest.mark.parametrize("protocol,engine", [
         ("phase-king", "auto"), ("committee-ba", "object"),

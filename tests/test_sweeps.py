@@ -131,6 +131,28 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec.from_mapping(bad_axes)
 
+    @pytest.mark.parametrize(
+        ("spec_field", "point_field"),
+        [
+            ({"protocols": ("warp",)}, {"protocol": "warp"}),
+            ({"adversaries": ("straddle",)}, {"adversary": "straddle"}),
+            ({"inputs": ("zebra",)}, {"inputs": "zebra"}),
+            ({"topologies": ("torus",)}, {"topology": "torus"}),
+            ({"losses": (1.0,)}, {"loss": 1.0}),
+            ({"max_rounds": 0}, {"max_rounds": 0}),
+        ],
+    )
+    def test_spec_and_point_reject_a_field_with_one_message(self, spec_field, point_field):
+        point = dict(protocol="committee-ba", adversary="null", inputs="split",
+                     n=16, t=3, trials=2, base_seed=0)
+        spec = dict(name="x", protocols=("committee-ba",), adversaries=("null",),
+                    n_values=(16,), t_specs=(3,))
+        with pytest.raises(ConfigurationError) as point_error:
+            SweepPoint(**{**point, **point_field})
+        with pytest.raises(ConfigurationError) as spec_error:
+            SweepSpec(**{**spec, **spec_field})
+        assert str(spec_error.value) == str(point_error.value)
+
     def test_point_validates_against_registries(self):
         with pytest.raises(ConfigurationError):
             SweepPoint(protocol="warp", adversary="null", inputs="split",

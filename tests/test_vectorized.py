@@ -6,13 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adversary.kernels import ADVERSARY_PLANE_KERNELS
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
 from repro.exceptions import ConfigurationError
 from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.vectorized import (
-    VECTORIZED_ADVERSARIES,
     VectorizedAgreementSimulator,
     batch_setup,
     build_vectorized_simulator,
@@ -162,7 +162,7 @@ class TestBatchedEngine:
         # The null/coin-attack identity is against the untouched seed path;
         # the other adversaries run through run_batch either way, so this checks
         # batch-size independence (B=1 vs B=6) instead.
-        for adversary in VECTORIZED_ADVERSARIES:
+        for adversary in ADVERSARY_PLANE_KERNELS:
             batched = run_vectorized_trials(48, 8, adversary=adversary,
                                             trials=6, seed=9, batch=True)
             single = run_vectorized_trials(48, 8, adversary=adversary,
