@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import run_agreement
+from repro.core.runner import default_max_rounds, run_agreement
 from repro.engine import run_sweep
 from repro.simulator.draws import TrialStreams, trial_generator
 from repro.simulator.vectorized import (
@@ -73,7 +73,10 @@ def test_object_engine_single_run(benchmark):
 def test_vectorized_engine_single_run(benchmark):
     """One attacked execution at n=1024 in the vectorised engine."""
     params = ProtocolParameters.derive(1024, 64)
-    simulator = VectorizedAgreementSimulator(n=1024, t=64, params=params, adversary="coin-attack")
+    simulator = VectorizedAgreementSimulator(
+        n=1024, t=64, params=params, adversary="coin-attack",
+        max_phases=default_max_rounds("committee-ba-las-vegas", 1024, 64) // 2,
+    )
     inputs = np.zeros(1024, dtype=np.int8)
     inputs[512:] = 1
 

@@ -23,28 +23,3 @@ committee engine, registered under the strategies' own names so the engine
 dispatch of :mod:`repro.engine` is capability-driven for adversaries exactly
 as it is for protocols.
 """
-
-from repro.adversary.base import Adversary, AdversaryAction, AdversaryView, NullAdversary
-from repro.adversary.static import StaticAdversary
-from repro.adversary.adaptive import AdaptiveAdversary
-from repro.adversary.strategies.silence import SilentAdversary
-from repro.adversary.strategies.random_noise import RandomNoiseAdversary
-from repro.adversary.strategies.equivocate import EquivocatingAdversary
-from repro.adversary.strategies.coin_attack import CoinAttackAdversary
-from repro.adversary.strategies.committee_targeting import CommitteeTargetingAdversary
-from repro.adversary.strategies.crash import AdaptiveCrashAdversary
-
-__all__ = [
-    "Adversary",
-    "AdversaryAction",
-    "AdversaryView",
-    "NullAdversary",
-    "StaticAdversary",
-    "AdaptiveAdversary",
-    "SilentAdversary",
-    "RandomNoiseAdversary",
-    "EquivocatingAdversary",
-    "CoinAttackAdversary",
-    "CommitteeTargetingAdversary",
-    "AdaptiveCrashAdversary",
-]

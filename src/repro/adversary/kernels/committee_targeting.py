@@ -3,11 +3,11 @@
 Models
 :class:`repro.adversary.strategies.committee_targeting.CommitteeTargetingAdversary`:
 at the top of every phase's coin round the adversary corrupts up to
-``spend_per_phase`` (default ``ceil(sqrt(committee_size))``) of the *upcoming*
-committee's lowest-id honest members — before their coin flips exist, which is
-exactly the non-rushing constraint — and then has every controlled committee
-member send ``-1`` shares to the lower half of the honest nodes and ``+1``
-shares to the upper half.  A recipient's total is ``S -+ f`` where ``S`` is
+``ceil(sqrt(committee_size))`` of the *upcoming* committee's lowest-id honest
+members — before their coin flips exist, which is exactly the non-rushing
+constraint — and then has every controlled committee member send ``-1``
+shares to the lower half of the honest nodes and ``+1`` shares to the upper
+half.  A recipient's total is ``S -+ f`` where ``S`` is
 the honest sum it cannot see and ``f`` the controlled count, so the straddle
 succeeds exactly when ``S + f >= 0 > S - f`` — with constant probability for
 ``f ~ sqrt(s)``, the qualitative gap to the rushing attack that E10/E1
@@ -44,15 +44,10 @@ __all__ = ["CommitteeTargetingKernel"]
 class CommitteeTargetingKernel(AdversaryKernel):
     """Pre-corrupt each phase's committee (non-rushing) and split its shares."""
 
-    #: Fresh corruptions per committee; ``None`` resolves to
-    #: ``ceil(sqrt(committee_size))`` like the object strategy's bind-time
-    #: default.
-    spend_per_phase: int | None = None
-
     def __post_init__(self) -> None:
         self.rushing = False
-        if self.spend_per_phase is None:
-            self.spend_per_phase = max(1, math.ceil(math.sqrt(self.params.committee_size)))
+        # Fresh corruptions per committee, as the object strategy's bind.
+        self.spend_per_phase = max(1, math.ceil(math.sqrt(self.params.committee_size)))
 
     def pre_coin(self, ctx: KernelContext) -> None:
         start, stop = ctx.committee_start, ctx.committee_stop

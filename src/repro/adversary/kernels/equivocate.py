@@ -43,10 +43,6 @@ __all__ = ["EquivocatePlaneKernel"]
 class EquivocatePlaneKernel(AdversaryKernel):
     """Recruit one mouthpiece per phase; split opinion without touching coins."""
 
-    #: Upper bound on fresh corruptions per phase (mirrors the object
-    #: strategy's ``corrupt_per_phase`` default).
-    corrupt_per_phase: int = 1
-
     @classmethod
     def crafted_traffic(cls, corrupted: int, honest: int, round_in_phase: int) -> int:
         return corrupted * honest
@@ -58,7 +54,7 @@ class EquivocatePlaneKernel(AdversaryKernel):
     def round1(self, ctx: KernelContext, ones: np.ndarray, zeros: np.ndarray) -> Round1Effect:
         # Lazily recruit mouthpieces: prefer active nodes outside the current
         # committee so the coin guarantees of Lemma 5 are untouched.
-        spend = np.minimum(self.corrupt_per_phase, ctx.budget)
+        spend = np.minimum(1, ctx.budget)
         spend = np.where(ctx.running, np.maximum(spend, 0), 0)
         if spend.any():
             candidates = ctx.active & ~ctx.committee_mask[None, :]

@@ -15,44 +15,26 @@ behaviour available to nodes fixed in advance.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
 from repro.core.committee import phase_of_round
-from repro.exceptions import ConfigurationError
 from repro.simulator.messages import Message
 
 
 class StaticAdversary(AdaptiveAdversary):
     """Corrupts a fixed set of nodes at round 0 and equivocates forever.
 
-    Args:
-        t: Corruption budget; all of it is spent immediately.
-        targets: Which nodes to corrupt.  Defaults to the ``t`` highest ids,
-            which spreads the corrupted nodes across the ID-based committees
-            as little as possible — the static adversary cannot adapt, so the
-            default simply fixes a deterministic, reproducible choice.
+    It spends its whole budget ``t`` immediately, on the ``t`` highest ids,
+    which spreads the corrupted nodes across the ID-based committees as
+    little as possible — the static adversary cannot adapt, so it simply
+    fixes a deterministic, reproducible choice.
     """
 
     strategy_name = "static-equivocate"
 
-    def __init__(self, t: int, targets: Sequence[int] | None = None, **kwargs):
-        super().__init__(t, **kwargs)
-        self._requested_targets = list(targets) if targets is not None else None
-
     def bind(self, n: int, context) -> None:
         super().bind(n, context)
-        if self._requested_targets is None:
-            self._targets = set(range(max(0, n - self.t), n))
-        else:
-            if len(self._requested_targets) > self.t:
-                raise ConfigurationError(
-                    f"{len(self._requested_targets)} targets exceed the budget t={self.t}"
-                )
-            if any(not 0 <= v < n for v in self._requested_targets):
-                raise ConfigurationError("static target ids out of range")
-            self._targets = set(self._requested_targets)
+        self._targets = set(range(max(0, n - self.t), n))
 
     def act(self, view: AdversaryView) -> AdversaryAction:
         new_corruptions = self._targets - view.corrupted

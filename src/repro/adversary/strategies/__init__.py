@@ -15,19 +15,3 @@
   Ben-Or lower bound: nodes whose coin shares would help agreement crash in
   the middle of their broadcast.
 """
-
-from repro.adversary.strategies.silence import SilentAdversary
-from repro.adversary.strategies.random_noise import RandomNoiseAdversary
-from repro.adversary.strategies.equivocate import EquivocatingAdversary
-from repro.adversary.strategies.coin_attack import CoinAttackAdversary
-from repro.adversary.strategies.committee_targeting import CommitteeTargetingAdversary
-from repro.adversary.strategies.crash import AdaptiveCrashAdversary
-
-__all__ = [
-    "SilentAdversary",
-    "RandomNoiseAdversary",
-    "EquivocatingAdversary",
-    "CoinAttackAdversary",
-    "CommitteeTargetingAdversary",
-    "AdaptiveCrashAdversary",
-]

@@ -48,19 +48,17 @@ from repro.simulator.messages import CoinShare, Message
 class CoinAttackAdversary(AdaptiveAdversary):
     """Greedy rushing straddle attack on the committee common coin.
 
+    Each phase it spends whatever a straddle needs (the max-delay strategy).
+
     Args:
         t: Total corruption budget.
-        spend_limit_per_phase: Optional cap on fresh corruptions per phase
-            (``None`` = spend whatever a straddle needs, the max-delay
-            strategy).
     """
 
     strategy_name = "coin-attack"
 
-    def __init__(self, t: int, *, spend_limit_per_phase: int | None = None, **kwargs):
+    def __init__(self, t: int, **kwargs):
         kwargs.setdefault("rushing", True)
         super().__init__(t, **kwargs)
-        self.spend_limit_per_phase = spend_limit_per_phase
         #: Number of phases successfully straddled (for traces / experiments).
         self.phases_spoiled = 0
         #: Corruptions spent specifically on committee members.
@@ -99,12 +97,9 @@ class CoinAttackAdversary(AdaptiveAdversary):
         honest_sum = sum(shares.values())
         needed = self.corruptions_needed(honest_sum, len(already_controlled))
 
-        budget = view.remaining_budget
-        if self.spend_limit_per_phase is not None:
-            budget = min(budget, self.spend_limit_per_phase)
         sign = 1 if honest_sum >= 0 else -1
         candidates = [node for node, share in shares.items() if share == sign]
-        if needed > budget or needed > len(candidates):
+        if needed > view.remaining_budget or needed > len(candidates):
             return AdversaryAction()  # cannot afford the straddle: concede
 
         new_corruptions = self.pick_targets(candidates, needed)

@@ -8,11 +8,11 @@ before their flip and hope that the honest sum lands within the window its
 controlled shares can bridge.
 
 This strategy does exactly that.  At the start of each phase's second round it
-spends up to ``spend_per_phase`` corruptions (default ``ceil(sqrt(s))``) on the
-phase's committee, then has all controlled members split their shares across
-the honest recipients (``+1`` to one half, ``-1`` to the other).  A recipient's
-total is ``S +- f_i`` where ``S`` is the (unseen) honest sum and ``f_i`` the
-controlled count; the straddle succeeds exactly when ``|S| < f_i``, which for
+spends up to ``ceil(sqrt(s))`` corruptions on the phase's committee, then has
+all controlled members split their shares across the honest recipients
+(``+1`` to one half, ``-1`` to the other).  A recipient's total is
+``S +- f_i`` where ``S`` is the (unseen) honest sum and ``f_i`` the controlled
+count; the straddle succeeds exactly when ``|S| < f_i``, which for
 ``f_i ~ sqrt(s)`` happens with constant probability — so the attack delays the
 protocol by a constant factor less than the rushing attack, which is the
 qualitative difference between the two models that experiment E10/E1 report.
@@ -33,26 +33,23 @@ class CommitteeTargetingAdversary(AdaptiveAdversary):
 
     Args:
         t: Total corruption budget.
-        spend_per_phase: Fresh corruptions per committee; default
-            ``ceil(sqrt(committee size))`` resolved at bind time.
+
+    Attributes:
+        spend_per_phase: Fresh corruptions per committee,
+            ``ceil(sqrt(committee size))``, resolved at bind time.
     """
 
     strategy_name = "committee-targeting"
 
-    def __init__(self, t: int, *, spend_per_phase: int | None = None, **kwargs):
+    def __init__(self, t: int, **kwargs):
         kwargs.setdefault("rushing", False)
         super().__init__(t, **kwargs)
-        self._configured_spend = spend_per_phase
-        self.spend_per_phase = spend_per_phase if spend_per_phase is not None else 1
 
     def bind(self, n: int, context) -> None:
         super().bind(n, context)
-        if self._configured_spend is None:
-            partition = context.get("partition")
-            size = getattr(partition, "committee_size", None)
-            self.spend_per_phase = max(1, math.ceil(math.sqrt(size))) if size else 1
-        else:
-            self.spend_per_phase = self._configured_spend
+        partition = context.get("partition")
+        size = getattr(partition, "committee_size", None)
+        self.spend_per_phase = max(1, math.ceil(math.sqrt(size))) if size else 1
 
     def act(self, view: AdversaryView) -> AdversaryAction:
         phase, round_in_phase = phase_of_round(view.round_index)

@@ -32,20 +32,17 @@ from repro.simulator.messages import Message
 class EquivocatingAdversary(AdaptiveAdversary):
     """Adaptively splits honest opinion without attacking the committee coin.
 
+    It corrupts lazily: one new mouthpiece per phase until the budget is
+    exhausted.
+
     Args:
         t: Corruption budget.
-        corrupt_per_phase: Upper bound on fresh corruptions per phase (the
-            strategy corrupts lazily; by default it recruits a single new
-            mouthpiece per phase until the budget is exhausted).
     """
 
     strategy_name = "equivocate"
 
-    def __init__(self, t: int, *, corrupt_per_phase: int = 1, **kwargs):
+    def __init__(self, t: int, **kwargs):
         super().__init__(t, **kwargs)
-        if corrupt_per_phase < 0:
-            corrupt_per_phase = 0
-        self.corrupt_per_phase = corrupt_per_phase
         self._last_recruit_phase = 0
 
     def act(self, view: AdversaryView) -> AdversaryAction:
@@ -59,9 +56,7 @@ class EquivocatingAdversary(AdaptiveAdversary):
             candidates = [i for i in view.honest_ids() if i not in committee]
             if not candidates:
                 candidates = view.honest_ids()
-            new_corruptions = self.pick_targets(
-                candidates, min(self.corrupt_per_phase, view.remaining_budget)
-            )
+            new_corruptions = self.pick_targets(candidates, 1)
             self._last_recruit_phase = phase
 
         corrupted_now = set(view.corrupted) | new_corruptions

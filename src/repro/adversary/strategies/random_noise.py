@@ -10,12 +10,9 @@ must tolerate it comfortably.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
 from repro.core.committee import phase_of_round
-from repro.exceptions import ConfigurationError
 from repro.simulator.messages import CombinedAnnouncement, Message, ValueAnnouncement
 
 
@@ -24,22 +21,9 @@ class RandomNoiseAdversary(AdaptiveAdversary):
 
     strategy_name = "random-noise"
 
-    def __init__(self, t: int, targets: Sequence[int] | None = None, **kwargs):
-        super().__init__(t, **kwargs)
-        self._requested_targets = list(targets) if targets is not None else None
-
     def bind(self, n: int, context) -> None:
         super().bind(n, context)
-        if self._requested_targets is None:
-            self._targets = set(range(min(self.t, n)))
-        else:
-            if len(self._requested_targets) > self.t:
-                raise ConfigurationError(
-                    f"{len(self._requested_targets)} targets exceed the budget t={self.t}"
-                )
-            if any(not 0 <= v < n for v in self._requested_targets):
-                raise ConfigurationError("random-noise target ids out of range")
-            self._targets = set(self._requested_targets)
+        self._targets = set(range(min(self.t, n)))
 
     def act(self, view: AdversaryView) -> AdversaryAction:
         new_corruptions = self._targets - view.corrupted

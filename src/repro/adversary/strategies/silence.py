@@ -9,34 +9,18 @@ remaining ``n - t`` honest nodes interact with no interference at all.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.base import AdversaryAction, AdversaryView
-from repro.exceptions import ConfigurationError
 
 
 class SilentAdversary(AdaptiveAdversary):
-    """Corrupt a fixed set at round 0; corrupted nodes never speak again."""
+    """Corrupt the ``t`` lowest ids at round 0; they never speak again."""
 
     strategy_name = "silent"
 
-    def __init__(self, t: int, targets: Sequence[int] | None = None, **kwargs):
-        super().__init__(t, **kwargs)
-        self._requested_targets = list(targets) if targets is not None else None
-
     def bind(self, n: int, context) -> None:
         super().bind(n, context)
-        if self._requested_targets is None:
-            self._targets = set(range(min(self.t, n)))
-        else:
-            if len(self._requested_targets) > self.t:
-                raise ConfigurationError(
-                    f"{len(self._requested_targets)} targets exceed the budget t={self.t}"
-                )
-            if any(not 0 <= v < n for v in self._requested_targets):
-                raise ConfigurationError("silent-adversary target ids out of range")
-            self._targets = set(self._requested_targets)
+        self._targets = set(range(min(self.t, n)))
 
     def act(self, view: AdversaryView) -> AdversaryAction:
         new_corruptions = self._targets - view.corrupted

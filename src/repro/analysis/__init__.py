@@ -10,31 +10,3 @@
   intervals, rate estimation, log–log slope fits) used to compare measured
   sweeps against the analytic curves.
 """
-
-from repro.analysis.paley_zygmund import (
-    coin_success_lower_bound,
-    exact_common_coin_probability,
-    paley_zygmund_bound,
-    sum_exceeds_probability,
-)
-from repro.analysis.bounds import BoundCurves, crossover_versus_chor_coan, gap_to_lower_bound
-from repro.analysis.statistics import (
-    RateEstimate,
-    loglog_slope,
-    mean_confidence_interval,
-    success_rate,
-)
-
-__all__ = [
-    "paley_zygmund_bound",
-    "coin_success_lower_bound",
-    "sum_exceeds_probability",
-    "exact_common_coin_probability",
-    "BoundCurves",
-    "crossover_versus_chor_coan",
-    "gap_to_lower_bound",
-    "mean_confidence_interval",
-    "success_rate",
-    "loglog_slope",
-    "RateEstimate",
-]

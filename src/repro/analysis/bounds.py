@@ -145,9 +145,9 @@ def predicted_phases_under_straddle(n: int, t: int, alpha: float = 4.0) -> float
     return expected_spoilable_phases(n, t, params.committee_size) + 2.0
 
 
-def predicted_phases_chor_coan_under_straddle(n: int, t: int, group_size_factor: float = 1.0) -> float:
+def predicted_phases_chor_coan_under_straddle(n: int, t: int) -> float:
     """Same prediction for the Chor–Coan group size ``~log2 n``."""
     if t <= 0:
         return 1.0
-    group = max(1, math.ceil(group_size_factor * log2n(n)))
+    group = max(1, math.ceil(log2n(n)))
     return expected_spoilable_phases(n, t, group) + 2.0

@@ -30,21 +30,3 @@ dispatches between the kernels and these object implementations per
 ``(protocol, adversary)`` pair, which is what lets the baseline-landscape
 experiment (E9) run at ``n`` in the hundreds instead of dozens.
 """
-
-from repro.baselines.chor_coan import ChorCoanNode, ChorCoanLasVegasNode, chor_coan_parameters
-from repro.baselines.rabin import RabinDealerNode
-from repro.baselines.ben_or import BenOrNode
-from repro.baselines.phase_king import PhaseKingNode
-from repro.baselines.eig import EIGNode
-from repro.baselines.sampling_majority import SamplingMajorityNode
-
-__all__ = [
-    "ChorCoanNode",
-    "ChorCoanLasVegasNode",
-    "chor_coan_parameters",
-    "RabinDealerNode",
-    "BenOrNode",
-    "PhaseKingNode",
-    "EIGNode",
-    "SamplingMajorityNode",
-]

@@ -35,9 +35,7 @@ from repro.core.parameters import ProtocolParameters, Regime, log2n, validate_n_
 from repro.exceptions import ConfigurationError
 
 
-def chor_coan_parameters(
-    n: int, t: int, *, alpha: float = 4.0, group_size_factor: float = 1.0
-) -> ProtocolParameters:
+def chor_coan_parameters(n: int, t: int, *, alpha: float = 4.0) -> ProtocolParameters:
     """Derive Chor–Coan's group geometry for ``(n, t)``.
 
     Args:
@@ -47,7 +45,6 @@ def chor_coan_parameters(
             phases (at least ``ceil(alpha*log n)`` so that small-``t``
             configurations still get enough repetitions for a w.h.p.
             guarantee).
-        group_size_factor: Multiplier on the ``log2 n`` group size.
 
     Returns:
         A :class:`ProtocolParameters` instance whose ``committee_size`` is the
@@ -57,10 +54,8 @@ def chor_coan_parameters(
     validate_n_t(n, t)
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    if group_size_factor <= 0:
-        raise ConfigurationError(f"group_size_factor must be positive, got {group_size_factor}")
     log_n = log2n(n)
-    group_size = int(min(n, max(1, math.ceil(group_size_factor * log_n))))
+    group_size = int(min(n, max(1, math.ceil(log_n))))
     phases_for_t = math.ceil(3.0 * alpha * t / log_n)
     phases_floor = math.ceil(alpha * log_n)
     num_phases = max(1, phases_for_t, phases_floor if t > 0 else 1)
@@ -88,13 +83,9 @@ class ChorCoanNode(CommitteeAgreementNode):
         rng: np.random.Generator,
         *,
         params: ProtocolParameters | None = None,
-        alpha: float = 4.0,
-        group_size_factor: float = 1.0,
     ):
         if params is None:
-            params = chor_coan_parameters(
-                n, t, alpha=alpha, group_size_factor=group_size_factor
-            )
+            params = chor_coan_parameters(n, t)
         super().__init__(node_id, n, t, input_value, rng, params=params)
 
 

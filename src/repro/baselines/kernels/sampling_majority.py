@@ -6,10 +6,9 @@ requests, then replies) and replace its own value by the majority of its value
 plus the samples it received.  The kernel runs all trials at once: one
 ``(n, SAMPLE_SIZE)`` peer draw per trial per iteration, a batched gather of
 the sampled values, and a vectorised majority update.  It runs the object
-node's default iteration count and sample size
+node's iteration count and sample size
 (:data:`~repro.baselines.sampling_majority.ITERATIONS_FACTOR`,
-:data:`~repro.baselines.sampling_majority.SAMPLE_SIZE`); other values are
-object-only.
+:data:`~repro.baselines.sampling_majority.SAMPLE_SIZE`).
 
 Sampling nodes read only ``SampleRequest``/``SampleReply`` payloads, so every
 adversary model reduces to *which nodes stop participating when* plus the

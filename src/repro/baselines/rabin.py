@@ -31,6 +31,10 @@ from repro.core.parameters import ProtocolParameters, Regime, log2n
 import math
 
 
+#: Multiplier on ``log2 n`` for the number of phases (the batched kernel
+#: shares the schedule through :func:`rabin_parameters`).
+PHASES_FACTOR = 4.0
+
 #: Domain tag mixed into the dealer's Philox key, keeping the public coin
 #: stream separated from the node/adversary/environment stream domains.
 _DEALER_DOMAIN = 0x0D
@@ -53,17 +57,17 @@ def dealer_coin_bit(dealer_seed: int, phase: int) -> int:
     return int(stream.integers(0, 2))
 
 
-def rabin_parameters(n: int, t: int, *, phases_factor: float = 4.0) -> ProtocolParameters:
+def rabin_parameters(n: int, t: int) -> ProtocolParameters:
     """Phase schedule for Rabin's protocol.
 
     Each phase succeeds with probability at least 1/2 once no spoiling is
-    possible, so ``ceil(phases_factor * log2 n)`` phases give a w.h.p.
+    possible, so ``ceil(PHASES_FACTOR * log2 n)`` phases give a w.h.p.
     guarantee; the committee size is irrelevant (the dealer flips the coin)
     and is set to ``n`` for bookkeeping.
     """
-    num_phases = max(1, math.ceil(phases_factor * log2n(n)))
+    num_phases = max(1, math.ceil(PHASES_FACTOR * log2n(n)))
     return ProtocolParameters(
-        n=n, t=t, alpha=phases_factor, num_phases=num_phases, committee_size=n, regime=Regime.LINEAR
+        n=n, t=t, alpha=PHASES_FACTOR, num_phases=num_phases, committee_size=n, regime=Regime.LINEAR
     )
 
 
@@ -87,10 +91,9 @@ class RabinDealerNode(CommitteeAgreementNode):
         *,
         dealer_seed: int = 0,
         params: ProtocolParameters | None = None,
-        phases_factor: float = 4.0,
     ):
         if params is None:
-            params = rabin_parameters(n, t, phases_factor=phases_factor)
+            params = rabin_parameters(n, t)
         super().__init__(node_id, n, t, input_value, rng, params=params)
         self.dealer_seed = int(dealer_seed)
 

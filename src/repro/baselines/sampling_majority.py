@@ -13,7 +13,7 @@ the process is included here as a secondary baseline (experiment E9).
 Each iteration costs two communication rounds in the simulator (sample
 requests, then replies).  The protocol is a convergence dynamic rather than a
 terminating agreement protocol, so it simply runs a fixed
-``ceil(iterations_factor * log2(n)^2)`` iterations and then outputs its value;
+``ceil(ITERATIONS_FACTOR * log2(n)^2)`` iterations and then outputs its value;
 the experiment reports the empirical agreement rate.
 
 Batched sweeps run on the ``sampling-majority`` kernel
@@ -30,26 +30,17 @@ import numpy as np
 from repro.simulator.messages import Message, SampleReply, SampleRequest
 from repro.simulator.node import ProtocolNode
 
-#: Default multiplier on ``log2(n)^2`` for the number of iterations (the
-#: batched kernel always runs it).
+#: Multiplier on ``log2(n)^2`` for the number of iterations (shared with
+#: the batched kernel).
 ITERATIONS_FACTOR = 2.0
 
-#: Default number of peers sampled per iteration (2 in the paper's
-#: description; the batched kernel always samples this many).
+#: Number of peers sampled per iteration (2 in the paper's description; the
+#: batched kernel samples as many).
 SAMPLE_SIZE = 2
 
 
 class SamplingMajorityNode(ProtocolNode):
-    """One participant of the sampling-majority process.
-
-    Args:
-        iterations_factor: Multiplier on ``log2(n)^2`` for the number of
-            iterations.
-        sample_size: Number of peers sampled per iteration.
-
-    Either kwarg keeps a sweep on the object simulator: the batched kernel
-    runs the defaults only.
-    """
+    """One participant of the sampling-majority process."""
 
     protocol_name = "sampling-majority"
 
@@ -60,14 +51,10 @@ class SamplingMajorityNode(ProtocolNode):
         t: int,
         input_value: int,
         rng: np.random.Generator,
-        *,
-        iterations_factor: float = ITERATIONS_FACTOR,
-        sample_size: int = SAMPLE_SIZE,
     ):
         super().__init__(node_id, n, t, input_value, rng)
         log_n = max(1.0, math.log2(max(2, n)))
-        self.num_iterations = max(1, math.ceil(iterations_factor * log_n * log_n))
-        self.sample_size = max(1, sample_size)
+        self.num_iterations = max(1, math.ceil(ITERATIONS_FACTOR * log_n * log_n))
         self._pending_requesters: list[int] = []
 
     @staticmethod
@@ -81,7 +68,7 @@ class SamplingMajorityNode(ProtocolNode):
             self.decide(self.value)
             return []
         if step == 1:
-            peers = self.rng.choice(self.n, size=self.sample_size, replace=True)
+            peers = self.rng.choice(self.n, size=SAMPLE_SIZE, replace=True)
             return [
                 Message(self.node_id, int(peer), SampleRequest(phase=iteration))
                 for peer in peers

@@ -15,31 +15,3 @@
 * :mod:`repro.core.runner` — high-level entry points used by examples, tests
   and benchmarks.
 """
-
-from repro.core.parameters import ProtocolParameters, Regime
-from repro.core.committee import CommitteePartition
-from repro.core.common_coin import (
-    CoinFlipNode,
-    DesignatedCoinFlipNode,
-    coin_from_shares,
-    run_common_coin,
-)
-from repro.core.agreement import CommitteeAgreementNode
-from repro.core.las_vegas import LasVegasAgreementNode
-from repro.core.runner import AgreementExperiment, TrialSummary, run_agreement, run_trials
-
-__all__ = [
-    "ProtocolParameters",
-    "Regime",
-    "CommitteePartition",
-    "CoinFlipNode",
-    "DesignatedCoinFlipNode",
-    "coin_from_shares",
-    "run_common_coin",
-    "CommitteeAgreementNode",
-    "LasVegasAgreementNode",
-    "AgreementExperiment",
-    "TrialSummary",
-    "run_agreement",
-    "run_trials",
-]

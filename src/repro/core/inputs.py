@@ -1,11 +1,8 @@
 """Input-pattern generation shared by the object and plane engines.
 
 Every execution path in the repository materialises per-node input bits from
-the same four pattern names, but historically each engine carried its own
-copy of the pattern switch (``core.runner.build_inputs`` for the object
-simulator, ``simulator.vectorized._trial_inputs`` for the plane kernels).
-This module is now the single source of truth; the two entry points differ
-only in dtype and randomness source:
+the same four pattern names, through this module alone; its two entry points
+differ only in dtype and randomness source:
 
 * :func:`input_list` — object-simulator path: plain ``list[int]`` drawing the
   ``random`` pattern from the run's *environment* stream
@@ -25,8 +22,6 @@ construction (asserted in ``tests/test_inputs.py``).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -38,21 +33,14 @@ INPUT_PATTERNS = ("split", "random", "unanimous-0", "unanimous-1")
 __all__ = ["INPUT_PATTERNS", "input_list", "input_row"]
 
 
-def input_list(
-    n: int, pattern: str | Sequence[int], randomness: RandomnessSource
-) -> list[int]:
-    """Materialise an input assignment from a pattern name or an explicit list.
+def input_list(n: int, pattern: str, randomness: RandomnessSource) -> list[int]:
+    """Materialise an input assignment from a pattern name.
 
     Patterns:
         ``"split"`` — first half 0, second half 1 (the hardest honest input);
         ``"random"`` — i.i.d. uniform bits from the environment stream;
         ``"unanimous-0"`` / ``"unanimous-1"`` — all nodes share the value.
     """
-    if not isinstance(pattern, str):
-        inputs = [int(b) for b in pattern]
-        if len(inputs) != n or any(b not in (0, 1) for b in inputs):
-            raise ConfigurationError("explicit inputs must be n binary values")
-        return inputs
     if pattern == "split":
         return split_inputs(n)
     if pattern == "random":

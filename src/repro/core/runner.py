@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary, NullAdversary
@@ -153,18 +153,6 @@ def validate_configuration(config: AgreementExperiment | SweepPoint) -> None:
     validate_loss(config.loss)
 
 
-def build_inputs(n: int, pattern: str | Sequence[int], randomness: RandomnessSource) -> list[int]:
-    """Materialise an input assignment (:func:`repro.core.inputs.input_list`).
-
-    Patterns (shared, via :mod:`repro.core.inputs`, with the plane engines'
-    :func:`~repro.core.inputs.input_row`):
-        ``"split"`` — first half 0, second half 1 (the hardest honest input);
-        ``"random"`` — i.i.d. uniform bits from the environment stream;
-        ``"unanimous-0"`` / ``"unanimous-1"`` — all nodes share the value.
-    """
-    return input_list(n, pattern, randomness)
-
-
 def default_max_rounds(protocol: str, n: int, t: int) -> int:
     """A generous round cap for the given protocol.
 
@@ -177,7 +165,7 @@ def default_max_rounds(protocol: str, n: int, t: int) -> int:
     """
     log_n = log2n(n)
     if protocol in ("committee-ba", "chor-coan", "rabin"):
-        params = protocol_parameters(protocol, n, t, {})
+        params = protocol_parameters(protocol, n, t)
         return 2 * (params.num_phases + 2) + 4
     if protocol in ("committee-ba-las-vegas", "chor-coan-las-vegas"):
         return 2 * (2 * t + 40 * int(log_n) + 60)
@@ -192,25 +180,26 @@ def default_max_rounds(protocol: str, n: int, t: int) -> int:
     return 20 * n + 100
 
 
-def protocol_parameters(protocol: str, n: int, t: int, kwargs: dict[str, Any]) -> ProtocolParameters:
+def protocol_parameters(
+    protocol: str, n: int, t: int, alpha: float | None = None
+) -> ProtocolParameters:
     """Committee geometry for the committee-family protocols.
 
     The single source of truth for alpha/committee sizing, shared with the
     vectorised engines (:func:`repro.simulator.vectorized.build_vectorized_simulator`
     resolves its parameters here), so the object and plane paths cannot
-    drift.
+    drift.  ``alpha`` (default 4.0) sizes the committee-BA and Chor–Coan
+    committees; Rabin and Ben-Or run their fixed phase schedule.
     """
-    alpha = kwargs.get("alpha", 4.0)
+    alpha = 4.0 if alpha is None else alpha
     if protocol in ("committee-ba", "committee-ba-las-vegas"):
         return ProtocolParameters.derive(n, t, alpha)
     if protocol in ("chor-coan", "chor-coan-las-vegas"):
-        return chor_coan_parameters(
-            n, t, alpha=alpha, group_size_factor=kwargs.get("group_size_factor", 1.0)
-        )
+        return chor_coan_parameters(n, t, alpha=alpha)
     if protocol in ("rabin", "ben-or"):
         from repro.baselines.rabin import rabin_parameters
 
-        return rabin_parameters(n, t, phases_factor=kwargs.get("phases_factor", 4.0))
+        return rabin_parameters(n, t)
     raise ConfigurationError(f"protocol {protocol!r} does not use committee parameters")
 
 
@@ -220,29 +209,20 @@ def _build_nodes(
     t: int,
     inputs: Sequence[int],
     randomness: RandomnessSource,
-    protocol_kwargs: dict[str, Any],
+    alpha: float | None,
 ) -> tuple[list[ProtocolNode], dict[str, Any]]:
     """Construct the per-node protocol instances and the adversary context."""
-    if protocol not in PROTOCOLS:
-        raise ConfigurationError(
-            f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
-        )
     node_class = PROTOCOLS[protocol]
     context: dict[str, Any] = {"protocol": protocol, "n": n, "t": t}
     nodes: list[ProtocolNode] = []
 
     if protocol in _COMMITTEE_FAMILY:
-        params = protocol_parameters(protocol, n, t, protocol_kwargs)
+        params = protocol_parameters(protocol, n, t, alpha)
         partition = CommitteePartition(n, params.committee_size)
         context["params"] = params
         context["partition"] = partition
-        extra = dict(protocol_kwargs)
-        extra.pop("alpha", None)
-        extra.pop("group_size_factor", None)
-        extra.pop("phases_factor", None)
-        if protocol == "rabin":
-            # All nodes must share the dealer's public coin stream.
-            extra.setdefault("dealer_seed", randomness.seed)
+        # All Rabin nodes must share the dealer's public coin stream.
+        extra = {"dealer_seed": randomness.seed} if protocol == "rabin" else {}
         for node_id in range(n):
             nodes.append(
                 node_class(
@@ -260,27 +240,10 @@ def _build_nodes(
         for node_id in range(n):
             nodes.append(
                 node_class(
-                    node_id, n, t, inputs[node_id], randomness.node_stream(node_id),
-                    **protocol_kwargs,
+                    node_id, n, t, inputs[node_id], randomness.node_stream(node_id)
                 )
             )
     return nodes, context
-
-
-def _build_adversary(
-    adversary: str | Adversary, t: int, randomness: RandomnessSource, adversary_kwargs: dict[str, Any]
-) -> Adversary:
-    if isinstance(adversary, Adversary):
-        adversary.reset()
-        return adversary
-    if adversary not in ADVERSARIES:
-        raise ConfigurationError(
-            f"unknown adversary {adversary!r}; available: {sorted(ADVERSARIES)}"
-        )
-    factory = ADVERSARIES[adversary]
-    kwargs = dict(adversary_kwargs)
-    kwargs.setdefault("rng", randomness.adversary_stream())
-    return factory(t, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +254,8 @@ def run_agreement(
     t: int,
     *,
     protocol: str = "committee-ba",
-    adversary: str | Adversary = "null",
-    inputs: str | Sequence[int] = "split",
+    adversary: str = "null",
+    inputs: str = "split",
     seed: int = 0,
     alpha: float | None = None,
     max_rounds: int | None = None,
@@ -301,21 +264,24 @@ def run_agreement(
     strict_congest: bool = False,
     topology: str = "clique",
     loss: float = 0.0,
-    protocol_kwargs: dict[str, Any] | None = None,
-    adversary_kwargs: dict[str, Any] | None = None,
 ) -> RunResult:
     """Run one Byzantine agreement execution.
+
+    The named fields are the whole configuration: they are validated as an
+    :class:`AgreementExperiment` before any node is built.  A hand-built node
+    or adversary runs on :class:`~repro.simulator.scheduler.SynchronousScheduler`
+    directly.
 
     Args:
         n: Number of nodes.
         t: Byzantine budget handed to the adversary and declared to the
             protocol (``t < n/3``; tighter limits apply to some baselines).
         protocol: Protocol name (see :data:`PROTOCOLS`).
-        adversary: Adversary name (see :data:`ADVERSARIES`) or a pre-built
-            :class:`Adversary` instance.
-        inputs: Input pattern name or an explicit list of ``n`` bits.
+        adversary: Adversary name (see :data:`ADVERSARIES`).
+        inputs: Input pattern name (:data:`INPUT_PATTERNS`).
         seed: Master seed; runs are reproducible from ``(seed, configuration)``.
-        alpha: Committee-count constant for the committee-family protocols.
+        alpha: Committee-count constant for the committee-BA and Chor–Coan
+            protocols (the others have no committees and ignore it).
         max_rounds: Round cap; defaults to a per-protocol generous bound.
         collect_trace: Record a per-round execution trace on the result.
         allow_timeout: Return (rather than raise) when the cap is hit.
@@ -325,22 +291,19 @@ def run_agreement(
             historical execution bit for bit.
         loss: Per-edge i.i.d. message-loss probability (drawn from the run's
             dedicated network stream).
-        protocol_kwargs / adversary_kwargs: Extra constructor arguments.
 
     Returns:
         The :class:`RunResult`, whose ``agreement`` / ``validity`` properties
         evaluate Definition 1 and whose counters feed the metrics layer.
     """
-    validate_n_t(n, t)
-    protocol_kwargs = dict(protocol_kwargs or {})
-    if alpha is not None:
-        protocol_kwargs["alpha"] = alpha
-    adversary_kwargs = dict(adversary_kwargs or {})
-
+    AgreementExperiment(
+        n=n, t=t, protocol=protocol, adversary=adversary, inputs=inputs, alpha=alpha,
+        max_rounds=max_rounds, allow_timeout=allow_timeout, topology=topology, loss=loss,
+    )
     randomness = RandomnessSource(seed)
-    inputs_list = build_inputs(n, inputs, randomness)
-    nodes, context = _build_nodes(protocol, n, t, inputs_list, randomness, protocol_kwargs)
-    adversary_instance = _build_adversary(adversary, t, randomness, adversary_kwargs)
+    inputs_list = input_list(n, inputs, randomness)
+    nodes, context = _build_nodes(protocol, n, t, inputs_list, randomness, alpha)
+    adversary_instance = ADVERSARIES[adversary](t, rng=randomness.adversary_stream())
 
     adjacency = None
     if topology != "clique":
@@ -383,8 +346,6 @@ class AgreementExperiment:
     allow_timeout: bool = False
     topology: str = "clique"
     loss: float = 0.0
-    protocol_kwargs: dict[str, Any] = field(default_factory=dict)
-    adversary_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         validate_configuration(self)
@@ -540,8 +501,6 @@ def run_single_trial(experiment: AgreementExperiment, seed: int) -> TrialSummary
         allow_timeout=experiment.allow_timeout,
         topology=experiment.topology,
         loss=experiment.loss,
-        protocol_kwargs=experiment.protocol_kwargs,
-        adversary_kwargs=experiment.adversary_kwargs,
     )
     return TrialSummary(
         seed=seed,

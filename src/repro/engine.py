@@ -126,9 +126,6 @@ class KernelSpec:
             Phase king (raw boolean planes) and the closed-form kernels have
             no plane state to represent.  Both representations are
             bit-identical, so the flag never enters sweep-store keys.
-
-    Protocol and adversary constructor kwargs are object-only: any of them
-    forces the object path (:func:`vectorizable`).
     """
 
     name: str
@@ -240,8 +237,6 @@ def vectorizable(
     max_rounds: int | None = None,
     topology: str = "clique",
     loss: float = 0.0,
-    protocol_kwargs: dict[str, Any] | None = None,
-    adversary_kwargs: dict[str, Any] | None = None,
 ) -> bool:
     """True when the configuration has a modelled vectorised equivalent.
 
@@ -250,9 +245,7 @@ def vectorizable(
     by the kernel (which runs whole two-round phases, so the cap must be a
     positive even number), and an off-clique topology or positive message
     loss requires the kernel's masked communication planes
-    (``supports_topology``).  Protocol and adversary constructor kwargs
-    (e.g. Chor–Coan's group size, explicit target lists or per-phase spend
-    limits) are object-only: any of them forces the object path.
+    (``supports_topology``).
     """
     spec = PROTOCOL_KERNELS.get(protocol)
     if spec is None:
@@ -265,7 +258,7 @@ def vectorizable(
         return False
     if (topology != "clique" or loss > 0.0) and not spec.supports_topology:
         return False
-    return not protocol_kwargs and not adversary_kwargs
+    return True
 
 
 def select_engine(
@@ -276,8 +269,6 @@ def select_engine(
     max_rounds: int | None = None,
     topology: str = "clique",
     loss: float = 0.0,
-    protocol_kwargs: dict[str, Any] | None = None,
-    adversary_kwargs: dict[str, Any] | None = None,
 ) -> str:
     """Resolve ``engine`` to the result family that runs the configuration.
 
@@ -294,8 +285,6 @@ def select_engine(
         max_rounds=max_rounds,
         topology=topology,
         loss=loss,
-        protocol_kwargs=protocol_kwargs,
-        adversary_kwargs=adversary_kwargs,
     )
     if engine == "vectorized" and not fast:
         raise ConfigurationError(
@@ -489,8 +478,6 @@ def run_sweep(
     loss: float = 0.0,
     backend: str | PlaneBackend | None = None,
     trial_offset: int = 0,
-    protocol_kwargs: dict[str, Any] | None = None,
-    adversary_kwargs: dict[str, Any] | None = None,
 ) -> TrialsResult:
     """Run a multi-trial sweep on the most appropriate engine.
 
@@ -551,8 +538,6 @@ def run_sweep(
             allow_timeout=allow_timeout,
             topology=topology,
             loss=loss,
-            protocol_kwargs=dict(protocol_kwargs or {}),
-            adversary_kwargs=dict(adversary_kwargs or {}),
         )
     elif n is not None or t is not None:
         raise ConfigurationError("pass either (n, t) or experiment=, not both")
@@ -574,8 +559,6 @@ def run_sweep(
             max_rounds=experiment.max_rounds,
             topology=experiment.topology,
             loss=experiment.loss,
-            protocol_kwargs=experiment.protocol_kwargs,
-            adversary_kwargs=experiment.adversary_kwargs,
         )
         processes = _pool_size(family, trials, experiment.n, workers)
     if params is not None and (

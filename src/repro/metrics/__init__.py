@@ -5,19 +5,3 @@
 * :mod:`repro.metrics.reporting` — render those records as aligned text
   tables, the format the benchmark harness prints and EXPERIMENTS.md records.
 """
-
-from repro.metrics.collectors import (
-    collect_run_metrics,
-    collect_sweep_rows,
-    collect_trials_metrics,
-)
-from repro.metrics.reporting import ExperimentReport, format_table, format_value
-
-__all__ = [
-    "collect_run_metrics",
-    "collect_trials_metrics",
-    "collect_sweep_rows",
-    "ExperimentReport",
-    "format_table",
-    "format_value",
-]

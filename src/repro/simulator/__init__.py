@@ -20,28 +20,3 @@ A faster NumPy-vectorised engine for large parameter sweeps lives in
 :mod:`repro.simulator.vectorized`; its semantics are cross-validated against
 this object-level simulator in the test suite.
 """
-
-from repro.simulator.messages import Message, Payload, ValueAnnouncement, CoinShare, DecisionNotice
-from repro.simulator.node import HonestNodeRecord, ProtocolNode
-from repro.simulator.network import CompleteNetwork
-from repro.simulator.congest import CongestModel
-from repro.simulator.rng import RandomnessSource
-from repro.simulator.scheduler import RunResult, SynchronousScheduler
-from repro.simulator.trace import ExecutionTrace, RoundRecord
-
-__all__ = [
-    "Message",
-    "Payload",
-    "ValueAnnouncement",
-    "CoinShare",
-    "DecisionNotice",
-    "ProtocolNode",
-    "HonestNodeRecord",
-    "CompleteNetwork",
-    "CongestModel",
-    "RandomnessSource",
-    "SynchronousScheduler",
-    "RunResult",
-    "ExecutionTrace",
-    "RoundRecord",
-]

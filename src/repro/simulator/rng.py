@@ -115,20 +115,9 @@ def fair_bit(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2))
 
 
-def random_inputs(n: int, rng: np.random.Generator, *, ones_fraction: float = 0.5) -> list[int]:
-    """Generate a random binary input assignment for ``n`` nodes.
-
-    Args:
-        n: Number of nodes.
-        rng: Environment stream used to draw the inputs.
-        ones_fraction: Expected fraction of nodes whose input is 1.
-
-    Returns:
-        A list of ``n`` bits.
-    """
-    if not 0.0 <= ones_fraction <= 1.0:
-        raise ValueError(f"ones_fraction must lie in [0, 1], got {ones_fraction}")
-    return [int(rng.random() < ones_fraction) for _ in range(n)]
+def random_inputs(n: int, rng: np.random.Generator) -> list[int]:
+    """Generate ``n`` i.i.d. uniform input bits from the environment stream ``rng``."""
+    return [int(rng.random() < 0.5) for _ in range(n)]
 
 
 def split_inputs(n: int) -> list[int]:

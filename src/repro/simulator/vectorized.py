@@ -110,7 +110,8 @@ class VectorizedAgreementSimulator:
         las_vegas: When True the protocol cycles committees until termination;
             when False it stops after ``params.num_phases`` phases and decides
             by exhaustion (the w.h.p. variant).
-        max_phases: Safety cap for Las Vegas runs.
+        max_phases: Safety cap for Las Vegas runs, in whole phases
+            (:func:`build_vectorized_simulator` passes half the round cap).
         adjacency: Optional ``(n, n)`` boolean topology mask
             (:mod:`repro.topology`); ``None`` runs the historical clique path.
         loss: Per-edge i.i.d. message-loss probability.
@@ -124,10 +125,10 @@ class VectorizedAgreementSimulator:
     n: int
     t: int
     params: ProtocolParameters
+    max_phases: int
     adversary: str = "coin-attack"
     coin: str = "committee"
     las_vegas: bool = True
-    max_phases: int | None = None
     adjacency: np.ndarray | None = None
     loss: float = 0.0
     backend: str | None = None
@@ -139,10 +140,6 @@ class VectorizedAgreementSimulator:
                 f"vectorized adversary must be one of {tuple(ADVERSARY_PLANE_KERNELS)}, "
                 f"got {self.adversary!r}"
             )
-        if self.max_phases is None:
-            # The coin attack spends at least one corruption per spoiled
-            # phase, so t + O(log n) phases always suffice; keep a wide margin.
-            self.max_phases = 2 * self.t + 50 * max(1, int(math.log2(max(2, self.n)))) + 50
 
     # ------------------------------------------------------------------
     def run(self, inputs: np.ndarray, streams: TrialStreams) -> TrialSummary:
@@ -170,7 +167,6 @@ class VectorizedAgreementSimulator:
         committee_size = self.params.committee_size
         num_committees = max(1, math.ceil(n / committee_size))
         phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
-        assert phase_cap is not None
 
         value = inputs.astype(np.int8).copy()
         decided = np.zeros(n, dtype=bool)
@@ -360,7 +356,6 @@ class VectorizedAgreementSimulator:
         kernel = build_adversary_kernel(
             self.adversary, n=self.n, t=self.t, params=self.params
         )
-        assert self.max_phases is not None
         dealer_seeds = None
         if self.coin == "dealer":
             # Each trial's master seed in the object runner, kept as Python
@@ -508,9 +503,10 @@ def build_vectorized_simulator(
     of truth for committee sizing shared with the object simulator:
     ``alpha`` sizes the committee protocols' committees (Rabin and Ben-Or run
     their default phase schedule).  ``max_rounds`` caps a Las Vegas
-    run at ``max(1, max_rounds // 2)`` whole phases; Ben-Or, whose expected
-    time is exponential for linear ``t``, defaults to the object runner's cap
-    (:func:`repro.core.runner.default_max_rounds`).
+    run at ``max(1, max_rounds // 2)`` whole phases and defaults, for every
+    protocol, to the object runner's cap
+    (:func:`repro.core.runner.default_max_rounds`), so both families time
+    out at the same phase.
     """
     if protocol not in PHASE_PROTOCOLS:
         raise ConfigurationError(
@@ -519,13 +515,13 @@ def build_vectorized_simulator(
         )
     coin, las_vegas = PHASE_PROTOCOLS[protocol]
     if params is None:
-        params = protocol_parameters(protocol, n, t, {"alpha": alpha})
-    if max_rounds is None and protocol == "ben-or":
+        params = protocol_parameters(protocol, n, t, alpha)
+    if max_rounds is None:
         max_rounds = default_max_rounds(protocol, n, t)
     return VectorizedAgreementSimulator(
         n=n, t=t, params=params, adversary=adversary, coin=coin,
         las_vegas=las_vegas,
-        max_phases=None if max_rounds is None else max(1, max_rounds // 2),
+        max_phases=max(1, max_rounds // 2),
         adjacency=adjacency, loss=loss, backend=backend,
     )
 

@@ -30,7 +30,6 @@ from repro.engine import (
     PROTOCOL_KERNELS,
     run_sweep,
     select_engine,
-    vectorizable,
 )
 from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcount
@@ -132,17 +131,6 @@ class TestRegistryConsistency:
         assert set(ADVERSARY_PLANE_KERNELS) == set(ADVERSARIES)
         for spec in PROTOCOL_KERNELS.values():
             assert spec.inapplicable <= spec.adversaries <= set(ADVERSARY_PLANE_KERNELS)
-
-    @pytest.mark.parametrize("adversary", PLANE_ADVERSARIES)
-    def test_adversary_kwargs_still_force_the_object_path(self, adversary):
-        assert not vectorizable("committee-ba", adversary,
-                                adversary_kwargs={"targets": [0]})
-        chosen = select_engine("committee-ba", adversary,
-                               adversary_kwargs={"targets": [0]})
-        assert chosen == "object"
-        with pytest.raises(ConfigurationError):
-            select_engine("committee-ba", adversary, engine="vectorized",
-                          adversary_kwargs={"targets": [0]})
 
     def test_unknown_behaviour_rejected_by_the_kernel_factory(self):
         params = ProtocolParameters.derive(48, 8)

@@ -252,10 +252,107 @@ PINNED_OBJECT_FAMILY_DIGESTS = {
 }
 
 
-def _object_rows_digest(protocol, adversary):
+#: The same grid under ``random`` inputs (the one input pattern that draws
+#: from the environment stream), pinned before the run configuration lost
+#: its constructor-kwargs channel.
+PINNED_OBJECT_FAMILY_RANDOM_DIGESTS = {
+    "ben-or": {
+        "coin-attack": "f08162cca91dbb8701e9b5dd8792dbb200000547e4830d781d918feb68f2841a",
+        "committee-targeting": "67ea66b7a65c4a91a430d9596a51f442340a4a85b45ba2c36c38b5b22966d008",
+        "crash": "5220222c553e08d349c6201a7be07aba25f1e48156444df81401e0629076c884",
+        "equivocate": "c9fbf07f9c955a8837ebb7cdce88b850806ae73621dbad7a695e42b202e2e92c",
+        "null": "222f132bcf113f97a6fc9e44eb9deac88cff3e986d64afc481b2243f40efe3c8",
+        "random-noise": "f72b6263dfe140b417e03956f5127709102c378774e2533232c9d94985c8282b",
+        "silent": "76959b0c35d5013f2454c6f7192858336c8dc87faef789ae75d74d3c6a050e75",
+        "static": "fd7ed6dbb482b3dcfa5e73e6b3df608261b13cbe835eb95c438a0e57a62fd71d",
+    },
+    "chor-coan": {
+        "coin-attack": "2a017b620942df3130bd1aea1cca1565ea07f84aee76086b08d829d807667f30",
+        "committee-targeting": "e4b135a6658a9f463399489384ece1374527592eaa54d3b02fb81cf2b34f871c",
+        "crash": "bad7576e7e9e89104c909040f322ad87907a58077f69505a5e0713adffcf9dd4",
+        "equivocate": "d0476c6ac918e04e6cdc238ac847be7eb6592693f491e32b0c3244694dd24c8f",
+        "null": "34b57894c4ef3123243569ec8cf0f0088ac82b384947cbcfeae2f1e993d2ee61",
+        "random-noise": "3117a14a11fbbbf85f4fb8b3a7b03973f5d430e269c33a4261ad198d73211a37",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "chor-coan-las-vegas": {
+        "coin-attack": "2a017b620942df3130bd1aea1cca1565ea07f84aee76086b08d829d807667f30",
+        "committee-targeting": "e4b135a6658a9f463399489384ece1374527592eaa54d3b02fb81cf2b34f871c",
+        "crash": "bad7576e7e9e89104c909040f322ad87907a58077f69505a5e0713adffcf9dd4",
+        "equivocate": "d0476c6ac918e04e6cdc238ac847be7eb6592693f491e32b0c3244694dd24c8f",
+        "null": "34b57894c4ef3123243569ec8cf0f0088ac82b384947cbcfeae2f1e993d2ee61",
+        "random-noise": "3117a14a11fbbbf85f4fb8b3a7b03973f5d430e269c33a4261ad198d73211a37",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "committee-ba": {
+        "coin-attack": "6e59d5f9034e4672a75ae887b665a2bcc4dff05c25dfa7de0133886b36ba09b2",
+        "committee-targeting": "68535fee6af1f5cfe23124c11fa72f51a5b547df6485c5e9572d87ee8133f62e",
+        "crash": "75fe30aae930fca2d88a737df911ebc2d32beb54bdedf702638b8affb39813bb",
+        "equivocate": "23322791412bcfdc8aeb5614d9226fd63dcf5996855ff3ef08f4dadc5079e79e",
+        "null": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "random-noise": "2df4c18acef2eb6a1ca7c4791abde12dd9835c3a0076238945e5e04aa1b21fed",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "committee-ba-las-vegas": {
+        "coin-attack": "6e59d5f9034e4672a75ae887b665a2bcc4dff05c25dfa7de0133886b36ba09b2",
+        "committee-targeting": "68535fee6af1f5cfe23124c11fa72f51a5b547df6485c5e9572d87ee8133f62e",
+        "crash": "75fe30aae930fca2d88a737df911ebc2d32beb54bdedf702638b8affb39813bb",
+        "equivocate": "23322791412bcfdc8aeb5614d9226fd63dcf5996855ff3ef08f4dadc5079e79e",
+        "null": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "random-noise": "2df4c18acef2eb6a1ca7c4791abde12dd9835c3a0076238945e5e04aa1b21fed",
+        "silent": "dfd2dfa6cb0e30396b73cb5d6bc88027c075da21dad0dd387b61069fa6c0ab20",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "eig": {
+        "coin-attack": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "committee-targeting": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "crash": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "equivocate": "eac705625457de15f3d0bddc89008c1e182a72bb9d112d552173a41cd863ec9e",
+        "null": "ed7d4f153ec197a6a03fbb36a1519c4e092a276d3994c62c8fc22bf583bfab43",
+        "random-noise": "4b3cd785aebe289a6a2c862fb883d45e4369f5e6a6121edbe838a4e18070dae3",
+        "silent": "28700693af55f5689e9fdf6ab4ce6a27717cd1588ecf66ba8eb5237b69a81063",
+        "static": "4b3cd785aebe289a6a2c862fb883d45e4369f5e6a6121edbe838a4e18070dae3",
+    },
+    "phase-king": {
+        "coin-attack": "ed93525f6106e7463c8a83343dd479937c7e9afc89cfcdb71ba0f7c351e1b76f",
+        "committee-targeting": "a5f4722d1c6046cb6bd8d016f9082072c3b0ac1812ef76967a5f18df1d06c586",
+        "crash": "ed93525f6106e7463c8a83343dd479937c7e9afc89cfcdb71ba0f7c351e1b76f",
+        "equivocate": "77e138d58ed7536764573dfd7682969f6714a65eb0fee3432d5f3bfe25d41071",
+        "null": "ed93525f6106e7463c8a83343dd479937c7e9afc89cfcdb71ba0f7c351e1b76f",
+        "random-noise": "7b6f158fdc2dff9474800c5c68729c2dc74ce41a0765a33452555bb7595ca4ae",
+        "silent": "6ba5f9213f677a852c96368be262b81492a54b19748db64c5168997ac6a3f530",
+        "static": "29f4f5d36889e5c95ccbe9f0a8233a5ca803e0d5d3ada81b97d5bf9c508b0ff4",
+    },
+    "rabin": {
+        "coin-attack": "45afb59490889db1bcf4c8cdc7fa59d809f31c0e32f969f73f54ca9048e51a27",
+        "committee-targeting": "d9b460852bcf4904217e8393a0aa79014ec97b0a59650a44e72b6057c7c4f723",
+        "crash": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "equivocate": "23322791412bcfdc8aeb5614d9226fd63dcf5996855ff3ef08f4dadc5079e79e",
+        "null": "4ce71fd353136d8ec54f7ac9a6f8bcffe36b062ca6ec500686fcca6b9ab1581f",
+        "random-noise": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+        "silent": "3c6ff121af84a0ae5f2c1bd76556997753f75b3ef3dc1228709c0318346f4fa2",
+        "static": "3fe21c1e5a8f0f4128f40929062c814d4d4c8cc4a1a2861f0ddb74b9442cd02a",
+    },
+    "sampling-majority": {
+        "coin-attack": "c40ce6ed9472015e0e18c5a0e57635b1ddf77124acb1a54dd423133a63a15c67",
+        "committee-targeting": "c40ce6ed9472015e0e18c5a0e57635b1ddf77124acb1a54dd423133a63a15c67",
+        "crash": "c40ce6ed9472015e0e18c5a0e57635b1ddf77124acb1a54dd423133a63a15c67",
+        "equivocate": "436a5ad897a905e9807dd62993ed3cea421b4b9d0199d4e0e28fc1c1db27ab11",
+        "null": "c40ce6ed9472015e0e18c5a0e57635b1ddf77124acb1a54dd423133a63a15c67",
+        "random-noise": "457e0a25c92615c2386f00935ca3fb51c917fe8ebf33f29331d9fca90da176d8",
+        "silent": "7d7e20762293cfa2170397a13449c3b358fa0ecaca336ffb468f570ebde42941",
+        "static": "5679de4ef6ca1ac51d833a7ddf71de5de0e7862b419b60b9d8508ac48ca29033",
+    },
+}
+
+
+def _object_rows_digest(protocol, adversary, inputs):
     n, t = (10, 2) if protocol == "eig" else (13, 3)
     result = run_sweep(
-        n, t, protocol=protocol, adversary=adversary, inputs="split", trials=2,
+        n, t, protocol=protocol, adversary=adversary, inputs=inputs, trials=2,
         base_seed=17, engine="object", allow_timeout=True,
     )
     assert result.engine == "object"
@@ -267,10 +364,18 @@ class TestPinnedObjectFamilyDigests:
     @pytest.mark.parametrize("protocol", sorted(PINNED_OBJECT_FAMILY_DIGESTS))
     def test_rows_match_the_pinned_digests(self, protocol):
         got = {
-            adversary: _object_rows_digest(protocol, adversary)
+            adversary: _object_rows_digest(protocol, adversary, "split")
             for adversary in sorted(ADVERSARIES)
         }
         assert got == PINNED_OBJECT_FAMILY_DIGESTS[protocol]
+
+    @pytest.mark.parametrize("protocol", sorted(PINNED_OBJECT_FAMILY_RANDOM_DIGESTS))
+    def test_random_input_rows_match_the_pinned_digests(self, protocol):
+        got = {
+            adversary: _object_rows_digest(protocol, adversary, "random")
+            for adversary in sorted(ADVERSARIES)
+        }
+        assert got == PINNED_OBJECT_FAMILY_RANDOM_DIGESTS[protocol]
 
 
 class TestPhaseKingKernel:

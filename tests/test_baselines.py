@@ -32,8 +32,6 @@ class TestChorCoan:
             chor_coan_parameters(9, 3)
         with pytest.raises(ConfigurationError):
             chor_coan_parameters(64, 5, alpha=0)
-        with pytest.raises(ConfigurationError):
-            chor_coan_parameters(64, 5, group_size_factor=0)
 
     @pytest.mark.parametrize("adversary", ["null", "coin-attack", "static", "equivocate"])
     def test_agreement_under_adversaries(self, adversary):

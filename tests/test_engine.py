@@ -80,12 +80,6 @@ class TestSelectEngine:
         # The one remaining unmodelled pair: the equivocator's staggered
         # corruption breaks EIG's fixed-honest-set tree recurrence.
         assert select_engine("eig", "equivocate") == "object"
-        # Pairs with a real lever fall back when options leave the kernel's
-        # modelled set.
-        assert select_engine("committee-ba", "equivocate",
-                             adversary_kwargs={"corrupt_per_phase": 2}) == "object"
-        assert select_engine("rabin", "silent",
-                             adversary_kwargs={"targets": [3]}) == "object"
 
     def test_inapplicable_pairs_dispatch_to_the_exact_null_behaviour(self):
         # Strategies with no lever on a protocol (no shares to straddle or
@@ -128,10 +122,6 @@ class TestSelectEngine:
 
     def test_object_only_options_disable_the_fast_path(self):
         assert not vectorizable("committee-ba", "coin-attack", max_rounds=100)
-        assert not vectorizable("committee-ba", "silent",
-                                adversary_kwargs={"targets": [1, 2]})
-        assert not vectorizable("chor-coan", "coin-attack",
-                                protocol_kwargs={"group_size_factor": 2.0})
         assert not vectorizable("rabin", "silent", max_rounds=100)
         # Ben-Or's kernel honours an explicit round cap (its runs are
         # censored), so a custom max_rounds stays on the fast path.
@@ -148,9 +138,6 @@ class TestSelectEngine:
     def test_forcing_vectorized_on_unsupported_config_raises(self):
         with pytest.raises(ConfigurationError):
             select_engine("eig", "equivocate", engine="vectorized")
-        with pytest.raises(ConfigurationError):
-            select_engine("committee-ba", "equivocate", engine="vectorized",
-                          adversary_kwargs={"corrupt_per_phase": 2})
 
     @pytest.mark.parametrize("name", ["warp", "vectorized-mp", "object-mp"])
     def test_unknown_engine_rejected(self, name):
@@ -198,19 +185,6 @@ class TestRunSweep:
                 run_sweep(13, 3, adversary="straddle", trials=1, engine=engine)
         with pytest.raises(ConfigurationError, match="'none'"):
             run_vectorized_trials(13, 3, adversary="none", trials=1)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"protocol_kwargs": {"alpha": 2.0}},
-        {"protocol_kwargs": {"phases_factor": 2.0}},
-        {"adversary_kwargs": {"targets": [0]}},
-    ])
-    def test_constructor_kwargs_run_on_the_object_family(self, kwargs):
-        # Protocol and adversary kwargs are object-only, whatever they name.
-        for protocol in ("committee-ba", "rabin", "ben-or", "sampling-majority"):
-            assert not vectorizable(protocol, "silent", **kwargs), protocol
-            assert select_engine(protocol, "silent", **kwargs) == "object"
-        sweep = run_sweep(13, 3, protocol="rabin", adversary="silent", trials=2, **kwargs)
-        assert sweep.engine == "object"
 
     @pytest.mark.parametrize("max_rounds", [1, 3])
     def test_odd_round_caps_are_never_overshot(self, max_rounds):
@@ -268,11 +242,9 @@ class TestRunSweep:
     def test_params_override_requires_the_vectorized_engine(self):
         params = ProtocolParameters.derive(19, 3)
         with pytest.raises(ConfigurationError):
-            # Adversary kwargs force the object path, which cannot honour a
-            # committee-geometry override.
+            # The object path cannot honour a committee-geometry override.
             run_sweep(19, 3, protocol="committee-ba", adversary="equivocate",
-                      trials=2, params=params,
-                      adversary_kwargs={"corrupt_per_phase": 2})
+                      trials=2, params=params, engine="object")
         with pytest.raises(ConfigurationError):
             # phase-king vectorises but its kernel has no params= support.
             run_sweep(17, 4, protocol="phase-king", adversary="static",

@@ -51,14 +51,12 @@ class TestEarlyTermination:
                 AgreementExperiment(
                     n=n, t=declared_t, protocol="committee-ba", adversary="coin-attack",
                     inputs="split",
-                    adversary_kwargs={"spend_limit_per_phase": None},
                 ),
                 num_trials=4, base_seed=50 + q,
             ) if q == declared_t else run_trials(
                 AgreementExperiment(
                     n=n, t=declared_t, protocol="committee-ba",
                     adversary="coin-attack", inputs="split",
-                    adversary_kwargs={"spend_limit_per_phase": None},
                 ),
                 num_trials=4, base_seed=50 + q,
             )

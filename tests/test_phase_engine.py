@@ -369,13 +369,9 @@ class TestSharedInputPatterns:
         assert input_list(6, "split", RandomnessSource(0)) == [0, 0, 0, 1, 1, 1]
         assert input_row(7, "split", trial_generator(0, 0)).tolist() == [0, 0, 0, 1, 1, 1, 1]
 
-    def test_explicit_lists_and_unknown_patterns(self):
-        randomness = RandomnessSource(0)
-        assert input_list(3, [1, 0, 1], randomness) == [1, 0, 1]
+    def test_unknown_patterns_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            input_list(3, [1, 0], randomness)
-        with pytest.raises(ConfigurationError):
-            input_list(3, "diagonal", randomness)
+            input_list(3, "diagonal", RandomnessSource(0))
         with pytest.raises(ConfigurationError):
             input_row(3, "diagonal", trial_generator(0, 0))
 

@@ -9,7 +9,6 @@ from repro.simulator.rng import (
     RandomnessSource,
     fair_bit,
     fair_sign,
-    random_inputs,
     split_inputs,
     unanimous_inputs,
 )
@@ -88,10 +87,3 @@ class TestInputPatterns:
         assert unanimous_inputs(3, 0) == [0] * 3
         with pytest.raises(ValueError):
             unanimous_inputs(3, 2)
-
-    def test_random_inputs_respects_fraction_bounds(self, randomness):
-        rng = randomness.environment_stream()
-        inputs = random_inputs(500, rng, ones_fraction=0.9)
-        assert 350 <= sum(inputs) <= 500
-        with pytest.raises(ValueError):
-            random_inputs(10, rng, ones_fraction=1.5)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.inputs import input_list
 from repro.core.runner import (
     ADVERSARIES,
     INPUT_PATTERNS,
     PROTOCOLS,
     AgreementExperiment,
-    build_inputs,
     default_max_rounds,
     run_agreement,
     run_trials,
@@ -44,22 +44,13 @@ class TestInputs:
     def test_every_named_pattern_builds(self):
         randomness = RandomnessSource(1)
         for pattern in INPUT_PATTERNS:
-            inputs = build_inputs(12, pattern, randomness)
+            inputs = input_list(12, pattern, randomness)
             assert len(inputs) == 12
             assert set(inputs) <= {0, 1}
 
-    def test_explicit_inputs_pass_through(self):
-        randomness = RandomnessSource(1)
-        assert build_inputs(3, [1, 0, 1], randomness) == [1, 0, 1]
-
-    def test_explicit_inputs_validated(self):
-        randomness = RandomnessSource(1)
+    def test_unknown_pattern_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_inputs(3, [1, 0], randomness)
-        with pytest.raises(ConfigurationError):
-            build_inputs(3, [1, 0, 2], randomness)
-        with pytest.raises(ConfigurationError):
-            build_inputs(3, "diagonal", randomness)
+            input_list(3, "diagonal", RandomnessSource(1))
 
 
 class TestDefaults:
@@ -75,6 +66,15 @@ class TestDefaults:
         with pytest.raises(ConfigurationError):
             run_agreement(n=10, t=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_rounds": 0},
+        {"max_rounds": -3, "allow_timeout": True},
+    ])
+    def test_round_caps_below_one_are_configuration_errors(self, kwargs):
+        # The same check as run_sweep and SweepPoint, before any node runs.
+        with pytest.raises(ConfigurationError, match="max_rounds must be >= 1"):
+            run_agreement(13, 3, **kwargs)
+
 
 class TestRunAgreement:
     def test_result_extras_populated(self):
@@ -88,13 +88,15 @@ class TestRunAgreement:
         large = run_agreement(n=30, t=5, adversary="null", inputs="split", seed=0, alpha=8.0)
         assert large.extra["params"].num_phases >= small.extra["params"].num_phases
 
-    def test_adversary_instance_can_be_passed_directly(self):
-        from repro.adversary.strategies.coin_attack import CoinAttackAdversary
-
-        adversary = CoinAttackAdversary(4)
-        result = run_agreement(n=20, t=4, adversary=adversary, inputs="split", seed=0)
-        assert result.agreement
-        assert result.adversary_name == "coin-attack"
+    def test_alpha_is_ignored_without_committees(self):
+        # As on the fast path: only the committee-BA and Chor-Coan geometry
+        # reads alpha.
+        for protocol in ("phase-king", "eig", "sampling-majority"):
+            plain = run_agreement(n=13, t=3, protocol=protocol, seed=4)
+            tuned = run_agreement(n=13, t=3, protocol=protocol, seed=4, alpha=2.0)
+            assert (tuned.rounds, tuned.decision, tuned.message_count) == (
+                plain.rounds, plain.decision, plain.message_count
+            ), protocol
 
     def test_rabin_nodes_share_the_dealer_seed(self):
         result = run_agreement(n=13, t=3, protocol="rabin", adversary="equivocate",

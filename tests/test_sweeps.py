@@ -153,6 +153,13 @@ class TestSpec:
             SweepSpec(**{**spec, **spec_field})
         assert str(spec_error.value) == str(point_error.value)
 
+    def test_a_point_holds_every_run_configuration_field(self):
+        # A run is its named fields, so every configuration run_sweep accepts
+        # can be a stored sweep point.
+        point_fields = {field.name for field in dataclasses.fields(SweepPoint)}
+        run_fields = {field.name for field in dataclasses.fields(AgreementExperiment)}
+        assert point_fields == run_fields | {"trials", "base_seed"}
+
     def test_point_validates_against_registries(self):
         with pytest.raises(ConfigurationError):
             SweepPoint(protocol="warp", adversary="null", inputs="split",

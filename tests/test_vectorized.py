@@ -9,10 +9,11 @@ import pytest
 from repro.adversary.kernels import ADVERSARY_PLANE_KERNELS
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
+from repro.core.runner import AgreementExperiment, TrialsResult, default_max_rounds, run_trials
 from repro.exceptions import ConfigurationError
 from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
 from repro.simulator.vectorized import (
+    PHASE_PROTOCOLS,
     VectorizedAgreementSimulator,
     batch_setup,
     build_vectorized_simulator,
@@ -27,8 +28,10 @@ def _sweep(n, t, **kwargs):
 
 def _simulator(n=64, t=8, adversary="coin-attack", las_vegas=True, alpha=4.0):
     params = ProtocolParameters.derive(n, t, alpha)
-    return VectorizedAgreementSimulator(n=n, t=t, params=params, adversary=adversary,
-                                        las_vegas=las_vegas)
+    return VectorizedAgreementSimulator(
+        n=n, t=t, params=params, adversary=adversary, las_vegas=las_vegas,
+        max_phases=default_max_rounds("committee-ba-las-vegas", n, t) // 2,
+    )
 
 
 class TestVectorizedEngine:
@@ -73,11 +76,21 @@ class TestVectorizedEngine:
     def test_bounded_variant_stops_at_schedule(self):
         params = ProtocolParameters.derive(64, 8)
         simulator = VectorizedAgreementSimulator(n=64, t=8, params=params,
-                                                 adversary="coin-attack", las_vegas=False)
+                                                 adversary="coin-attack", las_vegas=False,
+                                                 max_phases=params.num_phases)
         streams = TrialStreams.of([np.random.default_rng(3)])
         result = simulator.run(np.array([0] * 32 + [1] * 32, dtype=np.int8), streams)
         assert result.phases <= params.num_phases
         assert result.rounds == 2 * result.phases
+
+    @pytest.mark.parametrize(
+        "protocol", [name for name, (_, las_vegas) in PHASE_PROTOCOLS.items() if las_vegas]
+    )
+    @pytest.mark.parametrize("n,t", [(13, 3), (256, 85), (2000, 250)])
+    def test_las_vegas_cap_is_the_object_runners(self, protocol, n, t):
+        # One cap per protocol: both families time out at the same phase.
+        simulator = build_vectorized_simulator(n, t, protocol=protocol, adversary="null")
+        assert simulator.max_phases == default_max_rounds(protocol, n, t) // 2
 
     def test_message_counts_scale_with_n_squared(self):
         small = _sweep(64, 4, trials=3, seed=0, adversary="null", inputs="unanimous-1")

@@ -4,10 +4,14 @@ A code line is a source line that holds a token other than a comment or a
 line break, and is not part of a module, class or function docstring.  Blank
 lines, comment lines and docstrings are dropped; every other line of every
 ``.py`` file under the package counts once.  Simplification changes report
-this total before and after; run it from the root of a checkout, whose
+these counts before and after; run it from the root of a checkout, whose
 ``src/repro`` it counts::
 
     python tools/code_lines.py
+
+It prints one ``<package> <code lines>`` row per top-level entry of the
+package (``repro`` for its own modules, ``repro.<name>`` for each subpackage)
+and then the total alone on the last line.
 """
 
 from __future__ import annotations
@@ -59,7 +63,15 @@ def main() -> int:
     root = Path("src/repro")
     if not root.is_dir():
         raise SystemExit(f"error: no {root} here; run from the root of a checkout")
-    print(sum(code_lines(path) for path in sorted(root.rglob("*.py"))))
+    counts: dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).parts
+        package = "repro" if len(parts) == 1 else f"repro.{parts[0]}"
+        counts[package] = counts.get(package, 0) + code_lines(path)
+    width = max(map(len, counts))
+    for package in sorted(counts):
+        print(f"{package:<{width}} {counts[package]:>5}")
+    print(sum(counts.values()))
     return 0
 
 
