@@ -4,9 +4,9 @@ The masked communication path replaces the global boolean tallies with
 per-recipient contractions against the adjacency / delivered-edge masks, so
 it costs more than the historical clique path — the question is how much.
 The ``AdjacencyCounter`` keeps the loss-free answer small by choosing its
-strategy from the mask's density (complement segment sums on near-complete
-graphs, direct segment sums on sparse ones, an AND+popcount word tally in
-between); the lossy path tallies each round's delivered masks as words
+strategy from the mask (row totals on the complete graph, direct segment
+sums on sparse ones, an AND+popcount word tally on every other mask); the
+lossy path tallies each round's delivered masks as words
 (``PackedDeliveredChannel``).  This benchmark pins the result three ways:
 
 * an **all-True adjacency** (the masked path on a clique-equal graph) must

@@ -167,10 +167,6 @@ class Adversary(ABC):
             )
         self.corrupted |= fresh
 
-    def reset(self) -> None:
-        """Forget all corruptions (used when the same adversary object is reused)."""
-        self.corrupted = set()
-
 
 class NullAdversary(Adversary):
     """An adversary that never corrupts anyone.

@@ -229,21 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "later (resumed) invocation")
     sweep_run.add_argument("--quiet", action="store_true",
                            help="suppress the per-point progress lines")
-    # A spec's 'adaptive' block, or any of the next three overrides, selects
-    # the precision-targeted adaptive executor.
-    sweep_run.add_argument("--precision", type=float, default=None,
-                           help="target CI width: batches keep running until "
-                                "every point's agreement Wilson width AND "
-                                "relative mean-rounds CI width are below this "
-                                "(overrides the spec's own target)")
-    sweep_run.add_argument("--max-trials", type=int, default=None,
-                           dest="max_trials",
-                           help="adaptive per-point trial ceiling (overrides "
-                                "the spec; needs a precision target)")
-    sweep_run.add_argument("--batch", type=int, default=None,
-                           help="adaptive batch size (overrides the spec; "
-                                "default: the spec's initial trials; needs a "
-                                "precision target)")
     sweep_run.add_argument("--trace", action="store_true",
                            help="record a span/counter telemetry trace and "
                                 "export it as JSONL (also: REPRO_TRACE=1; "
@@ -481,9 +466,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 0
     if args.sweep_command == "run":
         tracer = _cli_tracer(args.trace, "sweep-run")
-        overrides = (args.precision, args.max_trials, args.batch)
-        adaptive = spec.adaptive or any(value is not None for value in overrides)
-        if adaptive:
+        if spec.adaptive:
             def batch_progress(outcome, batches):
                 if not args.quiet:
                     state = "converged" if outcome.converged else "open"
@@ -498,9 +481,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                                  adaptive=True):
                     report = run_adaptive(
                         spec, store=store, engine=args.engine,
-                        precision=args.precision, max_trials=args.max_trials,
-                        batch_size=args.batch, workers=args.workers,
-                        limit=args.limit,
+                        workers=args.workers, limit=args.limit,
                         progress=batch_progress,
                     )
             print(report.summary_line())

@@ -61,7 +61,6 @@ from repro.baselines.kernels.sampling_majority import (
     SAMPLING_HOOKS,
     run_sampling_majority_trials,
 )
-from repro.core.parameters import ProtocolParameters
 from repro.core.runner import (
     ADVERSARIES,
     PROTOCOLS,
@@ -112,8 +111,9 @@ class KernelSpec:
             explicitly in the engine tables.
         exact: Adversary names whose kernel runs are bit-identical to the
             object simulator (everything else is statistically validated).
-        supports_params: Kernel accepts a committee-geometry override
-            (``params=``) and an ``alpha`` kwarg.
+        supports_alpha: Kernel sizes its committees from ``alpha`` (the
+            committee coin), so a run's ``alpha`` is forwarded to it; the
+            other kernels have no committees to size and never receive it.
         supports_max_rounds: Kernel honours an explicit round cap
             (timed-out trials are reported, not mis-simulated).
         supports_topology: Kernel accepts ``adjacency``/``loss`` kwargs (the
@@ -134,7 +134,7 @@ class KernelSpec:
     adversaries: frozenset[str] = field(init=False)
     inapplicable: frozenset[str] = field(init=False)
     exact: frozenset[str] = frozenset()
-    supports_params: bool = False
+    supports_alpha: bool = False
     supports_max_rounds: bool = False
     supports_topology: bool = False
     supports_backend: bool = False
@@ -173,7 +173,7 @@ PROTOCOL_KERNELS: dict[str, KernelSpec] = {
                 {"null", "silent", "static", "equivocate", "committee-targeting"}
                 if coin == "dealer" else ()
             ),
-            supports_params=coin == "committee",
+            supports_alpha=coin == "committee",
             supports_max_rounds=coin == "private",
             supports_topology=True,
             supports_backend=True,
@@ -322,7 +322,6 @@ def _run_vectorized_sweep(
     experiment: AgreementExperiment,
     trials: int,
     base_seed: int,
-    params: ProtocolParameters | None,
     trial_offset: int = 0,
     backend: str | PlaneBackend | None = None,
 ) -> list[TrialSummary]:
@@ -334,10 +333,8 @@ def _run_vectorized_sweep(
     """
     spec = PROTOCOL_KERNELS[experiment.protocol]
     kwargs: dict[str, Any] = {}
-    if spec.supports_params:
-        kwargs["params"] = params
-        if experiment.alpha is not None:
-            kwargs["alpha"] = experiment.alpha
+    if spec.supports_alpha and experiment.alpha is not None:
+        kwargs["alpha"] = experiment.alpha
     if spec.supports_max_rounds and experiment.max_rounds is not None:
         kwargs["max_rounds"] = experiment.max_rounds
     # Backends are bit-identical, so the choice is pure execution policy:
@@ -376,7 +373,6 @@ def _run_range(
     family: str,
     experiment: AgreementExperiment,
     base_seed: int,
-    params: ProtocolParameters | None,
     backend: str | PlaneBackend | None,
     offset: int,
     count: int,
@@ -394,11 +390,11 @@ def _run_range(
         shard, path = trace
         tracer = Tracer(run_id=f"shard-{shard}", shard=shard)
         with activate(tracer), tracer.span("sweep.shard", offset=offset, trials=count):
-            rows = _run_range(family, experiment, base_seed, params, backend, offset, count)
+            rows = _run_range(family, experiment, base_seed, backend, offset, count)
         write_trace(tracer, path)
         return rows
     if family == "vectorized":
-        return _run_vectorized_sweep(experiment, count, base_seed, params, offset, backend)
+        return _run_vectorized_sweep(experiment, count, base_seed, offset, backend)
     # The object family's global counter is the master seed itself: trial k
     # runs on seed base_seed + k.
     first = base_seed + offset
@@ -410,7 +406,6 @@ def _run_sharded(
     experiment: AgreementExperiment,
     trials: int,
     base_seed: int,
-    params: ProtocolParameters | None,
     backend: str | PlaneBackend | None,
     trial_offset: int,
     processes: int,
@@ -437,7 +432,7 @@ def _run_sharded(
         else (shard, os.path.join(child_dir, f"shard-{shard:03d}.jsonl"))
         for shard in range(len(starts))
     ]
-    run = partial(_run_range, family, experiment, base_seed, params, backend)
+    run = partial(_run_range, family, experiment, base_seed, backend)
     try:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(
@@ -471,7 +466,6 @@ def run_sweep(
     alpha: float | None = None,
     engine: str = "auto",
     workers: int | None = None,
-    params: ProtocolParameters | None = None,
     max_rounds: int | None = None,
     allow_timeout: bool = False,
     topology: str = "clique",
@@ -494,9 +488,6 @@ def run_sweep(
             trial range over ``min(k, trials)`` processes, and ``None`` keeps
             vectorized sweeps in-process and spreads large object sweeps over
             every CPU.  Results never depend on it.
-        params: Committee-geometry override for the committee-family kernels
-            (used by E3 to decouple the declared ``t`` from the attack
-            budget).
         trials: Number of independent trials; trial ``k`` uses master seed
             ``base_seed + k`` (object family) or Philox key
             ``(base_seed, k)`` (vectorised kernels).
@@ -561,15 +552,6 @@ def run_sweep(
             loss=experiment.loss,
         )
         processes = _pool_size(family, trials, experiment.n, workers)
-    if params is not None and (
-        family != "vectorized"
-        or not PROTOCOL_KERNELS[experiment.protocol].supports_params
-    ):
-        raise ConfigurationError(
-            "a committee-geometry override (params=) requires a vectorized "
-            "committee-family kernel"
-        )
-
     tracer.count(
         "dispatch.kernel_path" if family == "vectorized" else "dispatch.object_path"
     )
@@ -583,11 +565,11 @@ def run_sweep(
     ):
         if processes == 1:
             summaries = _run_range(
-                family, experiment, base_seed, params, backend, trial_offset, trials
+                family, experiment, base_seed, backend, trial_offset, trials
             )
         else:
             summaries = _run_sharded(
-                family, experiment, trials, base_seed, params, backend,
+                family, experiment, trials, base_seed, backend,
                 trial_offset, processes,
             )
     return TrialsResult(experiment=experiment, trials=summaries, engine=family)

@@ -16,8 +16,10 @@ with ``q`` and be essentially independent of the declared ``t``.
 from __future__ import annotations
 
 from repro.core.parameters import ProtocolParameters
-from repro.engine import run_sweep
+from repro.core.runner import AgreementExperiment, TrialsResult
+from repro.exceptions import SimulationError
 from repro.metrics.reporting import ExperimentReport
+from repro.simulator.vectorized import run_vectorized_trials
 
 QUICK_CONFIG = (256, 64, [0, 4, 8, 16, 32, 64], 8)
 FULL_CONFIG = (1024, 250, [0, 8, 16, 32, 64, 125, 250], 20)
@@ -38,13 +40,20 @@ def run(quick: bool = True) -> ExperimentReport:
     )
     report.add_note("the adversary is the greedy straddle attack limited to budget q")
     for q in q_values:
-        # Budget-limited adversary: run with t=q for the attack while keeping
-        # the declared committee geometry of t (the params= override).
-        result = run_sweep(
-            n, q, protocol="committee-ba-las-vegas",
+        # Budget-limited adversary: the kernel runs with t=q for the attack
+        # while params keeps the committee geometry of the declared t, a
+        # pair no AgreementExperiment, and so no run_sweep, can name.
+        experiment = AgreementExperiment(
+            n=n, t=q, protocol="committee-ba-las-vegas",
             adversary="coin-attack" if q > 0 else "null", inputs="split",
-            trials=trials, base_seed=7 + q, params=params,
         )
+        rows = run_vectorized_trials(
+            n, q, protocol=experiment.protocol, adversary=experiment.adversary,
+            inputs=experiment.inputs, trials=trials, seed=7 + q, params=params,
+        )
+        if any(row.timed_out for row in rows):
+            raise SimulationError(f"E3 at q={q} exceeded its round cap")
+        result = TrialsResult(experiment, rows, engine="vectorized")
         report.add_row(
             {
                 "q": q,

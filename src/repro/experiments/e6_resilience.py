@@ -40,8 +40,10 @@ ADVERSARIES = ["null", "silent", "static", "random-noise", "equivocate",
                "coin-attack", "committee-targeting", "crash"]
 INPUTS = ["split", "unanimous-0", "unanimous-1"]
 
-#: The quick matrix is also available as the declarative library spec
-#: ``e6-quick`` (``repro sweep run e6-quick``), cached in the sweep store.
+#: The library spec ``e6-quick`` (``repro sweep run e6-quick``) runs the
+#: quick matrix's configurations, but it seeds each point by its grid index
+#: on the engine ``auto`` picks, where this module seeds ``6000 + 31 t +
+#: len(inputs)`` on the object family, so its numbers are not this table's.
 QUICK_CONFIG = (19, 3)
 FULL_CONFIG = (46, 6)
 

@@ -29,10 +29,12 @@ from repro.core.runner import AgreementExperiment
 from repro.engine import run_sweep
 from repro.metrics.reporting import ExperimentReport
 
-#: (n, default t, trials per protocol).  The committee-family rows of the
-#: quick landscape are also available as the declarative library spec
-#: ``e9-quick`` (``repro sweep run e9-quick``); the censored baselines
-#: (ben-or/eig/sampling) keep their bespoke caps here.
+#: (n, default t, trials per protocol).  The library spec ``e9-quick``
+#: (``repro sweep run e9-quick``) runs the configurations of the quick
+#: landscape's committee-family rows, but it seeds each point by its grid
+#: index, where row ``j`` here seeds at ``9000 + 100 j``, so its numbers are
+#: not this table's; the censored baselines (ben-or/eig/sampling) keep their
+#: bespoke caps here.
 QUICK_CONFIG = (13, 3, 4)
 FULL_CONFIG = (512, 64, 48)
 

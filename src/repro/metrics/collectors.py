@@ -7,8 +7,6 @@ fields.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.runner import TrialsResult
 from repro.simulator.scheduler import RunResult
 
@@ -48,8 +46,3 @@ def collect_trials_metrics(trials: TrialsResult) -> dict[str, object]:
     }
     row.update(trials.summary())
     return row
-
-
-def collect_sweep_rows(sweeps: Iterable[TrialsResult]) -> list[dict[str, object]]:
-    """Aggregate rows for a sweep of experiments (one row per configuration)."""
-    return [collect_trials_metrics(trials) for trials in sweeps]

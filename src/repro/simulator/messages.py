@@ -252,8 +252,3 @@ def group_by_recipient(messages: list[Message]) -> dict[int, list[Message]]:
     for message in messages:
         inboxes.setdefault(message.recipient, []).append(message)
     return inboxes
-
-
-def total_bits(messages: list[Message]) -> int:
-    """Sum of CONGEST bit costs over a list of messages."""
-    return sum(message.bit_size() for message in messages)

@@ -183,9 +183,8 @@ class PhaseEngine:
         coin: One of :data:`COIN_SOURCES`.
         las_vegas: When True the protocol cycles phases until termination
             (capped at ``max_phases``, excess trials reported timed out);
-            when False it stops after ``num_phases`` and decides by
+            when False it stops after ``params.num_phases`` and decides by
             exhaustion.
-        num_phases: Bounded-variant phase schedule.
         max_phases: Hard cap for Las Vegas runs.
         dealer_seeds: Per-trial public dealer seeds (required for the dealer
             coin; the object runner hands each trial its master seed).
@@ -212,7 +211,6 @@ class PhaseEngine:
     params: ProtocolParameters
     coin: str
     las_vegas: bool
-    num_phases: int
     max_phases: int
     dealer_seeds: Sequence[int] | None = None
     adjacency: np.ndarray | None = None
@@ -290,7 +288,7 @@ class PhaseEngine:
         batch0, n = inputs.shape
         t = self.t
         quorum = n - t
-        phase_cap = self.max_phases if self.las_vegas else self.num_phases
+        phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
 
         masked = self.adjacency is not None or self.loss > 0.0
         choice = self.backend
@@ -607,7 +605,7 @@ class PhaseEngine:
                 active.xor_where(finishing)  # finishing is a subset of active
 
             # Bounded variant: decide by exhaustion after the last phase.
-            if not self.las_vegas and phase >= self.num_phases:
+            if not self.las_vegas and phase >= self.params.num_phases:
                 output.blend_plane(value, active)
                 active.fill_false()
 

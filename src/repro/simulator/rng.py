@@ -87,18 +87,6 @@ class RandomnessSource:
         """
         return self._stream(_NETWORK_DOMAIN, 0)
 
-    def spawn(self, offset: int) -> "RandomnessSource":
-        """Derive a related but independent source (used for multi-trial sweeps).
-
-        Args:
-            offset: Trial index or similar discriminator.
-        """
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative, got {offset}")
-        # Mix the offset into the seed through a fixed odd multiplier to keep
-        # consecutive trial seeds far apart in the Philox key space.
-        return RandomnessSource(self._seed + (offset + 1) * 0x9E3779B1)
-
 
 def fair_sign(rng: np.random.Generator) -> int:
     """Draw a uniform value from ``{-1, +1}`` (one fair coin flip).

@@ -145,8 +145,6 @@ class SynchronousScheduler:
         context: Protocol metadata shared with the adversary (committee
             partition, phase schedule, ...).
         collect_trace: Whether to record a per-round :class:`ExecutionTrace`.
-        congest_factor: Per-edge bandwidth budget multiplier
-            (see :class:`repro.simulator.congest.CongestModel`).
         strict_congest: Raise on CONGEST violations instead of recording them.
         allow_timeout: Return a timed-out :class:`RunResult` instead of
             raising when ``max_rounds`` is reached.
@@ -169,7 +167,6 @@ class SynchronousScheduler:
         max_rounds: int | None = None,
         context: Mapping[str, Any] | None = None,
         collect_trace: bool = False,
-        congest_factor: int = 8,
         strict_congest: bool = False,
         allow_timeout: bool = False,
         adjacency: np.ndarray | None = None,
@@ -209,7 +206,7 @@ class SynchronousScheduler:
             self._topology_drops = sample_drops(self.adjacency, 0.0, self.n, None)
         self.network = CompleteNetwork(
             n=self.n,
-            congest=CongestModel(n=self.n, congest_factor=congest_factor, strict=strict_congest),
+            congest=CongestModel(n=self.n, strict=strict_congest),
         )
         self.trace = ExecutionTrace() if collect_trace else None
 

@@ -367,7 +367,6 @@ class VectorizedAgreementSimulator:
             params=self.params,
             coin=self.coin,
             las_vegas=self.las_vegas,
-            num_phases=self.params.num_phases,
             max_phases=self.max_phases,
             dealer_seeds=dealer_seeds,
             adjacency=self.adjacency,

@@ -15,7 +15,6 @@ from repro.sweeps.adaptive import (
     BatchOutcome,
     PointEstimate,
     PrecisionTargets,
-    adaptive_keys,
     adaptive_plan_table,
     adaptive_report_rows,
     adaptive_status,
@@ -71,7 +70,6 @@ __all__ = [
     "SweepRunReport",
     "SweepSpec",
     "adaptive_key",
-    "adaptive_keys",
     "adaptive_plan_table",
     "adaptive_record",
     "adaptive_report_rows",

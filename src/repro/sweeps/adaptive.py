@@ -61,8 +61,8 @@ from repro.sweeps.executor import _PointState, _run_batches, spec_keys
 from repro.sweeps.spec import SweepPoint, SweepSpec
 from repro.sweeps.store import ResultsStore, adaptive_key, adaptive_record
 
-#: Default per-point ceiling, in batches, when neither the spec nor the
-#: caller sets ``max_trials`` explicitly.
+#: Default per-point ceiling, in batches, when the spec sets no
+#: ``max_trials``.
 DEFAULT_CEILING_BATCHES = 64
 
 #: Per-batch progress callback: ``(outcome, batches_so_far)``.
@@ -71,61 +71,38 @@ AdaptiveProgress = Callable[["BatchOutcome", int], None]
 
 @dataclass(frozen=True)
 class PrecisionTargets:
-    """The resolved stopping rule of one adaptive invocation."""
+    """The resolved stopping rule of an adaptive spec."""
 
     precision: float
     batch_size: int
     max_trials: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.precision < 1.0:
-            raise ConfigurationError(
-                f"precision must lie in (0, 1), got {self.precision}"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be positive, got {self.batch_size}"
-            )
-        if self.max_trials < 1:
-            raise ConfigurationError(
-                f"max_trials must be positive, got {self.max_trials}"
-            )
 
-
-def resolve_targets(
-    spec: SweepSpec,
-    *,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
-) -> PrecisionTargets:
-    """Resolve the stopping rule: explicit overrides > spec fields > defaults.
+def resolve_targets(spec: SweepSpec) -> PrecisionTargets:
+    """The spec's stopping rule, with its defaults filled in.
 
     The spec's ``trials`` is the initial batch every point receives;
     ``batch_size`` defaults to it, and ``max_trials`` defaults to
-    :data:`DEFAULT_CEILING_BATCHES` batches.
+    :data:`DEFAULT_CEILING_BATCHES` batches.  :class:`SweepSpec` has already
+    checked every field the spec sets.
     """
-    chosen_precision = precision if precision is not None else spec.precision
-    if chosen_precision is None:
+    if spec.precision is None:
         raise ConfigurationError(
             f"spec {spec.name!r} has no precision target; set the spec's "
-            "'adaptive' block or pass --precision"
+            "'adaptive' block"
         )
-    chosen_batch = batch_size if batch_size is not None else spec.batch_size
-    if chosen_batch is None:
-        chosen_batch = spec.trials
-    chosen_ceiling = max_trials if max_trials is not None else spec.max_trials
-    if chosen_ceiling is None:
-        chosen_ceiling = DEFAULT_CEILING_BATCHES * chosen_batch
-    if chosen_ceiling < spec.trials:
-        raise ConfigurationError(
-            f"max_trials ({chosen_ceiling}) must be >= the initial "
-            f"trials ({spec.trials})"
-        )
+    batch_size = spec.batch_size if spec.batch_size is not None else spec.trials
+    max_trials = spec.max_trials
+    if max_trials is None:
+        max_trials = DEFAULT_CEILING_BATCHES * batch_size
+        if max_trials < spec.trials:
+            raise ConfigurationError(
+                f"the default ceiling of {DEFAULT_CEILING_BATCHES} batches "
+                f"({max_trials} trials) is below the initial trials "
+                f"({spec.trials}); set the spec's max_trials"
+            )
     return PrecisionTargets(
-        precision=float(chosen_precision),
-        batch_size=int(chosen_batch),
-        max_trials=int(chosen_ceiling),
+        precision=spec.precision, batch_size=batch_size, max_trials=max_trials,
     )
 
 
@@ -248,26 +225,11 @@ class AdaptiveRunReport:
         )
 
 
-def adaptive_keys(
-    spec: SweepSpec, *, engine: str | None = None
-) -> list[tuple[SweepPoint, str]]:
-    """Expand a spec and compute each point's trials-independent adaptive key.
-
-    :func:`repro.sweeps.executor.spec_keys` with :func:`adaptive_key` — the
-    key depends on the result *family* that would run the point, never on
-    its process count or trial count.
-    """
-    return spec_keys(spec, engine=engine, key=adaptive_key)
-
-
 def run_adaptive(
     spec: SweepSpec,
     *,
     store: ResultsStore,
     engine: str | None = None,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
     workers: int | None = None,
     limit: int | None = None,
     progress: AdaptiveProgress | None = None,
@@ -278,8 +240,6 @@ def run_adaptive(
         store: Results store; each point's accumulated record is read on
             entry (resume) and appended after every completed batch.
         engine: Engine override (defaults to the spec's own choice).
-        precision / max_trials / batch_size: Stopping-rule overrides
-            (defaults: the spec's adaptive block, see :func:`resolve_targets`).
         workers: Execution policy, forwarded to
             :func:`repro.engine.run_sweep`; results never depend on it.
         limit: Execute at most this many *batches* (``>= 0``), leaving the
@@ -294,9 +254,7 @@ def run_adaptive(
         durable in the store.
     """
     started = time.perf_counter()
-    targets = resolve_targets(
-        spec, precision=precision, max_trials=max_trials, batch_size=batch_size,
-    )
+    targets = resolve_targets(spec)
     requested = engine if engine is not None else spec.engine
 
     def estimate(state: _PointState) -> PointEstimate:
@@ -363,15 +321,9 @@ def adaptive_status(
     *,
     store: ResultsStore,
     engine: str | None = None,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
 ) -> AdaptiveRunReport:
     """Precision coverage of ``spec`` in ``store``: a run with a zero budget."""
-    return run_adaptive(
-        spec, store=store, engine=engine, precision=precision,
-        max_trials=max_trials, batch_size=batch_size, limit=0,
-    )
+    return run_adaptive(spec, store=store, engine=engine, limit=0)
 
 
 def adaptive_report_rows(
@@ -379,19 +331,13 @@ def adaptive_report_rows(
     *,
     store: ResultsStore,
     engine: str | None = None,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
 ) -> list[dict[str, Any]]:
     """Result table of an adaptive spec, read entirely from the store.
 
     One row per point with the accumulated trial count and both intervals;
     uncomputed points appear with empty measurement cells.
     """
-    report = adaptive_status(
-        spec, store=store, engine=engine, precision=precision,
-        max_trials=max_trials, batch_size=batch_size,
-    )
+    report = adaptive_status(spec, store=store, engine=engine)
     rows = []
     for estimate in report.estimates:
         point = estimate.point
@@ -431,7 +377,7 @@ def adaptive_plan_table(spec: SweepSpec) -> list[dict[str, Any]]:
     """
     targets = resolve_targets(spec)
     rows = []
-    for index, (point, key) in enumerate(adaptive_keys(spec)):
+    for index, (point, key) in enumerate(spec_keys(spec, key=adaptive_key)):
         rows.append(
             {
                 "#": index,
@@ -474,7 +420,6 @@ __all__ = [
     "DEFAULT_CEILING_BATCHES",
     "PointEstimate",
     "PrecisionTargets",
-    "adaptive_keys",
     "adaptive_plan_table",
     "adaptive_report_rows",
     "adaptive_status",

@@ -1,12 +1,14 @@
 """Named scenario specs — the sweep library.
 
 Curated :class:`~repro.sweeps.spec.SweepSpec` instances runnable by name
-(``repro sweep run <name>``).  Four entries re-express the quick grids of the
-E1/E5/E6/E9 experiment modules as declarative specs; the rest are
-cross-protocol scenario grids the E1–E10 suite does not cover.  The table
-rendered by :func:`markdown_library_table` is embedded in ``docs/sweeps.md``
-between ``<!-- sweeps:library:begin/end -->`` markers and kept drift-free by
-``tests/test_docs.py`` (the same pattern as ``repro engines --markdown``).
+(``repro sweep run <name>``).  Two entries re-express the quick grids of the
+E1 and E5 experiment modules, points and seeds alike; two more run the
+quick configurations of E6 and E9 under seeds of their own (by point); the
+rest are cross-protocol scenario grids the E1–E10 suite does not cover.
+The table rendered by :func:`markdown_library_table` is embedded in
+``docs/sweeps.md`` between ``<!-- sweeps:library:begin/end -->`` markers and
+kept drift-free by ``tests/test_docs.py`` (the same pattern as ``repro
+engines --markdown``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ SWEEP_LIBRARY: dict[str, SweepSpec] = {
             seed_policy="by-point",
             base_seed=100,
         ),
-        # -- E1/E5/E6/E9 quick grids, re-expressed as specs -------------
+        # -- E1/E5 quick grids; E6/E9 quick configurations, own seeds ---
         SweepSpec(
             name="e1-quick",
             description="E1 quick grid: ours vs Chor-Coan rounds across t under the straddle",
@@ -58,7 +60,7 @@ SWEEP_LIBRARY: dict[str, SweepSpec] = {
         ),
         SweepSpec(
             name="e6-quick",
-            description="E6 quick grid: full adversary x input resilience matrix at small n",
+            description="E6 quick configurations (own seeds): adversary x input matrix at small n",
             protocols=("committee-ba",),
             adversaries=(
                 "null", "static", "silent", "random-noise", "equivocate",
@@ -73,7 +75,7 @@ SWEEP_LIBRARY: dict[str, SweepSpec] = {
         ),
         SweepSpec(
             name="e9-quick",
-            description="E9 quick grid: the committee-family landscape under the straddle",
+            description="E9 quick configurations (own seeds): committee family under the straddle",
             protocols=(
                 "committee-ba", "committee-ba-las-vegas", "chor-coan", "rabin",
             ),

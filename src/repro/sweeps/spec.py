@@ -170,10 +170,6 @@ class SweepPoint:
         del data["trials"]
         return data
 
-    def canonical_text(self) -> str:
-        """Canonical JSON of the point (the hashing input)."""
-        return canonical_json(self.canonical())
-
     def experiment(self) -> AgreementExperiment:
         """The equivalent single-configuration experiment description."""
         return AgreementExperiment(

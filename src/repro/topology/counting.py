@@ -3,29 +3,31 @@
 The masked communication planes need ``counts[b, i] = sum_j sent[b, j] *
 A[j, i]`` — a ``(B, n) x (n, n)`` contraction per tally.  One engine carries
 it on every plane backend: an AND+popcount over packed uint64 words, except
-at the density extremes, where the same exact counts are cheaper as segment
-sums over the sparse side of the mask.  :class:`AdjacencyCounter` picks one
-of three strategies for a fixed loss-free mask:
+for sparse masks, where the same exact counts are cheaper as segment sums
+over the delivering edges, and the complete graph, where every recipient
+hears every sender.  :class:`AdjacencyCounter` picks one of three strategies
+for a fixed loss-free mask:
 
-* **complement** — near-complete graphs (most importantly the all-True
-  adjacency, which must stay within the benchmark's 2x overhead bar of the
-  unmasked clique path): subtract segment sums over the few *missing*
-  edges from each trial's total;
+* **complete** — the all-True adjacency (which must stay within the
+  benchmark's 2x overhead bar of the unmasked clique path): each trial's
+  row total, one broadcastable column;
 * **direct** — sparse graphs (ring, chain, star, grid, tree all have
   ``O(n)`` edges): segment sums over the delivering edges only;
-* **packed** — the middle of the density range (``erdos-renyi`` at density
-  ~0.5): a :class:`MaskedCounter` computing ``popcount(sent_words &
+* **packed** — everything else, near-complete masks included: a
+  :class:`MaskedCounter` computing ``popcount(sent_words &
   incoming_words[recipient])``, fed the packed plane backend's words
-  directly and boolean planes packed by :func:`pack_sender_words`.
+  directly and boolean planes packed by :func:`pack_sender_words`.  Its
+  cost is the same at any density, while segment sums over a near-complete
+  mask's missing edges grow with them (up to 20x slower at ``n = 512``).
 
 The per-round *delivered-edge* masks of the lossy path are words from the
 start: :class:`PackedDeliveredChannel` wraps the ``(B, n, ceil(n/64))``
 uint64 output of :func:`repro.topology.loss.sample_delivered_words` in a
 :class:`MaskedCounter`.
 
-Every strategy produces bit-identical ``int64`` counts: the segment and
-popcount paths both sum in integer arithmetic.  The shared **channel
-protocol** (duck-typed; consumed by the plane ops in
+Every strategy produces bit-identical ``int64`` counts: the row-total,
+segment and popcount paths all sum in integer arithmetic.  The shared
+**channel protocol** (duck-typed; consumed by the plane ops in
 :mod:`repro.simulator.planes.base`) is:
 
 * ``wants_words`` — True when the channel tallies uint64 words natively;
@@ -37,8 +39,8 @@ protocol** (duck-typed; consumed by the plane ops in
   masked CONGEST message counter.
 
 Telemetry: every word tally counts ``masked_tally.packed`` and every
-segment pass ``masked_tally.segment``, so trace reports show which engine
-carried a masked run.
+segment pass or row total ``masked_tally.segment``, so trace reports show
+which engine carried a masked run.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from repro.observability.tracer import current_tracer
 
 #: A segment-sum pass costs one gathered add per stored edge, while the word
 #: tally costs one AND+popcount per (recipient, 64 senders) whatever the
-#: density, so the segment paths take over only when the stored side of the
-#: mask holds at most ``n * n / _SEGMENT_FRACTION`` edges.
+#: density, so the segment path takes over only when the mask holds at most
+#: ``n * n / _SEGMENT_FRACTION`` edges.
 _SEGMENT_FRACTION = 8
 
 
@@ -125,8 +127,9 @@ class PackedDeliveredChannel:
 
     Wraps one lossy round's ``(B, n, ceil(n/64))`` delivered masks — the
     output of :func:`repro.topology.loss.sample_delivered_words` — or, for
-    the mid-density :class:`AdjacencyCounter`, a fixed ``(n, ceil(n/64))``
-    mask shared by every trial, in a :class:`MaskedCounter`.
+    the :class:`AdjacencyCounter`'s packed strategy, a fixed
+    ``(n, ceil(n/64))`` mask shared by every trial, in a
+    :class:`MaskedCounter`.
     """
 
     wants_words = True
@@ -179,9 +182,9 @@ def _column_segments(matrix: np.ndarray):
 class AdjacencyCounter:
     """Receive-count engine for a fixed loss-free adjacency mask.
 
-    The strategy is chosen once, at construction, from the mask's density,
-    and every tally afterwards is exact-integer equivalent across
-    strategies, so callers can treat the choice as invisible.
+    The strategy is chosen once, at construction, from the mask, and every
+    tally afterwards is exact-integer equivalent across strategies, so
+    callers can treat the choice as invisible.
     """
 
     def __init__(self, adjacency: np.ndarray) -> None:
@@ -190,12 +193,9 @@ class AdjacencyCounter:
         #: Delivered out-degree per sender (self included), for the
         #: delivered-edge CONGEST accounting.
         self.outdeg = adjacency.sum(axis=1, dtype=np.int64)
-        limit = (n * n) // _SEGMENT_FRACTION
-        complement = ~adjacency
-        if int(complement.sum()) <= limit:
-            self.strategy = "complement"
-            self._segments = _column_segments(complement)
-        elif int(adjacency.sum()) <= limit:
+        if adjacency.all():
+            self.strategy = "complete"
+        elif int(self.outdeg.sum()) <= (n * n) // _SEGMENT_FRACTION:
             self.strategy = "direct"
             self._segments = _column_segments(adjacency)
         else:
@@ -235,10 +235,7 @@ class AdjacencyCounter:
         plane = sent.astype(np.int64)
         if self.strategy == "direct":
             return self._segment_counts(plane)
-        totals = plane.sum(axis=1)[:, None]
-        if not self._segments[0].size:
-            return totals
-        return totals - self._segment_counts(plane)
+        return plane.sum(axis=1)[:, None]
 
     def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
         """Word-form tallies (``wants_words`` strategies only)."""
@@ -248,7 +245,7 @@ class AdjacencyCounter:
         """Per-recipient sums of a small-integer plane (the ±1 shares)."""
         if self.strategy == "packed":
             return self._words.signed_counts(plane)
-        # The segment strategies sum any integer plane exactly.
+        # The row totals and segment sums add any integer plane exactly.
         return self.receive_counts(plane)
 
     def delivered_edges(self, senders: np.ndarray) -> np.ndarray:

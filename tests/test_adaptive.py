@@ -28,11 +28,11 @@ from repro.core.runner import TrialsResult
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
 from repro.sweeps import (
+    SWEEP_LIBRARY,
     PrecisionTargets,
     ResultsStore,
     SweepSpec,
     adaptive_key,
-    adaptive_keys,
     adaptive_plan_table,
     adaptive_report_rows,
     adaptive_status,
@@ -42,6 +42,7 @@ from repro.sweeps import (
     result_from_record,
     run_adaptive,
     run_spec,
+    spec_keys,
 )
 
 #: A tiny adaptive grid: 2 vectorizable points that converge in a few batches.
@@ -98,6 +99,10 @@ class TestSpecAdaptiveFields:
         with pytest.raises(ConfigurationError):
             dataclasses.replace(TINY_ADAPTIVE, precision=None, batch_size=None)
 
+    def test_batch_size_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            dataclasses.replace(TINY_ADAPTIVE, batch_size=0)
+
     def test_ceiling_must_cover_the_initial_batch(self):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(TINY_ADAPTIVE, max_trials=2)
@@ -117,19 +122,11 @@ class TestTargetsResolution:
             precision=0.2, batch_size=4, max_trials=64
         )
 
-    def test_explicit_overrides_win(self):
-        targets = resolve_targets(
-            TINY_ADAPTIVE, precision=0.5, batch_size=2, max_trials=32
-        )
-        assert (targets.precision, targets.batch_size, targets.max_trials) == (
-            0.5, 2, 32,
-        )
-
     def test_defaults_derive_from_the_initial_trials(self):
         spec = dataclasses.replace(
-            TINY_ADAPTIVE, precision=None, batch_size=None, max_trials=None
+            TINY_ADAPTIVE, precision=0.25, batch_size=None, max_trials=None
         )
-        targets = resolve_targets(spec, precision=0.25)
+        targets = resolve_targets(spec)
         assert targets.batch_size == spec.trials
         assert targets.max_trials == 64 * spec.trials
 
@@ -141,16 +138,13 @@ class TestTargetsResolution:
             resolve_targets(spec)
 
     def test_ceiling_below_initial_trials_rejected(self):
+        # The spec checks a ceiling it sets; the default of 64 batches of one
+        # trial falls short of 100 initial trials.
+        spec = dataclasses.replace(
+            TINY_ADAPTIVE, trials=100, batch_size=1, max_trials=None
+        )
         with pytest.raises(ConfigurationError, match="max_trials"):
-            resolve_targets(TINY_ADAPTIVE, max_trials=2)
-
-    def test_targets_validation(self):
-        with pytest.raises(ConfigurationError):
-            PrecisionTargets(precision=0.0, batch_size=1, max_trials=1)
-        with pytest.raises(ConfigurationError):
-            PrecisionTargets(precision=0.1, batch_size=0, max_trials=1)
-        with pytest.raises(ConfigurationError):
-            PrecisionTargets(precision=0.1, batch_size=1, max_trials=0)
+            resolve_targets(spec)
 
 
 class TestAdaptiveKeys:
@@ -173,7 +167,7 @@ class TestAdaptiveKeys:
             adaptive_key(point, "vectorized-mp")
 
     def test_spec_expansion_pairs_points_with_keys(self):
-        pairs = adaptive_keys(TINY_ADAPTIVE)
+        pairs = spec_keys(TINY_ADAPTIVE, key=adaptive_key)
         assert [point.t for point, _ in pairs] == [4, 6]
         assert len({key for _, key in pairs}) == len(pairs)
 
@@ -354,10 +348,8 @@ class TestAllocationPolicy:
     def test_ceiling_bounds_unconverged_points(self, tmp_path):
         # An unreachably tight target: every point must stop at the ceiling.
         report = run_adaptive(
-            TINY_ADAPTIVE,
+            dataclasses.replace(TINY_ADAPTIVE, precision=0.001, max_trials=12),
             store=ResultsStore(tmp_path / "store"),
-            precision=0.001,
-            max_trials=12,
         )
         assert report.converged == 0
         assert report.at_ceiling == report.total
@@ -487,26 +479,60 @@ class TestAdaptiveCli:
                      "--quiet"]) == 0
         assert "(+0 computed)" in capsys.readouterr().out
 
-    def test_precision_flag_turns_a_uniform_spec_adaptive(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["sweep", "run", "smoke", "--store", store,
-                     "--precision", "0.4", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "adaptive sweep smoke" in out
-        assert "precision 0.4" in out
-
     @pytest.mark.parametrize(
-        "flag,value", [("--batch", "4"), ("--max-trials", "64")],
-        ids=["batch", "max-trials"],
+        "flag,value", [("--precision", "0.4"), ("--batch", "4"), ("--max-trials", "64")],
+        ids=["precision", "batch", "max-trials"],
     )
-    def test_adaptive_override_without_a_target_fails_cleanly(
+    def test_precision_targets_come_from_the_spec_alone(
         self, tmp_path, capsys, flag, value
     ):
+        # A flag would run the spec under keys its status and report never
+        # read; the spec's 'adaptive' block is the only way to set a target.
         store = tmp_path / "store"
-        assert main(["sweep", "run", "smoke", "--store", str(store),
-                     flag, value]) == 2
-        assert "no precision target" in capsys.readouterr().err
-        assert not list(store.iterdir())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "run", "smoke", "--store", str(store), flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.rglob("*.jsonl"))
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["smoke", "adaptive-file"])
+    def test_status_and_report_read_what_run_wrote(self, tmp_path, capsys, adaptive):
+        spec = "smoke"
+        if adaptive:
+            spec_path = tmp_path / "tiny-adaptive.json"
+            spec_path.write_text(TINY_ADAPTIVE.to_json(), encoding="utf-8")
+            spec = str(spec_path)
+        store = str(tmp_path / "store")
+        assert main(["sweep", "run", spec, "--store", store, "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "status", spec, "--store", store]) == 0
+        statuses = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("  ")]
+        assert statuses and "pending" not in statuses
+        assert main(["sweep", "report", spec, "--store", store]) == 0
+        assert "not in the store" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_LIBRARY))
+    def test_status_and_report_find_the_point_a_one_step_run_wrote(
+        self, tmp_path, capsys, name
+    ):
+        # One point (one batch for an adaptive spec) per library entry: the
+        # key `sweep run` wrote is the one key `sweep status` and `sweep
+        # report` find, and every other point is still pending.
+        total = len(SWEEP_LIBRARY[name].expand())
+        store = str(tmp_path / "store")
+        assert main(["sweep", "run", name, "--store", store, "--limit", "1",
+                     "--workers", "1", "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "status", name, "--store", store]) == 0
+        statuses = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("  ")]
+        assert len(statuses) == total
+        assert statuses.count("pending") == total - 1
+        assert main(["sweep", "report", name, "--store", store]) == 0
+        assert f"({total - 1} of {total} points not in the store yet" in (
+            capsys.readouterr().out
+        )
 
     def test_status_and_report_show_precision_columns(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny-adaptive.json"

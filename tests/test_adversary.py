@@ -29,12 +29,6 @@ class TestBudgetBookkeeping:
         with pytest.raises(BudgetExceededError):
             adversary.commit_corruptions({1})
 
-    def test_reset_clears_state(self):
-        adversary = NullAdversary(t=2)
-        adversary.commit_corruptions({0, 1})
-        adversary.reset()
-        assert adversary.remaining_budget == 2
-
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             NullAdversary(t=-1)

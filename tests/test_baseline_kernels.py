@@ -553,14 +553,6 @@ class TestKernelDispatch:
             run_sweep(64, 8, protocol="ben-or", adversary="silent",
                       trials=3, base_seed=0, max_rounds=50)
 
-    def test_params_override_rejected_for_baseline_kernels(self):
-        from repro.core.parameters import ProtocolParameters
-
-        params = ProtocolParameters.derive(25, 6)
-        with pytest.raises(ConfigurationError):
-            run_sweep(25, 6, protocol="rabin", adversary="silent",
-                      trials=2, params=params)
-
     def test_registry_is_complete_and_well_formed(self):
         for protocol in ("rabin", "ben-or", "phase-king", "eig", "sampling-majority"):
             spec = PROTOCOL_KERNELS[protocol]

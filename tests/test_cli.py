@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import repro.topology.loss as loss_module
 from repro.cli import build_parser, main
 from repro.engine import run_sweep
 from repro.observability import read_trace
+from repro.sweeps import get_spec
 from repro.topology import native
 
 
@@ -120,16 +122,23 @@ class TestCommands:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1  # one line, no traceback
 
-    @pytest.mark.parametrize("extra", [[], ["--precision", "0.4"]], ids=["uniform", "adaptive"])
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["uniform", "adaptive"])
     @pytest.mark.parametrize("flag,message", [
         (["--limit", "-1"], "limit must be >= 0, got -1"),
         (["--workers", "0"], "workers must be >= 1, got 0"),
     ], ids=["limit", "workers"])
     def test_bad_sweep_run_counts_print_one_line_and_exit_2(
-        self, tmp_path, capsys, extra, flag, message
+        self, tmp_path, capsys, adaptive, flag, message
     ):
+        spec = "smoke"
+        if adaptive:
+            spec_path = tmp_path / "smoke-adaptive.json"
+            spec_path.write_text(dataclasses.replace(
+                get_spec("smoke"), name="smoke-adaptive", precision=0.4,
+            ).to_json(), encoding="utf-8")
+            spec = str(spec_path)
         store = tmp_path / "store"
-        code = main(["sweep", "run", "smoke", *flag, "--store", str(store), *extra])
+        code = main(["sweep", "run", spec, *flag, "--store", str(store)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"error: {message}\n"

@@ -229,26 +229,13 @@ class TestRunSweep:
         assert result.engine == "object"
         assert result.num_trials == 3
 
-    def test_params_override_reaches_the_vectorized_engine(self):
-        # E3's shape: committee geometry derived for a larger declared t than
-        # the attack budget actually handed to the adversary.
-        params = ProtocolParameters.derive(64, 16)
-        capped = run_sweep(64, 4, protocol="committee-ba-las-vegas",
-                           adversary="coin-attack", trials=5, base_seed=9,
-                           params=params)
-        assert capped.engine == "vectorized"
-        assert max(trial.corrupted for trial in capped.trials) <= 4
-
-    def test_params_override_requires_the_vectorized_engine(self):
-        params = ProtocolParameters.derive(19, 3)
-        with pytest.raises(ConfigurationError):
-            # The object path cannot honour a committee-geometry override.
-            run_sweep(19, 3, protocol="committee-ba", adversary="equivocate",
-                      trials=2, params=params, engine="object")
-        with pytest.raises(ConfigurationError):
-            # phase-king vectorises but its kernel has no params= support.
-            run_sweep(17, 4, protocol="phase-king", adversary="static",
-                      trials=2, params=params)
+    def test_run_sweep_takes_no_committee_geometry_override(self):
+        # A sweep's rows are determined by its AgreementExperiment; geometry
+        # decoupled from t is run_vectorized_trials(params=)'s job.
+        with pytest.raises(TypeError):
+            run_sweep(64, 4, protocol="committee-ba-las-vegas",
+                      adversary="coin-attack", trials=2,
+                      params=ProtocolParameters.derive(64, 16))
 
     def test_argument_validation(self):
         experiment = AgreementExperiment(n=19, t=3)

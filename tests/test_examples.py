@@ -12,8 +12,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
 

@@ -8,8 +8,12 @@ tests/` without having to run the benchmark suite.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.experiments.e3_early_termination as e3_module
+from repro.exceptions import SimulationError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.e1_round_complexity import run as run_e1
 from repro.experiments.e2_common_coin import run as run_e2
@@ -48,6 +52,21 @@ class TestHeadlineProperties:
         rows = report.rows
         assert rows[0]["q"] == 0 and rows[0]["mean_rounds"] <= 8
         assert rows[-1]["mean_rounds"] >= rows[0]["mean_rounds"]
+
+    def test_e3_rejects_a_timed_out_trial(self, monkeypatch):
+        # E3 calls the kernel itself rather than run_sweep, so it carries
+        # run_sweep's guard: a trial that hit its round cap has no rounds to
+        # report.
+        kernel = e3_module.run_vectorized_trials
+
+        def one_capped_trial(*args, **kwargs):
+            rows = kernel(*args, **kwargs)
+            return [dataclasses.replace(rows[0], timed_out=True), *rows[1:]]
+
+        monkeypatch.setattr(e3_module, "QUICK_CONFIG", (64, 8, [0, 2], 2))
+        monkeypatch.setattr(e3_module, "run_vectorized_trials", one_capped_trial)
+        with pytest.raises(SimulationError, match="q=0"):
+            run_e3(quick=True)
 
     def test_e5_sweeps_both_adversary_models(self):
         report = ALL_EXPERIMENTS["E5"](quick=True)

@@ -16,7 +16,6 @@ from repro.simulator.messages import (
     ValueAnnouncement,
     broadcast,
     group_by_recipient,
-    total_bits,
 )
 
 
@@ -72,7 +71,3 @@ class TestBroadcast:
         inboxes = group_by_recipient(messages)
         assert set(inboxes) == {0, 1, 2}
         assert all(len(inbox) == 2 for inbox in inboxes.values())
-
-    def test_total_bits_sums_payloads(self):
-        messages = broadcast(0, 4, CoinShare(0, 1))
-        assert total_bits(messages) == 4 * CoinShare(0, 1).bit_size()

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.core.runner import AgreementExperiment, run_agreement, run_trials
 from repro.metrics.collectors import (
     collect_run_metrics,
-    collect_sweep_rows,
     collect_trials_metrics,
 )
 from repro.metrics.reporting import ExperimentReport, format_table, format_value
@@ -29,15 +28,6 @@ class TestCollectors:
         assert row["n"] == 16 and row["t"] == 3
         assert row["agreement_rate"] == 1.0
         assert row["mean_rounds"] >= 2
-
-    def test_collect_sweep_rows(self):
-        experiments = [
-            AgreementExperiment(n=13, t=2, adversary="null", inputs="split"),
-            AgreementExperiment(n=16, t=3, adversary="null", inputs="split"),
-        ]
-        sweeps = [run_trials(e, num_trials=2, base_seed=5) for e in experiments]
-        rows = collect_sweep_rows(sweeps)
-        assert [row["n"] for row in rows] == [13, 16]
 
 
 class TestFormatting:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ProtocolViolationError
-from repro.simulator.node import ConstantNode, HonestNodeRecord, ProtocolNode
+from repro.simulator.node import ConstantNode, HonestNodeRecord
 from repro.simulator.trace import ExecutionTrace, RoundRecord
 
 

@@ -28,7 +28,6 @@ from repro.core.runner import (
     AgreementExperiment,
     TrialsResult,
     TrialSummary,
-    run_trials,
 )
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
@@ -85,7 +84,7 @@ class TestUnifiedEngine:
             monkeypatch.setattr(phase_engine, "_COMPACTION_THRESHOLD", threshold)
             engine = PhaseEngine(
                 n=n, t=t, params=params, coin="committee", las_vegas=True,
-                num_phases=params.num_phases, max_phases=400,
+                max_phases=400,
             )
             kernel = build_adversary_kernel(adversary, n=n, t=t, params=params)
             results[name] = engine.run_batch(inputs, streams, kernel)
@@ -101,7 +100,7 @@ class TestUnifiedEngine:
 
         params = ProtocolParameters.derive(16, 3)
         engine = PhaseEngine(n=16, t=3, params=params, coin="committee",
-                             las_vegas=True, num_phases=4, max_phases=40)
+                             las_vegas=True, max_phases=40)
         kernel = build_adversary_kernel("null", n=16, t=3, params=params)
         with pytest.raises(TypeError):
             engine.run_batch(np.zeros((1, 16), dtype=np.int8), [trial_generator(0, 0)], kernel)
@@ -112,10 +111,10 @@ class TestUnifiedEngine:
         params = ProtocolParameters.derive(32, 5)
         with pytest.raises(ConfigurationError):
             PhaseEngine(n=32, t=5, params=params, coin="quantum",
-                        las_vegas=False, num_phases=4, max_phases=4)
+                        las_vegas=False, max_phases=4)
         with pytest.raises(ConfigurationError):
             PhaseEngine(n=32, t=5, params=params, coin="dealer",
-                        las_vegas=False, num_phases=4, max_phases=4)
+                        las_vegas=False, max_phases=4)
 
 
 # ----------------------------------------------------------------------

@@ -40,21 +40,11 @@ class TestRandomnessSource:
         assert not np.array_equal(node, environment)
         assert not np.array_equal(adversary, environment)
 
-    def test_spawn_produces_distinct_but_deterministic_sources(self):
-        base = RandomnessSource(5)
-        child_a = base.spawn(0).node_stream(0).integers(0, 1000, size=5)
-        child_a_again = RandomnessSource(5).spawn(0).node_stream(0).integers(0, 1000, size=5)
-        child_b = base.spawn(1).node_stream(0).integers(0, 1000, size=5)
-        assert np.array_equal(child_a, child_a_again)
-        assert not np.array_equal(child_a, child_b)
-
     def test_invalid_arguments(self):
         with pytest.raises(TypeError):
             RandomnessSource("not-an-int")  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             RandomnessSource(1).node_stream(-1)
-        with pytest.raises(ValueError):
-            RandomnessSource(1).spawn(-2)
 
 
 class TestPrimitives:

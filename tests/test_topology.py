@@ -425,7 +425,7 @@ class TestAdjacencyCounter:
         )
 
     @pytest.mark.parametrize("name,strategy", [
-        ("clique", "complement"),
+        ("clique", "complete"),
         ("ring", "direct"),
         ("chain", "direct"),
         ("star", "direct"),
@@ -443,22 +443,32 @@ class TestAdjacencyCounter:
         assert counts.shape == (4, 1)
         assert (counts == 1).all()
 
-    def test_near_clique_scatters_around_empty_complement_columns(self):
-        # All-True minus one edge: the complement has entries in exactly two
-        # columns, so the segment scatter must leave the rest untouched.
-        adjacency = np.ones((10, 10), dtype=bool)
-        adjacency[0, 1] = adjacency[1, 0] = False
-        counter = AdjacencyCounter(adjacency)
-        assert counter.strategy == "complement"
+    @pytest.mark.parametrize("n,density", [(10, None), (100, 0.97), (130, 0.9)])
+    def test_near_clique_takes_the_word_tally(self, n, density):
+        # All-True minus one edge (density None), or a random near-complete
+        # mask: only the complete graph has a row-total shortcut; every other
+        # dense mask is a word tally.
         rng = np.random.default_rng(3)
-        plane = rng.integers(0, 2, size=(5, 10)).astype(bool)
+        if density is None:
+            adjacency = np.ones((n, n), dtype=bool)
+            adjacency[0, 1] = adjacency[1, 0] = False
+        else:
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            adjacency = upper | upper.T | np.eye(n, dtype=bool)
+        counter = AdjacencyCounter(adjacency)
+        assert counter.strategy == "packed"
+        reference = adjacency.astype(np.int64)
+        plane = rng.integers(0, 2, size=(5, n)).astype(bool)
         assert np.array_equal(
-            counter.receive_counts(plane),
-            plane.astype(np.int64) @ adjacency.astype(np.int64),
+            counter.receive_counts(plane), plane.astype(np.int64) @ reference
+        )
+        shares = (rng.integers(0, 2, size=(5, n)) * 2 - 1).astype(np.int8)
+        assert np.array_equal(
+            counter.signed_counts(shares), shares.astype(np.int64) @ reference
         )
 
     @pytest.mark.parametrize("name,n,strategy", [
-        ("clique", 12, "complement"),
+        ("clique", 12, "complete"),
         ("ring", 48, "direct"),
         ("ring", 12, "packed"),
     ])

@@ -92,6 +92,16 @@ class TestVectorizedEngine:
         simulator = build_vectorized_simulator(n, t, protocol=protocol, adversary="null")
         assert simulator.max_phases == default_max_rounds(protocol, n, t) // 2
 
+    def test_params_override_reaches_the_vectorized_engine(self):
+        # E3's shape: committee geometry derived for a larger declared t than
+        # the attack budget actually handed to the adversary.
+        params = ProtocolParameters.derive(64, 16)
+        capped = run_vectorized_trials(64, 4, adversary="coin-attack", trials=5,
+                                       seed=9, params=params)
+        assert max(row.corrupted for row in capped) <= 4
+        assert capped != run_vectorized_trials(64, 4, adversary="coin-attack",
+                                               trials=5, seed=9)
+
     def test_message_counts_scale_with_n_squared(self):
         small = _sweep(64, 4, trials=3, seed=0, adversary="null", inputs="unanimous-1")
         large = _sweep(256, 4, trials=3, seed=0, adversary="null", inputs="unanimous-1")
