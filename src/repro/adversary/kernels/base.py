@@ -113,6 +113,12 @@ class KernelContext:
             coin), ``"dealer"`` or ``"private"`` (shares are broadcast but
             ignored by the coin); kernels use it to skip share effects that
             cannot influence the run.
+
+    A kernel's ``(B, n)`` coin-share adjustment plane is built in
+    :func:`share_adjustment_dtype` of ``params.committee_size`` (int8 for a
+    committee of at most 127): the committee slice never exceeds that size,
+    so the honest share sum plus the adjustment fits it (see
+    :class:`Round2Effect`).
     """
 
     def __init__(
@@ -236,9 +242,28 @@ class Round1Effect:
     zeros: CountPlane = 0
 
 
+def share_adjustment_dtype(committee_size: int) -> np.dtype:
+    """The signed dtype of every ``(B, n)`` coin-share adjustment plane.
+
+    The narrowest one holding ``-(committee_size + 1)``: int8 up to a
+    committee of 127, then int16, then int32.  A recipient's coin is the sign
+    of the honest share sum ``S`` (``|S| <= committee_size``) plus its
+    adjustment, and every share kernel keeps the adjustment, and ``S`` plus
+    it, within ``[-(committee_size + 1), committee_size]``, so the engine's
+    coin line adds and compares in this dtype without overflow.
+    """
+    return np.min_scalar_type(-(committee_size + 1))
+
+
 @dataclass
 class Round2Effect:
-    """Additive round-2 record / coin-share planes from the corrupted senders."""
+    """Additive round-2 record / coin-share planes from the corrupted senders.
+
+    A ``(B, n)`` ``shares`` plane comes in
+    ``share_adjustment_dtype(params.committee_size)``: the engine works in the
+    adjustment's dtype, so that dtype must hold the honest committee sum plus
+    the adjustment.  A scalar ``0`` (no adjustment) needs no dtype.
+    """
 
     decided_one: CountPlane = 0
     decided_zero: CountPlane = 0

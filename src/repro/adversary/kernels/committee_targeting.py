@@ -34,6 +34,7 @@ from repro.adversary.kernels.base import (
     AdversaryKernel,
     KernelContext,
     Round2Effect,
+    share_adjustment_dtype,
 )
 from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcount
 
@@ -74,6 +75,7 @@ class CommitteeTargetingKernel(AdversaryKernel):
         recipients = ~ctx.corrupted
         lower, _ = lower_half_split(recipients)
         controlled = np.where(send, controlled, 0)
-        shares = np.where(lower, -1, 1) * controlled[:, None]
         ctx.messages += controlled * row_popcount(recipients)
-        return Round2Effect(shares=shares)
+        dtype = share_adjustment_dtype(self.params.committee_size)
+        column = controlled.astype(dtype)[:, None]
+        return Round2Effect(shares=np.where(lower, -column, column))

@@ -28,6 +28,7 @@ from repro.adversary.kernels.base import (
     AdversaryKernel,
     KernelContext,
     Round2Effect,
+    share_adjustment_dtype,
 )
 from repro.simulator.bitplanes import first_k_true, lower_half_split
 
@@ -73,18 +74,14 @@ class AdaptiveCrashKernel(AdversaryKernel):
         fresh = np.where(spoiled, needed, 0)
         ctx.corrupt(first_k_true(same_sign, fresh), start=start, stop=stop, count=fresh)
         # Crashed members deliver their final payload to the lower recipient
-        # half only; the starved upper half computes the flipped coin.
+        # half only; the starved upper half computes the flipped coin.  Rows
+        # the attack did not spoil split nobody and adjust nothing.
         # Columns outside the live-recipient mask never reach the engine's
         # coin blend, so only the lower/upper distinction needs masking.
-        rows = np.flatnonzero(spoiled)
-        if rows.size == len(spoiled):
-            lower, half = lower_half_split(ctx.active & ctx.can_update)
-            ctx.messages += needed * half
-            starved = (-needed * sign).astype(np.int32)[:, None]
-            return Round2Effect(shares=np.where(lower, 0, starved))
-        lower, half = lower_half_split(ctx.active[rows] & ctx.can_update[rows])
-        ctx.messages[rows] += needed[rows] * half
-        starved = (-needed[rows] * sign[rows]).astype(np.int32)[:, None]
-        adjustment = np.zeros(ctx.active.shape, dtype=np.int32)
-        adjustment[rows] = np.where(lower, 0, starved)
-        return Round2Effect(shares=adjustment)
+        recipients = ctx.active & ctx.can_update
+        recipients &= spoiled[:, None]
+        lower, half = lower_half_split(recipients)
+        ctx.messages += fresh * half
+        dtype = share_adjustment_dtype(self.params.committee_size)
+        starved = (-fresh * sign).astype(dtype)[:, None]
+        return Round2Effect(shares=np.where(lower, 0, starved))

@@ -32,6 +32,7 @@ from repro.adversary.kernels.base import (
     KernelContext,
     Round1Effect,
     Round2Effect,
+    share_adjustment_dtype,
 )
 
 __all__ = ["RandomNoiseKernel"]
@@ -96,7 +97,10 @@ class RandomNoiseKernel(AdversaryKernel):
         if ctx.coin == "committee":
             noisy_in_committee = max(0, min(ctx.committee_stop, noisy) - ctx.committee_start)
             if noisy_in_committee:
-                share_noise = np.zeros((batch, self.n), dtype=np.int64)
+                share_noise = np.zeros(
+                    (batch, self.n),
+                    dtype=share_adjustment_dtype(self.params.committee_size),
+                )
         for b in range(batch):
             if not ctx.running[b]:
                 continue

@@ -13,10 +13,12 @@ The split is returned as an additive share-adjustment plane: with the engine
 computing each recipient's coin as ``sign(S + adjustment)``, an adjustment of
 ``-S`` for the upper recipient half and ``-S - 1`` for the lower half yields
 coin 1 above and coin 0 below — exactly the ``value[upper] = 1 / value[lower]
-= 0`` assignment of the retired ``_run_batch_uniform`` loop.  Against a
-dealer or private coin the adjustment plane is ignored by the engine, which
-reproduces the attack's futility (corruptions still spent, coin unmoved)
-against Rabin and Ben-Or.
+= 0`` assignment of the retired ``_run_batch_uniform`` loop.  The plane is
+``-S - lower`` in the committee's narrow adjustment dtype
+(:func:`~repro.adversary.kernels.base.share_adjustment_dtype`; int8 up to a
+committee of 127), one byte per cell.  Against a dealer or private coin the
+adjustment plane is ignored by the engine, which reproduces the attack's
+futility (corruptions still spent, coin unmoved) against Rabin and Ben-Or.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.adversary.kernels.base import (
     AdversaryKernel,
     KernelContext,
     Round2Effect,
+    share_adjustment_dtype,
 )
 from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcount
 
@@ -89,19 +92,13 @@ class StraddleKernel(AdversaryKernel):
             spoiled, (controlled + needed) * row_popcount(ctx.active), 0
         )
         # Share adjustment forcing the half split among the live recipients:
-        # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0).
+        # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0),
+        # and 0 on rows the attack did not spoil (their split is empty).
         # Columns outside the live-recipient mask never reach the engine's
         # coin blend, so they need no masking of their own.
-        rows = np.flatnonzero(spoiled)
-        if rows.size == len(spoiled):
-            # Every trial spoiled: operate on the full planes, no gathers.
-            lower, _ = lower_half_split(ctx.active & ctx.can_update)
-            sums = share_sum.astype(np.int32)[:, None]
-            return Round2Effect(shares=np.where(lower, -sums - 1, -sums))
-        # Work on the spoiled subset only (the "first half of the recipients"
-        # split runs on packed bytes + a prefix-bit LUT either way).
-        lower, _ = lower_half_split(ctx.active[rows] & ctx.can_update[rows])
-        sums = share_sum[rows].astype(np.int32)[:, None]
-        adjustment = np.zeros(ctx.active.shape, dtype=np.int32)
-        adjustment[rows] = np.where(lower, -sums - 1, -sums)
-        return Round2Effect(shares=adjustment)
+        recipients = ctx.active & ctx.can_update
+        recipients &= spoiled[:, None]
+        lower, _ = lower_half_split(recipients)
+        dtype = share_adjustment_dtype(self.params.committee_size)
+        sums = np.where(spoiled, share_sum, 0).astype(dtype)[:, None]
+        return Round2Effect(shares=-sums - lower)

@@ -15,17 +15,22 @@ reductions those kernels share live here:
   True cells, i.e. the deterministic "lower half of the recipients" split
   every equivocating adversary strategy uses
   (:meth:`repro.adversary.adaptive.AdaptiveAdversary.split_recipients`),
-  computed on packed bytes with a prefix-bit LUT instead of per-row sorting.
+  computed on uint64 word popcounts with a prefix-bit LUT on each row's
+  boundary word instead of per-row sorting.
 
 This module sits below both the simulator and adversary layers on purpose:
 the committee engine consumes adversary kernels, adversary kernels need the
 same plane primitives as the engine, and keeping the primitives here breaks
-what would otherwise be an import cycle.
+what would otherwise be an import cycle.  It packs words through
+:mod:`repro.topology.counting`, which imports neither the engine nor the
+kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.topology.counting import pack_sender_words
 
 if not hasattr(np, "bitwise_count"):  # pragma: no cover - version guard
     raise ImportError(
@@ -69,26 +74,35 @@ def lower_half_split(recipients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, mask the first ``count // 2`` True cells of ``recipients``.
 
     Equivalent to ranking each row's True cells in index order and selecting
-    ranks ``1..count // 2``, but runs on packed bytes: a cumulative popcount
-    locates each row's boundary byte and a prefix-bit LUT resolves the split
-    inside it.
+    ranks ``1..count // 2``, but runs on the repository's uint64 word layout
+    (:func:`~repro.topology.counting.pack_sender_words`): a cumulative word
+    popcount keeps every word wholly below the split, and the prefix-bit LUT
+    resolves the one boundary word of each row byte by byte.
 
     Returns:
         ``(lower_mask, half)`` where ``lower_mask`` has the same shape as
-        ``recipients`` and ``half`` is the per-row ``count // 2``.
+        ``recipients`` and ``half`` is the per-row ``count // 2`` (int32).
     """
-    rows = np.arange(recipients.shape[0])
-    packed = np.packbits(recipients, axis=1)
-    cumulative = np.bitwise_count(packed).cumsum(axis=1, dtype=np.int32)
+    batch, n = recipients.shape
+    words = pack_sender_words(recipients, n)
+    counts = np.bitwise_count(words)
+    cumulative = counts.cumsum(axis=1, dtype=np.int32)
     half = cumulative[:, -1] // 2
-    boundary = np.argmax(cumulative > half[:, None], axis=1)
-    before = np.take_along_axis(
-        cumulative, np.maximum(boundary - 1, 0)[:, None], axis=1
-    )[:, 0]
-    before[boundary == 0] = 0
-    lower_packed = np.where(cumulative <= half[:, None], packed, 0).astype(np.uint8)
-    lower_packed[rows, boundary] = _PREFIX_BITS_LUT[packed[rows, boundary], half - before]
-    lower = np.unpackbits(lower_packed, axis=1, count=recipients.shape[1]).view(bool)
+    above = cumulative > half[:, None]
+    lower_words = np.where(above, 0, words)
+    # Each row's first word crossing the split (word 0, all zero, for an
+    # empty row), and the bits it still owes the lower half on entry to each
+    # of its bytes; the LUT takes that prefix of every byte (0 keeps none,
+    # 8 the whole byte).
+    rows = np.arange(batch)
+    boundary = above.argmax(axis=1)
+    edge = words[rows, boundary, None].view(np.uint8)
+    owed = half - cumulative[rows, boundary] + counts[rows, boundary]
+    pops = np.bitwise_count(edge)
+    owed = owed[:, None] - (pops.cumsum(axis=1, dtype=np.int32) - pops)
+    resolved = _PREFIX_BITS_LUT[edge, np.minimum(np.maximum(owed, 0), 8)]
+    lower_words[rows, boundary] = resolved.view(np.uint64)[:, 0]
+    lower = np.unpackbits(lower_words.view(np.uint8), axis=1, count=n).view(bool)
     return lower, half
 
 

@@ -11,7 +11,8 @@ The engine owns everything the six protocols share:
   working arrays, so late phases only pay for the trials still running);
 * per-phase adversary hooks — ``setup`` once, then ``round1`` / ``pre_coin``
   / ``round2`` per phase — driving a pluggable
-  :class:`~repro.adversary.kernels.base.AdversaryKernel`;
+  :class:`~repro.adversary.kernels.base.AdversaryKernel`, each call inside
+  an ``engine.hook.<hook>`` span naming the kernel class;
 * committee coin-share draws on the per-trial Philox streams (always for
   the committee coin; lazily, only when the kernel is share-hungry and some
   trial can reach the coin case, for the dealer/private coins) and Ben-Or's
@@ -299,6 +300,7 @@ class PhaseEngine:
         # and never touches plane state, so results are bit-identical with
         # tracing on or off (the default NullTracer makes each site a no-op).
         tracer = current_tracer()
+        hook_kernel = type(kernel).__name__
 
         state = self._batch_state(inputs)
         value = ops.from_bools(state["value"])
@@ -364,7 +366,8 @@ class PhaseEngine:
             )
 
         with tracer.span("engine.setup", batch=batch0, n=n, backend=ops.name):
-            kernel.setup(context(0, 0, 0, np.ones(batch0, dtype=bool)))
+            with tracer.span("engine.hook.setup", kernel=hook_kernel):
+                kernel.setup(context(0, 0, 0, np.ones(batch0, dtype=bool)))
 
         for phase in range(1, phase_cap + 1):
             sender_count = active.popcount()
@@ -419,7 +422,8 @@ class PhaseEngine:
                 if masked and self.loss > 0.0:
                     chan1 = round_channel(running)
                 ones_pre = value.popcount_and(active)
-                effect1 = kernel.round1(ctx, ones_pre, sender_count - ones_pre)
+                with tracer.span("engine.hook.round1", kernel=hook_kernel):
+                    effect1 = kernel.round1(ctx, ones_pre, sender_count - ones_pre)
                 if ctx.mutated:
                     # The kernel corrupted mid-round; the victims' honest
                     # broadcasts are discarded, so honest tallies are recomputed.
@@ -465,7 +469,8 @@ class PhaseEngine:
             if masked and self.loss > 0.0:
                 chan2 = round_channel(running)
             with tracer.span("engine.pre_coin", phase=phase):
-                kernel.pre_coin(ctx)
+                with tracer.span("engine.hook.pre_coin", kernel=hook_kernel):
+                    kernel.pre_coin(ctx)
                 if ctx.mutated:
                     with tracer.span("engine.retally", phase=phase):
                         sender_count = active.popcount()
@@ -524,7 +529,8 @@ class PhaseEngine:
                         ctx.shares = shares
                 else:
                     honest_sum = np.zeros(len(orig), dtype=np.int64)
-                effect2 = kernel.round2(ctx, d1_honest, d0_honest, honest_sum)
+                with tracer.span("engine.hook.round2", kernel=hook_kernel):
+                    effect2 = kernel.round2(ctx, d1_honest, d0_honest, honest_sum)
                 ctx.shares = None
                 if ctx.mutated:
                     updatable = active.and_plane(can_update)

@@ -1,23 +1,31 @@
 """Tests for the batched adversary plane kernels (`repro.adversary.kernels`).
 
-Three layers: statistical cross-validation of each kernel against the object
+Four layers: statistical cross-validation of each kernel against the object
 simulator at small ``n`` (agreement/validity rates and round counts — the
 kernels consume randomness differently from the object nodes' private
 streams, so bit-identity is not the contract), registry-consistency checks
 that the engine dispatch can never fast-path a `(protocol, adversary)` pair
-without a registered adversary kernel, and unit tests of the shared plane
-primitives the kernels are built on.
+without a registered adversary kernel, unit and property tests of the shared
+plane primitives the kernels are built on, and pinned rows of the kernels
+whose coin-share adjustment planes narrow with the committee size.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.kernels import (
     ADVERSARY_PLANE_KERNELS,
     build_adversary_kernel,
 )
+from repro.adversary.kernels.base import share_adjustment_dtype
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import (
     ADVERSARIES,
@@ -145,6 +153,31 @@ class TestRegistryConsistency:
         assert sweep.agreement_rate == 1.0
 
 
+#: Plane widths at, just past and just short of a uint64 word boundary.
+WORD_EDGE_WIDTHS = [w for w in range(1, 301) if w % 64 in (0, 1, 63)]
+
+
+@st.composite
+def _recipient_planes(draw):
+    """A ``(B, n)`` boolean plane mixing empty, full, single-True and random
+    rows, plus a per-row ``k`` in ``[0, n + 1]``."""
+    n = draw(st.one_of(st.sampled_from(WORD_EDGE_WIDTHS), st.integers(1, 300)))
+    kinds = draw(st.lists(
+        st.sampled_from(["empty", "full", "single", "random"]), min_size=1, max_size=6,
+    ))
+    rows = []
+    for kind in kinds:
+        row = np.full(n, kind == "full")
+        if kind == "single":
+            row[draw(st.integers(0, n - 1))] = True
+        elif kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            row = rng.random(n) < draw(st.floats(0.0, 1.0))
+        rows.append(row)
+    k = np.array([draw(st.integers(0, n + 1)) for _ in kinds])
+    return np.array(rows), k
+
+
 class TestPlanePrimitives:
     """Unit tests for the shared bit-plane helpers in simulator.bitplanes."""
 
@@ -162,17 +195,107 @@ class TestPlanePrimitives:
         mask = np.ones((2, 9), dtype=bool)
         assert not first_k_true(mask, np.zeros(2, dtype=np.int64)).any()
 
-    def test_lower_half_split_matches_naive_ranking(self):
-        rng = np.random.default_rng(0)
-        recipients = rng.random((16, 37)) < 0.6
+    @settings(max_examples=150, deadline=None)
+    @given(planes=_recipient_planes())
+    def test_lower_half_split_matches_naive_ranking(self, planes):
+        recipients, _ = planes
         lower, half = lower_half_split(recipients)
-        for row in range(recipients.shape[0]):
-            ids = np.flatnonzero(recipients[row])
-            expected = set(ids[: len(ids) // 2])
-            assert set(np.flatnonzero(lower[row])) == expected
+        assert lower.dtype == bool and lower.shape == recipients.shape
+        assert half.dtype == np.int32
+        for row, cells in enumerate(recipients):
+            ids = np.flatnonzero(cells)
+            assert np.array_equal(np.flatnonzero(lower[row]), ids[: len(ids) // 2])
             assert half[row] == len(ids) // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(planes=_recipient_planes())
+    def test_first_k_true_matches_naive_ranking(self, planes):
+        mask, k = planes
+        picked = first_k_true(mask, k)
+        assert picked.dtype == bool and picked.shape == mask.shape
+        for row, cells in enumerate(mask):
+            ids = np.flatnonzero(cells)
+            assert np.array_equal(np.flatnonzero(picked[row]), ids[: k[row]])
 
     def test_row_popcount_matches_count_nonzero(self):
         rng = np.random.default_rng(1)
         mask = rng.random((8, 100)) < 0.3
         assert np.array_equal(row_popcount(mask), np.count_nonzero(mask, axis=1))
+
+
+#: committee-ba's rows under the four kernels that return a coin-share
+#: adjustment plane, pinned before those planes narrowed to
+#: ``share_adjustment_dtype``: a committee of 6 (n=512, t=64; int8 planes) and
+#: one of 200 (n=600, t=2; int16), split and random inputs, 16 trials from base
+#: seed 41 at trial offset 5.  SHA-256 of the JSON list of every
+#: ``TrialSummary`` field, identical on both plane backends.
+PINNED_ADJUSTMENT_DIGESTS = {
+    (512, 64): {
+        "coin-attack": "70c655dd2a6e55dd0e7e47a87ab96df51c2b2754e9396e08a2e0fd4daa60bd98",
+        "committee-targeting": "8d5c45de4201e6db368d9631f353347ed79d9a05801731fbac80998db2e918da",
+        "crash": "3eb18b928455d276e7a9917db617086b9fab8aa7f44489301235fc6e6381a927",
+        "random-noise": "44e1927a57c4892161dc23f3f93d353db41410cf91450cb32c84029200f9f039",
+    },
+    (600, 2): {
+        "coin-attack": "3afb7b5b55326fa381356c639cda67f0e01316c9bfaad5c6b61e0e1e7889eea2",
+        "committee-targeting": "b2598b30058a48e6bf3964fac4275279f524e543234bef6ff88bf78e3b64d87c",
+        "crash": "ffc2302711d9666d38dab3ac2a4a9bb80d401cdad1688fd64eeeae4a33fbd22f",
+        "random-noise": "77a0a990e71b4bdef58ae401916f2f1c972ea4371d4ca759fbc0bcbc31285dd5",
+    },
+}
+
+#: The lossy coin-attack point (n=256, t=32, loss 0.05, 4 trials; otherwise
+#: as above): its coin adds the adjustment plane to per-recipient share sums.
+PINNED_LOSSY_ADJUSTMENT_DIGEST = "2d6c6c27bb736673cddebc153605e09f694f952f7aa767060fa7a24384d86288"
+
+#: Committee size and adjustment dtype of each pinned size.
+ADJUSTMENT_GEOMETRY = {(512, 64): (6, np.int8), (600, 2): (200, np.int16)}
+
+
+def _adjustment_rows_digest(n, t, adversary, backend, loss=0.0, trials=16):
+    rows = []
+    for inputs in ("split", "random"):
+        result = run_sweep(
+            n, t, protocol="committee-ba", adversary=adversary, inputs=inputs,
+            trials=trials, base_seed=41, trial_offset=5, engine="vectorized",
+            backend=backend, loss=loss, allow_timeout=True,
+        )
+        assert result.engine == "vectorized"
+        rows.extend(dataclasses.astuple(row) for row in result.trials)
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestShareAdjustmentPlanes:
+    @pytest.mark.parametrize(("size", "dtype"), [(126, np.int8), (127, np.int8), (128, np.int16)])
+    def test_dtype_widens_past_a_committee_of_127(self, size, dtype):
+        assert share_adjustment_dtype(size) == dtype
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    @pytest.mark.parametrize(("n", "t"), sorted(PINNED_ADJUSTMENT_DIGESTS))
+    @pytest.mark.parametrize(
+        "adversary", ["coin-attack", "committee-targeting", "crash", "random-noise"]
+    )
+    def test_rows_match_the_pins_across_the_dtype_boundary(
+        self, adversary, n, t, backend, monkeypatch
+    ):
+        committee_size, dtype = ADJUSTMENT_GEOMETRY[(n, t)]
+        assert ProtocolParameters.derive(n, t).committee_size == committee_size
+        kernel_class = ADVERSARY_PLANE_KERNELS[adversary]
+        seen = set()
+
+        def round2(self, ctx, *args):
+            effect = original(self, ctx, *args)
+            if np.ndim(effect.shares):
+                seen.add(effect.shares.dtype)
+            return effect
+
+        original = kernel_class.round2
+        monkeypatch.setattr(kernel_class, "round2", round2)
+        digest = _adjustment_rows_digest(n, t, adversary, backend)
+        assert digest == PINNED_ADJUSTMENT_DIGESTS[(n, t)][adversary]
+        assert seen == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    def test_lossy_coin_attack_matches_its_pin(self, backend):
+        digest = _adjustment_rows_digest(256, 32, "coin-attack", backend, loss=0.05, trials=4)
+        assert digest == PINNED_LOSSY_ADJUSTMENT_DIGEST

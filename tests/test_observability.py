@@ -276,6 +276,33 @@ class TestBitIdentity:
         assert any(e["name"] == "engine.compaction" for e in streams[0])
 
 
+class TestHookSpans:
+    def test_kernel_hooks_nest_in_their_stage_spans(self):
+        # Every PhaseEngine hook call is an engine.hook.<hook> span inside
+        # the stage span of the same name, naming the kernel class, so the
+        # trace report splits the straddle off engine.round2's self time.
+        experiment = AgreementExperiment(n=64, t=8, protocol="committee-ba",
+                                         adversary="coin-attack", inputs="split")
+        tracer = Tracer(run_id="hooks")
+        with activate(tracer):
+            run_sweep(experiment=experiment, trials=8, base_seed=3,
+                      engine="vectorized")
+        events = tracer.events()
+        spans = {e["seq"]: e for e in events if e["event"] == "span"}
+        hooks = [e for e in spans.values() if e["name"].startswith("engine.hook.")]
+        assert {e["name"] for e in hooks} == {
+            "engine.hook.setup", "engine.hook.round1",
+            "engine.hook.pre_coin", "engine.hook.round2",
+        }
+        for hook in hooks:
+            stage = spans[hook["parent"]]["name"]
+            assert stage == hook["name"].replace("engine.hook.", "engine.")
+            assert hook["meta"] == {"kernel": "StraddleKernel"}
+        stages = trace_breakdown(events)["stages"]
+        assert stages["engine.hook.round2"]["calls"] == stages["engine.round2"]["calls"]
+        assert stages["engine.round2"]["self_ns"] < stages["engine.round2"]["cum_ns"]
+
+
 class TestAggregation:
     def _events(self):
         header = {"event": "trace", "schema": 1, "run_id": "agg"}
