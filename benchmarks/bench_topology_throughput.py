@@ -40,10 +40,10 @@ import time
 
 import numpy as np
 
-import repro.topology.loss as loss_module
+from repro import native
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import build_topology
-from repro.topology.loss import loss_kernel, sample_delivered
+from repro.topology.loss import sample_delivered
 
 #: Overhead comparison configuration: large enough that the plane work
 #: (not Python dispatch) dominates.  `straddle` keeps every trial running
@@ -187,7 +187,7 @@ def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop(monkeypatch
     """Both draw kernels == serial loop; the one in use >= 1.3x on two or more CPUs."""
     n, batch = BENCH_N, BENCH_TRIALS
     running = np.ones(batch, dtype=bool)
-    kernel, detail = loss_kernel()
+    kernel, detail = native.status()
 
     def generators():
         return [np.random.Generator(np.random.Philox(key=(11, k))) for k in range(batch)]
@@ -196,7 +196,7 @@ def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop(monkeypatch
         """Check ``name``'s draws against the loop; its best batch time."""
         with monkeypatch.context() as patch:
             if name == "numpy":
-                patch.setattr(loss_module, "_native", "the NumPy kernel, timed on its own")
+                patch.setattr(native, "_handle", "the NumPy kernel, timed on its own")
             serial_rngs, kernel_rngs = generators(), generators()
             expected = _serial_draws(DRAW_LOSS, n, serial_rngs, running)
             drawn = sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running)

@@ -1,29 +1,32 @@
 /*
- * The fused loss-draw kernel: one pass per trial plane of Philox4x64-10 raw
- * draws, the raw-threshold compare and the caller's output layout.
+ * The compiled Philox4x64-10 draws: one philox_block serves three entry
+ * points, which repro.native builds from this file and binds through ctypes.
  *
- * repro.topology.native builds this file and repro.topology.loss calls it
- * through ctypes in place of its NumPy kernel, which it reproduces word for
- * word.  Entry [j, i] of a plane (sender j, recipient i) takes the stream's
- * next raw output in row-major order.  It is kept when that output is at
- * least `threshold` and the adjacency (if any) has the edge; the diagonal
- * is always kept.
+ * - repro_loss_bools and repro_loss_words are the fused loss-draw kernel:
+ *   one pass per trial plane of Philox raw draws, the raw-threshold compare
+ *   and the caller's output layout.  repro.topology.loss calls them in place
+ *   of its NumPy kernel, which they reproduce word for word.  Entry [j, i]
+ *   of a plane (sender j, recipient i) takes the stream's next raw output in
+ *   row-major order.  It is kept when that output is at least `threshold`
+ *   and the adjacency (if any) has the edge; the diagonal is always kept.
+ * - repro_cursor_bits draws the coin-share bits of TrialStreams cursor rows
+ *   (repro.simulator.draws) in place of the NumPy Philox pass, bit for bit.
  *
- * The stream position is NumPy's Philox state as six words, read and
- * written back: {counter, pos, buffer[4]}.  `counter` is counter word 0
- * (words 1-3 must be zero and stay zero), `buffer` the block of that
+ * The loss planes' stream position is NumPy's Philox state as six words,
+ * read and written back: {counter, pos, buffer[4]}.  `counter` is counter
+ * word 0 (words 1-3 must be zero and stay zero), `buffer` the block of that
  * counter and `pos` the lanes of it already consumed (4: none left).  With
  * `refill` set the buffer is computed from the counter first, for a
  * position that carries none.
  *
- * Both entry points return 0, or -1 when their row buffers (about 9n bytes,
- * on the heap) cannot be allocated; n must be at least 1.
+ * Both loss entry points return 0, or -1 when their row buffers (about 9n
+ * bytes, on the heap) cannot be allocated; n must be at least 1.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
 #ifndef __SIZEOF_INT128__
-#error "the loss-draw kernel needs unsigned __int128 for the 64x64->128-bit Philox products"
+#error "the native Philox draws need unsigned __int128 for the 64x64->128-bit Philox products"
 #endif
 
 typedef unsigned __int128 u128;
@@ -219,5 +222,65 @@ int repro_loss_words(uint64_t key0, uint64_t key1, uint64_t *state, int refill, 
     }
     store(state, &s);
     free(raw);
+    return 0;
+}
+
+/*
+ * Row r = rows[i]'s next counts[r] fair bits into out[starts[r]...], exactly
+ * as Generator.integers(0, 2, size=counts[r]) draws them from NumPy's Philox:
+ * Lemire's method on next_uint32 with range 2 never rejects, so each bit is
+ * the top bit of the stream's next uint32.  A pending half (has_half[r], its
+ * value in uinteger[r]) serves first; then each fresh word serves its low
+ * half, then its high half.  Word w of a row is lane w % 4 of the block with
+ * counter w / 4 + 1 under the key (key0, key1[r]), and words[r] counts the
+ * words the row has used.  The last fresh word's high half is left in
+ * uinteger[r], pending after an odd number of fresh halves, consumed after
+ * an even number; a row that draws no fresh half keeps its uinteger[r].
+ *
+ * The row-indexed arrays hold `size` entries and out holds `out_size`.
+ * Returns 0, or -1, drawing nothing, when a row, count or start would reach
+ * outside them.
+ */
+int repro_cursor_bits(uint64_t key0, int64_t size, const uint64_t *key1, int64_t *words,
+                      uint8_t *has_half, int64_t *uinteger, const int64_t *counts,
+                      const int64_t *starts, const int64_t *rows, int64_t count_rows,
+                      int8_t *out, int64_t out_size)
+{
+    for (int64_t i = 0; i < count_rows; i++) {
+        const int64_t r = rows[i];
+        if (r < 0 || r >= size || counts[r] < 0 || starts[r] < 0
+            || counts[r] > out_size - starts[r])
+            return -1;
+    }
+    for (int64_t i = 0; i < count_rows; i++) {
+        const int64_t r = rows[i];
+        int64_t left = counts[r];
+        int8_t *bit = out + starts[r];
+        if (left > 0 && has_half[r]) {
+            *bit++ = (int8_t)((uint64_t)uinteger[r] >> 31);
+            has_half[r] = 0;
+            left--;
+        }
+        if (left == 0)
+            continue;
+        uint64_t w = (uint64_t)words[r], block[4], word = 0;
+        if (w & 3)
+            philox_block(key0, key1[r], (w >> 2) + 1, block);
+        for (;;) {
+            if (!(w & 3))
+                philox_block(key0, key1[r], (w >> 2) + 1, block);
+            word = block[w++ & 3];
+            *bit++ = (int8_t)((word >> 31) & 1);
+            if (--left == 0) {
+                has_half[r] = 1;
+                break;
+            }
+            *bit++ = (int8_t)(word >> 63);
+            if (--left == 0)
+                break;
+        }
+        uinteger[r] = (int64_t)(word >> 32);
+        words[r] = (int64_t)w;
+    }
     return 0;
 }

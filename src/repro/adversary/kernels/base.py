@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from repro.core.parameters import ProtocolParameters
+from repro.simulator.bitplanes import row_popcount
 
 if TYPE_CHECKING:
     from repro.simulator.draws import TrialStreams
@@ -191,6 +192,16 @@ class KernelContext:
     @property
     def can_update(self) -> np.ndarray:
         return self._plane_bools("can_update")
+
+    def active_count(self) -> np.ndarray:
+        """``(B,)`` active nodes per trial, counted on the plane's own form.
+
+        A packed plane counts its words without unpacking.  Its words go
+        stale when :meth:`corrupt` edits the boolean mirror, so a hook that
+        corrupts reads the count first and subtracts its victims.
+        """
+        plane = self._planes["active"]
+        return row_popcount(plane) if isinstance(plane, np.ndarray) else plane.popcount()
 
     def _mark_plane_dirty(self, name: str) -> None:
         plane = self._planes[name]

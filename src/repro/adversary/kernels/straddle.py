@@ -34,7 +34,7 @@ from repro.adversary.kernels.base import (
     Round2Effect,
     share_adjustment_dtype,
 )
-from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcount
+from repro.simulator.bitplanes import first_k_true, lower_half_split
 
 __all__ = ["StraddleKernel"]
 
@@ -86,11 +86,12 @@ class StraddleKernel(AdversaryKernel):
         if not spoiled.any():
             return Round2Effect()
         fresh = np.where(spoiled, needed, 0)
+        # Adversary round-2 traffic: controlled members to all honest.  The
+        # honest count is taken before the corruption, on the engine's
+        # plane, less the `fresh` victims (all of them active).
+        honest = ctx.active_count() - fresh
         ctx.corrupt(first_k_true(same_sign, fresh), start=start, stop=stop, count=fresh)
-        # Adversary round-2 traffic: controlled members to all honest.
-        ctx.messages += np.where(
-            spoiled, (controlled + needed) * row_popcount(ctx.active), 0
-        )
+        ctx.messages += np.where(spoiled, (controlled + needed) * honest, 0)
         # Share adjustment forcing the half split among the live recipients:
         # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0),
         # and 0 on rows the attack did not spoil (their split is empty).

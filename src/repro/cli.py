@@ -34,9 +34,11 @@ Python:
     kernel implements it, which adversaries it vectorises) followed by the
     full protocol × adversary dispatch table used by ``--engine auto``,
     including whether each fast-path pair is bit-identical to the object
-    simulator or statistically cross-validated.  A footer line names the
-    loss-draw kernel: ``loss draws: native (<compiler>)`` when the compiled
-    kernel is built, else ``loss draws: numpy (<reason>)``.  ``--markdown``
+    simulator or statistically cross-validated.  Two footer lines name the
+    draws of loss planes and of coin shares, from one status
+    (:func:`repro.native.status`): ``loss draws: native (<compiler>)`` and
+    ``share draws: native (<compiler>)`` when the compiled draws are built,
+    else ``numpy (<reason>)`` on both.  ``--markdown``
     emits the same tables as marked markdown blocks — the canonical content of the
     tables embedded in README.md and docs/, kept drift-free by
     ``tests/test_docs.py``.
@@ -86,6 +88,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro import native
 from repro.core.runner import (
     ADVERSARIES,
     INPUT_PATTERNS,
@@ -114,7 +117,6 @@ from repro.observability import (
     write_trace,
 )
 from repro.topology import TOPOLOGIES
-from repro.topology.loss import loss_kernel
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -365,8 +367,9 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(format_table(kernel_support_table()))
     print("\nprotocol x adversary dispatch (--engine auto):")
     print(format_table(dispatch_table()))
-    kernel, detail = loss_kernel()
+    kernel, detail = native.status()
     print(f"\nloss draws: {kernel} ({detail})")
+    print(f"share draws: {kernel} ({detail})")
     return 0
 
 

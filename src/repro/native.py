@@ -1,21 +1,25 @@
-"""Build, cache and bind the compiled loss-draw kernel (``_lossdraw.c``).
+"""Build, cache and bind the compiled Philox draws (``_native.c``).
 
-The kernel fuses the NumPy loss kernel's three passes over a trial plane —
-Philox4x64-10 raw draws, the raw-threshold compare and the output layout —
-into one.  :func:`load` compiles it with the first C compiler on ``PATH``
-(``cc``, ``gcc`` or ``clang``) as ``-O3 -shared -fPIC``, running the
-compiler from an argument list, never a shell.  The library goes into one
-per-user cache, ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` by default),
-named by a hash of the source and the compile command.  It is published
-through a temporary file and :func:`os.replace`, so processes that build at
-the same time (sweep shards, fresh interpreters) never load a half-written
-file, and later processes only load the cached build.
+One C source holds Philox4x64-10 once and three entry points over it: the
+fused loss-draw kernel's two plane layouts (:mod:`repro.topology.loss`) and
+the coin-share bits of cursor rows
+(:meth:`repro.simulator.draws.TrialStreams.draw_bits`).  :func:`load`
+compiles it with the first C compiler on ``PATH`` (``cc``, ``gcc`` or
+``clang``) as ``-O3 -shared -fPIC``, running the compiler from an argument
+list, never a shell.  The library goes into one per-user cache,
+``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` by default), named by a hash
+of the source and the compile command.  It is published through a temporary
+file and :func:`os.replace`, so processes that build at the same time (sweep
+shards, fresh interpreters) never load a half-written file, and later
+processes only load the cached build.
 
-Every failure — no compiler, a compile error (including a compiler without
-``unsigned __int128``), an unwritable cache, a library that will not load —
-raises :class:`BuildError` carrying the reason; :mod:`repro.topology.loss`
-then draws with NumPy.  There is no switch: the kernel is native exactly
-when this build succeeds.
+A process holds one handle (:func:`kernel`): built on the first draw that
+wants it, then either the loaded :class:`Kernel` or the reason its build
+failed.  Every failure — no compiler, a compile error (including a compiler
+without ``unsigned __int128``), an unwritable cache, a library that will not
+load — raises :class:`BuildError` carrying the reason, and both draws then
+run on NumPy.  There is no switch: the draws are native exactly when this
+build succeeds, and :func:`status` says which.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["BuildError", "LossKernel", "cache_dir", "find_compiler", "load"]
+__all__ = ["BuildError", "Kernel", "cache_dir", "find_compiler", "kernel", "load", "status"]
 
-SOURCE = Path(__file__).with_name("_lossdraw.c")
+SOURCE = Path(__file__).with_name("_native.c")
 
 #: Compilers looked up on ``PATH``, in order.
 COMPILERS = ("cc", "gcc", "clang")
@@ -52,15 +57,23 @@ _Position = ctypes.c_uint64 * 6
 #: counter word 0.
 _COUNTER_SPACE = 1 << 64
 
+#: The dtypes of :meth:`Kernel.cursor_bits`' row-indexed arrays, in order.
+_ROWED_DTYPES = (np.uint64, np.int64, np.bool_, np.int64, np.int64, np.int64)
+
+#: The process's one handle: ``None`` until :func:`kernel` first runs, then
+#: the loaded :class:`Kernel`, or the reason (a ``str``) its build failed.
+_handle: Kernel | str | None = None
+_handle_lock = threading.Lock()
+
 
 class BuildError(RuntimeError):
-    """The native loss kernel is unavailable; the message says why."""
+    """The native draws are unavailable; the message says why."""
 
 
-class LossKernel:
-    """The compiled kernel, bound through ``ctypes``.
+class Kernel:
+    """The compiled draws, bound through ``ctypes``.
 
-    ``ctypes`` releases the GIL for every call, so draw threads run the
+    ``ctypes`` releases the GIL for every call, so loss-draw threads run the
     kernel in parallel.
     """
 
@@ -78,8 +91,16 @@ class LossKernel:
         self._words.argtypes = [*head, ctypes.c_int64]
         for entry in (self._bools, self._words):
             entry.restype = ctypes.c_int
+        uint64s, int64s = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int64)
+        self._bits = library.repro_cursor_bits
+        self._bits.argtypes = [
+            ctypes.c_uint64, ctypes.c_int64, uint64s, int64s, ctypes.POINTER(ctypes.c_uint8),
+            int64s, int64s, int64s, int64s, ctypes.c_int64, ctypes.POINTER(ctypes.c_int8),
+            ctypes.c_int64,
+        ]
+        self._bits.restype = ctypes.c_int
 
-    def draw(
+    def loss_plane(
         self,
         source: tuple[int, int, int] | np.random.BitGenerator,
         n: int,
@@ -138,6 +159,56 @@ class LossKernel:
             source.state = state
         return True
 
+    def cursor_bits(
+        self,
+        key0: int,
+        key1: np.ndarray,
+        words: np.ndarray,
+        has_half: np.ndarray,
+        uinteger: np.ndarray,
+        counts: np.ndarray,
+        starts: np.ndarray,
+        rows: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Draw cursor ``rows``' next ``counts[row]`` fair bits into ``out[starts[row]...]``.
+
+        ``key1``, ``words``, ``has_half`` and ``uinteger`` are the cursor
+        arrays of :class:`~repro.simulator.draws.TrialStreams`, indexed by
+        row like ``counts`` and ``starts``; the kernel moves each drawn
+        row's cursor in place, as ``integers(0, 2, size=count)`` moves its
+        generator.
+
+        Every array is passed as its first element viewed through
+        ``from_buffer``: no copy, a ``TypeError`` for a read-only or
+        non-contiguous array, and the view holds the array through the call
+        (an address taken from a temporary would not).  That is several
+        times cheaper per array than ``ndpointer`` or ``.ctypes.data``,
+        which matters at ~165 draws of a few hundred bits per sweep call.
+
+        Raises:
+            ValueError: When an array has the wrong dtype, the row-indexed
+                arrays differ in length, ``rows`` is empty, or a row, count
+                or start reaches outside the arrays; nothing is drawn.
+        """
+        rowed = (key1, words, has_half, uinteger, counts, starts)
+        if (
+            not len(rows) or rows.dtype != np.int64 or out.dtype != np.int8
+            or any(a.dtype != dtype or len(a) != len(counts)
+                   for a, dtype in zip(rowed, _ROWED_DTYPES))
+        ):
+            raise ValueError(
+                "cursor bits take uint64 keys, int64 words, bool halves, int64 halves, "
+                "counts and starts of one length, non-empty int64 rows and int8 out"
+            )
+        u64, i64 = ctypes.c_uint64.from_buffer, ctypes.c_int64.from_buffer
+        if self._bits(
+            key0, len(counts), u64(key1), i64(words), ctypes.c_uint8.from_buffer(has_half),
+            i64(uinteger), i64(counts), i64(starts), i64(rows), len(rows),
+            ctypes.c_int8.from_buffer(out), len(out),
+        ):
+            raise ValueError("a row, count or start reaches outside the cursor bit arrays")
+
 
 def find_compiler() -> str | None:
     """The path of the first of :data:`COMPILERS` on ``PATH``, or ``None``."""
@@ -154,8 +225,31 @@ def cache_dir() -> Path:
     return Path(root) / "repro"
 
 
-def load() -> LossKernel:
-    """The kernel, built into the cache first unless a build is already there.
+def kernel() -> Kernel | None:
+    """The process's native draws, built on first call; ``None`` when the build failed."""
+    global _handle
+    if _handle is None:
+        with _handle_lock:
+            if _handle is None:
+                try:
+                    _handle = load()
+                except BuildError as error:
+                    _handle = str(error)
+    return None if isinstance(_handle, str) else _handle
+
+
+def status() -> tuple[str, str]:
+    """Which draws run in this process, and why.
+
+    ``("native", compiler)`` when the compiled draws are loaded, else
+    ``("numpy", reason the build failed)``.  Builds them on first call.
+    """
+    loaded = kernel()
+    return ("numpy", str(_handle)) if loaded is None else ("native", loaded.compiler)
+
+
+def load() -> Kernel:
+    """The compiled draws, built into the cache first unless a build is already there.
 
     Raises:
         BuildError: When no compiler is found, the build fails or the
@@ -170,11 +264,11 @@ def load() -> LossKernel:
     except OSError as error:
         raise BuildError(f"cannot read {SOURCE}: {error}") from None
     key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
-    library = cache_dir() / f"lossdraw-{key}.so"
+    library = cache_dir() / f"native-{key}.so"
     if not library.exists():
         _build(command, library)
     try:
-        return LossKernel(ctypes.CDLL(str(library)), compiler)
+        return Kernel(ctypes.CDLL(str(library)), compiler)
     except (OSError, AttributeError) as error:
         raise BuildError(f"cannot load {library}: {error}") from None
 

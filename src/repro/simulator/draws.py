@@ -8,16 +8,23 @@ compacted.  :class:`TrialStreams` holds those streams for a whole batch as
 the number of 64-bit words its stream has consumed and the pending uint32
 half, if any.
 
-The committee coin's shares are the hot draw: every phase, every running
-trial draws ``integers(0, 2, size=c)`` (Ben-Or's private flips are the same
-draw, one per node).  That call is Lemire's method on
-``next_uint32`` with range 2, which never rejects, so share ``i`` is the top
-bit of the stream's next uint32 — the low half of a 64-bit word first, then
-its high half, which Philox buffers across calls.  :meth:`TrialStreams.draw_shares`
-reproduces this for all cursor rows in one NumPy pass of the Philox
-rounds (word ``i`` of a trial is lane ``i % 4`` of the block with counter
-``i // 4 + 1``; the 64x64->128-bit multiply runs on 32-bit halves), bit for
-bit, whenever at least :data:`VECTOR_MIN_ROWS` rows draw from cursors.
+The coin's fair bits are the hot draw: every phase, every running trial
+draws the committee's shares as ``integers(0, 2, size=c)``, and Ben-Or's
+private flips are the same draw, one per node.  That call is Lemire's
+method on ``next_uint32`` with range 2, which never rejects, so bit ``i`` is
+the top bit of the stream's next uint32 — the low half of a 64-bit word
+first, then its high half, which Philox buffers across calls.
+:meth:`TrialStreams.draw_bits` reproduces this bit for bit for every cursor
+row at once (word ``i`` of a trial is lane ``i % 4`` of the block with
+counter ``i // 4 + 1``):
+
+* in one compiled call (:mod:`repro.native`) at any row count, whenever the
+  native draws built;
+* otherwise in one NumPy pass of the Philox rounds (:func:`philox_blocks`;
+  the 64x64->128-bit multiply runs on 32-bit halves) once at least
+  :data:`VECTOR_MIN_ROWS` rows draw from cursors, and through each row's
+  generator below that.  These are the fallback when no compiler is found,
+  and the oracle the native draw is tested against.
 
 Loss planes are raw 64-bit words, so the compiled loss kernel
 (:mod:`repro.topology.loss`) draws them straight from a cursor row:
@@ -25,11 +32,12 @@ Loss planes are raw 64-bit words, so the compiled loss kernel
 moves the cursor past the plane, as ``random_raw`` would move the
 generator.  Any other draw needs a real generator: the noise kernel's
 binomial and multinomial draws, sampling-majority's peer picks, the
-``random`` input pattern, and loss planes drawn with NumPy.  Indexing a stream (``streams[b]``) materialises row ``b`` as its
+``random`` input pattern, and loss planes drawn with NumPy.  Indexing a
+stream (``streams[b]``) materialises row ``b`` as its
 :func:`trial_generator` jumped to the cursor in O(1) — ``Philox.advance``
 past the whole blocks, one ``random_raw`` of the 1-4 words left to load the
 current block, then the uint32 half state restored — and the row draws
-through that generator from then on, shares included.
+through that generator from then on, coin bits included.
 """
 
 from __future__ import annotations
@@ -39,17 +47,18 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 
 __all__ = ["VECTOR_MIN_ROWS", "TrialStreams", "philox_blocks", "trial_generator"]
 
-#: Cursor rows at and above which a share draw takes the vectorised Philox
-#: pass.  Measured on 2 vCPUs (Python 3.11, NumPy 2.4) at 4-8 shares per row:
-#: the pass costs about 0.25 ms plus ~1 us per row, the per-row path about
-#: 6.5 us per ``integers`` call, so the two cross near 40 rows.  Below it the
-#: rows become generators (a one-off replay of about 20 us per row) and draw
-#: one call each, as a batch of generators always did.
+#: Cursor rows at and above which a bit draw without the native draws takes
+#: the vectorised Philox pass.  Measured on 2 vCPUs (Python 3.11, NumPy 2.4)
+#: at 4-8 shares per row: the pass costs about 0.25 ms plus ~1 us per row,
+#: the per-row path about 6.5 us per ``integers`` call, so the two cross near
+#: 40 rows.  Below it the rows become generators (a one-off replay of about
+#: 20 us per row) and draw one call each, as a batch of generators always did.
 VECTOR_MIN_ROWS = 40
 
 #: Shares per vectorised pass.  The pass holds about 56 bytes of temporaries
@@ -121,7 +130,8 @@ class TrialStreams:
     Row ``b`` is the stream of trial ``trial_offset + b`` under master
     ``seed``: it produces exactly the draws ``trial_generator(seed,
     trial_offset + b)`` would, in the same order, whichever mix of
-    :meth:`draw_shares` and generator draws (``streams[b]``) consumes it.
+    :meth:`draw_bits`, :meth:`claim_raw` and generator draws
+    (``streams[b]``) consumes it.
 
     Args:
         seed: Master seed, ``0 <= seed < 2**64`` (the first Philox key word).
@@ -242,44 +252,55 @@ class TrialStreams:
         taken._cursor = self._cursor[rows]
         return taken
 
-    def draw_shares(self, counts: np.ndarray) -> np.ndarray:
-        """Row ``b``'s next ``counts[b]`` fair ±1 shares, concatenated in row order.
+    def draw_bits(self, counts: np.ndarray) -> np.ndarray:
+        """Row ``b``'s next ``counts[b]`` fair bits (int8 0/1), concatenated in row order.
 
-        Equal to concatenating ``2 * streams[b].integers(0, 2, size=counts[b])
-        - 1`` over the rows, and consumes the streams the same way.  When at
-        least :data:`VECTOR_MIN_ROWS` drawing rows are still cursors, they
-        are drawn in one vectorised Philox pass; otherwise every drawing row
-        draws through its generator.
+        Equal to concatenating ``streams[b].integers(0, 2, size=counts[b])``
+        over the rows, and consumes the streams the same way.  The drawing
+        rows still on cursors draw in one native call when the native draws
+        built (path ``native``); else in one vectorised Philox pass when at
+        least :data:`VECTOR_MIN_ROWS` of them draw (``vector``), or through
+        their generators (``generator``).  Materialised rows draw one
+        ``integers`` call each on every path.
         """
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)  # a writable copy the native call can view
         drawing = np.flatnonzero(counts)
         is_cursor = self._cursor[drawing]
         cursor = drawing[is_cursor]
-        vector = len(cursor) >= VECTOR_MIN_ROWS
-        with current_tracer().span(
-            "engine.draw.shares", running=len(drawing),
-            path="vector" if vector else "generator",
-        ):
-            if not vector:
+        kernel = native.kernel() if len(cursor) else None
+        if kernel is not None:
+            path = "native"
+        else:
+            path = "vector" if len(cursor) >= VECTOR_MIN_ROWS else "generator"
+        with current_tracer().span("engine.draw.shares", running=len(drawing), path=path):
+            if path == "generator":
                 draws = [
                     self[row].integers(0, 2, size=count)
                     for row, count in zip(drawing.tolist(), counts[drawing].tolist())
                 ]
                 bits = np.concatenate(draws) if draws else np.zeros(0, dtype=np.int64)
-                return (bits.astype(np.int8) << 1) - 1
+                return bits.astype(np.int8)
             bits = np.empty(int(counts.sum()), dtype=np.int8)
             starts = np.cumsum(counts) - counts
-            totals = np.cumsum(counts[cursor])
-            edges = np.searchsorted(totals, np.arange(_PASS_SHARES, totals[-1], _PASS_SHARES))
-            for rows in np.split(cursor, edges):
-                if len(rows):
-                    self._draw_cursor_bits(rows, counts[rows], starts[rows], bits)
+            if kernel is not None:
+                kernel.cursor_bits(
+                    self._seed, self._trial, self._words, self._has_half, self._uinteger,
+                    counts, starts, cursor, bits,
+                )
+            else:
+                totals = np.cumsum(counts[cursor])
+                edges = np.searchsorted(
+                    totals, np.arange(_PASS_SHARES, totals[-1], _PASS_SHARES)
+                )
+                for rows in np.split(cursor, edges):
+                    if len(rows):
+                        self._draw_cursor_bits(rows, counts[rows], starts[rows], bits)
             per_row = drawing[~is_cursor]
             for row, start, count in zip(
                 per_row.tolist(), starts[per_row].tolist(), counts[per_row].tolist()
             ):
                 bits[start : start + count] = self[row].integers(0, 2, size=count)
-        return (bits << 1) - 1
+        return bits
 
     def _draw_cursor_bits(
         self, rows: np.ndarray, counts: np.ndarray, starts: np.ndarray, out: np.ndarray

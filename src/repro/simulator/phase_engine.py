@@ -16,8 +16,8 @@ The engine owns everything the six protocols share:
 * committee coin-share draws on the per-trial Philox streams (always for
   the committee coin; lazily, only when the kernel is share-hungry and some
   trial can reach the coin case, for the dealer/private coins) and Ben-Or's
-  private flips, one vectorised Philox pass per draw once enough trials run
-  (:meth:`~repro.simulator.draws.TrialStreams.draw_shares`);
+  private flips, one compiled (or vectorised NumPy) Philox call per draw
+  (:meth:`~repro.simulator.draws.TrialStreams.draw_bits`);
 * CONGEST message accounting (honest broadcasts engine-side, adversary
   traffic kernel-side) and flush-phase / bounded-exhaustion termination;
 * the batched agreement/validity finaliser (:func:`finalize_planes`).
@@ -116,15 +116,15 @@ def draw_committee_shares(
 
     Each running trial draws one share per active member from its own
     stream — the single-trial path's ``integers(0, 2, size=count)`` call,
-    bit for bit (:meth:`~repro.simulator.draws.TrialStreams.draw_shares`).
-    The draws arrive concatenated in row order and are scattered in one
-    pass: boolean-mask assignment walks the mask in row-major order, which
-    is exactly the concatenation order (non-running trials have all-False
-    committee rows and draw nothing).
+    bit for bit (:meth:`~repro.simulator.draws.TrialStreams.draw_bits`),
+    as ``2 * bit - 1``.  The draws arrive concatenated in row order and are
+    scattered in one pass: boolean-mask assignment walks the mask in
+    row-major order, which is exactly the concatenation order (non-running
+    trials have all-False committee rows and draw nothing).
     """
     shares = np.zeros(committee_active.shape, dtype=np.int8)
     counts = np.where(running, np.count_nonzero(committee_active, axis=1), 0)
-    shares[committee_active] = streams.draw_shares(counts)
+    shares[committee_active] = (streams.draw_bits(counts) << 1) - 1
     return shares
 
 
@@ -599,7 +599,7 @@ class PhaseEngine:
                             # One flip per node of each needing row, drawn
                             # as integers(0, 2, size=n) would draw them.
                             coin_plane = np.zeros((len(orig), n), dtype=bool)
-                            flips = streams.draw_shares(np.where(need, n, 0)) > 0
+                            flips = streams.draw_bits(np.where(need, n, 0)).view(bool)
                             coin_plane[need] = flips.reshape(-1, n)
                             value.blend_mask(coin_plane, coin_mask)
                 decided.clear_where(coin_mask)

@@ -37,10 +37,9 @@ same state — without the float conversion.
 
 Two kernels draw a trial's plane, with identical words and stream states:
 
-* the **native** kernel (``_lossdraw.c``, built by
-  :mod:`repro.topology.native` on the first lossy draw) fuses the Philox
-  draws, the compare and the caller's output layout into one compiled
-  pass.  It draws a :class:`~repro.simulator.draws.TrialStreams` cursor
+* the **native** kernel (``_native.c``, built by :mod:`repro.native` on
+  the first draw that wants it) fuses the Philox draws, the compare and
+  the caller's output layout into one compiled pass.  It draws a :class:`~repro.simulator.draws.TrialStreams` cursor
   row straight from its key and word count (the row only advances its
   cursor and never becomes a generator), and a Philox generator row
   through a ``bit_generator.state`` read and write;
@@ -65,14 +64,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.simulator.draws import TrialStreams
-from repro.topology import native
 from repro.topology.counting import word_width
 
 __all__ = [
-    "loss_kernel",
     "sample_delivered",
     "sample_delivered_words",
     "sample_drops",
@@ -95,12 +93,6 @@ _workers = (
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
-#: The native kernel: ``None`` until the first lossy draw builds it, then a
-#: :class:`~repro.topology.native.LossKernel`, or the reason (a ``str``) the
-#: build failed, in which case the NumPy kernel draws.
-_native: native.LossKernel | str | None = None
-_native_lock = threading.Lock()
-
 
 def _draw_pool() -> ThreadPoolExecutor:
     """The draw thread pool, created on first use."""
@@ -118,29 +110,6 @@ def _draw_inline_after_fork() -> None:
 
 if hasattr(os, "register_at_fork"):  # POSIX; nothing is forked elsewhere
     os.register_at_fork(after_in_child=_draw_inline_after_fork)
-
-
-def _native_kernel() -> native.LossKernel | None:
-    """The native kernel, built on first call; ``None`` when its build failed."""
-    global _native
-    if _native is None:
-        with _native_lock:
-            if _native is None:
-                try:
-                    _native = native.load()
-                except native.BuildError as error:
-                    _native = str(error)
-    return None if isinstance(_native, str) else _native
-
-
-def loss_kernel() -> tuple[str, str]:
-    """The kernel lossy planes draw with in this process, and why.
-
-    ``("native", compiler)`` when the compiled kernel is loaded, else
-    ``("numpy", reason the build failed)``.  Builds the kernel on first call.
-    """
-    kernel = _native_kernel()
-    return ("numpy", _native) if kernel is None else ("native", kernel.compiler)
 
 
 def validate_loss(loss: float) -> float:
@@ -272,7 +241,7 @@ def _sample_kept(
     # can fill in place, and only with an (n, n) topology.
     shape = (len(running), n, word_width(n) if packed else n)
     kernel = (
-        _native_kernel()
+        native.kernel()
         if delivered.flags.c_contiguous and delivered.shape == shape
         and delivered.dtype == (np.uint64 if packed else np.bool_)
         and (edges is None or edges.shape == (n, n))
@@ -308,7 +277,7 @@ def _sample_kept(
         kept = None  # the NumPy kernel's work matrix, reused across trials
         fallbacks = 0
         for b in chunk:
-            if kernel is not None and kernel.draw(
+            if kernel is not None and kernel.loss_plane(
                 sources[b], n, raw_threshold, edges_address, base + b * stride, row_bytes
             ):
                 continue

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-import repro.topology.loss as loss_module
+from repro import native
 from repro.engine import run_sweep
 from repro.observability import Tracer, activate
 from repro.simulator.rng import RandomnessSource
-from repro.topology import native
 
 
 @pytest.fixture
@@ -43,22 +42,20 @@ def traced_sweep():
 
 
 @pytest.fixture(params=["native", "numpy"])
-def loss_kernel(request, monkeypatch):
-    """Run the test once per loss-draw kernel; the value names the kernel.
+def native_kernel(request, monkeypatch):
+    """Run the test once per draw kernel; the value names the kernel.
 
-    ``numpy`` sets :mod:`repro.topology.loss`'s kernel handle to a failure
-    reason, so every plane takes the NumPy kernel.  ``native`` installs the
-    compiled kernel, building it if the cache lacks it: the case skips only
-    when no C compiler is on ``PATH`` and fails when one is but the build
-    does not succeed.
+    ``numpy`` sets :mod:`repro.native`'s one handle to a failure reason, so
+    loss planes take the NumPy loss kernel and coin bits the NumPy pass or
+    the generators.  ``native`` installs the compiled draws, building them
+    if the cache lacks them: the case skips only when no C compiler is on
+    ``PATH`` and fails when one is but the build does not succeed.
     """
     if request.param == "numpy":
-        monkeypatch.setattr(loss_module, "_native", "the NumPy kernel, picked by the test")
+        monkeypatch.setattr(native, "_handle", "the NumPy draws, picked by the test")
         return "numpy"
     if native.find_compiler() is None:
-        pytest.skip("no C compiler on PATH to build the native loss kernel")
-    monkeypatch.setattr(loss_module, "_native", None)
-    assert loss_module._native_kernel() is not None, (
-        f"the native loss kernel did not build: {loss_module._native}"
-    )
+        pytest.skip("no C compiler on PATH to build the native draws")
+    monkeypatch.setattr(native, "_handle", None)
+    assert native.kernel() is not None, f"the native draws did not build: {native._handle}"
     return "native"

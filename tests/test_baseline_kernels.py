@@ -147,7 +147,7 @@ def _pinned_rows_digest(protocol, adversary):
 
 class TestPinnedPhaseBaselineDigests:
     @pytest.mark.parametrize("protocol", ["rabin", "ben-or"])
-    def test_rows_match_the_digests_pinned_before_the_fold(self, protocol, loss_kernel):
+    def test_rows_match_the_digests_pinned_before_the_fold(self, protocol, native_kernel):
         got = {
             adversary: _pinned_rows_digest(protocol, adversary)
             for adversary in sorted(ADVERSARIES)

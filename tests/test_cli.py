@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.topology.loss as loss_module
+from repro import native
 from repro.cli import build_parser, main
 from repro.engine import run_sweep
 from repro.observability import read_trace
 from repro.sweeps import get_spec
-from repro.topology import native
 
 
 class TestParser:
@@ -168,24 +167,29 @@ class TestCommands:
         # The dispatch table records the validation mode of fast-path pairs.
         assert "statistical" in output and "exact" in output
 
-    def test_engines_footer_names_the_loss_kernel_and_why(self, capsys, tmp_path, monkeypatch):
+    def test_engines_footer_names_both_draw_kernels_and_why(self, capsys, tmp_path,
+                                                            monkeypatch):
         assert main(["engines"]) == 0
-        kernel, detail = loss_module.loss_kernel()
-        footer = f"loss draws: {kernel} ({detail})"
-        assert capsys.readouterr().out.splitlines()[-1] == footer
+        kernel, detail = native.status()
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"loss draws: {kernel} ({detail})", f"share draws: {kernel} ({detail})"
+        ]
         lossy = dict(protocol="committee-ba", adversary="null", trials=4, base_seed=3,
                      loss=0.05, engine="vectorized")
-        rows = run_sweep(24, 3, **lossy).trials
-        # No compiler: the footer names the NumPy kernel and the reason, and
-        # lossy sweeps keep their rows.
+        coin = dict(protocol="committee-ba", adversary="coin-attack", trials=4, base_seed=3,
+                    engine="vectorized")
+        rows = run_sweep(24, 3, **lossy).trials, run_sweep(24, 3, **coin).trials
+        # No compiler: both lines name NumPy and the reason, and lossy and
+        # coin sweeps keep their rows.
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(loss_module, "_native", None)
+        monkeypatch.setattr(native, "_handle", None)
         assert main(["engines"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == (
-            "loss draws: numpy (no C compiler (cc, gcc, clang) on PATH)"
-        )
-        assert run_sweep(24, 3, **lossy).trials == rows
+        fallback = "numpy (no C compiler (cc, gcc, clang) on PATH)"
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"loss draws: {fallback}", f"share draws: {fallback}"
+        ]
+        assert (run_sweep(24, 3, **lossy).trials, run_sweep(24, 3, **coin).trials) == rows
         assert not (tmp_path / "repro").exists()
 
     def test_engines_markdown_emits_the_marked_blocks(self, capsys):

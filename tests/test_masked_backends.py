@@ -250,7 +250,7 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("adversary", PINNED_ADVERSARIES)
     @pytest.mark.parametrize("protocol", PINNED_PROTOCOLS)
     def test_masked_and_lossy_results_match_the_pinned_digests(self, protocol, adversary,
-                                                               loss_kernel):
+                                                               native_kernel):
         got = {
             f"{topology}/{loss}": _pinned_digest(protocol, adversary, topology, loss)
             for topology in PINNED_TOPOLOGIES

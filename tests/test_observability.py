@@ -181,7 +181,7 @@ class TestBitIdentity:
         ("committee-ba", "packed"),
         ("phase-king", "packed"),
     ])
-    def test_lossy_traced_equals_untraced(self, protocol, backend, loss_kernel):
+    def test_lossy_traced_equals_untraced(self, protocol, backend, native_kernel):
         experiment = AgreementExperiment(n=32, t=6, protocol=protocol,
                                          adversary="static", inputs="split",
                                          loss=0.05)
@@ -198,19 +198,19 @@ class TestBitIdentity:
         draws = [e for e in tracer.events() if e["name"] == "engine.draw.loss"]
         assert len(draws) >= 2
         assert all(1 <= e["meta"]["running"] <= 4 for e in draws)
-        assert {e["meta"]["kernel"] for e in draws} == {loss_kernel}
+        assert {e["meta"]["kernel"] for e in draws} == {native_kernel}
         shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
         if protocol == "phase-king":
             assert shares == []  # the king's value is no coin
             return
-        # Below the crossover shares are drawn per row, through generators.
-        assert shares and all(
-            e["meta"]["path"] == "generator" and e["meta"]["running"] <= 4
-            for e in shares
-        )
-        # Above it, native loss planes leave every row a cursor, so the first
-        # share draw takes the vectorised pass; the NumPy kernel has turned
-        # the rows into generators by then.
+        # Native loss planes leave every row a cursor, so the native draw
+        # takes the shares at any row count; the NumPy loss kernel has
+        # turned the drawing rows into generators by then, so their shares
+        # are drawn per row, below the crossover and above it.  (A phase
+        # whose committee is all corrupt draws nothing, on no cursor row.)
+        path = "native" if native_kernel == "native" else "generator"
+        assert shares and all(e["meta"]["running"] <= 4 for e in shares)
+        assert {e["meta"]["path"] for e in shares if e["meta"]["running"]} == {path}
         wide = dict(kwargs, trials=VECTOR_MIN_ROWS + 8)
         plain = run_sweep(**wide)
         tracer = Tracer(run_id="wide-identity")
@@ -218,7 +218,7 @@ class TestBitIdentity:
             traced = run_sweep(**wide)
         assert _trial_rows(traced) == _trial_rows(plain)
         shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
-        assert shares[0]["meta"]["path"] == ("vector" if loss_kernel == "native" else "generator")
+        assert shares[0]["meta"]["path"] == path
         assert shares[0]["meta"]["running"] >= VECTOR_MIN_ROWS
 
     @pytest.mark.parametrize("engine", ["vectorized", "object"])

@@ -28,7 +28,6 @@ from repro.topology import (
     grid2d,
     is_connected,
     markdown_topology_catalogue,
-    native,
     ring,
     sample_delivered,
     sample_drops,
@@ -230,7 +229,7 @@ RUNNING = np.array([True, False, True, True, False, False, True, True, True])
 class TestLossDrawKernel:
     """Both samplers against the historical serial loop, bit for bit.
 
-    Both kernels (the ``loss_kernel`` fixture runs each test under the
+    Both kernels (the ``native_kernel`` fixture runs each test under the
     native and the NumPy kernel) compare raw 64-bit outputs against an
     integer threshold on a thread pool; the reference draws floats one trial
     after another.  Three draw threads split the six running trials into
@@ -262,7 +261,7 @@ class TestLossDrawKernel:
     @pytest.mark.parametrize("loss", [2.0**-53, 0.05, 0.3, 0.5, 1.0 - 2.0**-53])
     @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
     def test_samplers_match_the_serial_loop(self, bit_generator, loss, n, adjacency_name,
-                                            loss_kernel):
+                                            native_kernel):
         adjacency = None if adjacency_name is None else build_topology(adjacency_name, n)
         reference_rngs = self._generators(bit_generator)
         expected = _serial_reference(adjacency, loss, n, reference_rngs, RUNNING)
@@ -302,7 +301,7 @@ class TestLossDrawKernel:
             assert np.array_equal(raws >= loss_module._raw_threshold(loss),
                                   as_random >= loss), loss
 
-    def test_a_generator_shared_between_trials_is_drawn_inline_in_trial_order(self, loss_kernel):
+    def test_a_generator_shared_between_trials_is_drawn_inline_in_trial_order(self, native_kernel):
         shared = np.random.Generator(np.random.Philox(4))
         reference = np.random.Generator(np.random.Philox(4))
         expected = _serial_reference(None, 0.3, 9, [reference] * 5, np.ones(5, bool))
@@ -312,12 +311,12 @@ class TestLossDrawKernel:
         # Threads would race for the shared stream; the kernel never used any.
         assert loss_module._pool is None
 
-    def test_one_running_trial_draws_inline(self, loss_kernel):
+    def test_one_running_trial_draws_inline(self, native_kernel):
         sample_delivered(None, 0.3, 9, self._generators(np.random.Philox), np.eye(9, dtype=bool)[0])
         assert loss_module._pool is None
 
     @pytest.mark.parametrize("case", ["philox", "pcg64", "high counter", "strided out"])
-    def test_the_span_names_the_kernel_that_drew(self, case, loss_kernel):
+    def test_the_span_names_the_kernel_that_drew(self, case, native_kernel):
         # Philox rows draw with the kernel in use.  PCG64 streams, a Philox
         # counter past its low word and an output the native kernel cannot
         # write in place draw through NumPy under either, with the same words.
@@ -343,7 +342,7 @@ class TestLossDrawKernel:
                    for a, b in zip(rngs, reference))
         (span,) = [e for e in tracer.events() if e["name"] == "engine.draw.loss"]
         assert span["meta"] == {
-            "running": 6, "kernel": loss_kernel if case == "philox" else "numpy"
+            "running": 6, "kernel": native_kernel if case == "philox" else "numpy"
         }
 
     def test_mt19937_is_rejected(self):
@@ -354,51 +353,6 @@ class TestLossDrawKernel:
             sample_delivered(None, 0.1, 4, rngs, np.ones(1, dtype=bool))
         with pytest.raises(ConfigurationError, match="MT19937"):
             sample_delivered_words(None, 0.1, 4, rngs, np.ones(1, dtype=bool))
-
-
-class TestNativeBuild:
-    """How the native kernel gets built, and how a failed build falls back."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, tmp_path, monkeypatch):
-        if native.find_compiler() is None:
-            pytest.skip("no C compiler on PATH to build the native loss kernel")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(loss_module, "_native", None)
-        return tmp_path / "cache" / "repro"
-
-    def test_the_build_is_cached_by_source_and_command(self, empty_cache, monkeypatch):
-        assert loss_module.loss_kernel() == ("native", native.find_compiler())
-        (library,) = empty_cache.iterdir()
-
-        def refuse(*args, **kwargs):
-            raise OSError("the test runs no compiler")
-
-        # A fresh handle loads the cached library without compiling again.
-        monkeypatch.setattr(native.subprocess, "run", refuse)
-        monkeypatch.setattr(loss_module, "_native", None)
-        assert loss_module.loss_kernel()[0] == "native"
-        # Other compile flags are another build, which would need the compiler.
-        monkeypatch.setattr(native, "FLAGS", (*native.FLAGS, "-DOTHER"))
-        monkeypatch.setattr(loss_module, "_native", None)
-        kind, reason = loss_module.loss_kernel()
-        assert kind == "numpy" and "the test runs no compiler" in reason
-        assert list(empty_cache.iterdir()) == [library]
-
-    def test_a_compile_error_falls_back_to_numpy_with_the_reason(self, tmp_path, monkeypatch):
-        broken = tmp_path / "_lossdraw.c"
-        broken.write_text('#error "this kernel does not build"\n')
-        monkeypatch.setattr(native, "SOURCE", broken)
-        kind, reason = loss_module.loss_kernel()
-        assert kind == "numpy" and "this kernel does not build" in reason
-
-    def test_an_unwritable_cache_falls_back_to_numpy_with_the_reason(self, tmp_path,
-                                                                     monkeypatch):
-        blocker = tmp_path / "not-a-directory"
-        blocker.write_text("")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        kind, reason = loss_module.loss_kernel()
-        assert kind == "numpy" and "not writable" in reason
 
 
 class TestAdjacencyCounter:
