@@ -210,7 +210,7 @@ def test_trial_streams_vs_per_row_generators_speedup():
     simulator = build_vectorized_simulator(
         MANY_N, MANY_T, protocol="committee-ba", adversary="null"
     )
-    inputs = np.tile(input_row(MANY_N, "split", None), (MANY_TRIALS, 1))
+    inputs = np.tile(input_row(MANY_N, "split"), (MANY_TRIALS, 1))
     sides = {
         "cursor streams": lambda: TrialStreams(seed, 0, MANY_TRIALS),
         "per-row generators": lambda: TrialStreams.of(

@@ -3,17 +3,17 @@
 The masked communication path replaces the global boolean tallies with
 per-recipient contractions against the adjacency / delivered-edge masks, so
 it costs more than the historical clique path — the question is how much.
-The ``AdjacencyCounter`` keeps the loss-free answer small by choosing its
-strategy from the mask (row totals on the complete graph, direct segment
-sums on sparse ones, an AND+popcount word tally on every other mask); the
-lossy path tallies each round's delivered masks as words
-(``PackedDeliveredChannel``).  This benchmark pins the result three ways:
+The ``AdjacencyCounter`` keeps the loss-free answer small with two
+strategies (row totals on the complete graph, an AND+popcount word tally on
+every other mask); the lossy path tallies each round's delivered masks as
+words (``PackedDeliveredChannel``).  This benchmark pins the result three
+ways:
 
 * an **all-True adjacency** (the masked path on a clique-equal graph) must
   be *bit-identical* to the unmasked default and at most ``2x`` slower at
   ``n=512`` — the acceptance bar for keeping the axis first-class rather
   than a slow side branch;
-* a **ring** run at the same size times the sparse ``direct`` strategy
+* a **ring** run at the same size times the word tally on a sparse mask
   without a bar: the degree-2 graph livelocks trials to the phase bound by
   design, so its wall-clock mixes per-phase cost with a larger phase count.
   An end-to-end lossy sweep (``n=128``, packed vs numpy backend) rides
@@ -21,10 +21,11 @@ lossy path tallies each round's delivered masks as words
   (no bar — the lossy path is dominated by the per-trial ``(n, n)`` Philox
   draws the bit-identity contract fixes);
 * those **loss draws** themselves: both draw kernels — the compiled one
-  (Philox, threshold and layout fused in C) and the NumPy one (raw outputs
-  against an integer threshold), trials spread over one thread per CPU —
-  must reproduce the serial ``random() >= loss`` loop bit for bit —
-  matrices and generator states — at ``n=512`` with 64 trials, and the
+  (Philox, threshold and word packing fused in C) and the NumPy one (raw
+  outputs against an integer threshold), trials spread over one thread per
+  CPU — must reproduce the serial ``random() >= loss`` loop bit for bit —
+  matrices (``sample_delivered``, the words unpacked) and generator states
+  — at ``n=512`` with 64 trials, and the
   kernel this process draws with (native when its build succeeded) must
   beat the loop by at least ``1.3x`` when the process may use two or more
   CPUs (on one CPU only identity is asserted).

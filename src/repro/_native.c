@@ -1,12 +1,12 @@
 /*
- * The compiled Philox4x64-10 draws: one philox_block serves three entry
+ * The compiled Philox4x64-10 draws: one philox_block serves two entry
  * points, which repro.native builds from this file and binds through ctypes.
  *
- * - repro_loss_bools and repro_loss_words are the fused loss-draw kernel:
- *   one pass per trial plane of Philox raw draws, the raw-threshold compare
- *   and the caller's output layout.  repro.topology.loss calls them in place
- *   of its NumPy kernel, which they reproduce word for word.  Entry [j, i]
- *   of a plane (sender j, recipient i) takes the stream's next raw output in
+ * - repro_loss_words is the fused loss-draw kernel: one pass per trial plane
+ *   of Philox raw draws, the raw-threshold compare and the packing into
+ *   recipient-major words.  repro.topology.loss calls it in place of its
+ *   NumPy kernel, which it reproduces word for word.  Entry [j, i] of a
+ *   plane (sender j, recipient i) takes the stream's next raw output in
  *   row-major order.  It is kept when that output is at least `threshold`
  *   and the adjacency (if any) has the edge; the diagonal is always kept.
  * - repro_cursor_bits draws the coin-share bits of TrialStreams cursor rows
@@ -19,8 +19,8 @@
  * `refill` set the buffer is computed from the counter first, for a
  * position that carries none.
  *
- * Both loss entry points return 0, or -1 when their row buffers (about 9n
- * bytes, on the heap) cannot be allocated; n must be at least 1.
+ * repro_loss_words returns 0, or -1 when its row buffers (about 9n bytes,
+ * on the heap) cannot be allocated; n must be at least 1.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -102,32 +102,6 @@ static void fill(stream_t *s, uint64_t key0, uint64_t key1, uint64_t *raw, int64
             s->buffer[lane] = raw[count - 4 + lane];
         s->pos = 4;
     }
-}
-
-/* Sender-major booleans: out[j * n + i] is entry [j, i]. */
-int repro_loss_bools(uint64_t key0, uint64_t key1, uint64_t *state, int refill, int64_t n,
-                     uint64_t threshold, const uint8_t *adjacency, uint8_t *out)
-{
-    uint64_t *raw = malloc((size_t)n * sizeof *raw);
-    if (!raw)
-        return -1;
-    stream_t s = load(state, refill, key0, key1);
-    for (int64_t j = 0; j < n; j++) {
-        uint8_t *row = out + j * n;
-        fill(&s, key0, key1, raw, n);
-        if (adjacency) {
-            const uint8_t *edges = adjacency + j * n;
-            for (int64_t i = 0; i < n; i++)
-                row[i] = (raw[i] >= threshold) & edges[i];
-        } else {
-            for (int64_t i = 0; i < n; i++)
-                row[i] = raw[i] >= threshold;
-        }
-        row[j] = 1;
-    }
-    store(state, &s);
-    free(raw);
-    return 0;
 }
 
 /*

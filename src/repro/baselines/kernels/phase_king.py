@@ -46,9 +46,9 @@ from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.messages import PAYLOAD_BITS
 from repro.simulator.vectorized import batch_setup, batch_summaries
-from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
+from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, pack_sender_words
 from repro.topology.generators import validate_adjacency
-from repro.topology.loss import sample_delivered, sample_delivered_words, validate_loss
+from repro.topology.loss import sample_delivered_words, validate_loss
 
 #: Adversary hook surface this kernel implements (drives the supported- and
 #: inapplicable-adversary derivation in the engine's capability registry):
@@ -94,7 +94,9 @@ def run_phase_king_trials(
 
     Phase king keeps its state as raw boolean planes, so it takes no plane
     backend; its round-1 per-recipient tallies (the protocol's only masked
-    contractions) run on the word channels of :mod:`repro.topology.counting`.
+    contractions) pack them for the word channels of
+    :mod:`repro.topology.counting`, and a lossy king round reads the king's
+    bit of each recipient's delivered words.
     """
     validate_n_t(n, t)
     if 4 * t >= n:
@@ -124,18 +126,16 @@ def run_phase_king_trials(
     bits = np.zeros(batch, dtype=np.int64)
     running = np.ones(batch, dtype=bool)
     zero_counts = np.zeros(batch, dtype=np.int64)
-    # Reusable delivered-word buffer for the lossy round-1 draw (round 2
-    # samples boolean matrices: the king's row is sliced, not contracted,
-    # and the Philox stream is identical either way).
+    # One delivered-word buffer, allocated by the first draw, serves both
+    # lossy rounds: round 1's last read (the receive tallies) precedes the
+    # round-2 draw.
     deliver_buf: np.ndarray | None = None
 
-    def round1_channel() -> PackedDeliveredChannel:
-        """Sample round 1's delivered masks into a word channel."""
+    def sample_round() -> np.ndarray:
+        """Sample one round's delivered masks as recipient-major words."""
         nonlocal deliver_buf
-        if deliver_buf is None:
-            deliver_buf = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
-        words = sample_delivered_words(adjacency, loss, n, streams, running, out=deliver_buf)
-        return PackedDeliveredChannel(words, n)
+        deliver_buf = sample_delivered_words(adjacency, loss, n, streams, running, out=deliver_buf)
+        return deliver_buf
 
     def context(phase: int, king: int) -> KernelContext:
         return KernelContext(
@@ -156,7 +156,7 @@ def run_phase_king_trials(
         # ---------------- Round 1: universal exchange ----------------
         chan1 = counter
         if masked and loss > 0.0:
-            chan1 = round1_channel()
+            chan1 = PackedDeliveredChannel(sample_round(), n)
         ones_pre = row_popcount(value & active)
         sender_count = row_popcount(active)
         before = messages.copy()
@@ -168,11 +168,12 @@ def run_phase_king_trials(
         if masked:
             # Tally `active` and its value-1 part; the value-0 part is the
             # exact-integer difference (the sender sets partition `active`).
-            recv_active = chan1.receive_counts(active)
-            ones_recv = chan1.receive_counts(value & active)
+            active_words = pack_sender_words(active, n)
+            recv_active = chan1.receive_counts_words(active_words)
+            ones_recv = chan1.receive_counts_words(pack_sender_words(value & active, n))
             zeros_recv = recv_active - ones_recv
             if loss == 0.0:
-                delivered_count = counter.delivered_edges(active)
+                delivered_count = counter.delivered_edges_words(active_words)
             else:
                 # `active`'s per-recipient tally sums to the delivered edges
                 # — sparing a third contraction against the loss masks.
@@ -193,20 +194,23 @@ def run_phase_king_trials(
         # Non-rushing king corruption (king-targeting) lands before the king
         # broadcasts; the adversary's own round-2 traffic is counted but its
         # payloads are unheard (phase-king nodes only read KingValue).
-        deliver2 = None
+        king_reached = None
         if masked and loss > 0.0:
-            deliver2 = sample_delivered(adjacency, loss, n, streams, running)
+            # Recipient i hears the king when bit `king` of its row is set:
+            # byte king >> 3, MSB-first.
+            king_byte = sample_round().view(np.uint8)[:, :, king >> 3]
+            king_reached = ((king_byte >> (7 - king % 8)) & 1).astype(bool)
         kernel.pre_coin(ctx)
         before = messages.copy()
         kernel.round2(ctx, zero_counts, zero_counts, zero_counts)
         bits += (messages - before) * _COMBINED_ANNOUNCEMENT_BITS
         king_active = active[:, king]
         if masked:
-            if deliver2 is None:
+            if king_reached is None:
                 king_edges = np.where(king_active, counter.outdeg[king], 0)  # type: ignore[union-attr]
                 king_heard = king_active[:, None] & adjacency[king][None, :]  # type: ignore[index]
             else:
-                king_heard = king_active[:, None] & deliver2[:, king, :]
+                king_heard = king_active[:, None] & king_reached
                 king_edges = np.where(king_active, king_heard.sum(axis=1), 0)
             messages += king_edges
             bits += king_edges * _KING_VALUE_BITS

@@ -1,23 +1,26 @@
 """Input-pattern generation shared by the object and plane engines.
 
 Every execution path in the repository materialises per-node input bits from
-the same four pattern names, through this module alone; its two entry points
-differ only in dtype and randomness source:
+the same four pattern names, which this module defines; its two entry points
+differ in dtype and in where the ``random`` pattern is drawn:
 
 * :func:`input_list` — object-simulator path: plain ``list[int]`` drawing the
   ``random`` pattern from the run's *environment* stream
   (:meth:`repro.simulator.rng.RandomnessSource.environment_stream`), exactly
   as the seeded object runner always has;
-* :func:`input_row` — plane-engine path: an ``np.int8`` row drawing the
-  ``random`` pattern from the trial's counter-based Philox generator (and
-  consuming that generator *only* for ``random``, so deterministic-input
-  sweeps leave the trial streams untouched for the protocol itself).
+* :func:`input_row` — plane-engine path: an ``np.int8`` row of a
+  deterministic pattern.  The plane engines draw the ``random`` pattern
+  themselves, each trial's row from its own counter-based Philox stream
+  (:func:`repro.simulator.vectorized.batch_setup`, one
+  :meth:`~repro.simulator.draws.TrialStreams.draw_bits` call per batch), and
+  consume those streams *only* for ``random``, so deterministic-input sweeps
+  leave the trial streams untouched for the protocol itself.
 
 The two paths intentionally consume different generators — the object
 simulator's per-run environment stream cannot be replayed per-trial by the
 batched kernels — so ``random``-pattern cross-validation between engines is
 statistical, while the three deterministic patterns are bit-identical by
-construction (asserted in ``tests/test_inputs.py``).
+construction (asserted in ``tests/test_phase_engine.py``).
 """
 
 from __future__ import annotations
@@ -54,21 +57,17 @@ def input_list(n: int, pattern: str, randomness: RandomnessSource) -> list[int]:
     )
 
 
-def input_row(n: int, pattern: str, rng: np.random.Generator | None) -> np.ndarray:
-    """Materialise one trial's ``(n,)`` int8 input row for the plane engines.
+def input_row(n: int, pattern: str) -> np.ndarray:
+    """Materialise a deterministic pattern's ``(n,)`` int8 input row for the plane engines.
 
-    Consumes ``rng`` only for the ``random`` pattern (one
-    ``integers(0, 2, size=n)`` call), keeping the per-trial Philox streams
-    untouched for deterministic patterns — the convention every batched
-    kernel's bit-identity contract relies on.  The deterministic patterns
-    accept ``rng=None``.
+    Draws nothing, so the per-trial Philox streams stay untouched — the
+    convention every batched kernel's bit-identity contract relies on.  The
+    ``random`` pattern is not drawn here (see the module docstring).
     """
     if pattern == "split":
         input_bits = np.zeros(n, dtype=np.int8)
         input_bits[n // 2 :] = 1
         return input_bits
-    if pattern == "random":
-        return rng.integers(0, 2, size=n).astype(np.int8)
     if pattern == "unanimous-0":
         return np.zeros(n, dtype=np.int8)
     if pattern == "unanimous-1":

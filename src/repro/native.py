@@ -1,9 +1,9 @@
 """Build, cache and bind the compiled Philox draws (``_native.c``).
 
-One C source holds Philox4x64-10 once and three entry points over it: the
-fused loss-draw kernel's two plane layouts (:mod:`repro.topology.loss`) and
-the coin-share bits of cursor rows
-(:meth:`repro.simulator.draws.TrialStreams.draw_bits`).  :func:`load`
+One C source holds Philox4x64-10 once and two entry points over it: the
+fused loss-draw kernel, which writes a trial's plane as recipient-major
+packed words (:mod:`repro.topology.loss`), and the coin-share bits of cursor
+rows (:meth:`repro.simulator.draws.TrialStreams.draw_bits`).  :func:`load`
 compiles it with the first C compiler on ``PATH`` (``cc``, ``gcc`` or
 ``clang``) as ``-O3 -shared -fPIC``, running the compiler from an argument
 list, never a shell.  The library goes into one per-user cache,
@@ -81,16 +81,12 @@ class Kernel:
         #: The compiler that built the library.
         self.compiler = compiler
         self._library = library  # keeps the library mapped
-        head = [
-            ctypes.c_uint64, ctypes.c_uint64, ctypes.POINTER(ctypes.c_uint64), ctypes.c_int,
-            ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self._bools = library.repro_loss_bools
-        self._bools.argtypes = head
         self._words = library.repro_loss_words
-        self._words.argtypes = [*head, ctypes.c_int64]
-        for entry in (self._bools, self._words):
-            entry.restype = ctypes.c_int
+        self._words.argtypes = [
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.POINTER(ctypes.c_uint64), ctypes.c_int,
+            ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ]
+        self._words.restype = ctypes.c_int
         uint64s, int64s = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int64)
         self._bits = library.repro_cursor_bits
         self._bits.argtypes = [
@@ -107,7 +103,7 @@ class Kernel:
         threshold: int,
         adjacency: int | None,
         out: int,
-        row_bytes: int | None,
+        row_bytes: int,
     ) -> bool:
         """Draw one trial's ``(n, n)`` plane from ``source`` into ``out``.
 
@@ -120,9 +116,8 @@ class Kernel:
             threshold: The raw output at and above which an edge is kept.
             adjacency: Address of a C-contiguous ``(n, n)`` boolean topology,
                 or ``None`` for the clique.
-            out: Address of the trial's output.
-            row_bytes: Row stride of recipient-major packed words, or
-                ``None`` for sender-major ``(n, n)`` booleans.
+            out: Address of the trial's recipient-major packed words.
+            row_bytes: Row stride of those words.
 
         Returns:
             ``False``, drawing nothing, for a source the kernel cannot draw:
@@ -145,12 +140,7 @@ class Kernel:
         else:
             return False
         refill = state is None  # a cursor carries no buffered block
-        arguments = (key0, key1, position, refill, n, threshold, adjacency, out)
-        if row_bytes is None:
-            failed = self._bools(*arguments)
-        else:
-            failed = self._words(*arguments, row_bytes)
-        if failed:
+        if self._words(key0, key1, position, refill, n, threshold, adjacency, out, row_bytes):
             raise MemoryError("the native loss kernel could not allocate its row buffers")
         if state is not None:
             state["state"]["counter"][0] = position[0]

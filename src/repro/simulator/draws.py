@@ -10,7 +10,8 @@ half, if any.
 
 The coin's fair bits are the hot draw: every phase, every running trial
 draws the committee's shares as ``integers(0, 2, size=c)``, and Ben-Or's
-private flips are the same draw, one per node.  That call is Lemire's
+private flips are the same draw, one per node, as is a ``random`` input
+row at batch set-up.  That call is Lemire's
 method on ``next_uint32`` with range 2, which never rejects, so bit ``i`` is
 the top bit of the stream's next uint32 — the low half of a 64-bit word
 first, then its high half, which Philox buffers across calls.
@@ -31,8 +32,8 @@ Loss planes are raw 64-bit words, so the compiled loss kernel
 :meth:`TrialStreams.claim_raw` hands it the row's key and first word and
 moves the cursor past the plane, as ``random_raw`` would move the
 generator.  Any other draw needs a real generator: the noise kernel's
-binomial and multinomial draws, sampling-majority's peer picks, the
-``random`` input pattern, and loss planes drawn with NumPy.  Indexing a
+binomial and multinomial draws, sampling-majority's peer picks, and loss
+planes drawn with NumPy.  Indexing a
 stream (``streams[b]``) materialises row ``b`` as its
 :func:`trial_generator` jumped to the cursor in O(1) — ``Philox.advance``
 past the whole blocks, one ``random_raw`` of the 1-4 words left to load the

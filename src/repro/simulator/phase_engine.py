@@ -44,7 +44,7 @@ from their own streams.
 With either active, the engine switches the global ``(B,)`` honest tallies
 for *per-recipient* ``(B, n)`` receive counts (a delivered-edge contraction
 run by :mod:`repro.topology.counting` — an AND+popcount over packed uint64
-words, or segment sums at the density extremes), the committee coin becomes each
+words, or row totals on the complete graph), the committee coin becomes each
 recipient's sign over the designated shares *it actually received*, and the
 CONGEST message counters charge delivered edges only — all downstream
 threshold logic is shape-polymorphic and runs unchanged.  The contract is:
@@ -322,10 +322,10 @@ class PhaseEngine:
         pending_any = False  # does flush_next hold any scheduled flush?
 
         # Masked-plane machinery (topology / loss axis).  The loss-free mask
-        # tallies go through an AdjacencyCounter (segment sums at the density
-        # extremes, an AND+popcount word tally in between); lossy rounds
-        # contract against that round's delivered-edge masks, sampled as
-        # packed uint64 words.
+        # tallies go through an AdjacencyCounter (row totals on the complete
+        # graph, an AND+popcount word tally on every other mask); lossy
+        # rounds contract against that round's delivered-edge masks, sampled
+        # as packed uint64 words.
         counter = (
             AdjacencyCounter(self.adjacency) if masked and self.loss == 0.0 else None
         )
@@ -442,7 +442,7 @@ class PhaseEngine:
                     ones_recv = value.receive_counts_and(active, chan1)
                     zeros_recv = recv_active - ones_recv
                     if self.loss == 0.0:
-                        delivered = counter.delivered_edges(active.bools())
+                        delivered = active.delivered_edges(counter)
                     else:
                         # `active`'s per-recipient tally sums to the delivered
                         # edges — sparing a third contraction against the

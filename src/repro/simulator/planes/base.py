@@ -93,11 +93,11 @@ class Plane(ABC):
     # -------------------------------------------------- masked tallies
     # ``channel`` is a masked tally channel from :mod:`repro.topology.
     # counting` (an :class:`~repro.topology.counting.AdjacencyCounter` or a
-    # per-round delivered channel).  A backend holding packed uint64 words
-    # hands them to the channel's word form (``receive_counts_words``) when
-    # the channel tallies words (``channel.wants_words``), and a boolean
-    # plane to the boolean form otherwise.  Either way the counts are exact
-    # int64, so these ops never affect results, only speed.
+    # per-round delivered channel).  Every channel tallies packed uint64
+    # words (``receive_counts_words``, ``delivered_edges_words``): a backend
+    # holding words hands them over as they are, a boolean one packs its
+    # plane first.  Either way the counts are exact int64, so these ops
+    # never affect results, only speed.
 
     @abstractmethod
     def receive_counts(self, channel) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from repro.observability.tracer import current_tracer
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.planes.base import Plane, PlaneBackend
+from repro.topology.counting import pack_sender_words
 
 __all__ = ["NumpyBoolBackend", "NumpyBoolPlane"]
 
@@ -78,21 +79,23 @@ class NumpyBoolPlane(Plane):
         self.array[:] = False
 
     # -------------------------------------------------- masked tallies
-    # The reference backend hands its array over: the channel packs it for
-    # its word tally or sums its segments.
+    # Every channel tallies packed uint64 words: the reference backend packs
+    # its plane once per op.
     def receive_counts(self, channel) -> np.ndarray:
-        return channel.receive_counts(self.array)
+        return channel.receive_counts_words(pack_sender_words(self.array, self.n))
 
     def receive_counts_and(self, other: NumpyBoolPlane, channel) -> np.ndarray:
-        return channel.receive_counts(self.array & other.array)
+        sent = self.array & other.array
+        return channel.receive_counts_words(pack_sender_words(sent, self.n))
 
     def receive_counts_and3(
         self, a: NumpyBoolPlane, b: NumpyBoolPlane, channel
     ) -> np.ndarray:
-        return channel.receive_counts(self.array & a.array & b.array)
+        sent = self.array & a.array & b.array
+        return channel.receive_counts_words(pack_sender_words(sent, self.n))
 
     def delivered_edges(self, channel) -> np.ndarray:
-        return channel.delivered_edges(self.array)
+        return channel.delivered_edges_words(pack_sender_words(self.array, self.n))
 
     # -------------------------------------------------- structure
     def take(self, keep: np.ndarray) -> NumpyBoolPlane:

@@ -186,40 +186,29 @@ class PackedPlane(Plane):
             self._bools_valid = True
 
     # -------------------------------------------------- masked tallies
-    # Word channels (``wants_words``: the mid-density adjacency strategy and
-    # the per-round delivered channels) read the uint64 words straight off
-    # the plane — the AND compositions stay word ops and nothing unpacks.
-    # Segment-strategy channels get the boolean form at the usual
-    # lazy-mirror cost.
+    # Every channel tallies packed uint64 words, so the plane's own words go
+    # in as they are: the AND compositions stay word ops and nothing unpacks.
     def receive_counts(self, channel) -> np.ndarray:
-        if channel.wants_words:
-            current_tracer().count("plane.word_ops")
-            return channel.receive_counts_words(self._require_words())
-        return channel.receive_counts(self.bools())
+        current_tracer().count("plane.word_ops")
+        return channel.receive_counts_words(self._require_words())
 
     def receive_counts_and(self, other: PackedPlane, channel) -> np.ndarray:
-        if channel.wants_words:
-            current_tracer().count("plane.word_ops")
-            return channel.receive_counts_words(
-                self._require_words() & other._require_words()
-            )
-        return channel.receive_counts(self.bools() & other.bools())
+        current_tracer().count("plane.word_ops")
+        return channel.receive_counts_words(
+            self._require_words() & other._require_words()
+        )
 
     def receive_counts_and3(
         self, a: PackedPlane, b: PackedPlane, channel
     ) -> np.ndarray:
-        if channel.wants_words:
-            current_tracer().count("plane.word_ops")
-            return channel.receive_counts_words(
-                self._require_words() & a._require_words() & b._require_words()
-            )
-        return channel.receive_counts(self.bools() & a.bools() & b.bools())
+        current_tracer().count("plane.word_ops")
+        return channel.receive_counts_words(
+            self._require_words() & a._require_words() & b._require_words()
+        )
 
     def delivered_edges(self, channel) -> np.ndarray:
-        if channel.wants_words:
-            current_tracer().count("plane.word_ops")
-            return channel.delivered_edges_words(self._require_words())
-        return channel.delivered_edges(self.bools())
+        current_tracer().count("plane.word_ops")
+        return channel.delivered_edges_words(self._require_words())
 
     # -------------------------------------------------- structure
     def take(self, keep: np.ndarray) -> PackedPlane:

@@ -454,14 +454,17 @@ def batch_summaries(
 
 
 def _trial_inputs(n: int, inputs: str, streams: TrialStreams) -> np.ndarray:
-    """Materialise the ``(B, n)`` input plane (:func:`repro.core.inputs.input_row`).
+    """Materialise the ``(B, n)`` int8 input plane.
 
-    Only the ``random`` pattern draws, one row per trial stream; the
-    deterministic patterns repeat one row and leave the streams untouched.
+    Only the ``random`` pattern draws: row ``b`` is trial ``b``'s
+    ``integers(0, 2, size=n)``, all rows in one
+    :meth:`~repro.simulator.draws.TrialStreams.draw_bits` call, so they stay
+    on their cursors.  The deterministic patterns repeat one
+    :func:`repro.core.inputs.input_row` and leave the streams untouched.
     """
     if inputs == "random":
-        return np.stack([input_row(n, inputs, streams[b]) for b in range(len(streams))])
-    return np.tile(input_row(n, inputs, None), (len(streams), 1))
+        return streams.draw_bits(np.full(len(streams), n)).reshape(len(streams), n)
+    return np.tile(input_row(n, inputs), (len(streams), 1))
 
 
 def batch_setup(

@@ -2,44 +2,37 @@
 
 The masked communication planes need ``counts[b, i] = sum_j sent[b, j] *
 A[j, i]`` — a ``(B, n) x (n, n)`` contraction per tally.  One engine carries
-it on every plane backend: an AND+popcount over packed uint64 words, except
-for sparse masks, where the same exact counts are cheaper as segment sums
-over the delivering edges, and the complete graph, where every recipient
-hears every sender.  :class:`AdjacencyCounter` picks one of three strategies
-for a fixed loss-free mask:
+it on every plane backend: an AND+popcount over packed uint64 words in the
+:func:`pack_sender_words` layout, the one form a masked run tallies.  The
+packed plane backend hands its words over as they are; the numpy-bool
+backend packs its plane once per op.  :class:`AdjacencyCounter` picks one of
+two strategies for a fixed loss-free mask:
 
 * **complete** — the all-True adjacency (which must stay within the
   benchmark's 2x overhead bar of the unmasked clique path): each trial's
   row total, one broadcastable column;
-* **direct** — sparse graphs (ring, chain, star, grid, tree all have
-  ``O(n)`` edges): segment sums over the delivering edges only;
-* **packed** — everything else, near-complete masks included: a
-  :class:`MaskedCounter` computing ``popcount(sent_words &
-  incoming_words[recipient])``, fed the packed plane backend's words
-  directly and boolean planes packed by :func:`pack_sender_words`.  Its
-  cost is the same at any density, while segment sums over a near-complete
-  mask's missing edges grow with them (up to 20x slower at ``n = 512``).
+* **packed** — every other mask: a :class:`MaskedCounter` computing
+  ``popcount(sent_words & incoming_words[recipient])``, whose cost is the
+  same at any density.
 
 The per-round *delivered-edge* masks of the lossy path are words from the
 start: :class:`PackedDeliveredChannel` wraps the ``(B, n, ceil(n/64))``
 uint64 output of :func:`repro.topology.loss.sample_delivered_words` in a
 :class:`MaskedCounter`.
 
-Every strategy produces bit-identical ``int64`` counts: the row-total,
-segment and popcount paths all sum in integer arithmetic.  The shared
-**channel protocol** (duck-typed; consumed by the plane ops in
+Every strategy produces bit-identical ``int64`` counts: the row totals and
+popcounts both sum in integer arithmetic.  The shared **channel protocol**
+(duck-typed; consumed by the plane ops in
 :mod:`repro.simulator.planes.base`) is:
 
-* ``wants_words`` — True when the channel tallies uint64 words natively;
-* ``receive_counts(sent)`` — boolean sender plane -> per-recipient counts;
-* ``receive_counts_words(sent_words)`` — the word form (``wants_words``
-  channels only);
+* ``receive_counts_words(sent_words)`` — packed sender words ->
+  per-recipient counts;
 * ``signed_counts(plane)`` — small-integer planes (the ±1 coin shares);
-* ``delivered_edges(senders)`` / ``delivered_edges_words(words)`` — the
-  masked CONGEST message counter.
+* ``delivered_edges_words(sent_words)`` — the masked CONGEST message
+  counter.
 
 Telemetry: every word tally counts ``masked_tally.packed`` and every
-segment pass or row total ``masked_tally.segment``, so trace reports show
+complete-graph row total ``masked_tally.complete``, so trace reports show
 which engine carried a masked run.
 """
 
@@ -48,12 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.observability.tracer import current_tracer
-
-#: A segment-sum pass costs one gathered add per stored edge, while the word
-#: tally costs one AND+popcount per (recipient, 64 senders) whatever the
-#: density, so the segment path takes over only when the mask holds at most
-#: ``n * n / _SEGMENT_FRACTION`` edges.
-_SEGMENT_FRACTION = 8
 
 
 def word_width(n: int) -> int:
@@ -132,51 +119,22 @@ class PackedDeliveredChannel:
     :class:`MaskedCounter`.
     """
 
-    wants_words = True
-
     def __init__(self, delivered_words: np.ndarray, n: int) -> None:
         self._masked = MaskedCounter(delivered_words, n)
         self.n = n
-
-    def receive_counts(self, sent: np.ndarray) -> np.ndarray:
-        return self._masked.counts(
-            pack_sender_words(np.ascontiguousarray(sent, dtype=bool), self.n)
-        )
 
     def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
         return self._masked.counts(sent_words)
 
     def signed_counts(self, plane: np.ndarray) -> np.ndarray:
         # The positive and negative supports' word tallies, differenced:
-        # exact integers, like the segment strategies' sums.
+        # exact integers, like the complete graph's row totals.
         plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
         minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
         return plus - minus
 
-    def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
-        return self.delivered_edges_words(
-            pack_sender_words(np.ascontiguousarray(senders, dtype=bool), self.n)
-        )
-
     def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
         return self._masked.counts(sent_words).sum(axis=1, dtype=np.int64)
-
-
-def _column_segments(matrix: np.ndarray):
-    """CSR-style grouping of ``matrix``'s True cells by recipient column.
-
-    Returns ``(sender, starts, nonempty)``: the sender indices concatenated
-    in recipient order, the start offset of each *nonempty* recipient's run
-    (``np.add.reduceat`` yields the wrong answer for empty segments, so
-    those are excluded and scattered back as zero), and the boolean mask of
-    recipients that have at least one incoming edge.
-    """
-    n = matrix.shape[0]
-    recipient, sender = np.nonzero(matrix.T)
-    lengths = np.bincount(recipient, minlength=n)
-    nonempty = lengths > 0
-    starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-    return sender, starts[nonempty], nonempty
 
 
 class AdjacencyCounter:
@@ -195,9 +153,6 @@ class AdjacencyCounter:
         self.outdeg = adjacency.sum(axis=1, dtype=np.int64)
         if adjacency.all():
             self.strategy = "complete"
-        elif int(self.outdeg.sum()) <= (n * n) // _SEGMENT_FRACTION:
-            self.strategy = "direct"
-            self._segments = _column_segments(adjacency)
         else:
             self.strategy = "packed"
             # Row i packs column i of the mask: the senders reaching i.
@@ -206,57 +161,33 @@ class AdjacencyCounter:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def wants_words(self) -> bool:
-        """True when this channel tallies packed uint64 words natively."""
-        return self.strategy == "packed"
+    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
+        """Per-recipient tallies of the packed sender plane ``sent_words``
+        over delivering edges.
 
-    def _segment_counts(self, plane: np.ndarray) -> np.ndarray:
-        sender, starts, nonempty = self._segments
-        counts = np.zeros((plane.shape[0], self.n), dtype=np.int64)
-        if sender.size:
-            counts[:, nonempty] = np.add.reduceat(plane[:, sender], starts, axis=1)
-        return counts
-
-    def receive_counts(self, sent: np.ndarray) -> np.ndarray:
-        """Per-recipient tallies of the boolean sender plane ``sent`` over
-        delivering edges.
-
-        Boolean only: the word strategy packs ``sent`` into bits, so a −1
-        would count as 1 — signed planes (the ±1 coin shares) go through
-        :meth:`signed_counts`.  Returns a ``(B, n)`` plane — or a
-        broadcastable ``(B, 1)`` column when the mask is the complete graph,
-        where every recipient's tally is the same total (callers must
-        therefore broadcast rather than reduce over the recipient axis).
+        Returns a ``(B, n)`` plane — or a broadcastable ``(B, 1)`` column
+        when the mask is the complete graph, where every recipient's tally is
+        the same total (callers must therefore broadcast rather than reduce
+        over the recipient axis).
         """
         if self.strategy == "packed":
-            return self._words.receive_counts(sent)
-        current_tracer().count("masked_tally.segment")
-        plane = sent.astype(np.int64)
-        if self.strategy == "direct":
-            return self._segment_counts(plane)
-        return plane.sum(axis=1)[:, None]
-
-    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
-        """Word-form tallies (``wants_words`` strategies only)."""
-        return self._words.receive_counts_words(sent_words)
+            return self._words.receive_counts_words(sent_words)
+        current_tracer().count("masked_tally.complete")
+        return np.bitwise_count(sent_words).sum(axis=1, dtype=np.int64)[:, None]
 
     def signed_counts(self, plane: np.ndarray) -> np.ndarray:
         """Per-recipient sums of a small-integer plane (the ±1 shares)."""
         if self.strategy == "packed":
             return self._words.signed_counts(plane)
-        # The row totals and segment sums add any integer plane exactly.
-        return self.receive_counts(plane)
-
-    def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
-        """Delivered edges per trial — the masked CONGEST message counter."""
-        return senders.astype(np.int64) @ self.outdeg
+        current_tracer().count("masked_tally.complete")
+        return plane.sum(axis=1, dtype=np.int64)[:, None]
 
     def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
-        """Word-form delivered-edge counter (``wants_words`` only): the
-        out-degree product on the unpacked senders, not a whole tally."""
+        """Delivered edges per trial — the masked CONGEST message counter:
+        the out-degree product on the unpacked senders, not a whole tally."""
         bytes_ = np.ascontiguousarray(sent_words).view(np.uint8)
-        return self.delivered_edges(np.unpackbits(bytes_, axis=1, count=self.n))
+        senders = np.unpackbits(bytes_, axis=1, count=self.n)
+        return senders.astype(np.int64) @ self.outdeg
 
 
 # An alias for ``sweepbench/layers.py``, which looks this name up when it

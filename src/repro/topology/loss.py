@@ -13,10 +13,10 @@ Two consumers share this module:
 * the masked :class:`~repro.simulator.phase_engine.PhaseEngine` and the
   phase-king kernel draw one ``(n, n)`` uniform plane per (running trial,
   round) from the trial's own Philox generator via
-  :func:`sample_delivered_words` (phase king's round 2, which reads only the
-  king's row, via :func:`sample_delivered`) — trials draw only from their
-  own generators, so per-trial results stay independent of batching and
-  compaction, exactly like the committee share draws;
+  :func:`sample_delivered_words`, as recipient-major packed words — trials
+  draw only from their own generators, so per-trial results stay
+  independent of batching and compaction, exactly like the committee share
+  draws;
 * the object :class:`~repro.simulator.scheduler.SynchronousScheduler` turns
   the same Bernoulli model into per-round ``(sender, recipient)`` drop sets
   via :func:`sample_drops`, drawing from a dedicated network stream of the
@@ -25,11 +25,13 @@ Two consumers share this module:
 The two paths consume *different* streams, so off-clique/lossy
 cross-validation between them is statistical, never bit-exact.
 
-The per-trial draws are the engines' hot path, so both batch samplers share
-one routine (:func:`_sample_kept`) that spreads the running trials over a
-thread pool with one worker per CPU in the process' affinity mask.  Each
-trial still draws only from its own stream, in order, so the split never
-shows in the results.  Instead of ``random() >= loss`` every trial compares
+The per-trial draws are the engines' hot path, so one routine
+(:func:`_sample_kept`) draws them, always into the packed words, and spreads
+the running trials over a thread pool with one worker per CPU in the
+process' affinity mask.  Each trial still draws only from its own stream,
+in order, so the split never shows in the results.  :func:`sample_delivered`
+is a view of the same draws: the words unpacked sender-major into
+``(B, n, n)`` booleans.  Instead of ``random() >= loss`` every trial compares
 raw 64-bit outputs against ``ceil(loss * 2**53) << 11``: for a bit generator
 whose ``random()`` is ``(next_uint64 >> 11) * 2**-53`` (Philox and PCG64)
 the two are the same test on the same draws, leaving the generator in the
@@ -39,14 +41,16 @@ Two kernels draw a trial's plane, with identical words and stream states:
 
 * the **native** kernel (``_native.c``, built by :mod:`repro.native` on
   the first draw that wants it) fuses the Philox draws, the compare and
-  the caller's output layout into one compiled pass.  It draws a :class:`~repro.simulator.draws.TrialStreams` cursor
-  row straight from its key and word count (the row only advances its
-  cursor and never becomes a generator), and a Philox generator row
-  through a ``bit_generator.state`` read and write;
-* the **NumPy** kernel — ``random_raw`` blocks, ``>=``, then the layout —
-  draws every other row (PCG64, a Philox counter past its low word), and
-  every row when the native build failed.  It is the oracle the native
-  kernel is tested against.
+  the word packing into one compiled pass.  It draws a
+  :class:`~repro.simulator.draws.TrialStreams` cursor row straight from its
+  key and word count (the row only advances its cursor and never becomes a
+  generator), and a Philox generator row through a ``bit_generator.state``
+  read and write;
+* the **NumPy** kernel — ``random_raw`` blocks, ``>=``, then
+  ``np.packbits`` — draws every other row (PCG64, a Philox counter past its
+  low word, an output the native kernel cannot write in place), and every
+  row when the native build failed.  It is the oracle the native kernel is
+  tested against.
 
 Both release the GIL while they draw (``ctypes`` calls, NumPy's bulk fills),
 so the workers never contend.  Forked processes (the workers of a
@@ -130,7 +134,11 @@ def sample_delivered(
     running: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One round's delivered-edge matrices for a batch of trials.
+    """One round's delivered-edge matrices for a batch of trials, as booleans.
+
+    A view of :func:`sample_delivered_words`: the same draws, leaving the
+    streams in the same state, with each trial's words unpacked
+    sender-major.
 
     Args:
         adjacency: ``(n, n)`` boolean topology, or ``None`` for the clique.
@@ -142,8 +150,7 @@ def sample_delivered(
             trials never consume loss randomness.
         running: ``(B,)`` liveness mask.
         out: Optional ``(B, n, n)`` boolean buffer to fill and return in
-            place of a fresh allocation; rows of trials that are not running
-            are zeroed.  The consumed Philox stream is identical either way.
+            place of a fresh allocation.
 
     Returns:
         ``(B, n, n)`` boolean delivered-edge matrices (``out`` when given):
@@ -151,15 +158,13 @@ def sample_delivered(
         in trial ``b``.  The diagonal is always delivered; non-running rows
         are all-False (they carry no traffic).
     """
-    batch = len(running)
-    if out is None:
-        delivered = np.zeros((batch, n, n), dtype=bool)
-    else:
-        delivered = out
-        idle = ~np.asarray(running, dtype=bool)
-        if idle.any():
-            delivered[idle] = False
-    _sample_kept(adjacency, loss, n, rngs, running, delivered, packed=False)
+    words = np.zeros((len(running), n, word_width(n)), dtype=np.uint64)
+    _sample_kept(adjacency, loss, n, rngs, running, words)
+    delivered = np.empty((len(running), n, n), dtype=bool) if out is None else out
+    for b, rows in enumerate(words):
+        # Row i of a trial's words lists the senders reaching recipient i,
+        # so it unpacks to column i of the sender-major matrix.
+        delivered[b] = np.unpackbits(rows.view(np.uint8), axis=1, count=n).view(bool).T
     return delivered
 
 
@@ -173,15 +178,15 @@ def sample_delivered_words(
 ) -> np.ndarray:
     """One round's delivered-edge matrices, bit-packed recipient-major.
 
-    The *same* per-trial Philox draws as :func:`sample_delivered`, in the
-    same order (one ``(n, n)`` uniform plane per running trial), but each
-    trial's kept matrix is emitted as ``(n, ceil(n/64))`` uint64 words — row
-    ``i`` packs the senders whose round messages reach recipient ``i``, in
-    the :func:`repro.topology.counting.pack_sender_words` layout — so the
-    masked tallies run as AND+popcount word contractions
+    One ``(n, n)`` uniform plane per running trial, each trial's kept matrix
+    emitted as ``(n, ceil(n/64))`` uint64 words — row ``i`` packs the
+    senders whose round messages reach recipient ``i``, in the
+    :func:`repro.topology.counting.pack_sender_words` layout — so the masked
+    tallies run as AND+popcount word contractions
     (:class:`repro.topology.counting.PackedDeliveredChannel`).
 
     Args:
+        adjacency, loss, n, rngs, running: As for :func:`sample_delivered`.
         out: Optional ``(B, n, ceil(n/64))`` uint64 buffer.  Must start
             zeroed the first time (the pad bytes beyond ``ceil(n/8)`` are
             never written and rely on staying zero — the packed tail-bit
@@ -201,7 +206,7 @@ def sample_delivered_words(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = 0
-    _sample_kept(adjacency, loss, n, rngs, running, delivered, packed=True)
+    _sample_kept(adjacency, loss, n, rngs, running, delivered)
     return delivered
 
 
@@ -222,28 +227,26 @@ def _sample_kept(
     rngs: Sequence[np.random.Generator],
     running: np.ndarray,
     delivered: np.ndarray,
-    packed: bool,
 ) -> None:
     """Draw each running trial's kept ``(n, n)`` matrix into ``delivered[b]``.
 
     Trial ``b`` consumes exactly the ``n * n`` outputs ``rngs[b].random()``
     would, row-major, and keeps entry ``[j, i]`` when it is on the diagonal,
     or when its draw is ``>= loss`` and ``adjacency`` has the edge.
-    ``delivered[b]`` receives the matrix as is (``packed=False``) or as the
-    recipient-major words of :func:`sample_delivered_words` (``packed=True``;
-    the pad bytes beyond ``ceil(n/8)`` are never written).  The running
-    trials are split into contiguous chunks, one per draw thread; each
-    thread writes only its own trials' rows.
+    ``delivered[b]`` receives the matrix as the recipient-major words of
+    :func:`sample_delivered_words` (the pad bytes beyond ``ceil(n/8)`` are
+    never written).  The running trials are split into contiguous chunks,
+    one per draw thread; each thread writes only its own trials' rows.
     """
     live = np.flatnonzero(running).tolist()
     edges = None if adjacency is None else np.ascontiguousarray(adjacency, dtype=bool)
     # The native kernel writes through raw pointers: only into an output it
     # can fill in place, and only with an (n, n) topology.
-    shape = (len(running), n, word_width(n) if packed else n)
     kernel = (
         native.kernel()
-        if delivered.flags.c_contiguous and delivered.shape == shape
-        and delivered.dtype == (np.uint64 if packed else np.bool_)
+        if delivered.flags.c_contiguous
+        and delivered.shape == (len(running), n, word_width(n))
+        and delivered.dtype == np.uint64
         and (edges is None or edges.shape == (n, n))
         else None
     )
@@ -269,8 +272,8 @@ def _sample_kept(
     rows = max(1, _BLOCK_VALUES // n)
     if kernel is not None:
         edges_address = None if edges is None else edges.ctypes.data
-        row_bytes = delivered.strides[1] if packed else None
-        base, stride = delivered.ctypes.data, delivered.strides[0]
+        base = delivered.ctypes.data
+        stride, row_bytes = delivered.strides[:2]
 
     def draw(chunk: list[int]) -> int:
         """Draw ``chunk``'s trials; returns how many took the NumPy kernel."""
@@ -291,16 +294,12 @@ def _sample_kept(
             if edges is not None:
                 kept &= edges
             np.einsum("ii->i", kept)[:] = True
-            if packed:
-                # Row i of the transpose lists recipient i's incoming
-                # senders; packing it MSB-first gives the recipient-major
-                # byte rows of the little-endian word view.  Packing a
-                # contiguous copy along its last axis is ~2x faster than
-                # packing `kept` along axis 0, and unlike that it releases
-                # the GIL.
-                delivered[b].view(np.uint8)[:, :nbytes] = np.packbits(kept.T.copy(), axis=1)
-            else:
-                delivered[b] = kept
+            # Row i of the transpose lists recipient i's incoming senders;
+            # packing it MSB-first gives the recipient-major byte rows of the
+            # little-endian word view.  Packing a contiguous copy along its
+            # last axis is ~2x faster than packing `kept` along axis 0, and
+            # unlike that it releases the GIL.
+            delivered[b].view(np.uint8)[:, :nbytes] = np.packbits(kept.T.copy(), axis=1)
         return fallbacks
 
     # A generator shared between trials must be drawn from in trial order.

@@ -2,13 +2,17 @@
 
 Masked-topology and lossy runs tally their per-recipient counts through the
 word channels of :mod:`repro.topology.counting` on every plane backend:
-segment sums at the density extremes, AND+popcount over packed uint64 words
-everywhere else.  The delivered-edge Philox draws are sampled outside the
-backends and every tally is an exact integer.  Acceptance surfaces:
+AND+popcount over packed uint64 words, or row totals on the complete graph.
+The delivered-edge Philox draws are sampled outside the backends, as packed
+words, and every tally is an exact integer.  Acceptance surfaces:
 
 * **pinned digests**: per-trial results of four protocols on the masked
   planes (topology x loss x a null and an adaptive adversary) match digests
-  recorded from the float32 sgemm tallies the word channels replaced;
+  recorded from the float32 sgemm tallies the word channels replaced; a
+  second set (the coin attack and the equivocator on sparse grid and star
+  masks, split and random inputs) matches digests recorded while sparse
+  masks were tallied as segment sums and random input rows were drawn
+  through per-trial generators;
 * **engine identity**: ``run_vectorized_trials`` under ``backend="packed"``
   matches ``"numpy"`` field-for-field over *every* topology generator
   crossed with loss in {0.0, 0.05, 0.3};
@@ -17,9 +21,10 @@ backends and every tally is an exact integer.  Acceptance surfaces:
   started its loss-draw thread pool before forking the workers, which must
   then draw inline instead of waiting on the inherited, threadless pool;
 * **tally unit behaviour**: :class:`~repro.topology.counting.MaskedCounter`,
-  the mid-density :class:`~repro.topology.counting.AdjacencyCounter`
-  strategy and :class:`~repro.topology.counting.PackedDeliveredChannel`
-  match int64 references on ragged widths and signed (±1 share) planes.
+  the packed :class:`~repro.topology.counting.AdjacencyCounter` strategy and
+  :class:`~repro.topology.counting.PackedDeliveredChannel` match int64
+  references on ragged widths and signed (±1 share) planes, through the
+  word forms every channel offers.
 """
 
 from __future__ import annotations
@@ -233,11 +238,123 @@ PINNED_DIGESTS = {
 }
 
 
-def _pinned_digest(protocol: str, adversary: str, topology: str, loss: float) -> str:
+#: Entries added while sparse loss-free masks were still tallied as segment
+#: sums and random input rows were drawn through per-trial generators: the
+#: coin attack and the equivocator, the grid and star masks at a size where
+#: both were sparse enough for segment sums (n=40), and both input
+#: patterns.  Recorded at that commit, so they pin the word tallies and the
+#: cursor-drawn inputs that replaced them.
+PINNED_SPARSE_ADVERSARIES = ("coin-attack", "equivocate")
+PINNED_SPARSE_NETWORKS = (
+    ("clique", 0.0), ("grid", 0.0), ("grid", 0.05), ("star", 0.0), ("star", 0.05),
+)
+PINNED_INPUTS = ("split", "random")
+PINNED_SPARSE_DIGESTS = {
+    ("committee-ba", "coin-attack"): {
+        "clique/0.0/split": "3170a2c07ac9a896d4dc5a7d58d8d04171ccf041fc395aa19f022cd84c3ff702",
+        "clique/0.0/random": "656c0c9bddc80449a43c8e49b421ba9a864cb8dcd089ee151a8802bd1e486f42",
+        "grid/0.0/split": "79121f1ff877be10c43ece9a2acb7cf3f23991737cb84cac8163b54099200a1b",
+        "grid/0.0/random": "24c53d36642a71a41fc23c19aa736b0fa8dcc357b1ece102bf68d2827f4dc743",
+        "grid/0.05/split": "0b628f42d24f02c0a59988f7f552cedd65aacaf3884b28d4e96f077151321115",
+        "grid/0.05/random": "9dbd19489854bd03590b6613b0e676971495a947e62e92aa38d8212f5bb6c4cc",
+        "star/0.0/split": "1c8749d9d08788611ad56dd37e4e509ec1cc6a7bc91af1064980f1cdf7c1b413",
+        "star/0.0/random": "f72611b40fdf320a87167c87b381f81ff55f9da8450e6ad81f12abad278dbb4c",
+        "star/0.05/split": "0c2533abd28a5a940f221529115c47aabb1c1242ee86c75b7535a39a8adf68aa",
+        "star/0.05/random": "08a6fcb6bc40edae9f89e50629942bc9475df2b1c588ad36a72f9b9ebba3e18f",
+    },
+    ("committee-ba", "equivocate"): {
+        "clique/0.0/split": "7a1f6a80dfa96cc1f411dfec8d85c5011c9d571f872503cc2def5ff1e25077cc",
+        "clique/0.0/random": "f802bbe713da264fbef925fdd2202b5f65f2a40058171d9352858f4abeb465e6",
+        "grid/0.0/split": "255367c3c58cecddfbb8a24c808376fd76f0c494b787a69fc5c8ac6a99dcfb56",
+        "grid/0.0/random": "aedc32e2ab23f1609b343bd535820cca49a6bf19cb1acaf953a224a0ab291279",
+        "grid/0.05/split": "61bb96cfb79198ca49f84d9d57c48ac8a222a04042f2c3c6e8bedc524cb44f36",
+        "grid/0.05/random": "da9e6e0b858f2f3c311483e6d9655c75acf940f3e61344dc50003ac92ffcba8a",
+        "star/0.0/split": "ff08c68bad2c4f49e08a72dcf0b7c5dccb9ad1885dc9287a2a51750fa487523a",
+        "star/0.0/random": "b63da205bdc11ce3850565a237375bddb868857413554abc7f38cd52086cd183",
+        "star/0.05/split": "d2bbf02cbd48315618d1c362cfcd1ec89253a89e0f1d5607ccf8c0f4c4f849ff",
+        "star/0.05/random": "d439b35b199401fb1bd3f409f422300a0cbb10551a2e790b4f866f2015b158a6",
+    },
+    ("rabin", "coin-attack"): {
+        "clique/0.0/split": "2e7adcb28ed8c59a188cbca09b2d5f1abd19518ceb14070261578d9b3e30cf8c",
+        "clique/0.0/random": "8546b72b50333438839727518728d4e7b93111a2648cc98d8b4d8074e26dfb1f",
+        "grid/0.0/split": "dd0629edba426bd995f775ff68d160e955541d3f6b3b8d2c6b011aa05e21a3ae",
+        "grid/0.0/random": "2f35fe67cfce22bf8fe499be3733c84ce741b2a63fe6f1852160a336159ed876",
+        "grid/0.05/split": "f4e14c7e50d1c103a442223e5496335d564e91312c580492405a986fa80b0a9a",
+        "grid/0.05/random": "0dfe96e4030150c562aaf8d0bb305e4df7ec819692d0013bf0d5ec90b80671f9",
+        "star/0.0/split": "a2de3411cd21b95000f0ce068519bcec219508cad5a94c4da7f10df492fcf495",
+        "star/0.0/random": "7c7857a4ed5a607f7b43e0e6e50bd0bd5fa723afd83d8f378cbfbea58ef5855d",
+        "star/0.05/split": "1db7df3a2b29efdce4c628c1fd9fb679af9e883fc46286de2e2730a1bd5770c2",
+        "star/0.05/random": "293482d8a26f2a847cdff7f702b6f8287d629b89f7b144657a7930b72d5a0acd",
+    },
+    ("rabin", "equivocate"): {
+        "clique/0.0/split": "ed5fe4c2bde8fdc22b8391fc5bfb0a63afa2d2c877c94e4cd24052a9132a82bb",
+        "clique/0.0/random": "ed5fe4c2bde8fdc22b8391fc5bfb0a63afa2d2c877c94e4cd24052a9132a82bb",
+        "grid/0.0/split": "bfb20140bbce576496a3b6492991302140d0eb57b061c1604f3404ae3eeddc4a",
+        "grid/0.0/random": "bfb20140bbce576496a3b6492991302140d0eb57b061c1604f3404ae3eeddc4a",
+        "grid/0.05/split": "5b115649157a2916f99ce952ba5fa784e4f7b7dea25f6cf8474ebb45195c45b0",
+        "grid/0.05/random": "3c8a25f8f4bf1b2acaaa5af99b2a0c3bb685a66cc2923fd3f506a54752ca412f",
+        "star/0.0/split": "f43429edfe45475ad7bb1469023f2dc1908cbb2dce4d6480ad66ac7724eb1e23",
+        "star/0.0/random": "f43429edfe45475ad7bb1469023f2dc1908cbb2dce4d6480ad66ac7724eb1e23",
+        "star/0.05/split": "538b4c39e53c3b144aa24d817cbd8d97df81604e03878edb2200cb20ca1c78f9",
+        "star/0.05/random": "c5fa8407301f5c4bc5808a4150ed28d04d71204569e66991ceb6b05cdd595b0a",
+    },
+    ("ben-or", "coin-attack"): {
+        "clique/0.0/split": "10972c09b3c40a37956905dacc1512c929668d4aeaea2499d1863c956b244952",
+        "clique/0.0/random": "7bdbaa0322acfcbba43933258365af181ec66ae3477a8f91d997b55fe13c1915",
+        "grid/0.0/split": "571ec93e3b5adc00582edc8705fec3a06a72fb09d77ea4254ee9cf7767bc4d5c",
+        "grid/0.0/random": "8ffc5e349b817205be569e469a8f914eeff146aeb2ddc9e75b4390765b7586f5",
+        "grid/0.05/split": "cf52c972a18b7fde21677281d3a37cefdf5453d8ca98d67702ad55eee0aa86b2",
+        "grid/0.05/random": "fb9bc810a0a36a7f2c9afc954dec8bbd5f59e07485e1606c1651e9028a208584",
+        "star/0.0/split": "9a711f68033cc043f544cc8d6061991059b56f326beec54d2f9be0a54ef6da74",
+        "star/0.0/random": "5a55c40e29b506b2d0958723e618dfa51b8ec3375e5b705cd2cb754bc4d95293",
+        "star/0.05/split": "f046bdb14b6024b5b881de5305364804b08464a1da6582c03675e4bdef5fd86b",
+        "star/0.05/random": "3c0ec6ed03270aadac39911ee3f5163945737afb00d64fbe1735963e21f031bd",
+    },
+    ("ben-or", "equivocate"): {
+        "clique/0.0/split": "405d4e7b39e117d14a864ad90c91b861f7a063f0843804c2056fcfbad0668b5d",
+        "clique/0.0/random": "405d4e7b39e117d14a864ad90c91b861f7a063f0843804c2056fcfbad0668b5d",
+        "grid/0.0/split": "e0a84090b323877d1a72a6f137a30d7d7714fc704914e872c7978f3173678228",
+        "grid/0.0/random": "e0a84090b323877d1a72a6f137a30d7d7714fc704914e872c7978f3173678228",
+        "grid/0.05/split": "fbbd9ff63d56390bd2f731f89a09c94736f3dd26b886a513d7a54415288f4550",
+        "grid/0.05/random": "2423f1db5f69fd0dc5e3f3e63fd84a2548c34efb58a1f688e98b27e80a5bf838",
+        "star/0.0/split": "85f5ae7f36928b038e8bd7c1e38aadf8500de871cc91e67bb5ab3807e3b2bec9",
+        "star/0.0/random": "85f5ae7f36928b038e8bd7c1e38aadf8500de871cc91e67bb5ab3807e3b2bec9",
+        "star/0.05/split": "40f4e3537197c2eb787463bb6038ca2f241b0b3d2886eb54d2ec43f6f2a5ae45",
+        "star/0.05/random": "68df60c65ab02ce4f084548a39183cab0dc368f47a19caa4e219d3814ba9c881",
+    },
+    ("phase-king", "coin-attack"): {
+        "clique/0.0/split": "743a60c754b92b0aa346bcf4ec8f406e7d34ae0df4cf7e8b19c51419b07774ca",
+        "clique/0.0/random": "743a60c754b92b0aa346bcf4ec8f406e7d34ae0df4cf7e8b19c51419b07774ca",
+        "grid/0.0/split": "80671930f6496a762856714f6df2cd45aa6d6c10ba3ed5ec9d8d3a22272c8996",
+        "grid/0.0/random": "c18406be27e02e000575362add34622aaa9c4a25fc4f73de1258e643c876cb6d",
+        "grid/0.05/split": "2291b83c722b9f578c688125088b97a6f6895d75e08b158754c221543bf00546",
+        "grid/0.05/random": "0099964282b2e580aca22333b9c459d3461f6c4b2916a00dedb2dcf71efda0e7",
+        "star/0.0/split": "6c3b37c0d2237023928ac3fc608c1459806798b943524296aba1d31420e9bdd9",
+        "star/0.0/random": "6c3b37c0d2237023928ac3fc608c1459806798b943524296aba1d31420e9bdd9",
+        "star/0.05/split": "ec062abb7d4f4b2dafa57302ab4b68c41ee6569dac6ce131121b804e7b77fb31",
+        "star/0.05/random": "c5e7f1b092c54db9f63d7a6f7a346cb62fdd290aa542d4fa4b89e770ce9b57f4",
+    },
+    ("phase-king", "equivocate"): {
+        "clique/0.0/split": "cdd32bffa61709fb3ab71578e46359b8e5a64ece78cc018287dad2de83bd1b47",
+        "clique/0.0/random": "e29371bc72b45543a208c647bc54cd529f2e40ad2372429cbc754892f3f55b0d",
+        "grid/0.0/split": "b134f3770685d8351bf8cf58233ef31528844effc5e9d00345bc7bed50197c33",
+        "grid/0.0/random": "c3f861975600789d34d7185fcf62ff750ae369981c75b05d23861e28e99e4feb",
+        "grid/0.05/split": "1e651e0e4d27d62f3515a5b89ddefa3e1e83c291121773050888993a6e4b39bc",
+        "grid/0.05/random": "612acd5a30225ccd9cf2929f09a1f90a5b826db504774553ad6091b6d969f5f2",
+        "star/0.0/split": "cf46bb55f5b01642bdc0ace01f486e53f12673ce9faf781657767f71bc8808da",
+        "star/0.0/random": "673a5f3994e2f03fce2c158e73f0a8a0ed93f71e868b441ec91f5c41211bbcaf",
+        "star/0.05/split": "c78b2ef42bad6ea1a478111bcd53d8ad7b4465f3247f2f8a8347e9629ae0d1e1",
+        "star/0.05/random": "53b82bdacd191ccceb58dcb64dfc8b96328532d30b3ab48014cfd3647abe162d",
+    },
+}
+
+
+def _pinned_digest(protocol: str, adversary: str, topology: str, loss: float,
+                   n: int = 16, t: int = 3, inputs: str = "split") -> str:
     # Ben-Or's private coin rarely reaches its quorum at this size, so its
     # trials run to the round cap: a low cap keeps them short.
     result = run_sweep(
-        16, 3, protocol=protocol, adversary=adversary, inputs="split", trials=4,
+        n, t, protocol=protocol, adversary=adversary, inputs=inputs, trials=4,
         base_seed=29, engine="vectorized", topology=topology, loss=loss,
         allow_timeout=True, max_rounds=40 if protocol == "ben-or" else None,
     )
@@ -257,6 +374,20 @@ class TestPinnedDigests:
             for loss in LOSSES
         }
         assert got == PINNED_DIGESTS[protocol, adversary]
+
+    @pytest.mark.parametrize("adversary", PINNED_SPARSE_ADVERSARIES)
+    @pytest.mark.parametrize("protocol", PINNED_PROTOCOLS)
+    def test_sparse_masks_and_random_inputs_match_the_pinned_digests(
+        self, protocol, adversary, native_kernel
+    ):
+        got = {
+            f"{topology}/{loss}/{inputs}": _pinned_digest(
+                protocol, adversary, topology, loss, n=40, t=5, inputs=inputs
+            )
+            for topology, loss in PINNED_SPARSE_NETWORKS
+            for inputs in PINNED_INPUTS
+        }
+        assert got == PINNED_SPARSE_DIGESTS[protocol, adversary]
 
 
 class TestTallyUnits:
@@ -285,15 +416,12 @@ class TestTallyUnits:
         adjacency &= adjacency.T
         counter = AdjacencyCounter(adjacency)
         assert counter.strategy == "packed"
-        assert counter.wants_words
         reference = adjacency.astype(np.int64)
         sent = rng.random((5, n)) < 0.5
         expected = sent.astype(np.int64) @ reference
-        np.testing.assert_array_equal(counter.receive_counts(sent), expected)
         words = pack_sender_words(sent, n)
         np.testing.assert_array_equal(counter.receive_counts_words(words), expected)
         np.testing.assert_array_equal(counter.delivered_edges_words(words), expected.sum(axis=1))
-        np.testing.assert_array_equal(counter.delivered_edges(sent), expected.sum(axis=1))
         shares = rng.integers(-1, 2, size=(5, n)).astype(np.int8)
         np.testing.assert_array_equal(
             counter.signed_counts(shares), shares.astype(np.int64) @ reference
@@ -311,12 +439,10 @@ class TestTallyUnits:
         kept64 = kept.astype(np.int64)
         sent = rng.random((batch, n)) < 0.5
         expected = np.einsum("bj,bji->bi", sent.astype(np.int64), kept64)
-        np.testing.assert_array_equal(channel.receive_counts(sent), expected)
+        words = pack_sender_words(sent, n)
+        np.testing.assert_array_equal(channel.receive_counts_words(words), expected)
         edges = np.einsum("bj,bji->b", sent.astype(np.int64), kept64)
-        np.testing.assert_array_equal(channel.delivered_edges(sent), edges)
-        np.testing.assert_array_equal(
-            channel.delivered_edges_words(pack_sender_words(sent, n)), edges
-        )
+        np.testing.assert_array_equal(channel.delivered_edges_words(words), edges)
         shares = rng.integers(-1, 2, size=(batch, n)).astype(np.int8)
         shares[:, : n // 2] = 0  # a committee slice: leading words send nothing
         np.testing.assert_array_equal(

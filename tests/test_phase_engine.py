@@ -37,6 +37,7 @@ from repro.simulator.phase_engine import PhaseEngine
 from repro.simulator.rng import RandomnessSource
 from repro.simulator.vectorized import (
     VectorizedAgreementSimulator,
+    batch_setup,
     trial_generator,
 )
 
@@ -70,7 +71,7 @@ class TestUnifiedEngine:
 
         n, t, trials = 48, 8, VECTOR_MIN_ROWS + 8
         params = ProtocolParameters.derive(n, t)
-        inputs = np.tile(input_row(n, "split", None), (trials, 1))
+        inputs = np.tile(input_row(n, "split"), (trials, 1))
         runs = {
             "compacted": (phase_engine._COMPACTION_THRESHOLD, TrialStreams(3, 0, trials)),
             "uncompacted": (0, TrialStreams(3, 0, trials)),
@@ -355,9 +356,8 @@ class TestSharedInputPatterns:
     def test_object_and_plane_dtypes_agree_on_deterministic_patterns(self, pattern):
         n = 13
         randomness = RandomnessSource(0)
-        rng = trial_generator(0, 0)
         as_list = input_list(n, pattern, randomness)
-        as_row = input_row(n, pattern, rng)
+        (as_row,), _ = batch_setup(n, pattern, 1, 0)
         assert as_row.dtype == np.int8
         assert len(as_list) == n and as_row.shape == (n,)
         assert set(as_list) <= {0, 1} and set(as_row.tolist()) <= {0, 1}
@@ -366,21 +366,20 @@ class TestSharedInputPatterns:
 
     def test_split_puts_ones_in_the_upper_half(self):
         assert input_list(6, "split", RandomnessSource(0)) == [0, 0, 0, 1, 1, 1]
-        assert input_row(7, "split", trial_generator(0, 0)).tolist() == [0, 0, 0, 1, 1, 1, 1]
+        assert input_row(7, "split").tolist() == [0, 0, 0, 1, 1, 1, 1]
 
     def test_unknown_patterns_are_rejected(self):
         with pytest.raises(ConfigurationError):
             input_list(3, "diagonal", RandomnessSource(0))
         with pytest.raises(ConfigurationError):
-            input_row(3, "diagonal", trial_generator(0, 0))
+            input_row(3, "diagonal")
 
     def test_random_rows_consume_only_the_trial_generator(self):
         # Same key -> same row; the deterministic patterns leave the stream
         # untouched (the committee engine's bit-identity contract).
-        row_a = input_row(32, "random", trial_generator(5, 1))
-        row_b = input_row(32, "random", trial_generator(5, 1))
+        row_a, _ = batch_setup(32, "random", 1, 5, trial_offset=1)
+        row_b, _ = batch_setup(32, "random", 1, 5, trial_offset=1)
         assert np.array_equal(row_a, row_b)
-        rng = trial_generator(5, 2)
-        input_row(32, "split", rng)
-        untouched = rng.integers(0, 2, size=4)
+        _, streams = batch_setup(32, "split", 1, 5, trial_offset=2)
+        untouched = streams[0].integers(0, 2, size=4)
         assert np.array_equal(untouched, trial_generator(5, 2).integers(0, 2, size=4))

@@ -16,6 +16,7 @@ import pytest
 import repro.topology.loss as loss_module
 from repro.exceptions import ConfigurationError
 from repro.observability import Tracer, activate
+from repro.simulator.draws import TrialStreams
 from repro.topology import (
     DEFAULT_TOPOLOGY,
     AdjacencyCounter,
@@ -37,7 +38,7 @@ from repro.topology import (
     validate_adjacency,
     validate_loss,
 )
-from repro.topology.counting import pack_sender_words
+from repro.topology.counting import pack_sender_words, word_width
 from repro.topology.loss import sample_delivered_words
 
 
@@ -222,6 +223,12 @@ def _same_state(a, b):
     return np.array_equal(a, b)
 
 
+def _packed(delivered):
+    """``(B, n, n)`` sender-major booleans as recipient-major words."""
+    n = delivered.shape[1]
+    return np.stack([pack_sender_words(kept.T.copy(), n) for kept in delivered])
+
+
 #: Trials 1, 4 and 5 are finished: the running mask has gaps.
 RUNNING = np.array([True, False, True, True, False, False, True, True, True])
 
@@ -278,11 +285,32 @@ class TestLossDrawKernel:
 
         rngs = self._generators(bit_generator)
         words = sample_delivered_words(adjacency, loss, n, rngs, RUNNING)
-        for b in range(len(RUNNING)):
-            # Row i of the words packs the senders that reach recipient i.
-            assert np.array_equal(words[b], pack_sender_words(expected[b].T.copy(), n))
+        # Row i of the words packs the senders that reach recipient i.
+        assert np.array_equal(words, _packed(expected))
         assert all(_same_state(a.bit_generator.state, b.bit_generator.state)
                    for a, b in zip(rngs, reference_rngs))
+
+    @pytest.mark.parametrize("rows", ["cursors", "generators"])
+    def test_the_boolean_sampler_is_the_unpacked_words(self, rows, native_kernel):
+        # sample_delivered draws the words of sample_delivered_words and
+        # unpacks them sender-major: equal streams give equal matrices and
+        # leave the streams in equal states.
+        n = 70
+        if rows == "cursors":
+            streams = [TrialStreams(9, 4, len(RUNNING)) for _ in range(2)]
+        else:
+            streams = [TrialStreams.of(self._generators(np.random.Philox)) for _ in range(2)]
+        for stream in streams:
+            stream.draw_bits(np.arange(len(RUNNING)) % 3)  # leave halves pending
+        delivered = sample_delivered(ring(n), 0.2, n, streams[0], RUNNING)
+        words = sample_delivered_words(ring(n), 0.2, n, streams[1], RUNNING)
+        assert np.array_equal(_packed(delivered), words)
+        assert not delivered[~RUNNING].any()
+        counts = np.full(len(RUNNING), 5)
+        assert np.array_equal(streams[0].draw_bits(counts), streams[1].draw_bits(counts))
+        for row in range(len(RUNNING)):
+            assert _same_state(streams[0][row].bit_generator.state,
+                               streams[1][row].bit_generator.state)
 
     def test_raw_threshold_equals_the_float_test_at_its_boundary(self):
         # Random draws almost never land next to the threshold, so probe
@@ -315,11 +343,12 @@ class TestLossDrawKernel:
         sample_delivered(None, 0.3, 9, self._generators(np.random.Philox), np.eye(9, dtype=bool)[0])
         assert loss_module._pool is None
 
-    @pytest.mark.parametrize("case", ["philox", "pcg64", "high counter", "strided out"])
+    @pytest.mark.parametrize("case", ["philox", "pcg64", "high counter", "padded rows"])
     def test_the_span_names_the_kernel_that_drew(self, case, native_kernel):
         # Philox rows draw with the kernel in use.  PCG64 streams, a Philox
         # counter past its low word and an output the native kernel cannot
-        # write in place draw through NumPy under either, with the same words.
+        # write in place (rows padded past their words, so not C-contiguous)
+        # draw through NumPy under either, with the same words.
         n, running = 33, RUNNING
         if case in ("philox", "pcg64"):
             bit_generator = np.random.Philox if case == "philox" else np.random.PCG64
@@ -332,12 +361,15 @@ class TestLossDrawKernel:
             rngs, reference = ([np.random.Generator(np.random.Philox(k, counter=counter))
                                 for k, counter in enumerate(counters)] for _ in range(2))
         expected = _serial_reference(None, 0.3, n, reference, running)
-        out = np.ones((len(running), n, 2 * n), dtype=bool)[:, :, ::2]
+        padded = np.zeros((len(running), n, word_width(n) + 1), dtype=np.uint64)
         tracer = Tracer(run_id="fallback")
         with activate(tracer):
-            drawn = sample_delivered(None, 0.3, n, rngs, running,
-                                     out=out if case == "strided out" else None)
-        assert np.array_equal(drawn, expected)
+            drawn = sample_delivered_words(
+                None, 0.3, n, rngs, running,
+                out=padded[:, :, :-1] if case == "padded rows" else None,
+            )
+        assert np.array_equal(drawn, _packed(expected))
+        assert not padded[:, :, -1].any()
         assert all(_same_state(a.bit_generator.state, b.bit_generator.state)
                    for a, b in zip(rngs, reference))
         (span,) = [e for e in tracer.events() if e["name"] == "engine.draw.loss"]
@@ -367,33 +399,33 @@ class TestAdjacencyCounter:
         reference = adjacency.astype(np.int64)
         rng = np.random.default_rng(n)
         plane = rng.integers(0, 2, size=(7, n)).astype(bool)
-        counts = counter.receive_counts(plane)
+        counts = counter.receive_counts_words(pack_sender_words(plane, n))
         assert counts.dtype == np.int64
         assert np.array_equal(
             np.broadcast_to(counts, (7, n)), plane.astype(np.int64) @ reference
         )
         senders = rng.integers(0, 2, size=(7, n)).astype(bool)
         assert np.array_equal(
-            counter.delivered_edges(senders),
+            counter.delivered_edges_words(pack_sender_words(senders, n)),
             senders.astype(np.int64) @ adjacency.sum(axis=1),
         )
 
     @pytest.mark.parametrize("name,strategy", [
         ("clique", "complete"),
-        ("ring", "direct"),
-        ("chain", "direct"),
-        ("star", "direct"),
-        ("grid", "direct"),
-        ("tree", "direct"),
+        ("ring", "packed"),
+        ("chain", "packed"),
+        ("star", "packed"),
+        ("grid", "packed"),
+        ("tree", "packed"),
         ("erdos-renyi", "packed"),
     ])
-    def test_strategy_selection_follows_density(self, name, strategy):
+    def test_only_the_complete_graph_skips_the_word_tally(self, name, strategy):
         assert AdjacencyCounter(build_topology(name, 48)).strategy == strategy
 
     def test_complete_graph_returns_a_broadcastable_column(self):
         counter = AdjacencyCounter(np.ones((9, 9), dtype=bool))
         plane = np.eye(9, dtype=bool)[:4]
-        counts = counter.receive_counts(plane)
+        counts = counter.receive_counts_words(pack_sender_words(plane, 9))
         assert counts.shape == (4, 1)
         assert (counts == 1).all()
 
@@ -414,7 +446,8 @@ class TestAdjacencyCounter:
         reference = adjacency.astype(np.int64)
         plane = rng.integers(0, 2, size=(5, n)).astype(bool)
         assert np.array_equal(
-            counter.receive_counts(plane), plane.astype(np.int64) @ reference
+            counter.receive_counts_words(pack_sender_words(plane, n)),
+            plane.astype(np.int64) @ reference,
         )
         shares = (rng.integers(0, 2, size=(5, n)) * 2 - 1).astype(np.int8)
         assert np.array_equal(
@@ -423,12 +456,12 @@ class TestAdjacencyCounter:
 
     @pytest.mark.parametrize("name,n,strategy", [
         ("clique", 12, "complete"),
-        ("ring", 48, "direct"),
+        ("ring", 48, "packed"),
         ("ring", 12, "packed"),
     ])
     def test_signed_share_planes_are_counted_exactly(self, name, n, strategy):
-        # Coin shares are ±1 values, not booleans: signed_counts, not
-        # receive_counts, tallies them on every strategy.
+        # Coin shares are ±1 values, not booleans: signed_counts, not the
+        # packed sender words, tallies them on every strategy.
         adjacency = build_topology(name, n)
         counter = AdjacencyCounter(adjacency)
         assert counter.strategy == strategy

@@ -11,7 +11,7 @@ from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import AgreementExperiment, TrialsResult, default_max_rounds, run_trials
 from repro.exceptions import ConfigurationError
-from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams
+from repro.simulator.draws import VECTOR_MIN_ROWS, TrialStreams, trial_generator
 from repro.simulator.vectorized import (
     PHASE_PROTOCOLS,
     VectorizedAgreementSimulator,
@@ -149,8 +149,36 @@ def _batched_and_single_trial(simulator, inputs, trials, seed):
     single = []
     for k in range(trials):
         row = TrialStreams(seed, k, 1)
-        single.append(simulator.run(input_row(simulator.n, inputs, row[0]), row))
+        if inputs == "random":
+            # The reference draws the input row through the trial's generator.
+            input_bits = row[0].integers(0, 2, size=simulator.n).astype(np.int8)
+        else:
+            input_bits = input_row(simulator.n, inputs)
+        single.append(simulator.run(input_bits, row))
     return batched, single
+
+
+class TestBatchSetup:
+    @pytest.mark.parametrize("trials", [3, VECTOR_MIN_ROWS + 2])
+    def test_random_inputs_keep_every_row_on_its_cursor(self, trials, native_kernel):
+        # Row k is trial k's integers(0, 2, size=n), drawn as one bit draw:
+        # natively at any row count, else by the NumPy pass from
+        # VECTOR_MIN_ROWS rows up, no row turns into a generator, so later
+        # draws can take the cursor paths.  Below that without the native
+        # draws, the rows draw through their generators.
+        n = 33
+        rows, streams = batch_setup(n, "random", trials, 5, trial_offset=2)
+        assert rows.dtype == np.int8 and rows.shape == (trials, n)
+        cursors = native_kernel == "native" or trials >= VECTOR_MIN_ROWS
+        assert [streams.claim_raw(k, 0) is not None for k in range(trials)] == [cursors] * trials
+        counts = np.arange(trials) % 4
+        bits = streams.draw_bits(counts)
+        expected_bits = []
+        for k in range(trials):
+            generator = trial_generator(5, 2 + k)
+            assert np.array_equal(rows[k], generator.integers(0, 2, size=n))
+            expected_bits.append(generator.integers(0, 2, size=counts[k]))
+        assert np.array_equal(bits, np.concatenate(expected_bits))
 
 
 class TestBatchedEngine:
