@@ -24,11 +24,12 @@ ways:
   (Philox, threshold and word packing fused in C) and the NumPy one (raw
   outputs against an integer threshold), trials spread over one thread per
   CPU — must reproduce the serial ``random() >= loss`` loop bit for bit —
-  matrices (``sample_delivered``, the words unpacked) and generator states
-  — at ``n=512`` with 64 trials, and the
-  kernel this process draws with (native when its build succeeded) must
-  beat the loop by at least ``1.3x`` when the process may use two or more
-  CPUs (on one CPU only identity is asserted).
+  the recipient-major words the engines draw (``sample_delivered_words``
+  into one zeroed buffer it reuses, checked against the loop's planes
+  packed outside any timed region) and generator states — at ``n=512``
+  with 64 trials, and the kernel this process draws with (native when its
+  build succeeded) must beat the loop by at least ``1.3x`` when the process
+  may use two or more CPUs (on one CPU only identity is asserted).
 
 All measurements are folded into ``benchmarks/results/summary.json`` for
 cross-PR trajectory tracking.
@@ -44,7 +45,8 @@ import numpy as np
 from repro import native
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import build_topology
-from repro.topology.loss import sample_delivered
+from repro.topology.counting import pack_sender_words, word_width
+from repro.topology.loss import sample_delivered_words
 
 #: Overhead comparison configuration: large enough that the plane work
 #: (not Python dispatch) dominates.  `straddle` keeps every trial running
@@ -199,15 +201,23 @@ def test_loss_draw_kernel_is_bit_identical_and_beats_the_serial_loop(monkeypatch
             if name == "numpy":
                 patch.setattr(native, "_handle", "the NumPy kernel, timed on its own")
             serial_rngs, kernel_rngs = generators(), generators()
-            expected = _serial_draws(DRAW_LOSS, n, serial_rngs, running)
-            drawn = sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running)
+            planes = _serial_draws(DRAW_LOSS, n, serial_rngs, running)
+            # Row i of a trial's words packs the senders reaching recipient i:
+            # the transposed sender-major plane.
+            expected = np.stack([pack_sender_words(plane.T, n) for plane in planes])
+            words = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
+            drawn = sample_delivered_words(None, DRAW_LOSS, n, kernel_rngs, running, out=words)
             assert np.array_equal(drawn, expected), name
             assert [_plain(r.bit_generator.state) for r in kernel_rngs] == [
                 _plain(r.bit_generator.state) for r in serial_rngs
             ], name
-            # The kernel keeps drawing from its (advanced) streams while timed.
+            # The kernel keeps drawing from its (advanced) streams while timed,
+            # into the one buffer, as the engines draw.
             return _best(
-                lambda: sample_delivered(None, DRAW_LOSS, n, kernel_rngs, running), repeats=5
+                lambda: sample_delivered_words(
+                    None, DRAW_LOSS, n, kernel_rngs, running, out=words
+                ),
+                repeats=5,
             )
 
     seconds = {name: timed_kernel(name) for name in dict.fromkeys([kernel, "numpy"])}

@@ -6,15 +6,19 @@ passive/silent behaviours through the sampled random-noise babble to the
 adaptive share attacks and per-recipient equivocators.  The shared
 :class:`repro.simulator.phase_engine.PhaseEngine` (serving the committee-BA
 family, Chor–Coan, Rabin and Ben-Or) and the hook-consuming baseline kernels
-(phase-king foremost) drive one kernel instance through four hooks per batch:
+(phase-king foremost) drive one kernel instance through four hooks per batch,
+each handed a :class:`KernelContext` of three plane handles (``active``,
+``corrupted``, ``can_update``) plus the per-trial counters:
 
 ``setup``
-    Before round 1 of phase 1: spend any up-front corruptions (static
-    strategies burn their whole budget here).
+    Before round 1 of phase 1: corrupt the strategy's
+    :meth:`~AdversaryKernel.initial_corrupted_columns` in every row (the
+    silent, random-noise and static strategies burn their whole budget
+    here).  It is the one up-front corruption path; no kernel overrides it.
 
 ``round1``
     Rushing view of the round-1 broadcast tallies.  The kernel may corrupt
-    (mutating the context planes in place) and returns the *additive*
+    (through :meth:`KernelContext.corrupt`) and returns the *additive*
     per-recipient announcement planes — how many extra ``1``/``0``
     round-1 values each recipient receives from corrupted senders.
 
@@ -35,7 +39,9 @@ Additive planes are broadcastable against ``(B, n)`` — a uniform strategy
 returns ``(B, 1)`` columns, a two-group equivocator returns full ``(B, n)``
 planes — so the engine's threshold logic is written once, in plane form, and
 never needs to know which strategy it is executing.  Kernels must account
-their own adversary message traffic by adding to ``ctx.messages``.
+their own adversary message traffic by adding to ``ctx.messages``.  Which
+trials fall through to the coin is one rule, :func:`value_assigned`, that the
+engine and the share attacks both read.
 
 Only the ``random-noise`` kernel draws from the per-trial Philox streams
 (``ctx.streams``, in a fixed order the engines preserve); every other strategy
@@ -49,61 +55,54 @@ compositions.
 from __future__ import annotations
 
 from abc import ABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from repro.core.parameters import ProtocolParameters
-from repro.simulator.bitplanes import row_popcount
 
 if TYPE_CHECKING:
     from repro.simulator.draws import TrialStreams
+    from repro.simulator.planes.base import Plane
 
 #: An additive per-recipient count: anything broadcastable to ``(B, n)``.
 #: ``0`` (the default) means "no adversary contribution".
 CountPlane = int | np.ndarray
 
 
+@dataclass
 class KernelContext:
     """The engine state a kernel hook may read — and, for corruption, mutate.
 
-    The boolean planes are *views into the live engine state*: a kernel
-    corrupts node ``v`` of trial ``b`` by setting ``corrupted[b, v] = True``
-    and ``active[b, v] = False`` and decrementing ``budget[b]`` — the same
-    three-way bookkeeping the engine's built-in straddle uses.  Everything
-    else must be treated as read-only.
-
-    The five boolean planes may be constructed either from plain ``(B, n)``
-    arrays (the baseline kernels and the test-suite do this) or from
-    :class:`repro.simulator.planes.base.Plane` handles (the engine always
-    does, on either representation).  Either way the attributes resolve
-    to boolean arrays — plane handles are unpacked *lazily, per access*, so
-    a hook that never reads ``value`` never pays for unpacking it, and a
-    hook reading a plane the engine updated since the last hook sees the
-    fresh state.  Kernels that mutate a plane in place outside
-    :meth:`corrupt` must call the handle's ``mark_bools_dirty`` themselves
-    (no current kernel does; :meth:`corrupt` is the single mutation choke
-    point and handles the bookkeeping).
+    ``active_plane``, ``corrupted_plane`` and ``can_update_plane`` are
+    :class:`repro.simulator.planes.base.Plane` handles on the live engine
+    state, on either representation (phase king wraps its own arrays as
+    :class:`~repro.simulator.planes.numpy_bool.NumpyBoolPlane` views).
+    ``active``, ``corrupted`` and ``can_update`` resolve to their ``(B, n)``
+    boolean views, unpacked *lazily, per access*, so a hook that never reads
+    a plane never pays for unpacking it, and a hook reading a plane the
+    engine updated since the last hook sees the fresh state.  A kernel
+    corrupts node ``v`` of trial ``b`` through :meth:`corrupt` only: it sets
+    ``corrupted[b, v]``, clears ``active[b, v]``, decrements ``budget[b]``
+    and marks both planes' bool views authoritative, so ``t - budget`` is
+    always the corrupted count.  Everything else must be treated as
+    read-only.
 
     Attributes:
-        n / t: Network size and corruption budget of the configuration.
-        params: Committee geometry (size, count, phase schedule).
-        phase: Current 1-based phase.
         committee_start / committee_stop: Id slice ``[start, stop)`` of the
             phase's designated committee.
-        value / decided / active / corrupted / can_update: ``(B, n)`` planes;
-            ``active`` is honest-and-not-terminated, ``can_update`` is False
-            once a node is flushing.
+        active_plane / corrupted_plane / can_update_plane: ``(B, n)`` plane
+            handles; ``active`` is honest-and-not-terminated, ``can_update``
+            is False once a node is flushing.
         budget: ``(B,)`` remaining corruptions per trial.
         messages: ``(B,)`` running message counters (kernels add their own
             adversary traffic here).
-        running: ``(B,)`` trials still executing; hooks must not touch
-            finished rows.
+        running: ``(B,)`` trials still executing; its length is the batch
+            size, and hooks must not touch finished rows.
         streams: The per-trial Philox streams (compacted alongside the
             planes); a sampling strategy draws trial ``b``'s randomness
-            through ``streams[b]``, a ``Generator``.  ``None`` before the
-            engine attaches them.
+            through ``streams[b]``, a ``Generator``.
         shares: ``(B, committee_stop - committee_start)`` int8 plane of the
             freshly drawn committee coin shares (columns aligned to the
             committee slice; zero where the member is inactive), available to
@@ -114,106 +113,49 @@ class KernelContext:
             coin), ``"dealer"`` or ``"private"`` (shares are broadcast but
             ignored by the coin); kernels use it to skip share effects that
             cannot influence the run.
+        mutated: Set by :meth:`corrupt`; the engine clears it after
+            re-tallying, so hooks that corrupt nobody cost no redundant plane
+            reductions.
 
     A kernel's ``(B, n)`` coin-share adjustment plane is built in
-    :func:`share_adjustment_dtype` of ``params.committee_size`` (int8 for a
+    :func:`share_adjustment_dtype` of its ``params.committee_size`` (int8 for a
     committee of at most 127): the committee slice never exceeds that size,
     so the honest share sum plus the adjustment fits it (see
     :class:`Round2Effect`).
     """
 
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        params: ProtocolParameters,
-        phase: int,
-        committee_start: int,
-        committee_stop: int,
-        value: np.ndarray,
-        decided: np.ndarray,
-        active: np.ndarray,
-        corrupted: np.ndarray,
-        can_update: np.ndarray,
-        budget: np.ndarray,
-        messages: np.ndarray,
-        running: np.ndarray,
-        streams: TrialStreams | None = None,
-        shares: np.ndarray | None = None,
-        coin: str = "committee",
-        mutated: bool = False,
-    ) -> None:
-        self.n = n
-        self.t = t
-        self.params = params
-        self.phase = phase
-        self.committee_start = committee_start
-        self.committee_stop = committee_stop
-        # Arrays pass through as-is; Plane handles resolve via .bools().
-        self._planes = {
-            "value": value,
-            "decided": decided,
-            "active": active,
-            "corrupted": corrupted,
-            "can_update": can_update,
-        }
-        self.budget = budget
-        self.messages = messages
-        self.running = running
-        self.streams = streams
-        self.shares = shares
-        self.coin = coin
-        #: Set by :meth:`corrupt`; the engine clears it after re-tallying, so
-        #: hooks that corrupt nobody cost no redundant plane reductions.
-        self.mutated = mutated
-
-    def _plane_bools(self, name: str) -> np.ndarray:
-        plane = self._planes[name]
-        if isinstance(plane, np.ndarray):
-            return plane
-        return plane.bools()
-
-    @property
-    def value(self) -> np.ndarray:
-        return self._plane_bools("value")
-
-    @property
-    def decided(self) -> np.ndarray:
-        return self._plane_bools("decided")
+    committee_start: int
+    committee_stop: int
+    active_plane: Plane
+    corrupted_plane: Plane
+    can_update_plane: Plane
+    budget: np.ndarray
+    messages: np.ndarray
+    running: np.ndarray
+    streams: TrialStreams
+    shares: np.ndarray | None = None
+    coin: str = "committee"
+    mutated: bool = False
 
     @property
     def active(self) -> np.ndarray:
-        return self._plane_bools("active")
+        return self.active_plane.bools()
 
     @property
     def corrupted(self) -> np.ndarray:
-        return self._plane_bools("corrupted")
+        return self.corrupted_plane.bools()
 
     @property
     def can_update(self) -> np.ndarray:
-        return self._plane_bools("can_update")
+        return self.can_update_plane.bools()
 
     def active_count(self) -> np.ndarray:
         """``(B,)`` active nodes per trial, counted on the plane's own form.
 
-        A packed plane counts its words without unpacking.  Its words go
-        stale when :meth:`corrupt` edits the boolean mirror, so a hook that
-        corrupts reads the count first and subtracts its victims.
+        A packed plane counts its words without unpacking them (and repacks
+        them first if :meth:`corrupt` edited the boolean view since).
         """
-        plane = self._planes["active"]
-        return row_popcount(plane) if isinstance(plane, np.ndarray) else plane.popcount()
-
-    def _mark_plane_dirty(self, name: str) -> None:
-        plane = self._planes[name]
-        if not isinstance(plane, np.ndarray):
-            plane.mark_bools_dirty()
-
-    @property
-    def committee_mask(self) -> np.ndarray:
-        """``(n,)`` membership mask of the phase's designated committee."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.committee_start : self.committee_stop] = True
-        return mask
+        return self.active_plane.popcount()
 
     def corrupt(
         self,
@@ -221,7 +163,7 @@ class KernelContext:
         *,
         start: int = 0,
         stop: int | None = None,
-        count: np.ndarray | None = None,
+        count: np.ndarray | int | None = None,
     ) -> None:
         """Corrupt a mask of nodes, with budget bookkeeping.
 
@@ -232,17 +174,32 @@ class KernelContext:
         column-sliced mask — the id-slice committees make that the common
         case, and slice-local writes cost a fraction of full-plane passes.
         ``count`` short-circuits the per-row popcount when the caller already
-        knows how many nodes each row corrupts.
+        knows how many nodes each row corrupts; it is required for an
+        ``(n,)`` mask, which corrupts the same columns in every row.
         """
         columns = slice(start, stop)
         self.corrupted[:, columns] |= new_corrupt
         self.active[:, columns] &= ~new_corrupt
-        self._mark_plane_dirty("corrupted")
-        self._mark_plane_dirty("active")
+        self.corrupted_plane.mark_bools_dirty()
+        self.active_plane.mark_bools_dirty()
         if count is None:
             count = np.count_nonzero(new_corrupt, axis=1)
         self.budget -= count
         self.mutated = True
+
+
+def value_assigned(
+    decided_one: np.ndarray, decided_zero: np.ndarray, n: int, t: int
+) -> np.ndarray:
+    """Where round 2's ``decided`` tallies assign a value, not the coin.
+
+    A recipient finishes on ``n - t`` records of one value and adopts one on
+    ``t + 1``; it falls through to the coin only when neither tally reaches
+    either threshold, so the assigned set is ``max(d1, d0) >= min(n - t,
+    t + 1)`` for any ``n`` and ``t``.  Broadcasts like the tallies: ``(B,)``
+    global counts, ``(B, 1)`` columns or ``(B, n)`` per-recipient planes.
+    """
+    return np.maximum(decided_one, decided_zero) >= min(n - t, t + 1)
 
 
 @dataclass
@@ -285,20 +242,18 @@ class Round2Effect:
 class AdversaryKernel(ABC):
     """Base class for batched adversary strategies on ``(B, n)`` planes.
 
-    Concrete kernels override the hooks they need; the defaults model a
-    passive adversary.  One kernel instance serves one :meth:`run_batch`
-    call, so kernels may keep per-batch state across phases (none of the
-    current strategies need any — their state is fully captured by the
-    ``corrupted``/``budget`` planes).
+    Concrete kernels override the per-phase hooks they need; the defaults
+    model a passive adversary.  Up-front corruption is declared, not coded:
+    a kernel overrides :meth:`initial_corrupted_columns` and the one
+    :meth:`setup` here corrupts those columns.  One kernel instance serves
+    one :meth:`run_batch` call, so kernels may keep per-batch state across
+    phases (none of the current strategies need any — their state is fully
+    captured by the ``corrupted``/``budget`` planes).
     """
 
     n: int
     t: int
     params: ProtocolParameters
-
-    #: Mirrors :attr:`repro.adversary.base.Adversary.rushing`; non-rushing
-    #: kernels corrupt in :meth:`pre_coin` and never read fresh shares.
-    rushing: bool = field(default=True, init=False)
 
     #: True when the kernel reads the fresh committee share plane
     #: (``ctx.shares``) in :meth:`round2`; the engine then guarantees the
@@ -310,9 +265,10 @@ class AdversaryKernel(ABC):
     def initial_corrupted_columns(cls, n: int, t: int) -> np.ndarray:
         """``(n,)`` mask of the nodes the strategy corrupts up front.
 
-        Consumed by the closed-form kernels (EIG, sampling-majority) that
-        model mute-at-start behaviours without driving the per-phase hooks;
-        must match what :meth:`setup` does on the plane engines.
+        :meth:`setup` corrupts exactly these columns in every row, and the
+        closed-form kernels (EIG, sampling-majority), which model
+        mute-at-start behaviours without driving the per-phase hooks, read
+        the same mask.  Default: nobody.
         """
         return np.zeros(n, dtype=bool)
 
@@ -327,7 +283,10 @@ class AdversaryKernel(ABC):
         return 0
 
     def setup(self, ctx: KernelContext) -> None:
-        """Spend up-front corruptions before round 1 of phase 1."""
+        """Corrupt :meth:`initial_corrupted_columns` in every row, before round 1."""
+        columns = self.initial_corrupted_columns(self.n, self.t)
+        if columns.any():
+            ctx.corrupt(columns, count=np.count_nonzero(columns))
 
     def round1(self, ctx: KernelContext, ones: np.ndarray, zeros: np.ndarray) -> Round1Effect:
         """React to the round-1 broadcast; may corrupt adaptively.

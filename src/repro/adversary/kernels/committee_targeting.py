@@ -46,7 +46,6 @@ class CommitteeTargetingKernel(AdversaryKernel):
     """Pre-corrupt each phase's committee (non-rushing) and split its shares."""
 
     def __post_init__(self) -> None:
-        self.rushing = False
         # Fresh corruptions per committee, as the object strategy's bind.
         self.spend_per_phase = max(1, math.ceil(math.sqrt(self.params.committee_size)))
 

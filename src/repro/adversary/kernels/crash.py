@@ -15,73 +15,49 @@ sees the original sum ``S`` (adjustment 0, coin ``sign(S)``) while the upper
 half is starved of the ``needed`` same-sign shares (adjustment
 ``-needed * sign``, flipping the coin).  Against a dealer or private coin the
 adjustment is ignored — crashing share senders cannot move those coins.
+
+Everything but that cost and adjustment — the coin-case test, the pick of
+same-sign live members, the spoil test, the lowest-id corruption and the
+split of the live recipients — is the straddle's coin-split body
+(:class:`~repro.adversary.kernels.straddle.StraddleKernel`), which this
+kernel subclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from repro.adversary.kernels.base import (
-    AdversaryKernel,
-    KernelContext,
-    Round2Effect,
-    share_adjustment_dtype,
-)
-from repro.simulator.bitplanes import first_k_true, lower_half_split
+from repro.adversary.kernels.base import KernelContext, share_adjustment_dtype
+from repro.adversary.kernels.straddle import StraddleKernel
 
 __all__ = ["AdaptiveCrashKernel"]
 
 
 @dataclass
-class AdaptiveCrashKernel(AdversaryKernel):
+class AdaptiveCrashKernel(StraddleKernel):
     """Crash same-sign committee members mid-broadcast to split the coin."""
 
-    needs_shares: ClassVar[bool] = True
+    def cost(self, share_sum: np.ndarray, controlled: np.ndarray) -> np.ndarray:
+        # Crashing only removes shares, so flipping the starved recipients'
+        # sign costs |S| + 1 (or |S| for S < 0); members already corrupted
+        # send no share to remove.
+        return np.where(share_sum >= 0, share_sum + 1, -share_sum)
 
-    def round2(
+    def adjustment(
         self,
         ctx: KernelContext,
-        decided_one: np.ndarray,
-        decided_zero: np.ndarray,
         share_sum: np.ndarray,
-    ) -> Round2Effect:
-        n, t = self.n, self.t
-        quorum = n - t
-        assigned = (
-            (decided_one >= quorum)
-            | (decided_zero >= quorum)
-            | (decided_one >= t + 1)
-            | (decided_zero >= t + 1)
-        )
-        case3 = ctx.running & ~assigned
-        if not case3.any():
-            return Round2Effect()
-        assert ctx.shares is not None
-        start, stop = ctx.committee_start, ctx.committee_stop
-        sign = np.where(share_sum >= 0, 1, -1).astype(np.int8)
-        # Crashing only removes shares, so flipping the starved recipients'
-        # sign costs |S| + 1 (or |S| for S < 0).
-        needed = np.where(share_sum >= 0, share_sum + 1, -share_sum)
-        committee_active = ctx.active[:, start:stop]
-        same_sign = committee_active & (ctx.shares == sign[:, None])
-        available = np.count_nonzero(same_sign, axis=1)
-        spoiled = case3 & (needed <= ctx.budget) & (needed <= available)
-        if not spoiled.any():
-            return Round2Effect()
-        fresh = np.where(spoiled, needed, 0)
-        ctx.corrupt(first_k_true(same_sign, fresh), start=start, stop=stop, count=fresh)
+        controlled: np.ndarray,
+        spoiled: np.ndarray,
+        fresh: np.ndarray,
+        lower: np.ndarray,
+        half: np.ndarray,
+    ) -> np.ndarray:
         # Crashed members deliver their final payload to the lower recipient
-        # half only; the starved upper half computes the flipped coin.  Rows
-        # the attack did not spoil split nobody and adjust nothing.
-        # Columns outside the live-recipient mask never reach the engine's
-        # coin blend, so only the lower/upper distinction needs masking.
-        recipients = ctx.active & ctx.can_update
-        recipients &= spoiled[:, None]
-        lower, half = lower_half_split(recipients)
+        # half only; the starved upper half computes the flipped coin.
         ctx.messages += fresh * half
         dtype = share_adjustment_dtype(self.params.committee_size)
-        starved = (-fresh * sign).astype(dtype)[:, None]
-        return Round2Effect(shares=np.where(lower, 0, starved))
+        starved = np.where(share_sum >= 0, -fresh, fresh).astype(dtype)[:, None]
+        return np.where(lower, 0, starved)

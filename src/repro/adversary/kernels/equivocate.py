@@ -34,7 +34,7 @@ from repro.adversary.kernels.base import (
     Round1Effect,
     Round2Effect,
 )
-from repro.simulator.bitplanes import first_k_true, row_popcount
+from repro.simulator.bitplanes import first_k_true
 
 __all__ = ["EquivocatePlaneKernel"]
 
@@ -57,7 +57,8 @@ class EquivocatePlaneKernel(AdversaryKernel):
         spend = np.minimum(1, ctx.budget)
         spend = np.where(ctx.running, np.maximum(spend, 0), 0)
         if spend.any():
-            candidates = ctx.active & ~ctx.committee_mask[None, :]
+            candidates = ctx.active.copy()
+            candidates[:, ctx.committee_start : ctx.committee_stop] = False
             starved = ~candidates.any(axis=1)
             if starved.any():
                 candidates[starved] = ctx.active[starved]
@@ -65,8 +66,9 @@ class EquivocatePlaneKernel(AdversaryKernel):
 
         # The minority decision uses the pre-corruption tallies (the recruit
         # broadcast honestly before being corrupted), exactly like the object
-        # strategy's rushing view.
-        corrupted_now = row_popcount(ctx.corrupted)
+        # strategy's rushing view.  `ctx.corrupt` keeps the spent budget
+        # equal to the corrupted count.
+        corrupted_now = self.t - ctx.budget
         minority_is_one = zeros > ones
         minority_count = np.where(minority_is_one, ones, zeros)
         # Support the minority only if doing so cannot complete an n - t
@@ -90,7 +92,7 @@ class EquivocatePlaneKernel(AdversaryKernel):
         # Claim `decided` for the value opposite to the phase's assigned one;
         # with at most t corrupted senders this can never cross the t + 1
         # threshold by itself, but it maximally confuses nodes close to it.
-        corrupted_now = row_popcount(ctx.corrupted)
+        corrupted_now = self.t - ctx.budget
         send = ctx.running & (corrupted_now > 0)
         assigned_one = decided_one >= decided_zero
         ctx.messages += np.where(send, corrupted_now * (self.n - corrupted_now), 0)

@@ -63,16 +63,10 @@ class RandomNoiseKernel(AdversaryKernel):
         noisy = self._noisy
         ctx.messages[ctx.running] += noisy * (self.n - noisy)
 
-    def setup(self, ctx: KernelContext) -> None:
-        batch = ctx.corrupted.shape[0]
-        new_corrupt = np.tile(self.initial_corrupted_columns(self.n, self.t), (batch, 1))
-        ctx.corrupt(new_corrupt & ~ctx.corrupted)
-
     def round1(self, ctx: KernelContext, ones: np.ndarray, zeros: np.ndarray) -> Round1Effect:
-        assert ctx.streams is not None
         noisy = self._noisy
         self._traffic(ctx)
-        batch = ctx.value.shape[0]
+        batch = len(ctx.running)
         noise_ones = np.zeros((batch, self.n), dtype=np.int64)
         for b in range(batch):
             if ctx.running[b]:
@@ -86,10 +80,9 @@ class RandomNoiseKernel(AdversaryKernel):
         decided_zero: np.ndarray,
         share_sum: np.ndarray,
     ) -> Round2Effect:
-        assert ctx.streams is not None
         noisy = self._noisy
         self._traffic(ctx)
-        batch = ctx.value.shape[0]
+        batch = len(ctx.running)
         noise_d1 = np.zeros((batch, self.n), dtype=np.int64)
         noise_d0 = np.zeros((batch, self.n), dtype=np.int64)
         share_noise: np.ndarray | int = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.adversary.kernels.base import AdversaryKernel, KernelContext
+from repro.adversary.kernels.base import AdversaryKernel
 
 __all__ = ["PassiveKernel", "SilentKernel"]
 
@@ -34,8 +34,3 @@ class SilentKernel(AdversaryKernel):
         mask = np.zeros(n, dtype=bool)
         mask[: min(t, n)] = True
         return mask
-
-    def setup(self, ctx: KernelContext) -> None:
-        batch = ctx.corrupted.shape[0]
-        new_corrupt = np.tile(self.initial_corrupted_columns(self.n, self.t), (batch, 1))
-        ctx.corrupt(new_corrupt & ~ctx.corrupted)

@@ -45,23 +45,20 @@ class StaticEquivocateKernel(AdversaryKernel):
         return corrupted * honest
 
     #: ``(n,)`` masks of the lower / upper halves of the honest id range,
-    #: built in :meth:`setup` and constant thereafter.
+    #: constant for the whole execution.
     _low: np.ndarray = field(init=False, repr=False)
     _high: np.ndarray = field(init=False, repr=False)
-    _num_corrupted: int = field(init=False, default=0)
+    _num_corrupted: int = field(init=False)
 
-    def setup(self, ctx: KernelContext) -> None:
-        n, t = self.n, self.t
-        self._num_corrupted = min(t, n)
+    def __post_init__(self) -> None:
+        n = self.n
+        self._num_corrupted = min(self.t, n)
         first_corrupted = n - self._num_corrupted
         honest_half = first_corrupted // 2
         self._low = np.zeros(n, dtype=bool)
         self._low[:honest_half] = True
         self._high = np.zeros(n, dtype=bool)
         self._high[honest_half:first_corrupted] = True
-        new_corrupt = np.zeros((ctx.corrupted.shape[0], n), dtype=bool)
-        new_corrupt[:, first_corrupted:] = True
-        ctx.corrupt(new_corrupt)
 
     def _controlled_in_committee(self, ctx: KernelContext) -> int:
         """Corrupted members of the phase committee (two contiguous id blocks)."""

@@ -19,6 +19,12 @@ coin 1 above and coin 0 below — exactly the ``value[upper] = 1 / value[lower]
 committee of 127), one byte per cell.  Against a dealer or private coin the
 adjustment plane is ignored by the engine, which reproduces the attack's
 futility (corruptions still spent, coin unmoved) against Rabin and Ben-Or.
+
+The kernel's :meth:`~StraddleKernel.round2` is the one coin-split body of
+the repository: the crash attack
+(:class:`~repro.adversary.kernels.crash.AdaptiveCrashKernel`) subclasses it
+and supplies only its own cost and adjustment.  The coin-case test is the
+engine's own rule, :func:`~repro.adversary.kernels.base.value_assigned`.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.adversary.kernels.base import (
     KernelContext,
     Round2Effect,
     share_adjustment_dtype,
+    value_assigned,
 )
 from repro.simulator.bitplanes import first_k_true, lower_half_split
 
@@ -41,9 +48,53 @@ __all__ = ["StraddleKernel"]
 
 @dataclass
 class StraddleKernel(AdversaryKernel):
-    """Corrupt same-sign committee members mid-coin-round; split the coin."""
+    """Corrupt same-sign committee members mid-coin-round; split the coin.
+
+    :meth:`round2` is the one coin-split body the crash attack
+    (:class:`~repro.adversary.kernels.crash.AdaptiveCrashKernel`) shares:
+    the coin-case test, the pick of same-sign live members, the spoil test,
+    the lowest-id corruption and the split of the live recipients.  A
+    subclass supplies only what a split costs (:meth:`cost`) and what it
+    does to the recipients (:meth:`adjustment`).
+    """
 
     needs_shares: ClassVar[bool] = True
+
+    def cost(self, share_sum: np.ndarray, controlled: np.ndarray) -> np.ndarray:
+        """``(B,)`` fresh same-sign corruptions that split the coin."""
+        # A Byzantine straddle: ceil((|S| - controlled [+ 1 if S >= 0]) / 2).
+        raw = np.where(
+            share_sum >= 0,
+            share_sum - controlled + 1,
+            -share_sum - controlled,
+        )
+        return np.maximum(0, -((-raw) // 2))
+
+    def adjustment(
+        self,
+        ctx: KernelContext,
+        share_sum: np.ndarray,
+        controlled: np.ndarray,
+        spoiled: np.ndarray,
+        fresh: np.ndarray,
+        lower: np.ndarray,
+        half: np.ndarray,
+    ) -> np.ndarray:
+        """The ``(B, n)`` coin-share adjustment of the spoiled rows' split.
+
+        Also accounts the attack's round-2 traffic.  Called after the
+        ``fresh`` corruptions, with ``lower`` the lower half of each spoiled
+        row's live recipients (``half`` of them) and ``controlled`` the
+        committee members corrupted before them.
+        """
+        # Controlled members to all honest nodes.
+        honest = ctx.active_count()
+        ctx.messages += np.where(spoiled, (controlled + fresh) * honest, 0)
+        # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0),
+        # and 0 on rows the attack did not spoil (their split is empty).
+        dtype = share_adjustment_dtype(self.params.committee_size)
+        sums = np.where(spoiled, share_sum, 0).astype(dtype)[:, None]
+        return -sums - lower
 
     def round2(
         self,
@@ -52,33 +103,17 @@ class StraddleKernel(AdversaryKernel):
         decided_zero: np.ndarray,
         share_sum: np.ndarray,
     ) -> Round2Effect:
-        n, t = self.n, self.t
-        quorum = n - t
-        # The attack only fires for trials in the coin case; the straddle adds
-        # no decided records, so the honest tallies decide the case exactly.
-        assigned = (
-            (decided_one >= quorum)
-            | (decided_zero >= quorum)
-            | (decided_one >= t + 1)
-            | (decided_zero >= t + 1)
-        )
-        case3 = ctx.running & ~assigned
+        # The attack only fires for trials in the coin case; it adds no
+        # decided records, so the honest tallies decide the case exactly.
+        case3 = ctx.running & ~value_assigned(decided_one, decided_zero, self.n, self.t)
         if not case3.any():
             return Round2Effect()
         assert ctx.shares is not None
         start, stop = ctx.committee_start, ctx.committee_stop
         controlled = np.count_nonzero(ctx.corrupted[:, start:stop], axis=1)
         sign = np.where(share_sum >= 0, 1, -1).astype(np.int8)
-        # Fresh same-sign corruptions needed for a Byzantine straddle:
-        # ceil((|S| - controlled [+ 1 if S >= 0]) / 2).
-        raw = np.where(
-            share_sum >= 0,
-            share_sum - controlled + 1,
-            -share_sum - controlled,
-        )
-        needed = np.maximum(0, -((-raw) // 2))
-        committee_active = ctx.active[:, start:stop]
-        same_sign = committee_active & (ctx.shares == sign[:, None])
+        needed = self.cost(share_sum, controlled)
+        same_sign = ctx.active[:, start:stop] & (ctx.shares == sign[:, None])
         available = np.count_nonzero(same_sign, axis=1)
         spoiled = (
             case3 & (ctx.budget > 0) & (needed <= ctx.budget) & (needed <= available)
@@ -86,20 +121,11 @@ class StraddleKernel(AdversaryKernel):
         if not spoiled.any():
             return Round2Effect()
         fresh = np.where(spoiled, needed, 0)
-        # Adversary round-2 traffic: controlled members to all honest.  The
-        # honest count is taken before the corruption, on the engine's
-        # plane, less the `fresh` victims (all of them active).
-        honest = ctx.active_count() - fresh
         ctx.corrupt(first_k_true(same_sign, fresh), start=start, stop=stop, count=fresh)
-        ctx.messages += np.where(spoiled, (controlled + needed) * honest, 0)
-        # Share adjustment forcing the half split among the live recipients:
-        # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0),
-        # and 0 on rows the attack did not spoil (their split is empty).
         # Columns outside the live-recipient mask never reach the engine's
-        # coin blend, so they need no masking of their own.
+        # coin blend, so only the lower/upper distinction needs masking.
         recipients = ctx.active & ctx.can_update
         recipients &= spoiled[:, None]
-        lower, _ = lower_half_split(recipients)
-        dtype = share_adjustment_dtype(self.params.committee_size)
-        sums = np.where(spoiled, share_sum, 0).astype(dtype)[:, None]
-        return Round2Effect(shares=-sums - lower)
+        lower, half = lower_half_split(recipients)
+        shares = self.adjustment(ctx, share_sum, controlled, spoiled, fresh, lower, half)
+        return Round2Effect(shares=shares)

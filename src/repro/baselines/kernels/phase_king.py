@@ -7,7 +7,8 @@ distinguished node (the king, modelled as the degenerate committee
 :class:`~repro.adversary.kernels.base.AdversaryKernel` plane kernels as the
 committee engine instead of a private behaviour switch:
 
-* ``setup`` spends up-front corruptions (silent / static / random-noise);
+* ``setup`` corrupts the strategy's up-front columns (silent / static /
+  random-noise);
 * ``round1`` may corrupt adaptively (the equivocator's mouthpiece
   recruitment) and returns additive per-recipient value planes that enter
   the per-recipient majority tallies;
@@ -45,6 +46,7 @@ from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.messages import PAYLOAD_BITS
+from repro.simulator.planes import NumpyBoolPlane
 from repro.simulator.vectorized import batch_setup, batch_summaries
 from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, pack_sender_words
 from repro.topology.generators import validate_adjacency
@@ -93,10 +95,13 @@ def run_phase_king_trials(
     simulator off-clique at ``loss == 0`` for the randomness-free behaviours.
 
     Phase king keeps its state as raw boolean planes, so it takes no plane
-    backend; its round-1 per-recipient tallies (the protocol's only masked
-    contractions) pack them for the word channels of
-    :mod:`repro.topology.counting`, and a lossy king round reads the king's
-    bit of each recipient's delivered words.
+    backend; the adversary kernel sees its ``active``, ``corrupted`` and
+    ``can_update`` arrays through
+    :class:`~repro.simulator.planes.numpy_bool.NumpyBoolPlane` views, so a
+    corruption lands in the arrays themselves.  Its round-1 per-recipient
+    tallies (the protocol's only masked contractions) pack them for the word
+    channels of :mod:`repro.topology.counting`, and a lossy king round reads
+    the king's bit of each recipient's delivered words.
     """
     validate_n_t(n, t)
     if 4 * t >= n:
@@ -117,7 +122,6 @@ def run_phase_king_trials(
     strong_threshold = n // 2 + t
 
     value = input_rows.astype(bool).copy()
-    decided = np.zeros((batch, n), dtype=bool)
     corrupted = np.zeros((batch, n), dtype=bool)
     active = np.ones((batch, n), dtype=bool)
     can_update = np.ones((batch, n), dtype=bool)
@@ -137,21 +141,16 @@ def run_phase_king_trials(
         deliver_buf = sample_delivered_words(adjacency, loss, n, streams, running, out=deliver_buf)
         return deliver_buf
 
-    def context(phase: int, king: int) -> KernelContext:
-        return KernelContext(
-            n=n, t=t, params=params, phase=phase,
-            committee_start=king, committee_stop=king + 1,
-            value=value, decided=decided, active=active,
-            corrupted=corrupted, can_update=can_update,
-            budget=budget, messages=messages, running=running,
-            streams=streams, coin="committee",
-        )
+    planes = [NumpyBoolPlane(plane) for plane in (active, corrupted, can_update)]
 
-    kernel.setup(context(0, 0))
+    def context(king: int) -> KernelContext:
+        return KernelContext(king, king + 1, *planes, budget, messages, running, streams)
+
+    kernel.setup(context(0))
 
     for phase in range(1, num_phases + 1):
         king = (phase - 1) % n
-        ctx = context(phase, king)
+        ctx = context(king)
 
         # ---------------- Round 1: universal exchange ----------------
         chan1 = counter

@@ -208,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="library spec name (see `repro sweep library`) or a "
                                  ".json/.toml spec file")
         if store:
-            # Engine choice only matters where the store is consulted (it
-            # selects the result family points are cached under).
-            parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                                help="result-family override (default: the spec's "
-                                     "own choice)")
             parser.add_argument("--store", metavar="DIR", default=None,
                                 help="results store root (default "
                                      "$REPRO_SWEEP_STORE or benchmarks/results/store)")
@@ -437,7 +432,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     store = ResultsStore(args.store)
     if args.sweep_command == "status":
         if spec.adaptive:
-            report = adaptive_status(spec, store=store, engine=args.engine)
+            report = adaptive_status(spec, store=store)
             for estimate in report.estimates:
                 width = "-" if estimate.trials == 0 else f"{estimate.width:.4f}"
                 print(f"  {estimate.status:9s} {estimate.point.label()}  "
@@ -445,7 +440,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                       f"[{estimate.key[:12]}]")
             print(report.summary_line())
             return 0
-        report = status_spec(spec, store=store, engine=args.engine)
+        report = status_spec(spec, store=store)
         for outcome in report.outcomes:
             print(f"  {outcome.status:8s} {outcome.point.label()}  "
                   f"[{outcome.key[:12]}]")
@@ -454,12 +449,12 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 0
     if args.sweep_command == "report":
         if spec.adaptive:
-            rows = adaptive_report_rows(spec, store=store, engine=args.engine)
+            rows = adaptive_report_rows(spec, store=store)
             print(f"spec {spec.name}: adaptive results from {store.root}")
             print(format_table(rows))
             missing = sum(1 for row in rows if row["status"] == "pending")
         else:
-            rows = report_rows(spec, store=store, engine=args.engine)
+            rows = report_rows(spec, store=store)
             print(f"spec {spec.name}: results from {store.root}")
             print(format_table(rows))
             missing = sum(1 for row in rows if row["engine"] is None)
@@ -483,7 +478,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                 with tracer.span("cli.sweep_run", spec=spec.name,
                                  adaptive=True):
                     report = run_adaptive(
-                        spec, store=store, engine=args.engine,
+                        spec, store=store,
                         workers=args.workers, limit=args.limit,
                         progress=batch_progress,
                     )
@@ -502,7 +497,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             with tracer.span("cli.sweep_run", spec=spec.name,
                              adaptive=False):
                 report = run_spec(
-                    spec, store=store, engine=args.engine,
+                    spec, store=store,
                     workers=args.workers, limit=args.limit, progress=progress,
                 )
         print(report.summary_line())

@@ -273,7 +273,7 @@ class TrialStreams:
             path = "native"
         else:
             path = "vector" if len(cursor) >= VECTOR_MIN_ROWS else "generator"
-        with current_tracer().span("engine.draw.shares", running=len(drawing), path=path):
+        with current_tracer().span("engine.draw.bits", running=len(drawing), path=path):
             if path == "generator":
                 draws = [
                     self[row].integers(0, 2, size=count)

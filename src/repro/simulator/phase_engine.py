@@ -75,7 +75,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.adversary.kernels.base import AdversaryKernel, KernelContext
+from repro.adversary.kernels.base import AdversaryKernel, KernelContext, value_assigned
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
@@ -355,19 +355,15 @@ class PhaseEngine:
             final["messages"][where] = messages[rows]
             final["phases"][where] = phases[rows]
 
-        def context(phase: int, start: int, stop: int, running: np.ndarray) -> KernelContext:
+        def context(start: int, stop: int, running: np.ndarray) -> KernelContext:
             return KernelContext(
-                n=n, t=t, params=self.params, phase=phase,
-                committee_start=start, committee_stop=stop,
-                value=value, decided=decided, active=active,
-                corrupted=corrupted, can_update=can_update,
-                budget=budget, messages=messages, running=running,
-                streams=streams, coin=self.coin,
+                start, stop, active, corrupted, can_update,
+                budget, messages, running, streams, coin=self.coin,
             )
 
         with tracer.span("engine.setup", batch=batch0, n=n, backend=ops.name):
             with tracer.span("engine.hook.setup", kernel=hook_kernel):
-                kernel.setup(context(0, 0, 0, np.ones(batch0, dtype=bool)))
+                kernel.setup(context(0, 0, np.ones(batch0, dtype=bool)))
 
         for phase in range(1, phase_cap + 1):
             sender_count = active.popcount()
@@ -411,7 +407,7 @@ class PhaseEngine:
             phases[running] = phase
 
             start, stop = self._committee_slice(phase)
-            ctx = context(phase, start, stop, running)
+            ctx = context(start, stop, running)
 
             # ---------------- Round 1 ----------------
             # The round's delivered-edge matrices are sampled before the
@@ -505,15 +501,9 @@ class PhaseEngine:
                     if masked:
                         # Per-recipient thresholds: a trial can reach the coin
                         # case as soon as any recipient's view stays unassigned.
-                        assigned_honest = (
-                            (d1_recv >= quorum) | (d0_recv >= quorum)
-                            | (d1_recv >= t + 1) | (d0_recv >= t + 1)
-                        ).all(axis=1)
+                        assigned_honest = value_assigned(d1_recv, d0_recv, n, t).all(axis=1)
                     else:
-                        assigned_honest = (
-                            (d1_honest >= quorum) | (d0_honest >= quorum)
-                            | (d1_honest >= t + 1) | (d0_honest >= t + 1)
-                        )
+                        assigned_honest = value_assigned(d1_honest, d0_honest, n, t)
                     if (running & ~assigned_honest).any():
                         shares = draw_committee_shares(
                             streams, running, active.bools()[:, start:stop]
@@ -548,15 +538,13 @@ class PhaseEngine:
                 # on ties) — it matters once an equivocating kernel pushes *both*
                 # values past a threshold for some recipients.
                 finish1 = reach_q1 & (~reach_q0 | (d1 >= d0))
-                finish0 = reach_q0 & ~finish1
-                finish_any = finish1 | finish0
-                reach1 = d1 >= t + 1
+                finish_any = reach_q1 | reach_q0
                 reach0 = d0 >= t + 1
-                adopt1 = ~finish_any & reach1 & (~reach0 | (d1 >= d0))
-                adopt0 = ~finish_any & reach0 & ~adopt1
-                coin_case = ~finish_any & ~adopt1 & ~adopt0
+                adopt1 = ~finish_any & (d1 >= t + 1) & (~reach0 | (d1 >= d0))
+                # Finishing or adopting either value: everyone else flips the coin.
+                assigned_any = value_assigned(d1, d0, n, t)
+                coin_case = ~assigned_any
 
-                assigned_any = finish_any | adopt1 | adopt0
                 if assigned_any.any():
                     assigned = updatable.and_mask(assigned_any)
                     value.blend_mask(finish1 | adopt1, assigned)

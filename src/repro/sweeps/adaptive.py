@@ -187,7 +187,6 @@ class AdaptiveRunReport:
     """Outcome of one :func:`run_adaptive` invocation."""
 
     spec: SweepSpec
-    engine: str
     targets: PrecisionTargets
     estimates: list[PointEstimate]
     computed_trials: int
@@ -220,7 +219,7 @@ class AdaptiveRunReport:
             f"adaptive sweep {self.spec.name}: {self.total} points, "
             f"{self.total_trials} trials (+{self.computed_trials} computed), "
             f"{self.converged} converged, {self.at_ceiling} at ceiling, "
-            f"precision {self.targets.precision:g} (engine {self.engine}, "
+            f"precision {self.targets.precision:g} (engine {self.spec.engine}, "
             f"{self.seconds:.2f}s)"
         )
 
@@ -229,7 +228,6 @@ def run_adaptive(
     spec: SweepSpec,
     *,
     store: ResultsStore,
-    engine: str | None = None,
     workers: int | None = None,
     limit: int | None = None,
     progress: AdaptiveProgress | None = None,
@@ -239,7 +237,6 @@ def run_adaptive(
     Args:
         store: Results store; each point's accumulated record is read on
             entry (resume) and appended after every completed batch.
-        engine: Engine override (defaults to the spec's own choice).
         workers: Execution policy, forwarded to
             :func:`repro.engine.run_sweep`; results never depend on it.
         limit: Execute at most this many *batches* (``>= 0``), leaving the
@@ -255,7 +252,6 @@ def run_adaptive(
     """
     started = time.perf_counter()
     targets = resolve_targets(spec)
-    requested = engine if engine is not None else spec.engine
 
     def estimate(state: _PointState) -> PointEstimate:
         # One estimate per point, refreshed only after that point's batch.
@@ -296,7 +292,7 @@ def run_adaptive(
                 "converged": current.converged}
 
     states, executed = _run_batches(
-        spec, store=store, engine=requested, workers=workers, limit=limit,
+        spec, store=store, workers=workers, limit=limit,
         key=adaptive_key,
         record=partial(
             adaptive_record, precision=targets.precision,
@@ -306,7 +302,6 @@ def run_adaptive(
     )
     return AdaptiveRunReport(
         spec=spec,
-        engine=requested,
         targets=targets,
         estimates=[estimate(state) for state in states],
         computed_trials=sum(state.computed_trials for state in states),
@@ -316,28 +311,18 @@ def run_adaptive(
     )
 
 
-def adaptive_status(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-) -> AdaptiveRunReport:
+def adaptive_status(spec: SweepSpec, *, store: ResultsStore) -> AdaptiveRunReport:
     """Precision coverage of ``spec`` in ``store``: a run with a zero budget."""
-    return run_adaptive(spec, store=store, engine=engine, limit=0)
+    return run_adaptive(spec, store=store, limit=0)
 
 
-def adaptive_report_rows(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-) -> list[dict[str, Any]]:
+def adaptive_report_rows(spec: SweepSpec, *, store: ResultsStore) -> list[dict[str, Any]]:
     """Result table of an adaptive spec, read entirely from the store.
 
     One row per point with the accumulated trial count and both intervals;
     uncomputed points appear with empty measurement cells.
     """
-    report = adaptive_status(spec, store=store, engine=engine)
+    report = adaptive_status(spec, store=store)
     rows = []
     for estimate in report.estimates:
         point = estimate.point

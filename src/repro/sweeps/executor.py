@@ -57,7 +57,6 @@ class SweepRunReport:
     """Outcome of one :func:`run_spec` invocation."""
 
     spec: SweepSpec
-    engine: str
     outcomes: list[PointOutcome]
     seconds: float
 
@@ -95,7 +94,7 @@ class SweepRunReport:
         return (
             f"sweep {self.spec.name}: {self.total} points, "
             f"{self.computed} computed, {self.cached} cached, "
-            f"{self.pending} pending (engine {self.engine}, "
+            f"{self.pending} pending (engine {self.spec.engine}, "
             f"{self.seconds:.2f}s)"
         )
 
@@ -110,24 +109,23 @@ class SweepRunReport:
 def spec_keys(
     spec: SweepSpec,
     *,
-    engine: str | None = None,
     key: Callable[[SweepPoint, str], str] = point_key,
 ) -> list[tuple[SweepPoint, str]]:
     """Expand a spec and compute each point's content key.
 
     The key depends on the *result family* that would run the point
-    (``select_engine`` per point — "auto" may resolve differently per
-    configuration), never on how many processes run it.  ``key`` maps a
-    point and its family to the key: :func:`point_key` for uniform runs, the
-    trials-independent ``adaptive_key`` for adaptive ones.
+    (``select_engine`` per point on the spec's ``engine`` — "auto" may
+    resolve differently per configuration), never on how many processes run
+    it.  ``key`` maps a point and its family to the key: :func:`point_key`
+    for uniform runs, the trials-independent ``adaptive_key`` for adaptive
+    ones.
     """
-    requested = engine if engine is not None else spec.engine
     pairs = []
     for point in spec.expand():
         family = select_engine(
             point.protocol,
             point.adversary,
-            engine=requested,
+            engine=spec.engine,
             max_rounds=point.max_rounds,
             topology=point.topology,
             loss=point.loss,
@@ -163,7 +161,6 @@ def _run_batches(
     spec: SweepSpec,
     *,
     store: ResultsStore,
-    engine: str,
     workers: int | None,
     limit: int | None,
     key: Callable[[SweepPoint, str], str],
@@ -191,7 +188,7 @@ def _run_batches(
     tracer = current_tracer()
     states = [
         _PointState(point, digest, store.get(digest))
-        for point, digest in spec_keys(spec, engine=engine, key=key)
+        for point, digest in spec_keys(spec, key=key)
     ]
     executed = 0
 
@@ -219,7 +216,7 @@ def _run_batches(
                 experiment=state.point.experiment(),
                 trials=count,
                 base_seed=state.point.base_seed,
-                engine=engine,
+                engine=spec.engine,
                 workers=workers,
                 trial_offset=state.trials,
             )
@@ -242,7 +239,6 @@ def run_spec(
     spec: SweepSpec,
     *,
     store: ResultsStore,
-    engine: str | None = None,
     workers: int | None = None,
     limit: int | None = None,
     progress: ProgressCallback | None = None,
@@ -254,7 +250,6 @@ def run_spec(
 
     Args:
         store: Results store consulted before and written after every point.
-        engine: Engine override (defaults to the spec's own choice).
         workers: Processes per computed point (see
             :func:`repro.engine.run_sweep`); never part of a store key.
         limit: Execute at most this many *pending* points (``>= 0``),
@@ -275,7 +270,6 @@ def run_spec(
             "instead of the uniform executor"
         )
     started = time.perf_counter()
-    requested = engine if engine is not None else spec.engine
     outcomes: list[PointOutcome] = []
 
     def visit(state: _PointState, index: int, total: int) -> None:
@@ -294,32 +288,21 @@ def run_spec(
         if progress is not None:
             progress(outcome, index, total)
 
-    _run_batches(spec, store=store, engine=requested, workers=workers, limit=limit,
+    _run_batches(spec, store=store, workers=workers, limit=limit,
                  key=point_key, record=sweep_record, visit=visit)
     return SweepRunReport(
         spec=spec,
-        engine=requested,
         outcomes=outcomes,
         seconds=time.perf_counter() - started,
     )
 
 
-def status_spec(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-) -> SweepRunReport:
+def status_spec(spec: SweepSpec, *, store: ResultsStore) -> SweepRunReport:
     """Coverage of ``spec`` in ``store``: a run with a zero budget."""
-    return run_spec(spec, store=store, engine=engine, limit=0)
+    return run_spec(spec, store=store, limit=0)
 
 
-def report_rows(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-) -> list[dict[str, Any]]:
+def report_rows(spec: SweepSpec, *, store: ResultsStore) -> list[dict[str, Any]]:
     """Result table of a spec, read entirely from the store.
 
     One row per point; uncomputed points appear with empty measurement cells
@@ -327,7 +310,7 @@ def report_rows(
     """
     from repro.metrics.reporting import sweep_report_rows
 
-    pairs = spec_keys(spec, engine=engine)
+    pairs = spec_keys(spec)
     records = []
     for point, key in pairs:
         record = store.get(key)

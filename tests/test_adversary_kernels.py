@@ -25,7 +25,11 @@ from repro.adversary.kernels import (
     ADVERSARY_PLANE_KERNELS,
     build_adversary_kernel,
 )
-from repro.adversary.kernels.base import share_adjustment_dtype
+from repro.adversary.kernels.base import (
+    KernelContext,
+    share_adjustment_dtype,
+    value_assigned,
+)
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import (
     ADVERSARIES,
@@ -41,6 +45,8 @@ from repro.engine import (
 )
 from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import first_k_true, lower_half_split, row_popcount
+from repro.simulator.draws import TrialStreams
+from repro.simulator.planes import resolve_backend
 from repro.simulator.vectorized import run_vectorized_trials
 
 PLANE_ADVERSARIES = sorted(ADVERSARY_PLANE_KERNELS)
@@ -222,6 +228,55 @@ class TestPlanePrimitives:
         mask = rng.random((8, 100)) < 0.3
         assert np.array_equal(row_popcount(mask), np.count_nonzero(mask, axis=1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_value_assigned_is_the_four_threshold_or(self, data):
+        # t >= n/3 included: there n - t < t + 1, so the quorum is the
+        # lower of the two thresholds.
+        n = data.draw(st.integers(1, 300))
+        t = data.draw(st.integers(0, n))
+        tallies = st.lists(st.integers(0, n + 1), min_size=6, max_size=6)
+        d1 = np.array(data.draw(tallies), dtype=np.int64)
+        d0 = np.array(data.draw(tallies), dtype=np.int64)
+        expected = (d1 >= n - t) | (d0 >= n - t) | (d1 >= t + 1) | (d0 >= t + 1)
+        assert np.array_equal(value_assigned(d1, d0, n, t), expected)
+        planes = value_assigned(d1.reshape(2, 3), d0.reshape(2, 3), n, t)
+        assert np.array_equal(planes, expected.reshape(2, 3))
+
+
+class TestUpFrontCorruption:
+    """``AdversaryKernel.setup``: the closed-form kernels' invariant."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    @pytest.mark.parametrize(("n", "t"), [(13, 0), (13, 3), (64, 21), (130, 43)])
+    @pytest.mark.parametrize("adversary", PLANE_ADVERSARIES)
+    def test_setup_corrupts_exactly_the_initial_columns(self, adversary, n, t, backend):
+        # EIG and sampling-majority read initial_corrupted_columns instead of
+        # running setup, so both must name the same nodes.
+        batch = 3
+        ops = resolve_backend(backend)
+        active = ops.from_bools(np.ones((batch, n), dtype=bool))
+        corrupted = ops.from_bools(np.zeros((batch, n), dtype=bool))
+        can_update = ops.from_bools(np.ones((batch, n), dtype=bool))
+        budget = np.full(batch, t, dtype=np.int64)
+        ctx = KernelContext(
+            0, 0, active, corrupted, can_update, budget,
+            np.zeros(batch, dtype=np.int64), np.ones(batch, dtype=bool),
+            TrialStreams(1, 0, batch),
+        )
+        kernel = build_adversary_kernel(
+            adversary, n=n, t=t, params=ProtocolParameters.derive(n, t)
+        )
+        kernel.setup(ctx)
+        columns = kernel.initial_corrupted_columns(n, t)
+        count = np.count_nonzero(columns)
+        assert np.array_equal(corrupted.bools(), np.tile(columns, (batch, 1)))
+        assert np.array_equal(active.bools(), np.tile(~columns, (batch, 1)))
+        # The word form agrees once the hook's bool edits are repacked.
+        assert corrupted.popcount().tolist() == [count] * batch
+        assert active.popcount().tolist() == [n - count] * batch
+        assert budget.tolist() == [t - count] * batch
+
 
 #: committee-ba's rows under the four kernels that return a coin-share
 #: adjustment plane, pinned before those planes narrowed to
@@ -299,3 +354,84 @@ class TestShareAdjustmentPlanes:
     def test_lossy_coin_attack_matches_its_pin(self, backend):
         digest = _adjustment_rows_digest(256, 32, "coin-attack", backend, loss=0.05, trials=4)
         assert digest == PINNED_LOSSY_ADJUSTMENT_DIGEST
+
+
+#: Every adversary kernel's rows through the hook surface, pinned before
+#: that surface narrowed to three planes: committee-ba and
+#: chor-coan-las-vegas on the clique and on a ring at loss 0.05, and phase
+#: king on the clique, each with split and random inputs (n=16, t=3, 4
+#: trials from base seed 31).  One SHA-256 per pair over the JSON list of
+#: every ``TrialSummary`` field, identical on both plane backends and both
+#: draw kernels.
+SURFACE_N, SURFACE_T = 16, 3
+SURFACE_NETWORKS = {
+    "committee-ba": (("clique", 0.0), ("ring", 0.05)),
+    "chor-coan-las-vegas": (("clique", 0.0), ("ring", 0.05)),
+    "phase-king": (("clique", 0.0),),
+}
+PINNED_SURFACE_DIGESTS = {
+    "committee-ba": {
+        "coin-attack": "67311cce41863638a60f29087ab096023eef25c5b5eb290baa830952b88de535",
+        "committee-targeting": "c9d816f0f106be95792e0c4a182d2b02ab7fbaf3cde03fe18e62cd5d127144ad",
+        "crash": "4b1aa08a107cc78cbda7212ffb4d4e5cefefa8b20e2a5dbde3d81f02dc5efb8a",
+        "equivocate": "380585ff3f0f0b0f53f327614d8486ee58802e50fd6fb9df0379851124bbac78",
+        "null": "44eea97040086bf106e344113b05423b4d23ea1ba3f3973729979dfc4038fdfd",
+        "random-noise": "12e19f43527a32079040ed4b328533f76b5c1c30dcc57eba657b13615cde7ade",
+        "silent": "5969fac3c00a0e82a3ebd15fec26f1dc91f8db6f6d533e6fae29340492e312f4",
+        "static": "51359513adbf48c83c9afb2346678a0450f57f648e8fad88efe52b3d0f79e8a2",
+    },
+    "chor-coan-las-vegas": {
+        "coin-attack": "db6321e6bc4b3c08588b192a1c1a4914c46534d24c8e5006249c4419d0cb2418",
+        "committee-targeting": "9337a0238ce8f98f1b8c9bab3b7069c8fe3bb0370c2ce2ad5953690c1ecd7934",
+        "crash": "66f839d9949e7294e07fd4c8e13a7d574fc7ab0ff3c2aeee91d4c9d760455b30",
+        "equivocate": "741bc9db9b9f42555eccb9ed0cefa88b9f57fd0ecd7b79a12ab1fc2822899fea",
+        "null": "aa8b8696cebc917bd77cb4c021c9876c3c46de1aa0de22389050cd00ba9ecd9e",
+        "random-noise": "0c4d00e72793d61c1c1f77c7c37856264e2e2517d40eb715d8a82d99d731ad07",
+        "silent": "f6f68faa09d126809b8effb00807b30c31cf0f80236f5045274a1382af8a4171",
+        "static": "a27b74dc2c66fa3c3651821e50ce5959a267dcf801c858549bc886bc7e841ac2",
+    },
+    "phase-king": {
+        "coin-attack": "d8f2ca202f7f2be0aa2c393b89cfcda71f9d78626305485caed2c2098622a094",
+        "committee-targeting": "7a69fde113865d44b48431f3d056ce67561ecfaf9e66cba5540e70a24d3c84bc",
+        "crash": "d8f2ca202f7f2be0aa2c393b89cfcda71f9d78626305485caed2c2098622a094",
+        "equivocate": "ed41a308f0f2069b6fbfa3e6d10f675193f9a008b2fa232eb0058e19b5b26518",
+        "null": "d8f2ca202f7f2be0aa2c393b89cfcda71f9d78626305485caed2c2098622a094",
+        "random-noise": "3dba71f258c278ac1766e9bebf1db4610ff48a27df917cf70f0e58c891102259",
+        "silent": "027d101b774a4bcebc41724b1b27426ea5aa08d8bb45e1a85581849ce6397140",
+        "static": "53e09eb85bca6e16a2428e819f29232670c7b25377bc88c07cbfb1191a7a196c",
+    },
+}
+
+
+def _surface_digest(protocol, adversary, backend=None):
+    rows = []
+    for topology, loss in SURFACE_NETWORKS[protocol]:
+        for inputs in ("split", "random"):
+            result = run_sweep(
+                SURFACE_N, SURFACE_T, protocol=protocol, adversary=adversary,
+                inputs=inputs, trials=4, base_seed=31, engine="vectorized",
+                topology=topology, loss=loss, backend=backend, allow_timeout=True,
+            )
+            assert result.engine == "vectorized"
+            rows.extend(dataclasses.astuple(row) for row in result.trials)
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestPinnedKernelSurface:
+    """Every kernel's set-up, counts and splits, pinned on both backends."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    @pytest.mark.parametrize("protocol", ["committee-ba", "chor-coan-las-vegas"])
+    def test_phase_engine_rows_match_the_pins(self, protocol, backend, native_kernel):
+        got = {
+            adversary: _surface_digest(protocol, adversary, backend)
+            for adversary in PLANE_ADVERSARIES
+        }
+        assert got == PINNED_SURFACE_DIGESTS[protocol]
+
+    def test_phase_king_rows_match_the_pins(self, native_kernel):
+        got = {
+            adversary: _surface_digest("phase-king", adversary)
+            for adversary in PLANE_ADVERSARIES
+        }
+        assert got == PINNED_SURFACE_DIGESTS["phase-king"]

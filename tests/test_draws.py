@@ -58,7 +58,7 @@ def _draw_paths(streams: TrialStreams, counts: np.ndarray) -> tuple[np.ndarray, 
     with activate(tracer):
         bits = streams.draw_bits(counts)
     assert bits.dtype == np.int8
-    paths = [e["meta"]["path"] for e in tracer.events() if e["name"] == "engine.draw.shares"]
+    paths = [e["meta"]["path"] for e in tracer.events() if e["name"] == "engine.draw.bits"]
     return bits, paths
 
 

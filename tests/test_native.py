@@ -3,7 +3,7 @@ build sends both of them, loss planes and coin bits, back to NumPy.
 
 Each test starts from an empty build cache and no loaded handle.  The draws
 are checked through their spans: ``engine.draw.loss`` names the loss
-kernel, ``engine.draw.shares`` the path of a bit draw.
+kernel, ``engine.draw.bits`` the path of a bit draw.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _draw_kernels() -> tuple[str, str]:
     expected = [trial_generator(3, k).integers(0, 2, size=c) for k, c in enumerate(counts)]
     assert np.array_equal(bits, np.concatenate(expected))
     (loss,) = [e["meta"]["kernel"] for e in tracer.events() if e["name"] == "engine.draw.loss"]
-    (path,) = [e["meta"]["path"] for e in tracer.events() if e["name"] == "engine.draw.shares"]
+    (path,) = [e["meta"]["path"] for e in tracer.events() if e["name"] == "engine.draw.bits"]
     return loss, path
 
 

@@ -199,7 +199,7 @@ class TestBitIdentity:
         assert len(draws) >= 2
         assert all(1 <= e["meta"]["running"] <= 4 for e in draws)
         assert {e["meta"]["kernel"] for e in draws} == {native_kernel}
-        shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
+        shares = [e for e in tracer.events() if e["name"] == "engine.draw.bits"]
         if protocol == "phase-king":
             assert shares == []  # the king's value is no coin
             return
@@ -217,7 +217,7 @@ class TestBitIdentity:
         with activate(tracer):
             traced = run_sweep(**wide)
         assert _trial_rows(traced) == _trial_rows(plain)
-        shares = [e for e in tracer.events() if e["name"] == "engine.draw.shares"]
+        shares = [e for e in tracer.events() if e["name"] == "engine.draw.bits"]
         assert shares[0]["meta"]["path"] == path
         assert shares[0]["meta"]["running"] >= VECTOR_MIN_ROWS
 
@@ -301,6 +301,22 @@ class TestHookSpans:
         stages = trace_breakdown(events)["stages"]
         assert stages["engine.hook.round2"]["calls"] == stages["engine.round2"]["calls"]
         assert stages["engine.round2"]["self_ns"] < stages["engine.round2"]["cum_ns"]
+
+
+class TestDrawSpans:
+    def test_random_input_rows_are_one_bit_draw_and_no_share_draw(self):
+        # Phase king flips no coin: its one bit draw is the batch's random
+        # input rows, at set-up inside the sweep span.
+        experiment = AgreementExperiment(n=32, t=6, protocol="phase-king",
+                                         adversary="null", inputs="random")
+        tracer = Tracer(run_id="input-bits")
+        with activate(tracer):
+            run_sweep(experiment=experiment, trials=4, base_seed=7, engine="vectorized")
+        spans = {e["seq"]: e for e in tracer.events() if e["event"] == "span"}
+        (bits,) = [e for e in spans.values() if e["name"] == "engine.draw.bits"]
+        assert spans[bits["parent"]]["name"] == "sweep.vectorized"
+        assert bits["meta"]["running"] == 4
+        assert not [e for e in spans.values() if e["name"] == "engine.draw.shares"]
 
 
 class TestAggregation:

@@ -477,12 +477,13 @@ class TestExecutorResume:
         assert len(store) == 0
 
     def test_workers_shard_object_points_without_splitting_the_cache(self, tmp_path):
+        spec = dataclasses.replace(TINY, engine="object")
         serial = ResultsStore(tmp_path / "serial")
-        run_spec(TINY, store=serial, engine="object", workers=1)
+        run_spec(spec, store=serial, workers=1)
         store = ResultsStore(tmp_path / "sharded")
         tracer = Tracer(run_id="pool")
         with activate(tracer):
-            report = run_spec(TINY, store=store, engine="object", workers=2)
+            report = run_spec(spec, store=store, workers=2)
         assert report.computed == 4
         spans = [e for e in tracer.events() if e["name"] == "sweep.object"]
         assert [span["meta"]["workers"] for span in spans] == [2, 2, 2, 2]
@@ -492,7 +493,7 @@ class TestExecutorResume:
             assert {**store.get(key), "recorded_at": None} == {
                 **serial.get(key), "recorded_at": None
             }
-        assert run_spec(TINY, store=store, engine="object").cached == 4
+        assert run_spec(spec, store=store).cached == 4
 
     def test_cached_results_equal_fresh_results(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
@@ -627,6 +628,35 @@ class TestSweepCli:
         store = str(tmp_path / "store")
         assert main(["sweep", "run", str(spec_path), "--store", store]) == 0
         assert "sweep tiny: 4 points, 4 computed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "status", "report"])
+    def test_engine_override_flag_exits_2_before_any_store_write(
+        self, tmp_path, capsys, command
+    ):
+        # The store key depends on the result family, so the spec's `engine`
+        # field is its only source: a per-invocation override made `run`
+        # write keys that `status` and `report` then listed as pending.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", command, "smoke", "--engine", "object", "--store", str(store)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine object" in capsys.readouterr().err
+        assert not any(store.rglob("shard-*.jsonl"))
+
+    def test_status_and_report_read_the_keys_an_object_spec_run_wrote(
+        self, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "tiny-object.json"
+        spec_path.write_text(
+            dataclasses.replace(TINY, engine="object").to_json(), encoding="utf-8"
+        )
+        store = str(tmp_path / "store")
+        assert main(["sweep", "run", str(spec_path), "--store", store, "--quiet"]) == 0
+        assert "4 computed, 0 cached, 0 pending (engine object" in capsys.readouterr().out
+        assert main(["sweep", "status", str(spec_path), "--store", store]) == 0
+        assert "0 computed, 4 cached, 0 pending" in capsys.readouterr().out
+        assert main(["sweep", "report", str(spec_path), "--store", store]) == 0
+        assert "not in the store" not in capsys.readouterr().out
 
     def test_unknown_spec_reference_fails_cleanly(self, capsys):
         assert main(["sweep", "run", "no-such-spec"]) == 2
