@@ -7,7 +7,9 @@ logic, XOR-blends for the state updates — so the backend seam
 mix.  This module times it in isolation, at the engine-throughput benchmark's
 shape (``B=100`` trials, ``n=2000`` nodes):
 
-* **row tallies** (one ``popcount`` + ``popcount_and``): the packed uint64
+* **row tallies** (the engine's own: the sender count, the ``value &
+  active`` voters, one shared ``active & decided`` recorded plane and its
+  value-1 part, each an ``and_plane`` then a ``popcount``): the packed uint64
   backend counts bits over 32x fewer bytes than the boolean reference packs
   per call, and must be at least ``2x`` faster — the regression floor that
   justifies the backend's existence;
@@ -67,11 +69,12 @@ def _best_of(fn):
 
 
 def _tally_mix(value, active, decided):
-    """The round-threshold tallies of one engine phase."""
+    """The round-threshold tallies of one engine phase, as the engine takes them."""
     sender_count = active.popcount()
-    ones = value.popcount_and(active)
-    d1 = value.popcount_and3(active, decided)
-    d_all = active.popcount_and(decided)
+    ones = value.and_plane(active).popcount()
+    recorded = active.and_plane(decided)
+    d1 = value.and_plane(recorded).popcount()
+    d_all = recorded.popcount()
     return sender_count, ones, d1, d_all
 
 

@@ -34,11 +34,10 @@ def main(n: int = 60, t: int = 19, trials: int = 8) -> None:
     print("adversary = coin-straddling attack with its budget capped at q\n")
 
     # Handing the batched kernel t=q caps the attack budget at q, and
-    # params= keeps the committees (size and count) derived from the
-    # *declared* t.  The kernel's decide (n - t) and adopt (t + 1)
-    # thresholds follow the t it is handed, q, so this measures a protocol
-    # sized for t whose quorums are set for q (exactly how experiment E3
-    # runs).
+    # params= carries the *declared* t: the committees (size and count) and
+    # the decide (n - t) and adopt (t + 1) quorums follow it, so this
+    # measures the protocol sized for t against q actual corruptions
+    # (exactly how experiment E3 runs).
     declared_params = ProtocolParameters.derive(n, t)
     rows = []
     for q in sorted({0, 2, t // 4, t // 2, t}):

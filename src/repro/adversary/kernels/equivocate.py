@@ -74,7 +74,7 @@ class EquivocatePlaneKernel(AdversaryKernel):
         # Support the minority only if doing so cannot complete an n - t
         # quorum for it.
         send = ctx.running & (corrupted_now > 0) & (
-            minority_count + corrupted_now < self.n - self.t
+            minority_count + corrupted_now < self.n - self.params.t
         )
         ctx.messages += np.where(send, corrupted_now * (self.n - corrupted_now), 0)
         return Round1Effect(

@@ -105,7 +105,7 @@ class StraddleKernel(AdversaryKernel):
     ) -> Round2Effect:
         # The attack only fires for trials in the coin case; it adds no
         # decided records, so the honest tallies decide the case exactly.
-        case3 = ctx.running & ~value_assigned(decided_one, decided_zero, self.n, self.t)
+        case3 = ctx.running & ~value_assigned(decided_one, decided_zero, self.n, self.params.t)
         if not case3.any():
             return Round2Effect()
         assert ctx.shares is not None

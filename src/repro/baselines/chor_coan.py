@@ -31,8 +31,7 @@ import math
 import numpy as np
 
 from repro.core.agreement import CommitteeAgreementNode
-from repro.core.parameters import ProtocolParameters, Regime, log2n, validate_n_t
-from repro.exceptions import ConfigurationError
+from repro.core.parameters import ProtocolParameters, Regime, log2n, validate_alpha, validate_n_t
 
 
 def chor_coan_parameters(n: int, t: int, *, alpha: float = 4.0) -> ProtocolParameters:
@@ -52,8 +51,7 @@ def chor_coan_parameters(n: int, t: int, *, alpha: float = 4.0) -> ProtocolParam
         the ``O(t / log n)`` schedule.
     """
     validate_n_t(n, t)
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+    validate_alpha(alpha)
     log_n = log2n(n)
     group_size = int(min(n, max(1, math.ceil(log_n))))
     phases_for_t = math.ceil(3.0 * alpha * t / log_n)

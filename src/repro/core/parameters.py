@@ -59,6 +59,16 @@ def validate_n_t(n: int, t: int) -> None:
         )
 
 
+def validate_alpha(alpha: float | None) -> None:
+    """Validate a committee-count constant (``None`` means the default).
+
+    Raises:
+        ConfigurationError: If ``alpha`` is not a finite positive number.
+    """
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigurationError(f"alpha must be a finite positive number, got {alpha}")
+
+
 def max_tolerable_t(n: int) -> int:
     """Largest ``t`` with ``3t < n`` (optimal resilience in the full-information model)."""
     if n < 1:
@@ -99,8 +109,7 @@ class ProtocolParameters:
         runnable; ``s = ceil(n/c)``.
         """
         validate_n_t(n, t)
-        if alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {alpha}")
+        validate_alpha(alpha)
         log_n = log2n(n)
         quadratic_branch = alpha * math.ceil((t * t) / n) * log_n if t > 0 else 0.0
         linear_branch = 3.0 * alpha * t / log_n

@@ -45,7 +45,7 @@ from repro.core.committee import CommitteePartition
 from repro.core.inputs import INPUT_PATTERNS as INPUT_PATTERNS  # re-export
 from repro.core.inputs import input_list
 from repro.core.las_vegas import LasVegasAgreementNode
-from repro.core.parameters import ProtocolParameters, log2n, validate_n_t
+from repro.core.parameters import ProtocolParameters, log2n, validate_alpha, validate_n_t
 from repro.exceptions import ConfigurationError
 from repro.simulator.node import ProtocolNode
 from repro.simulator.rng import RandomnessSource
@@ -149,6 +149,7 @@ def validate_configuration(config: AgreementExperiment | SweepPoint) -> None:
         (config.protocol,), (config.adversary,), (config.inputs,), (config.topology,)
     )
     validate_n_t(config.n, config.t)
+    validate_alpha(config.alpha)
     validate_max_rounds(config.max_rounds)
     validate_loss(config.loss)
 

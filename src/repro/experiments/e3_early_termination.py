@@ -40,9 +40,10 @@ def run(quick: bool = True) -> ExperimentReport:
     )
     report.add_note("the adversary is the greedy straddle attack limited to budget q")
     for q in q_values:
-        # Budget-limited adversary: the kernel runs with t=q for the attack
-        # while params keeps the committee geometry of the declared t, a
-        # pair no AgreementExperiment, and so no run_sweep, can name.
+        # Budget-limited adversary: the kernel's budget is q, while params
+        # carries the declared t that sizes the committees and sets the
+        # quorums, a pair no AgreementExperiment, and so no run_sweep, can
+        # name.
         experiment = AgreementExperiment(
             n=n, t=q, protocol="committee-ba-las-vegas",
             adversary="coin-attack" if q > 0 else "null", inputs="split",

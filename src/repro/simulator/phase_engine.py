@@ -177,10 +177,12 @@ class PhaseEngine:
     """Batched execution of a two-round-phase protocol under a plane kernel.
 
     Args:
-        n / t: Network size and Byzantine budget.
-        params: Committee geometry (consumed by the committee rotation and
-            handed to the adversary kernel; a ``committee_size`` of ``n``
-            makes every phase's committee the whole network).
+        n / t: Network size and the adversary's corruption budget.
+        params: Committee geometry and the declared bound ``params.t``,
+            whose ``n - t`` decide and ``t + 1`` adopt quorums the honest
+            nodes use (consumed by the committee rotation and handed to the
+            adversary kernel; a ``committee_size`` of ``n`` makes every
+            phase's committee the whole network).
         coin: One of :data:`COIN_SOURCES`.
         las_vegas: When True the protocol cycles phases until termination
             (capped at ``max_phases``, excess trials reported timed out);
@@ -201,10 +203,11 @@ class PhaseEngine:
             ``"numpy"``, ``"packed"`` or a
             :class:`~repro.simulator.planes.base.PlaneBackend` forces one
             (the bit-identity tests do).  Both are bit-identical, masked
-            (topology/loss) runs included: both hand their planes to the
-            same word channels (:mod:`repro.topology.counting`), the packed
-            backend as words, the boolean backend as bool planes the
-            channels pack.
+            (topology/loss) runs included: both hand their planes' words
+            (:meth:`~repro.simulator.planes.base.Plane.words`) to the same
+            word channels (:mod:`repro.topology.counting`), the packed
+            backend its stored words, the boolean backend its arrays packed
+            per call.
     """
 
     n: int
@@ -287,7 +290,9 @@ class PhaseEngine:
             )
         inputs = np.asarray(inputs, dtype=np.int8)
         batch0, n = inputs.shape
-        t = self.t
+        # The protocol's quorums follow the declared bound; the adversary's
+        # budget (`_batch_state`) is `self.t`, which may be smaller.
+        t = self.params.t
         quorum = n - t
         phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
 
@@ -417,7 +422,8 @@ class PhaseEngine:
                 chan1 = counter
                 if masked and self.loss > 0.0:
                     chan1 = round_channel(running)
-                ones_pre = value.popcount_and(active)
+                voting = value.and_plane(active)
+                ones_pre = voting.popcount()
                 with tracer.span("engine.hook.round1", kernel=hook_kernel):
                     effect1 = kernel.round1(ctx, ones_pre, sender_count - ones_pre)
                 if ctx.mutated:
@@ -425,7 +431,8 @@ class PhaseEngine:
                     # broadcasts are discarded, so honest tallies are recomputed.
                     with tracer.span("engine.retally", phase=phase):
                         sender_count = active.popcount()
-                        ones_honest = value.popcount_and(active)
+                        voting = value.and_plane(active)
+                        ones_honest = voting.popcount()
                     ctx.mutated = False
                 else:
                     ones_honest = ones_pre
@@ -434,11 +441,12 @@ class PhaseEngine:
                     # the `value & active` tally; the zero-senders' tally is
                     # their exact-integer difference (the two sender sets
                     # partition `active`).
-                    recv_active = active.receive_counts(chan1)
-                    ones_recv = value.receive_counts_and(active, chan1)
+                    senders = active.words()
+                    recv_active = chan1.receive_counts_words(senders)
+                    ones_recv = chan1.receive_counts_words(voting.words())
                     zeros_recv = recv_active - ones_recv
                     if self.loss == 0.0:
-                        delivered = active.delivered_edges(counter)
+                        delivered = counter.delivered_edges_words(senders)
                     else:
                         # `active`'s per-recipient tally sums to the delivered
                         # edges — sparing a third contraction against the
@@ -474,17 +482,20 @@ class PhaseEngine:
                     ctx.mutated = False
             with tracer.span("engine.round2", phase=phase):
                 if masked:
-                    messages[running] += active.delivered_edges(chan2)[running]
+                    messages[running] += chan2.delivered_edges_words(active.words())[running]
                 else:
                     messages[running] += sender_count[running] * n
-                d1_honest = value.popcount_and3(active, decided)
-                d0_honest = active.popcount_and(decided) - d1_honest
+                # The decided senders and their value-1 part, built once for
+                # both the global and the per-recipient tallies.
+                recorded = active.and_plane(decided)
+                recorded_one = value.and_plane(recorded)
+                d1_honest = recorded_one.popcount()
+                d0_honest = recorded.popcount() - d1_honest
                 if masked:
-                    # Same two-contraction split as round 1: the decided
-                    # senders' tally and its value-1 part; the value-0 part
-                    # is the exact-integer difference.
-                    d_recv = decided.receive_counts_and(active, chan2)
-                    d1_recv = value.receive_counts_and3(active, decided, chan2)
+                    # Same two-contraction split as round 1; the value-0
+                    # part is the exact-integer difference.
+                    d_recv = chan2.receive_counts_words(recorded.words())
+                    d1_recv = chan2.receive_counts_words(recorded_one.words())
                     d0_recv = d_recv - d1_recv
 
                 # Share draws: always for the committee coin; lazily for the
@@ -552,7 +563,7 @@ class PhaseEngine:
                 if finish_any.any():
                     flush_mask = updatable.and_mask(finish_any)
                     flush_next.set_where(flush_mask)
-                    can_update.xor_where(flush_mask)  # a subset of can_update
+                    can_update.clear_where(flush_mask)
                     pending_any = True
                 else:
                     pending_any = False
@@ -596,7 +607,7 @@ class PhaseEngine:
             if finishing_due:
                 finishing = active.and_plane(flush_now)
                 output.blend_plane(value, finishing)
-                active.xor_where(finishing)  # finishing is a subset of active
+                active.clear_where(finishing)
 
             # Bounded variant: decide by exhaustion after the last phase.
             if not self.las_vegas and phase >= self.params.num_phases:

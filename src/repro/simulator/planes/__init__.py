@@ -1,8 +1,10 @@
 """The two plane representations of the batched engines.
 
 The :class:`~repro.simulator.phase_engine.PhaseEngine` runs its ``(B, n)``
-boolean state planes through the op contract of
-:mod:`repro.simulator.planes.base`, in one of two representations:
+boolean state planes through the twelve-op contract of
+:mod:`repro.simulator.planes.base` (every tally is an ``and_plane``
+composed with ``popcount`` or handed on as ``words``), in one of two
+representations:
 
 ``numpy``
     The reference: planes are the boolean arrays themselves and every op is
@@ -10,8 +12,10 @@ boolean state planes through the op contract of
     (:mod:`repro.simulator.planes.numpy_bool`).
 
 ``packed``
-    uint64 bit-packed words, 64 nodes per word, with lazy bool mirrors at
-    the adversary-hook boundary (:mod:`repro.simulator.planes.packed`).
+    uint64 bit-packed words, 64 nodes per word, in the
+    :func:`~repro.topology.counting.pack_sender_words` layout the masked
+    tally channels read, with lazy bool mirrors at the adversary-hook
+    boundary (:mod:`repro.simulator.planes.packed`).
     Bit-identical to ``numpy`` by construction — tallies are exact and no
     randomness flows through a plane.
 
@@ -31,7 +35,6 @@ from repro.simulator.planes.numpy_bool import NumpyBoolBackend, NumpyBoolPlane
 from repro.simulator.planes.packed import (
     PackedBackend,
     PackedPlane,
-    pack_bools,
     unpack_words,
 )
 
@@ -42,7 +45,6 @@ __all__ = [
     "PackedPlane",
     "Plane",
     "PlaneBackend",
-    "pack_bools",
     "resolve_backend",
     "unpack_words",
 ]

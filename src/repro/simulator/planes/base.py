@@ -2,7 +2,7 @@
 
 The hook-driven :class:`repro.simulator.phase_engine.PhaseEngine` expresses
 its whole per-phase loop — tallies, XOR-blend updates, flush bookkeeping,
-compaction — against the small operation surface defined here, so the
+compaction — against the twelve operations defined here, so the
 *representation* of a ``(B, n)`` boolean plane can change per batch (the
 ``CyScheduler``/``PyScheduler`` switch idiom, decided by batch size).  Two
 invariants make a backend drop-in:
@@ -21,11 +21,15 @@ invariants make a backend drop-in:
   be told about external mutations via :meth:`Plane.mark_bools_dirty` —
   the pack/unpack boundary of the bit-packed backend.
 
-The op names mirror the engine's historical inline expressions: a *mask* is
-a plain boolean ndarray broadcastable to ``(B, n)`` (threshold comparisons
-produce ``(B, 1)`` columns on the clique and full ``(B, n)`` planes on the
-masked topology path); a *plane* is another :class:`Plane` of the same
-backend.  Mixing planes from different backends is undefined.
+Every tally the engine takes is one of two forms over an AND of planes
+(:meth:`Plane.and_plane`): its per-row :meth:`~Plane.popcount` on the
+clique, or its packed :meth:`~Plane.words` handed to a masked tally channel
+of :mod:`repro.topology.counting` off it.  The op names mirror the engine's
+historical inline expressions: a *mask* is a plain boolean ndarray of shape
+``(B, 1)`` (a per-trial threshold column, the clique's case) or ``(B, n)``
+(a per-recipient plane, the masked topology path's case); a *plane* is
+another :class:`Plane` of the same backend.  Mixing planes from different
+backends is undefined.
 """
 
 from __future__ import annotations
@@ -43,18 +47,19 @@ class Plane(ABC):
     #: Plane width ``n`` (columns); rows are trials.
     n: int
 
-    # -------------------------------------------------- exact tallies
+    # -------------------------------------------------- tallies
     @abstractmethod
     def popcount(self) -> np.ndarray:
         """``(B,)`` int64 per-row count of True cells."""
 
     @abstractmethod
-    def popcount_and(self, other: Plane) -> np.ndarray:
-        """``(B,)`` int64 per-row count of ``self & other``."""
+    def words(self) -> np.ndarray:
+        """The plane as ``(B, ceil(n/64))`` uint64 words, read-only.
 
-    @abstractmethod
-    def popcount_and3(self, a: Plane, b: Plane) -> np.ndarray:
-        """``(B,)`` int64 per-row count of ``self & a & b``."""
+        The :func:`~repro.topology.counting.pack_sender_words` layout, tail
+        bits zero: the one form every masked tally channel reads
+        (``receive_counts_words``, ``delivered_edges_words``).
+        """
 
     # -------------------------------------------------- temporaries
     @abstractmethod
@@ -63,12 +68,12 @@ class Plane(ABC):
 
     @abstractmethod
     def and_mask(self, mask: np.ndarray) -> Plane:
-        """New plane ``self & mask`` (mask broadcastable to ``(B, n)``)."""
+        """New plane ``self & mask`` (a ``(B, 1)`` or ``(B, n)`` mask)."""
 
     # -------------------------------------------------- in-place updates
     @abstractmethod
     def blend_mask(self, src: np.ndarray, where: Plane) -> None:
-        """``self ^= (self ^ src) & where`` for a broadcastable bool mask."""
+        """``self ^= (self ^ src) & where`` for a ``(B, 1)`` or ``(B, n)`` mask."""
 
     @abstractmethod
     def blend_plane(self, src: Plane, where: Plane) -> None:
@@ -83,38 +88,8 @@ class Plane(ABC):
         """``self &= ~where``."""
 
     @abstractmethod
-    def xor_where(self, where: Plane) -> None:
-        """``self ^= where`` (the engine only calls this with subsets)."""
-
-    @abstractmethod
     def fill_false(self) -> None:
         """Set every cell False."""
-
-    # -------------------------------------------------- masked tallies
-    # ``channel`` is a masked tally channel from :mod:`repro.topology.
-    # counting` (an :class:`~repro.topology.counting.AdjacencyCounter` or a
-    # per-round delivered channel).  Every channel tallies packed uint64
-    # words (``receive_counts_words``, ``delivered_edges_words``): a backend
-    # holding words hands them over as they are, a boolean one packs its
-    # plane first.  Either way the counts are exact int64, so these ops
-    # never affect results, only speed.
-
-    @abstractmethod
-    def receive_counts(self, channel) -> np.ndarray:
-        """Per-recipient masked receive tallies of this plane's senders."""
-
-    @abstractmethod
-    def receive_counts_and(self, other: Plane, channel) -> np.ndarray:
-        """Per-recipient masked tallies of the ``self & other`` senders."""
-
-    @abstractmethod
-    def receive_counts_and3(self, a: Plane, b: Plane, channel) -> np.ndarray:
-        """Per-recipient masked tallies of the ``self & a & b`` senders."""
-
-    @abstractmethod
-    def delivered_edges(self, channel) -> np.ndarray:
-        """``(B,)`` delivered edges when this plane's True cells broadcast
-        (the masked CONGEST message counter)."""
 
     # -------------------------------------------------- structure
     @abstractmethod

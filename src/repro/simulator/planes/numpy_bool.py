@@ -6,8 +6,9 @@ A :class:`NumpyBoolPlane` is a thin handle around the engine's historical
 seam existed (XOR-blends, ``packbits``/``bitwise_count`` row tallies,
 fancy-index compaction), so running the engine on this backend *is* the
 historical code path — the bit-identity baseline every other backend is
-held to.  :meth:`NumpyBoolPlane.bools` returns the wrapped array itself:
-adversary kernels mutate the live state directly and
+held to.  :meth:`NumpyBoolPlane.words` packs the array on every call, since
+a boolean plane keeps no words.  :meth:`NumpyBoolPlane.bools` returns the
+wrapped array itself: adversary kernels mutate the live state directly and
 :meth:`mark_bools_dirty` is a no-op.
 """
 
@@ -32,18 +33,14 @@ class NumpyBoolPlane(Plane):
         self.array = array
         self.n = array.shape[1]
 
-    # -------------------------------------------------- exact tallies
+    # -------------------------------------------------- tallies
     def popcount(self) -> np.ndarray:
         current_tracer().count("plane.bool_ops")
         return row_popcount(self.array)
 
-    def popcount_and(self, other: NumpyBoolPlane) -> np.ndarray:
+    def words(self) -> np.ndarray:
         current_tracer().count("plane.bool_ops")
-        return row_popcount(self.array & other.array)
-
-    def popcount_and3(self, a: NumpyBoolPlane, b: NumpyBoolPlane) -> np.ndarray:
-        current_tracer().count("plane.bool_ops")
-        return row_popcount(self.array & a.array & b.array)
+        return pack_sender_words(self.array, self.n)
 
     # -------------------------------------------------- temporaries
     def and_plane(self, other: NumpyBoolPlane) -> NumpyBoolPlane:
@@ -71,31 +68,8 @@ class NumpyBoolPlane(Plane):
         current_tracer().count("plane.bool_ops")
         self.array &= ~where.array
 
-    def xor_where(self, where: NumpyBoolPlane) -> None:
-        current_tracer().count("plane.bool_ops")
-        self.array ^= where.array
-
     def fill_false(self) -> None:
         self.array[:] = False
-
-    # -------------------------------------------------- masked tallies
-    # Every channel tallies packed uint64 words: the reference backend packs
-    # its plane once per op.
-    def receive_counts(self, channel) -> np.ndarray:
-        return channel.receive_counts_words(pack_sender_words(self.array, self.n))
-
-    def receive_counts_and(self, other: NumpyBoolPlane, channel) -> np.ndarray:
-        sent = self.array & other.array
-        return channel.receive_counts_words(pack_sender_words(sent, self.n))
-
-    def receive_counts_and3(
-        self, a: NumpyBoolPlane, b: NumpyBoolPlane, channel
-    ) -> np.ndarray:
-        sent = self.array & a.array & b.array
-        return channel.receive_counts_words(pack_sender_words(sent, self.n))
-
-    def delivered_edges(self, channel) -> np.ndarray:
-        return channel.delivered_edges_words(pack_sender_words(self.array, self.n))
 
     # -------------------------------------------------- structure
     def take(self, keep: np.ndarray) -> NumpyBoolPlane:

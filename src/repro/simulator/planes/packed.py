@@ -5,9 +5,11 @@ A :class:`PackedPlane` stores 64 *nodes per word*: row ``b`` of the
 ``W = ceil(n / 64)`` (``np.packbits`` bit order — array element 0 is the MSB
 of byte 0 — padded to a whole word count; the tail bits beyond column ``n``
 are zero by invariant).  Node-major packing is what makes every engine op a
-straight word op: per-trial tallies are ``bitwise_count`` row sums, blends
-are three fused word passes, and ``(B, 1)`` per-trial condition masks
-broadcast as single all-ones/all-zero words — at ``n = 2000`` the word ops
+straight word op: per-trial tallies are ``bitwise_count`` row sums, masked
+tallies hand the stored words (:meth:`PackedPlane.words`) to the word
+channels of :mod:`repro.topology.counting` as they are, blends are three
+fused word passes, and ``(B, 1)`` per-trial condition masks broadcast as
+single all-ones/all-zero words — at ``n = 2000`` the word ops
 measure 4–5x cheaper than their boolean-array forms (see
 ``benchmarks/bench_planeops.py``).  Trials-per-word packing was rejected:
 the engine's tallies are per *trial*, which packed-trial words could only
@@ -27,7 +29,8 @@ Tail-bit invariant: every stored word array has zero bits at columns
 ``>= n``.  All-ones broadcast words (from ``(B, 1)`` masks) may carry tail
 ones, but they only ever enter stored planes through ``& where`` against a
 clean plane, so the invariant is preserved without explicit re-masking —
-and ``popcount`` therefore never over-counts.
+and ``popcount`` therefore never over-counts, nor does a channel tallying
+:meth:`PackedPlane.words`.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ import numpy as np
 
 from repro.observability.tracer import current_tracer
 from repro.simulator.planes.base import Plane, PlaneBackend
-from repro.topology.counting import pack_sender_words as pack_bools
+from repro.topology.counting import pack_sender_words
 
-__all__ = ["PackedBackend", "PackedPlane", "pack_bools", "unpack_words"]
+__all__ = ["PackedBackend", "PackedPlane", "unpack_words"]
 
 #: The all-ones broadcast word for ``(B, 1)`` condition masks.
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -77,7 +80,7 @@ class PackedPlane(Plane):
     def _require_words(self) -> np.ndarray:
         if not self._words_valid:
             current_tracer().count("plane.pack")
-            self._words = pack_bools(self._bools, self.n)
+            self._words = pack_sender_words(self._bools, self.n)
             self._words_valid = True
         return self._words
 
@@ -102,40 +105,24 @@ class PackedPlane(Plane):
         self._words_valid = False
 
     def _mask_words(self, mask: np.ndarray) -> np.ndarray:
-        """A broadcastable bool mask in word form.
+        """A ``(B, 1)`` or ``(B, n)`` bool mask in word form.
 
         ``(B, 1)`` per-trial conditions become single broadcast words (the
-        cheap, common case on the clique); anything wider is packed at
+        cheap, common case on the clique); a ``(B, n)`` plane is packed at
         boolean-plane parity cost.
         """
-        mask = np.asarray(mask)
-        if mask.ndim == 0:
-            return _FULL_WORD if mask else _ZERO_WORD
-        if mask.ndim == 1:
-            # NumPy broadcasting semantics against (B, n): a 1-D mask is a
-            # per-*node* row applied to every trial — pack once, broadcast
-            # the (1, W) row across the batch.
-            return pack_bools(
-                np.ascontiguousarray(mask, dtype=bool)[None, :], self.n
-            )
         if mask.shape[1] == 1:
             return np.where(mask, _FULL_WORD, _ZERO_WORD)
-        return pack_bools(np.ascontiguousarray(mask, dtype=bool), self.n)
+        return pack_sender_words(mask, self.n)
 
-    # -------------------------------------------------- exact tallies
+    # -------------------------------------------------- tallies
     def popcount(self) -> np.ndarray:
         current_tracer().count("plane.word_ops")
         return np.bitwise_count(self._require_words()).sum(axis=1, dtype=np.int64)
 
-    def popcount_and(self, other: PackedPlane) -> np.ndarray:
+    def words(self) -> np.ndarray:
         current_tracer().count("plane.word_ops")
-        words = self._require_words() & other._require_words()
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-    def popcount_and3(self, a: PackedPlane, b: PackedPlane) -> np.ndarray:
-        current_tracer().count("plane.word_ops")
-        words = self._require_words() & a._require_words() & b._require_words()
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        return self._require_words()
 
     # -------------------------------------------------- temporaries
     def and_plane(self, other: PackedPlane) -> PackedPlane:
@@ -171,11 +158,6 @@ class PackedPlane(Plane):
         words = self._words_mutated()
         words &= ~where._require_words()
 
-    def xor_where(self, where: PackedPlane) -> None:
-        current_tracer().count("plane.word_ops")
-        words = self._words_mutated()
-        words ^= where._require_words()
-
     def fill_false(self) -> None:
         # Zero every materialised representation: both stay valid and agree.
         if self._words is not None:
@@ -184,31 +166,6 @@ class PackedPlane(Plane):
         if self._bools is not None:
             self._bools[:] = False
             self._bools_valid = True
-
-    # -------------------------------------------------- masked tallies
-    # Every channel tallies packed uint64 words, so the plane's own words go
-    # in as they are: the AND compositions stay word ops and nothing unpacks.
-    def receive_counts(self, channel) -> np.ndarray:
-        current_tracer().count("plane.word_ops")
-        return channel.receive_counts_words(self._require_words())
-
-    def receive_counts_and(self, other: PackedPlane, channel) -> np.ndarray:
-        current_tracer().count("plane.word_ops")
-        return channel.receive_counts_words(
-            self._require_words() & other._require_words()
-        )
-
-    def receive_counts_and3(
-        self, a: PackedPlane, b: PackedPlane, channel
-    ) -> np.ndarray:
-        current_tracer().count("plane.word_ops")
-        return channel.receive_counts_words(
-            self._require_words() & a._require_words() & b._require_words()
-        )
-
-    def delivered_edges(self, channel) -> np.ndarray:
-        current_tracer().count("plane.word_ops")
-        return channel.delivered_edges_words(self._require_words())
 
     # -------------------------------------------------- structure
     def take(self, keep: np.ndarray) -> PackedPlane:

@@ -96,9 +96,11 @@ class VectorizedAgreementSimulator:
 
     Args:
         n: Network size.
-        t: Byzantine budget (``t < n/3``).
+        t: The adversary's corruption budget (``t < n/3``).
         params: Committee geometry (the paper's formula, Chor–Coan's, or the
-            bookkeeping-only whole-network committee of Rabin and Ben-Or).
+            bookkeeping-only whole-network committee of Rabin and Ben-Or)
+            and the declared bound ``params.t >= t`` that sets the decide
+            (``n - t``) and adopt (``t + 1``) quorums.
         adversary: A key of
             :data:`repro.adversary.kernels.ADVERSARY_PLANE_KERNELS`.
         coin: The coin source
@@ -135,6 +137,11 @@ class VectorizedAgreementSimulator:
 
     def __post_init__(self) -> None:
         validate_n_t(self.n, self.t)
+        if self.params.n != self.n or self.params.t < self.t:
+            raise ConfigurationError(
+                f"params were derived for (n={self.params.n}, t={self.params.t}); "
+                f"this simulator needs n={self.n} and a declared t >= its budget {self.t}"
+            )
         if self.adversary not in ADVERSARY_PLANE_KERNELS:
             raise ConfigurationError(
                 f"vectorized adversary must be one of {tuple(ADVERSARY_PLANE_KERNELS)}, "
@@ -148,7 +155,8 @@ class VectorizedAgreementSimulator:
         The row's trial counter becomes the summary's ``seed``, as in
         :meth:`run_batch`.
         """
-        n, t = self.n, self.t
+        # Quorums follow the declared bound; the attack budget is `self.t`.
+        n, t = self.n, self.params.t
         if inputs.shape != (n,):
             raise ConfigurationError(f"inputs must have shape ({n},), got {inputs.shape}")
         if len(streams) != 1:
@@ -174,7 +182,7 @@ class VectorizedAgreementSimulator:
         terminated = np.zeros(n, dtype=bool)
         flush_phase = np.full(n, -1, dtype=np.int64)  # -1: not finishing
         output = np.full(n, -1, dtype=np.int8)
-        budget = t
+        budget = self.t
         messages = 0
         rounds = 0
         phases = 0
@@ -504,7 +512,10 @@ def build_vectorized_simulator(
     comes from :func:`repro.core.runner.protocol_parameters`, the one source
     of truth for committee sizing shared with the object simulator:
     ``alpha`` sizes the committee protocols' committees (Rabin and Ben-Or run
-    their default phase schedule).  ``max_rounds`` caps a Las Vegas
+    their default phase schedule).  Explicit ``params`` derived for a declared
+    bound above ``t`` run the protocol sized, and with quorums set, for that
+    bound against an adversary whose budget is ``t`` (experiment E3's
+    shape).  ``max_rounds`` caps a Las Vegas
     run at ``max(1, max_rounds // 2)`` whole phases and defaults, for every
     protocol, to the object runner's cap
     (:func:`repro.core.runner.default_max_rounds`), so both families time

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.core.parameters import validate_alpha
 from repro.core.runner import (
     AgreementExperiment,
     validate_configuration,
@@ -94,11 +95,13 @@ def _integer(value: Any, field: str) -> int:
 
 
 def _number(value: Any, field: str) -> float:
-    """``float(value)``, or a ConfigurationError naming ``field``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{field!r} must be a number, got {value!r}") from None
+    """``float(value)`` (a bool is not a number), or a ConfigurationError."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{field!r} must be a number, got {value!r}")
 
 
 def _optional(convert: Callable[[Any, str], Any], value: Any, field: str) -> Any:
@@ -267,6 +270,8 @@ class SweepSpec:
                 resolve_t(t_spec, max(self.n_values))
         if not self.alphas:
             raise ConfigurationError("the alpha axis must not be empty")
+        for alpha in self.alphas:
+            validate_alpha(alpha)
         if not self.topologies:
             raise ConfigurationError("the topology axis must not be empty")
         if not self.losses:

@@ -4,26 +4,28 @@ The masked communication planes need ``counts[b, i] = sum_j sent[b, j] *
 A[j, i]`` — a ``(B, n) x (n, n)`` contraction per tally.  One engine carries
 it on every plane backend: an AND+popcount over packed uint64 words in the
 :func:`pack_sender_words` layout, the one form a masked run tallies.  The
-packed plane backend hands its words over as they are; the numpy-bool
-backend packs its plane once per op.  :class:`AdjacencyCounter` picks one of
-two strategies for a fixed loss-free mask:
+engine hands a channel a plane's
+:meth:`~repro.simulator.planes.base.Plane.words`: the packed plane backend
+its stored words as they are, the numpy-bool backend its array packed once
+per call.  :class:`AdjacencyCounter` picks one of two strategies for a fixed
+loss-free mask:
 
 * **complete** — the all-True adjacency (which must stay within the
   benchmark's 2x overhead bar of the unmasked clique path): each trial's
   row total, one broadcastable column;
-* **packed** — every other mask: a :class:`MaskedCounter` computing
-  ``popcount(sent_words & incoming_words[recipient])``, whose cost is the
-  same at any density.
+* **packed** — every other mask: a :class:`PackedDeliveredChannel`
+  computing ``popcount(sent_words & incoming_words[recipient])``, whose
+  cost is the same at any density.
 
 The per-round *delivered-edge* masks of the lossy path are words from the
-start: :class:`PackedDeliveredChannel` wraps the ``(B, n, ceil(n/64))``
-uint64 output of :func:`repro.topology.loss.sample_delivered_words` in a
-:class:`MaskedCounter`.
+start: a :class:`PackedDeliveredChannel` tallies against the
+``(B, n, ceil(n/64))`` uint64 output of
+:func:`repro.topology.loss.sample_delivered_words`.
 
 Every strategy produces bit-identical ``int64`` counts: the row totals and
 popcounts both sum in integer arithmetic.  The shared **channel protocol**
-(duck-typed; consumed by the plane ops in
-:mod:`repro.simulator.planes.base`) is:
+(duck-typed; called by
+:meth:`repro.simulator.phase_engine.PhaseEngine.run_batch`) is:
 
 * ``receive_counts_words(sent_words)`` — packed sender words ->
   per-recipient counts;
@@ -54,8 +56,7 @@ def pack_sender_words(array: np.ndarray, n: int) -> np.ndarray:
     The byte stream is ``np.packbits(array, axis=1)`` (MSB-first bytes)
     zero-padded to whole little-endian words, so the tail bits beyond column
     ``n`` are zero.  This is the one word layout of the repository: the
-    packed plane backend stores its planes in it (as
-    :func:`repro.simulator.planes.pack_bools`), so its words feed the word
+    packed plane backend stores its planes in it, so its words feed the word
     channels here directly.
     """
     batch = array.shape[0]
@@ -66,28 +67,29 @@ def pack_sender_words(array: np.ndarray, n: int) -> np.ndarray:
     return buffer.view(np.uint64)
 
 
-class MaskedCounter:
-    """AND+popcount per-recipient tallies over packed incoming-edge words.
+class PackedDeliveredChannel:
+    """A word channel: AND+popcount tallies over packed incoming-edge words.
 
     ``incoming`` holds, for each recipient ``i``, the bit row of senders
-    whose messages reach ``i``: shape ``(n, W)`` for a fixed adjacency mask
-    (shared by every trial) or ``(B, n, W)`` for one round's per-trial
-    delivered-edge masks.  :meth:`counts` contracts a ``(B, W)`` packed
-    sender plane against it one word column at a time — a ``(B, n)``
-    uint64 AND / popcount / accumulate loop that never materialises a
-    ``(B, n, W)`` intermediate.
+    whose messages reach ``i``: shape ``(B, n, W)`` for one lossy round's
+    per-trial delivered-edge masks (the output of
+    :func:`repro.topology.loss.sample_delivered_words`) or ``(n, W)`` for a
+    fixed adjacency mask shared by every trial (the
+    :class:`AdjacencyCounter`'s packed strategy).  A tally contracts a
+    ``(B, W)`` packed sender plane against it one word column at a time — a
+    ``(B, n)`` uint64 AND / popcount / accumulate loop that never
+    materialises a ``(B, n, W)`` intermediate.
     """
 
     def __init__(self, incoming: np.ndarray, n: int) -> None:
         self.incoming = incoming
         self.n = n
-        self.width = incoming.shape[-1]
         # Per-word popcounts are <= 64 and there are ceil(n/64) of them, so
         # the per-recipient total is bounded by n: uint16 accumulation is
         # exact up to 65535 nodes and meaningfully faster than int64.
         self._acc_dtype = np.uint16 if n < (1 << 16) else np.int64
 
-    def counts(self, sent_words: np.ndarray) -> np.ndarray:
+    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
         """``(B, n)`` int64 tallies of a ``(B, W)`` packed sender plane."""
         current_tracer().count("masked_tally.packed")
         batch = sent_words.shape[0]
@@ -95,7 +97,7 @@ class MaskedCounter:
         acc = np.zeros((batch, self.n), dtype=self._acc_dtype)
         joined = np.empty((batch, self.n), dtype=np.uint64)
         percount = np.empty((batch, self.n), dtype=np.uint8)
-        for w in range(self.width):
+        for w in range(self.incoming.shape[-1]):
             # A word column no trial sends from adds nothing (the ±1 share
             # planes are zero outside the committee slice).
             if not sent_words[:, w].any():
@@ -108,33 +110,15 @@ class MaskedCounter:
             acc += percount
         return acc.astype(np.int64)
 
-
-class PackedDeliveredChannel:
-    """A word channel: tallies against packed incoming-edge words.
-
-    Wraps one lossy round's ``(B, n, ceil(n/64))`` delivered masks — the
-    output of :func:`repro.topology.loss.sample_delivered_words` — or, for
-    the :class:`AdjacencyCounter`'s packed strategy, a fixed
-    ``(n, ceil(n/64))`` mask shared by every trial, in a
-    :class:`MaskedCounter`.
-    """
-
-    def __init__(self, delivered_words: np.ndarray, n: int) -> None:
-        self._masked = MaskedCounter(delivered_words, n)
-        self.n = n
-
-    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
-        return self._masked.counts(sent_words)
-
     def signed_counts(self, plane: np.ndarray) -> np.ndarray:
         # The positive and negative supports' word tallies, differenced:
         # exact integers, like the complete graph's row totals.
-        plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
-        minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
+        plus = self.receive_counts_words(pack_sender_words(plane > 0, self.n))
+        minus = self.receive_counts_words(pack_sender_words(plane < 0, self.n))
         return plus - minus
 
     def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
-        return self._masked.counts(sent_words).sum(axis=1, dtype=np.int64)
+        return self.receive_counts_words(sent_words).sum(axis=1, dtype=np.int64)
 
 
 class AdjacencyCounter:

@@ -113,6 +113,12 @@ class TestCommands:
         (["trials", "--n", "64", "--t", "8", "--trials", "3",
           "--seed", "18446744073709551616"], "seed must be in [0, 2**64)"),
         (["trials", "--workers", "-2"], "workers must be >= 1, got -2"),
+        *(
+            ([command, "--n", "13", "--t", "3", "--alpha", alpha],
+             "alpha must be a finite positive number")
+            for command in ("trials", "run")
+            for alpha in ("nan", "inf", "-1", "0")
+        ),
     ])
     def test_configuration_errors_print_one_line_and_exit_2(self, capsys, argv, message):
         code = main(argv)

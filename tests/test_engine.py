@@ -271,6 +271,8 @@ class TestRunSweep:
             run_sweep(13, 3, adversary="straddle", trials=4, engine="auto", workers=2)
         with pytest.raises(ConfigurationError, match="max_rounds must be >= 1"):
             run_sweep(13, 3, max_rounds=0, trials=4, engine="object", workers=2)
+        with pytest.raises(ConfigurationError, match="alpha must be a finite positive"):
+            run_sweep(13, 3, alpha=float("nan"), trials=4, engine="auto", workers=2)
 
     @pytest.mark.parametrize("protocol,engine", [
         ("phase-king", "auto"), ("committee-ba", "object"),

@@ -20,8 +20,8 @@ words, and every tally is an exact integer.  Acceptance surfaces:
   the single-process numpy reference trial-for-trial — also when the parent
   started its loss-draw thread pool before forking the workers, which must
   then draw inline instead of waiting on the inherited, threadless pool;
-* **tally unit behaviour**: :class:`~repro.topology.counting.MaskedCounter`,
-  the packed :class:`~repro.topology.counting.AdjacencyCounter` strategy and
+* **tally unit behaviour**: the packed
+  :class:`~repro.topology.counting.AdjacencyCounter` strategy and
   :class:`~repro.topology.counting.PackedDeliveredChannel` match int64
   references on ragged widths and signed (±1 share) planes, through the
   word forms every channel offers.
@@ -47,7 +47,6 @@ from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import TOPOLOGIES, build_topology
 from repro.topology.counting import (
     AdjacencyCounter,
-    MaskedCounter,
     PackedDeliveredChannel,
     pack_sender_words,
     word_width,
@@ -392,7 +391,7 @@ class TestPinnedDigests:
 
 class TestTallyUnits:
     @pytest.mark.parametrize("n", (7, 64, 70, 130))
-    def test_masked_counter_matches_bool_einsum_on_ragged_widths(self, n):
+    def test_word_tally_matches_bool_einsum_on_ragged_widths(self, n):
         rng = np.random.default_rng(n)
         batch = 5
         incoming = rng.random((batch, n, n)) < 0.6  # kept[b, j, i] layout
@@ -403,8 +402,8 @@ class TestTallyUnits:
         expected = np.einsum(
             "bj,bji->bi", sent.astype(np.int64), incoming.astype(np.int64)
         )
-        counter = MaskedCounter(words, n)
-        got = counter.counts(pack_sender_words(sent, n))
+        channel = PackedDeliveredChannel(words, n)
+        got = channel.receive_counts_words(pack_sender_words(sent, n))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 

@@ -1,15 +1,19 @@
 """Tests for the two plane representations (:mod:`repro.simulator.planes`).
 
-Four acceptance surfaces:
+Five acceptance surfaces:
 
 * **resolution**: ``resolve_backend`` names both representations, passes a
   backend instance through and rejects unknown names;
 * **op equivalence**: the packed backend replays a scripted sequence
   covering the whole :class:`~repro.simulator.planes.base.Plane` contract
   against the numpy-bool reference, over ragged widths (1, 63, 64, 65, ...),
-  all-True/all-False planes, every mask shape the engine produces, row
+  all-True/all-False planes, both mask shapes the engine produces, row
   compaction down to the empty batch, and the ``bools()`` /
   ``mark_bools_dirty`` hook boundary;
+* **words**: ``words()`` is the plane in the ``pack_sender_words`` layout,
+  tail bits zero, on both backends and across every representation
+  boundary; and both backends count the same plane ops on a traced run,
+  masked runs included;
 * **bit identity end to end**: full ``run_sweep`` runs are field-for-field
   identical under both forced representations (clique, masked topology,
   lossy, and the sweep benchmark's smoke workloads against their pinned
@@ -36,12 +40,12 @@ from repro.simulator.phase_engine import PACKED_MIN_CELLS
 from repro.simulator.planes import (
     PackedBackend,
     PackedPlane,
-    pack_bools,
     resolve_backend,
     unpack_words,
 )
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import build_topology
+from repro.topology.counting import pack_sender_words
 
 #: Widths straddling the packed backend's 64-bit word boundary.
 WIDTHS = (1, 5, 63, 64, 65, 100, 128)
@@ -71,14 +75,14 @@ class TestPacking:
     def test_pack_unpack_round_trip(self, n):
         rng = np.random.default_rng(n)
         array = rng.random((BATCH, n)) < 0.5
-        words = pack_bools(array, n)
+        words = pack_sender_words(array, n)
         assert words.dtype == np.uint64
         assert words.shape == (BATCH, max(1, -(-n // 64)))
         np.testing.assert_array_equal(unpack_words(words, n), array)
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_tail_bits_are_zero(self, n):
-        words = pack_bools(np.ones((BATCH, n), dtype=bool), n)
+        words = pack_sender_words(np.ones((BATCH, n), dtype=bool), n)
         counts = np.bitwise_count(words).sum(axis=1)
         np.testing.assert_array_equal(counts, np.full(BATCH, n))
 
@@ -126,14 +130,17 @@ class TestOpEquivalence:
                 err_msg=f"{backend_name}: {label} diverged (n={n}, {kind})",
             )
 
-        # Exact tallies.
+        # Exact tallies, and the AND compositions the engine tallies.
         np.testing.assert_array_equal(ours.popcount(), ref.popcount())
         np.testing.assert_array_equal(
-            ours.popcount_and(our_other), ref.popcount_and(ref_other)
+            ours.and_plane(our_other).popcount(), ref.and_plane(ref_other).popcount()
         )
         np.testing.assert_array_equal(
-            ours.popcount_and3(our_other, our_third),
-            ref.popcount_and3(ref_other, ref_third),
+            ours.and_plane(our_other.and_plane(our_third)).popcount(),
+            ref.and_plane(ref_other.and_plane(ref_third)).popcount(),
+        )
+        np.testing.assert_array_equal(
+            ours.and_plane(our_other).words(), ref.and_plane(ref_other).words()
         )
         assert ours.popcount().dtype == np.int64
 
@@ -146,9 +153,6 @@ class TestOpEquivalence:
             np.ones((BATCH, 1), dtype=bool),
             (rng.random((BATCH, 1)) < 0.5),
             (rng.random((BATCH, n)) < 0.5),
-            (rng.random(n) < 0.5),  # 1-D row mask (masked-topology shapes)
-            np.True_,  # 0-d
-            np.False_,
         ]
         for i, mask in enumerate(masks):
             np.testing.assert_array_equal(
@@ -171,10 +175,6 @@ class TestOpEquivalence:
         ours.clear_where(our_third)
         ref.clear_where(ref_third)
         check("clear_where")
-        # The engine only XORs subsets, so build one.
-        ours.xor_where(ours.and_plane(our_other))
-        ref.xor_where(ref.and_plane(ref_other))
-        check("xor_where")
 
         # Hook boundary: mutate the bool view in place, declare it dirty,
         # and require the next word op to see the mutation.
@@ -198,6 +198,68 @@ class TestOpEquivalence:
         ours.fill_false()
         ref.fill_false()
         check("fill_false")
+
+
+class TestWords:
+    """``words()`` is the plane in the one word layout the channels read."""
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("n", (1, 63, 64, 65, 130))
+    @pytest.mark.parametrize("batch", (BATCH, 0))
+    def test_words_pack_the_plane_across_every_boundary(self, backend_name, n, batch):
+        backend = resolve_backend(backend_name)
+        rng = np.random.default_rng(n)
+        plane = backend.from_bools(rng.random((batch, n)) < 0.5)
+        every = backend.from_bools(np.ones((batch, n), dtype=bool))
+
+        def check(label):
+            # Words first, so a packed plane hands over what its word ops left.
+            words = plane.words()
+            bools = plane.bools()
+            assert words.dtype == np.uint64, label
+            np.testing.assert_array_equal(
+                words, pack_sender_words(bools, n), err_msg=f"{backend_name}: {label}"
+            )
+            # Zero tail bits: the words count exactly the plane's True cells.
+            np.testing.assert_array_equal(
+                np.bitwise_count(words).sum(axis=1), bools.sum(axis=1),
+                err_msg=f"{backend_name}: {label} tail",
+            )
+
+        check("fresh")
+        view = plane.bools()
+        view[:, 0] = ~view[:, 0]
+        plane.mark_bools_dirty()
+        check("bools() edit")
+        plane.blend_mask(rng.random((batch, n)) < 0.5, every)
+        check("blend_mask (B, n)")
+        # An all-ones broadcast word carries tail ones; they must not land.
+        plane.blend_mask(np.ones((batch, 1), dtype=bool), every)
+        check("blend_mask (B, 1)")
+        plane = plane.take(np.arange(batch)[::2])
+        check("take")
+
+
+class TestOpCountParity:
+    """Both backends run, and count, the same plane ops on every run."""
+
+    @pytest.mark.parametrize(
+        "network",
+        [{}, {"topology": "erdos-renyi"}, {"loss": 0.05}],
+        ids=["clique", "erdos-renyi", "lossy-clique"],
+    )
+    def test_traced_runs_count_the_same_plane_ops(self, network):
+        counts = {}
+        for backend_name, counter in (("numpy", "plane.bool_ops"), ("packed", "plane.word_ops")):
+            tracer = Tracer(run_id=f"parity-{backend_name}")
+            with activate(tracer):
+                run_sweep(
+                    48, 6, protocol="committee-ba", adversary="coin-attack",
+                    inputs="split", trials=6, base_seed=3, engine="vectorized",
+                    backend=backend_name, **network,
+                )
+            counts[backend_name] = tracer.counter_value(counter)
+        assert counts["numpy"] == counts["packed"] > 0
 
 
 #: Configurations spanning both engine schedules (las-vegas and bounded),

@@ -140,6 +140,8 @@ class TestSpec:
             ({"topologies": ("torus",)}, {"topology": "torus"}),
             ({"losses": (1.0,)}, {"loss": 1.0}),
             ({"max_rounds": 0}, {"max_rounds": 0}),
+            ({"alphas": (float("nan"),)}, {"alpha": float("nan")}),
+            ({"alphas": (0.0,)}, {"alpha": 0.0}),
         ],
     )
     def test_spec_and_point_reject_a_field_with_one_message(self, spec_field, point_field):
@@ -669,8 +671,11 @@ class TestSweepCli:
             ("max_rounds", {"max_rounds": "40"}),
             ("max_rounds", {"max_rounds": 0}),
             ("trials", {"trials": 2.7}),
+            ("alpha", {"axes": {**TINY.canonical()["axes"], "alpha": [True]}}),
+            ("alpha", {"axes": {**TINY.canonical()["axes"], "alpha": [0]}}),
         ],
-        ids=["n-string", "max_rounds-string", "max_rounds-zero", "trials-float"],
+        ids=["n-string", "max_rounds-string", "max_rounds-zero", "trials-float",
+             "alpha-bool", "alpha-zero"],
     )
     def test_malformed_spec_file_fails_cleanly(self, tmp_path, capsys, field, change):
         spec_path = tmp_path / "bad.json"

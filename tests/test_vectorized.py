@@ -65,6 +65,10 @@ class TestVectorizedEngine:
             run_vectorized_trials(64, 8, trials=0)
         with pytest.raises(ConfigurationError):
             run_vectorized_trials(64, 8, inputs="diagonal")
+        # Params derived for another n, or for a declared t below the budget.
+        for other in (ProtocolParameters.derive(70, 8), ProtocolParameters.derive(64, 4)):
+            with pytest.raises(ConfigurationError, match="params were derived"):
+                run_vectorized_trials(64, 8, params=other)
 
     def test_input_shape_validated(self):
         simulator = _simulator()
@@ -101,6 +105,15 @@ class TestVectorizedEngine:
         assert max(row.corrupted for row in capped) <= 4
         assert capped != run_vectorized_trials(64, 4, adversary="coin-attack",
                                                trials=5, seed=9)
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batched", "single-trial"])
+    @pytest.mark.parametrize("protocol", ["committee-ba", "committee-ba-las-vegas"])
+    def test_quorums_follow_the_declared_t_and_not_the_budget(self, protocol, batch):
+        # The null kernel spends nothing, so a budget below the declared
+        # bound must change nothing: decide and adopt quorums are params.t's.
+        kwargs = dict(protocol=protocol, adversary="null", inputs="random", trials=32,
+                      seed=1, params=ProtocolParameters.derive(16, 5), batch=batch)
+        assert run_vectorized_trials(16, 0, **kwargs) == run_vectorized_trials(16, 5, **kwargs)
 
     def test_message_counts_scale_with_n_squared(self):
         small = _sweep(64, 4, trials=3, seed=0, adversary="null", inputs="unanimous-1")
