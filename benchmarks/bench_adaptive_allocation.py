@@ -22,7 +22,6 @@ never what any trial computes.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro.sweeps import ResultsStore, get_spec, run_adaptive
@@ -34,7 +33,7 @@ MIN_TRIAL_SAVINGS = 0.2
 
 
 def _trial_tuples(result) -> list[tuple]:
-    return [dataclasses.astuple(summary) for summary in result.trials]
+    return [tuple(summary) for summary in result.trials]
 
 
 def test_adaptive_allocation_converges_with_fewer_trials(tmp_path):

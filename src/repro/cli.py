@@ -173,6 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
                                help="record a span/counter telemetry trace and "
                                     "export it as JSONL (also: REPRO_TRACE=1; "
                                     "results are bit-identical either way)")
+    trials_parser.add_argument("--allow-timeout", action="store_true",
+                               help="keep trials that reach the round cap as "
+                                    "censored rows (counted in timeout_rate) "
+                                    "instead of failing the run")
 
     experiment_parser = subparsers.add_parser(
         "experiment", help="regenerate one of the E1-E10 experiment tables"
@@ -319,7 +323,7 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_trials(args: argparse.Namespace) -> int:
     experiment = AgreementExperiment(
         n=args.n, t=args.t, protocol=args.protocol, adversary=args.adversary,
-        inputs=args.inputs, alpha=args.alpha,
+        inputs=args.inputs, alpha=args.alpha, allow_timeout=args.allow_timeout,
         topology=args.topology, loss=args.loss,
     )
     tracer = _cli_tracer(args.trace, "trials")
@@ -327,10 +331,17 @@ def _command_trials(args: argparse.Namespace) -> int:
         with tracer.span("cli.trials", protocol=args.protocol,
                          adversary=args.adversary, n=args.n,
                          trials=args.trials):
-            trials = run_sweep(
-                experiment=experiment, trials=args.trials, base_seed=args.seed,
-                engine=args.engine, workers=args.workers,
-            )
+            try:
+                trials = run_sweep(
+                    experiment=experiment, trials=args.trials, base_seed=args.seed,
+                    engine=args.engine, workers=args.workers,
+                )
+            except SimulationError as error:
+                # Without --allow-timeout a round-cap overrun is the only
+                # SimulationError a valid configuration raises here.
+                raise SimulationError(
+                    f"{error}; --allow-timeout keeps such trials as censored rows"
+                ) from error
     row = {"engine": trials.engine, **collect_trials_metrics(trials)}
     print(format_table([row]))
     _export_trace(tracer)

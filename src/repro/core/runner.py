@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.adversary.base import Adversary, NullAdversary
 from repro.adversary.static import StaticAdversary
@@ -360,9 +360,14 @@ class AgreementExperiment:
         return label
 
 
-@dataclass(frozen=True)
-class TrialSummary:
-    """Per-trial scalars kept by :func:`run_trials`."""
+class TrialSummary(NamedTuple):
+    """Per-trial scalars kept by :func:`run_trials`.
+
+    An immutable named tuple: hashable, picklable (sharded workers return
+    lists of rows) and cheap to build from value tuples, which is how every
+    batched kernel builds its rows, one column pass per batch
+    (:func:`repro.simulator.vectorized.trial_summaries`).
+    """
 
     seed: int
     rounds: int
@@ -487,8 +492,8 @@ class TrialsResult:
 def run_single_trial(experiment: AgreementExperiment, seed: int) -> TrialSummary:
     """Run one seeded execution of ``experiment`` and summarise it.
 
-    Module-level (and operating on plain dataclasses) so that the sharded
-    sweep executor can ship it to worker processes.
+    Module-level (and returning a picklable row) so that the sharded sweep
+    executor can ship it to worker processes.
     """
     result = run_agreement(
         experiment.n,

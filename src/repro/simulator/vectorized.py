@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters, validate_n_t
 from repro.core.runner import TrialSummary, default_max_rounds, protocol_parameters
 from repro.exceptions import ConfigurationError
+from repro.observability.tracer import current_tracer
 # trial_generator is re-exported: callers, and sweepbench/layers.py's
 # rng-setup timer, look it up on this module.
 from repro.simulator.draws import TrialStreams, trial_generator  # noqa: F401
@@ -402,15 +404,16 @@ def trial_summaries(
     output; ``seeds`` holds the trials' global counters
     (:attr:`TrialStreams.trial_counters`) and ``rounds`` / ``phases`` /
     ``bits`` the protocol's per-trial accounting.  Each column is converted
-    to Python scalars once; a trial decides when its honest outputs agree
-    and it has an honest node.
+    to Python scalars once, in field order, and each row is one tuple of the
+    columns' zip; a trial decides when its honest outputs agree and it has
+    an honest node.  The build runs under a ``sweep.results`` span (meta:
+    ``rows``).
     """
-    decides = (evaluated["agreement"] & evaluated["has_honest"]).tolist()
-    ones = (evaluated["out_ones"] > 0).tolist()
-    decisions = [int(one) if decided else None for decided, one in zip(decides, ones)]
-    return list(
-        map(
-            TrialSummary,
+    with current_tracer().span("sweep.results", rows=len(seeds)):
+        decides = (evaluated["agreement"] & evaluated["has_honest"]).tolist()
+        ones = (evaluated["out_ones"] > 0).tolist()
+        decisions = [int(one) if decided else None for decided, one in zip(decides, ones)]
+        columns = (
             np.asarray(seeds).tolist(),
             np.asarray(rounds).tolist(),
             np.asarray(phases).tolist(),
@@ -422,7 +425,9 @@ def trial_summaries(
             evaluated["corrupted_count"].tolist(),
             evaluated["timed_out"].tolist(),
         )
-    )
+        # ``tuple.__new__`` is ``TrialSummary._make`` without its Python
+        # frame and length check per row: the zip always yields ten values.
+        return list(map(tuple.__new__, repeat(TrialSummary), zip(*columns)))
 
 
 #: sweepbench/layers.py times result conversion under this name.

@@ -128,11 +128,8 @@ def sweep_record(point: SweepPoint, result: TrialsResult, family: str) -> dict[s
         "engine": family,
         "point": point.canonical(),
         "summary": result.summary(),
-        "trial_fields": list(TrialSummary.__dataclass_fields__),
-        "trials": [
-            [getattr(summary, name) for name in TrialSummary.__dataclass_fields__]
-            for summary in result.trials
-        ],
+        "trial_fields": list(TrialSummary._fields),
+        "trials": [list(summary) for summary in result.trials],
     }
 
 

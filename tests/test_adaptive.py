@@ -65,7 +65,7 @@ TINY_ADAPTIVE = SweepSpec(
 
 def trial_tuples(result: TrialsResult) -> list[tuple]:
     """Per-trial scalar rows, for exact (bit-identical) comparison."""
-    return [dataclasses.astuple(summary) for summary in result.trials]
+    return [tuple(summary) for summary in result.trials]
 
 
 class TestSpecAdaptiveFields:

@@ -12,7 +12,6 @@ whose coin-share adjustment planes narrow with the committee size.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -316,7 +315,7 @@ def _adjustment_rows_digest(n, t, adversary, backend, loss=0.0, trials=16):
             backend=backend, loss=loss, allow_timeout=True,
         )
         assert result.engine == "vectorized"
-        rows.extend(dataclasses.astuple(row) for row in result.trials)
+        rows.extend(tuple(row) for row in result.trials)
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -413,7 +412,7 @@ def _surface_digest(protocol, adversary, backend=None):
                 topology=topology, loss=loss, backend=backend, allow_timeout=True,
             )
             assert result.engine == "vectorized"
-            rows.extend(dataclasses.astuple(row) for row in result.trials)
+            rows.extend(tuple(row) for row in result.trials)
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 

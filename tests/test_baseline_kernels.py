@@ -10,7 +10,6 @@ draws, the straddle adversary's share-dependent spending)."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -141,7 +140,7 @@ def _pinned_rows_digest(protocol, adversary):
                     max_rounds=40 if capped else None,
                 )
                 assert result.engine == "vectorized"
-                rows.extend(dataclasses.astuple(row) for row in result.trials)
+                rows.extend(tuple(row) for row in result.trials)
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -356,7 +355,7 @@ def _object_rows_digest(protocol, adversary, inputs):
         base_seed=17, engine="object", allow_timeout=True,
     )
     assert result.engine == "object"
-    rows = [dataclasses.astuple(row) for row in result.trials]
+    rows = [tuple(row) for row in result.trials]
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 

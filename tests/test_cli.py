@@ -160,6 +160,35 @@ class TestCommands:
         assert captured.err.startswith("error: ben-or sweep exceeded its round cap")
         assert captured.err.count("\n") == 1  # one line, no traceback
 
+    #: Ben-Or under the coin attack at n=13 runs some split-input trials to
+    #: its round cap on either family.
+    CAPPED = ["trials", "--n", "13", "--t", "3", "--protocol", "ben-or",
+              "--adversary", "coin-attack", "--inputs", "split", "--trials", "8"]
+
+    @pytest.mark.parametrize("engine", ["vectorized", "object"])
+    def test_round_cap_error_names_the_allow_timeout_flag(self, capsys, engine):
+        code = main([*self.CAPPED, "--engine", engine])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.rstrip("\n").endswith(
+            "; --allow-timeout keeps such trials as censored rows"
+        )
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "object"])
+    def test_allow_timeout_reports_censored_trials(self, capsys, engine):
+        main([*self.CAPPED, "--engine", engine, "--allow-timeout"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, _, row = captured.out.splitlines()
+        table = dict(zip((cell.strip() for cell in header.split("|")),
+                         (cell.strip() for cell in row.split("|"))))
+        assert table["engine"] == engine
+        assert table["trials"] == "8"
+        assert float(table["timeout_rate"]) > 0
+
     def test_engines_command_prints_support_and_dispatch_tables(self, capsys):
         code = main(["engines"])
         output = capsys.readouterr().out

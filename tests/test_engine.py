@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pickle
 from functools import partial
 
 import pytest
@@ -26,6 +28,8 @@ from repro.engine import (
 )
 from repro.exceptions import ConfigurationError
 from repro.simulator.vectorized import run_vectorized_trials
+from repro.sweeps import SweepPoint
+from repro.sweeps.store import result_from_record, sweep_record
 from repro.topology import build_topology
 
 #: One case per registered kernel, at a small n it accepts, plus the
@@ -335,6 +339,48 @@ class TestKernelContract:
             inputs=inputs, seed=seed, trials=trials, **kwargs,
         )
         assert run_trials(backend="packed") == run_trials(backend="numpy")
+
+
+class TestTrialRowContract:
+    """Rows are the same immutable, hashable, picklable type from every source."""
+
+    POINT = SweepPoint(protocol="committee-ba", adversary="coin-attack", inputs="split",
+                       n=13, t=3, trials=3, base_seed=5)
+    FIELDS = ("seed", "rounds", "phases", "agreement", "validity", "decision",
+              "messages", "bits", "corrupted", "timed_out")
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        experiment = self.POINT.experiment()
+        rows = {
+            family: run_sweep(experiment=experiment, trials=self.POINT.trials,
+                              base_seed=self.POINT.base_seed, engine=family)
+            for family in ("vectorized", "object")
+        }
+        # A record as the store rereads it: through its JSON text.
+        record = json.loads(json.dumps(sweep_record(self.POINT, rows["vectorized"],
+                                                    "vectorized")))
+        rows["stored"] = result_from_record(record)
+        return {source: result.trials for source, result in rows.items()}
+
+    @pytest.mark.parametrize("source", ["vectorized", "object", "stored"])
+    def test_rows_are_immutable_hashable_and_picklable(self, sources, source):
+        rows = sources[source]
+        assert len(rows) == self.POINT.trials
+        for row in rows:
+            assert type(row) is TrialSummary
+            fields = ", ".join(f"{name}={getattr(row, name)!r}" for name in self.FIELDS)
+            assert repr(row) == f"TrialSummary({fields})"
+            with pytest.raises(AttributeError):
+                row.rounds = 0
+            with pytest.raises(AttributeError):
+                row.timed_out = not row.timed_out
+            # Sharded workers hand their rows back through pickle.
+            copy = pickle.loads(pickle.dumps(row))
+            assert type(copy) is TrialSummary
+            assert copy == row and hash(copy) == hash(row)
+        # Rows differ at least in their seed, so a set keeps them all.
+        assert len(set(rows)) == len(rows)
 
 
 class TestDispatchTable:

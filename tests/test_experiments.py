@@ -8,8 +8,6 @@ tests/` without having to run the benchmark suite.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import repro.experiments.e3_early_termination as e3_module
@@ -61,7 +59,7 @@ class TestHeadlineProperties:
 
         def one_capped_trial(*args, **kwargs):
             rows = kernel(*args, **kwargs)
-            return [dataclasses.replace(rows[0], timed_out=True), *rows[1:]]
+            return [rows[0]._replace(timed_out=True), *rows[1:]]
 
         monkeypatch.setattr(e3_module, "QUICK_CONFIG", (64, 8, [0, 2], 2))
         monkeypatch.setattr(e3_module, "run_vectorized_trials", one_capped_trial)

@@ -84,9 +84,7 @@ class TestEngineBitIdentity:
             26, 3, engine="vectorized", workers=2, backend="packed", **kwargs
         )
         assert workers == 2
-        assert [s.__dict__ for s in sharded.trials] == [
-            s.__dict__ for s in serial.trials
-        ]
+        assert sharded.trials == serial.trials
 
     def test_forked_workers_draw_inline_after_the_parent_started_its_pool(self):
         # A pool inherited through fork has no threads behind it: a worker
@@ -108,9 +106,7 @@ class TestEngineBitIdentity:
                 sharded = run_sweep(40, 4, engine="vectorized", workers=2, **kwargs)
             (span,) = [e for e in tracer.events() if e["name"] == "sweep.vectorized"]
             assert span["meta"]["workers"] == 2
-            assert [s.__dict__ for s in sharded.trials] == [
-                s.__dict__ for s in serial.trials
-            ]
+            assert sharded.trials == serial.trials
             print("identical")
         """)
         src = str(Path(repro.__file__).resolve().parents[1])

@@ -319,6 +319,33 @@ class TestDrawSpans:
         assert not [e for e in spans.values() if e["name"] == "engine.draw.shares"]
 
 
+class TestResultSpans:
+    def test_each_batch_builds_its_rows_under_one_results_span(self, tmp_path):
+        # Two points, one batch each: every sweep.point span holds exactly
+        # one sweep.results span, sized by the batch's trials.
+        spec = SweepSpec(name="results", protocols=("committee-ba",),
+                         adversaries=("null", "coin-attack"), n_values=(17,),
+                         t_specs=("quarter",), trials=3, base_seed=1)
+        tracer = Tracer(run_id="results")
+        with activate(tracer):
+            run_spec(spec, store=ResultsStore(tmp_path / "store"))
+        spans = {e["seq"]: e for e in tracer.events() if e["event"] == "span"}
+
+        def enclosing_point(span):
+            while span["name"] != "sweep.point":
+                span = spans[span["parent"]]
+            return span["seq"]
+
+        points = [seq for seq, e in spans.items() if e["name"] == "sweep.point"]
+        results = [e for e in spans.values() if e["name"] == "sweep.results"]
+        assert len(points) == 2
+        assert sorted(enclosing_point(span) for span in results) == sorted(points)
+        assert [span["meta"] for span in results] == [{"rows": 3}, {"rows": 3}]
+        assert all(spans[span["parent"]]["name"] == "sweep.vectorized" for span in results)
+        stages = trace_breakdown(tracer.events())["stages"]
+        assert stages["sweep.results"]["calls"] == 2
+
+
 class TestAggregation:
     def _events(self):
         header = {"event": "trace", "schema": 1, "run_id": "agg"}

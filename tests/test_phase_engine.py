@@ -220,7 +220,7 @@ class TestNewPairCrossValidation:
         attacked = _sweep(protocol, adversary, n, t, "object", 3)
         null = _sweep(protocol, "null", n, t, "object", 3)
         assert attacked.mean_corrupted == 0.0
-        assert [s.__dict__ for s in attacked.trials] == [s.__dict__ for s in null.trials]
+        assert attacked.trials == null.trials
         fast = _sweep(protocol, adversary, n, t, "vectorized", 3)
         fast_null = _sweep(protocol, "null", n, t, "vectorized", 3)
         assert fast.engine == "vectorized"
@@ -276,7 +276,7 @@ class TestShardingContracts:
             trials=6, base_seed=11, engine="vectorized", workers=2,
         )
         assert workers == 2
-        assert [s.__dict__ for s in sharded.trials] == [s.__dict__ for s in serial.trials]
+        assert sharded.trials == serial.trials
 
 
 # ----------------------------------------------------------------------
