@@ -48,9 +48,7 @@ from repro.simulator.bitplanes import row_popcount
 from repro.simulator.messages import PAYLOAD_BITS
 from repro.simulator.planes import NumpyBoolPlane
 from repro.simulator.vectorized import batch_setup, batch_summaries
-from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, pack_sender_words
-from repro.topology.generators import validate_adjacency
-from repro.topology.loss import sample_delivered_words, validate_loss
+from repro.topology.loss import Delivery
 
 #: Adversary hook surface this kernel implements (drives the supported- and
 #: inapplicable-adversary derivation in the engine's capability registry):
@@ -98,21 +96,18 @@ def run_phase_king_trials(
     backend; the adversary kernel sees its ``active``, ``corrupted`` and
     ``can_update`` arrays through
     :class:`~repro.simulator.planes.numpy_bool.NumpyBoolPlane` views, so a
-    corruption lands in the arrays themselves.  Its round-1 per-recipient
-    tallies (the protocol's only masked contractions) pack them for the word
-    channels of :mod:`repro.topology.counting`, and a lossy king round reads
-    the king's bit of each recipient's delivered words.
+    corruption lands in the arrays themselves.  Each round takes its channel
+    from one :class:`~repro.topology.loss.Delivery`, as the phase engine's
+    do: round 1 tallies ``active`` and its value-1 part, and the king round
+    tallies a plane holding only the king's column, whose counts say who
+    heard the king and whose delivered edges are the KingValue messages.
     """
     validate_n_t(n, t)
     if 4 * t >= n:
         raise ConfigurationError(
             f"the implemented phase-king variant requires n > 4t; got n={n}, t={t}"
         )
-    loss = validate_loss(loss)
-    if adjacency is not None:
-        adjacency = validate_adjacency(adjacency, n)
-    masked = adjacency is not None or loss > 0.0
-    counter = AdjacencyCounter(adjacency) if masked and loss == 0.0 else None
+    delivery = Delivery(adjacency, loss, n)
 
     input_rows, streams = batch_setup(n, inputs, trials, seed, trial_offset)
     batch = input_rows.shape[0]
@@ -130,17 +125,6 @@ def run_phase_king_trials(
     bits = np.zeros(batch, dtype=np.int64)
     running = np.ones(batch, dtype=bool)
     zero_counts = np.zeros(batch, dtype=np.int64)
-    # One delivered-word buffer, allocated by the first draw, serves both
-    # lossy rounds: round 1's last read (the receive tallies) precedes the
-    # round-2 draw.
-    deliver_buf: np.ndarray | None = None
-
-    def sample_round() -> np.ndarray:
-        """Sample one round's delivered masks as recipient-major words."""
-        nonlocal deliver_buf
-        deliver_buf = sample_delivered_words(adjacency, loss, n, streams, running, out=deliver_buf)
-        return deliver_buf
-
     planes = [NumpyBoolPlane(plane) for plane in (active, corrupted, can_update)]
 
     def context(king: int) -> KernelContext:
@@ -153,39 +137,23 @@ def run_phase_king_trials(
         ctx = context(king)
 
         # ---------------- Round 1: universal exchange ----------------
-        chan1 = counter
-        if masked and loss > 0.0:
-            chan1 = PackedDeliveredChannel(sample_round(), n)
+        chan1 = delivery.channel(streams, running)
         ones_pre = row_popcount(value & active)
         sender_count = row_popcount(active)
         before = messages.copy()
         effect1 = kernel.round1(ctx, ones_pre, sender_count - ones_pre)
         bits += (messages - before) * _VALUE_ANNOUNCEMENT_BITS
         # A node corrupted mid-round has its honest broadcast discarded.
-        sender_count = row_popcount(active)
-        ones_honest = row_popcount(value & active)
-        if masked:
-            # Tally `active` and its value-1 part; the value-0 part is the
-            # exact-integer difference (the sender sets partition `active`).
-            active_words = pack_sender_words(active, n)
-            recv_active = chan1.receive_counts_words(active_words)
-            ones_recv = chan1.receive_counts_words(pack_sender_words(value & active, n))
-            zeros_recv = recv_active - ones_recv
-            if loss == 0.0:
-                delivered_count = counter.delivered_edges_words(active_words)
-            else:
-                # `active`'s per-recipient tally sums to the delivered edges
-                # — sparing a third contraction against the loss masks.
-                delivered_count = recv_active.sum(axis=1)
-            messages += delivered_count
-            bits += delivered_count * _VALUE_ANNOUNCEMENT_BITS
-            ones = ones_recv + np.asarray(effect1.ones)
-            zeros = zeros_recv + np.asarray(effect1.zeros)
-        else:
-            messages += sender_count * n
-            bits += sender_count * n * _VALUE_ANNOUNCEMENT_BITS
-            ones = ones_honest[:, None] + np.asarray(effect1.ones)
-            zeros = (sender_count - ones_honest)[:, None] + np.asarray(effect1.zeros)
+        # Tally `active` and its value-1 part; the value-0 part is the
+        # exact-integer difference (the sender sets partition `active`).
+        voting = value & active
+        heard = chan1.receive_counts(NumpyBoolPlane(active), row_popcount(active))
+        ones_heard = chan1.receive_counts(NumpyBoolPlane(voting), row_popcount(voting))
+        delivered = chan1.delivered_edges(heard)
+        messages += delivered
+        bits += delivered * _VALUE_ANNOUNCEMENT_BITS
+        ones = ones_heard + np.asarray(effect1.ones)
+        zeros = heard - ones_heard + np.asarray(effect1.zeros)
         majority = ones >= zeros  # ties break to 1, as in the object node
         majority_count = np.maximum(ones, zeros)
 
@@ -193,30 +161,21 @@ def run_phase_king_trials(
         # Non-rushing king corruption (king-targeting) lands before the king
         # broadcasts; the adversary's own round-2 traffic is counted but its
         # payloads are unheard (phase-king nodes only read KingValue).
-        king_reached = None
-        if masked and loss > 0.0:
-            # Recipient i hears the king when bit `king` of its row is set:
-            # byte king >> 3, MSB-first.
-            king_byte = sample_round().view(np.uint8)[:, :, king >> 3]
-            king_reached = ((king_byte >> (7 - king % 8)) & 1).astype(bool)
+        chan2 = delivery.channel(streams, running)
         kernel.pre_coin(ctx)
         before = messages.copy()
         kernel.round2(ctx, zero_counts, zero_counts, zero_counts)
         bits += (messages - before) * _COMBINED_ANNOUNCEMENT_BITS
+        # The KingValue broadcast is one more tally, of a plane holding only
+        # the king's column: who hears the king, and the edges it crossed.
         king_active = active[:, king]
-        if masked:
-            if king_reached is None:
-                king_edges = np.where(king_active, counter.outdeg[king], 0)  # type: ignore[union-attr]
-                king_heard = king_active[:, None] & adjacency[king][None, :]  # type: ignore[index]
-            else:
-                king_heard = king_active[:, None] & king_reached
-                king_edges = np.where(king_active, king_heard.sum(axis=1), 0)
-            messages += king_edges
-            bits += king_edges * _KING_VALUE_BITS
-        else:
-            king_heard = king_active[:, None]
-            messages += np.where(king_active, n, 0)
-            bits += np.where(king_active, n * _KING_VALUE_BITS, 0)
+        king_plane = np.zeros_like(active)
+        king_plane[:, king] = king_active
+        heard = chan2.receive_counts(NumpyBoolPlane(king_plane), king_active.astype(np.int64))
+        king_heard = heard > 0
+        king_edges = chan2.delivered_edges(heard)
+        messages += king_edges
+        bits += king_edges * _KING_VALUE_BITS
 
         strong = majority_count > strong_threshold
         # Uniform effect planes broadcast as (B, 1) columns; the king's own

@@ -47,6 +47,7 @@ from repro.core.inputs import input_list
 from repro.core.las_vegas import LasVegasAgreementNode
 from repro.core.parameters import ProtocolParameters, log2n, validate_alpha, validate_n_t
 from repro.exceptions import ConfigurationError
+from repro.simulator.draws import validate_seed
 from repro.simulator.node import ProtocolNode
 from repro.simulator.rng import RandomnessSource
 from repro.simulator.scheduler import RunResult, SynchronousScheduler
@@ -301,7 +302,7 @@ def run_agreement(
         n=n, t=t, protocol=protocol, adversary=adversary, inputs=inputs, alpha=alpha,
         max_rounds=max_rounds, allow_timeout=allow_timeout, topology=topology, loss=loss,
     )
-    randomness = RandomnessSource(seed)
+    randomness = RandomnessSource(validate_seed(seed))
     inputs_list = input_list(n, inputs, randomness)
     nodes, context = _build_nodes(protocol, n, t, inputs_list, randomness, alpha)
     adversary_instance = ADVERSARIES[adversary](t, rng=randomness.adversary_stream())

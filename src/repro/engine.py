@@ -43,6 +43,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -72,6 +73,7 @@ from repro.core.runner import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.observability.export import read_trace, write_trace
 from repro.observability.tracer import Tracer, activate, current_tracer
+from repro.simulator.draws import validate_seed
 from repro.simulator.planes import PlaneBackend, resolve_backend
 from repro.simulator.vectorized import (
     COMMITTEE_ENGINE_HOOKS,
@@ -342,8 +344,9 @@ def _run_vectorized_sweep(
     # (closed-form tallies) simply ignore it by not receiving it.
     if spec.supports_backend and backend is not None:
         kwargs["backend"] = backend
-    # The clique/loss-free default passes *no* masking kwargs, keeping the
-    # historical code path (and its results) bit for bit.
+    # The clique/loss-free default passes no masking kwargs, so the kernels
+    # without a topology axis never see them; on the others it is the
+    # clique channel.
     if experiment.topology != "clique" or experiment.loss > 0.0:
         from repro.topology import build_topology
 
@@ -361,7 +364,7 @@ def _run_vectorized_sweep(
         trial_offset=trial_offset,
         **kwargs,
     )
-    if not experiment.allow_timeout and any(row.timed_out for row in rows):
+    if not experiment.allow_timeout and any(map(attrgetter("timed_out"), rows)):
         raise SimulationError(
             f"{experiment.protocol} sweep exceeded its round cap; "
             "pass allow_timeout=True to accept censored trials"
@@ -515,6 +518,7 @@ def run_sweep(
         raise ConfigurationError(f"num_trials must be positive, got {trials}")
     if trial_offset < 0:
         raise ConfigurationError(f"trial_offset must be >= 0, got {trial_offset}")
+    validate_seed(base_seed)
     if experiment is None:
         if n is None or t is None:
             raise ConfigurationError("run_sweep needs either (n, t) or experiment=")

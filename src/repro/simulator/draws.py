@@ -52,7 +52,7 @@ from repro import native
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 
-__all__ = ["VECTOR_MIN_ROWS", "TrialStreams", "philox_blocks", "trial_generator"]
+__all__ = ["VECTOR_MIN_ROWS", "TrialStreams", "philox_blocks", "trial_generator", "validate_seed"]
 
 #: Cursor rows at and above which a bit draw without the native draws takes
 #: the vectorised Philox pass.  Measured on 2 vCPUs (Python 3.11, NumPy 2.4)
@@ -79,6 +79,22 @@ _MULTIPLIER_LO = _MULTIPLIER & _LOW32
 _MULTIPLIER_HI = _MULTIPLIER >> _SHIFT32
 _WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _ROUNDS = 10
+
+
+def validate_seed(seed: int) -> int:
+    """Reject a master seed outside ``[0, 2**64)``, the first Philox key word.
+
+    Both result families take their seeds from this one domain: the batched
+    kernels key every trial's stream ``(seed, k)`` with it, and the object
+    runner would otherwise reduce a seed modulo ``2**64`` and silently repeat
+    another run.
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < _SPACE:
+        raise ConfigurationError(
+            f"seed must be in [0, 2**64) to key the trial Philox streams, got {seed}"
+        )
+    return seed
 
 
 def trial_generator(seed: int, k: int) -> np.random.Generator:
@@ -146,13 +162,8 @@ class TrialStreams:
     """
 
     def __init__(self, seed: int, trial_offset: int, trials: int) -> None:
-        seed, trial_offset, trials = (
-            operator.index(seed), operator.index(trial_offset), operator.index(trials)
-        )
-        if not 0 <= seed < _SPACE:
-            raise ConfigurationError(
-                f"seed must be in [0, 2**64) to key the trial Philox streams, got {seed}"
-            )
+        seed = validate_seed(seed)
+        trial_offset, trials = operator.index(trial_offset), operator.index(trials)
         if not 0 <= trial_offset < _SPACE or trials < 0 or trial_offset + trials > _SPACE:
             raise ConfigurationError(
                 "trial counters must stay in [0, 2**64) to key the trial Philox "

@@ -40,20 +40,21 @@ from their own streams.
 
 **The topology / message-loss axis.**  An optional ``(n, n)`` boolean
 ``adjacency`` mask and an i.i.d. per-edge ``loss`` probability
-(:mod:`repro.topology`) restrict which broadcasts reach which recipients.
-With either active, the engine switches the global ``(B,)`` honest tallies
-for *per-recipient* ``(B, n)`` receive counts (a delivered-edge contraction
-run by :mod:`repro.topology.counting` — an AND+popcount over packed uint64
-words, or row totals on the complete graph), the committee coin becomes each
-recipient's sign over the designated shares *it actually received*, and the
-CONGEST message counters charge delivered edges only — all downstream
-threshold logic is shape-polymorphic and runs unchanged.  The contract is:
+(:mod:`repro.topology`) decide which broadcasts reach which recipients, and
+one :class:`~repro.topology.loss.Delivery` owns that decision.  Every round
+takes one tally path: the round's channel (:mod:`repro.topology.counting`)
+turns each plane and its global count into per-recipient receive counts, its
+delivered edges and the committee coin's per-recipient share sums, and all
+downstream threshold logic is shape-polymorphic.  The contract is:
 
-* ``adjacency is None`` with ``loss == 0`` is the clique: the historical
-  code path runs verbatim, bit for bit.  An explicit all-True adjacency
-  takes the masked path but provably produces identical results (the
-  per-recipient tallies all equal the global ones), which is what the
-  masked-overhead benchmark and the identity tests exploit.
+* the clique (``adjacency`` ``None`` or all-True, ``loss == 0``) is the
+  paper's model: each recipient's tally *is* the global count, so its
+  channel hands back ``(B, 1)`` columns of the counts the engine already
+  takes for the adversary kernel and does no work of its own.  Off it, the
+  counts are ``(B, n)`` AND+popcount word tallies over delivered edges, the
+  committee coin becomes each recipient's sign over the designated shares
+  *it actually received*, and the CONGEST message counters charge
+  delivered edges only.
 * loss randomness is drawn from the per-trial streams in a fixed
   per-phase order (round-1 plane, round-2 plane, then the committee share
   draws), only for running trials — so per-trial results remain independent
@@ -82,9 +83,7 @@ from repro.observability.tracer import current_tracer
 from repro.simulator.bitplanes import row_popcount
 from repro.simulator.draws import TrialStreams
 from repro.simulator.planes import PlaneBackend, resolve_backend
-from repro.topology.counting import AdjacencyCounter, PackedDeliveredChannel, word_width
-from repro.topology.generators import validate_adjacency
-from repro.topology.loss import sample_delivered_words, validate_loss
+from repro.topology.loss import Delivery
 
 __all__ = [
     "COIN_SOURCES",
@@ -192,11 +191,11 @@ class PhaseEngine:
         dealer_seeds: Per-trial public dealer seeds (required for the dealer
             coin; the object runner hands each trial its master seed).
         adjacency: Optional ``(n, n)`` boolean topology mask (symmetric,
-            True diagonal; see :mod:`repro.topology`).  ``None`` means the
-            clique.  Any non-``None`` adjacency — including an explicit
-            all-True one — takes the masked per-recipient path.
-        loss: Per-edge i.i.d. message-loss probability (``0 <= loss < 1``).
-            A positive loss activates the masked path even on the clique.
+            True diagonal; see :mod:`repro.topology`).  ``None`` and an
+            all-True mask both mean the clique.
+        loss: Per-edge i.i.d. message-loss probability (``0 <= loss < 1``);
+            a positive loss draws every round's delivered edges, on the
+            clique too.
         backend: ``None`` (the default) lets :meth:`run_batch` pick the
             plane representation by batch size — ``packed`` from
             :data:`PACKED_MIN_CELLS` cells ``B × n`` up, ``numpy`` below;
@@ -207,7 +206,7 @@ class PhaseEngine:
             (:meth:`~repro.simulator.planes.base.Plane.words`) to the same
             word channels (:mod:`repro.topology.counting`), the packed
             backend its stored words, the boolean backend its arrays packed
-            per call.
+            per call; the clique channel reads no words.
     """
 
     n: int
@@ -228,9 +227,7 @@ class PhaseEngine:
             )
         if self.coin == "dealer" and self.dealer_seeds is None:
             raise ConfigurationError("the dealer coin needs per-trial dealer_seeds")
-        self.loss = validate_loss(self.loss)
-        if self.adjacency is not None:
-            self.adjacency = validate_adjacency(self.adjacency, self.n)
+        self._delivery = Delivery(self.adjacency, self.loss, self.n)
 
     # ------------------------------------------------------------------
     def _batch_state(self, inputs: np.ndarray) -> dict[str, np.ndarray]:
@@ -296,7 +293,7 @@ class PhaseEngine:
         quorum = n - t
         phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
 
-        masked = self.adjacency is not None or self.loss > 0.0
+        delivery = self._delivery
         choice = self.backend
         if choice is None:
             choice = "packed" if batch0 * n >= PACKED_MIN_CELLS else "numpy"
@@ -325,31 +322,6 @@ class PhaseEngine:
         orig = np.arange(batch0)
         dealer_seeds = list(self.dealer_seeds) if self.dealer_seeds is not None else None
         pending_any = False  # does flush_next hold any scheduled flush?
-
-        # Masked-plane machinery (topology / loss axis).  The loss-free mask
-        # tallies go through an AdjacencyCounter (row totals on the complete
-        # graph, an AND+popcount word tally on every other mask); lossy
-        # rounds contract against that round's delivered-edge masks, sampled
-        # as packed uint64 words.
-        counter = (
-            AdjacencyCounter(self.adjacency) if masked and self.loss == 0.0 else None
-        )
-        # One reusable delivered-word buffer serves both rounds: the round-1
-        # channel's last read (the receive tallies) precedes the round-2
-        # draw, and compaction only shrinks the leading axis, so a
-        # batch-0-sized buffer sliced to the live batch is always enough.
-        deliver_buf: np.ndarray | None = None
-
-        def round_channel(running: np.ndarray) -> PackedDeliveredChannel:
-            """Sample one round's delivered masks into a word channel."""
-            nonlocal deliver_buf
-            if deliver_buf is None:
-                deliver_buf = np.zeros((batch0, n, word_width(n)), dtype=np.uint64)
-            words = sample_delivered_words(
-                self.adjacency, self.loss, n, streams, running,
-                out=deliver_buf[: len(orig)],
-            )
-            return PackedDeliveredChannel(words, n)
 
         def archive(rows: np.ndarray) -> None:
             where = orig[rows]
@@ -415,13 +387,13 @@ class PhaseEngine:
             ctx = context(start, stop, running)
 
             # ---------------- Round 1 ----------------
-            # The round's delivered-edge matrices are sampled before the
-            # kernel speaks (fixed per-phase draw order: round-1 plane,
-            # round-2 plane, committee shares) and only for running trials.
+            # A lossy round's delivered edges are drawn before the kernel
+            # speaks (fixed per-phase draw order: round-1 plane, round-2
+            # plane, committee shares) and only for running trials.  The
+            # round-1 channel's last read precedes the round-2 draw, so both
+            # share the delivery's one word buffer.
             with tracer.span("engine.round1", phase=phase):
-                chan1 = counter
-                if masked and self.loss > 0.0:
-                    chan1 = round_channel(running)
+                chan1 = delivery.channel(streams, running)
                 voting = value.and_plane(active)
                 ones_pre = voting.popcount()
                 with tracer.span("engine.hook.round1", kernel=hook_kernel):
@@ -436,29 +408,15 @@ class PhaseEngine:
                     ctx.mutated = False
                 else:
                     ones_honest = ones_pre
-                if masked:
-                    # Two contractions cover the round: `active`'s tally and
-                    # the `value & active` tally; the zero-senders' tally is
-                    # their exact-integer difference (the two sender sets
-                    # partition `active`).
-                    senders = active.words()
-                    recv_active = chan1.receive_counts_words(senders)
-                    ones_recv = chan1.receive_counts_words(voting.words())
-                    zeros_recv = recv_active - ones_recv
-                    if self.loss == 0.0:
-                        delivered = counter.delivered_edges_words(senders)
-                    else:
-                        # `active`'s per-recipient tally sums to the delivered
-                        # edges — sparing a third contraction against the
-                        # round's loss masks.
-                        delivered = recv_active.sum(axis=1)
-                    messages[running] += delivered[running]
-                    ones = ones_recv + np.asarray(effect1.ones)
-                    zeros = zeros_recv + np.asarray(effect1.zeros)
-                else:
-                    messages[running] += sender_count[running] * n
-                    ones = ones_honest[:, None] + np.asarray(effect1.ones)
-                    zeros = (sender_count - ones_honest)[:, None] + np.asarray(effect1.zeros)
+                # Two tallies cover the round: `active`'s and the `value &
+                # active` one; the zero-senders' tally is their exact-integer
+                # difference (the two sender sets partition `active`), and
+                # `active`'s tally also gives the delivered edges.
+                heard = chan1.receive_counts(active, sender_count)
+                ones_heard = chan1.receive_counts(voting, ones_honest)
+                messages[running] += chan1.delivered_edges(heard)[running]
+                ones = ones_heard + np.asarray(effect1.ones)
+                zeros = heard - ones_heard + np.asarray(effect1.zeros)
                 updatable = active.and_plane(can_update)
                 quorum1 = ones >= quorum
                 quorum0 = ~quorum1 & (zeros >= quorum)
@@ -469,9 +427,7 @@ class PhaseEngine:
 
             # ---------------- Round 2 ----------------
             # Non-rushing committee corruption happens before the flips exist.
-            chan2 = counter
-            if masked and self.loss > 0.0:
-                chan2 = round_channel(running)
+            chan2 = delivery.channel(streams, running)
             with tracer.span("engine.pre_coin", phase=phase):
                 with tracer.span("engine.hook.pre_coin", kernel=hook_kernel):
                     kernel.pre_coin(ctx)
@@ -479,53 +435,44 @@ class PhaseEngine:
                     with tracer.span("engine.retally", phase=phase):
                         sender_count = active.popcount()
                         updatable = active.and_plane(can_update)
+                        chan1 = None  # round 1's `active` tally is stale
                     ctx.mutated = False
             with tracer.span("engine.round2", phase=phase):
-                if masked:
-                    messages[running] += chan2.delivered_edges_words(active.words())[running]
-                else:
-                    messages[running] += sender_count[running] * n
-                # The decided senders and their value-1 part, built once for
-                # both the global and the per-recipient tallies.
+                # A loss-free channel already tallied these senders in round
+                # 1, unless pre_coin corrupted some; a lossy round has its
+                # own delivered edges.
+                if chan2 is not chan1:
+                    heard = chan2.receive_counts(active, sender_count)
+                messages[running] += chan2.delivered_edges(heard)[running]
+                # The decided senders and their value-1 part: global counts
+                # for the kernel, per-recipient ones through the channel,
+                # split as in round 1.
                 recorded = active.and_plane(decided)
                 recorded_one = value.and_plane(recorded)
+                d_honest = recorded.popcount()
                 d1_honest = recorded_one.popcount()
-                d0_honest = recorded.popcount() - d1_honest
-                if masked:
-                    # Same two-contraction split as round 1; the value-0
-                    # part is the exact-integer difference.
-                    d_recv = chan2.receive_counts_words(recorded.words())
-                    d1_recv = chan2.receive_counts_words(recorded_one.words())
-                    d0_recv = d_recv - d1_recv
+                d0_honest = d_honest - d1_honest
+                d1_heard = chan2.receive_counts(recorded_one, d1_honest)
+                d0_heard = chan2.receive_counts(recorded, d_honest) - d1_heard
 
                 # Share draws: always for the committee coin; lazily for the
                 # others, only when a share-hungry kernel can reach the coin case
-                # this phase (the honest tallies decide, since the kernel has not
-                # spoken yet) — preserving the dealer/private coins' historical
-                # per-trial draw schedule bit for bit.
+                # this phase — as soon as any recipient's honest view stays
+                # unassigned, since the kernel has not spoken yet — preserving
+                # the dealer/private coins' historical per-trial draw schedule
+                # bit for bit.
                 shares = None
-                if self.coin == "committee":
+                if self.coin == "committee" or (
+                    kernel.needs_shares
+                    and (running & ~value_assigned(d1_heard, d0_heard, n, t).all(axis=1)).any()
+                ):
                     shares = draw_committee_shares(
                         streams, running, active.bools()[:, start:stop]
                     )
-                elif kernel.needs_shares:
-                    if masked:
-                        # Per-recipient thresholds: a trial can reach the coin
-                        # case as soon as any recipient's view stays unassigned.
-                        assigned_honest = value_assigned(d1_recv, d0_recv, n, t).all(axis=1)
-                    else:
-                        assigned_honest = value_assigned(d1_honest, d0_honest, n, t)
-                    if (running & ~assigned_honest).any():
-                        shares = draw_committee_shares(
-                            streams, running, active.bools()[:, start:stop]
-                        )
-                share_recv = None
                 if shares is not None:
                     honest_sum = shares.sum(axis=1, dtype=np.int64)
-                    if masked and self.coin == "committee":
-                        share_plane = np.zeros((len(orig), n), dtype=np.int8)
-                        share_plane[:, start:stop] = shares
-                        share_recv = chan2.signed_counts(share_plane)
+                    if self.coin == "committee":
+                        shares_heard = chan2.signed_counts(shares, start, honest_sum)
                     if kernel.needs_shares:
                         ctx.shares = shares
                 else:
@@ -537,12 +484,8 @@ class PhaseEngine:
                     updatable = active.and_plane(can_update)
                     ctx.mutated = False
 
-                if masked:
-                    d1 = d1_recv + np.asarray(effect2.decided_one)
-                    d0 = d0_recv + np.asarray(effect2.decided_zero)
-                else:
-                    d1 = d1_honest[:, None] + np.asarray(effect2.decided_one)
-                    d0 = d0_honest[:, None] + np.asarray(effect2.decided_zero)
+                d1 = d1_heard + np.asarray(effect2.decided_one)
+                d0 = d0_heard + np.asarray(effect2.decided_zero)
                 reach_q1 = d1 >= quorum
                 reach_q0 = d0 >= quorum
                 # `_best_value_reaching` tie-breaking (highest count wins, value 1
@@ -571,17 +514,16 @@ class PhaseEngine:
                 # ---------------- The phase coin ----------------
                 coin_mask = updatable.and_mask(coin_case)
                 if self.coin == "committee":
+                    # Each recipient's share sum plus the adversary's
+                    # adjustment, which is always delivered (worst case).
+                    # Work in the kernel's (narrower) adjustment dtype: a
+                    # recipient hears a subset of the shares the kernel saw,
+                    # so its sum, like the global one, is bounded by the
+                    # committee size.
                     adj = np.asarray(effect2.shares)
-                    if masked:
-                        # Per-recipient share sums; the adversary's adjustments
-                        # are always delivered (worst case).
-                        assert share_recv is not None
-                        coin = (share_recv + adj) >= 0
-                    elif adj.ndim:
-                        # Work in the kernel's (narrower) adjustment dtype.
-                        coin = (honest_sum.astype(adj.dtype)[:, None] + adj) >= 0
-                    else:
-                        coin = (honest_sum[:, None] + adj) >= 0
+                    if adj.ndim:
+                        shares_heard = shares_heard.astype(adj.dtype)
+                    coin = (shares_heard + adj) >= 0
                     value.blend_mask(coin, coin_mask)
                 else:
                     need = running & coin_case.any(axis=1)

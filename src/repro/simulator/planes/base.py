@@ -21,15 +21,17 @@ invariants make a backend drop-in:
   be told about external mutations via :meth:`Plane.mark_bools_dirty` —
   the pack/unpack boundary of the bit-packed backend.
 
-Every tally the engine takes is one of two forms over an AND of planes
-(:meth:`Plane.and_plane`): its per-row :meth:`~Plane.popcount` on the
-clique, or its packed :meth:`~Plane.words` handed to a masked tally channel
-of :mod:`repro.topology.counting` off it.  The op names mirror the engine's
-historical inline expressions: a *mask* is a plain boolean ndarray of shape
-``(B, 1)`` (a per-trial threshold column, the clique's case) or ``(B, n)``
-(a per-recipient plane, the masked topology path's case); a *plane* is
-another :class:`Plane` of the same backend.  Mixing planes from different
-backends is undefined.
+Every tally the engine takes is over an AND of planes
+(:meth:`Plane.and_plane`): its per-row :meth:`~Plane.popcount`, the global
+count the adversary kernel reads, handed with the plane to the round's
+delivery channel (:mod:`repro.topology.counting`).  The clique channel
+returns that count as each recipient's; the word channels off it tally the
+plane's packed :meth:`~Plane.words`.  The op names mirror the engine's
+inline expressions: a *mask* is a plain boolean ndarray of shape ``(B, 1)``
+(a per-trial threshold column, the clique's case) or ``(B, n)`` (a
+per-recipient plane, the masked topology path's case); a *plane* is another
+:class:`Plane` of the same backend.  Mixing planes from different backends
+is undefined.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class Plane(ABC):
         """The plane as ``(B, ceil(n/64))`` uint64 words, read-only.
 
         The :func:`~repro.topology.counting.pack_sender_words` layout, tail
-        bits zero: the one form every masked tally channel reads
-        (``receive_counts_words``, ``delivered_edges_words``).
+        bits zero: the one form the word channels tally
+        (``receive_counts_words``).
         """
 
     # -------------------------------------------------- temporaries

@@ -117,7 +117,8 @@ class VectorizedAgreementSimulator:
         max_phases: Safety cap for Las Vegas runs, in whole phases
             (:func:`build_vectorized_simulator` passes half the round cap).
         adjacency: Optional ``(n, n)`` boolean topology mask
-            (:mod:`repro.topology`); ``None`` runs the historical clique path.
+            (:mod:`repro.topology`); ``None`` (or an all-True mask) is the
+            clique.
         loss: Per-edge i.i.d. message-loss probability.
         backend: Forced plane representation for the batched engine
             (``"numpy"`` or ``"packed"``); ``None`` picks it by batch size

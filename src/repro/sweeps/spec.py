@@ -37,6 +37,7 @@ from repro.core.runner import (
     validate_names,
 )
 from repro.exceptions import ConfigurationError
+from repro.simulator.draws import validate_seed
 from repro.topology import validate_loss
 
 #: Bumped whenever the meaning of a serialized spec/point changes
@@ -133,6 +134,7 @@ class SweepPoint:
 
     def __post_init__(self) -> None:
         validate_configuration(self)
+        validate_seed(self.base_seed)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be positive, got {self.trials}")
 

@@ -1,48 +1,51 @@
-"""Exact per-recipient receive tallies against adjacency and delivered masks.
+"""The delivery channels: what each recipient hears of one round.
 
-The masked communication planes need ``counts[b, i] = sum_j sent[b, j] *
-A[j, i]`` — a ``(B, n) x (n, n)`` contraction per tally.  One engine carries
-it on every plane backend: an AND+popcount over packed uint64 words in the
-:func:`pack_sender_words` layout, the one form a masked run tallies.  The
-engine hands a channel a plane's
+A round's honest broadcasts reach recipient ``i`` from every sender ``j``
+with a delivering edge ``j -> i``, so a per-recipient tally is ``counts[b,
+i] = sum_j sent[b, j] * A[j, i]``.  Three channels answer it, and
+:class:`repro.topology.loss.Delivery` hands the engines one per round:
+
+* :class:`CliqueChannel` — the complete graph, the paper's model: every
+  broadcast reaches every node, so each recipient's tally is the global
+  count the engine already holds for the adversary kernel, handed back as a
+  broadcastable ``(B, 1)`` column.  It never reads the plane;
+* :class:`AdjacencyCounter` — a fixed loss-free mask shared by every trial;
+* :class:`PackedDeliveredChannel` — one lossy round's per-trial
+  delivered-edge masks, the ``(B, n, ceil(n/64))`` uint64 output of
+  :func:`repro.topology.loss.sample_delivered_words`.
+
+The last two are one word channel: an AND+popcount over packed uint64 words
+in the :func:`pack_sender_words` layout, whose cost is the same at any
+density.  It reads a plane's
 :meth:`~repro.simulator.planes.base.Plane.words`: the packed plane backend
 its stored words as they are, the numpy-bool backend its array packed once
-per call.  :class:`AdjacencyCounter` picks one of two strategies for a fixed
-loss-free mask:
+per call.  Every channel produces bit-identical ``int64`` counts.  The
+**channel protocol** (duck-typed; called by
+:meth:`repro.simulator.phase_engine.PhaseEngine.run_batch` and the
+phase-king kernel) is:
 
-* **complete** — the all-True adjacency (which must stay within the
-  benchmark's 2x overhead bar of the unmasked clique path): each trial's
-  row total, one broadcastable column;
-* **packed** — every other mask: a :class:`PackedDeliveredChannel`
-  computing ``popcount(sent_words & incoming_words[recipient])``, whose
-  cost is the same at any density.
+* ``receive_counts(plane, count)`` — a plane and its ``(B,)`` global count
+  -> per-recipient counts, ``(B, 1)`` on the clique, ``(B, n)`` on a mask;
+* ``delivered_edges(counts)`` — those counts -> the ``(B,)`` delivered
+  edges, the CONGEST message counter;
+* ``signed_counts(shares, start, total)`` — a committee slice of ±1 coin
+  shares from column ``start`` and its ``(B,)`` sum -> per-recipient share
+  sums.
 
-The per-round *delivered-edge* masks of the lossy path are words from the
-start: a :class:`PackedDeliveredChannel` tallies against the
-``(B, n, ceil(n/64))`` uint64 output of
-:func:`repro.topology.loss.sample_delivered_words`.
-
-Every strategy produces bit-identical ``int64`` counts: the row totals and
-popcounts both sum in integer arithmetic.  The shared **channel protocol**
-(duck-typed; called by
-:meth:`repro.simulator.phase_engine.PhaseEngine.run_batch`) is:
-
-* ``receive_counts_words(sent_words)`` — packed sender words ->
-  per-recipient counts;
-* ``signed_counts(plane)`` — small-integer planes (the ±1 coin shares);
-* ``delivered_edges_words(sent_words)`` — the masked CONGEST message
-  counter.
-
-Telemetry: every word tally counts ``masked_tally.packed`` and every
-complete-graph row total ``masked_tally.complete``, so trace reports show
-which engine carried a masked run.
+Telemetry: every word tally counts ``masked_tally.packed``, so trace reports
+show the tallies a masked run paid for; the clique tallies nothing.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.observability.tracer import current_tracer
+
+if TYPE_CHECKING:
+    from repro.simulator.planes.base import Plane
 
 
 def word_width(n: int) -> int:
@@ -67,6 +70,22 @@ def pack_sender_words(array: np.ndarray, n: int) -> np.ndarray:
     return buffer.view(np.uint64)
 
 
+class CliqueChannel:
+    """The complete graph: every recipient's tally is the global count."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def receive_counts(self, plane: Plane, count: np.ndarray) -> np.ndarray:
+        return count[:, None]
+
+    def delivered_edges(self, counts: np.ndarray) -> np.ndarray:
+        return counts[:, 0] * self.n
+
+    def signed_counts(self, shares: np.ndarray, start: int, total: np.ndarray) -> np.ndarray:
+        return total[:, None]
+
+
 class PackedDeliveredChannel:
     """A word channel: AND+popcount tallies over packed incoming-edge words.
 
@@ -74,11 +93,10 @@ class PackedDeliveredChannel:
     whose messages reach ``i``: shape ``(B, n, W)`` for one lossy round's
     per-trial delivered-edge masks (the output of
     :func:`repro.topology.loss.sample_delivered_words`) or ``(n, W)`` for a
-    fixed adjacency mask shared by every trial (the
-    :class:`AdjacencyCounter`'s packed strategy).  A tally contracts a
-    ``(B, W)`` packed sender plane against it one word column at a time — a
-    ``(B, n)`` uint64 AND / popcount / accumulate loop that never
-    materialises a ``(B, n, W)`` intermediate.
+    fixed adjacency mask shared by every trial (:class:`AdjacencyCounter`).
+    A tally contracts a ``(B, W)`` packed sender plane against it one word
+    column at a time — a ``(B, n)`` uint64 AND / popcount / accumulate loop
+    that never materialises a ``(B, n, W)`` intermediate.
     """
 
     def __init__(self, incoming: np.ndarray, n: int) -> None:
@@ -88,6 +106,9 @@ class PackedDeliveredChannel:
         # the per-recipient total is bounded by n: uint16 accumulation is
         # exact up to 65535 nodes and meaningfully faster than int64.
         self._acc_dtype = np.uint16 if n < (1 << 16) else np.int64
+
+    def receive_counts(self, plane: Plane, count: np.ndarray) -> np.ndarray:
+        return self.receive_counts_words(plane.words())
 
     def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
         """``(B, n)`` int64 tallies of a ``(B, W)`` packed sender plane."""
@@ -110,68 +131,27 @@ class PackedDeliveredChannel:
             acc += percount
         return acc.astype(np.int64)
 
-    def signed_counts(self, plane: np.ndarray) -> np.ndarray:
+    def delivered_edges(self, counts: np.ndarray) -> np.ndarray:
+        # Every delivered edge lands in exactly one recipient's tally.
+        return counts.sum(axis=1)
+
+    def signed_counts(self, shares: np.ndarray, start: int, total: np.ndarray) -> np.ndarray:
         # The positive and negative supports' word tallies, differenced:
-        # exact integers, like the complete graph's row totals.
+        # exact integers, like the clique's global sum.
+        plane = np.zeros((len(shares), self.n), dtype=np.int8)
+        plane[:, start : start + shares.shape[1]] = shares
         plus = self.receive_counts_words(pack_sender_words(plane > 0, self.n))
         minus = self.receive_counts_words(pack_sender_words(plane < 0, self.n))
         return plus - minus
 
-    def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
-        return self.receive_counts_words(sent_words).sum(axis=1, dtype=np.int64)
 
-
-class AdjacencyCounter:
-    """Receive-count engine for a fixed loss-free adjacency mask.
-
-    The strategy is chosen once, at construction, from the mask, and every
-    tally afterwards is exact-integer equivalent across strategies, so
-    callers can treat the choice as invisible.
-    """
+class AdjacencyCounter(PackedDeliveredChannel):
+    """The word channel of a fixed loss-free mask shared by every trial."""
 
     def __init__(self, adjacency: np.ndarray) -> None:
         n = adjacency.shape[0]
-        self.n = n
-        #: Delivered out-degree per sender (self included), for the
-        #: delivered-edge CONGEST accounting.
-        self.outdeg = adjacency.sum(axis=1, dtype=np.int64)
-        if adjacency.all():
-            self.strategy = "complete"
-        else:
-            self.strategy = "packed"
-            # Row i packs column i of the mask: the senders reaching i.
-            self._words = PackedDeliveredChannel(
-                pack_sender_words(np.ascontiguousarray(adjacency.T), n), n
-            )
-
-    # ------------------------------------------------------------------
-    def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
-        """Per-recipient tallies of the packed sender plane ``sent_words``
-        over delivering edges.
-
-        Returns a ``(B, n)`` plane — or a broadcastable ``(B, 1)`` column
-        when the mask is the complete graph, where every recipient's tally is
-        the same total (callers must therefore broadcast rather than reduce
-        over the recipient axis).
-        """
-        if self.strategy == "packed":
-            return self._words.receive_counts_words(sent_words)
-        current_tracer().count("masked_tally.complete")
-        return np.bitwise_count(sent_words).sum(axis=1, dtype=np.int64)[:, None]
-
-    def signed_counts(self, plane: np.ndarray) -> np.ndarray:
-        """Per-recipient sums of a small-integer plane (the ±1 shares)."""
-        if self.strategy == "packed":
-            return self._words.signed_counts(plane)
-        current_tracer().count("masked_tally.complete")
-        return plane.sum(axis=1, dtype=np.int64)[:, None]
-
-    def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:
-        """Delivered edges per trial — the masked CONGEST message counter:
-        the out-degree product on the unpacked senders, not a whole tally."""
-        bytes_ = np.ascontiguousarray(sent_words).view(np.uint8)
-        senders = np.unpackbits(bytes_, axis=1, count=self.n)
-        return senders.astype(np.int64) @ self.outdeg
+        # Row i packs column i of the mask: the senders reaching i.
+        super().__init__(pack_sender_words(np.ascontiguousarray(adjacency.T), n), n)
 
 
 # An alias for ``sweepbench/layers.py``, which looks this name up when it

@@ -10,13 +10,13 @@ independent) matches the object simulator, where each
 
 Two consumers share this module:
 
-* the masked :class:`~repro.simulator.phase_engine.PhaseEngine` and the
-  phase-king kernel draw one ``(n, n)`` uniform plane per (running trial,
-  round) from the trial's own Philox generator via
+* :class:`~repro.simulator.phase_engine.PhaseEngine` and the phase-king
+  kernel take each round's channel from one :class:`Delivery`, which owns
+  the run's adjacency and loss.  A lossy round draws one ``(n, n)`` uniform
+  plane per running trial from the trial's own Philox stream via
   :func:`sample_delivered_words`, as recipient-major packed words — trials
-  draw only from their own generators, so per-trial results stay
-  independent of batching and compaction, exactly like the committee share
-  draws;
+  draw only from their own streams, so per-trial results stay independent
+  of batching and compaction, exactly like the committee share draws;
 * the object :class:`~repro.simulator.scheduler.SynchronousScheduler` turns
   the same Bernoulli model into per-round ``(sender, recipient)`` drop sets
   via :func:`sample_drops`, drawing from a dedicated network stream of the
@@ -72,9 +72,16 @@ from repro import native
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.simulator.draws import TrialStreams
-from repro.topology.counting import word_width
+from repro.topology.counting import (
+    AdjacencyCounter,
+    CliqueChannel,
+    PackedDeliveredChannel,
+    word_width,
+)
+from repro.topology.generators import validate_adjacency
 
 __all__ = [
+    "Delivery",
     "sample_delivered",
     "sample_delivered_words",
     "sample_drops",
@@ -126,6 +133,45 @@ def validate_loss(loss: float) -> float:
     return loss
 
 
+class Delivery:
+    """How one run's round broadcasts reach their recipients.
+
+    Validates the run's ``adjacency`` and ``loss`` once.  A loss-free run
+    gets the same channel every round (:meth:`channel`): the
+    :class:`~repro.topology.counting.CliqueChannel` for ``None`` or an
+    all-True mask, both the complete graph, else the fixed mask's
+    :class:`~repro.topology.counting.AdjacencyCounter`.  A lossy round draws
+    its delivered-edge words (:func:`sample_delivered_words`) into one
+    reused buffer and tallies them through a
+    :class:`~repro.topology.counting.PackedDeliveredChannel`.
+    """
+
+    def __init__(self, adjacency: np.ndarray | None, loss: float, n: int) -> None:
+        self.n = n
+        self.loss = validate_loss(loss)
+        self.adjacency = None if adjacency is None else validate_adjacency(adjacency, n)
+        self._fixed: CliqueChannel | AdjacencyCounter | None = None
+        if self.loss == 0.0:
+            complete = self.adjacency is None or self.adjacency.all()
+            self._fixed = CliqueChannel(n) if complete else AdjacencyCounter(self.adjacency)
+        self._words: np.ndarray | None = None
+
+    def channel(
+        self, streams: TrialStreams, running: np.ndarray
+    ) -> CliqueChannel | PackedDeliveredChannel:
+        """This round's channel; a lossy round draws for the running trials."""
+        if self._fixed is not None:
+            return self._fixed
+        batch = len(running)
+        if self._words is None or len(self._words) < batch:
+            # Sized by a batch's first round: compaction only shrinks it.
+            self._words = np.zeros((batch, self.n, word_width(self.n)), dtype=np.uint64)
+        words = sample_delivered_words(
+            self.adjacency, self.loss, self.n, streams, running, out=self._words[:batch]
+        )
+        return PackedDeliveredChannel(words, self.n)
+
+
 def sample_delivered(
     adjacency: np.ndarray | None,
     loss: float,
@@ -142,8 +188,8 @@ def sample_delivered(
 
     Args:
         adjacency: ``(n, n)`` boolean topology, or ``None`` for the clique.
-        loss: Per-edge drop probability (> 0; the loss-free masked path uses
-            the constant adjacency directly and draws nothing).
+        loss: Per-edge drop probability (> 0; a loss-free :class:`Delivery`
+            keeps one fixed channel and draws nothing).
         n: Network size.
         rngs: Per-trial generators; trial ``b`` draws one ``(n, n)`` uniform
             plane — only if it is still running, so finished (compacted-away)

@@ -112,6 +112,9 @@ class TestCommands:
          "seed must be in [0, 2**64)"),
         (["trials", "--n", "64", "--t", "8", "--trials", "3",
           "--seed", "18446744073709551616"], "seed must be in [0, 2**64)"),
+        (["run", "--n", "13", "--t", "3", "--seed", "-1"], "seed must be in [0, 2**64)"),
+        (["trials", "--n", "13", "--t", "3", "--trials", "3", "--engine", "object",
+          "--seed", "-1"], "seed must be in [0, 2**64)"),
         (["trials", "--workers", "-2"], "workers must be >= 1, got -2"),
         *(
             ([command, "--n", "13", "--t", "3", "--alpha", alpha],

@@ -296,11 +296,25 @@ class TestRunSweep:
     ])
     def test_out_of_range_seeds_are_configuration_errors(self, protocol, adversary, base_seed):
         # The fast kernels key trial k's Philox stream (base_seed, k), so the
-        # seed must be a 64-bit key word; the object engines take any int.
+        # seed must be a 64-bit key word.
         experiment = AgreementExperiment(n=13, t=2, protocol=protocol, adversary=adversary)
         with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*64\)"):
             run_sweep(experiment=experiment, trials=2, base_seed=base_seed,
                       engine="vectorized")
+
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized", "auto"])
+    @pytest.mark.parametrize("base_seed", [-3, 2**64])
+    def test_both_result_families_take_the_same_seeds(self, monkeypatch, engine, base_seed):
+        # One seed domain for both result families, checked before dispatch.
+        import repro.engine as engine_module
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("dispatched")
+
+        monkeypatch.setattr(engine_module, "select_engine", no_dispatch)
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            run_sweep(13, 3, adversary="null", trials=3, engine=engine, base_seed=base_seed)
 
 
 class TestKernelContract:

@@ -2,7 +2,7 @@
 
 Masked-topology and lossy runs tally their per-recipient counts through the
 word channels of :mod:`repro.topology.counting` on every plane backend:
-AND+popcount over packed uint64 words, or row totals on the complete graph.
+AND+popcount over packed uint64 words.
 The delivered-edge Philox draws are sampled outside the backends, as packed
 words, and every tally is an exact integer.  Acceptance surfaces:
 
@@ -20,11 +20,11 @@ words, and every tally is an exact integer.  Acceptance surfaces:
   the single-process numpy reference trial-for-trial — also when the parent
   started its loss-draw thread pool before forking the workers, which must
   then draw inline instead of waiting on the inherited, threadless pool;
-* **tally unit behaviour**: the packed
-  :class:`~repro.topology.counting.AdjacencyCounter` strategy and
-  :class:`~repro.topology.counting.PackedDeliveredChannel` match int64
-  references on ragged widths and signed (±1 share) planes, through the
-  word forms every channel offers.
+* **tally unit behaviour**: the lossy round's
+  :class:`~repro.topology.counting.PackedDeliveredChannel` matches int64
+  references on ragged widths and signed (±1 share) planes, through its
+  word tally (every channel against every mask and both backends:
+  ``tests/test_topology.py::TestChannelContract``).
 """
 
 from __future__ import annotations
@@ -36,12 +36,17 @@ import signal
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+import repro.topology.loss as loss_module
+from repro.adversary.kernels import committee_targeting, crash, straddle
+from repro.baselines.kernels.phase_king import run_phase_king_trials
+from repro.core.parameters import ProtocolParameters
 from repro.engine import run_sweep
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import TOPOLOGIES, build_topology
@@ -72,6 +77,53 @@ class TestEngineBitIdentity:
         reference = run_vectorized_trials(24, 2, backend="numpy", **kwargs)
         packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
         assert packed == reference
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    @pytest.mark.parametrize("protocol,adversary", [
+        ("committee-ba-las-vegas", "coin-attack"),
+        ("committee-ba-las-vegas", "crash"),
+        ("committee-ba", "random-noise"),
+        ("phase-king", "equivocate"),
+    ])
+    def test_the_word_channel_on_the_complete_graph_is_the_clique(
+        self, monkeypatch, protocol, adversary, backend
+    ):
+        # An all-True mask runs the clique channel.  Forced onto the
+        # fixed-mask word channel instead, the (B, n) per-recipient
+        # tallies, delivered edges and share sums must change nothing.
+        n, t = 48, 6
+        kwargs = dict(adversary=adversary, inputs="split", trials=5, seed=29)
+        if protocol == "phase-king":
+            run = run_phase_king_trials
+        else:
+            run = partial(run_vectorized_trials, protocol=protocol, backend=backend)
+        clique = run(n, t, **kwargs)
+        monkeypatch.setattr(
+            loss_module, "CliqueChannel",
+            lambda n: AdjacencyCounter(np.ones((n, n), dtype=bool)),
+        )
+        assert run(n, t, **kwargs) == clique
+
+    @pytest.mark.parametrize("adversary", ["coin-attack", "crash", "committee-targeting"])
+    @pytest.mark.parametrize("network", [{"adjacency": "star"}, {"loss": 0.3}])
+    def test_the_coin_line_keeps_the_adjustment_dtype_off_the_clique(
+        self, monkeypatch, adversary, network
+    ):
+        # A recipient's share sum, plus the kernel's adjustment, stays within
+        # the adjustment's dtype (int8 for this committee of 64): rows equal
+        # those of the same run with every adjustment widened to int64.
+        n, t = 128, 16
+        if "adjacency" in network:
+            network = {"adjacency": build_topology(network["adjacency"], n)}
+        kwargs = dict(
+            protocol="committee-ba-las-vegas", adversary=adversary, inputs="split",
+            trials=4, seed=5, alpha=0.2, **network,
+        )
+        assert ProtocolParameters.derive(n, t, 0.2).committee_size == 64
+        narrow = run_vectorized_trials(n, t, **kwargs)
+        for module in (straddle, crash, committee_targeting):
+            monkeypatch.setattr(module, "share_adjustment_dtype", lambda size: np.dtype(np.int64))
+        assert run_vectorized_trials(n, t, **kwargs) == narrow
 
     def test_sharded_masked_lossy_sweep_matches_serial_numpy(self, traced_sweep):
         kwargs = dict(
@@ -403,25 +455,6 @@ class TestTallyUnits:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("n", (70, 128))
-    def test_mid_density_adjacency_strategy_matches_int64_references(self, n):
-        rng = np.random.default_rng(2 * n)
-        adjacency = rng.random((n, n)) < 0.5
-        np.fill_diagonal(adjacency, True)
-        adjacency &= adjacency.T
-        counter = AdjacencyCounter(adjacency)
-        assert counter.strategy == "packed"
-        reference = adjacency.astype(np.int64)
-        sent = rng.random((5, n)) < 0.5
-        expected = sent.astype(np.int64) @ reference
-        words = pack_sender_words(sent, n)
-        np.testing.assert_array_equal(counter.receive_counts_words(words), expected)
-        np.testing.assert_array_equal(counter.delivered_edges_words(words), expected.sum(axis=1))
-        shares = rng.integers(-1, 2, size=(5, n)).astype(np.int8)
-        np.testing.assert_array_equal(
-            counter.signed_counts(shares), shares.astype(np.int64) @ reference
-        )
-
     @pytest.mark.parametrize("n", (7, 64, 70, 130))
     def test_delivered_channel_matches_int64_einsum(self, n):
         rng = np.random.default_rng(3 * n)
@@ -434,13 +467,13 @@ class TestTallyUnits:
         kept64 = kept.astype(np.int64)
         sent = rng.random((batch, n)) < 0.5
         expected = np.einsum("bj,bji->bi", sent.astype(np.int64), kept64)
-        words = pack_sender_words(sent, n)
-        np.testing.assert_array_equal(channel.receive_counts_words(words), expected)
+        counts = channel.receive_counts_words(pack_sender_words(sent, n))
+        np.testing.assert_array_equal(counts, expected)
         edges = np.einsum("bj,bji->b", sent.astype(np.int64), kept64)
-        np.testing.assert_array_equal(channel.delivered_edges_words(words), edges)
+        np.testing.assert_array_equal(channel.delivered_edges(counts), edges)
         shares = rng.integers(-1, 2, size=(batch, n)).astype(np.int8)
         shares[:, : n // 2] = 0  # a committee slice: leading words send nothing
         np.testing.assert_array_equal(
-            channel.signed_counts(shares),
+            channel.signed_counts(shares[:, n // 2 :], n // 2, shares.sum(axis=1)),
             np.einsum("bj,bji->bi", shares.astype(np.int64), kept64),
         )

@@ -76,6 +76,14 @@ class TestDefaults:
             run_agreement(13, 3, **kwargs)
 
 
+    @pytest.mark.parametrize("seed", [-1, 5 + 2**64])
+    def test_seeds_outside_the_philox_key_word_are_configuration_errors(self, seed):
+        # A seed past 2**64 would wrap and silently repeat the run of
+        # seed - 2**64 (same rounds, messages and corrupted set).
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            run_agreement(13, 3, adversary="coin-attack", seed=seed)
+
+
 class TestRunAgreement:
     def test_result_extras_populated(self):
         result = run_agreement(n=16, t=3, adversary="coin-attack", inputs="split", seed=0)

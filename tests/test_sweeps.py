@@ -170,6 +170,12 @@ class TestSpec:
             SweepPoint(protocol="committee-ba", adversary="null", inputs="split",
                        n=16, t=8, trials=2, base_seed=0)  # t >= n/3
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_point_seeds_share_the_engines_domain(self, base_seed):
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SweepPoint(protocol="eig", adversary="null", inputs="split",
+                       n=13, t=3, trials=2, base_seed=base_seed)
+
     def test_fast_path_only_filters_object_pairs(self):
         spec = SweepSpec(
             name="fast", protocols=("eig",),
@@ -630,6 +636,22 @@ class TestSweepCli:
         store = str(tmp_path / "store")
         assert main(["sweep", "run", str(spec_path), "--store", store]) == 0
         assert "sweep tiny: 4 points, 4 computed" in capsys.readouterr().out
+
+    def test_a_negative_seed_fails_at_expansion_before_any_shard(self, tmp_path, capsys):
+        # Expansion refuses the seed policy before the object-family eig
+        # point can run and store a shard.
+        spec_path = tmp_path / "negative.json"
+        spec_path.write_text(json.dumps({
+            "name": "negative", "trials": 2,
+            "axes": {"protocol": ["eig", "committee-ba"], "adversary": ["equivocate"],
+                     "inputs": ["split"], "n": [13], "t": [3]},
+            "seed": {"policy": "by-point", "base": -2},
+        }), encoding="utf-8")
+        store = tmp_path / "store"
+        assert main(["sweep", "run", str(spec_path), "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be in [0, 2**64)") and err.count("\n") == 1
+        assert not list(store.glob("shard-*"))
 
     @pytest.mark.parametrize("command", ["run", "status", "report"])
     def test_engine_override_flag_exits_2_before_any_store_write(

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 import repro.topology.loss as loss_module
+from repro.baselines.kernels.phase_king import run_phase_king_trials
 from repro.exceptions import ConfigurationError
 from repro.observability import Tracer, activate
 from repro.simulator.draws import TrialStreams
+from repro.simulator.planes import resolve_backend
+from repro.simulator.vectorized import run_vectorized_trials
 from repro.topology import (
     DEFAULT_TOPOLOGY,
     AdjacencyCounter,
@@ -38,8 +41,13 @@ from repro.topology import (
     validate_adjacency,
     validate_loss,
 )
-from repro.topology.counting import pack_sender_words, word_width
-from repro.topology.loss import sample_delivered_words
+from repro.topology.counting import (
+    CliqueChannel,
+    PackedDeliveredChannel,
+    pack_sender_words,
+    word_width,
+)
+from repro.topology.loss import Delivery, sample_delivered_words
 
 
 class TestGeneratorInvariants:
@@ -388,8 +396,8 @@ class TestLossDrawKernel:
 
 
 class TestAdjacencyCounter:
-    """The masked-plane tally engine: every strategy must agree, exactly,
-    with the dense integer reference ``plane @ A``."""
+    """The fixed-mask word channel against the dense integer reference
+    ``plane @ A``, on every named topology."""
 
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 48])
@@ -401,76 +409,135 @@ class TestAdjacencyCounter:
         plane = rng.integers(0, 2, size=(7, n)).astype(bool)
         counts = counter.receive_counts_words(pack_sender_words(plane, n))
         assert counts.dtype == np.int64
-        assert np.array_equal(
-            np.broadcast_to(counts, (7, n)), plane.astype(np.int64) @ reference
-        )
+        assert np.array_equal(counts, plane.astype(np.int64) @ reference)
         senders = rng.integers(0, 2, size=(7, n)).astype(bool)
         assert np.array_equal(
-            counter.delivered_edges_words(pack_sender_words(senders, n)),
+            counter.delivered_edges(counter.receive_counts_words(pack_sender_words(senders, n))),
             senders.astype(np.int64) @ adjacency.sum(axis=1),
         )
 
-    @pytest.mark.parametrize("name,strategy", [
-        ("clique", "complete"),
-        ("ring", "packed"),
-        ("chain", "packed"),
-        ("star", "packed"),
-        ("grid", "packed"),
-        ("tree", "packed"),
-        ("erdos-renyi", "packed"),
-    ])
-    def test_only_the_complete_graph_skips_the_word_tally(self, name, strategy):
-        assert AdjacencyCounter(build_topology(name, 48)).strategy == strategy
 
-    def test_complete_graph_returns_a_broadcastable_column(self):
-        counter = AdjacencyCounter(np.ones((9, 9), dtype=bool))
-        plane = np.eye(9, dtype=bool)[:4]
-        counts = counter.receive_counts_words(pack_sender_words(plane, 9))
-        assert counts.shape == (4, 1)
-        assert (counts == 1).all()
+def _near_clique(n: int, density: float | None) -> np.ndarray:
+    """All-True minus one edge (``density`` None), or a random dense mask."""
+    if density is None:
+        adjacency = np.ones((n, n), dtype=bool)
+        adjacency[0, 1] = adjacency[1, 0] = False
+        return adjacency
+    upper = np.triu(np.random.default_rng(n).random((n, n)) < density, 1)
+    return upper | upper.T | np.eye(n, dtype=bool)
 
-    @pytest.mark.parametrize("n,density", [(10, None), (100, 0.97), (130, 0.9)])
-    def test_near_clique_takes_the_word_tally(self, n, density):
-        # All-True minus one edge (density None), or a random near-complete
-        # mask: only the complete graph has a row-total shortcut; every other
-        # dense mask is a word tally.
-        rng = np.random.default_rng(3)
-        if density is None:
-            adjacency = np.ones((n, n), dtype=bool)
-            adjacency[0, 1] = adjacency[1, 0] = False
+
+#: Every kind of round a run can take: (adjacency factory, loss).  The
+#: reference for each is its ``(B, n, n)`` delivered-edge matrix.
+CHANNEL_NETWORKS = {
+    "clique": (lambda n: None, 0.0),
+    "all-true": (lambda n: np.ones((n, n), dtype=bool), 0.0),
+    "ring": (ring, 0.0),
+    "erdos-renyi": (erdos_renyi, 0.0),
+    "near-clique": (lambda n: _near_clique(n, None), 0.0),
+    "dense-0.97": (lambda n: _near_clique(n, 0.97), 0.0),
+    "lossy-clique": (lambda n: None, 0.3),
+    "lossy-ring": (ring, 0.2),
+}
+
+CHANNEL_BATCH = 6
+
+
+class TestChannelContract:
+    """Every channel — the clique, a fixed mask and a lossy round — answers
+    the engines' three questions exactly as the int64 reference ``plane @
+    A`` does, on both plane backends, the clique's ``(B, 1)`` columns
+    broadcast to ``(B, n)``."""
+
+    @staticmethod
+    def _round(network: str, n: int):
+        """One round's channel and the delivered-edge matrix it tallies."""
+        build, loss = CHANNEL_NETWORKS[network]
+        adjacency = build(n)
+        running = np.ones(CHANNEL_BATCH, dtype=bool)
+        channel = Delivery(adjacency, loss, n).channel(
+            TrialStreams(11, 0, CHANNEL_BATCH), running
+        )
+        if loss > 0.0:
+            delivered = sample_delivered(
+                adjacency, loss, n, TrialStreams(11, 0, CHANNEL_BATCH), running
+            )
         else:
-            upper = np.triu(rng.random((n, n)) < density, 1)
-            adjacency = upper | upper.T | np.eye(n, dtype=bool)
-        counter = AdjacencyCounter(adjacency)
-        assert counter.strategy == "packed"
-        reference = adjacency.astype(np.int64)
-        plane = rng.integers(0, 2, size=(5, n)).astype(bool)
-        assert np.array_equal(
-            counter.receive_counts_words(pack_sender_words(plane, n)),
-            plane.astype(np.int64) @ reference,
+            mask = np.ones((n, n), dtype=bool) if adjacency is None else adjacency
+            delivered = np.broadcast_to(mask, (CHANNEL_BATCH, n, n))
+        return channel, delivered.astype(np.int64)
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    @pytest.mark.parametrize("network", sorted(CHANNEL_NETWORKS))
+    @pytest.mark.parametrize("n", [12, 70, 128, 130])
+    def test_every_channel_matches_the_int64_reference(self, network, n, backend):
+        channel, reference = self._round(network, n)
+        rng = np.random.default_rng(n)
+        plane = rng.random((CHANNEL_BATCH, n)) < 0.5
+        expected = np.einsum("bj,bji->bi", plane.astype(np.int64), reference)
+        counts = channel.receive_counts(
+            resolve_backend(backend).from_bools(plane.copy()), plane.sum(axis=1, dtype=np.int64)
         )
-        shares = (rng.integers(0, 2, size=(5, n)) * 2 - 1).astype(np.int8)
+        assert counts.dtype == np.int64
+        assert np.array_equal(np.broadcast_to(counts, expected.shape), expected)
+        assert np.array_equal(channel.delivered_edges(counts), expected.sum(axis=1))
+        # A committee slice of ±1 shares, zero elsewhere.
+        start, stop = n // 3, n // 3 + max(1, n // 4)
+        shares = (rng.integers(0, 2, size=(CHANNEL_BATCH, stop - start)) * 2 - 1).astype(np.int8)
+        full = np.zeros((CHANNEL_BATCH, n), dtype=np.int64)
+        full[:, start:stop] = shares
+        sums = channel.signed_counts(shares, start, shares.sum(axis=1, dtype=np.int64))
         assert np.array_equal(
-            counter.signed_counts(shares), shares.astype(np.int64) @ reference
+            np.broadcast_to(sums, expected.shape), np.einsum("bj,bji->bi", full, reference)
         )
 
-    @pytest.mark.parametrize("name,n,strategy", [
-        ("clique", 12, "complete"),
-        ("ring", 48, "packed"),
-        ("ring", 12, "packed"),
-    ])
-    def test_signed_share_planes_are_counted_exactly(self, name, n, strategy):
-        # Coin shares are ±1 values, not booleans: signed_counts, not the
-        # packed sender words, tallies them on every strategy.
-        adjacency = build_topology(name, n)
-        counter = AdjacencyCounter(adjacency)
-        assert counter.strategy == strategy
-        rng = np.random.default_rng(7)
-        shares = (rng.integers(0, 2, size=(6, n)) * 2 - 1).astype(np.int8)
-        assert np.array_equal(
-            np.broadcast_to(counter.signed_counts(shares), (6, n)),
-            shares.astype(np.int64) @ adjacency.astype(np.int64),
-        )
+    def test_the_clique_channel_never_reads_the_plane(self):
+        channel = Delivery(None, 0.0, 5).channel(TrialStreams(0, 0, 2), np.ones(2, dtype=bool))
+        counts = channel.receive_counts(None, np.array([3, 4]))
+        assert counts.tolist() == [[3], [4]]
+        assert channel.delivered_edges(counts).tolist() == [15, 20]
+
+    def test_delivery_picks_the_clique_channel_for_none_and_an_all_true_mask(self):
+        n = 9
+        streams, running = TrialStreams(0, 0, 2), np.ones(2, dtype=bool)
+
+        def channel(adjacency, loss=0.0):
+            return Delivery(adjacency, loss, n).channel(streams, running)
+
+        assert type(channel(None)) is CliqueChannel
+        assert type(channel(np.ones((n, n), dtype=np.int64))) is CliqueChannel
+        assert type(channel(_near_clique(n, None))) is AdjacencyCounter
+        assert type(channel(ring(n))) is AdjacencyCounter
+        assert type(channel(None, 0.1)) is PackedDeliveredChannel
+        assert type(channel(np.ones((n, n), dtype=bool), 0.1)) is PackedDeliveredChannel
+
+    def test_delivery_validates_adjacency_and_loss(self):
+        with pytest.raises(ConfigurationError, match="loss"):
+            Delivery(None, 1.0, 4)
+        asymmetric = np.ones((4, 4), dtype=bool)
+        asymmetric[0, 1] = False
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            Delivery(asymmetric, 0.0, 4)
+        with pytest.raises(ConfigurationError, match="shape"):
+            Delivery(np.ones((3, 3), dtype=bool), 0.0, 4)
+
+    @pytest.mark.parametrize(
+        "run,adversary",
+        [(run_vectorized_trials, "coin-attack"), (run_phase_king_trials, "equivocate")],
+        ids=["phase-engine", "phase-king"],
+    )
+    def test_an_all_true_mask_runs_the_clique_and_counts_no_masked_tally(self, run, adversary):
+        n, t = 24, 4
+        kwargs = dict(adversary=adversary, inputs="split", trials=5, seed=7)
+        default = run(n, t, **kwargs)
+        tracer = Tracer(run_id="all-true")
+        with activate(tracer):
+            masked = run(n, t, adjacency=np.ones((n, n), dtype=bool), **kwargs)
+        assert masked == default
+        assert not [name for name in tracer.counters if name.startswith("masked_tally.")]
+        with activate(tracer):
+            run(n, t, adjacency=ring(n), **kwargs)
+        assert tracer.counter_value("masked_tally.packed") > 0
 
 
 class TestCatalogue:

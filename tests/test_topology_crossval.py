@@ -11,8 +11,8 @@ The contract matches `docs/topologies.md`:
 * **statistical** — the committee family consumes randomness in a
   different order than the object nodes' private streams, so off-clique
   runs are cross-checked on rates and phase structure;
-* **bit-identity guards** — an all-True adjacency (the masked path on a
-  clique-equal graph) must reproduce the unmasked default bit for bit, and
+* **bit-identity guards** — an all-True adjacency (the complete graph,
+  run on the clique channel) must reproduce the default bit for bit, and
   an explicit `topology="clique", loss=0` through the API must be
   indistinguishable from not passing the axis at all.
 """
@@ -125,10 +125,10 @@ class TestStatisticalOffCliqueCommitteeFamily:
 
 class TestBitIdentityGuards:
     def test_all_true_adjacency_is_bit_identical_to_unmasked(self):
-        # The masked path on a clique-equal graph must reproduce the
-        # historical global-tally path exactly — this pins the masked
-        # arithmetic (matmul tallies, per-recipient thresholds, CONGEST
-        # edge counting) to the unmasked semantics.
+        # An all-True mask is the complete graph and runs the clique
+        # channel.  The word channel forced onto the same graph is held to
+        # it in tests/test_masked_backends.py, which pins the per-recipient
+        # arithmetic (word tallies, thresholds, CONGEST edge counting).
         base = run_vectorized_trials(
             24, 2, protocol="committee-ba-las-vegas", adversary="coin-attack",
             trials=12, seed=5,
